@@ -30,22 +30,41 @@ extern "C" {
 ///
 /// The function pointer indirection keeps this module monomorphic; generic
 /// dispatch happens in `coro.rs`.
+///
+/// Exit protocol: the final switch back to the resumer never returns, so
+/// nothing owned by a frame below it is ever dropped. `run` therefore
+/// *returns* once the body is done — freeing the erased closure and its
+/// boxes on the way out — and this function, which by then owns no heap
+/// memory (the thunk is freed before `run` is called), performs the switch.
 #[no_mangle]
 extern "C" fn ptdf_fiber_entry(data: *mut c_void) -> ! {
     // SAFETY: `data` is the `EntryThunk` pointer installed by `init_stack`.
-    let thunk = unsafe { Box::from_raw(data as *mut EntryThunk) };
-    (thunk.run)(thunk.payload);
-    // `run` transfers control away and is never resumed; reaching here means
-    // a completed fiber was switched into again, which is a runtime bug.
+    let EntryThunk { run, payload } = *unsafe { Box::from_raw(data as *mut EntryThunk) };
+    let exit = run(payload);
+    // SAFETY: `run`'s contract — `save` is a writable slot that outlives
+    // this (dead) context and `restore` is the resumer's suspended context.
+    unsafe { ptdf_raw_switch(exit.save, exit.restore) };
+    // Control never comes back; reaching here means a completed fiber was
+    // switched into again, which is a runtime bug.
     std::process::abort();
 }
 
-/// Type-erased fiber entry: `run(payload)` executes the fiber body and, as its
-/// final action, switches back to the resumer without returning.
+/// The final switch of a completed fiber, handed from `run` to
+/// [`ptdf_fiber_entry`]: the arguments of the last [`ptdf_raw_switch`].
+pub struct FiberExit {
+    /// Where to store the dead fiber context's stack pointer.
+    pub save: *mut *mut c_void,
+    /// The resumer's suspended stack pointer.
+    pub restore: *mut c_void,
+}
+
+/// Type-erased fiber entry: `run(payload)` executes the fiber body, releases
+/// everything `payload` owns, and returns the switch that hands control back
+/// to the resumer.
 pub struct EntryThunk {
     /// Monomorphic dispatcher provided by `coro.rs`.
-    pub run: fn(*mut c_void),
-    /// Pointer to the coroutine's shared state.
+    pub run: fn(*mut c_void) -> FiberExit,
+    /// Pointer to the coroutine's erased main closure.
     pub payload: *mut c_void,
 }
 

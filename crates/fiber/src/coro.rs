@@ -7,8 +7,8 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use crate::arch::{init_stack, ptdf_raw_switch, EntryThunk};
-use crate::coro_api::{ForcedUnwind, Step};
+use crate::arch::{init_stack, ptdf_raw_switch, EntryThunk, FiberExit};
+use crate::coro_api::{install_forced_unwind_filter, ForcedUnwind, Step};
 use crate::stack::Stack;
 
 /// Shared mailbox between the resumer side and the fiber side. Lives in a
@@ -24,6 +24,9 @@ struct Shared<In, Y, R> {
     cancel: Cell<bool>,
     state: Cell<u8>, // State discriminant; u8 to keep Cell simple
 }
+
+/// The fiber's main closure, type- and lifetime-erased.
+type ErasedMain = Box<dyn FnOnce() -> FiberExit>;
 
 const ST_CREATED: u8 = 0;
 const ST_SUSPENDED: u8 = 1;
@@ -143,6 +146,9 @@ impl<In, Y, R> Coroutine<In, Y, R> {
 
         // The closure that runs on the fiber stack. It is boxed (type-erased
         // through EntryThunk) and executed exactly once by ptdf_fiber_entry.
+        // It returns the final switch instead of performing it: a switch
+        // made from in here would never return, so the closure's own box
+        // (and everything else owned by the frames below) would leak.
         let fiber_main = move || {
             let shared = &*shared_ptr;
             shared.state.set(ST_RUNNING);
@@ -165,24 +171,27 @@ impl<In, Y, R> Coroutine<In, Y, R> {
             }
             shared.state.set(ST_DONE);
             // Final switch back to the resumer. fiber_sp doubles as the
-            // (dead) save slot; control never returns here.
-            ptdf_raw_switch(shared.fiber_sp.as_ptr(), shared.caller_sp.get());
-            unreachable!("completed fiber resumed");
+            // (dead) save slot. `shared` outlives the switch: its owner is
+            // blocked in the resume (or drop) this switch returns to.
+            FiberExit {
+                save: shared.fiber_sp.as_ptr(),
+                restore: shared.caller_sp.get(),
+            }
         };
 
-        // Double-box: EntryThunk::payload is a thin pointer to Box<dyn FnMut-ish>.
-        type ErasedMain = Box<dyn FnOnce()>;
+        // Double-box: EntryThunk::payload is a thin pointer to the fat one.
         // Lifetime erasure — justified by this function's safety contract.
         let erased: ErasedMain = std::mem::transmute::<
-            Box<dyn FnOnce() + '_>,
-            Box<dyn FnOnce() + 'static>,
+            Box<dyn FnOnce() -> FiberExit + '_>,
+            Box<dyn FnOnce() -> FiberExit + 'static>,
         >(Box::new(fiber_main));
         let payload = Box::into_raw(Box::new(erased)) as *mut c_void;
 
-        fn run_erased(payload: *mut c_void) {
+        fn run_erased(payload: *mut c_void) -> FiberExit {
             // SAFETY: payload was produced by Box::into_raw above.
-            let f: Box<Box<dyn FnOnce()>> = unsafe { Box::from_raw(payload.cast()) };
-            f();
+            let f: Box<ErasedMain> = unsafe { Box::from_raw(payload.cast()) };
+            // Consumes the closure and frees both boxes before returning.
+            f()
         }
 
         let thunk = Box::into_raw(Box::new(EntryThunk { run: run_erased, payload }));
@@ -265,7 +274,7 @@ impl<In, Y, R> Coroutine<In, Y, R> {
                 // SAFETY: pointers were produced by Box::into_raw in new_unchecked.
                 unsafe {
                     let thunk = Box::from_raw(self.pending_thunk);
-                    drop(Box::from_raw(thunk.payload as *mut Box<dyn FnOnce()>));
+                    drop(Box::from_raw(thunk.payload as *mut ErasedMain));
                 }
                 self.pending_thunk = std::ptr::null_mut();
                 self.shared.state.set(ST_DONE);
@@ -305,20 +314,6 @@ impl<In, Y, R> Drop for Coroutine<In, Y, R> {
     }
 }
 
-/// Installs (once) a panic hook that suppresses [`ForcedUnwind`] payloads
-/// and forwards everything else to the previously installed hook.
-fn install_forced_unwind_filter() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<ForcedUnwind>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
-
 impl<In, Y, R> fmt::Debug for Coroutine<In, Y, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = match self.shared.state.get() {
@@ -333,4 +328,3 @@ impl<In, Y, R> fmt::Debug for Coroutine<In, Y, R> {
             .finish()
     }
 }
-

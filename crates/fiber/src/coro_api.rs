@@ -32,3 +32,17 @@ impl<Y, R> Step<Y, R> {
 /// swallow it inside a blanket `catch_unwind`).
 #[derive(Debug)]
 pub struct ForcedUnwind;
+
+/// Installs (once) a panic hook that suppresses [`ForcedUnwind`] payloads
+/// and forwards everything else to the previously installed hook.
+pub(crate) fn install_forced_unwind_filter() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<ForcedUnwind>().is_none() {
+                previous(info);
+            }
+        }));
+    });
+}

@@ -239,7 +239,9 @@ impl<In, Y, R> Drop for Coroutine<In, Y, R> {
             return;
         }
         // Cancel: the body (if started) unwinds via ForcedUnwind; if never
-        // started, the fiber thread exits at its first recv.
+        // started, the fiber thread exits at its first recv. The unwind is
+        // control flow, not an error: keep the panic hook quiet about it.
+        crate::coro_api::install_forced_unwind_filter();
         let _ = self.to_fiber.send(SendCell(ToFiber::Cancel));
         if self.started {
             // Wait for the unwind acknowledgement.

@@ -51,7 +51,11 @@ pub(crate) struct Inner {
     /// (`resume = true`, cost-free continuation).
     pub handoff: Vec<Option<(ThreadId, bool)>>,
     /// Processors that found the scheduler empty; woken on publish.
+    /// Written only through [`Inner::set_parked`].
     pub parked: Vec<bool>,
+    /// How many entries of `parked` are set, so [`Inner::unpark`] with
+    /// nobody parked is a load instead of a scan.
+    parked_count: usize,
     /// Live (non-exited) threads of any kind.
     pub live: usize,
     /// Currently executing (thread, processor); set before each resume.
@@ -70,8 +74,9 @@ pub(crate) struct Inner {
     /// when there is no other active processor). While one fiber runs a
     /// quantum of `work`/`touch` calls, no other processor's clock or parked
     /// state can change except through [`Inner::unpark`] — the engine loop
-    /// and `unpark` are the only writers, so refreshing at those two points
-    /// keeps the per-call timeslice check bit-identical to a full scan.
+    /// (which derives it from the round's one [`RoundScan`]) and `unpark`
+    /// are the only writers, so refreshing at those two points keeps every
+    /// timeslice check bit-identical to a full scan.
     pub ts_min_other: Option<VirtTime>,
     /// Engine-level schedule perturbation stream, when enabled
     /// ([`Config::perturb_seed`]): same-timestamp tie-breaks, wake-order
@@ -115,6 +120,20 @@ pub(crate) struct Inner {
     /// Pre-fix lazy timed-wait eviction ([`Config::lazy_timeout_eviction`]),
     /// kept for the explorer's bug-demo litmus fixtures.
     pub lazy_evict: bool,
+    /// What the rounds of this run did about deadlines, for the unit tests.
+    #[cfg(test)]
+    round_stats: RoundStats,
+}
+
+/// Test-only observation of the engine rounds' deadline work.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct RoundStats {
+    /// Full (non-solo) scheduling rounds.
+    rounds: u64,
+    /// [`Inner::fire_due_timeouts`] calls that got past the nothing-armed
+    /// check and walked the deadline heaps.
+    deadline_scans: u64,
 }
 
 /// What kind of execution context the calling code is inside.
@@ -182,6 +201,7 @@ impl Inner {
             threads: Vec::new(),
             handoff: vec![None; config.processors],
             parked: vec![false; config.processors],
+            parked_count: 0,
             live: 0,
             cur: None,
             default_stack: config.default_stack,
@@ -225,6 +245,8 @@ impl Inner {
             oracle: config.oracle.clone(),
             decisions: Vec::new(),
             lazy_evict: config.lazy_timeout_eviction,
+            #[cfg(test)]
+            round_stats: RoundStats::default(),
         }
     }
 
@@ -293,45 +315,52 @@ impl Inner {
         }
     }
 
+    /// One pass over the processors: everything a scheduling round needs
+    /// to know about their clocks.
+    fn scan_procs(&self) -> RoundScan {
+        RoundScan::of(&self.parked, |q| self.machine.clock(q))
+    }
+
+    fn set_parked(&mut self, q: ProcId, parked: bool) {
+        debug_assert_ne!(self.parked[q], parked);
+        self.parked[q] = parked;
+        if parked {
+            self.parked_count += 1;
+        } else {
+            self.parked_count -= 1;
+        }
+    }
+
     /// Wakes one parked processor for an event published at time `at`
     /// (wake-one semantics, like an OS run queue: each published entry wakes
     /// one waiter; waking everyone would model a thundering herd on the
     /// scheduler lock that real schedulers avoid).
     fn unpark(&mut self, at: VirtTime) {
+        if self.parked_count == 0 {
+            return;
+        }
         let victim = (0..self.parked.len())
             .filter(|&q| self.parked[q])
-            .min_by_key(|&q| self.machine.clock(q));
-        if let Some(q) = victim {
-            let q = self.tie_break(q, DecisionKind::UnparkTie, |inner, r| inner.parked[r]);
-            self.parked[q] = false;
-            self.machine.idle_until(q, at);
-            // A processor just became runnable mid-quantum: the cached
-            // timeslice reference for the current fiber must see it.
-            self.refresh_ts_min_other();
-        }
-    }
-
-    /// Recomputes [`Inner::ts_min_other`] for the current fiber's processor.
-    /// Called at the two points where another processor's clock or parked
-    /// state can change: the engine loop (before resuming a fiber) and
-    /// [`Inner::unpark`].
-    pub(crate) fn refresh_ts_min_other(&mut self) {
-        let cur_p = match self.cur {
-            Some((_, p)) => p,
-            None => {
-                self.ts_min_other = None;
-                return;
-            }
+            .min_by_key(|&q| self.machine.clock(q))
+            .expect("parked_count counts the set entries of parked");
+        let q = self.tie_break(victim, DecisionKind::UnparkTie, |inner, r| inner.parked[r]);
+        self.set_parked(q, false);
+        self.machine.idle_until(q, at);
+        // A processor just became runnable mid-quantum: the cached
+        // timeslice reference for the current fiber must see it.
+        self.ts_min_other = match self.cur {
+            Some((_, p)) => self.scan_procs().min_other(p),
+            None => None,
         };
-        self.ts_min_other = (0..self.parked.len())
-            .filter(|&q| q != cur_p && !self.parked[q])
-            .map(|q| self.machine.clock(q))
-            .min();
     }
 
     /// Whether the current fiber's quantum has outrun the rest of the
-    /// machine by more than [`TIMESLICE`] — the hot-path equivalent of
-    /// [`maybe_timeslice`]'s scan, against the cached reference clock.
+    /// machine by more than [`TIMESLICE`], against the cached reference
+    /// clock. Never true for a thread that has already registered itself on
+    /// a wait queue (state Blocked, between `block_current` and its
+    /// `Blocked` suspend — e.g. the unlock inside `Condvar::wait`): a
+    /// concurrent wake would queue it while it also sits in the handoff
+    /// slot, double-dispatching it.
     #[inline]
     pub(crate) fn timeslice_due(&self, tid: ThreadId, p: ProcId) -> bool {
         match self.ts_min_other {
@@ -1195,44 +1224,38 @@ impl Inner {
     /// included — their entries fire once the active processors' clocks
     /// pass them).
     fn next_live_deadline_any(&mut self) -> Option<VirtTime> {
+        if !self.machine.has_deadlines() {
+            return None;
+        }
         (0..self.parked.len())
             .filter_map(|q| self.next_live_deadline(q))
             .min()
     }
 
-    /// Minimum clock among the non-parked processors *other than* `p` —
-    /// the earliest virtual time at which anyone else could still publish
-    /// a wake. `None` when `p` is the only active processor (then nobody
-    /// can, and `p` may advance freely). Parked processors are excluded
-    /// because [`Inner::unpark`] idles them forward to the publication
-    /// that revives them: they can never act before an active processor's
-    /// present.
-    fn causal_horizon(&self, p: ProcId) -> Option<VirtTime> {
-        (0..self.parked.len())
-            .filter(|&q| q != p && !self.parked[q])
-            .map(|q| self.machine.clock(q))
-            .min()
-    }
-
-    /// The latest virtual time up to which the wake-vs-timeout race is
-    /// already decided, seen from `p`: the global minimum clock over the
-    /// non-parked processors. Every future wake is timestamped at its
-    /// publisher's (monotone) clock, so no wake earlier than this floor
-    /// can appear — deadlines at or before it may fire as timeouts.
-    fn wake_floor(&self, p: ProcId) -> VirtTime {
+    /// The firing floor seen from `p` once its own clock has moved (idling):
+    /// the minimum of its clock and its causal horizon.
+    fn wake_floor(&self, p: ProcId, horizon: Option<VirtTime>) -> VirtTime {
         let me = self.machine.clock(p);
-        match self.causal_horizon(p) {
-            Some(h) => me.min(h),
-            None => me,
-        }
+        horizon.map_or(me, |h| me.min(h))
     }
 
     /// Fires every live deadline — on any processor's heap — due at or
-    /// before `floor` (the caller's [`Inner::wake_floor`]). Firing is
-    /// deferred, never early: a deadline beyond the floor stays armed so a
-    /// slower processor can still win the race with a virtually-earlier
-    /// wake. Returns whether any fired.
+    /// before `floor`: the latest virtual time up to which the
+    /// wake-vs-timeout race is already decided, i.e. the minimum clock over
+    /// the non-parked processors. Every future wake is timestamped at its
+    /// publisher's (monotone) clock, so no wake earlier than the floor can
+    /// appear. Firing is deferred, never early: a deadline beyond the floor
+    /// stays armed so a slower processor can still win the race with a
+    /// virtually-earlier wake. Returns whether any fired; with no deadline
+    /// armed anywhere that is one load.
     fn fire_due_timeouts(&mut self, floor: VirtTime) -> bool {
+        if !self.machine.has_deadlines() {
+            return false;
+        }
+        #[cfg(test)]
+        {
+            self.round_stats.deadline_scans += 1;
+        }
         // Gather every live due deadline first: the firing order among
         // simultaneously-due timeouts is itself a scheduling decision
         // point, and an eviction hook run by one firing may satisfy (and
@@ -1317,32 +1340,6 @@ impl Inner {
             evict(self, t);
             self.cur = saved;
         }
-    }
-
-    /// Minimum-clock runnable processor, or `None` when all are parked.
-    /// Under perturbation, ties at the minimum clock break pseudo-randomly
-    /// instead of always toward processor 0 — this is the main source of
-    /// genuinely different (but still causally valid) event interleavings.
-    fn pick_proc(&mut self) -> Option<ProcId> {
-        let best = (0..self.parked.len())
-            .filter(|&q| !self.parked[q])
-            .min_by_key(|&q| self.machine.clock(q))?;
-        Some(self.tie_break(best, DecisionKind::DispatchTie, |inner, r| !inner.parked[r]))
-    }
-
-    /// The serial fast path's guard: when *exactly one* processor is
-    /// unparked and it holds a direct handoff, takes the handoff and
-    /// returns `(processor, thread, ts_resume)`. With a single eligible
-    /// processor the min-clock pick is forced and the perturbed tie-break
-    /// draws nothing, so skipping the full round changes no behaviour.
-    fn solo_handoff(&mut self) -> Option<(ProcId, ThreadId, bool)> {
-        let mut unparked = (0..self.parked.len()).filter(|&q| !self.parked[q]);
-        let p = unparked.next()?;
-        if unparked.next().is_some() {
-            return None;
-        }
-        let (tid, resume) = self.handoff[p].take()?;
-        Some((p, tid, resume))
     }
 
     /// The watchdog's verdict when all processors are idle with live
@@ -1610,23 +1607,10 @@ const TIMESLICE: VirtTime = VirtTime::from_us(200);
 pub(crate) fn maybe_timeslice(rc: &Rc<RefCell<Inner>>) {
     let should = {
         let inner = rc.borrow();
-        let Some((tid, p)) = inner.cur else {
-            return;
-        };
-        // Never timeslice a thread that has already registered itself on a
-        // wait queue (state Blocked, between `block_current` and its
-        // `Blocked` suspend — e.g. the unlock inside `Condvar::wait`): a
-        // concurrent wake would queue it while it also sits in the handoff
-        // slot, double-dispatching it.
-        if inner.threads[tid.index()].state != TState::Running(p) {
-            return;
+        match inner.cur {
+            Some((tid, p)) => inner.timeslice_due(tid, p),
+            None => false,
         }
-        let my = inner.machine.clock(p);
-        (0..inner.parked.len())
-            .filter(|&q| q != p && !inner.parked[q])
-            .map(|q| inner.machine.clock(q))
-            .min()
-            .is_some_and(|min| my.since(min) > TIMESLICE)
     };
     if should {
         suspend_current(rc, YieldReason::Timeslice);
@@ -1683,29 +1667,78 @@ pub(crate) fn maybe_chaos_yield(rc: &Rc<RefCell<Inner>>) {
     }
 }
 
+/// What one pass over the processors tells a scheduling round: who runs
+/// next, how far the timeout race is decided, and how far anyone may run
+/// ahead. Computed once per round ([`Inner::scan_procs`]); every per-round
+/// question about processor clocks is answered from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RoundScan {
+    /// Non-parked processors.
+    unparked: usize,
+    /// The non-parked processor with the smallest clock (lowest index on
+    /// ties) and that clock — the minimum over the non-parked processors,
+    /// which is also the floor up to which the wake-vs-timeout race is
+    /// decided (see [`Inner::fire_due_timeouts`]). `None` when every
+    /// processor is parked.
+    lead: Option<(ProcId, VirtTime)>,
+    /// The minimum over the non-parked processors other than the lead
+    /// (equal to its clock on a tie); `None` when there is no other.
+    second: Option<VirtTime>,
+}
+
+impl RoundScan {
+    fn of(parked: &[bool], clock: impl Fn(ProcId) -> VirtTime) -> Self {
+        let mut scan = RoundScan {
+            unparked: 0,
+            lead: None,
+            second: None,
+        };
+        for q in (0..parked.len()).filter(|&q| !parked[q]) {
+            let c = clock(q);
+            scan.unparked += 1;
+            match scan.lead {
+                Some((_, min)) if c >= min => {
+                    if scan.second.is_none_or(|s| c < s) {
+                        scan.second = Some(c);
+                    }
+                }
+                lead => {
+                    scan.second = lead.map(|(_, min)| min);
+                    scan.lead = Some((q, c));
+                }
+            }
+        }
+        scan
+    }
+
+    /// Minimum clock among the non-parked processors *other than* `p` — its
+    /// causal horizon: the earliest virtual time at which anyone else could
+    /// still publish a wake, and the reference a fiber running on `p` is
+    /// timesliced against. `None` when `p` is the only active processor
+    /// (then nobody can, and `p` may advance freely). Parked processors are
+    /// excluded because [`Inner::unpark`] idles them forward to the
+    /// publication that revives them: they can never act before an active
+    /// processor's present.
+    ///
+    /// Stays valid while only `p`'s own clock advances (dispatch costs,
+    /// idling): the answer never involves it.
+    fn min_other(&self, p: ProcId) -> Option<VirtTime> {
+        match self.lead {
+            Some((q, _)) if q == p => self.second,
+            lead => lead.map(|(_, min)| min),
+        }
+    }
+}
+
 fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
     loop {
         let mut inner = inner_rc.borrow_mut();
         if inner.live == 0 {
             return None;
         }
-        // Serial fast path (the cycle-box analogue): with the hot path
-        // armed, no deadline outstanding, and exactly one runnable
-        // processor holding a direct handoff, the full scheduling round is
-        // provably a no-op beyond taking the handoff — the min-clock pick
-        // has no rivals (so the perturbed tie-break draws nothing), and no
-        // timeout can fire with no deadline armed. The guard re-evaluates
-        // every iteration, so the engine falls back to the event-heap round
-        // the instant a second processor unparks or a deadline is armed.
-        if let Some((p, tid, ts_resume)) =
-            (inner.hot_path && !inner.machine.has_deadlines())
-                .then(|| inner.solo_handoff())
-                .flatten()
-        {
-            run_quantum(inner, inner_rc, p, tid, ts_resume);
-            continue;
-        }
-        let Some(p) = inner.pick_proc() else {
+        // The round's one pass over the processors.
+        let scan = inner.scan_procs();
+        let Some((best, floor)) = scan.lead else {
             // All processors parked. A live timed wait still guarantees
             // progress: advance the earliest-deadline processor to its
             // deadline and fire it — with everyone parked no wake can
@@ -1717,7 +1750,7 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
                 .min();
             match due {
                 Some((d, q)) => {
-                    inner.parked[q] = false;
+                    inner.set_parked(q, false);
                     inner.machine.idle_until(q, d);
                     inner.fire_due_timeouts(d);
                     continue;
@@ -1725,11 +1758,39 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
                 None => return Some(inner.stall_info()),
             }
         };
+        // Serial fast path (the cycle-box analogue): with the hot path
+        // armed, no deadline outstanding, and exactly one runnable
+        // processor holding a direct handoff, the full scheduling round is
+        // provably a no-op beyond taking the handoff — the min-clock pick
+        // has no rivals (so the perturbed tie-break draws nothing), and no
+        // timeout can fire with no deadline armed. The guard re-evaluates
+        // every iteration, so the engine falls back to the event-heap round
+        // the instant a second processor unparks or a deadline is armed.
+        if inner.hot_path && scan.unparked == 1 && !inner.machine.has_deadlines() {
+            if let Some((tid, ts_resume)) = inner.handoff[best].take() {
+                run_quantum(inner, inner_rc, best, tid, ts_resume, None);
+                continue;
+            }
+        }
+        #[cfg(test)]
+        {
+            inner.round_stats.rounds += 1;
+        }
+        // Minimum-clock runnable processor. Under perturbation, ties at the
+        // minimum clock break pseudo-randomly instead of always toward the
+        // lowest index — this is the main source of genuinely different
+        // (but still causally valid) event interleavings.
+        let p = inner.tie_break(best, DecisionKind::DispatchTie, |inner, r| !inner.parked[r]);
+        // `p`'s causal horizon. Only `p`'s own clock moves from here to the
+        // resume — unless a timeout fires, whose wake charges the waiter's
+        // processor and may unpark another: then the round scans again.
+        let mut horizon = scan.min_other(p);
         // Deliver every timed wait whose deadline the whole machine has
         // passed, before this processor picks new work. `p` holds the
         // minimum clock right now, so the floor is its own clock.
-        let floor = inner.wake_floor(p);
-        inner.fire_due_timeouts(floor);
+        if inner.fire_due_timeouts(floor) {
+            horizon = inner.scan_procs().min_other(p);
+        }
         let (tid, ts_resume) = if let Some((child, resume)) = inner.handoff[p].take() {
             (child, resume)
         } else {
@@ -1774,14 +1835,13 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
                     // firing floor defers the timeout either way.
                     let mut until = t;
                     if let Some(d) = inner.next_live_deadline_any() {
-                        let decidable =
-                            inner.causal_horizon(p).is_none_or(|h| d <= h);
+                        let decidable = horizon.is_none_or(|h| d <= h);
                         if decidable && d < until {
                             until = d;
                         }
                     }
                     inner.machine.idle_until(p, until);
-                    let floor = inner.wake_floor(p);
+                    let floor = inner.wake_floor(p, horizon);
                     inner.fire_due_timeouts(floor);
                     continue;
                 }
@@ -1796,7 +1856,7 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
                     // all-parked arm above fires the deadline.
                     if let Some(d) = inner.next_live_deadline_any() {
                         let now = inner.machine.clock(p);
-                        match inner.causal_horizon(p) {
+                        match horizon {
                             None => {
                                 inner.machine.idle_until(p, d);
                                 inner.fire_due_timeouts(d);
@@ -1804,7 +1864,7 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
                             }
                             Some(h) if d <= h => {
                                 inner.machine.idle_until(p, d);
-                                let floor = inner.wake_floor(p);
+                                let floor = inner.wake_floor(p, horizon);
                                 inner.fire_due_timeouts(floor);
                                 continue;
                             }
@@ -1815,24 +1875,26 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
                             Some(_) => {} // at the horizon already: park
                         }
                     }
-                    inner.parked[p] = true;
+                    inner.set_parked(p, true);
                     continue;
                 }
             }
         };
-        run_quantum(inner, inner_rc, p, tid, ts_resume);
+        run_quantum(inner, inner_rc, p, tid, ts_resume, horizon);
     }
 }
 
 /// Runs one scheduling quantum: dispatch bookkeeping, the fiber resume (or
 /// the inline dummy body), yield/completion handling, and span recording.
 /// Shared tail of the engine loop's full round and serial fast path.
+/// `horizon` is `p`'s causal horizon from the round's scan.
 fn run_quantum(
     mut inner: std::cell::RefMut<'_, Inner>,
     inner_rc: &Rc<RefCell<Inner>>,
     p: ProcId,
     tid: ThreadId,
     ts_resume: bool,
+    horizon: Option<VirtTime>,
 ) {
     if ts_resume {
         // Cost-free continuation of a time-sliced fiber.
@@ -1843,7 +1905,7 @@ fn run_quantum(
         inner.prof_close(t0, |hp| &mut hp.dispatch);
     }
     // The dispatched fiber's timeslice reference clock for this quantum.
-    inner.refresh_ts_min_other();
+    inner.ts_min_other = horizon;
     let span_start = inner.machine.clock(p);
     let span_kind = if ts_resume {
         crate::trace::SpanKind::Resume
@@ -2193,6 +2255,115 @@ fn join_wait_timeout(
             // point: deliver a request that raced the deadline and lost.
             deliver_cancel(&rc);
             return Err(crate::TimedOut);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{spawn, yield_now};
+
+    /// The running engine's round statistics so far (call from a thread of
+    /// the run).
+    fn round_stats() -> RoundStats {
+        with_active(|ctx| match ctx {
+            Some(ActiveCtx::Par(rc)) => rc.borrow().round_stats,
+            _ => panic!("round_stats outside a run"),
+        })
+    }
+
+    /// A few hundred scheduling rounds on four processors, no timed wait.
+    fn untimed_rounds() {
+        for _ in 0..50 {
+            let kids: Vec<_> = (0..4).map(|_| spawn(yield_now)).collect();
+            for k in kids {
+                k.join();
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_that_never_arms_a_deadline_never_walks_the_heaps() {
+        for sched in [SchedKind::Df, SchedKind::Ws] {
+            for hot in [true, false] {
+                let (stats, _) = run(Config::new(4, sched).with_hot_path(hot), || {
+                    untimed_rounds();
+                    round_stats()
+                });
+                assert!(
+                    stats.rounds > 200,
+                    "{sched:?}: the run must take full rounds"
+                );
+                assert_eq!(
+                    stats.deadline_scans, 0,
+                    "{sched:?}: no deadline armed, yet a round scanned"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_skip_re_engages_once_a_satisfied_timed_wait_is_discarded() {
+        let ((armed, end), _) = run(Config::new(4, SchedKind::Df), || {
+            // A timed join the child beats by a wide margin: the wake is a
+            // normal one and the armed heap entry goes stale.
+            let child = spawn(|| crate::work(1_000));
+            assert!(child.join_timeout(VirtTime::from_ms(500)).is_ok());
+            let armed = round_stats();
+            untimed_rounds();
+            (armed, round_stats())
+        });
+        assert!(
+            armed.deadline_scans > 0,
+            "the timed join must have put the rounds on the heaps"
+        );
+        assert!(end.rounds - armed.rounds > 200, "the tail must take full rounds");
+        // The stale entry surfaces at the top of its heap within the next
+        // round or two and is popped; every later round takes the skip.
+        let late = end.deadline_scans - armed.deadline_scans;
+        assert!(late <= 4, "{late} heap walks after the timed wait was satisfied");
+    }
+
+    #[test]
+    fn round_scan_matches_the_per_question_scans() {
+        let mut prng = Prng::new(12);
+        for case in 0..20_000 {
+            let p = 1 + prng.below(8) as usize;
+            // Few distinct clock values, so ties are the common case; every
+            // tenth case parks everybody.
+            let clocks: Vec<VirtTime> = (0..p)
+                .map(|_| VirtTime::from_ns(prng.below(4) * 100))
+                .collect();
+            let parked: Vec<bool> = (0..p)
+                .map(|_| case % 10 == 0 || prng.chance(1, 3))
+                .collect();
+            let active = || (0..p).filter(|&q| !parked[q]);
+            let scan = RoundScan::of(&parked, |q| clocks[q]);
+
+            // `pick_proc`: first minimum-clock non-parked processor.
+            let pick = active().min_by_key(|&q| clocks[q]);
+            assert_eq!(
+                scan.lead,
+                pick.map(|b| (b, clocks[b])),
+                "clocks {clocks:?} parked {parked:?}"
+            );
+            assert_eq!(scan.unparked, active().count());
+            for q in 0..p {
+                // `causal_horizon(q)` / `refresh_ts_min_other` with `cur` on q.
+                let horizon = active().filter(|&r| r != q).map(|r| clocks[r]).min();
+                assert_eq!(
+                    scan.min_other(q),
+                    horizon,
+                    "q {q} clocks {clocks:?} parked {parked:?}"
+                );
+                // `wake_floor(q)`, for the processor a round can pick: one
+                // holding the minimum clock (any of the tied ones).
+                if !parked[q] && Some(clocks[q]) == pick.map(|b| clocks[b]) {
+                    let floor = horizon.map_or(clocks[q], |h| clocks[q].min(h));
+                    assert_eq!(scan.lead.map(|(_, min)| min), Some(floor));
+                }
+            }
         }
     }
 }

@@ -1,8 +1,12 @@
 //! Virtual-time lock contention model.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use crate::VirtTime;
+
+/// Most intervals one chunk of the busy ring holds; a chunk that outgrows
+/// it splits in half.
+const CHUNK: usize = 64;
 
 /// Models a lock on the virtual timeline (used for the global scheduler
 /// lock — the serialization point the paper's §6 discusses — and the
@@ -24,15 +28,21 @@ use crate::VirtTime;
 /// the serialization.
 #[derive(Debug, Clone, Default)]
 pub struct VirtualLock {
-    /// Busy intervals `start → end`, non-overlapping. Adjacent intervals
-    /// are coalesced on insert: the busy *set* is what every query reads,
-    /// and it is unchanged by merging `[a,b) + [b,c)` into `[a,c)`, so
-    /// serialize-heavy phases keep the map at a handful of entries instead
-    /// of one per acquisition.
-    busy: BTreeMap<u64, u64>,
-    /// End of the latest recorded hold (monotone). An acquirer arriving at
-    /// or after it can never contend, which is the common case whenever
-    /// the processors' clocks move past the recorded history.
+    /// Busy intervals `[start, end)`, non-overlapping and sorted, stored as
+    /// a ring of non-empty chunks of at most [`CHUNK`] intervals each (the
+    /// concatenation of the chunks is the sorted sequence). Holds are
+    /// appended at the back, pruned from the front and, on the gap path,
+    /// inserted into one chunk — so no operation moves more than a chunk of
+    /// intervals plus the ring's chunk headers. Adjacent intervals are
+    /// coalesced on insert: the busy *set* is what every query reads, and
+    /// it is unchanged by merging `[a,b) + [b,c)` into `[a,c)`, so
+    /// serialize-heavy phases keep a handful of entries instead of one per
+    /// acquisition.
+    chunks: VecDeque<Vec<(u64, u64)>>,
+    /// End of the latest recorded hold (monotone; survives pruning). An
+    /// acquirer arriving at or after it can never contend, which is the
+    /// common case whenever the processors' clocks move past the recorded
+    /// history.
     max_end: u64,
     acquisitions: u64,
     total_wait: VirtTime,
@@ -54,56 +64,115 @@ impl VirtualLock {
         let hold_ns = hold.as_ns();
         let mut t = now.as_ns();
         if hold_ns > 0 {
-            if t < self.max_end {
-                // Start from the interval covering (or preceding) `t`.
-                let mut iter_start = t;
-                if let Some((&s, &e)) = self.busy.range(..=t).next_back() {
-                    if e > t {
-                        t = e; // currently held at `t`
-                    }
-                    let _ = s;
-                    iter_start = t;
-                }
-                // Slide over subsequent intervals until a gap fits.
-                loop {
-                    let mut moved = false;
-                    for (&s, &e) in self.busy.range(iter_start..) {
+            if t >= self.max_end {
+                // Arrival at or past every recorded hold — granted at `now`
+                // with no contention, no gap search needed.
+                self.push_back(t, t + hold_ns);
+            } else {
+                let (mut ci, mut ii) = self.first_ending_after(t);
+                // Slide over the following intervals until a gap fits. Every
+                // interval from here on ends after `t`, so one that starts
+                // before `t + hold` pushes the grant to its end.
+                'slide: while let Some(c) = self.chunks.get(ci) {
+                    for &(s, e) in &c[ii..] {
                         if s >= t + hold_ns {
-                            break; // gap [t, t+hold) is free
+                            break 'slide; // gap [t, t+hold) is free
                         }
-                        if e > t {
-                            t = e;
-                            iter_start = t;
-                            moved = true;
-                            break;
-                        }
+                        t = e;
+                        ii += 1;
                     }
-                    if !moved {
-                        break;
-                    }
+                    (ci, ii) = (ci + 1, 0);
                 }
+                self.insert(ci, ii, t, t + hold_ns);
             }
-            // Else: arrival at or past every recorded hold — granted at
-            // `now` with no contention, no gap search needed.
-            self.record(t, t + hold_ns);
+            self.max_end = self.max_end.max(t + hold_ns);
         }
         let wait = VirtTime::from_ns(t.saturating_sub(now.as_ns()));
         self.total_wait += wait;
         (wait, VirtTime::from_ns(t + hold_ns))
     }
 
-    /// Records busy interval `[s, e)`, coalescing with an interval that
-    /// ends exactly at `s` (the granted gap guarantees `[s, e)` overlaps
-    /// nothing, so extension preserves the busy set).
-    fn record(&mut self, s: u64, e: u64) {
-        self.max_end = self.max_end.max(e);
-        if let Some((&ls, &le)) = self.busy.range(..=s).next_back() {
-            if le == s {
-                *self.busy.get_mut(&ls).expect("key from range") = e;
+    /// Position `(chunk, index)` of the first interval ending after `t` —
+    /// the only one that can cover `t`, and the start of the gap search.
+    /// Past-the-end is `(chunks.len(), 0)`.
+    fn first_ending_after(&self, t: u64) -> (usize, usize) {
+        let Some(tail) = self.chunks.back() else {
+            return (0, 0); // history fully pruned
+        };
+        let last = self.chunks.len() - 1;
+        // The chunk to search is the last one whose head starts at or before
+        // `t`: every earlier chunk lies wholly before that head.
+        let (ci, ii) = if tail[0].0 <= t {
+            // In the engine the arrival sits within a few holds of the
+            // newest one: walk back from the tail.
+            let after = tail.iter().rev().take_while(|&&(_, e)| e > t).count();
+            (last, tail.len() - after)
+        } else {
+            let ci = self
+                .chunks
+                .partition_point(|c| c[0].0 <= t)
+                .saturating_sub(1);
+            (ci, self.chunks[ci].partition_point(|&(_, e)| e <= t))
+        };
+        if ii == self.chunks[ci].len() {
+            (ci + 1, 0)
+        } else {
+            (ci, ii)
+        }
+    }
+
+    /// Appends busy interval `[s, e)`, which starts at or after every
+    /// recorded hold, coalescing with a last interval that ends at `s`.
+    fn push_back(&mut self, s: u64, e: u64) {
+        match self.chunks.back_mut() {
+            Some(c) => {
+                let last = c.last_mut().expect("chunks are non-empty");
+                if last.1 == s {
+                    last.1 = e;
+                } else if c.len() < CHUNK {
+                    c.push((s, e));
+                } else {
+                    self.push_chunk(s, e);
+                }
+            }
+            None => self.push_chunk(s, e),
+        }
+    }
+
+    fn push_chunk(&mut self, s: u64, e: u64) {
+        let mut c = Vec::with_capacity(CHUNK + 1);
+        c.push((s, e));
+        self.chunks.push_back(c);
+    }
+
+    /// Records busy interval `[s, e)` at position `(ci, ii)` (as returned by
+    /// the gap search: everything before it ends at or before `s`,
+    /// everything from it on starts at or after `e`), coalescing with a
+    /// predecessor that ends exactly at `s` — the granted gap guarantees
+    /// `[s, e)` overlaps nothing, so extension preserves the busy set.
+    fn insert(&mut self, ci: usize, ii: usize, s: u64, e: u64) {
+        let pred = if ii > 0 {
+            Some(&mut self.chunks[ci][ii - 1])
+        } else if ci > 0 {
+            self.chunks[ci - 1].last_mut()
+        } else {
+            None
+        };
+        if let Some(pred) = pred {
+            if pred.1 == s {
+                pred.1 = e;
                 return;
             }
         }
-        self.busy.insert(s, e);
+        if ci == self.chunks.len() {
+            return self.push_back(s, e);
+        }
+        let c = &mut self.chunks[ci];
+        c.insert(ii, (s, e));
+        if c.len() > CHUNK {
+            let upper = c.split_off(c.len() / 2);
+            self.chunks.insert(ci + 1, upper);
+        }
     }
 
     /// Perturbed acquire: like [`VirtualLock::acquire`], but the acquirer
@@ -126,21 +195,36 @@ impl VirtualLock {
     }
 
     /// Discards busy intervals entirely before `watermark` (they can no
-    /// longer affect any acquirer). Call occasionally with the minimum
-    /// processor clock to bound memory.
+    /// longer affect any acquirer arriving at or after it). Call with the
+    /// minimum processor clock to bound memory: the intervals are sorted, so
+    /// this pops from the front and stops at the first one still needed.
     pub fn prune(&mut self, watermark: VirtTime) {
         let w = watermark.as_ns();
-        self.busy.retain(|_, &mut e| e >= w);
+        while let Some(c) = self.chunks.front_mut() {
+            if c.last().expect("chunks are non-empty").1 < w {
+                self.chunks.pop_front();
+                continue;
+            }
+            let stale = c.partition_point(|&(_, e)| e < w);
+            c.drain(..stale);
+            break;
+        }
     }
 
     /// When the lock next becomes free after all recorded holds.
     pub fn free_at(&self) -> VirtTime {
-        VirtTime::from_ns(self.busy.values().copied().max().unwrap_or(0))
+        VirtTime::from_ns(self.max_end)
     }
 
     /// (acquisitions, total contention wait, total hold time).
     pub fn counters(&self) -> (u64, VirtTime, VirtTime) {
         (self.acquisitions, self.total_wait, self.total_held)
+    }
+
+    /// Busy intervals currently held in memory.
+    #[cfg(test)]
+    pub(crate) fn intervals(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
     }
 }
 
@@ -248,9 +332,105 @@ mod tests {
         for i in 0..100u64 {
             l.acquire(ns(i * 10), ns(5));
         }
+        assert_eq!(l.intervals(), 100);
         l.prune(ns(500));
+        // [490,495) ends before the watermark; [500,505) is the first kept.
+        assert_eq!(l.intervals(), 50);
         // Still correct for future acquires.
         let (wait, _) = l.acquire(ns(2000), ns(5));
         assert_eq!(wait, ns(0));
+    }
+
+    /// `n` disjoint holds `[100i, 100i+10)`, one interval each.
+    fn comb(n: u64) -> VirtualLock {
+        let mut l = VirtualLock::new();
+        for i in 0..n {
+            l.acquire(ns(i * 100), ns(10));
+        }
+        l
+    }
+
+    fn flat(l: &VirtualLock) -> Vec<(u64, u64)> {
+        l.chunks.iter().flatten().copied().collect()
+    }
+
+    fn assert_well_formed(l: &VirtualLock) {
+        assert!(l.chunks.iter().all(|c| !c.is_empty() && c.len() <= CHUNK));
+        let all = flat(l);
+        assert!(all.iter().all(|&(s, e)| s < e));
+        assert!(
+            all.windows(2).all(|w| w[0].1 <= w[1].0),
+            "sorted and disjoint"
+        );
+    }
+
+    #[test]
+    fn monotone_appends_fill_chunks_without_splitting() {
+        let l = comb(3 * CHUNK as u64);
+        assert_eq!(l.chunks.len(), 3);
+        assert!(l.chunks.iter().all(|c| c.len() == CHUNK));
+        assert_well_formed(&l);
+    }
+
+    #[test]
+    fn gap_insert_into_a_full_chunk_splits_it() {
+        let mut l = comb(2 * CHUNK as u64);
+        // Lands between the first chunk's holds 10 and 11.
+        let (wait, rel) = l.acquire(ns(1050), ns(10));
+        assert_eq!((wait, rel), (ns(0), ns(1060)));
+        assert_eq!(l.chunks.len(), 3);
+        assert_eq!(l.intervals(), 2 * CHUNK + 1);
+        assert_well_formed(&l);
+        assert_eq!(flat(&l)[11], (1050, 1060));
+        // The split halves still answer searches on either side of the cut.
+        assert_eq!(l.acquire(ns(1055), ns(10)), (ns(5), ns(1070)));
+        assert_eq!(l.acquire(ns(5005), ns(10)), (ns(5), ns(5020)));
+        assert_well_formed(&l);
+    }
+
+    #[test]
+    fn prune_drops_whole_chunks_then_drains_into_one() {
+        let mut l = comb(3 * CHUNK as u64);
+        // Watermark inside the second chunk: hold 70 ends at 7010.
+        l.prune(ns(7011));
+        assert_eq!(l.chunks.len(), 2);
+        assert_eq!(l.intervals(), 3 * CHUNK - 71);
+        assert_eq!(flat(&l)[0], (7100, 7110));
+        assert_well_formed(&l);
+        // An interval ending exactly at the watermark is kept.
+        l.prune(ns(7110));
+        assert_eq!(flat(&l)[0], (7100, 7110));
+        // Arrivals at the watermark still see the surviving history.
+        assert_eq!(l.acquire(ns(7105), ns(10)), (ns(5), ns(7120)));
+    }
+
+    #[test]
+    fn coalesces_with_a_predecessor_in_the_previous_chunk() {
+        let mut l = comb(2 * CHUNK as u64);
+        let before = l.intervals();
+        // Granted at 6310, exactly where the first chunk's last hold ends:
+        // the position is the head of the second chunk, the predecessor the
+        // tail of the first.
+        let at = (CHUNK as u64 - 1) * 100 + 10;
+        assert_eq!(l.acquire(ns(at), ns(10)), (ns(0), ns(at + 10)));
+        assert_eq!(l.intervals(), before);
+        assert_eq!(l.chunks[0].last(), Some(&(at - 10, at + 10)));
+        // And an arrival inside the widened hold waits for its new end.
+        assert_eq!(l.acquire(ns(at + 5), ns(10)), (ns(5), ns(at + 20)));
+        assert_well_formed(&l);
+    }
+
+    #[test]
+    fn free_at_survives_a_full_prune() {
+        let mut l = comb(100);
+        assert_eq!(l.free_at(), ns(9910));
+        l.prune(ns(1_000_000));
+        assert_eq!(l.intervals(), 0);
+        assert_eq!(l.free_at(), ns(9910));
+        // An arrival behind the pruned history finds nothing to wait for.
+        assert_eq!(l.acquire(ns(9000), ns(10)), (ns(0), ns(9010)));
+        assert_eq!(l.free_at(), ns(9910));
+        assert_eq!(l.acquire(ns(9_950), ns(10)), (ns(0), ns(9_960)));
+        assert_eq!(l.free_at(), ns(9960));
     }
 }

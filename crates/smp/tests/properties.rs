@@ -4,6 +4,47 @@
 use proptest::prelude::*;
 use ptdf_smp::{CacheModel, HeapModel, VirtTime, VirtualLock};
 
+/// Brute-force model of the lock: every granted hold kept as its own entry
+/// of a plain sorted `Vec` (no coalescing, no chunks, no fast path), scanned
+/// from the front on every acquire.
+#[derive(Default)]
+struct RefLock {
+    busy: Vec<(u64, u64)>,
+    acquisitions: u64,
+    total_wait: u64,
+    total_held: u64,
+}
+
+impl RefLock {
+    /// First fit: the earliest `t >= now` with `[t, t+hold)` free.
+    fn acquire(&mut self, now: u64, hold: u64) -> (u64, u64) {
+        let mut t = now;
+        if hold > 0 {
+            for &(s, e) in &self.busy {
+                if e <= t {
+                    continue;
+                }
+                if s >= t + hold {
+                    break;
+                }
+                t = e;
+            }
+            let at = self.busy.partition_point(|&(s, _)| s < t);
+            self.busy.insert(at, (t, t + hold));
+        }
+        self.acquisitions += 1;
+        self.total_held += hold;
+        self.total_wait += t - now;
+        (t - now, t + hold)
+    }
+
+    fn acquire_deferred(&mut self, now: u64, hold: u64, defer: u64) -> (u64, u64) {
+        let (_, release) = self.acquire(now + defer, hold);
+        self.total_wait += defer;
+        (release - (now + hold), release)
+    }
+}
+
 proptest! {
     /// Granted critical sections never overlap, never start before the
     /// acquirer arrives, and the counters add up.
@@ -29,23 +70,52 @@ proptest! {
         prop_assert_eq!(wait.as_ns(), total_wait);
     }
 
-    /// Pruning below the minimum future arrival time never changes grants.
+    /// Differential test of the chunked-ring `VirtualLock` against
+    /// [`RefLock`] over arrivals ahead of, inside and far behind the
+    /// recorded history, plain and deferred, with prunes at watermarks no
+    /// later arrival undercuts: every call returns the same `(wait,
+    /// release)` and leaves the same counters.
     #[test]
-    fn vlock_prune_is_transparent(
-        ops in proptest::collection::vec((0u64..5_000, 1u64..100), 1..100),
-        later in proptest::collection::vec((5_000u64..10_000, 1u64..100), 1..50),
+    fn vlock_matches_linear_reference(
+        ops in proptest::collection::vec((0u8..32, any::<u64>(), 0u64..=5_000, 0u64..=48), 1..1_500)
     ) {
-        let mut a = VirtualLock::new();
-        let mut b = VirtualLock::new();
-        for &(now, hold) in &ops {
-            a.acquire(VirtTime::from_ns(now), VirtTime::from_ns(hold));
-            b.acquire(VirtTime::from_ns(now), VirtTime::from_ns(hold));
-        }
-        a.prune(VirtTime::from_ns(0)); // no-op prune
-        for &(now, hold) in &later {
-            let ra = a.acquire(VirtTime::from_ns(now), VirtTime::from_ns(hold));
-            let rb = b.acquire(VirtTime::from_ns(now), VirtTime::from_ns(hold));
-            prop_assert_eq!(ra, rb);
+        let ns = VirtTime::from_ns;
+        let mut lock = VirtualLock::new();
+        let mut reference = RefLock::default();
+        // Every later arrival is at or after `floor` (the last watermark);
+        // `tail` is where the recorded history ends.
+        let (mut floor, mut tail) = (0u64, 0u64);
+        for (i, (kind, a, hold, defer)) in ops.into_iter().enumerate() {
+            let span = tail.saturating_sub(floor);
+            let now = match kind {
+                0..=9 => floor.max(tail) + a % 12_000, // ahead of the history
+                10..=21 => floor + a % (span + 1),     // somewhere inside it
+                22..=25 => floor + a % 64,             // at its oldest end
+                26..=30 => floor + a % (span + 1),     // inside, losing a race
+                _ => {
+                    // Prune: mostly a slice off the old end, sometimes past
+                    // everything.
+                    floor += if a % 16 == 0 { span + a % 100 } else { a % (span / 4 + 1) };
+                    lock.prune(ns(floor));
+                    reference.busy.retain(|&(_, e)| e >= floor);
+                    continue;
+                }
+            };
+            let (got, want) = if kind >= 26 {
+                (
+                    lock.acquire_deferred(ns(now), ns(hold), ns(defer)),
+                    reference.acquire_deferred(now, hold, defer),
+                )
+            } else {
+                (lock.acquire(ns(now), ns(hold)), reference.acquire(now, hold))
+            };
+            prop_assert_eq!((got.0.as_ns(), got.1.as_ns()), want, "op {} kind {}", i, kind);
+            let (acq, wait, held) = lock.counters();
+            prop_assert_eq!(
+                (acq, wait.as_ns(), held.as_ns()),
+                (reference.acquisitions, reference.total_wait, reference.total_held)
+            );
+            tail = tail.max(want.1);
         }
     }
 
