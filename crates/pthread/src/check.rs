@@ -53,7 +53,7 @@
 //! `(policy, seed)` pair in [`CheckReport::replay`] replays the identical
 //! schedule bit-for-bit.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ptdf_smp::VirtTime;
 
@@ -337,6 +337,13 @@ const VC_THREAD_LIMIT: usize = 4096;
 /// the [module docs](self); it does *not* prove the program race-free —
 /// only that this schedule's synchronization protocol held.
 pub fn check_trace(trace: &Trace) -> CheckReport {
+    check(trace).0
+}
+
+/// [`check_trace`], plus the number of distinct (sync object, notifier)
+/// pairs it ended with — the checker's only per-handoff state, which must
+/// stay bounded by objects × threads however long the trace is.
+fn check(trace: &Trace) -> (CheckReport, usize) {
     let mut order: Vec<usize> = (0..trace.events.len()).collect();
     order.sort_by_key(|&i| trace.events[i].at);
 
@@ -345,10 +352,19 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
     let mut vcs: HashMap<u32, Vc> = HashMap::new();
     let mut obj_vcs: HashMap<u32, Vc> = HashMap::new();
     let mut pending: HashMap<u32, PendingBlock> = HashMap::new();
-    // Sync-object id → threads that performed a Notify on it.
-    let mut notifiers: HashMap<u32, Vec<u32>> = HashMap::new();
+    // (sync-object id, thread) for every thread that performed a Notify on
+    // the object: a set, so a long-lived mutex costs one entry per thread
+    // that ever handed it off, not one per handoff.
+    let mut notifiers: HashSet<(u32, u32)> = HashSet::new();
     // Naked notifies per object: (notifier, notifier's VC counter, time).
+    // Only a notifier's first one is kept — its counter is the smallest, so
+    // whenever a later one is in a thread's causal past, so is the first.
     let mut naked: HashMap<u32, Vec<(u32, u64, VirtTime)>> = HashMap::new();
+    // Thread id → exit time; the first lifecycle entry for an id wins.
+    let mut exits: HashMap<u32, Option<VirtTime>> = HashMap::with_capacity(trace.threads.len());
+    for lc in &trace.threads {
+        exits.entry(lc.thread).or_insert(lc.exited);
+    }
     // Sentinel-recorded deadlocks: cycle id → (detection time, members in
     // waits-for order — the runtime publishes one event per member, in
     // cycle order, at the same timestamp).
@@ -429,7 +445,7 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
                         ovc.join(vcs.get(&thread).expect("just ticked"));
                     }
                 }
-                notifiers.entry(obj).or_default().push(subject);
+                notifiers.insert((obj, subject));
                 if waiters > 0 && woken == 0 {
                     violations.push(Violation::LostNotify {
                         reason,
@@ -439,7 +455,10 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
                     });
                 }
                 if waiters == 0 && woken == 0 {
-                    naked.entry(obj).or_default().push((subject, counter, e.at));
+                    let list = naked.entry(obj).or_default();
+                    if !list.iter().any(|&(w, ..)| w == subject) {
+                        list.push((subject, counter, e.at));
+                    }
                 }
             }
             EventKind::Wake { waker } => {
@@ -461,9 +480,7 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
                         // object. Join blocks (obj None) are woken by the
                         // exiting target directly.
                         if let Some(o) = block.obj {
-                            let sanctioned = waker.is_some_and(|w| {
-                                notifiers.get(&o).is_some_and(|ns| ns.contains(&w))
-                            });
+                            let sanctioned = waker.is_some_and(|w| notifiers.contains(&(o, w)));
                             if !sanctioned {
                                 violations.push(Violation::WakeWithoutNotify {
                                     thread: subject,
@@ -543,16 +560,14 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
                         vcs.entry(joiner).or_default().join(&tvc);
                     }
                 }
-                if let Some(lc) = trace.threads.iter().find(|t| t.thread == target) {
-                    if let Some(exit) = lc.exited {
-                        if e.at < exit {
-                            violations.push(Violation::JoinBeforeExit {
-                                joiner: subject,
-                                target,
-                                join_at: e.at,
-                                exit_at: exit,
-                            });
-                        }
+                if let Some(&Some(exit)) = exits.get(&target) {
+                    if e.at < exit {
+                        violations.push(Violation::JoinBeforeExit {
+                            joiner: subject,
+                            target,
+                            join_at: e.at,
+                            exit_at: exit,
+                        });
                     }
                 }
             }
@@ -643,12 +658,13 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
         }
     }
 
-    CheckReport {
+    let report = CheckReport {
         violations,
         events: trace.events.len(),
         threads: trace.threads.len(),
         replay: replay_recipe(trace),
-    }
+    };
+    (report, notifiers.len())
 }
 
 fn replay_recipe(trace: &Trace) -> Option<String> {
@@ -878,6 +894,67 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::WaitPastNotify { .. })));
+    }
+
+    #[test]
+    fn long_lived_object_keeps_one_notifier_entry_per_thread() {
+        // A mutex convoy: 8 threads hand one lock around 50,000 times. Each
+        // handoff is block → notify → wake; the checker's notifier state
+        // must end at the 8 distinct notifiers, not 50,000 entries.
+        let mut trace = Trace::default();
+        for k in 0..50_000u64 {
+            let (holder, waiter) = ((k % 8) as u32, ((k + 1) % 8) as u32);
+            let block = EventKind::Block {
+                reason: BlockReason::Mutex,
+                obj: Some(0),
+            };
+            let notify = EventKind::Notify {
+                reason: BlockReason::Mutex,
+                obj: 0,
+                waiters: 1,
+                woken: 1,
+            };
+            let wake = EventKind::Wake {
+                waker: Some(holder),
+            };
+            trace.events.push(event(3 * k, waiter, block));
+            trace.events.push(event(3 * k + 1, holder, notify));
+            trace.events.push(event(3 * k + 2, waiter, wake));
+        }
+        let (report, notifier_entries) = check(&trace);
+        assert!(report.is_clean(), "{:?}", report.violations.first());
+        assert_eq!(report.events, 150_000);
+        assert_eq!(notifier_entries, 8);
+    }
+
+    #[test]
+    fn join_uses_the_first_lifecycle_entry_for_a_thread() {
+        // Two lifecycle rows claim thread 1 (a hand-edited trace); the
+        // first one is the one a join is checked against.
+        let lifecycle = |exited| crate::trace::ThreadLifecycle {
+            thread: 1,
+            spawned: ns(0),
+            first_dispatch: None,
+            ready_wait: ns(0),
+            quanta: 0,
+            exited,
+        };
+        let mut trace = Trace::default();
+        trace.threads.push(lifecycle(Some(ns(100))));
+        trace.threads.push(lifecycle(Some(ns(10))));
+        trace
+            .events
+            .push(event(50, 0, EventKind::Join { target: 1 }));
+        let check = check_trace(&trace);
+        assert_eq!(
+            check.violations,
+            vec![Violation::JoinBeforeExit {
+                joiner: 0,
+                target: 1,
+                join_at: ns(50),
+                exit_at: ns(100),
+            }]
+        );
     }
 
     #[test]

@@ -26,10 +26,26 @@
 //! round trip (asserted in tests). The `ptdf-trace` CLI consumes this
 //! format to summarize, validate, and diff traces.
 
-use crate::json::{intern, obj, Value};
+use crate::critpath::{BlameBucket, CritPath};
+use crate::json::{self, Reader, Slots};
 use crate::thread::ThreadId;
-use ptdf_smp::{HostPhaseStats, MachineRecording, MemEventKind, PhaseStat, ProcId, VirtTime};
-use std::rc::Rc;
+use ptdf_smp::{HostPhaseStats, MachineRecording, MemEventKind, ProcId, VirtTime};
+use std::io;
+
+/// `,"key":` as one literal, for [`ChromeOut`]'s member writers.
+macro_rules! key {
+    ($key:literal) => {
+        concat!(",\"", $key, "\":")
+    };
+}
+
+/// Slot index of `$key` in one of the parser's key tables, resolved at
+/// compile time (an unknown key fails the build).
+macro_rules! slot {
+    ($keys:ident, $key:literal) => {
+        const { json::key_index(&$keys, $key) }
+    };
+}
 
 /// What a trace span represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -290,6 +306,9 @@ pub struct Event {
     /// What happened.
     pub kind: EventKind,
 }
+
+/// One counter track's `(virtual time, value)` samples.
+type Samples = [(VirtTime, u64)];
 
 /// Counter tracks: `(virtual time, value)` samples.
 ///
@@ -823,7 +842,7 @@ impl Trace {
     /// (timestamps in microseconds). Exact nanosecond values ride in
     /// `args`, making [`Trace::from_chrome_json`] lossless.
     pub fn to_chrome_json(&self) -> String {
-        self.chrome_doc(self.chrome_records()).to_json()
+        self.chrome_string(None)
     }
 
     /// Serializes like [`Trace::to_chrome_json`], additionally rendering an
@@ -834,489 +853,703 @@ impl Trace {
     /// per-processor lanes. [`Trace::from_chrome_json`] ignores the extra
     /// track (any record with a nonzero `pid`), so the round trip of the
     /// base trace still holds.
-    pub fn to_chrome_json_with_critpath(&self, cp: &crate::critpath::CritPath) -> String {
-        let us = |t: VirtTime| Value::Float(t.as_ns() as f64 / 1e3);
-        let mut records = self.chrome_records();
-        records.push(obj(vec![
-            ("name", Value::Str("process_name".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::UInt(1)),
-            ("args", obj(vec![("name", Value::Str("critical path".into()))])),
-        ]));
-        records.push(obj(vec![
-            ("name", Value::Str("thread_name".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::UInt(1)),
-            ("tid", Value::UInt(0)),
-            ("args", obj(vec![("name", Value::Str("blame".into()))])),
-        ]));
-        for seg in &cp.segments {
-            let name = match seg.bucket {
-                crate::critpath::BlameBucket::LockWait { reason, obj } => match obj {
-                    Some(o) => format!("lock-wait {}#{o}", reason.name()),
-                    None => format!("lock-wait {}", reason.name()),
-                },
-                other => other.name().to_string(),
-            };
-            records.push(obj(vec![
-                ("name", Value::Str(name.into())),
-                ("ph", Value::Str("X".into())),
-                ("cat", Value::Str("critpath".into())),
-                ("pid", Value::UInt(1)),
-                ("tid", Value::UInt(0)),
-                ("ts", us(seg.start)),
-                ("dur", us(seg.end.since(seg.start))),
-                (
-                    "args",
-                    obj(vec![
-                        (
-                            "thread",
-                            seg.thread.map_or(Value::Null, |t| Value::UInt(t as u64)),
-                        ),
-                        ("bucket", Value::Str(seg.bucket.name().into())),
-                        ("startNs", Value::UInt(seg.start.as_ns())),
-                        ("endNs", Value::UInt(seg.end.as_ns())),
-                    ]),
-                ),
-            ]));
-        }
-        self.chrome_doc(records).to_json()
+    pub fn to_chrome_json_with_critpath(&self, cp: &CritPath) -> String {
+        self.chrome_string(Some(cp))
     }
 
-    /// Builds the per-span/event/counter records shared by both exporters.
-    ///
-    /// Repeated payloads are interned: object keys and phase codes via
-    /// [`crate::json::intern`], and per-thread `"t{}"` span names through a
-    /// local cache, so exporting a trace with millions of records performs
-    /// `Rc` clones instead of one string allocation per repeated field.
-    fn chrome_records(&self) -> Vec<Value> {
-        let us = |t: VirtTime| Value::Float(t.as_ns() as f64 / 1e3);
-        let ph_x = intern("X");
-        let ph_i = intern("i");
-        let ph_c = intern("C");
-        let scope_t = intern("t");
-        // `"t{}"` names repeat once per quantum; share one Rc per thread.
-        let mut run_names: Vec<Option<Rc<str>>> = Vec::new();
-        let mut records = Vec::new();
-        for s in &self.spans {
-            let name: Rc<str> = match s.kind {
-                SpanKind::Run => {
-                    let idx = s.thread as usize;
-                    if run_names.len() <= idx {
-                        run_names.resize(idx + 1, None);
-                    }
-                    run_names[idx]
-                        .get_or_insert_with(|| format!("t{}", s.thread).into())
-                        .clone()
-                }
-                SpanKind::Dummy => format!("dummy t{}", s.thread).into(),
-                SpanKind::Resume => format!("t{} (resume)", s.thread).into(),
-            };
-            records.push(obj(vec![
-                ("name", Value::Str(name)),
-                ("ph", Value::Str(ph_x.clone())),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(s.proc as u64)),
-                ("ts", us(s.start)),
-                ("dur", us(s.end.since(s.start))),
-                (
-                    "args",
-                    obj(vec![
-                        ("thread", Value::UInt(s.thread as u64)),
-                        ("kind", Value::Str(intern(s.kind.name()))),
-                        ("startNs", Value::UInt(s.start.as_ns())),
-                        ("endNs", Value::UInt(s.end.as_ns())),
-                    ]),
-                ),
-            ]));
-        }
-        for e in &self.events {
-            let mut args = vec![
-                ("ns", Value::UInt(e.at.as_ns())),
-                (
-                    "thread",
-                    e.thread.map_or(Value::Null, |t| Value::UInt(t as u64)),
-                ),
-            ];
-            match e.kind {
-                EventKind::Spawn { parent } => args.push((
-                    "parent",
-                    parent.map_or(Value::Null, |p| Value::UInt(p as u64)),
-                )),
-                EventKind::Block { reason, obj } => {
-                    args.push(("reason", Value::Str(intern(reason.name()))));
-                    args.push(("obj", obj.map_or(Value::Null, |o| Value::UInt(o as u64))));
-                }
-                EventKind::Wake { waker } => args.push((
-                    "waker",
-                    waker.map_or(Value::Null, |w| Value::UInt(w as u64)),
-                )),
-                EventKind::Notify {
-                    reason,
-                    obj,
-                    waiters,
-                    woken,
-                } => {
-                    args.push(("reason", Value::Str(intern(reason.name()))));
-                    args.push(("obj", Value::UInt(obj as u64)));
-                    args.push(("waiters", Value::UInt(waiters)));
-                    args.push(("woken", Value::UInt(woken)));
-                }
-                EventKind::Join { target } => args.push(("target", Value::UInt(target as u64))),
-                EventKind::Steal { victim } => args.push((
-                    "victim",
-                    victim.map_or(Value::Null, |v| Value::UInt(v as u64)),
-                )),
-                EventKind::DummyInsert { count } => args.push(("count", Value::UInt(count))),
-                EventKind::StackReserve { bytes }
-                | EventKind::StackRelease { bytes }
-                | EventKind::Alloc { bytes }
-                | EventKind::Free { bytes }
-                | EventKind::FreeUnderflow { bytes } => {
-                    args.push(("bytes", Value::UInt(bytes)));
-                }
-                EventKind::BoundViolation { footprint, bound } => {
-                    args.push(("footprint", Value::UInt(footprint)));
-                    args.push(("bound", Value::UInt(bound)));
-                }
-                EventKind::Timeout { obj } => {
-                    args.push(("obj", obj.map_or(Value::Null, |o| Value::UInt(o as u64))));
-                }
-                EventKind::Cancel { obj, by } => {
-                    args.push(("obj", obj.map_or(Value::Null, |o| Value::UInt(o as u64))));
-                    args.push(("by", by.map_or(Value::Null, |b| Value::UInt(b as u64))));
-                }
-                EventKind::Deadlock { cycle, waits_for, obj } => {
-                    args.push(("cycle", Value::UInt(cycle as u64)));
-                    args.push(("waitsFor", Value::UInt(waits_for as u64)));
-                    args.push(("obj", obj.map_or(Value::Null, |o| Value::UInt(o as u64))));
-                }
-                EventKind::FirstDispatch | EventKind::Preempt => {}
-            }
-            records.push(obj(vec![
-                ("name", Value::Str(intern(e.kind.name()))),
-                ("ph", Value::Str(ph_i.clone())),
-                ("s", Value::Str(scope_t.clone())),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(e.proc as u64)),
-                ("ts", us(e.at)),
-                ("args", obj(args)),
-            ]));
-        }
-        for (name, unit, track) in [
+    /// Writes the [`Trace::to_chrome_json`] document to `w` in pieces of
+    /// about 64 KB, so the whole text is never resident. `w` gets few,
+    /// large writes; it needs no buffering of its own.
+    pub fn write_chrome_json(&self, w: &mut impl io::Write) -> io::Result<()> {
+        self.emit_chrome(None, &mut ChromeOut::new(FLUSH_BYTES + 1024, Some(w)))
+    }
+
+    /// Writes the [`Trace::to_chrome_json_with_critpath`] document to `w`
+    /// like [`Trace::write_chrome_json`].
+    pub fn write_chrome_json_with_critpath(
+        &self,
+        cp: &CritPath,
+        w: &mut impl io::Write,
+    ) -> io::Result<()> {
+        self.emit_chrome(Some(cp), &mut ChromeOut::new(FLUSH_BYTES + 1024, Some(w)))
+    }
+
+    fn chrome_string(&self, cp: Option<&CritPath>) -> String {
+        let records = self.spans.len()
+            + self.events.len()
+            + self
+                .counter_tracks()
+                .iter()
+                .map(|(_, _, t)| t.len())
+                .sum::<usize>()
+            + cp.map_or(0, |cp| cp.segments.len() + 2);
+        let capacity = 1024 + 210 * records + 128 * self.threads.len() + 64 * self.decisions.len();
+        let mut out = ChromeOut::new(capacity, None);
+        self.emit_chrome(cp, &mut out)
+            .expect("no writer, no I/O error");
+        json::into_string(out.buf)
+    }
+
+    /// The counter tracks as `(track name, value key, samples)`.
+    fn counter_tracks(&self) -> [(&'static str, &'static str, &Samples); 6] {
+        [
             ("footprint", "bytes", &self.counters.footprint),
             ("live-threads", "threads", &self.counters.live_threads),
             ("ready", "entries", &self.counters.ready),
             ("active-deques", "deques", &self.counters.active_deques),
             ("sched-lock-wait", "waitNs", &self.counters.sched_lock_wait),
             ("host-pool-cached", "bytes", &self.counters.host_pool_cached),
-        ] {
-            let name = intern(name);
-            for &(at, v) in track {
-                records.push(obj(vec![
-                    ("name", Value::Str(name.clone())),
-                    ("ph", Value::Str(ph_c.clone())),
-                    ("pid", Value::UInt(0)),
-                    ("ts", us(at)),
-                    (
-                        "args",
-                        obj(vec![(unit, Value::UInt(v)), ("ns", Value::UInt(at.as_ns()))]),
-                    ),
-                ]));
-            }
-        }
-        records
+        ]
     }
 
-    /// Wraps the record array into the Chrome trace-event document, carrying
-    /// the config echo (and the host-phase profile, when present) in
-    /// `otherData`.
-    fn chrome_doc(&self, records: Vec<Value>) -> Value {
-        let host_phase = match &self.host_phase {
-            None => Value::Null,
-            Some(hp) => {
-                let mut members = vec![("enabled", Value::Bool(hp.enabled))];
-                let phase = |p: PhaseStat| {
-                    obj(vec![
-                        ("count", Value::UInt(p.count)),
-                        ("ns", Value::UInt(p.ns)),
-                    ])
-                };
-                for (name, p) in hp.phases() {
-                    members.push((name, phase(p)));
-                }
-                obj(members)
+    /// The one exporter: emits the document record by record into `o`,
+    /// with no intermediate tree. `cp` appends the critical-path lane to
+    /// `traceEvents`.
+    fn emit_chrome(&self, cp: Option<&CritPath>, o: &mut ChromeOut<'_>) -> io::Result<()> {
+        o.array("{\"traceEvents\":[");
+        for s in &self.spans {
+            o.item("{\"name\":\"")?;
+            let thread = u64::from(s.thread);
+            // `t5`, `dummy t5`, `t5 (resume)`.
+            if s.kind == SpanKind::Dummy {
+                o.lit("dummy ");
             }
-        };
-        let threads = self
-            .threads
-            .iter()
-            .map(|t| {
-                obj(vec![
-                    ("thread", Value::UInt(t.thread as u64)),
-                    ("spawnedNs", Value::UInt(t.spawned.as_ns())),
-                    (
-                        "firstDispatchNs",
-                        t.first_dispatch
-                            .map_or(Value::Null, |v| Value::UInt(v.as_ns())),
-                    ),
-                    ("readyWaitNs", Value::UInt(t.ready_wait.as_ns())),
-                    ("quanta", Value::UInt(t.quanta)),
-                    (
-                        "exitedNs",
-                        t.exited.map_or(Value::Null, |v| Value::UInt(v.as_ns())),
-                    ),
-                ])
-            })
-            .collect();
-        let decisions = self
-            .decisions
-            .iter()
-            .map(|d| {
-                obj(vec![
-                    ("k", Value::Str(d.kind.name().into())),
-                    ("ns", Value::UInt(d.at.as_ns())),
-                    ("n", Value::UInt(d.n as u64)),
-                    ("chosen", Value::UInt(d.chosen as u64)),
-                    ("obj", d.obj.map_or(Value::Null, |o| Value::UInt(o as u64))),
-                ])
-            })
-            .collect();
-        obj(vec![
-            ("traceEvents", Value::Arr(records)),
-            (
-                "otherData",
-                obj(vec![
-                    ("scheduler", Value::Str(self.meta.scheduler.as_str().into())),
-                    ("processors", Value::UInt(self.meta.processors as u64)),
-                    ("defaultStack", Value::UInt(self.meta.default_stack)),
-                    (
-                        "quota",
-                        self.meta.quota.map_or(Value::Null, Value::UInt),
-                    ),
-                    (
-                        "perturbSeed",
-                        self.meta.perturb_seed.map_or(Value::Null, Value::UInt),
-                    ),
-                    (
-                        "chaosSeed",
-                        self.meta.chaos_seed.map_or(Value::Null, Value::UInt),
-                    ),
-                    ("hostPhase", host_phase),
-                ]),
-            ),
-            ("ptdfThreads", Value::Arr(threads)),
-            ("ptdfDecisions", Value::Arr(decisions)),
-        ])
+            o.lit("t");
+            o.num(thread);
+            if s.kind == SpanKind::Resume {
+                o.lit(" (resume)");
+            }
+            o.lit("\",\"ph\":\"X\",\"pid\":0");
+            o.u64(key!("tid"), s.proc as u64);
+            o.micros(key!("ts"), s.start);
+            o.micros(key!("dur"), s.end.since(s.start));
+            o.lit(",\"args\":{\"thread\":");
+            o.num(thread);
+            o.str(key!("kind"), s.kind.name());
+            o.u64(key!("startNs"), s.start.as_ns());
+            o.u64(key!("endNs"), s.end.as_ns());
+            o.lit("}}");
+        }
+        let id = |v: Option<u32>| v.map(u64::from);
+        for e in &self.events {
+            o.item("{\"name\":\"")?;
+            o.lit(e.kind.name());
+            o.lit("\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0");
+            o.u64(key!("tid"), e.proc as u64);
+            o.micros(key!("ts"), e.at);
+            o.lit(",\"args\":{\"ns\":");
+            o.num(e.at.as_ns());
+            o.opt(key!("thread"), id(e.thread));
+            match e.kind {
+                EventKind::Spawn { parent } => o.opt(key!("parent"), id(parent)),
+                EventKind::Block { reason, obj } => {
+                    o.str(key!("reason"), reason.name());
+                    o.opt(key!("obj"), id(obj));
+                }
+                EventKind::Wake { waker } => o.opt(key!("waker"), id(waker)),
+                EventKind::Notify {
+                    reason,
+                    obj,
+                    waiters,
+                    woken,
+                } => {
+                    o.str(key!("reason"), reason.name());
+                    o.u64(key!("obj"), u64::from(obj));
+                    o.u64(key!("waiters"), waiters);
+                    o.u64(key!("woken"), woken);
+                }
+                EventKind::Join { target } => o.u64(key!("target"), u64::from(target)),
+                EventKind::Steal { victim } => o.opt(key!("victim"), id(victim)),
+                EventKind::DummyInsert { count } => o.u64(key!("count"), count),
+                EventKind::StackReserve { bytes }
+                | EventKind::StackRelease { bytes }
+                | EventKind::Alloc { bytes }
+                | EventKind::Free { bytes }
+                | EventKind::FreeUnderflow { bytes } => o.u64(key!("bytes"), bytes),
+                EventKind::BoundViolation { footprint, bound } => {
+                    o.u64(key!("footprint"), footprint);
+                    o.u64(key!("bound"), bound);
+                }
+                EventKind::Timeout { obj } => o.opt(key!("obj"), id(obj)),
+                EventKind::Cancel { obj, by } => {
+                    o.opt(key!("obj"), id(obj));
+                    o.opt(key!("by"), id(by));
+                }
+                EventKind::Deadlock { cycle, waits_for, obj } => {
+                    o.u64(key!("cycle"), u64::from(cycle));
+                    o.u64(key!("waitsFor"), u64::from(waits_for));
+                    o.opt(key!("obj"), id(obj));
+                }
+                EventKind::FirstDispatch | EventKind::Preempt => {}
+            }
+            o.lit("}}");
+        }
+        for (name, unit, track) in self.counter_tracks() {
+            for &(at, v) in track {
+                o.item("{\"name\":\"")?;
+                o.lit(name);
+                o.lit("\",\"ph\":\"C\",\"pid\":0");
+                o.micros(key!("ts"), at);
+                o.lit(",\"args\":{\"");
+                o.lit(unit);
+                o.lit("\":");
+                o.num(v);
+                o.u64(key!("ns"), at.as_ns());
+                o.lit("}}");
+            }
+        }
+        if let Some(cp) = cp {
+            o.item(
+                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\
+                 \"args\":{\"name\":\"critical path\"}}",
+            )?;
+            o.item(
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+                 \"args\":{\"name\":\"blame\"}}",
+            )?;
+            for seg in &cp.segments {
+                o.item("{\"name\":\"")?;
+                o.lit(seg.bucket.name());
+                if let BlameBucket::LockWait { reason, obj } = seg.bucket {
+                    o.lit(" ");
+                    o.lit(reason.name());
+                    if let Some(obj) = obj {
+                        o.lit("#");
+                        o.num(u64::from(obj));
+                    }
+                }
+                o.lit("\",\"ph\":\"X\",\"cat\":\"critpath\",\"pid\":1,\"tid\":0");
+                o.micros(key!("ts"), seg.start);
+                o.micros(key!("dur"), seg.end.since(seg.start));
+                o.lit(",\"args\":{\"thread\":");
+                match seg.thread {
+                    Some(t) => o.num(u64::from(t)),
+                    None => o.lit("null"),
+                }
+                o.str(key!("bucket"), seg.bucket.name());
+                o.u64(key!("startNs"), seg.start.as_ns());
+                o.u64(key!("endNs"), seg.end.as_ns());
+                o.lit("}}");
+            }
+        }
+        // The config echo (and the host-phase profile, when present).
+        o.lit("],\"otherData\":{\"scheduler\":");
+        json::push_str(&mut o.buf, &self.meta.scheduler);
+        o.u64(key!("processors"), self.meta.processors as u64);
+        o.u64(key!("defaultStack"), self.meta.default_stack);
+        o.opt(key!("quota"), self.meta.quota);
+        o.opt(key!("perturbSeed"), self.meta.perturb_seed);
+        o.opt(key!("chaosSeed"), self.meta.chaos_seed);
+        match &self.host_phase {
+            None => o.lit(",\"hostPhase\":null"),
+            Some(hp) => {
+                o.lit(",\"hostPhase\":{\"enabled\":");
+                o.lit(if hp.enabled { "true" } else { "false" });
+                for (name, p) in hp.phases() {
+                    o.lit(",\"");
+                    o.lit(name);
+                    o.lit("\":{\"count\":");
+                    o.num(p.count);
+                    o.u64(key!("ns"), p.ns);
+                    o.lit("}");
+                }
+                o.lit("}");
+            }
+        }
+        o.array("},\"ptdfThreads\":[");
+        for t in &self.threads {
+            o.item("{\"thread\":")?;
+            o.num(u64::from(t.thread));
+            o.u64(key!("spawnedNs"), t.spawned.as_ns());
+            o.opt(
+                key!("firstDispatchNs"),
+                t.first_dispatch.map(VirtTime::as_ns),
+            );
+            o.u64(key!("readyWaitNs"), t.ready_wait.as_ns());
+            o.u64(key!("quanta"), t.quanta);
+            o.opt(key!("exitedNs"), t.exited.map(VirtTime::as_ns));
+            o.lit("}");
+        }
+        o.array("],\"ptdfDecisions\":[");
+        for d in &self.decisions {
+            o.item("{\"k\":\"")?;
+            o.lit(d.kind.name());
+            o.lit("\"");
+            o.u64(key!("ns"), d.at.as_ns());
+            o.u64(key!("n"), u64::from(d.n));
+            o.u64(key!("chosen"), u64::from(d.chosen));
+            o.opt(key!("obj"), id(d.obj));
+            o.lit("}");
+        }
+        o.lit("]}");
+        o.drain()
     }
 
     /// Parses a trace back from [`Trace::to_chrome_json`] output. Exact:
     /// the result compares equal to the original trace.
+    ///
+    /// One pass over the text, no tree. The contract, for documents other
+    /// tools wrote or edited: members may come in any order; the first
+    /// occurrence of a key wins, whatever its type; `null` or a
+    /// non-integer where an integer is looked up reads as absent; unknown
+    /// members and records on a nonzero `pid` are validated and skipped;
+    /// `otherData`, `ptdfThreads` and `ptdfDecisions` may sit on either
+    /// side of `traceEvents`, and only `traceEvents` is required.
     pub fn from_chrome_json(text: &str) -> Result<Trace, String> {
-        let doc = Value::parse(text)?;
+        type Section = fn(&mut Trace, &mut Reader<'_>) -> Result<(), String>;
+        const SECTIONS: [(&str, u8, Section); 4] = [
+            ("traceEvents", b'[', Trace::read_records),
+            ("otherData", b'{', Trace::read_meta),
+            ("ptdfThreads", b'[', Trace::read_threads),
+            ("ptdfDecisions", b'[', Trace::read_decisions),
+        ];
+        let mut r = Reader::new(text);
         let mut trace = Trace::default();
-        if let Some(meta) = doc.get("otherData") {
-            trace.meta = TraceMeta {
-                scheduler: meta
-                    .get("scheduler")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                processors: meta
-                    .get("processors")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0) as usize,
-                default_stack: meta
-                    .get("defaultStack")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-                quota: meta.get("quota").and_then(Value::as_u64),
-                perturb_seed: meta.get("perturbSeed").and_then(Value::as_u64),
-                chaos_seed: meta.get("chaosSeed").and_then(Value::as_u64),
-            };
-            if let Some(hp) = meta.get("hostPhase") {
-                if hp.get("enabled").is_some() {
-                    let mut stats = HostPhaseStats {
-                        enabled: hp.get("enabled").and_then(Value::as_bool).unwrap_or(false),
-                        ..HostPhaseStats::default()
-                    };
-                    for (name, slot) in [
-                        ("heap_push", &mut stats.heap_push),
-                        ("heap_pop", &mut stats.heap_pop),
-                        ("charge", &mut stats.charge),
-                        ("sched_lock", &mut stats.sched_lock),
-                        ("sched_pop", &mut stats.sched_pop),
-                        ("dispatch", &mut stats.dispatch),
-                        ("trace_alloc", &mut stats.trace_alloc),
-                    ] {
-                        if let Some(p) = hp.get(name) {
-                            slot.count = p.get("count").and_then(Value::as_u64).unwrap_or(0);
-                            slot.ns = p.get("ns").and_then(Value::as_u64).unwrap_or(0);
-                        }
-                    }
-                    trace.host_phase = Some(stats);
+        let mut seen = [false; SECTIONS.len()];
+        let mut have_events = false;
+        if r.peek() == Some(b'{') {
+            r.object(|r, key| {
+                let Some(i) = SECTIONS.iter().position(|s| s.0 == key) else {
+                    return r.skip_value();
+                };
+                if std::mem::replace(&mut seen[i], true) || r.peek() != Some(SECTIONS[i].1) {
+                    return r.skip_value();
                 }
-            }
+                have_events |= i == 0;
+                (SECTIONS[i].2)(&mut trace, r)
+            })?;
+        } else {
+            r.skip_value()?;
         }
-        let records = doc
-            .get("traceEvents")
-            .and_then(Value::as_arr)
-            .ok_or("missing traceEvents array")?;
-        for r in records {
-            // Auxiliary tracks (the critical-path lane, metadata records)
-            // live on nonzero pids; the recorded trace itself is pid 0.
-            if r.get("pid").and_then(Value::as_u64).unwrap_or(0) != 0 {
-                continue;
-            }
-            let ph = r.get("ph").and_then(Value::as_str).ok_or("record without ph")?;
-            let name = r.get("name").and_then(Value::as_str).unwrap_or("");
-            let args = r.get("args");
-            let arg_u64 = |key: &str| args.and_then(|a| a.get(key)).and_then(Value::as_u64);
-            let arg_str =
-                |key: &str| args.and_then(|a| a.get(key)).and_then(Value::as_str);
-            match ph {
-                "X" => {
-                    let kind = arg_str("kind")
-                        .and_then(SpanKind::from_name)
-                        .ok_or("span without kind")?;
-                    trace.spans.push(Span {
-                        proc: r.get("tid").and_then(Value::as_u64).unwrap_or(0) as usize,
-                        thread: arg_u64("thread").ok_or("span without thread")? as u32,
-                        start: VirtTime::from_ns(arg_u64("startNs").ok_or("span without startNs")?),
-                        end: VirtTime::from_ns(arg_u64("endNs").ok_or("span without endNs")?),
-                        kind,
-                    });
-                }
-                "i" => {
-                    let kind = match name {
-                        "spawn" => EventKind::Spawn {
-                            parent: arg_u64("parent").map(|v| v as u32),
-                        },
-                        "first-dispatch" => EventKind::FirstDispatch,
-                        "block" => EventKind::Block {
-                            reason: arg_str("reason")
-                                .and_then(BlockReason::from_name)
-                                .ok_or("block without reason")?,
-                            obj: arg_u64("obj").map(|v| v as u32),
-                        },
-                        "wake" => EventKind::Wake {
-                            waker: arg_u64("waker").map(|v| v as u32),
-                        },
-                        "notify" => EventKind::Notify {
-                            reason: arg_str("reason")
-                                .and_then(BlockReason::from_name)
-                                .ok_or("notify without reason")?,
-                            obj: arg_u64("obj").ok_or("notify without obj")? as u32,
-                            waiters: arg_u64("waiters").ok_or("notify without waiters")?,
-                            woken: arg_u64("woken").ok_or("notify without woken")?,
-                        },
-                        "join" => EventKind::Join {
-                            target: arg_u64("target").ok_or("join without target")? as u32,
-                        },
-                        "steal" => EventKind::Steal {
-                            victim: arg_u64("victim").map(|v| v as u32),
-                        },
-                        "dummy-insert" => EventKind::DummyInsert {
-                            count: arg_u64("count").ok_or("dummy-insert without count")?,
-                        },
-                        "preempt" => EventKind::Preempt,
-                        "stack-reserve" => EventKind::StackReserve {
-                            bytes: arg_u64("bytes").ok_or("stack-reserve without bytes")?,
-                        },
-                        "stack-release" => EventKind::StackRelease {
-                            bytes: arg_u64("bytes").ok_or("stack-release without bytes")?,
-                        },
-                        "alloc" => EventKind::Alloc {
-                            bytes: arg_u64("bytes").ok_or("alloc without bytes")?,
-                        },
-                        "free-underflow" => EventKind::FreeUnderflow {
-                            bytes: arg_u64("bytes").ok_or("free-underflow without bytes")?,
-                        },
-                        "bound-violation" => EventKind::BoundViolation {
-                            footprint: arg_u64("footprint")
-                                .ok_or("bound-violation without footprint")?,
-                            bound: arg_u64("bound").ok_or("bound-violation without bound")?,
-                        },
-                        "free" => EventKind::Free {
-                            bytes: arg_u64("bytes").ok_or("free without bytes")?,
-                        },
-                        "timeout" => EventKind::Timeout {
-                            obj: arg_u64("obj").map(|v| v as u32),
-                        },
-                        "cancel" => EventKind::Cancel {
-                            obj: arg_u64("obj").map(|v| v as u32),
-                            by: arg_u64("by").map(|v| v as u32),
-                        },
-                        "deadlock" => EventKind::Deadlock {
-                            cycle: arg_u64("cycle").ok_or("deadlock without cycle")? as u32,
-                            waits_for: arg_u64("waitsFor").ok_or("deadlock without waitsFor")?
-                                as u32,
-                            obj: arg_u64("obj").map(|v| v as u32),
-                        },
-                        other => return Err(format!("unknown instant event {other:?}")),
-                    };
-                    trace.events.push(Event {
-                        at: VirtTime::from_ns(arg_u64("ns").ok_or("event without ns")?),
-                        proc: r.get("tid").and_then(Value::as_u64).unwrap_or(0) as usize,
-                        thread: arg_u64("thread").map(|v| v as u32),
-                        kind,
-                    });
-                }
-                "C" => {
-                    let at = VirtTime::from_ns(arg_u64("ns").ok_or("counter without ns")?);
-                    let (track, unit) = match name {
-                        "footprint" => (&mut trace.counters.footprint, "bytes"),
-                        "live-threads" => (&mut trace.counters.live_threads, "threads"),
-                        "ready" => (&mut trace.counters.ready, "entries"),
-                        "active-deques" => (&mut trace.counters.active_deques, "deques"),
-                        "sched-lock-wait" => (&mut trace.counters.sched_lock_wait, "waitNs"),
-                        "host-pool-cached" => (&mut trace.counters.host_pool_cached, "bytes"),
-                        other => return Err(format!("unknown counter {other:?}")),
-                    };
-                    track.push((at, arg_u64(unit).ok_or("counter without value")?));
-                }
-                other => return Err(format!("unknown phase {other:?}")),
-            }
-        }
-        if let Some(threads) = doc.get("ptdfThreads").and_then(Value::as_arr) {
-            for t in threads {
-                let u = |key: &str| t.get(key).and_then(Value::as_u64);
-                trace.threads.push(ThreadLifecycle {
-                    thread: u("thread").ok_or("lifecycle without thread")? as u32,
-                    spawned: VirtTime::from_ns(u("spawnedNs").ok_or("lifecycle without spawnedNs")?),
-                    first_dispatch: u("firstDispatchNs").map(VirtTime::from_ns),
-                    ready_wait: VirtTime::from_ns(u("readyWaitNs").unwrap_or(0)),
-                    quanta: u("quanta").unwrap_or(0),
-                    exited: u("exitedNs").map(VirtTime::from_ns),
-                });
-            }
-        }
-        // Absent in documents written before the decision log existed;
-        // default-empty keeps old traces loadable.
-        if let Some(decisions) = doc.get("ptdfDecisions").and_then(Value::as_arr) {
-            for d in decisions {
-                let u = |key: &str| d.get(key).and_then(Value::as_u64);
-                trace.decisions.push(crate::oracle::Decision {
-                    kind: d
-                        .get("k")
-                        .and_then(Value::as_str)
-                        .and_then(crate::oracle::DecisionKind::from_name)
-                        .ok_or("decision without kind")?,
-                    at: VirtTime::from_ns(u("ns").ok_or("decision without ns")?),
-                    n: u("n").ok_or("decision without n")? as u32,
-                    chosen: u("chosen").ok_or("decision without chosen")? as u32,
-                    obj: u("obj").map(|o| o as u32),
-                });
-            }
+        r.end()?;
+        if !have_events {
+            return Err("missing traceEvents array".into());
         }
         Ok(trace)
+    }
+
+    /// `traceEvents`: each record's known members land in a flat scratch
+    /// (`rec` for the record, `args` for its first `args` member), reused
+    /// from record to record, and [`Trace::push_record`] reads the slots.
+    fn read_records(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        let mut rec = Slots::new(&RECORD_KEYS);
+        let mut args = Slots::new(&ARG_KEYS);
+        r.array(|r| {
+            rec.clear();
+            args.clear();
+            if r.peek() == Some(b'{') {
+                let mut args_seen = false;
+                r.object(|r, key| {
+                    if key == "args" && !std::mem::replace(&mut args_seen, true) {
+                        return args.read(r);
+                    }
+                    rec.member(r, &key)
+                })?;
+            } else {
+                r.skip_value()?;
+            }
+            self.push_record(&rec, &args)
+        })
+    }
+
+    fn push_record(
+        &mut self,
+        rec: &Slots<'_, { RECORD_KEYS.len() }>,
+        args: &Slots<'_, { ARG_KEYS.len() }>,
+    ) -> Result<(), String> {
+        // Auxiliary tracks (the critical-path lane, metadata records)
+        // live on nonzero pids; the recorded trace itself is pid 0.
+        if rec.u64(slot!(RECORD_KEYS, "pid")).unwrap_or(0) != 0 {
+            return Ok(());
+        }
+        let ph = rec
+            .str(slot!(RECORD_KEYS, "ph"))
+            .ok_or("record without ph")?;
+        let name = rec.str(slot!(RECORD_KEYS, "name")).unwrap_or("");
+        let proc = rec.u64(slot!(RECORD_KEYS, "tid")).unwrap_or(0) as usize;
+        macro_rules! arg_u64 {
+            ($key:literal) => {
+                args.u64(slot!(ARG_KEYS, $key))
+            };
+        }
+        macro_rules! arg_str {
+            ($key:literal) => {
+                args.str(slot!(ARG_KEYS, $key))
+            };
+        }
+        match ph {
+            "X" => {
+                let kind = arg_str!("kind")
+                    .and_then(SpanKind::from_name)
+                    .ok_or("span without kind")?;
+                self.spans.push(Span {
+                    proc,
+                    thread: arg_u64!("thread").ok_or("span without thread")? as u32,
+                    start: VirtTime::from_ns(arg_u64!("startNs").ok_or("span without startNs")?),
+                    end: VirtTime::from_ns(arg_u64!("endNs").ok_or("span without endNs")?),
+                    kind,
+                });
+            }
+            "i" => {
+                let kind = match name {
+                    "spawn" => EventKind::Spawn {
+                        parent: arg_u64!("parent").map(|v| v as u32),
+                    },
+                    "first-dispatch" => EventKind::FirstDispatch,
+                    "block" => EventKind::Block {
+                        reason: arg_str!("reason")
+                            .and_then(BlockReason::from_name)
+                            .ok_or("block without reason")?,
+                        obj: arg_u64!("obj").map(|v| v as u32),
+                    },
+                    "wake" => EventKind::Wake {
+                        waker: arg_u64!("waker").map(|v| v as u32),
+                    },
+                    "notify" => EventKind::Notify {
+                        reason: arg_str!("reason")
+                            .and_then(BlockReason::from_name)
+                            .ok_or("notify without reason")?,
+                        obj: arg_u64!("obj").ok_or("notify without obj")? as u32,
+                        waiters: arg_u64!("waiters").ok_or("notify without waiters")?,
+                        woken: arg_u64!("woken").ok_or("notify without woken")?,
+                    },
+                    "join" => EventKind::Join {
+                        target: arg_u64!("target").ok_or("join without target")? as u32,
+                    },
+                    "steal" => EventKind::Steal {
+                        victim: arg_u64!("victim").map(|v| v as u32),
+                    },
+                    "dummy-insert" => EventKind::DummyInsert {
+                        count: arg_u64!("count").ok_or("dummy-insert without count")?,
+                    },
+                    "preempt" => EventKind::Preempt,
+                    "stack-reserve" => EventKind::StackReserve {
+                        bytes: arg_u64!("bytes").ok_or("stack-reserve without bytes")?,
+                    },
+                    "stack-release" => EventKind::StackRelease {
+                        bytes: arg_u64!("bytes").ok_or("stack-release without bytes")?,
+                    },
+                    "alloc" => EventKind::Alloc {
+                        bytes: arg_u64!("bytes").ok_or("alloc without bytes")?,
+                    },
+                    "free-underflow" => EventKind::FreeUnderflow {
+                        bytes: arg_u64!("bytes").ok_or("free-underflow without bytes")?,
+                    },
+                    "bound-violation" => EventKind::BoundViolation {
+                        footprint: arg_u64!("footprint")
+                            .ok_or("bound-violation without footprint")?,
+                        bound: arg_u64!("bound").ok_or("bound-violation without bound")?,
+                    },
+                    "free" => EventKind::Free {
+                        bytes: arg_u64!("bytes").ok_or("free without bytes")?,
+                    },
+                    "timeout" => EventKind::Timeout {
+                        obj: arg_u64!("obj").map(|v| v as u32),
+                    },
+                    "cancel" => EventKind::Cancel {
+                        obj: arg_u64!("obj").map(|v| v as u32),
+                        by: arg_u64!("by").map(|v| v as u32),
+                    },
+                    "deadlock" => EventKind::Deadlock {
+                        cycle: arg_u64!("cycle").ok_or("deadlock without cycle")? as u32,
+                        waits_for: arg_u64!("waitsFor").ok_or("deadlock without waitsFor")? as u32,
+                        obj: arg_u64!("obj").map(|v| v as u32),
+                    },
+                    other => return Err(format!("unknown instant event {other:?}")),
+                };
+                self.events.push(Event {
+                    at: VirtTime::from_ns(arg_u64!("ns").ok_or("event without ns")?),
+                    proc,
+                    thread: arg_u64!("thread").map(|v| v as u32),
+                    kind,
+                });
+            }
+            "C" => {
+                let at = VirtTime::from_ns(arg_u64!("ns").ok_or("counter without ns")?);
+                let (track, value) = match name {
+                    "footprint" => (&mut self.counters.footprint, arg_u64!("bytes")),
+                    "live-threads" => (&mut self.counters.live_threads, arg_u64!("threads")),
+                    "ready" => (&mut self.counters.ready, arg_u64!("entries")),
+                    "active-deques" => (&mut self.counters.active_deques, arg_u64!("deques")),
+                    "sched-lock-wait" => (&mut self.counters.sched_lock_wait, arg_u64!("waitNs")),
+                    "host-pool-cached" => (&mut self.counters.host_pool_cached, arg_u64!("bytes")),
+                    other => return Err(format!("unknown counter {other:?}")),
+                };
+                track.push((at, value.ok_or("counter without value")?));
+            }
+            other => return Err(format!("unknown phase {other:?}")),
+        }
+        Ok(())
+    }
+
+    /// `otherData`: the config echo and, when its first `hostPhase` member
+    /// is an object carrying `enabled`, the host-phase profile.
+    fn read_meta(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        const PHASE_KEYS: [&str; 2] = ["count", "ns"];
+        let mut meta = Slots::new(&META_KEYS);
+        let mut enabled = Slots::new(&["enabled"]);
+        let mut phase = Slots::new(&PHASE_KEYS);
+        let mut stats = HostPhaseStats::default();
+        let mut phases = [
+            ("heap_push", &mut stats.heap_push, false),
+            ("heap_pop", &mut stats.heap_pop, false),
+            ("charge", &mut stats.charge, false),
+            ("sched_lock", &mut stats.sched_lock, false),
+            ("sched_pop", &mut stats.sched_pop, false),
+            ("dispatch", &mut stats.dispatch, false),
+            ("trace_alloc", &mut stats.trace_alloc, false),
+        ];
+        let mut hp_seen = false;
+        r.object(|r, key| {
+            if key != "hostPhase" || std::mem::replace(&mut hp_seen, true) || r.peek() != Some(b'{')
+            {
+                return meta.member(r, &key);
+            }
+            r.object(|r, key| {
+                match phases
+                    .iter_mut()
+                    .find(|(name, _, seen)| *name == key && !*seen)
+                {
+                    Some((_, slot, seen)) => {
+                        *seen = true;
+                        phase.read(r)?;
+                        slot.count = phase.u64(slot!(PHASE_KEYS, "count")).unwrap_or(0);
+                        slot.ns = phase.u64(slot!(PHASE_KEYS, "ns")).unwrap_or(0);
+                        Ok(())
+                    }
+                    None => enabled.member(r, &key),
+                }
+            })
+        })?;
+        self.meta = TraceMeta {
+            scheduler: meta
+                .str(slot!(META_KEYS, "scheduler"))
+                .unwrap_or_default()
+                .to_string(),
+            processors: meta.u64(slot!(META_KEYS, "processors")).unwrap_or(0) as usize,
+            default_stack: meta.u64(slot!(META_KEYS, "defaultStack")).unwrap_or(0),
+            quota: meta.u64(slot!(META_KEYS, "quota")),
+            perturb_seed: meta.u64(slot!(META_KEYS, "perturbSeed")),
+            chaos_seed: meta.u64(slot!(META_KEYS, "chaosSeed")),
+        };
+        if enabled.get(0).is_some() {
+            stats.enabled = enabled.bool(0).unwrap_or(false);
+            self.host_phase = Some(stats);
+        }
+        Ok(())
+    }
+
+    /// `ptdfThreads`: the per-thread lifecycle table.
+    fn read_threads(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        let mut t = Slots::new(&LIFECYCLE_KEYS);
+        macro_rules! u {
+            ($key:literal) => {
+                t.u64(slot!(LIFECYCLE_KEYS, $key))
+            };
+        }
+        r.array(|r| {
+            t.read(r)?;
+            self.threads.push(ThreadLifecycle {
+                thread: u!("thread").ok_or("lifecycle without thread")? as u32,
+                spawned: VirtTime::from_ns(u!("spawnedNs").ok_or("lifecycle without spawnedNs")?),
+                first_dispatch: u!("firstDispatchNs").map(VirtTime::from_ns),
+                ready_wait: VirtTime::from_ns(u!("readyWaitNs").unwrap_or(0)),
+                quanta: u!("quanta").unwrap_or(0),
+                exited: u!("exitedNs").map(VirtTime::from_ns),
+            });
+            Ok(())
+        })
+    }
+
+    /// `ptdfDecisions`: the schedule decision log. Absent in documents
+    /// written before the log existed, which load with an empty one.
+    fn read_decisions(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        let mut d = Slots::new(&DECISION_KEYS);
+        macro_rules! u {
+            ($key:literal) => {
+                d.u64(slot!(DECISION_KEYS, $key))
+            };
+        }
+        r.array(|r| {
+            d.read(r)?;
+            self.decisions.push(crate::oracle::Decision {
+                kind: d
+                    .str(slot!(DECISION_KEYS, "k"))
+                    .and_then(crate::oracle::DecisionKind::from_name)
+                    .ok_or("decision without kind")?,
+                at: VirtTime::from_ns(u!("ns").ok_or("decision without ns")?),
+                n: u!("n").ok_or("decision without n")? as u32,
+                chosen: u!("chosen").ok_or("decision without chosen")? as u32,
+                obj: u!("obj").map(|o| o as u32),
+            });
+            Ok(())
+        })
+    }
+}
+
+/// The members [`Trace::from_chrome_json`] reads, per object kind; every
+/// other member is validated and skipped. Hot keys first: [`Slots::member`]
+/// searches in order.
+const RECORD_KEYS: [&str; 4] = ["name", "ph", "pid", "tid"];
+const ARG_KEYS: [&str; 24] = [
+    "ns",
+    "thread",
+    "obj",
+    "reason",
+    "kind",
+    "startNs",
+    "endNs",
+    "bytes",
+    "waker",
+    "parent",
+    "target",
+    "waiters",
+    "woken",
+    "victim",
+    "count",
+    "footprint",
+    "bound",
+    "by",
+    "cycle",
+    "waitsFor",
+    "threads",
+    "entries",
+    "deques",
+    "waitNs",
+];
+const META_KEYS: [&str; 6] = [
+    "scheduler",
+    "processors",
+    "defaultStack",
+    "quota",
+    "perturbSeed",
+    "chaosSeed",
+];
+const LIFECYCLE_KEYS: [&str; 6] = [
+    "thread",
+    "spawnedNs",
+    "firstDispatchNs",
+    "readyWaitNs",
+    "quanta",
+    "exitedNs",
+];
+const DECISION_KEYS: [&str; 5] = ["k", "ns", "n", "chosen", "obj"];
+
+/// [`Trace::write_chrome_json`] hands its buffer to the writer whenever it
+/// has grown past this.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// Below this many nanoseconds, `ns as f64 / 1e3` printed by `f64`'s
+/// `Display` *is* the exact decimal `q.rrr` (see [`ChromeOut::micros`]).
+const EXACT_MICROS_BELOW_NS: u64 = 1_000_000_000_000_000;
+
+/// Output side of the Chrome exporter: text accumulates in `buf`, which is
+/// handed to `writer` (when there is one) each time an array element starts
+/// with more than [`FLUSH_BYTES`] pending.
+struct ChromeOut<'w> {
+    buf: Vec<u8>,
+    writer: Option<&'w mut dyn io::Write>,
+    /// Whether the open array already has an element.
+    comma: bool,
+}
+
+impl<'w> ChromeOut<'w> {
+    fn new(capacity: usize, writer: Option<&'w mut dyn io::Write>) -> Self {
+        ChromeOut {
+            buf: Vec::with_capacity(capacity),
+            writer,
+            comma: false,
+        }
+    }
+
+    fn drain(&mut self) -> io::Result<()> {
+        if let Some(w) = &mut self.writer {
+            w.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    fn lit(&mut self, text: &str) {
+        self.buf.extend_from_slice(text.as_bytes());
+    }
+
+    fn num(&mut self, v: u64) {
+        json::push_u64(&mut self.buf, v);
+    }
+
+    /// Opens an array; `open` is everything up to and including its `[`.
+    fn array(&mut self, open: &str) {
+        self.lit(open);
+        self.comma = false;
+    }
+
+    /// Starts an element of the open array; `open` is its first bytes.
+    fn item(&mut self, open: &str) -> io::Result<()> {
+        if self.buf.len() >= FLUSH_BYTES {
+            self.drain()?;
+        }
+        if std::mem::replace(&mut self.comma, true) {
+            self.buf.push(b',');
+        }
+        self.lit(open);
+        Ok(())
+    }
+
+    fn u64(&mut self, key: &str, v: u64) {
+        self.lit(key);
+        self.num(v);
+    }
+
+    fn opt(&mut self, key: &str, v: Option<u64>) {
+        self.lit(key);
+        match v {
+            Some(v) => self.num(v),
+            None => self.lit("null"),
+        }
+    }
+
+    fn str(&mut self, key: &str, s: &str) {
+        self.lit(key);
+        json::push_str(&mut self.buf, s);
+    }
+
+    /// `t` in microseconds, as `ns as f64 / 1e3` prints. Below 10^15 ns the
+    /// quotient `q.rrr` has at most 15 significant digits, and a decimal
+    /// that short survives the trip through `f64` unchanged — so the
+    /// shortest representation `Display` searches for is the exact decimal
+    /// itself, trailing zeros trimmed, and integer arithmetic writes it
+    /// directly. From 10^15 ns up the float itself is formatted.
+    fn micros(&mut self, key: &str, t: VirtTime) {
+        self.lit(key);
+        let ns = t.as_ns();
+        if ns >= EXACT_MICROS_BELOW_NS {
+            return json::push_f64(&mut self.buf, ns as f64 / 1e3);
+        }
+        self.num(ns / 1000);
+        let frac = (ns % 1000) as u32;
+        let digits = [
+            b'.',
+            b'0' + (frac / 100) as u8,
+            b'0' + (frac / 10 % 10) as u8,
+            b'0' + (frac % 10) as u8,
+        ];
+        // Trailing zeros go, but one digit stays after the point.
+        let mut keep = digits.len();
+        while keep > 2 && digits[keep - 1] == b'0' {
+            keep -= 1;
+        }
+        self.buf.extend_from_slice(&digits[..keep]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{obj, Value};
     use crate::{run, scope, Config, SchedKind};
+    use ptdf_smp::Prng;
+    use std::rc::Rc;
 
     #[test]
     fn trace_records_all_dispatches_without_overlap() {
@@ -1656,5 +1889,669 @@ mod tests {
         assert_eq!(hist_total, lc.dispatch_latency.count);
         // FIFO at p=2 queues threads: someone must actually wait.
         assert!(lc.ready_wait.max > VirtTime::ZERO);
+    }
+
+    /// A small fork-join program touching most event kinds: nested
+    /// spawn/join, a contended mutex, a two-party barrier, and one
+    /// allocation above the DF quota (dummies + preemption under the
+    /// quota-carrying policies).
+    fn corpus_program() {
+        fn tree(depth: u32) {
+            if depth == 0 {
+                crate::work(1_500);
+                return;
+            }
+            let h = crate::spawn(move || tree(depth - 1));
+            tree(depth - 1);
+            h.join();
+        }
+        let m = crate::Mutex::new(0u64);
+        let b = crate::Barrier::new(2);
+        let (m2, b2) = (m.clone(), b.clone());
+        let h = crate::spawn(move || {
+            *m2.lock() += 1;
+            crate::work(10_000);
+            b2.wait();
+        });
+        tree(3);
+        crate::rt_alloc(64 * 1024);
+        crate::rt_free(64 * 1024);
+        b.wait();
+        *m.lock() += 1;
+        h.join();
+    }
+
+    /// Hand-built trace for the escaping and `ts`/`dur` formatting rules:
+    /// a scheduler name with every escape class and virtual times on both
+    /// sides of the exact-decimal boundary (10^15 ns).
+    fn hostile_trace() -> Trace {
+        const E15: u64 = 1_000_000_000_000_000;
+        let times = [
+            0,
+            1,
+            10,
+            100,
+            999,
+            1_000,
+            1_001,
+            1_010,
+            1_100,
+            123_456,
+            E15 - 1,
+            E15,
+            E15 + 1,
+            (1 << 53) + 1,
+            u64::MAX,
+        ];
+        let mut t = Trace::default();
+        t.meta = TraceMeta {
+            scheduler: "a\"b\\c\n\u{1}".to_string(),
+            processors: 2,
+            default_stack: 8192,
+            quota: Some(u64::MAX),
+            perturb_seed: None,
+            chaos_seed: Some(0),
+        };
+        for (i, w) in times.windows(2).enumerate() {
+            t.spans.push(Span {
+                proc: i % 2,
+                thread: i as u32,
+                start: VirtTime::from_ns(w[0]),
+                end: VirtTime::from_ns(w[1]),
+                kind: [SpanKind::Run, SpanKind::Dummy, SpanKind::Resume][i % 3],
+            });
+        }
+        for (i, &at) in times.iter().enumerate() {
+            t.events.push(Event {
+                at: VirtTime::from_ns(at),
+                proc: i % 2,
+                thread: (i % 4 != 0).then_some(i as u32),
+                kind: match i % 5 {
+                    0 => EventKind::Alloc { bytes: at },
+                    1 => EventKind::Spawn { parent: None },
+                    2 => EventKind::Block {
+                        reason: BlockReason::RwWrite,
+                        obj: None,
+                    },
+                    3 => EventKind::BoundViolation {
+                        footprint: at,
+                        bound: 7,
+                    },
+                    _ => EventKind::Deadlock {
+                        cycle: 1,
+                        waits_for: 2,
+                        obj: Some(3),
+                    },
+                },
+            });
+            t.counters.footprint.push((VirtTime::from_ns(at), at));
+            t.counters
+                .host_pool_cached
+                .push((VirtTime::from_ns(at), i as u64));
+        }
+        t.threads
+            .push(ThreadLifecycle::new(0, VirtTime::from_ns(999)));
+        t.threads.push(ThreadLifecycle {
+            thread: 1,
+            spawned: VirtTime::ZERO,
+            first_dispatch: Some(VirtTime::from_ns(1_000)),
+            ready_wait: VirtTime::from_ns(E15 + 1),
+            quanta: 3,
+            exited: Some(VirtTime::from_ns(u64::MAX)),
+        });
+        t
+    }
+
+    /// The trace of a traced run, minus the one track that depends on the
+    /// fiber backend: `host-pool-cached` samples the host stack pool, which
+    /// the portable backend does not have. (`hostile_trace` keeps the
+    /// track's formatting covered.)
+    fn recorded(report: crate::Report) -> Trace {
+        let mut trace = report.trace.expect("trace enabled");
+        trace.counters.host_pool_cached.clear();
+        trace
+    }
+
+    /// The byte-identity corpus: `(row name, exported document)`.
+    fn export_corpus() -> Vec<(String, String)> {
+        let mut rows = Vec::new();
+        let mut fork_join_df = None;
+        for kind in [
+            SchedKind::Fifo,
+            SchedKind::Lifo,
+            SchedKind::Df,
+            SchedKind::DfDeques,
+            SchedKind::Ws,
+        ] {
+            let cfg = Config::new(4, kind).with_trace().with_quota(16 * 1024);
+            let (_, report) = run(cfg, corpus_program);
+            let trace = recorded(report);
+            rows.push((format!("fork-join/{}", kind.name()), trace.to_chrome_json()));
+            if kind == SchedKind::Df {
+                fork_join_df = Some(trace);
+            }
+        }
+        // A litmus program under a scripted oracle: the decision log rides
+        // in `ptdfDecisions`.
+        let l = crate::litmus::find("mutex_increments").expect("corpus program");
+        let oracle = crate::oracle::ScheduleOracle::scripted(vec![1, 0, 1]).shared();
+        let cfg = Config::new(l.procs, SchedKind::Df)
+            .with_trace()
+            .with_oracle(oracle);
+        let (_, report) = run(cfg, l.body);
+        let trace = recorded(report);
+        assert!(!trace.decisions.is_empty(), "oracle runs log decisions");
+        rows.push(("litmus/mutex_increments".into(), trace.to_chrome_json()));
+        // The three-lock ring of `examples/deadlock_trace`.
+        let cfg = Config::new(3, SchedKind::Df)
+            .with_trace()
+            .with_perturbation(9);
+        let outcome = crate::try_run(cfg, || {
+            let locks = [
+                crate::Mutex::new(()),
+                crate::Mutex::new(()),
+                crate::Mutex::new(()),
+            ];
+            let handles: Vec<_> = (0..3)
+                .map(|i| {
+                    let first = locks[i].clone();
+                    let second = locks[(i + 1) % 3].clone();
+                    crate::spawn(move || {
+                        let _g1 = first.lock();
+                        crate::work(300_000);
+                        let _g2 = second.lock();
+                    })
+                })
+                .collect();
+            for h in handles {
+                let _ = h.try_join();
+            }
+        });
+        let (_, report) = outcome.expect("a detected deadlock is a verdict");
+        let trace = recorded(report);
+        assert!(trace
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::Deadlock { .. })));
+        rows.push(("deadlock-ring".into(), trace.to_chrome_json()));
+        // A cancelled timed wait (Block, then Cancel instead of Timeout).
+        let l = crate::litmus::find("cancel_deadline_race").expect("corpus program");
+        let (_, report) = run(Config::new(l.procs, SchedKind::Fifo).with_trace(), l.body);
+        let trace = recorded(report);
+        assert!(trace
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::Cancel { .. })));
+        rows.push(("cancelled-timed-wait".into(), trace.to_chrome_json()));
+        // A profiled run: `hostPhase` present. Phase counts are the run's
+        // own; host nanoseconds are not reproducible, so they are pinned.
+        let cfg = Config::new(2, SchedKind::Df)
+            .with_trace()
+            .with_host_profile(true);
+        let (_, report) = run(cfg, corpus_program);
+        let mut trace = recorded(report);
+        let hp = trace
+            .host_phase
+            .as_mut()
+            .expect("profiled run carries hostPhase");
+        for slot in [
+            &mut hp.heap_push,
+            &mut hp.heap_pop,
+            &mut hp.charge,
+            &mut hp.sched_lock,
+            &mut hp.sched_pop,
+            &mut hp.dispatch,
+            &mut hp.trace_alloc,
+        ] {
+            slot.ns = slot.count * 37 + 1;
+        }
+        rows.push(("profiled".into(), trace.to_chrome_json()));
+        // The committed CLI fixtures, re-exported.
+        for (name, text) in [
+            (
+                "zero_count_host_phase",
+                include_str!("../../trace-tools/fixtures/zero_count_host_phase.json"),
+            ),
+            (
+                "zero_events",
+                include_str!("../../trace-tools/fixtures/zero_events.json"),
+            ),
+            (
+                "zero_makespan",
+                include_str!("../../trace-tools/fixtures/zero_makespan.json"),
+            ),
+        ] {
+            let trace = Trace::from_chrome_json(text).expect("fixture parses");
+            rows.push((format!("fixture/{name}"), trace.to_chrome_json()));
+        }
+        rows.push(("hostile".into(), hostile_trace().to_chrome_json()));
+        // The merged critical-path export, on one trace.
+        let trace = fork_join_df.expect("df row ran");
+        let cp = crate::critpath::analyze(&trace);
+        assert!(!cp.segments.is_empty());
+        rows.push((
+            "critpath/fork-join/df".into(),
+            trace.to_chrome_json_with_critpath(&cp),
+        ));
+        rows
+    }
+
+    /// FNV-1a-64 and length of every corpus row (first captured from the
+    /// `Value`-tree exporter, which the streaming one had to reproduce).
+    /// The documents must never change by accident: `ptdf-trace diff`, the
+    /// CI `cmp` of the hot-path traces and every committed fixture depend
+    /// on the bytes.
+    const EXPORT_CORPUS: &[(&str, u64, usize)] = &[
+        ("fork-join/fifo", 0x3dcb64c1f7b83f42, 16137),
+        ("fork-join/lifo", 0xad6ce1795e9541c8, 16137),
+        ("fork-join/df", 0xcbee05c0350198a3, 24174),
+        ("fork-join/df-deques", 0xcb0da8baaa8afef0, 21776),
+        ("fork-join/ws", 0x9bbc6ae5391be93e, 16631),
+        ("litmus/mutex_increments", 0x078c21fc06f8271e, 6410),
+        ("deadlock-ring", 0x518a6ce250a581c3, 10805),
+        ("cancelled-timed-wait", 0x92544e68887a3211, 3355),
+        ("profiled", 0x88a543edbf772877, 14966),
+        ("fixture/zero_count_host_phase", 0x9003569a61a4ec01, 525),
+        ("fixture/zero_events", 0x433b40da794e9cec, 300),
+        ("fixture/zero_makespan", 0x4efff3613ce07e21, 295),
+        ("hostile", 0x59a4a369f2ee4a89, 7073),
+        ("critpath/fork-join/df", 0xb0731552d352d6f0, 28399),
+    ];
+
+    #[test]
+    fn export_is_byte_identical_on_the_corpus() {
+        let rows = export_corpus();
+        assert_eq!(rows.len(), EXPORT_CORPUS.len());
+        for ((name, json), &(want_name, want_hash, want_len)) in rows.iter().zip(EXPORT_CORPUS) {
+            assert_eq!(name, want_name);
+            assert_eq!(
+                (crate::explore::fnv1a(json.as_bytes()), json.len()),
+                (want_hash, want_len),
+                "{name}: export bytes changed"
+            );
+            // Parse → export is the identity on every row (the critical-path
+            // lane is dropped on import, so that row re-exports to its base).
+            let back = Trace::from_chrome_json(json).expect("corpus row parses");
+            let base = if name.starts_with("critpath/") {
+                &rows[2].1
+            } else {
+                json
+            };
+            assert_eq!(&back.to_chrome_json(), base, "{name}");
+        }
+    }
+
+    /// A seeded index below `n` (the property tests' only randomness is
+    /// the engine's own `Prng`).
+    fn pick(rng: &mut Prng, n: usize) -> usize {
+        rng.below(n as u64) as usize
+    }
+
+    #[test]
+    fn micros_match_float_display_on_both_sides_of_the_boundary() {
+        let exact = |ns: u64| {
+            let mut out = ChromeOut::new(0, None);
+            out.micros("", VirtTime::from_ns(ns));
+            json::into_string(out.buf)
+        };
+        let display = |ns: u64| Value::Float(ns as f64 / 1e3).to_json();
+        for ns in 0..200_000 {
+            assert_eq!(exact(ns), display(ns), "{ns}");
+        }
+        let mut rng = Prng::new(0x2545_f491_4f6c_dd1d);
+        for _ in 0..200_000 {
+            // Every magnitude up to the boundary, and some past it.
+            let ns = rng.next_u64() % 10u64.pow(1 + pick(&mut rng, 17) as u32);
+            assert_eq!(exact(ns), display(ns), "{ns}");
+        }
+        for ns in [
+            EXACT_MICROS_BELOW_NS - 1_001,
+            EXACT_MICROS_BELOW_NS - 1_000,
+            EXACT_MICROS_BELOW_NS - 1,
+            EXACT_MICROS_BELOW_NS,
+            EXACT_MICROS_BELOW_NS + 1,
+            u64::MAX,
+        ] {
+            assert_eq!(exact(ns), display(ns), "{ns}");
+        }
+        assert_eq!(exact(0), "0.0");
+        assert_eq!(exact(1_500), "1.5");
+        assert_eq!(exact(999_999_999_999_999), "999999999999.999");
+    }
+
+    #[test]
+    fn write_chrome_json_streams_the_same_bytes_in_pieces() {
+        /// Keeps the bytes and counts the `write` calls.
+        #[derive(Default)]
+        struct Pieces(Vec<u8>, usize);
+        impl io::Write for Pieces {
+            fn write(&mut self, piece: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(piece);
+                self.1 += 1;
+                Ok(piece.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let cfg = Config::new(4, SchedKind::Df).with_trace();
+        let (_, report) = run(cfg, || {
+            scope(|s| {
+                for i in 0..400 {
+                    s.spawn(move || crate::work(500 + i));
+                }
+            })
+        });
+        let trace = report.trace.expect("trace enabled");
+        let whole = trace.to_chrome_json();
+        assert!(whole.len() > 4 * FLUSH_BYTES, "want several flushes");
+        let mut pieces = Pieces::default();
+        trace
+            .write_chrome_json(&mut pieces)
+            .expect("in-memory writer");
+        assert!(pieces.0 == whole.as_bytes(), "streamed bytes differ");
+        assert!(
+            (4..=whole.len() / FLUSH_BYTES + 1).contains(&pieces.1),
+            "{} writes for {} bytes",
+            pieces.1,
+            whole.len()
+        );
+        let cp = crate::critpath::analyze(&trace);
+        let mut pieces = Pieces::default();
+        trace
+            .write_chrome_json_with_critpath(&cp, &mut pieces)
+            .expect("in-memory writer");
+        assert!(pieces.0 == trace.to_chrome_json_with_critpath(&cp).as_bytes());
+        assert_eq!(
+            trace.write_chrome_json(&mut Full).unwrap_err().to_string(),
+            "disk full"
+        );
+    }
+
+    /// A real trace small enough to mutate many times, with every top-level
+    /// section populated: a perturbed (decision-logged), profiled run of the
+    /// corpus program.
+    fn small_real_trace() -> Trace {
+        let cfg = Config::new(3, SchedKind::Df)
+            .with_trace()
+            .with_perturbation(9)
+            .with_host_profile(true);
+        let (_, report) = run(cfg, corpus_program);
+        let trace = report.trace.expect("trace enabled");
+        assert!(!trace.decisions.is_empty() && trace.host_phase.is_some());
+        trace
+    }
+
+    /// A member no reader looks at: a scalar or a nested compound, the
+    /// compounds reusing known key names one level down.
+    fn unknown_member(rng: &mut Prng) -> (Rc<str>, Value) {
+        let value = match pick(rng, 6) {
+            0 => Value::Null,
+            1 => Value::Float(0.25),
+            2 => Value::Str("ph\\\"\u{1}".into()),
+            3 => Value::Int(-7),
+            4 => Value::Arr(vec![Value::UInt(1), obj(vec![("pid", Value::UInt(9))])]),
+            _ => obj(vec![
+                ("args", obj(vec![("ns", Value::UInt(1))])),
+                ("traceEvents", Value::Arr(vec![Value::Null])),
+            ]),
+        };
+        (["zz", "x-note", "cat", "id"][pick(rng, 4)].into(), value)
+    }
+
+    /// Shuffles every object's members, sprinkles unknown members in, and
+    /// repeats some members *after* their first occurrence with another
+    /// value — none of which a first-match reader may notice.
+    fn scramble(v: &mut Value, rng: &mut Prng) {
+        match v {
+            Value::Arr(items) => items.iter_mut().for_each(|item| scramble(item, rng)),
+            Value::Obj(members) => {
+                members.iter_mut().for_each(|(_, m)| scramble(m, rng));
+                for i in (1..members.len()).rev() {
+                    members.swap(i, pick(rng, i + 1));
+                }
+                for _ in 0..pick(rng, 3) {
+                    let at = pick(rng, members.len() + 1);
+                    members.insert(at, unknown_member(rng));
+                }
+                if !members.is_empty() && pick(rng, 2) == 0 {
+                    let first = pick(rng, members.len());
+                    let key = members[first].0.clone();
+                    let at = first + 1 + pick(rng, members.len() - first);
+                    members.insert(at, (key, unknown_member(rng).1));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn parser_ignores_member_order_unknown_members_and_late_duplicates() {
+        let trace = small_real_trace();
+        let tree = Value::parse(&trace.to_chrome_json()).expect("export is JSON");
+        let mut rng = Prng::new(0x9e37_79b9_7f4a_7c15);
+        for round in 0..60 {
+            let mut doc = tree.clone();
+            scramble(&mut doc, &mut rng);
+            let text = doc.to_json();
+            let back = Trace::from_chrome_json(&text)
+                .unwrap_or_else(|e| panic!("round {round}: {e}\n{text}"));
+            assert!(back == trace, "round {round} parsed differently:\n{text}");
+        }
+        // Whitespace between tokens is invisible too.
+        let spaced = trace
+            .to_chrome_json()
+            .replace("\":", "\" :\t")
+            .replace(',', " ,\n")
+            .replace('{', "{ ")
+            .replace('}', "\r\n}");
+        assert!(Trace::from_chrome_json(&spaced).expect("spaced") == trace);
+    }
+
+    #[test]
+    fn damaged_documents_end_in_ok_or_err_never_a_panic() {
+        let l = crate::litmus::find("cancel_deadline_race").expect("corpus program");
+        let (_, report) = run(Config::new(l.procs, SchedKind::Fifo).with_trace(), l.body);
+        let mut trace = report.trace.expect("trace enabled");
+        trace.meta.scheduler = "fi\\fo \"é\" 😀".into();
+        let text = trace.to_chrome_json();
+        let mut verdicts = [0usize; 2];
+        for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            verdicts[Trace::from_chrome_json(&text[..cut]).is_ok() as usize] += 1;
+        }
+        assert_eq!(
+            verdicts[1], 0,
+            "no proper prefix of a document is a document"
+        );
+        let mut rng = Prng::new(0xd1b5_4a32_d192_ed03);
+        for _ in 0..2_000 {
+            let mut bytes = text.clone().into_bytes();
+            let at = pick(&mut rng, bytes.len());
+            bytes[at] = match pick(&mut rng, 4) {
+                0 => *b"{}[]\",:-+.eE0 9nt\\u"
+                    .get(pick(&mut rng, 19))
+                    .expect("19 bytes"),
+                1 => bytes[at] ^ (1 << pick(&mut rng, 7)),
+                2 => bytes[pick(&mut rng, text.len())],
+                _ => rng.next_u64() as u8,
+            };
+            if let Ok(damaged) = String::from_utf8(bytes) {
+                verdicts[Trace::from_chrome_json(&damaged).is_ok() as usize] += 1;
+            }
+        }
+        assert!(
+            verdicts[0] > 0 && verdicts[1] > 0,
+            "both verdicts exercised: {verdicts:?}"
+        );
+    }
+
+    #[test]
+    fn every_parse_error_still_has_its_message() {
+        let doc = |records: &str| format!(r#"{{"traceEvents":[{records}]}}"#);
+        let rec = |ph: &str, name: &str, args: &str| {
+            doc(&format!(
+                r#"{{"ph":"{ph}","name":"{name}","args":{{{args}}}}}"#
+            ))
+        };
+        let sections = |rest: &str| format!(r#"{{"traceEvents":[],{rest}}}"#);
+        let ns = r#""ns":1"#;
+        for (text, want) in [
+            ("{}".to_string(), "missing traceEvents array"),
+            ("[]".into(), "missing traceEvents array"),
+            ("7".into(), "missing traceEvents array"),
+            (r#"{"traceEvents":{}}"#.into(), "missing traceEvents array"),
+            // The first occurrence decides, even when a later one would do.
+            (
+                r#"{"traceEvents":null,"traceEvents":[]}"#.into(),
+                "missing traceEvents array",
+            ),
+            (
+                r#"{"traceEvents":[]} x"#.into(),
+                "trailing garbage at byte 19",
+            ),
+            (
+                r#"{"traceEvents":[]}{}"#.into(),
+                "trailing garbage at byte 18",
+            ),
+            (r#"{"traceEvents":["#.into(), "unexpected end of input"),
+            (
+                doc(&"[".repeat(200_000)),
+                "nesting deeper than 128 at byte 142",
+            ),
+            (doc("{}"), "record without ph"),
+            (doc("7"), "record without ph"),
+            (doc(r#"{"ph":7}"#), "record without ph"),
+            (doc(r#"{"ph":"Q"}"#), r#"unknown phase "Q""#),
+            (rec("X", "t1", ""), "span without kind"),
+            (rec("X", "t1", r#""kind":"walk""#), "span without kind"),
+            (rec("X", "t1", r#""kind":"run""#), "span without thread"),
+            (
+                rec("X", "t1", r#""kind":"run","thread":1"#),
+                "span without startNs",
+            ),
+            (
+                rec(
+                    "X",
+                    "t1",
+                    r#""kind":"run","thread":1,"startNs":1.5,"endNs":2"#,
+                ),
+                "span without startNs",
+            ),
+            (
+                rec(
+                    "X",
+                    "t1",
+                    r#""kind":"run","thread":1,"startNs":1,"endNs":null"#,
+                ),
+                "span without endNs",
+            ),
+            (
+                rec("i", "teleport", ns),
+                r#"unknown instant event "teleport""#,
+            ),
+            (rec("i", "block", ns), "block without reason"),
+            (
+                rec("i", "block", r#""reason":"nap""#),
+                "block without reason",
+            ),
+            (rec("i", "notify", ns), "notify without reason"),
+            (
+                rec("i", "notify", r#""reason":"mutex""#),
+                "notify without obj",
+            ),
+            (
+                rec("i", "notify", r#""reason":"mutex","obj":1"#),
+                "notify without waiters",
+            ),
+            (
+                rec("i", "notify", r#""reason":"mutex","obj":1,"waiters":1"#),
+                "notify without woken",
+            ),
+            (rec("i", "join", ns), "join without target"),
+            (rec("i", "dummy-insert", ns), "dummy-insert without count"),
+            (rec("i", "stack-reserve", ns), "stack-reserve without bytes"),
+            (rec("i", "stack-release", ns), "stack-release without bytes"),
+            (rec("i", "alloc", ns), "alloc without bytes"),
+            (rec("i", "free", ns), "free without bytes"),
+            (
+                rec("i", "free-underflow", ns),
+                "free-underflow without bytes",
+            ),
+            (
+                rec("i", "bound-violation", ns),
+                "bound-violation without footprint",
+            ),
+            (
+                rec("i", "bound-violation", r#""footprint":1"#),
+                "bound-violation without bound",
+            ),
+            (rec("i", "deadlock", ns), "deadlock without cycle"),
+            (
+                rec("i", "deadlock", r#""cycle":1"#),
+                "deadlock without waitsFor",
+            ),
+            (rec("i", "preempt", ""), "event without ns"),
+            (rec("i", "preempt", r#""ns":-1"#), "event without ns"),
+            (rec("C", "ready", ""), "counter without ns"),
+            (rec("C", "mood", ns), r#"unknown counter "mood""#),
+            (rec("C", "ready", ns), "counter without value"),
+            (
+                rec("C", "ready", r#""ns":1,"bytes":4"#),
+                "counter without value",
+            ),
+            (
+                sections(r#""ptdfThreads":[{}]"#),
+                "lifecycle without thread",
+            ),
+            (sections(r#""ptdfThreads":[7]"#), "lifecycle without thread"),
+            (
+                sections(r#""ptdfThreads":[{"thread":1}]"#),
+                "lifecycle without spawnedNs",
+            ),
+            (sections(r#""ptdfDecisions":[{}]"#), "decision without kind"),
+            (
+                sections(r#""ptdfDecisions":[{"k":"coin"}]"#),
+                "decision without kind",
+            ),
+            (
+                sections(r#""ptdfDecisions":[{"k":"grant"}]"#),
+                "decision without ns",
+            ),
+            (
+                sections(r#""ptdfDecisions":[{"k":"grant","ns":1}]"#),
+                "decision without n",
+            ),
+            (
+                sections(r#""ptdfDecisions":[{"k":"grant","ns":1,"n":2}]"#),
+                "decision without chosen",
+            ),
+        ] {
+            let shown = &text[..text.len().min(120)];
+            match Trace::from_chrome_json(&text) {
+                Err(e) => assert_eq!(e, want, "{shown}"),
+                Ok(_) => panic!("{shown} parsed; want {want:?}"),
+            }
+        }
+        // The lenient side of the same contract: what is *not* an error.
+        for text in [
+            doc(""),
+            doc(r#"{"pid":1}"#),
+            doc(r#"{"pid":1,"ph":"Q","args":[{}]}"#),
+            doc(r#"{"pid":null,"pid":1,"ph":"i","name":"preempt","args":{"ns":1}}"#),
+            sections(r#""ptdfThreads":7,"ptdfDecisions":null,"otherData":[]"#),
+            sections(r#""otherData":{"hostPhase":{"charge":7,"enabled":null}}"#),
+            " \n{ \"otherData\" : { } , \"traceEvents\" : [ ] }\t".to_string(),
+        ] {
+            assert!(Trace::from_chrome_json(&text).is_ok(), "{text}");
+        }
     }
 }

@@ -22,9 +22,11 @@
 //!   buckets sum bit-exactly to the makespan — the tool re-verifies this
 //!   and exits 1 on a mismatch. `--perfetto` re-exports the trace with
 //!   the path overlaid as a dedicated track (pid 1).
-//! * `validate <trace.json> [--s1 B] [--depth B] [--factor F]` — structural
-//!   checks (span overlap, event ordering, counter monotonicity, lifecycle
-//!   consistency) plus an optional space-bound audit against the paper's
+//! * `validate <trace.json> [--s1 B] [--depth B] [--factor F]` — the file
+//!   must parse as a trace document (a truncated or garbled one fails with
+//!   a one-line reason), then structural checks (span overlap, event
+//!   ordering, counter monotonicity, lifecycle consistency) plus an
+//!   optional space-bound audit against the paper's
 //!   `S1 + O(p·D)` guarantee: with `--s1` (serial footprint, bytes) and
 //!   `--depth` (per-processor depth allowance, bytes) the footprint
 //!   high-water mark must stay within `S1 + factor·p·depth`.
@@ -104,9 +106,10 @@ commands:
       as its own track. Exits 1 if the buckets fail to tile the
       makespan exactly.
   validate <trace.json> [--s1 BYTES] [--depth BYTES] [--factor F]
-      Structural validation; with --s1 and --depth also audits the
-      footprint high-water mark against S1 + factor * p * depth
-      (factor defaults to 1.0).
+      Structural validation (a file that does not parse as a trace
+      fails it); with --s1 and --depth also audits the footprint
+      high-water mark against S1 + factor * p * depth (factor defaults
+      to 1.0).
   audit <trace.json>... --s1 BYTES --depth BYTES [--factor F]
       Space-bound audit with margin: for each trace, compare the
       footprint high-water mark against S1 + factor * p * depth and
@@ -363,8 +366,9 @@ fn cmd_critpath(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if let Some(out_path) = &perfetto {
-        let doc = trace.to_chrome_json_with_critpath(&cp);
-        std::fs::write(out_path, doc).map_err(|e| format!("{out_path}: {e}"))?;
+        std::fs::File::create(out_path)
+            .and_then(|mut file| trace.write_chrome_json_with_critpath(&cp, &mut file))
+            .map_err(|e| format!("{out_path}: {e}"))?;
         eprintln!("wrote critical-path overlay to {out_path}");
     }
 
@@ -536,7 +540,16 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let path = path.ok_or_else(|| format!("validate expects a trace file\n{USAGE}"))?;
-    let trace = load(&path)?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    // A file that is not a trace document has failed validation (exit 1);
+    // only a file that cannot be read is an I/O error (exit 2).
+    let trace = match Trace::from_chrome_json(&text) {
+        Ok(trace) => trace,
+        Err(e) => {
+            println!("structure   FAIL: {path}: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
 
     match trace.validate() {
         Ok(()) => println!("structure   ok ({} spans, {} events)", trace.len(), trace.events.len()),

@@ -53,7 +53,8 @@ fn main() {
     std::fs::create_dir_all(dir).expect("create target/traces");
     let path = dir.join("trace_deadlock.json");
     let trace = report.trace.expect("tracing enabled");
-    std::fs::write(&path, trace.to_chrome_json()).expect("write trace");
+    let mut file = std::fs::File::create(&path).expect("create trace file");
+    trace.write_chrome_json(&mut file).expect("write trace");
     println!(
         "wrote {} ({} events) — `ptdf-trace check` on it exits 1 and names the cycle",
         path.display(),

@@ -31,12 +31,12 @@ fn main() {
             move || matmul::multiply(&a, &b, &p)
         });
         let trace = report.trace.as_ref().expect("tracing enabled");
-        let json = trace.to_chrome_json();
         let path = dir.join(format!(
             "trace_hotpath_{}.json",
             if on { "on" } else { "off" }
         ));
-        std::fs::write(&path, &json).expect("write trace");
+        let mut file = std::fs::File::create(&path).expect("create trace file");
+        trace.write_chrome_json(&mut file).expect("write trace");
         println!(
             "hot_path={on}: makespan {} ns, {} spans, {} events — wrote {}",
             report.makespan().as_ns(),
@@ -44,15 +44,20 @@ fn main() {
             trace.events.len(),
             path.display()
         );
-        runs.push((report.makespan().as_ns(), json));
+        runs.push((report.makespan().as_ns(), path));
     }
     assert_eq!(
         runs[0].0, runs[1].0,
         "virtual makespan must not depend on the hot path"
     );
-    assert_eq!(
-        runs[0].1, runs[1].1,
+    let [on, off] =
+        [&runs[0].1, &runs[1].1].map(|path| std::fs::read(path).expect("read trace back"));
+    assert!(
+        on == off,
         "Chrome trace must be byte-identical with the hot path on and off"
     );
-    println!("hot path on/off: traces byte-identical ({} bytes)", runs[0].1.len());
+    println!(
+        "hot path on/off: traces byte-identical ({} bytes)",
+        on.len()
+    );
 }

@@ -28,7 +28,8 @@ fn main() {
         });
         let trace = report.trace.as_ref().expect("tracing enabled");
         let path = dir.join(format!("trace_{}.json", report.scheduler));
-        std::fs::write(&path, trace.to_chrome_json()).expect("write trace");
+        let mut file = std::fs::File::create(&path).expect("create trace file");
+        trace.write_chrome_json(&mut file).expect("write trace");
         println!(
             "{:>5}: {} spans, {} events over {} — wrote {}",
             report.scheduler,
