@@ -39,17 +39,19 @@ pub fn spawn_attr<T: 'static>(attr: Attr, f: impl FnOnce() -> T + 'static) -> Jo
     let slot: Slot<T> = Rc::new(RefCell::new(None));
     match par_ctx() {
         Some(rc) => {
-            let (child, preempt) = {
+            let (child, preempt, run) = {
                 let mut inner = rc.borrow_mut();
                 let (cur, p) = inner.cur.expect("spawn called outside a thread");
                 let stack = inner.acquire_fiber_stack();
                 let fiber = make_fiber(stack, slot.clone(), f);
-                inner.create_thread(Some(cur), p, attr, Some(fiber), Kind::User)
+                let (child, preempt) =
+                    inner.create_thread(Some(cur), p, attr, Some(fiber), Kind::User);
+                (child, preempt, inner.run_token)
             };
             if preempt {
                 suspend_current(&rc, YieldReason::Forked { child });
             }
-            JoinHandle { id: child, slot, inline: false }
+            JoinHandle { id: child, slot, run: Some(run) }
         }
         None => {
             // Serial or standalone: a fork is a function call.
@@ -57,7 +59,7 @@ pub fn spawn_attr<T: 'static>(attr: Attr, f: impl FnOnce() -> T + 'static) -> Jo
             JoinHandle {
                 id: ThreadId(u32::MAX),
                 slot,
-                inline: true,
+                run: None,
             }
         }
     }

@@ -253,7 +253,7 @@ pub fn rt_alloc(bytes: u64) {
             ledger.charge_alloc(cur.0, bytes);
         }
         if quota.is_some() {
-            let t = &mut inner.threads[cur.index()];
+            let t = inner.threads.live_mut(cur);
             t.quota -= bytes as i64;
             t.quota <= 0
         } else {

@@ -23,7 +23,8 @@ use crate::report::Report;
 use crate::sched::{make_policy, Policy, Pop};
 use crate::sentinel::{DeadlockError, DeadlockInfo, RunError, StallInfo, StalledThread};
 use crate::thread::{
-    Fiber, JoinError, JoinHandle, Kind, Slot, TState, Tcb, ThreadId, Wait, YieldReason,
+    Fiber, JoinError, JoinHandle, Kind, Slot, TState, Tcb, ThreadId, ThreadTable, Wait,
+    YieldReason,
 };
 use crate::trace::{BlockReason, EventKind, Trace, TraceMeta};
 
@@ -45,7 +46,7 @@ pub(crate) type EvictFn = Box<dyn FnOnce(&mut Inner, ThreadId)>;
 pub(crate) struct Inner {
     pub machine: Machine,
     pub policy: Box<dyn Policy>,
-    pub threads: Vec<Tcb>,
+    pub threads: ThreadTable,
     /// Direct-handoff slot per processor: a preempt-on-fork child
     /// (`resume = false`, full dispatch) or a time-sliced fiber
     /// (`resume = true`, cost-free continuation).
@@ -198,7 +199,7 @@ impl Inner {
         Inner {
             machine,
             policy: make_policy(config),
-            threads: Vec::new(),
+            threads: ThreadTable::new(),
             handoff: vec![None; config.processors],
             parked: vec![false; config.processors],
             parked_count: 0,
@@ -299,10 +300,6 @@ impl Inner {
             .sample_pool_cached(at, bytes);
     }
 
-    fn tcb(&mut self, t: ThreadId) -> &mut Tcb {
-        &mut self.threads[t.index()]
-    }
-
     /// Charges one scheduler-queue operation on `p` (global lock for
     /// serialized policies, local cost otherwise).
     pub fn sched_op(&mut self, p: ProcId) {
@@ -365,11 +362,19 @@ impl Inner {
     pub(crate) fn timeslice_due(&self, tid: ThreadId, p: ProcId) -> bool {
         match self.ts_min_other {
             Some(min) => {
-                self.machine.clock(p).since(min) > TIMESLICE
-                    && self.threads[tid.index()].state == TState::Running(p)
+                self.machine.clock(p).since(min) > TIMESLICE && self.running_on(tid, p)
             }
             None => false,
         }
+    }
+
+    /// Whether `tid` is executing on `p` right now — false between its
+    /// `block_current` and the `Blocked` suspend that follows.
+    #[inline]
+    fn running_on(&self, tid: ThreadId, p: ProcId) -> bool {
+        self.threads
+            .get(tid)
+            .is_some_and(|t| t.state == TState::Running(p))
     }
 
     /// Whether resolved decision points should be pushed onto
@@ -579,13 +584,7 @@ impl Inner {
     ) -> (ThreadId, bool) {
         let reserved = attr.stack_size.unwrap_or(self.default_stack);
         let committed = self.machine.thread_create(on_proc, reserved);
-        let id = ThreadId(self.threads.len() as u32);
         let prio = attr.priority;
-        let mut tcb = Tcb::new(kind, attr, reserved);
-        tcb.stack_committed = committed;
-        tcb.fiber = fiber;
-        self.threads.push(tcb);
-        self.live += 1;
         // Preempt-on-fork hands the child straight to the parent's
         // processor — but only within the parent's priority level; a child
         // at a different level goes through the queue so that priority
@@ -593,10 +592,17 @@ impl Inner {
         // *within* a priority level).
         let handoff_child = kind == Kind::User
             && self.policy.preempt_on_fork()
-            && parent
-                .map(|par| self.threads[par.index()].attr.priority == prio)
-                .unwrap_or(false);
+            && parent.is_some_and(|par| self.threads.live(par).attr.priority == prio);
         let now = self.machine.clock(on_proc);
+        let mut tcb = Tcb::new(kind, attr, reserved);
+        tcb.stack_committed = committed;
+        tcb.fiber = fiber;
+        if !handoff_child {
+            tcb.state = TState::Ready;
+            tcb.ready_since = now;
+        }
+        let id = self.threads.issue(tcb);
+        self.live += 1;
         if self.trace.is_some() {
             let t0 = self.prof_start();
             let tr = self.trace.as_mut().expect("checked");
@@ -614,8 +620,6 @@ impl Inner {
         self.policy
             .on_create(id, parent, prio, !handoff_child, now, on_proc);
         if !handoff_child {
-            self.threads[id.index()].state = TState::Ready;
-            self.threads[id.index()].ready_since = now;
             self.unpark(now);
         }
         if kind == Kind::Dummy {
@@ -634,7 +638,7 @@ impl Inner {
             if part > 0 {
                 let (id, _) =
                     self.create_thread(Some(parent), p, Attr::default(), None, Kind::Dummy);
-                self.threads[id.index()].dummy_remaining = part;
+                self.threads.live_mut(id).dummy_remaining = part;
             }
         }
     }
@@ -643,14 +647,9 @@ impl Inner {
     /// the thread's own suspension time, whichever is later — a wake must
     /// not resume a thread earlier (in virtual time) than it blocked.
     pub fn make_ready(&mut self, t: ThreadId, p: ProcId) {
-        debug_assert!(matches!(
-            self.threads[t.index()].state,
-            TState::Blocked | TState::Created
-        ));
-        let mut now = self
-            .machine
-            .clock(p)
-            .max(self.threads[t.index()].blocked_at);
+        let tcb = self.threads.live_mut(t);
+        debug_assert!(matches!(tcb.state, TState::Blocked | TState::Created));
+        let mut now = self.machine.clock(p).max(tcb.blocked_at);
         // Chaos fault: delayed wake delivery — the wake is published up to
         // 2 µs later than the primitive issued it, exactly like an IPI that
         // sat in a pending-interrupt register. Still causally sound (never
@@ -658,18 +657,15 @@ impl Inner {
         if let Some(chaos) = self.chaos.as_mut() {
             now = VirtTime::from_ns(now.as_ns() + chaos.below(2_001));
         }
-        let (prio, affinity) = {
-            let tcb = &self.threads[t.index()];
-            (tcb.attr.priority, tcb.last_proc)
-        };
-        self.threads[t.index()].state = TState::Ready;
-        self.threads[t.index()].ready_since = now;
+        let (prio, affinity) = (tcb.attr.priority, tcb.last_proc);
+        tcb.state = TState::Ready;
+        tcb.ready_since = now;
         // The wake supersedes any waits-for edge, armed deadline, or
         // pending eviction hook (the stale heap entry is discarded lazily;
         // `timed_out` is untouched — only a real deadline firing sets it).
-        self.threads[t.index()].wait = None;
-        self.threads[t.index()].deadline = None;
-        self.threads[t.index()].evict = None;
+        tcb.wait = None;
+        tcb.deadline = None;
+        tcb.evict = None;
         let waker = self.cur.map(|(w, _)| w.0);
         if self.trace.is_some() {
             let t0 = self.prof_start();
@@ -694,7 +690,7 @@ impl Inner {
     ) -> (ThreadId, ProcId) {
         let (tid, p) = self.cur.expect("block outside a thread");
         let now = self.machine.clock(p);
-        let t = &mut self.threads[tid.index()];
+        let t = self.threads.live_mut(tid);
         t.state = TState::Blocked;
         t.blocked_at = now;
         t.wait = Some(Wait {
@@ -713,31 +709,25 @@ impl Inner {
         (tid, p)
     }
 
-    /// Arms a timed wait for the current thread: call between
-    /// [`Inner::block_current`] and the `Blocked` suspend. Returns the
-    /// armed absolute deadline.
-    pub fn arm_timed_wait(&mut self, timeout: VirtTime) -> VirtTime {
-        let (tid, p) = self.cur.expect("timed wait outside a thread");
-        let now = self.machine.clock(p);
-        let deadline = VirtTime::from_ns(now.as_ns().saturating_add(timeout.as_ns()));
-        self.threads[tid.index()].deadline = Some(deadline);
-        self.machine.arm_deadline(p, deadline, u64::from(tid.0));
-        deadline
-    }
-
-    /// [`Inner::arm_timed_wait`] plus an eager eviction hook: when the
-    /// deadline fires, the engine immediately runs `evict` to withdraw the
-    /// thread's wait-queue entry (and re-admit whoever that unblocks), so
-    /// no later grant can meet a stale entry. Under the legacy
+    /// Arms a timed wait for the current thread, with an eager eviction
+    /// hook: call between [`Inner::block_current`] and the `Blocked`
+    /// suspend. Returns the armed absolute deadline. When the deadline
+    /// fires, the engine immediately runs `evict` to withdraw the thread's
+    /// wait-queue entry (and re-admit whoever that unblocks), so no later
+    /// grant can meet a stale entry. Under the legacy
     /// [`Config::lazy_timeout_eviction`] mode the hook is discarded and the
     /// entry lingers until the waiter resumes — the historical behaviour
     /// the explorer's bug-demo litmus programs pin.
     pub fn arm_timed_wait_evicting(&mut self, timeout: VirtTime, evict: EvictFn) -> VirtTime {
-        let deadline = self.arm_timed_wait(timeout);
+        let (tid, p) = self.cur.expect("timed wait outside a thread");
+        let now = self.machine.clock(p);
+        let deadline = VirtTime::from_ns(now.as_ns().saturating_add(timeout.as_ns()));
+        let tcb = self.threads.live_mut(tid);
+        tcb.deadline = Some(deadline);
         if !self.lazy_evict {
-            let (tid, _) = self.cur.expect("timed wait outside a thread");
-            self.threads[tid.index()].evict = Some(evict);
+            tcb.evict = Some(evict);
         }
+        self.machine.arm_deadline(p, deadline, u64::from(tid.0));
         deadline
     }
 
@@ -745,7 +735,7 @@ impl Inner {
     /// last wake came from the deadline heap rather than the primitive.
     pub fn consume_timeout(&mut self) -> bool {
         match self.cur {
-            Some((tid, _)) => std::mem::take(&mut self.threads[tid.index()].timed_out),
+            Some((tid, _)) => std::mem::take(&mut self.threads.live_mut(tid).timed_out),
             None => false,
         }
     }
@@ -756,7 +746,7 @@ impl Inner {
     /// with [`Inner::cancel_error_current`] instead of completing its wait.
     pub fn consume_cancel_woken(&mut self) -> bool {
         match self.cur {
-            Some((tid, _)) => std::mem::take(&mut self.threads[tid.index()].cancel_woken),
+            Some((tid, _)) => std::mem::take(&mut self.threads.live_mut(tid).cancel_woken),
             None => false,
         }
     }
@@ -766,7 +756,7 @@ impl Inner {
         let (tid, _) = self.cur.expect("cancel unwind outside a thread");
         crate::CancelError {
             thread: tid,
-            by: self.threads[tid.index()].canceled_by.map(ThreadId),
+            by: self.threads.live(tid).canceled_by.map(ThreadId),
         }
     }
 
@@ -781,13 +771,13 @@ impl Inner {
     /// unrun ([`Inner::make_ready`]).
     pub fn arm_block_evict(&mut self, evict: EvictFn) {
         let (tid, _) = self.cur.expect("block outside a thread");
-        self.threads[tid.index()].evict = Some(evict);
+        self.threads.live_mut(tid).evict = Some(evict);
     }
 
     /// Latches a cancellation request on `target` and, when the target is
     /// blocked with cancellation enabled, delivers it (`pthread_cancel`
     /// semantics). Returns `false` when the target has already exited (or
-    /// the id is out of bounds), `true` otherwise — including when the
+    /// the id was never issued), `true` otherwise — including when the
     /// request merely latched because the target is running or has
     /// cancellation disabled.
     ///
@@ -800,22 +790,14 @@ impl Inner {
     /// other guaranteed wake, so it always delivers immediately (no
     /// decision recorded, mirroring single-candidate grant points).
     pub fn request_cancel(&mut self, target: ThreadId) -> bool {
-        let Some(tcb) = self.threads.get(target.index()) else {
+        let Some(tcb) = self.threads.get_mut(target) else {
             return false;
         };
-        if tcb.state == TState::Exited {
-            return false;
-        }
         if tcb.cancel_requested || tcb.cancel_woken {
             return true;
         }
-        let by = self.cur.map(|(w, _)| w.0);
-        {
-            let tcb = &mut self.threads[target.index()];
-            tcb.cancel_requested = true;
-            tcb.canceled_by = by;
-        }
-        let tcb = &self.threads[target.index()];
+        tcb.cancel_requested = true;
+        tcb.canceled_by = self.cur.map(|(w, _)| w.0);
         if !tcb.cancel_enabled {
             return true;
         }
@@ -826,8 +808,8 @@ impl Inner {
             let barrier = tcb
                 .wait
                 .is_some_and(|w| w.reason == BlockReason::Barrier);
-            let defer = barrier
-                || (tcb.deadline.is_some() && self.choose_cancel_delivery(target));
+            let timed = tcb.deadline.is_some();
+            let defer = barrier || (timed && self.choose_cancel_delivery(target));
             if !defer {
                 let p = self.cur.map(|(_, p)| p).unwrap_or(0);
                 self.cancel_wake(target, p);
@@ -873,11 +855,11 @@ impl Inner {
     /// eviction hook so no later grant meets the dead queue entry — same
     /// discipline as [`Inner::timeout_wake`].
     fn cancel_wake(&mut self, t: ThreadId, p: ProcId) {
-        debug_assert_eq!(self.threads[t.index()].state, TState::Blocked);
         let at = self.machine.clock(p);
-        let now = at.max(self.threads[t.index()].blocked_at);
-        let (prio, affinity, obj, by) = {
-            let tcb = &mut self.threads[t.index()];
+        let (now, prio, affinity, obj, by, evict) = {
+            let tcb = self.threads.live_mut(t);
+            debug_assert_eq!(tcb.state, TState::Blocked);
+            let now = at.max(tcb.blocked_at);
             tcb.state = TState::Ready;
             tcb.ready_since = now;
             tcb.cancel_woken = true;
@@ -888,7 +870,8 @@ impl Inner {
             tcb.deadline = None;
             let obj = tcb.wait.and_then(|w| w.obj);
             tcb.wait = None;
-            (tcb.attr.priority, tcb.last_proc, obj, tcb.canceled_by)
+            let evict = tcb.evict.take();
+            (now, tcb.attr.priority, tcb.last_proc, obj, tcb.canceled_by, evict)
         };
         if self.trace.is_some() {
             let t0 = self.prof_start();
@@ -902,7 +885,7 @@ impl Inner {
         // Eager eviction, exactly as in `timeout_wake`: the hook runs with
         // `cur` pointed at the evictee so the re-admission wakes it
         // publishes are attributed to the cancelled waiter.
-        if let Some(evict) = self.threads[t.index()].evict.take() {
+        if let Some(evict) = evict {
             let saved = self.cur;
             self.cur = Some((t, p));
             evict(self, t);
@@ -910,12 +893,12 @@ impl Inner {
         }
     }
 
-    /// Whether `t` is currently blocked (false for the out-of-bounds
-    /// outside-a-runtime sentinel id). Wake paths use this to skip waiters
-    /// that a timeout already woke.
+    /// Whether `t` is currently blocked (false for an exited thread and for
+    /// the never-issued outside-a-runtime sentinel id). Wake paths use this
+    /// to skip waiters that a timeout already woke.
     pub fn thread_is_blocked(&self, t: ThreadId) -> bool {
         self.threads
-            .get(t.index())
+            .get(t)
             .is_some_and(|tcb| tcb.state == TState::Blocked)
     }
 
@@ -924,7 +907,7 @@ impl Inner {
     /// whose thread has moved on (timed out, or even blocked on a different
     /// object since) must never receive a grant.
     pub fn blocked_on(&self, t: ThreadId, obj: u32) -> bool {
-        self.threads.get(t.index()).is_some_and(|tcb| {
+        self.threads.get(t).is_some_and(|tcb| {
             tcb.state == TState::Blocked && tcb.wait.is_some_and(|w| w.obj == Some(obj))
         })
     }
@@ -966,7 +949,7 @@ impl Inner {
             }
         }
         fn walk(
-            threads: &[Tcb],
+            threads: &ThreadTable,
             holders: &HashMap<u32, Vec<ThreadId>>,
             me: ThreadId,
             t: ThreadId,
@@ -979,9 +962,9 @@ impl Inner {
             if !seen.insert(t) {
                 return false;
             }
-            // Out-of-bounds ids (the outside-a-runtime owner sentinel) and
-            // runnable threads have no outgoing edge.
-            let Some(tcb) = threads.get(t.index()) else {
+            // Exited threads, never-issued ids (the outside-a-runtime owner
+            // sentinel) and runnable threads have no outgoing edge.
+            let Some(tcb) = threads.get(t) else {
                 return false;
             };
             if tcb.state != TState::Blocked {
@@ -1064,61 +1047,53 @@ impl Inner {
         self.deadlocks.push(info.clone());
     }
 
-    fn dispatch_prologue(&mut self, tid: ThreadId, p: ProcId) {
-        let dispatched_at = self.machine.clock(p);
-        self.machine.count_dispatch(p);
-        let switch = self.machine.cost().ctx_switch;
-        self.machine.thread_op(p, switch);
-        let (reserved, committed, has_run, was_ready, ready_since) = {
-            let t = self.tcb(tid);
-            (
-                t.stack_reserved,
-                t.stack_committed,
-                t.has_run,
-                t.state == TState::Ready,
-                t.ready_since,
-            )
-        };
+    /// Dispatch bookkeeping for the thread whose record is `t`, on `p`.
+    /// Takes the parts of the engine it works on instead of `&mut self`, so
+    /// that [`run_quantum`] resolves the thread once for the whole dispatch.
+    fn dispatch_prologue(
+        machine: &mut Machine,
+        quota: Option<u64>,
+        trace: &mut Option<Trace>,
+        t: &mut Tcb,
+        p: ProcId,
+    ) {
+        let dispatched_at = machine.clock(p);
+        machine.count_dispatch(p);
+        let switch = machine.cost().ctx_switch;
+        machine.thread_op(p, switch);
+        let (has_run, was_ready, ready_since) =
+            (t.has_run, t.state == TState::Ready, t.ready_since);
         if !has_run {
-            let committed = self.machine.thread_first_run(p, reserved, committed);
-            let t = self.tcb(tid);
-            t.stack_committed = committed;
+            t.stack_committed = machine.thread_first_run(p, t.stack_reserved, t.stack_committed);
             t.has_run = true;
         }
-        if let Some(k) = self.policy.quota() {
-            self.tcb(tid).quota = k as i64;
+        if let Some(k) = quota {
+            t.quota = k as i64;
         }
-        let t = self.tcb(tid);
         t.state = TState::Running(p);
         t.last_proc = Some(p);
-        self.cur = Some((tid, p));
-        let first_run_at = self.machine.clock(p);
-        if let Some(tr) = self.trace.as_mut() {
-            tr.note_quantum(tid.0, dispatched_at);
+        let first_run_at = machine.clock(p);
+        if let Some(tr) = trace.as_mut() {
+            tr.note_quantum(t.id.0, dispatched_at);
             if was_ready {
-                tr.add_ready_wait(tid.0, dispatched_at.since(ready_since));
+                tr.add_ready_wait(t.id.0, dispatched_at.since(ready_since));
             }
             if !has_run {
-                tr.event(first_run_at, p, Some(tid.0), EventKind::FirstDispatch);
+                tr.event(first_run_at, p, Some(t.id.0), EventKind::FirstDispatch);
             }
         }
     }
 
-    fn handle_yield(&mut self, tid: ThreadId, p: ProcId, reason: YieldReason) {
-        match reason {
-            YieldReason::Forked { child } => {
-                let now = self.machine.clock(p);
-                let prio = self.threads[tid.index()].attr.priority;
-                self.threads[tid.index()].state = TState::Ready;
-                self.threads[tid.index()].ready_since = now;
-                self.sched_op(p);
-                self.policy.on_ready(tid, prio, now, p, Some(p));
-                self.unpark(now);
-                debug_assert!(self.handoff[p].is_none());
-                self.handoff[p] = Some((child, false));
-            }
+    /// Books a suspended fiber back into its thread's record and does what
+    /// its `reason` asks: every reason but `Blocked` and `Timeslice`
+    /// re-queues the thread as ready.
+    fn handle_yield(&mut self, tid: ThreadId, p: ProcId, reason: YieldReason, fiber: Fiber) {
+        let tcb = self.threads.live_mut(tid);
+        tcb.fiber = Some(fiber);
+        let at = match reason {
             YieldReason::Blocked => {
-                debug_assert_eq!(self.threads[tid.index()].state, TState::Blocked);
+                debug_assert_eq!(tcb.state, TState::Blocked);
+                return;
             }
             YieldReason::Timeslice => {
                 // Keep the fiber on this processor; no queue interaction and
@@ -1126,42 +1101,39 @@ impl Inner {
                 // concurrent execution segments.
                 debug_assert!(self.handoff[p].is_none());
                 self.handoff[p] = Some((tid, true));
+                return;
             }
-            YieldReason::Preempted | YieldReason::Yielded => {
-                let now = self.machine.clock(p);
-                let prio = self.threads[tid.index()].attr.priority;
-                self.threads[tid.index()].state = TState::Ready;
-                self.threads[tid.index()].ready_since = now;
-                if matches!(reason, YieldReason::Preempted) {
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.event(now, p, Some(tid.0), EventKind::Preempt);
-                    }
-                }
-                self.sched_op(p);
-                self.policy.on_ready(tid, prio, now, p, Some(p));
-                self.unpark(now);
+            // Sleep until the joined child's virtual exit: publish the wake
+            // at `at` (ahead of this processor's clock) and let the
+            // processor take other ready work meanwhile. With nothing else
+            // runnable the pop returns `NotYet(at)` and the processor idles
+            // to `at` exactly as the old inline wait did.
+            YieldReason::JoinWake { at } => at.max(self.machine.clock(p)),
+            YieldReason::Forked { .. } | YieldReason::Preempted | YieldReason::Yielded => {
+                self.machine.clock(p)
             }
-            YieldReason::JoinWake { at } => {
-                // Sleep until the joined child's virtual exit: publish the
-                // wake at `at` (ahead of this processor's clock) and let the
-                // processor take other ready work meanwhile. With nothing
-                // else runnable the pop returns `NotYet(at)` and the
-                // processor idles to `at` exactly as the old inline wait
-                // did.
-                let at = at.max(self.machine.clock(p));
-                let prio = self.threads[tid.index()].attr.priority;
-                self.threads[tid.index()].state = TState::Ready;
-                self.threads[tid.index()].ready_since = at;
-                self.sched_op(p);
-                self.policy.on_ready(tid, prio, at, p, Some(p));
-                self.unpark(at);
+        };
+        let prio = tcb.attr.priority;
+        tcb.state = TState::Ready;
+        tcb.ready_since = at;
+        if matches!(reason, YieldReason::Preempted) {
+            if let Some(tr) = self.trace.as_mut() {
+                tr.event(at, p, Some(tid.0), EventKind::Preempt);
             }
+        }
+        self.sched_op(p);
+        self.policy.on_ready(tid, prio, at, p, Some(p));
+        self.unpark(at);
+        if let YieldReason::Forked { child } = reason {
+            debug_assert!(self.handoff[p].is_none());
+            self.handoff[p] = Some((child, false));
         }
     }
 
     fn finish_thread(&mut self, tid: ThreadId, p: ProcId) {
         let (reserved, committed) = {
-            let t = self.tcb(tid);
+            let t = self.threads.live(tid);
+            debug_assert!(t.fiber.is_none() && t.evict.is_none());
             (t.stack_reserved, t.stack_committed)
         };
         self.machine.thread_exit(p, reserved, committed);
@@ -1170,14 +1142,7 @@ impl Inner {
         if let Some(tr) = self.trace.as_mut() {
             tr.note_exit(tid.0, exit_time);
         }
-        let joiner = {
-            let t = self.tcb(tid);
-            t.state = TState::Exited;
-            t.exit_time = exit_time;
-            t.fiber = None;
-            t.yielder = std::ptr::null();
-            t.joiner.take()
-        };
+        let joiner = self.threads.retire(tid, exit_time);
         // pthread TSD semantics: destroy the exiting thread's specific
         // values now, not at key drop — otherwise every exited thread leaks
         // a map slot per key for the rest of the run. Cleaners hold only
@@ -1195,18 +1160,30 @@ impl Inner {
         if let Some(j) = joiner {
             // A `join_timeout` joiner may already have been timeout-woken
             // (Ready, not Blocked); waking it again would double-queue it.
-            if self.threads[j.index()].state == TState::Blocked {
+            if self.thread_is_blocked(j) {
                 self.make_ready(j, p);
+            }
+        }
+    }
+
+    /// Withdraws `me`'s registration as `target`'s joiner, if it still
+    /// stands: the target may have exited meanwhile and taken it, and then
+    /// the next join attempt observes the exit.
+    fn withdraw_joiner(&mut self, target: ThreadId, me: ThreadId) {
+        if let Some(tcb) = self.threads.get_mut(target) {
+            if tcb.joiner == Some(me) {
+                tcb.joiner = None;
             }
         }
     }
 
     /// True when `t`'s armed deadline is exactly `at` and it is still
     /// blocked — i.e. the heap entry is live, not a leftover from a wait
-    /// that was satisfied normally.
+    /// that was satisfied normally (whose thread may since have exited).
     fn deadline_live(&self, t: ThreadId, at: VirtTime) -> bool {
-        let tcb = &self.threads[t.index()];
-        tcb.state == TState::Blocked && tcb.deadline == Some(at)
+        self.threads
+            .get(t)
+            .is_some_and(|tcb| tcb.state == TState::Blocked && tcb.deadline == Some(at))
     }
 
     /// Earliest live deadline armed on `p`, discarding stale heap entries.
@@ -1305,17 +1282,17 @@ impl Inner {
     /// timed API to consume on resume. Timestamped at the deadline itself
     /// (clamped by the block), however late in engine order the firing is.
     fn timeout_wake(&mut self, t: ThreadId, p: ProcId, at: VirtTime) {
-        debug_assert_eq!(self.threads[t.index()].state, TState::Blocked);
-        let now = at.max(self.threads[t.index()].blocked_at);
-        let (prio, affinity, obj) = {
-            let tcb = &mut self.threads[t.index()];
+        let (now, prio, affinity, obj, evict) = {
+            let tcb = self.threads.live_mut(t);
+            debug_assert_eq!(tcb.state, TState::Blocked);
+            let now = at.max(tcb.blocked_at);
             tcb.state = TState::Ready;
             tcb.ready_since = now;
             tcb.timed_out = true;
             tcb.deadline = None;
             let obj = tcb.wait.and_then(|w| w.obj);
             tcb.wait = None;
-            (tcb.attr.priority, tcb.last_proc, obj)
+            (now, tcb.attr.priority, tcb.last_proc, obj, tcb.evict.take())
         };
         if self.trace.is_some() {
             let t0 = self.prof_start();
@@ -1334,7 +1311,7 @@ impl Inner {
         // re-admits the batch, so the Notify/Wake events it publishes are
         // attributed to it (keeping the checker's wake-sanction rule —
         // every wake needs a notify by its waker — satisfied).
-        if let Some(evict) = self.threads[t.index()].evict.take() {
+        if let Some(evict) = evict {
             let saved = self.cur;
             self.cur = Some((t, p));
             evict(self, t);
@@ -1351,14 +1328,15 @@ impl Inner {
             .unwrap_or(VirtTime::ZERO);
         let threads = self
             .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.state != TState::Exited)
-            .map(|(i, t)| StalledThread {
-                thread: i as u32,
-                reason: t.wait.map(|w| w.reason),
-                obj: t.wait.and_then(|w| w.obj),
-                since: t.blocked_at,
+            .live_ids()
+            .map(|id| {
+                let t = self.threads.live(id);
+                StalledThread {
+                    thread: id.0,
+                    reason: t.wait.map(|w| w.reason),
+                    obj: t.wait.and_then(|w| w.obj),
+                    since: t.blocked_at,
+                }
             })
             .collect();
         StallInfo {
@@ -1421,15 +1399,15 @@ pub fn try_run<T: 'static>(
         // installed: each drop force-unwinds its fiber so destructors (lock
         // guards, TLS values) run. The bookkeeping hooks they reach are
         // lenient about `cur == None` and no-op during this sweep. The
-        // fibers are collected under one borrow and dropped outside it, so
+        // fibers are collected under one borrow — in ascending id order,
+        // which is the order they unwind in — and dropped outside it, so
         // destructor code may re-borrow the runtime.
         let fibers: Vec<Fiber> = {
             let mut inner = inner_rc.borrow_mut();
             inner.cur = None;
-            inner
-                .threads
-                .iter_mut()
-                .filter_map(|t| t.fiber.take())
+            let live: Vec<ThreadId> = inner.threads.live_ids().collect();
+            live.into_iter()
+                .filter_map(|t| inner.threads.live_mut(t).fiber.take())
                 .collect()
         };
         drop(fibers);
@@ -1437,12 +1415,14 @@ pub fn try_run<T: 'static>(
     drop(guard);
 
     let mut inner = inner_rc.borrow_mut();
-    if let Some(payload) = inner.threads[0].panic.take() {
+    // The root exited (and left the table) long ago: a panic that escaped
+    // it waits where any exited thread's does.
+    if let Some(payload) = inner.threads.take_panic(ThreadId(0)) {
         drop(inner);
         drop(inner_rc);
         resume_unwind(payload);
     }
-    let peak = inner.threads.len();
+    let total_threads = inner.threads.issued();
     let steals = inner.policy.steals();
     let mut trace = inner.trace.take();
     if let Some(tr) = trace.as_mut() {
@@ -1489,7 +1469,7 @@ pub fn try_run<T: 'static>(
         .map(|l| l.report(stats.mem.free_underflows));
     let deadlocks = std::mem::take(&mut inner.deadlocks);
     drop(inner);
-    let mut report = Report::new(&config, stats, peak, steals, trace, leaks, deadlocks);
+    let mut report = Report::new(&config, stats, total_threads, steals, trace, leaks, deadlocks);
     match stalled {
         None => {
             let value = slot
@@ -1569,7 +1549,7 @@ fn register_yielder(y: &crate::thread::FiberYielder) {
         };
         let mut inner = rc.borrow_mut();
         let (tid, _) = inner.cur.expect("fiber running without cur");
-        inner.threads[tid.index()].yielder = y as *const _;
+        inner.threads.live_mut(tid).yielder = y as *const _;
     });
 }
 
@@ -1578,7 +1558,7 @@ fn store_panic(payload: Box<dyn std::any::Any + Send>) {
         if let Some(ActiveCtx::Par(rc)) = ctx {
             let mut inner = rc.borrow_mut();
             let (tid, _) = inner.cur.expect("panic outside a thread");
-            inner.threads[tid.index()].panic = Some(payload);
+            inner.threads.live_mut(tid).panic = Some(payload);
         }
     });
 }
@@ -1588,7 +1568,7 @@ pub(crate) fn suspend_current(rc: &Rc<RefCell<Inner>>, reason: YieldReason) {
     let yielder = {
         let inner = rc.borrow();
         let (tid, _) = inner.cur.expect("suspend outside a thread");
-        inner.threads[tid.index()].yielder
+        inner.threads.live(tid).yielder
     };
     assert!(!yielder.is_null(), "suspend before yielder registration");
     // SAFETY: the yielder lives on the current fiber's stack for the whole
@@ -1625,18 +1605,20 @@ pub(crate) fn maybe_timeslice(rc: &Rc<RefCell<Inner>>) {
 pub(crate) fn maybe_perturb_yield(rc: &Rc<RefCell<Inner>>) {
     let should = {
         let mut inner = rc.borrow_mut();
+        // Generator first: every sync-operation boundary of every run comes
+        // through here, and almost none has it armed.
+        if inner.perturb.is_none() {
+            return;
+        }
         let Some((tid, p)) = inner.cur else {
             return;
         };
-        if inner.threads[tid.index()].state != TState::Running(p) {
+        if !inner.running_on(tid, p) {
             return;
         }
-        match inner.perturb.as_mut() {
-            // 1-in-8 keeps runs fast while still visiting each boundary
-            // with high probability across a modest seed budget.
-            Some(prng) => prng.chance(1, 8),
-            None => return,
-        }
+        // 1-in-8 keeps runs fast while still visiting each boundary with
+        // high probability across a modest seed budget.
+        inner.perturb.as_mut().expect("checked").chance(1, 8)
     };
     if should {
         suspend_current(rc, YieldReason::Yielded);
@@ -1651,16 +1633,16 @@ pub(crate) fn maybe_perturb_yield(rc: &Rc<RefCell<Inner>>) {
 pub(crate) fn maybe_chaos_yield(rc: &Rc<RefCell<Inner>>) {
     let should = {
         let mut inner = rc.borrow_mut();
+        if inner.chaos.is_none() {
+            return;
+        }
         let Some((tid, p)) = inner.cur else {
             return;
         };
-        if inner.threads[tid.index()].state != TState::Running(p) {
+        if !inner.running_on(tid, p) {
             return;
         }
-        match inner.chaos.as_mut() {
-            Some(prng) => prng.chance(1, 4),
-            None => return,
-        }
+        inner.chaos.as_mut().expect("checked").chance(1, 4)
     };
     if should {
         suspend_current(rc, YieldReason::Yielded);
@@ -1889,37 +1871,40 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
 /// Shared tail of the engine loop's full round and serial fast path.
 /// `horizon` is `p`'s causal horizon from the round's scan.
 fn run_quantum(
-    mut inner: std::cell::RefMut<'_, Inner>,
+    mut guard: std::cell::RefMut<'_, Inner>,
     inner_rc: &Rc<RefCell<Inner>>,
     p: ProcId,
     tid: ThreadId,
     ts_resume: bool,
     horizon: Option<VirtTime>,
 ) {
-    if ts_resume {
-        // Cost-free continuation of a time-sliced fiber.
-        inner.cur = Some((tid, p));
-    } else {
-        let t0 = inner.prof_start();
-        inner.dispatch_prologue(tid, p);
-        inner.prof_close(t0, |hp| &mut hp.dispatch);
+    let inner = &mut *guard;
+    let tcb = inner.threads.live_mut(tid);
+    inner.cur = Some((tid, p));
+    // A time-sliced fiber continues cost-free; anything else is a dispatch.
+    if !ts_resume {
+        let t0 = inner.machine.prof_open();
+        let quota = inner.policy.quota();
+        Inner::dispatch_prologue(&mut inner.machine, quota, &mut inner.trace, tcb, p);
+        inner.machine.prof_close(t0, |hp| &mut hp.dispatch);
     }
     // The dispatched fiber's timeslice reference clock for this quantum.
     inner.ts_min_other = horizon;
     let span_start = inner.machine.clock(p);
+    let dummy = tcb.kind == Kind::Dummy;
     let span_kind = if ts_resume {
         crate::trace::SpanKind::Resume
-    } else if inner.threads[tid.index()].kind == Kind::Dummy {
+    } else if dummy {
         crate::trace::SpanKind::Dummy
     } else {
         crate::trace::SpanKind::Run
     };
-    if inner.threads[tid.index()].kind == Kind::Dummy {
+    if dummy {
         // Dummies perform a no-op and exit (paper §4 item 2); their cost
         // is creation + dispatch + exit bookkeeping. A dummy standing
         // for a subtree of the lazy binary tree forks its two children
         // before exiting.
-        let remaining = inner.threads[tid.index()].dummy_remaining;
+        let remaining = tcb.dummy_remaining;
         if remaining > 1 {
             inner.create_dummy_tree(tid, p, remaining - 1);
         }
@@ -1934,18 +1919,12 @@ fn run_quantum(
         }
         return;
     }
-    let mut fiber = inner.threads[tid.index()]
-        .fiber
-        .take()
-        .expect("dispatched thread has no fiber");
-    drop(inner);
+    let mut fiber = tcb.fiber.take().expect("dispatched thread has no fiber");
+    drop(guard);
     let step = fiber.resume(());
     let mut inner = inner_rc.borrow_mut();
     match step {
-        Step::Yield(reason) => {
-            inner.threads[tid.index()].fiber = Some(fiber);
-            inner.handle_yield(tid, p, reason);
-        }
+        Step::Yield(reason) => inner.handle_yield(tid, p, reason, fiber),
         Step::Complete(()) => {
             // Recycle the completed fiber's host stack for the next
             // spawn (the portable backend has no real stack to return).
@@ -1964,9 +1943,9 @@ fn run_quantum(
     }
 }
 
-/// Implementation of [`fn@crate::cancel`] / [`JoinHandle::cancel`]: resolves
-/// the active runtime and latches/delivers the request. Outside a runtime
-/// there is nothing to cancel; report `false`.
+/// Implementation of [`fn@crate::cancel`]: resolves the active runtime and
+/// latches/delivers the request. Outside a runtime there is nothing to
+/// cancel; report `false`.
 pub(crate) fn cancel_impl(tid: ThreadId) -> bool {
     with_active(|ctx| match ctx {
         Some(ActiveCtx::Par(rc)) => rc.borrow_mut().request_cancel(tid),
@@ -1996,7 +1975,7 @@ pub(crate) fn set_cancel_enabled_impl(enabled: bool) -> bool {
             let mut inner = rc.borrow_mut();
             match inner.cur {
                 Some((tid, _)) => {
-                    std::mem::replace(&mut inner.threads[tid.index()].cancel_enabled, enabled)
+                    std::mem::replace(&mut inner.threads.live_mut(tid).cancel_enabled, enabled)
                 }
                 None => true,
             }
@@ -2018,13 +1997,10 @@ pub(crate) fn deliver_cancel(rc: &Rc<RefCell<Inner>>) {
         let Some((tid, p)) = inner.cur else {
             return;
         };
-        {
-            let tcb = &inner.threads[tid.index()];
-            if !(tcb.cancel_requested && tcb.cancel_enabled) {
-                return;
-            }
+        let tcb = inner.threads.live_mut(tid);
+        if !(tcb.cancel_requested && tcb.cancel_enabled) {
+            return;
         }
-        let tcb = &mut inner.threads[tid.index()];
         tcb.cancel_requested = false;
         tcb.cancel_enabled = false;
         let by = tcb.canceled_by;
@@ -2074,8 +2050,8 @@ pub(crate) fn join_impl<T>(h: &JoinHandle<T>) -> T {
 /// like `join`, but surfaces a child panic (or a missing value) as a
 /// [`JoinError`] instead of unwinding the joiner.
 pub(crate) fn try_join_impl<T>(h: &JoinHandle<T>) -> Result<T, JoinError> {
-    if !h.inline {
-        if let Some(payload) = join_wait(h.id) {
+    if let Some(rc) = owning_run(h.run) {
+        if let Some(payload) = join_wait_in(&rc, h.id) {
             return Err(match payload.downcast::<crate::CancelError>() {
                 Ok(e) => JoinError::Canceled(*e),
                 Err(p) => JoinError::Panicked(p),
@@ -2085,33 +2061,51 @@ pub(crate) fn try_join_impl<T>(h: &JoinHandle<T>) -> Result<T, JoinError> {
     h.slot.borrow_mut().take().ok_or(JoinError::NoValue)
 }
 
-/// Blocks the current thread until `target` exits. Returns the target's
-/// panic payload, if it panicked; the caller decides whether to re-raise.
+/// The active run, when it is the one that made a handle stamped `run`
+/// (see [`JoinHandle`]'s `run` field). `None` for an inline handle, outside
+/// any run, and inside a different run — where the handle's thread is long
+/// complete and its id means nothing.
+pub(crate) fn owning_run(run: Option<u64>) -> Option<Rc<RefCell<Inner>>> {
+    let run = run?;
+    with_active(|ctx| match ctx {
+        Some(ActiveCtx::Par(rc)) if rc.borrow().run_token == run => Some(rc.clone()),
+        _ => None,
+    })
+}
+
+/// Blocks the current thread until `target`, a thread of the active run,
+/// exits. Returns the target's panic payload, if it panicked; the caller
+/// decides whether to re-raise.
 pub(crate) fn join_wait(target: ThreadId) -> Option<Box<dyn std::any::Any + Send>> {
     let rc = with_active(|ctx| match ctx {
         Some(ActiveCtx::Par(rc)) => rc.clone(),
         _ => panic!("join on a runtime thread outside the runtime"),
     });
+    join_wait_in(&rc, target)
+}
+
+fn join_wait_in(
+    rc: &Rc<RefCell<Inner>>,
+    target: ThreadId,
+) -> Option<Box<dyn std::any::Any + Send>> {
     // Join is a cancellation point (POSIX): deliver on entry…
-    deliver_cancel(&rc);
+    deliver_cancel(rc);
     loop {
         let mut inner = rc.borrow_mut();
         // Lenient on context: a scope guard unwinding during stall teardown
         // joins children that will never run; report "no value" upstream
         // instead of tearing the process down with a nested panic.
         let (cur, p) = inner.cur?;
-        let t = target.index();
-        if inner.threads[t].state == TState::Exited {
+        if let Some(exit_time) = inner.threads.exit_time(target) {
             // Happens-before: join cannot return before the child's virtual
             // exit, even when the engine (real-time) ran the child first.
-            let exit_time = inner.threads[t].exit_time;
             if inner.machine.clock(p) < exit_time {
                 // The exit lies in this processor's virtual future. Don't
                 // idle the processor across the gap — that would be
                 // non-greedy (and breaks Brent's bound when other work is
                 // ready). Sleep until the exit becomes visible instead.
                 drop(inner);
-                suspend_current(&rc, YieldReason::JoinWake { at: exit_time });
+                suspend_current(rc, YieldReason::JoinWake { at: exit_time });
                 continue;
             }
             let c = inner.machine.cost().join_exited;
@@ -2121,12 +2115,10 @@ pub(crate) fn join_wait(target: ThreadId) -> Option<Box<dyn std::any::Any + Send
                 let tr = inner.trace.as_mut().expect("checked");
                 tr.event(at, p, Some(cur.0), EventKind::Join { target: target.0 });
             }
-            let payload = inner.threads[t].panic.take();
-            drop(inner);
-            return payload;
+            return inner.threads.take_panic(target);
         }
         assert!(
-            inner.threads[t].joiner.is_none(),
+            inner.threads.live(target).joiner.is_none(),
             "two threads joining {target}"
         );
         // A join edge can close a waits-for cycle just like a lock edge
@@ -2137,19 +2129,15 @@ pub(crate) fn join_wait(target: ThreadId) -> Option<Box<dyn std::any::Any + Send
             drop(inner);
             std::panic::panic_any(DeadlockError { info });
         }
-        inner.threads[t].joiner = Some(cur);
+        inner.threads.live_mut(target).joiner = Some(cur);
         inner.block_current(BlockReason::Join, None, Some(target));
         // …and while blocked: a cancel_wake must withdraw the joiner
         // registration so the target's eventual exit doesn't wake (or
         // assert on) a dead joiner.
-        inner.arm_block_evict(Box::new(move |eng, me| {
-            if eng.threads[target.index()].joiner == Some(me) {
-                eng.threads[target.index()].joiner = None;
-            }
-        }));
+        inner.arm_block_evict(Box::new(move |eng, me| eng.withdraw_joiner(target, me)));
         drop(inner);
-        suspend_current(&rc, YieldReason::Blocked);
-        unwind_if_cancel_woken(&rc);
+        suspend_current(rc, YieldReason::Blocked);
+        unwind_if_cancel_woken(rc);
     }
 }
 
@@ -2159,8 +2147,8 @@ pub(crate) fn join_timeout_impl<T>(
     h: JoinHandle<T>,
     timeout: VirtTime,
 ) -> Result<T, JoinHandle<T>> {
-    if !h.inline {
-        match join_wait_timeout(h.id, timeout) {
+    if let Some(rc) = owning_run(h.run) {
+        match join_wait_timeout(&rc, h.id, timeout) {
             Ok(Some(payload)) => resume_unwind(payload),
             Ok(None) => {}
             Err(crate::TimedOut) => return Err(h),
@@ -2176,15 +2164,12 @@ pub(crate) fn join_timeout_impl<T>(
 /// (virtually) exited within `timeout`; otherwise the target's panic
 /// payload, like `join_wait`.
 fn join_wait_timeout(
+    rc: &Rc<RefCell<Inner>>,
     target: ThreadId,
     timeout: VirtTime,
 ) -> Result<Option<Box<dyn std::any::Any + Send>>, crate::TimedOut> {
-    let rc = with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) => rc.clone(),
-        _ => panic!("join on a runtime thread outside the runtime"),
-    });
     // Timed join is a cancellation point too.
-    deliver_cancel(&rc);
+    deliver_cancel(rc);
     let mut deadline: Option<VirtTime> = None;
     loop {
         let mut inner = rc.borrow_mut();
@@ -2194,20 +2179,18 @@ fn join_wait_timeout(
         let now = inner.machine.clock(p);
         let deadline =
             *deadline.get_or_insert(VirtTime::from_ns(now.as_ns().saturating_add(timeout.as_ns())));
-        let t = target.index();
-        if inner.threads[t].state == TState::Exited {
-            let exit_time = inner.threads[t].exit_time;
+        if let Some(exit_time) = inner.threads.exit_time(target) {
             if exit_time > deadline {
                 // The child's virtual exit lies beyond our budget: sleep to
                 // the deadline (greedily, like `JoinWake`) and report the
                 // timeout at exactly the promised virtual instant.
                 drop(inner);
-                suspend_current(&rc, YieldReason::JoinWake { at: deadline });
+                suspend_current(rc, YieldReason::JoinWake { at: deadline });
                 return Err(crate::TimedOut);
             }
             if now < exit_time {
                 drop(inner);
-                suspend_current(&rc, YieldReason::JoinWake { at: exit_time });
+                suspend_current(rc, YieldReason::JoinWake { at: exit_time });
                 continue;
             }
             let c = inner.machine.cost().join_exited;
@@ -2217,43 +2200,31 @@ fn join_wait_timeout(
                 let tr = inner.trace.as_mut().expect("checked");
                 tr.event(at, p, Some(cur.0), EventKind::Join { target: target.0 });
             }
-            let payload = inner.threads[t].panic.take();
-            drop(inner);
-            return Ok(payload);
+            return Ok(inner.threads.take_panic(target));
         }
-        assert!(
-            inner.threads[t].joiner.is_none(),
-            "two threads joining {target}"
-        );
-        inner.threads[t].joiner = Some(cur);
+        let tcb = inner.threads.live_mut(target);
+        assert!(tcb.joiner.is_none(), "two threads joining {target}");
+        tcb.joiner = Some(cur);
         inner.block_current(BlockReason::Join, None, Some(target));
         // The eviction hook (shared by the deadline firing and a
         // cancel_wake) withdraws the joiner registration eagerly, so the
         // target's eventual exit never meets a dead joiner.
         inner.arm_timed_wait_evicting(
             VirtTime::from_ns(deadline.as_ns().saturating_sub(now.as_ns())),
-            Box::new(move |eng, me| {
-                if eng.threads[target.index()].joiner == Some(me) {
-                    eng.threads[target.index()].joiner = None;
-                }
-            }),
+            Box::new(move |eng, me| eng.withdraw_joiner(target, me)),
         );
         drop(inner);
-        suspend_current(&rc, YieldReason::Blocked);
-        unwind_if_cancel_woken(&rc);
+        suspend_current(rc, YieldReason::Blocked);
+        unwind_if_cancel_woken(rc);
         let mut inner = rc.borrow_mut();
         if inner.consume_timeout() {
-            // Withdraw the joiner registration (the target may have exited
-            // concurrently and already taken it — that's fine, the next
-            // join attempt will observe the exit). Under eager eviction the
-            // hook already did this; the legacy lazy mode still needs it.
-            if inner.threads[t].joiner == Some(cur) {
-                inner.threads[t].joiner = None;
-            }
+            // Under eager eviction the hook already withdrew the joiner
+            // registration; the legacy lazy mode still needs it.
+            inner.withdraw_joiner(target, cur);
             drop(inner);
             // A timed wait's expiry resumption is itself a cancellation
             // point: deliver a request that raced the deadline and lost.
-            deliver_cancel(&rc);
+            deliver_cancel(rc);
             return Err(crate::TimedOut);
         }
     }
@@ -2271,6 +2242,40 @@ mod tests {
             Some(ActiveCtx::Par(rc)) => rc.borrow().round_stats,
             _ => panic!("round_stats outside a run"),
         })
+    }
+
+    /// Slab slots of the running engine's thread table.
+    fn table_slots() -> usize {
+        with_active(|ctx| match ctx {
+            Some(ActiveCtx::Par(rc)) => rc.borrow().threads.slots(),
+            _ => panic!("table_slots outside a run"),
+        })
+    }
+
+    #[test]
+    fn the_thread_table_holds_one_record_per_thread_alive_at_the_peak() {
+        // The host table tracks the model's own space quantity: after
+        // 10,000 threads its slab is exactly as long as the most threads
+        // that were ever alive at once (S1 + O(p·D) under DF), whatever
+        // the policy makes that number.
+        for sched in [SchedKind::Df, SchedKind::DfDeques, SchedKind::Ws, SchedKind::Fifo] {
+            let (slots, report) = run(Config::new(4, sched), || {
+                for _ in 0..100 {
+                    let wave: Vec<_> = (0..100).map(|_| spawn(|| crate::work(200))).collect();
+                    for h in wave {
+                        h.join();
+                    }
+                }
+                table_slots()
+            });
+            assert_eq!(report.total_threads, 10_001);
+            assert_eq!(
+                slots as u64,
+                report.max_live_threads(),
+                "{sched:?}: slab slots vs live_threads_hwm"
+            );
+            assert!(slots <= 101, "{sched:?}: {slots} slots for waves of 100");
+        }
     }
 
     /// A few hundred scheduling rounds on four processors, no timed wait.

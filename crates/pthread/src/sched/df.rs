@@ -36,8 +36,10 @@
 //!   arrived and reads the earliest remaining one in O(1) for its `NotYet`
 //!   answer, instead of rescanning every entry.
 //!
-//! Thread-id lookups use a dense `Vec` indexed by `ThreadId` (ids are
-//! allocated sequentially by the engine), not a hash map.
+//! Thread-id lookups use a dense `Vec<u32>` indexed by `ThreadId` (ids are
+//! allocated sequentially by the engine and never reused), not a hash map.
+//! It is the one table in any policy that grows with the threads ever
+//! created rather than the threads alive: four bytes an id.
 //!
 //! The naive-scan revision survives as `reference::RefDfSched`, and
 //! randomized differential tests (`diff_tests`) prove both emit identical
@@ -53,6 +55,9 @@ use crate::sched::{Policy, Pop};
 use crate::thread::ThreadId;
 
 const NIL: usize = usize::MAX;
+
+/// [`DfSched::pos`] value of a thread without an entry.
+const NO_POS: u32 = u32::MAX;
 
 /// Preferred label gap consumed by one insertion. Biasing new labels close
 /// to the *left* neighbour leaves room at the insertion point for the DF
@@ -101,15 +106,12 @@ pub(crate) struct DfSched {
     /// Priority keys of `levels`, descending (cached so multi-level `pop`
     /// allocates nothing).
     prio_desc: Vec<i32>,
-    /// Dense `ThreadId -> slab index` table (`NIL` = no entry).
-    pos: Vec<usize>,
+    /// Dense `ThreadId -> slab index` table ([`NO_POS`] = no entry).
+    pos: Vec<u32>,
     ready: usize,
     /// Latest dispatch clock observed; publishes at or before it go
     /// straight to `eligible`, later ones to `pending`.
     clock_hint: VirtTime,
-    /// Peak number of live entries (ready + placeholders), for diagnostics.
-    peak_entries: usize,
-    entries: usize,
 }
 
 impl DfSched {
@@ -130,8 +132,6 @@ impl DfSched {
             pos: Vec::new(),
             ready: 0,
             clock_hint: VirtTime::ZERO,
-            peak_entries: 0,
-            entries: 0,
         }
     }
 
@@ -158,7 +158,7 @@ impl DfSched {
     /// Slab position of `t`'s entry, if it has one.
     fn pos_of(&self, t: ThreadId) -> Option<usize> {
         match self.pos.get(t.index()) {
-            Some(&n) if n != NIL => Some(n),
+            Some(&n) if n != NO_POS => Some(n as usize),
             _ => None,
         }
     }
@@ -166,9 +166,10 @@ impl DfSched {
     fn set_pos(&mut self, t: ThreadId, n: usize) {
         let i = t.index();
         if i >= self.pos.len() {
-            self.pos.resize(i + 1, NIL);
+            self.pos.resize(i + 1, NO_POS);
         }
-        self.pos[i] = n;
+        // One node per live thread: far below 2^32.
+        self.pos[i] = u32::try_from(n).expect("node index fits the position table");
     }
 
     fn level(&mut self, prio: i32) -> (usize, usize) {
@@ -269,12 +270,6 @@ impl DfSched {
         } else {
             level.pending.push(Reverse((at, label, n)));
         }
-    }
-
-    /// Peak live-entry count over the run (diagnostics).
-    #[allow(dead_code)]
-    pub fn peak_entries(&self) -> usize {
-        self.peak_entries
     }
 
     /// Marks node `cur` dispatched on processor `p` and records its right
@@ -424,8 +419,6 @@ impl Policy for DfSched {
             self.ready += 1;
             self.publish(n);
         }
-        self.entries += 1;
-        self.peak_entries = self.peak_entries.max(self.entries);
     }
 
     fn on_ready(
@@ -454,11 +447,10 @@ impl Policy for DfSched {
 
     fn on_exit(&mut self, t: ThreadId) {
         let n = self.pos_of(t).expect("exiting thread has a placeholder");
-        self.pos[t.index()] = NIL;
+        self.pos[t.index()] = NO_POS;
         debug_assert!(!self.nodes[n].ready, "exiting thread still queued");
         self.unlink(n);
         self.free.push(n);
-        self.entries -= 1;
     }
 
     fn pop(&mut self, p: ProcId, now: VirtTime) -> Pop {

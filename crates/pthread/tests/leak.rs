@@ -1,9 +1,10 @@
-//! Leak regression at the runtime level: a finished `run` gives back
-//! everything its threads allocated. Twin of `ptdf-fiber`'s `tests/leak.rs`
-//! (which pins the fiber exit protocol); this one would also catch a leak in
-//! the thread table, the policy queues or the stack pool. Own binary for the
-//! counting `#[global_allocator]`, one `#[test]` so nothing else allocates
-//! while it counts.
+//! Heap regression at the runtime level: a finished `run` gives back
+//! everything its threads allocated, and while it runs its heap follows the
+//! threads alive, not the threads ever created. Twin of `ptdf-fiber`'s
+//! `tests/leak.rs` (which pins the fiber exit protocol); this one would also
+//! catch a leak in the thread table, the policy queues or the stack pool.
+//! Own binary for the counting `#[global_allocator]`, one `#[test]` so
+//! nothing else allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
@@ -13,12 +14,19 @@ use ptdf::{run, spawn, work, Config, SchedKind};
 struct Counting;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// High-water mark of `LIVE_BYTES` since it was last reset.
+static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
 
-// SAFETY: defers every request to `System` unchanged; the counter is a
-// statistic and touches no allocator state.
+fn grow(by: isize) {
+    let live = LIVE_BYTES.fetch_add(by, Relaxed) + by;
+    PEAK_BYTES.fetch_max(live, Relaxed);
+}
+
+// SAFETY: defers every request to `System` unchanged; the counters are
+// statistics and touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
+        grow(layout.size() as isize);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -26,7 +34,7 @@ unsafe impl GlobalAlloc for Counting {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+        grow(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,12 +44,16 @@ static ALLOC: Counting = Counting;
 
 const THREADS: u64 = 20_000;
 
-/// `THREADS` spawn/joins in waves of 64 on four processors under DF.
-fn storm() {
-    let (sum, report) = run(Config::new(4, SchedKind::Df), || {
+/// `threads` spawn/joins in waves of 64 on four processors under DF;
+/// returns the most heap bytes the run held at once, above what was live
+/// when it started.
+fn storm(threads: u64) -> isize {
+    let before = LIVE_BYTES.load(Relaxed);
+    PEAK_BYTES.store(before, Relaxed);
+    let (sum, report) = run(Config::new(4, SchedKind::Df), move || {
         let (mut done, mut sum) = (0, 0);
-        while done < THREADS {
-            let wave = 64.min(THREADS - done);
+        while done < threads {
+            let wave = 64.min(threads - done);
             let handles: Vec<_> = (done..done + wave)
                 .map(|id| {
                     spawn(move || {
@@ -55,15 +67,16 @@ fn storm() {
         }
         sum
     });
-    assert_eq!(sum, THREADS * (THREADS - 1) / 2);
-    assert_eq!(report.total_threads as u64, THREADS + 1);
+    assert_eq!(sum, threads * (threads - 1) / 2);
+    assert_eq!(report.total_threads as u64, threads + 1);
+    PEAK_BYTES.load(Relaxed) - before
 }
 
 #[test]
-fn consecutive_runs_leave_live_bytes_flat() {
-    storm(); // once-only allocations (lazy statics, thread-locals) land here
+fn consecutive_runs_leave_live_bytes_flat_and_peak_heap_ignores_total_threads() {
+    storm(THREADS); // once-only allocations (lazy statics, thread-locals) land here
     let after_first = LIVE_BYTES.load(Relaxed);
-    storm();
+    let peak_small = storm(THREADS);
     let after_second = LIVE_BYTES.load(Relaxed);
     // Three leaked blocks per finished fiber were 114 bytes a thread: 2.3 MB
     // a run. Nothing a run allocates may outlive it.
@@ -72,4 +85,20 @@ fn consecutive_runs_leave_live_bytes_flat() {
         0,
         "a {THREADS}-thread run left bytes behind"
     );
+
+    // Under DF a wave's children exit one by one before the root goes on,
+    // so only a handful of a storm's threads are ever alive at once, and
+    // ten times the threads may cost ten times the per-id words (the
+    // thread table's 8-byte entry, DF's 4-byte position, each in a vector
+    // that doubles: ≤ 24 B an id) and nothing else. One 272-byte record
+    // per thread ever created would be 49 MB here.
+    let more = 10 * THREADS;
+    let peak_large = storm(more);
+    let per_id = (peak_large - peak_small) as f64 / (more - THREADS) as f64;
+    assert!(
+        per_id <= 32.0,
+        "peak heap grew {per_id:.1} B per extra thread ({peak_small} B at {THREADS} threads, \
+         {peak_large} B at {more})"
+    );
+    assert_eq!(LIVE_BYTES.load(Relaxed), after_second);
 }

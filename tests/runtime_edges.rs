@@ -2,10 +2,21 @@
 //! reuse, condvar broadcast, rwlock contention patterns, TSD lifecycle,
 //! trace determinism, serial-mode parity, and report serialization.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ptdf::{
-    run, run_serial, scope, spawn, Barrier, Condvar, Config, CostModel, Mutex, RwLock, SchedKind,
-    Semaphore, TlsKey,
+    run, run_serial, scope, spawn, try_run, yield_now, Barrier, BlockReason, Condvar, Config,
+    CostModel, EventKind, JoinError, Mutex, RwLock, SchedKind, Semaphore, TlsKey, VirtTime,
 };
+
+const POLICIES: [SchedKind; 5] = [
+    SchedKind::Fifo,
+    SchedKind::Lifo,
+    SchedKind::Df,
+    SchedKind::DfDeques,
+    SchedKind::Ws,
+];
 
 #[test]
 fn deadlock_is_detected_and_reported() {
@@ -245,4 +256,273 @@ fn try_lock_semantics_under_contention() {
         contended && free
     });
     assert!(saw_contention);
+}
+
+// ---------------------------------------------------------------------------
+// Stale ids against a recycled thread-table slot. The table hands an exited
+// thread's slot to the next thread created; ids are never reused, so every
+// holder of an old id must keep seeing "exited", whoever lives there now.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_deadline_token_that_outlives_its_thread_wakes_nobody() {
+    for kind in POLICIES {
+        let (woke_early, _) = run(Config::new(2, kind), move || {
+            // A timed acquire granted long before its deadline: the armed
+            // heap entry stays behind when the thread exits.
+            let early = Semaphore::new(0);
+            let e2 = early.clone();
+            let timed = spawn(move || e2.acquire_timeout(VirtTime::from_ms(2)).is_ok());
+            early.release();
+            assert!(timed.join(), "{kind:?}: granted, not timed out");
+            let deadline = ptdf::now().unwrap().as_ns() + 2_000_000;
+            // The next thread created takes over the freed slot and blocks
+            // untimed across the old deadline.
+            let gate = Semaphore::new(0);
+            let woke = Rc::new(RefCell::new(false));
+            let (g2, w2) = (gate.clone(), woke.clone());
+            let tenant = spawn(move || {
+                g2.acquire();
+                *w2.borrow_mut() = true;
+            });
+            while ptdf::now().unwrap().as_ns() <= deadline + 1_000_000 {
+                ptdf::work(50_000);
+                yield_now();
+            }
+            let woke_early = *woke.borrow();
+            gate.release();
+            tenant.join();
+            assert!(*woke.borrow());
+            woke_early
+        });
+        assert!(!woke_early, "{kind:?}: a dead thread's deadline woke the slot's new tenant");
+    }
+}
+
+#[test]
+fn cancelling_a_joined_thread_leaves_the_slots_new_tenant_alone() {
+    for kind in POLICIES {
+        let (outcome, _) = run(Config::new(2, kind), move || {
+            let gone = spawn(|| 1u32);
+            let gone_id = gone.id();
+            assert_eq!(gone.join(), 1);
+            let gate = Semaphore::new(0);
+            let g2 = gate.clone();
+            let tenant = spawn(move || {
+                g2.acquire();
+                2u32
+            });
+            // Let the tenant reach its wait under every policy.
+            ptdf::work(100_000);
+            yield_now();
+            assert!(!ptdf::cancel(gone_id), "{kind:?}: cancel of an exited thread");
+            gate.release();
+            tenant.try_join()
+        });
+        assert!(matches!(outcome, Ok(2)), "{kind:?}: tenant saw {outcome:?}");
+    }
+}
+
+#[test]
+fn a_handle_joined_ten_thousand_spawns_late_gets_its_own_result() {
+    for kind in POLICIES {
+        run(Config::new(2, kind), move || {
+            let plain = spawn(|| 41u64);
+            let loud = spawn(|| -> u64 { std::panic::panic_any("mine") });
+            let gate = Semaphore::new(0);
+            let g2 = gate.clone();
+            let victim = spawn(move || g2.acquire());
+            let victim_id = victim.id();
+            ptdf::work(100_000);
+            yield_now();
+            assert!(victim.cancel(), "{kind:?}");
+            for i in 0..10_000u64 {
+                assert_eq!(spawn(move || i).join(), i);
+            }
+            assert!(matches!(plain.try_join(), Ok(41)), "{kind:?}");
+            match loud.try_join() {
+                Err(JoinError::Panicked(p)) => {
+                    assert_eq!(p.downcast_ref::<&str>(), Some(&"mine"), "{kind:?}")
+                }
+                other => panic!("{kind:?}: {other:?}"),
+            }
+            match victim.try_join() {
+                Err(JoinError::Canceled(e)) => assert_eq!(e.thread, victim_id, "{kind:?}"),
+                other => panic!("{kind:?}: {other:?}"),
+            }
+        });
+    }
+}
+
+#[test]
+fn joining_an_exit_in_the_joiners_future_lands_at_the_exit() {
+    for kind in POLICIES {
+        let ((child, before, after), report) =
+            run(Config::new(2, kind).with_trace(), move || {
+                // The child wakes the root and then runs on to its exit
+                // inside the same quantum — too short a stretch to be
+                // time-sliced — so by the time the root is dispatched the
+                // child has exited in engine order, ~60 virtual µs ahead of
+                // the root's clock.
+                let done = Semaphore::new(0);
+                let d2 = done.clone();
+                let child = spawn(move || {
+                    ptdf::work(5_000);
+                    d2.release();
+                    ptdf::work(10_000);
+                });
+                // Traces carry a thread's number: `t17` is 17.
+                let id: u32 = child.id().to_string()[1..].parse().expect("t<number>");
+                done.acquire();
+                let before = ptdf::now().unwrap();
+                child.join();
+                (id, before, ptdf::now().unwrap())
+            });
+        let trace = report.trace.expect("traced");
+        let exit = trace
+            .threads
+            .iter()
+            .find(|t| t.thread == child)
+            .and_then(|t| t.exited)
+            .expect("child exited");
+        assert!(
+            before < exit,
+            "{kind:?}: the join must start before the child's virtual exit"
+        );
+        assert!(
+            !trace
+                .events
+                .iter()
+                .any(|e| e.thread == Some(0)
+                    && matches!(e.kind, EventKind::Block { reason: BlockReason::Join, .. })),
+            "{kind:?}: the child had exited in engine order, the join must not block"
+        );
+        assert!(after >= exit, "{kind:?}: join returned at {after:?}, exit at {exit:?}");
+    }
+}
+
+#[test]
+fn a_stall_lists_and_unwinds_the_survivors_in_ascending_id_order() {
+    /// Logs its thread's number when the stall sweep unwinds the thread.
+    struct Logged(u32, Rc<RefCell<Vec<u32>>>);
+    impl Drop for Logged {
+        fn drop(&mut self) {
+            self.1.borrow_mut().push(self.0);
+        }
+    }
+    const SURVIVORS: [u32; 3] = [3, 9, 200];
+    for kind in POLICIES {
+        let dropped = Rc::new(RefCell::new(Vec::new()));
+        let log = dropped.clone();
+        let err = try_run(Config::new(2, kind), move || {
+            let never = Semaphore::new(0);
+            let mut handles = Vec::new();
+            for k in 1..=1_000u32 {
+                let (never, log) = (never.clone(), log.clone());
+                handles.push((
+                    k,
+                    spawn(move || {
+                        if SURVIVORS.contains(&k) {
+                            let _logged = Logged(k, log);
+                            never.acquire();
+                        }
+                    }),
+                ));
+            }
+            for (k, h) in handles {
+                if !SURVIVORS.contains(&k) {
+                    h.join();
+                }
+            }
+        })
+        .expect_err("three threads wait forever");
+        let listed: Vec<u32> = err.stall.threads.iter().map(|t| t.thread).collect();
+        assert_eq!(listed, SURVIVORS, "{kind:?}");
+        assert_eq!(*dropped.borrow(), SURVIVORS, "{kind:?}: unwind order");
+        assert_eq!(err.report.total_threads, 1_001, "{kind:?}");
+    }
+}
+
+#[test]
+fn the_kth_spawn_is_thread_k() {
+    for kind in POLICIES {
+        let (_, report) = run(Config::new(2, kind), || {
+            for k in 1..=10_000u32 {
+                let h = spawn(|| ());
+                assert_eq!(h.id().to_string(), format!("t{k}"));
+                h.join();
+            }
+        });
+        assert_eq!(report.total_threads, 10_001, "{kind:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A join handle used outside the run that made it. Every run returns only
+// once all its threads are done, so such a handle is simply complete: it
+// yields what is in its slot and never consults whatever run is active.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_stale_handle_does_not_touch_a_thread_of_the_same_id_in_another_run() {
+    for kind in POLICIES {
+        let (stale, _) = run(Config::new(2, kind), || spawn(|| 7u64));
+        let stale_cancel = run(Config::new(2, kind), || spawn(|| 8u64)).0;
+        let (_, report) = run(Config::new(2, kind).with_trace(), move || {
+            // This run's t1 — the id both stale handles carry — blocks.
+            let gate = Semaphore::new(0);
+            let g2 = gate.clone();
+            let local = spawn(move || {
+                g2.acquire();
+                9u64
+            });
+            assert_eq!(local.id().to_string(), stale.id().to_string());
+            ptdf::work(100_000);
+            yield_now();
+            let before = ptdf::now();
+            assert!(!stale_cancel.cancel(), "{kind:?}: the stale thread exited long ago");
+            assert!(matches!(stale.try_join(), Ok(7)), "{kind:?}");
+            assert!(matches!(stale_cancel.join_timeout(VirtTime::from_ms(1)), Ok(8)));
+            assert_eq!(ptdf::now(), before, "{kind:?}: a stale join costs no virtual time");
+            gate.release();
+            // The stale join did not register as t1's joiner, and the stale
+            // cancel did not land on it.
+            assert!(matches!(local.try_join(), Ok(9)), "{kind:?}");
+        });
+        let joins = report
+            .trace
+            .expect("traced")
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Join { .. }))
+            .count();
+        assert_eq!(joins, 1, "{kind:?}: only the run's own join is an event");
+    }
+}
+
+#[test]
+fn a_stale_handle_past_the_active_runs_table_or_outside_any_run_is_complete() {
+    let third = || {
+        run(Config::new(2, SchedKind::Df), || {
+            spawn(|| 1u64).join();
+            spawn(|| 2u64).join();
+            spawn(|| 3u64)
+        })
+        .0
+    };
+    // Inside a run that never issued t3.
+    let stale = third();
+    let (got, report) = run(Config::new(1, SchedKind::Fifo), move || stale.try_join());
+    assert!(matches!(got, Ok(3)), "{got:?}");
+    assert_eq!(report.total_threads, 1);
+    // Outside any run.
+    assert!(matches!(third().try_join(), Ok(3)));
+    assert_eq!(third().join(), 3);
+    assert!(matches!(third().join_timeout(VirtTime::from_ms(1)), Ok(3)));
+    assert!(!third().cancel());
+    // A value can be taken once, here as anywhere.
+    let (panicked, _) = run(Config::new(2, SchedKind::Df), || {
+        spawn(|| -> u64 { std::panic::panic_any("unjoined") })
+    });
+    assert!(matches!(panicked.try_join(), Err(JoinError::NoValue)));
 }
