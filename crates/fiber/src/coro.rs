@@ -8,7 +8,7 @@ use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crate::arch::{init_stack, ptdf_raw_switch, EntryThunk, FiberExit};
-use crate::coro_api::{install_forced_unwind_filter, ForcedUnwind, Step};
+use crate::coro_api::{ForcedUnwind, Step};
 use crate::stack::Stack;
 
 /// Shared mailbox between the resumer side and the fiber side. Lives in a
@@ -53,6 +53,16 @@ pub struct Yielder<In, Y, R> {
     shared: *const Shared<In, Y, R>,
 }
 
+/// Starts the forced unwind of a dropped coroutine. Control flow, not a
+/// fault: straight to the unwinder, past the panic hook. Out of line and
+/// cold, so that `suspend` — every context switch — pays one untaken branch
+/// for it.
+#[cold]
+#[inline(never)]
+fn forced_unwind() -> ! {
+    resume_unwind(Box::new(ForcedUnwind))
+}
+
 impl<In, Y, R> Yielder<In, Y, R> {
     /// Suspends the coroutine, delivering `value` to the pending
     /// [`Coroutine::resume`] call, and blocks until resumed again; returns
@@ -73,7 +83,7 @@ impl<In, Y, R> Yielder<In, Y, R> {
         }
         shared.state.set(ST_RUNNING);
         if shared.cancel.get() {
-            std::panic::panic_any(ForcedUnwind);
+            forced_unwind();
         }
         shared
             .input
@@ -280,12 +290,9 @@ impl<In, Y, R> Coroutine<In, Y, R> {
                 self.shared.state.set(ST_DONE);
             }
             ST_SUSPENDED => {
-                // Force-unwind the fiber so destructors on its stack run.
-                // The unwind is delivered as a panic with a ForcedUnwind
-                // payload; install (once, process-wide) a hook filter that
-                // silences it — it is control flow, not an error. A
-                // swap-per-drop scheme would race between threads.
-                install_forced_unwind_filter();
+                // Force-unwind the fiber so destructors on its stack run:
+                // `suspend` returns into an unwind with a ForcedUnwind
+                // payload.
                 self.shared.cancel.set(true);
                 self.shared.input.set(None);
                 // SAFETY: same contract as resume().

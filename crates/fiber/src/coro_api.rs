@@ -27,22 +27,9 @@ impl<Y, R> Step<Y, R> {
     }
 }
 
-/// Panic payload used to force-unwind a suspended coroutine's stack when the
-/// `Coroutine` is dropped. User code must let this propagate (do not
-/// swallow it inside a blanket `catch_unwind`).
+/// Unwind payload used to force-unwind a suspended coroutine's stack when the
+/// `Coroutine` is dropped. It is raised with `resume_unwind`, so the panic
+/// hook never sees it. User code must let it propagate (do not swallow it
+/// inside a blanket `catch_unwind`).
 #[derive(Debug)]
 pub struct ForcedUnwind;
-
-/// Installs (once) a panic hook that suppresses [`ForcedUnwind`] payloads
-/// and forwards everything else to the previously installed hook.
-pub(crate) fn install_forced_unwind_filter() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<ForcedUnwind>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}

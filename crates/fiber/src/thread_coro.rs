@@ -81,7 +81,8 @@ impl<In, Y, R> Yielder<In, Y, R> {
         let rx = unsafe { &*self.from_caller };
         match rx.recv().expect("resumer alive").0 {
             ToFiber::Resume(input) => input,
-            ToFiber::Cancel => std::panic::panic_any(ForcedUnwind),
+            // Control flow, not a fault: past the panic hook.
+            ToFiber::Cancel => std::panic::resume_unwind(Box::new(ForcedUnwind)),
         }
     }
 }
@@ -239,9 +240,7 @@ impl<In, Y, R> Drop for Coroutine<In, Y, R> {
             return;
         }
         // Cancel: the body (if started) unwinds via ForcedUnwind; if never
-        // started, the fiber thread exits at its first recv. The unwind is
-        // control flow, not an error: keep the panic hook quiet about it.
-        crate::coro_api::install_forced_unwind_filter();
+        // started, the fiber thread exits at its first recv.
         let _ = self.to_fiber.send(SendCell(ToFiber::Cancel));
         if self.started {
             // Wait for the unwind acknowledgement.

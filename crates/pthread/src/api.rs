@@ -351,7 +351,7 @@ impl<T> ScopedHandle<'_, T> {
             Err(crate::thread::JoinError::Panicked(payload)) => {
                 std::panic::resume_unwind(payload)
             }
-            Err(crate::thread::JoinError::Canceled(e)) => std::panic::panic_any(e),
+            Err(crate::thread::JoinError::Canceled(e)) => crate::runtime::raise_cancel(e),
             Err(e @ crate::thread::JoinError::NoValue) => panic!("scoped {e}"),
         }
     }

@@ -14,10 +14,12 @@
 //! | [`crate::yield_now`] | on entry and on resume |
 //! | [`cancel_point`] | explicitly |
 //!
-//! Delivery unwinds the thread with a [`CancelError`] panic payload — the
-//! same discipline the deadlock sentinel uses — so every held guard is
-//! released by its destructor on the way out, plus any [`CleanupGuard`]
-//! registered with [`cleanup`] (the `pthread_cleanup_push` analogue).
+//! Delivery unwinds the thread with a [`CancelError`] payload — the same
+//! discipline the deadlock sentinel uses, except that a cancellation is
+//! control flow and starts its unwind past the panic hook, so nothing is
+//! printed for it — so every held guard is released by its destructor on
+//! the way out, plus any [`CleanupGuard`] registered with [`cleanup`] (the
+//! `pthread_cleanup_push` analogue).
 //! Joining a cancelled thread reports
 //! [`crate::JoinError::Canceled`] from `try_join`, and `join` re-raises the
 //! structured [`CancelError`].
@@ -40,7 +42,7 @@
 
 use crate::thread::ThreadId;
 
-/// Panic payload unwinding a cancelled thread at a cancellation point.
+/// Payload unwinding a cancelled thread at a cancellation point.
 ///
 /// Mirrors [`crate::DeadlockError`]: the unwind releases every held guard,
 /// runs [`CleanupGuard`]s, and the payload is delivered to whoever joins

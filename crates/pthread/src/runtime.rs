@@ -2016,7 +2016,16 @@ pub(crate) fn deliver_cancel(rc: &Rc<RefCell<Inner>>) {
             by: by.map(ThreadId),
         }
     };
-    std::panic::panic_any(err);
+    raise_cancel(err)
+}
+
+/// Unwinds the current thread with `err` as the payload. Cancellation is
+/// control flow, not a fault, so it starts the unwind directly
+/// (`resume_unwind`): `panic_any` would first run the process's panic hook,
+/// which by default prints a "panicked at" line per cancelled thread.
+#[cold]
+pub(crate) fn raise_cancel(err: crate::CancelError) -> ! {
+    resume_unwind(Box::new(err))
 }
 
 /// The shared resume-side cancellation check: when the wake that resumed
@@ -2031,7 +2040,7 @@ pub(crate) fn unwind_if_cancel_woken(rc: &Rc<RefCell<Inner>>) {
         }
         inner.cancel_error_current()
     };
-    std::panic::panic_any(err);
+    raise_cancel(err)
 }
 
 /// Implementation of [`JoinHandle::join`]: re-raises a child panic in the
@@ -2041,7 +2050,7 @@ pub(crate) fn join_impl<T>(h: &JoinHandle<T>) -> T {
     match try_join_impl(h) {
         Ok(v) => v,
         Err(JoinError::Panicked(payload)) => resume_unwind(payload),
-        Err(JoinError::Canceled(e)) => std::panic::panic_any(e),
+        Err(JoinError::Canceled(e)) => raise_cancel(e),
         Err(e @ JoinError::NoValue) => panic!("{e}"),
     }
 }

@@ -27,7 +27,7 @@
 //! format to summarize, validate, and diff traces.
 
 use crate::critpath::{BlameBucket, CritPath};
-use crate::json::{self, Reader, Slots};
+use crate::json::{self, Reader, Scratch, Slots};
 use crate::thread::ThreadId;
 use ptdf_smp::{HostPhaseStats, MachineRecording, MemEventKind, ProcId, VirtTime};
 use std::io;
@@ -875,19 +875,25 @@ impl Trace {
     }
 
     fn chrome_string(&self, cp: Option<&CritPath>) -> String {
-        let records = self.spans.len()
-            + self.events.len()
-            + self
-                .counter_tracks()
-                .iter()
-                .map(|(_, _, t)| t.len())
-                .sum::<usize>()
-            + cp.map_or(0, |cp| cp.segments.len() + 2);
-        let capacity = 1024 + 210 * records + 128 * self.threads.len() + 64 * self.decisions.len();
-        let mut out = ChromeOut::new(capacity, None);
+        let mut out = ChromeOut::new(self.chrome_len_estimate(cp), None);
         self.emit_chrome(cp, &mut out)
             .expect("no writer, no I/O error");
         json::into_string(out.buf)
+    }
+
+    /// About how long the export is: each class of record at the mean
+    /// length it has in recorded traces (which moves by a few per cent
+    /// between microsecond and second timestamps), so that
+    /// [`Trace::chrome_string`] reserves close to what it fills — within a
+    /// tenth, a test holds it to that — and does not regrow.
+    fn chrome_len_estimate(&self, cp: Option<&CritPath>) -> usize {
+        let samples: usize = self.counter_tracks().iter().map(|(_, _, t)| t.len()).sum();
+        1024 + 146 * self.spans.len()
+            + 122 * self.events.len()
+            + 98 * samples
+            + 118 * self.threads.len()
+            + 64 * self.decisions.len()
+            + cp.map_or(0, |cp| 180 * (cp.segments.len() + 2))
     }
 
     /// The counter tracks as `(track name, value key, samples)`.
@@ -1096,14 +1102,15 @@ impl Trace {
     /// `otherData`, `ptdfThreads` and `ptdfDecisions` may sit on either
     /// side of `traceEvents`, and only `traceEvents` is required.
     pub fn from_chrome_json(text: &str) -> Result<Trace, String> {
-        type Section = fn(&mut Trace, &mut Reader<'_>) -> Result<(), String>;
+        type Section = fn(&mut Trace, &mut Reader<'_>) -> Option<()>;
         const SECTIONS: [(&str, u8, Section); 4] = [
             ("traceEvents", b'[', Trace::read_records),
             ("otherData", b'{', Trace::read_meta),
             ("ptdfThreads", b'[', Trace::read_threads),
             ("ptdfDecisions", b'[', Trace::read_decisions),
         ];
-        let mut r = Reader::new(text);
+        let mut scratch = Scratch::default();
+        let mut r = Reader::new(text, &mut scratch);
         let mut trace = Trace::default();
         let mut seen = [false; SECTIONS.len()];
         let mut have_events = false;
@@ -1117,11 +1124,12 @@ impl Trace {
                 }
                 have_events |= i == 0;
                 (SECTIONS[i].2)(&mut trace, r)
-            })?;
+            });
         } else {
-            r.skip_value()?;
+            r.skip_value();
         }
-        r.end()?;
+        // Whatever stopped the read above is latched in `r`.
+        r.finish()?;
         if !have_events {
             return Err("missing traceEvents array".into());
         }
@@ -1131,7 +1139,7 @@ impl Trace {
     /// `traceEvents`: each record's known members land in a flat scratch
     /// (`rec` for the record, `args` for its first `args` member), reused
     /// from record to record, and [`Trace::push_record`] reads the slots.
-    fn read_records(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+    fn read_records(&mut self, r: &mut Reader<'_>) -> Option<()> {
         let mut rec = Slots::new(&RECORD_KEYS);
         let mut args = Slots::new(&ARG_KEYS);
         r.array(|r| {
@@ -1143,28 +1151,27 @@ impl Trace {
                     if key == "args" && !std::mem::replace(&mut args_seen, true) {
                         return args.read(r);
                     }
-                    rec.member(r, &key)
+                    rec.member(r, key)
                 })?;
             } else {
                 r.skip_value()?;
             }
-            self.push_record(&rec, &args)
+            self.push_record(r, &rec, &args)
         })
     }
 
     fn push_record(
         &mut self,
+        r: &mut Reader<'_>,
         rec: &Slots<'_, { RECORD_KEYS.len() }>,
         args: &Slots<'_, { ARG_KEYS.len() }>,
-    ) -> Result<(), String> {
+    ) -> Option<()> {
         // Auxiliary tracks (the critical-path lane, metadata records)
         // live on nonzero pids; the recorded trace itself is pid 0.
         if rec.u64(slot!(RECORD_KEYS, "pid")).unwrap_or(0) != 0 {
-            return Ok(());
+            return Some(());
         }
-        let ph = rec
-            .str(slot!(RECORD_KEYS, "ph"))
-            .ok_or("record without ph")?;
+        let ph = r.require(rec.str(slot!(RECORD_KEYS, "ph")), "record without ph")?;
         let name = rec.str(slot!(RECORD_KEYS, "name")).unwrap_or("");
         let proc = rec.u64(slot!(RECORD_KEYS, "tid")).unwrap_or(0) as usize;
         macro_rules! arg_u64 {
@@ -1179,14 +1186,17 @@ impl Trace {
         }
         match ph {
             "X" => {
-                let kind = arg_str!("kind")
-                    .and_then(SpanKind::from_name)
-                    .ok_or("span without kind")?;
+                let kind = r.require(
+                    arg_str!("kind").and_then(SpanKind::from_name),
+                    "span without kind",
+                )?;
                 self.spans.push(Span {
                     proc,
-                    thread: arg_u64!("thread").ok_or("span without thread")? as u32,
-                    start: VirtTime::from_ns(arg_u64!("startNs").ok_or("span without startNs")?),
-                    end: VirtTime::from_ns(arg_u64!("endNs").ok_or("span without endNs")?),
+                    thread: r.require(arg_u64!("thread"), "span without thread")? as u32,
+                    start: VirtTime::from_ns(
+                        r.require(arg_u64!("startNs"), "span without startNs")?,
+                    ),
+                    end: VirtTime::from_ns(r.require(arg_u64!("endNs"), "span without endNs")?),
                     kind,
                 });
             }
@@ -1197,51 +1207,53 @@ impl Trace {
                     },
                     "first-dispatch" => EventKind::FirstDispatch,
                     "block" => EventKind::Block {
-                        reason: arg_str!("reason")
-                            .and_then(BlockReason::from_name)
-                            .ok_or("block without reason")?,
+                        reason: r.require(
+                            arg_str!("reason").and_then(BlockReason::from_name),
+                            "block without reason",
+                        )?,
                         obj: arg_u64!("obj").map(|v| v as u32),
                     },
                     "wake" => EventKind::Wake {
                         waker: arg_u64!("waker").map(|v| v as u32),
                     },
                     "notify" => EventKind::Notify {
-                        reason: arg_str!("reason")
-                            .and_then(BlockReason::from_name)
-                            .ok_or("notify without reason")?,
-                        obj: arg_u64!("obj").ok_or("notify without obj")? as u32,
-                        waiters: arg_u64!("waiters").ok_or("notify without waiters")?,
-                        woken: arg_u64!("woken").ok_or("notify without woken")?,
+                        reason: r.require(
+                            arg_str!("reason").and_then(BlockReason::from_name),
+                            "notify without reason",
+                        )?,
+                        obj: r.require(arg_u64!("obj"), "notify without obj")? as u32,
+                        waiters: r.require(arg_u64!("waiters"), "notify without waiters")?,
+                        woken: r.require(arg_u64!("woken"), "notify without woken")?,
                     },
                     "join" => EventKind::Join {
-                        target: arg_u64!("target").ok_or("join without target")? as u32,
+                        target: r.require(arg_u64!("target"), "join without target")? as u32,
                     },
                     "steal" => EventKind::Steal {
                         victim: arg_u64!("victim").map(|v| v as u32),
                     },
                     "dummy-insert" => EventKind::DummyInsert {
-                        count: arg_u64!("count").ok_or("dummy-insert without count")?,
+                        count: r.require(arg_u64!("count"), "dummy-insert without count")?,
                     },
                     "preempt" => EventKind::Preempt,
                     "stack-reserve" => EventKind::StackReserve {
-                        bytes: arg_u64!("bytes").ok_or("stack-reserve without bytes")?,
+                        bytes: r.require(arg_u64!("bytes"), "stack-reserve without bytes")?,
                     },
                     "stack-release" => EventKind::StackRelease {
-                        bytes: arg_u64!("bytes").ok_or("stack-release without bytes")?,
+                        bytes: r.require(arg_u64!("bytes"), "stack-release without bytes")?,
                     },
                     "alloc" => EventKind::Alloc {
-                        bytes: arg_u64!("bytes").ok_or("alloc without bytes")?,
+                        bytes: r.require(arg_u64!("bytes"), "alloc without bytes")?,
                     },
                     "free-underflow" => EventKind::FreeUnderflow {
-                        bytes: arg_u64!("bytes").ok_or("free-underflow without bytes")?,
+                        bytes: r.require(arg_u64!("bytes"), "free-underflow without bytes")?,
                     },
                     "bound-violation" => EventKind::BoundViolation {
-                        footprint: arg_u64!("footprint")
-                            .ok_or("bound-violation without footprint")?,
-                        bound: arg_u64!("bound").ok_or("bound-violation without bound")?,
+                        footprint: r
+                            .require(arg_u64!("footprint"), "bound-violation without footprint")?,
+                        bound: r.require(arg_u64!("bound"), "bound-violation without bound")?,
                     },
                     "free" => EventKind::Free {
-                        bytes: arg_u64!("bytes").ok_or("free without bytes")?,
+                        bytes: r.require(arg_u64!("bytes"), "free without bytes")?,
                     },
                     "timeout" => EventKind::Timeout {
                         obj: arg_u64!("obj").map(|v| v as u32),
@@ -1251,21 +1263,22 @@ impl Trace {
                         by: arg_u64!("by").map(|v| v as u32),
                     },
                     "deadlock" => EventKind::Deadlock {
-                        cycle: arg_u64!("cycle").ok_or("deadlock without cycle")? as u32,
-                        waits_for: arg_u64!("waitsFor").ok_or("deadlock without waitsFor")? as u32,
+                        cycle: r.require(arg_u64!("cycle"), "deadlock without cycle")? as u32,
+                        waits_for: r.require(arg_u64!("waitsFor"), "deadlock without waitsFor")?
+                            as u32,
                         obj: arg_u64!("obj").map(|v| v as u32),
                     },
-                    other => return Err(format!("unknown instant event {other:?}")),
+                    other => return r.fail(format!("unknown instant event {other:?}")),
                 };
                 self.events.push(Event {
-                    at: VirtTime::from_ns(arg_u64!("ns").ok_or("event without ns")?),
+                    at: VirtTime::from_ns(r.require(arg_u64!("ns"), "event without ns")?),
                     proc,
                     thread: arg_u64!("thread").map(|v| v as u32),
                     kind,
                 });
             }
             "C" => {
-                let at = VirtTime::from_ns(arg_u64!("ns").ok_or("counter without ns")?);
+                let at = VirtTime::from_ns(r.require(arg_u64!("ns"), "counter without ns")?);
                 let (track, value) = match name {
                     "footprint" => (&mut self.counters.footprint, arg_u64!("bytes")),
                     "live-threads" => (&mut self.counters.live_threads, arg_u64!("threads")),
@@ -1273,18 +1286,18 @@ impl Trace {
                     "active-deques" => (&mut self.counters.active_deques, arg_u64!("deques")),
                     "sched-lock-wait" => (&mut self.counters.sched_lock_wait, arg_u64!("waitNs")),
                     "host-pool-cached" => (&mut self.counters.host_pool_cached, arg_u64!("bytes")),
-                    other => return Err(format!("unknown counter {other:?}")),
+                    other => return r.fail(format!("unknown counter {other:?}")),
                 };
-                track.push((at, value.ok_or("counter without value")?));
+                track.push((at, r.require(value, "counter without value")?));
             }
-            other => return Err(format!("unknown phase {other:?}")),
+            other => return r.fail(format!("unknown phase {other:?}")),
         }
-        Ok(())
+        Some(())
     }
 
     /// `otherData`: the config echo and, when its first `hostPhase` member
     /// is an object carrying `enabled`, the host-phase profile.
-    fn read_meta(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+    fn read_meta(&mut self, r: &mut Reader<'_>) -> Option<()> {
         const PHASE_KEYS: [&str; 2] = ["count", "ns"];
         let mut meta = Slots::new(&META_KEYS);
         let mut enabled = Slots::new(&["enabled"]);
@@ -1303,7 +1316,7 @@ impl Trace {
         r.object(|r, key| {
             if key != "hostPhase" || std::mem::replace(&mut hp_seen, true) || r.peek() != Some(b'{')
             {
-                return meta.member(r, &key);
+                return meta.member(r, key);
             }
             r.object(|r, key| {
                 match phases
@@ -1315,9 +1328,9 @@ impl Trace {
                         phase.read(r)?;
                         slot.count = phase.u64(slot!(PHASE_KEYS, "count")).unwrap_or(0);
                         slot.ns = phase.u64(slot!(PHASE_KEYS, "ns")).unwrap_or(0);
-                        Ok(())
+                        Some(())
                     }
-                    None => enabled.member(r, &key),
+                    None => enabled.member(r, key),
                 }
             })
         })?;
@@ -1336,11 +1349,11 @@ impl Trace {
             stats.enabled = enabled.bool(0).unwrap_or(false);
             self.host_phase = Some(stats);
         }
-        Ok(())
+        Some(())
     }
 
     /// `ptdfThreads`: the per-thread lifecycle table.
-    fn read_threads(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+    fn read_threads(&mut self, r: &mut Reader<'_>) -> Option<()> {
         let mut t = Slots::new(&LIFECYCLE_KEYS);
         macro_rules! u {
             ($key:literal) => {
@@ -1350,20 +1363,22 @@ impl Trace {
         r.array(|r| {
             t.read(r)?;
             self.threads.push(ThreadLifecycle {
-                thread: u!("thread").ok_or("lifecycle without thread")? as u32,
-                spawned: VirtTime::from_ns(u!("spawnedNs").ok_or("lifecycle without spawnedNs")?),
+                thread: r.require(u!("thread"), "lifecycle without thread")? as u32,
+                spawned: VirtTime::from_ns(
+                    r.require(u!("spawnedNs"), "lifecycle without spawnedNs")?,
+                ),
                 first_dispatch: u!("firstDispatchNs").map(VirtTime::from_ns),
                 ready_wait: VirtTime::from_ns(u!("readyWaitNs").unwrap_or(0)),
                 quanta: u!("quanta").unwrap_or(0),
                 exited: u!("exitedNs").map(VirtTime::from_ns),
             });
-            Ok(())
+            Some(())
         })
     }
 
     /// `ptdfDecisions`: the schedule decision log. Absent in documents
     /// written before the log existed, which load with an empty one.
-    fn read_decisions(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+    fn read_decisions(&mut self, r: &mut Reader<'_>) -> Option<()> {
         let mut d = Slots::new(&DECISION_KEYS);
         macro_rules! u {
             ($key:literal) => {
@@ -1373,16 +1388,17 @@ impl Trace {
         r.array(|r| {
             d.read(r)?;
             self.decisions.push(crate::oracle::Decision {
-                kind: d
-                    .str(slot!(DECISION_KEYS, "k"))
-                    .and_then(crate::oracle::DecisionKind::from_name)
-                    .ok_or("decision without kind")?,
-                at: VirtTime::from_ns(u!("ns").ok_or("decision without ns")?),
-                n: u!("n").ok_or("decision without n")? as u32,
-                chosen: u!("chosen").ok_or("decision without chosen")? as u32,
+                kind: r.require(
+                    d.str(slot!(DECISION_KEYS, "k"))
+                        .and_then(crate::oracle::DecisionKind::from_name),
+                    "decision without kind",
+                )?,
+                at: VirtTime::from_ns(r.require(u!("ns"), "decision without ns")?),
+                n: r.require(u!("n"), "decision without n")? as u32,
+                chosen: r.require(u!("chosen"), "decision without chosen")? as u32,
                 obj: u!("obj").map(|o| o as u32),
             });
-            Ok(())
+            Some(())
         })
     }
 }
@@ -1534,12 +1550,10 @@ impl<'w> ChromeOut<'w> {
             b'0' + (frac / 10 % 10) as u8,
             b'0' + (frac % 10) as u8,
         ];
-        // Trailing zeros go, but one digit stays after the point.
-        let mut keep = digits.len();
-        while keep > 2 && digits[keep - 1] == b'0' {
-            keep -= 1;
-        }
-        self.buf.extend_from_slice(&digits[..keep]);
+        self.buf.extend_from_slice(&digits);
+        // Trailing zeros go again, but one digit stays after the point.
+        let zeros = digits[2..].iter().rev().take_while(|&&d| d == b'0').count();
+        self.buf.truncate(self.buf.len() - zeros);
     }
 }
 
@@ -1603,6 +1617,37 @@ mod tests {
         // Lossless round trip.
         let back = Trace::from_chrome_json(&json).expect("parse back");
         assert_eq!(back, trace);
+    }
+
+    /// The one string of a trace that can need escaping is the scheduler
+    /// name; escaped, it is not a slice of the document, and reaches
+    /// `TraceMeta` through the reader's scratch.
+    #[test]
+    fn scheduler_names_that_need_escaping_round_trip() {
+        let mut trace = hostile_trace();
+        for name in [
+            "",
+            "\"",
+            "\\",
+            "quoted \"df\" \\ back\\slash",
+            "ctl \u{0}\u{1}\u{8}\t\n\u{c}\r\u{1f} end",
+            "non-ASCII: héllo ✓ 数 😀",
+            "all at once: \"é\"\\\n😀\u{7f}\u{80}/",
+        ] {
+            trace.meta.scheduler = name.to_string();
+            let json = trace.to_chrome_json();
+            let back = Trace::from_chrome_json(&json).expect("parse back");
+            assert_eq!(back.meta.scheduler, name, "{json:.120}");
+            assert!(back == trace, "{name:?}");
+            // A second, later escaped string must not disturb the first.
+            let noted = json.replacen(
+                "\"otherData\":{",
+                "\"otherData\":{\"n\\u006fte\":\"\\\\\",",
+                1,
+            );
+            let late = format!("{},\"\\u0078\":\"\\n\"}}", &noted[..noted.len() - 1]);
+            assert!(Trace::from_chrome_json(&late).expect("parse back") == trace);
+        }
     }
 
     #[test]
@@ -2217,6 +2262,39 @@ mod tests {
         assert_eq!(exact(0), "0.0");
         assert_eq!(exact(1_500), "1.5");
         assert_eq!(exact(999_999_999_999_999), "999999999999.999");
+    }
+
+    #[test]
+    fn export_reserves_within_a_tenth_of_what_it_writes() {
+        for kind in [SchedKind::Fifo, SchedKind::Df, SchedKind::Ws] {
+            let cfg = Config::new(4, kind).with_trace();
+            let (_, report) = run(cfg, || {
+                let m = crate::Mutex::new(0u64);
+                scope(|s| {
+                    for i in 0..400 {
+                        let m = m.clone();
+                        s.spawn(move || {
+                            crate::work(500 + i);
+                            *m.lock() += 1;
+                        });
+                    }
+                })
+            });
+            let trace = report.trace.expect("trace enabled");
+            let cp = crate::critpath::analyze(&trace);
+            for (cp, json) in [
+                (None, trace.to_chrome_json()),
+                (Some(&cp), trace.to_chrome_json_with_critpath(&cp)),
+            ] {
+                let reserved = trace.chrome_len_estimate(cp);
+                assert_eq!(json.capacity(), reserved, "{kind:?}: the buffer regrew");
+                assert!(
+                    reserved * 10 <= json.len() * 11,
+                    "{kind:?}: {reserved} B reserved for {} B of text",
+                    json.len()
+                );
+            }
+        }
     }
 
     #[test]

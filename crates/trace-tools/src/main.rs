@@ -55,8 +55,10 @@
 //!   replayable decision prefix for every violation class; `--replay`
 //!   re-executes a single counter-example prefix bit-exactly.
 //!
-//! Exit status: 0 on success, 1 on a failed validation/audit or a found
-//! violation, 2 on usage or I/O errors.
+//! Exit status: 0 on success; 1 on a failed validation/audit, a found
+//! violation, or — for every subcommand that reads traces — a file that
+//! reads but is not a trace document (one `path: reason` line); 2 on usage
+//! or I/O errors.
 
 use std::process::ExitCode;
 
@@ -77,14 +79,35 @@ fn main() -> ExitCode {
             eprint!("{USAGE}");
             Ok(ExitCode::from(if args.is_empty() { 2 } else { 0 }))
         }
-        Some(other) => Err(format!("unknown subcommand `{other}`\n{USAGE}")),
+        Some(other) => Err(format!("unknown subcommand `{other}`\n{USAGE}").into()),
     };
     match code {
         Ok(c) => c,
-        Err(msg) => {
+        Err(failure) => {
+            let (msg, code) = match failure {
+                Failure::Usage(msg) => (msg, 2),
+                Failure::NotATrace(msg) => (msg, 1),
+            };
             eprintln!("ptdf-trace: {msg}");
-            ExitCode::from(2)
+            ExitCode::from(code)
         }
+    }
+}
+
+/// Why a subcommand stopped before its own verdict.
+#[derive(Debug)]
+enum Failure {
+    /// Bad usage or an I/O error: exit 2.
+    Usage(String),
+    /// A file that was read but is not a trace document (`path: reason`).
+    /// That is an answer about the input, not a failure to get at it:
+    /// exit 1, like any other check the input fails.
+    NotATrace(String),
+}
+
+impl<S: Into<String>> From<S> for Failure {
+    fn from(msg: S) -> Self {
+        Failure::Usage(msg.into())
     }
 }
 
@@ -142,18 +165,18 @@ commands:
       replayed schedule violates), 0 if the space is clean.
 ";
 
-fn load(path: &str) -> Result<Trace, String> {
+fn load(path: &str) -> Result<Trace, Failure> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    Trace::from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))
+    Trace::from_chrome_json(&text).map_err(|e| Failure::NotATrace(format!("{path}: {e}")))
 }
 
 // ---------------------------------------------------------------------------
 // summarize
 // ---------------------------------------------------------------------------
 
-fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_summarize(args: &[String]) -> Result<ExitCode, Failure> {
     let [path] = args else {
-        return Err(format!("summarize expects one trace file\n{USAGE}"));
+        return Err(format!("summarize expects one trace file\n{USAGE}").into());
     };
     let trace = load(path)?;
     print!("{}", summarize(&trace));
@@ -320,7 +343,7 @@ fn track_max(track: &[(VirtTime, u64)]) -> u64 {
 // critpath
 // ---------------------------------------------------------------------------
 
-fn cmd_critpath(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_critpath(args: &[String]) -> Result<ExitCode, Failure> {
     let mut path = None;
     let mut top = 5usize;
     let mut json = false;
@@ -346,7 +369,7 @@ fn cmd_critpath(args: &[String]) -> Result<ExitCode, String> {
             other if path.is_none() && !other.starts_with("--") => {
                 path = Some(other.to_string())
             }
-            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
+            other => return Err(format!("unexpected argument `{other}`\n{USAGE}").into()),
         }
     }
     let path = path.ok_or_else(|| format!("critpath expects a trace file\n{USAGE}"))?;
@@ -516,7 +539,7 @@ fn critpath_json(cp: &ptdf::CritPath) -> ptdf::json::Value {
 // validate
 // ---------------------------------------------------------------------------
 
-fn cmd_validate(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_validate(args: &[String]) -> Result<ExitCode, Failure> {
     let mut path = None;
     let mut s1 = None;
     let mut depth = None;
@@ -536,19 +559,19 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, String> {
             other if path.is_none() && !other.starts_with("--") => {
                 path = Some(other.to_string())
             }
-            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
+            other => return Err(format!("unexpected argument `{other}`\n{USAGE}").into()),
         }
     }
     let path = path.ok_or_else(|| format!("validate expects a trace file\n{USAGE}"))?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    // A file that is not a trace document has failed validation (exit 1);
-    // only a file that cannot be read is an I/O error (exit 2).
-    let trace = match Trace::from_chrome_json(&text) {
+    // A file that is not a trace document has failed validation, and is
+    // reported like the other checks.
+    let trace = match load(&path) {
         Ok(trace) => trace,
-        Err(e) => {
-            println!("structure   FAIL: {path}: {e}");
+        Err(Failure::NotATrace(reason)) => {
+            println!("structure   FAIL: {reason}");
             return Ok(ExitCode::FAILURE);
         }
+        Err(other) => return Err(other),
     };
 
     match trace.validate() {
@@ -589,7 +612,7 @@ fn parse_flag_u64(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u
 // audit
 // ---------------------------------------------------------------------------
 
-fn cmd_audit(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_audit(args: &[String]) -> Result<ExitCode, Failure> {
     let mut paths = Vec::new();
     let mut s1 = None;
     let mut depth = None;
@@ -607,11 +630,11 @@ fn cmd_audit(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|e| format!("--factor: {e}"))?
             }
             other if !other.starts_with("--") => paths.push(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
+            other => return Err(format!("unexpected argument `{other}`\n{USAGE}").into()),
         }
     }
     if paths.is_empty() {
-        return Err(format!("audit expects at least one trace file\n{USAGE}"));
+        return Err(format!("audit expects at least one trace file\n{USAGE}").into());
     }
     let s1 = s1.ok_or_else(|| format!("audit requires --s1\n{USAGE}"))?;
     let depth = depth.ok_or_else(|| format!("audit requires --depth\n{USAGE}"))?;
@@ -672,9 +695,9 @@ fn audit(path: &str, trace: &Trace, s1: u64, depth: u64, factor: f64) -> (String
 // check
 // ---------------------------------------------------------------------------
 
-fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_check(args: &[String]) -> Result<ExitCode, Failure> {
     if args.is_empty() {
-        return Err(format!("check expects at least one trace file\n{USAGE}"));
+        return Err(format!("check expects at least one trace file\n{USAGE}").into());
     }
     let mut dirty = false;
     for path in args {
@@ -731,9 +754,9 @@ fn render_check(path: &str, report: &ptdf::CheckReport) -> String {
 // diff
 // ---------------------------------------------------------------------------
 
-fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_diff(args: &[String]) -> Result<ExitCode, Failure> {
     let [a, b] = args else {
-        return Err(format!("diff expects two trace files\n{USAGE}"));
+        return Err(format!("diff expects two trace files\n{USAGE}").into());
     };
     let ta = load(a)?;
     let tb = load(b)?;
@@ -896,7 +919,7 @@ fn parse_sched(name: &str) -> Result<ptdf::SchedKind, String> {
     })
 }
 
-fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
     let mut litmus_name: Option<String> = None;
     let mut sched = ptdf::SchedKind::Fifo;
     let mut depth = 4usize;
@@ -935,11 +958,11 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
             }
             "--legacy-lazy-eviction" => lazy = true,
             "--json" => json = true,
-            other => return Err(format!("unknown explore flag `{other}`\n{USAGE}")),
+            other => return Err(format!("unknown explore flag `{other}`\n{USAGE}").into()),
         }
     }
     let Some(name) = litmus_name else {
-        return Err(format!("explore requires --litmus <name|all>\n{USAGE}"));
+        return Err(format!("explore requires --litmus <name|all>\n{USAGE}").into());
     };
     let programs: Vec<&ptdf::Litmus> = if name == "all" {
         ptdf::litmus().iter().collect()
@@ -957,7 +980,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
 
     if let Some(prefix) = replay {
         let [l] = programs[..] else {
-            return Err("--replay requires a single named --litmus".to_string());
+            return Err("--replay requires a single named --litmus".into());
         };
         let out = with_quiet_panics(|| ptdf::replay_schedule(config(l), &prefix, l.body));
         println!(
@@ -1320,7 +1343,7 @@ mod tests {
     /// `load` path.
     fn fixture(name: &str) -> Trace {
         let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-        load(&path).unwrap_or_else(|e| panic!("fixture {name}: {e}"))
+        load(&path).unwrap_or_else(|e| panic!("fixture {name}: {e:?}"))
     }
 
     /// Asserts `text` carries no float-formatting accidents: a degenerate
