@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 pub mod drivers;
 pub mod plot;
@@ -64,8 +64,14 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Prints the aligned table and writes the CSV; returns the CSV path.
+    /// Prints the aligned table and writes the CSV to
+    /// [`experiments_dir`]; returns the CSV path.
     pub fn finish(&self) -> PathBuf {
+        self.finish_in(&experiments_dir())
+    }
+
+    /// [`Table::finish`] with the CSV written to `dir`.
+    pub fn finish_in(&self, dir: &Path) -> PathBuf {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
@@ -97,8 +103,7 @@ impl Table {
         }
         println!("{out}");
         // CSV.
-        let dir = experiments_dir();
-        let _ = std::fs::create_dir_all(&dir);
+        let _ = std::fs::create_dir_all(dir);
         let path = dir.join(format!("{}.csv", self.name));
         let mut csv = csv_line(&self.headers);
         for row in &self.rows {
@@ -184,12 +189,10 @@ mod tests {
     #[test]
     fn table_writes_csv_with_all_rows() {
         let dir = std::env::temp_dir().join("ptdf_table_test");
-        std::env::set_var("REPRO_OUT", &dir);
         let mut t = Table::new("unit_test_table", "t", &["a", "b"]);
         t.row(vec!["1".into(), "x, y".into()]);
         t.row(vec!["2".into(), "z".into()]);
-        let path = t.finish();
-        std::env::remove_var("REPRO_OUT");
+        let path = t.finish_in(&dir);
         let body = std::fs::read_to_string(path).unwrap();
         assert_eq!(body, "a,b\n1,\"x, y\"\n2,z\n");
         let _ = std::fs::remove_dir_all(dir);

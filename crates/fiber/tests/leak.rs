@@ -6,11 +6,13 @@
 //! still owned by a frame beneath it is lost for good; this test pins the
 //! exit protocol that makes those frames own nothing (see
 //! `ptdf_fiber_entry`). It needs its own binary for the counting
-//! `#[global_allocator]`, and a single `#[test]` so nothing else allocates
-//! while it counts.
+//! `#[global_allocator]`. libtest's main thread allocates while a test runs,
+//! so the allocator counts only on the test's thread and on threads started
+//! after the test armed it (the portable backend's fibers are OS threads).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering::Relaxed};
 
 use ptdf_fiber::{Coroutine, Step};
 
@@ -19,21 +21,55 @@ struct Counting;
 static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 
+/// Set by [`arm`]; a thread that allocates for the first time after it
+/// counts, one that allocated before it (libtest's main thread) never does.
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread's allocations count; `None` until its first one.
+    /// Const-initialised and without a destructor, so reading it inside the
+    /// allocator neither allocates nor fails during thread teardown.
+    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+fn counted() -> bool {
+    COUNTED.with(|c| {
+        c.get().unwrap_or_else(|| {
+            let armed = ARMED.load(Relaxed);
+            c.set(Some(armed));
+            armed
+        })
+    })
+}
+
+/// Starts counting on the calling thread and on every thread started from
+/// now on.
+fn arm() {
+    COUNTED.with(|c| c.set(Some(true)));
+    ARMED.store(true, Relaxed);
+}
+
 // SAFETY: defers every request to `System` unchanged; the counters are
 // statistics and touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BLOCKS.fetch_add(1, Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
+        if counted() {
+            LIVE_BLOCKS.fetch_add(1, Relaxed);
+            LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
+        }
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BLOCKS.fetch_sub(1, Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
+        if counted() {
+            LIVE_BLOCKS.fetch_sub(1, Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
+        }
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+        if counted() {
+            LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -81,6 +117,7 @@ fn dropped_suspended(n: usize) {
 
 #[test]
 fn finished_coroutines_leave_no_heap_blocks_behind() {
+    arm();
     // Once-only allocations (the forced-unwind panic-hook filter, lazily
     // initialised runtime state) happen here, before the baseline.
     completed(2);

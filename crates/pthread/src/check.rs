@@ -58,6 +58,7 @@ use std::collections::{HashMap, HashSet};
 use ptdf_smp::VirtTime;
 
 use crate::critpath::{causal_edge, CausalEdge};
+use crate::index::TraceIndex;
 use crate::trace::{BlockReason, EventKind, Trace};
 
 /// One causality violation found in a trace.
@@ -292,26 +293,53 @@ impl CheckReport {
     }
 }
 
-/// Sparse vector clock: thread id → last observed event counter.
+/// Sparse vector clock: `(thread id, last observed event counter)`, sorted by
+/// thread id.
 #[derive(Debug, Clone, Default, PartialEq)]
-struct Vc(HashMap<u32, u64>);
+struct Vc(Vec<(u32, u64)>);
 
 impl Vc {
+    fn position(&self, t: u32) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&t, |&(thread, _)| thread)
+    }
+
     fn tick(&mut self, t: u32) -> u64 {
-        let e = self.0.entry(t).or_insert(0);
-        *e += 1;
-        *e
+        let i = self.position(t).unwrap_or_else(|i| {
+            self.0.insert(i, (t, 0));
+            i
+        });
+        self.0[i].1 += 1;
+        self.0[i].1
     }
 
     fn get(&self, t: u32) -> u64 {
-        self.0.get(&t).copied().unwrap_or(0)
+        self.position(t).map_or(0, |i| self.0[i].1)
     }
 
+    /// Componentwise maximum: one merge of the two sorted lists.
     fn join(&mut self, other: &Vc) {
-        for (&t, &c) in &other.0 {
-            let e = self.0.entry(t).or_insert(0);
-            *e = (*e).max(c);
+        if other.0.is_empty() {
+            return;
         }
+        let mut mine = std::mem::take(&mut self.0).into_iter().peekable();
+        for &(t, c) in &other.0 {
+            while let Some(entry) = mine.next_if(|m| m.0 < t) {
+                self.0.push(entry);
+            }
+            let c = mine.next_if(|m| m.0 == t).map_or(c, |m| m.1.max(c));
+            self.0.push((t, c));
+        }
+        self.0.extend(mine);
+    }
+}
+
+/// `vcs[into]` absorbs the clock of the thread in slot `from`; a thread
+/// without a slot has no clock to absorb.
+fn absorb(vcs: &mut [Vc], into: usize, from: Option<usize>) {
+    if let Some(from) = from.filter(|&from| from != into) {
+        let other = std::mem::take(&mut vcs[from]);
+        vcs[into].join(&other);
+        vcs[from] = other;
     }
 }
 
@@ -344,14 +372,13 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
 /// pairs it ended with — the checker's only per-handoff state, which must
 /// stay bounded by objects × threads however long the trace is.
 fn check(trace: &Trace) -> (CheckReport, usize) {
-    let mut order: Vec<usize> = (0..trace.events.len()).collect();
-    order.sort_by_key(|&i| trace.events[i].at);
-
+    let idx = TraceIndex::new(trace);
     let track_vcs = trace.threads.len() <= VC_THREAD_LIMIT;
     let mut violations = Vec::new();
-    let mut vcs: HashMap<u32, Vc> = HashMap::new();
+    // Per-thread state lives in vectors keyed by the index's thread slot.
+    let mut vcs = vec![Vc::default(); if track_vcs { idx.threads() } else { 0 }];
+    let mut pending: Vec<Option<PendingBlock>> = (0..idx.threads()).map(|_| None).collect();
     let mut obj_vcs: HashMap<u32, Vc> = HashMap::new();
-    let mut pending: HashMap<u32, PendingBlock> = HashMap::new();
     // (sync-object id, thread) for every thread that performed a Notify on
     // the object: a set, so a long-lived mutex costs one entry per thread
     // that ever handed it off, not one per handoff.
@@ -360,27 +387,32 @@ fn check(trace: &Trace) -> (CheckReport, usize) {
     // Only a notifier's first one is kept — its counter is the smallest, so
     // whenever a later one is in a thread's causal past, so is the first.
     let mut naked: HashMap<u32, Vec<(u32, u64, VirtTime)>> = HashMap::new();
-    // Thread id → exit time; the first lifecycle entry for an id wins.
-    let mut exits: HashMap<u32, Option<VirtTime>> = HashMap::with_capacity(trace.threads.len());
-    for lc in &trace.threads {
-        exits.entry(lc.thread).or_insert(lc.exited);
-    }
     // Sentinel-recorded deadlocks: cycle id → (detection time, members in
     // waits-for order — the runtime publishes one event per member, in
     // cycle order, at the same timestamp).
     let mut cycles: HashMap<u32, (VirtTime, Vec<u32>)> = HashMap::new();
 
-    let tick = |vcs: &mut HashMap<u32, Vc>, t: u32| -> u64 {
-        if track_vcs {
-            vcs.entry(t).or_default().tick(t)
-        } else {
-            0
-        }
-    };
+    // Machine-recorded memory diagnostics, reported after everything else.
+    // (They ride in with `thread: None`, which the causality rules skip.)
+    let mut memory = Vec::new();
 
-    for &i in &order {
-        let e = &trace.events[i];
+    for e in idx.events() {
+        match e.kind {
+            EventKind::FreeUnderflow { bytes } => {
+                memory.push(Violation::FreeUnderflow { bytes, at: e.at });
+            }
+            EventKind::BoundViolation { footprint, bound } => {
+                memory.push(Violation::SpaceBound {
+                    footprint,
+                    bound,
+                    at: e.at,
+                });
+            }
+            _ => {}
+        }
         let Some(subject) = e.thread else { continue };
+        let s = idx.slot(subject).expect("an event's subject has a slot");
+        let tick = |vcs: &mut [Vc]| if track_vcs { vcs[s].tick(subject) } else { 0 };
         // The happens-before content of the event, shared with the
         // critical-path analyzer (`critpath::analyze`): every vector-clock
         // join below consumes a [`CausalEdge`], so the two features cannot
@@ -389,17 +421,17 @@ fn check(trace: &Trace) -> (CheckReport, usize) {
         match e.kind {
             EventKind::Spawn { .. } => {
                 if track_vcs {
-                    if let Some(CausalEdge::Spawn { parent, child }) = edge {
-                        tick(&mut vcs, parent);
-                        let pvc = vcs.get(&parent).cloned().unwrap_or_default();
-                        vcs.entry(child).or_default().join(&pvc);
+                    if let Some(CausalEdge::Spawn { parent, .. }) = edge {
+                        let p = idx.slot(parent).expect("a spawn parent has a slot");
+                        vcs[p].tick(parent);
+                        absorb(&mut vcs, s, Some(p));
                     }
-                    tick(&mut vcs, subject);
                 }
+                tick(&mut vcs);
             }
             EventKind::Block { reason, obj } => {
-                tick(&mut vcs, subject);
-                if let Some(prev) = pending.get(&subject) {
+                tick(&mut vcs);
+                if let Some(prev) = &pending[s] {
                     violations.push(Violation::DoubleBlock {
                         thread: subject,
                         first: prev.at,
@@ -409,27 +441,23 @@ fn check(trace: &Trace) -> (CheckReport, usize) {
                 let mut missed_notify = None;
                 if let Some(CausalEdge::BlockPublish { obj: o, .. }) = edge {
                     if track_vcs {
-                        let svc = vcs.entry(subject).or_default().clone();
                         // Waits-past-notify precondition: a naked notify on
                         // this object already in our causal past.
                         if let Some(list) = naked.get(&o) {
                             missed_notify = list
                                 .iter()
-                                .find(|&&(w, c, _)| svc.get(w) >= c)
+                                .find(|&&(w, c, _)| vcs[s].get(w) >= c)
                                 .map(|&(_, _, at)| at);
                         }
-                        obj_vcs.entry(o).or_default().join(&svc);
+                        obj_vcs.entry(o).or_default().join(&vcs[s]);
                     }
                 }
-                pending.insert(
-                    subject,
-                    PendingBlock {
-                        reason,
-                        obj,
-                        at: e.at,
-                        missed_notify,
-                    },
-                );
+                pending[s] = Some(PendingBlock {
+                    reason,
+                    obj,
+                    at: e.at,
+                    missed_notify,
+                });
             }
             EventKind::Notify {
                 reason,
@@ -437,12 +465,12 @@ fn check(trace: &Trace) -> (CheckReport, usize) {
                 waiters,
                 woken,
             } => {
-                let counter = tick(&mut vcs, subject);
+                let counter = tick(&mut vcs);
                 if track_vcs {
-                    if let Some(CausalEdge::NotifyExchange { thread, obj }) = edge {
+                    if let Some(CausalEdge::NotifyExchange { obj, .. }) = edge {
                         let ovc = obj_vcs.entry(obj).or_default();
-                        vcs.entry(thread).or_default().join(ovc);
-                        ovc.join(vcs.get(&thread).expect("just ticked"));
+                        vcs[s].join(ovc);
+                        ovc.join(&vcs[s]);
                     }
                 }
                 notifiers.insert((obj, subject));
@@ -461,74 +489,23 @@ fn check(trace: &Trace) -> (CheckReport, usize) {
                     }
                 }
             }
-            EventKind::Wake { waker } => {
-                match pending.remove(&subject) {
-                    None => violations.push(Violation::SpuriousWake {
+            EventKind::Wake { .. } | EventKind::Timeout { .. } | EventKind::Cancel { .. } => {
+                // The three ways a block ends. Only a wake needs a notifier:
+                // a timeout is published by the deadline heap
+                // (`CausalEdge::Timeout` carries no inbound ordering) and a
+                // cancel by the canceller — the sanctioned exceptions to the
+                // handoff protocol, with join wakes. And only a cancel may
+                // find no block: delivery at a cancellation point the thread
+                // reached while running has none to resolve.
+                let block = pending[s].take();
+                if block.is_none() && !matches!(e.kind, EventKind::Cancel { .. }) {
+                    violations.push(Violation::SpuriousWake {
                         thread: subject,
                         at: e.at,
-                    }),
-                    Some(block) => {
-                        if e.at < block.at {
-                            violations.push(Violation::WakeTimeInversion {
-                                thread: subject,
-                                blocked_at: block.at,
-                                woken_at: e.at,
-                            });
-                        }
-                        // Handoff protocol: an object-blocked thread may
-                        // only be woken by a thread that notified the
-                        // object. Join blocks (obj None) are woken by the
-                        // exiting target directly.
-                        if let Some(o) = block.obj {
-                            let sanctioned = waker.is_some_and(|w| notifiers.contains(&(o, w)));
-                            if !sanctioned {
-                                violations.push(Violation::WakeWithoutNotify {
-                                    thread: subject,
-                                    waker,
-                                    obj: o,
-                                    at: e.at,
-                                });
-                            }
-                        }
-                        if track_vcs {
-                            if let Some(CausalEdge::Wake { waker: Some(w), .. }) = edge {
-                                let wvc = vcs.get(&w).cloned().unwrap_or_default();
-                                vcs.entry(subject).or_default().join(&wvc);
-                            }
-                            tick(&mut vcs, subject);
-                        }
-                    }
+                    });
+                    continue;
                 }
-            }
-            EventKind::Timeout { obj: _ } => {
-                // A timed wait expired: the deadline heap, not a notifier,
-                // published this wake — sanctioned without a Notify edge
-                // (`CausalEdge::Timeout` carries no inbound ordering).
-                match pending.remove(&subject) {
-                    None => violations.push(Violation::SpuriousWake {
-                        thread: subject,
-                        at: e.at,
-                    }),
-                    Some(block) => {
-                        if e.at < block.at {
-                            violations.push(Violation::WakeTimeInversion {
-                                thread: subject,
-                                blocked_at: block.at,
-                                woken_at: e.at,
-                            });
-                        }
-                        tick(&mut vcs, subject);
-                    }
-                }
-            }
-            EventKind::Cancel { .. } => {
-                // A cancellation was delivered: the canceller, not a
-                // notifier, published this wake — the third sanctioned
-                // exception to the handoff protocol (with join wakes and
-                // timeouts). Unlike Timeout, a Cancel with no pending block
-                // is NOT spurious: delivery at a cancellation point the
-                // thread reached while running has no block to resolve.
-                if let Some(block) = pending.remove(&subject) {
+                if let Some(block) = block {
                     if e.at < block.at {
                         violations.push(Violation::WakeTimeInversion {
                             thread: subject,
@@ -536,31 +513,46 @@ fn check(trace: &Trace) -> (CheckReport, usize) {
                             woken_at: e.at,
                         });
                     }
-                }
-                if track_vcs {
-                    if let Some(CausalEdge::Cancel { by: Some(w), .. }) = edge {
-                        let wvc = vcs.get(&w).cloned().unwrap_or_default();
-                        vcs.entry(subject).or_default().join(&wvc);
+                    // Handoff protocol: an object-blocked thread may only be
+                    // woken by a thread that notified the object. Join
+                    // blocks (obj None) are woken by the exiting target.
+                    if let (EventKind::Wake { waker }, Some(o)) = (e.kind, block.obj) {
+                        if !waker.is_some_and(|w| notifiers.contains(&(o, w))) {
+                            violations.push(Violation::WakeWithoutNotify {
+                                thread: subject,
+                                waker,
+                                obj: o,
+                                at: e.at,
+                            });
+                        }
                     }
                 }
-                tick(&mut vcs, subject);
+                if let Some(
+                    CausalEdge::Wake { waker: Some(w), .. }
+                    | CausalEdge::Cancel { by: Some(w), .. },
+                ) = edge
+                {
+                    if track_vcs {
+                        absorb(&mut vcs, s, idx.slot(w));
+                    }
+                }
+                tick(&mut vcs);
             }
             EventKind::Deadlock { cycle, .. } => {
-                tick(&mut vcs, subject);
+                tick(&mut vcs);
                 let slot = cycles.entry(cycle).or_insert_with(|| (e.at, Vec::new()));
                 if !slot.1.contains(&subject) {
                     slot.1.push(subject);
                 }
             }
             EventKind::Join { target } => {
-                tick(&mut vcs, subject);
-                if track_vcs {
-                    if let Some(CausalEdge::Join { target, joiner }) = edge {
-                        let tvc = vcs.get(&target).cloned().unwrap_or_default();
-                        vcs.entry(joiner).or_default().join(&tvc);
+                tick(&mut vcs);
+                if let Some(CausalEdge::Join { target, .. }) = edge {
+                    if track_vcs {
+                        absorb(&mut vcs, s, idx.slot(target));
                     }
                 }
-                if let Some(&Some(exit)) = exits.get(&target) {
+                if let Some(exit) = idx.exit_of(target) {
                     if e.at < exit {
                         violations.push(Violation::JoinBeforeExit {
                             joiner: subject,
@@ -572,7 +564,7 @@ fn check(trace: &Trace) -> (CheckReport, usize) {
                 }
             }
             _ => {
-                tick(&mut vcs, subject);
+                tick(&mut vcs);
             }
         }
     }
@@ -587,9 +579,10 @@ fn check(trace: &Trace) -> (CheckReport, usize) {
 
     // Threads still blocked at end of trace: lost wakeups; refine with the
     // vector-clock waits-past-notify evidence gathered at block time.
-    let mut stranded: Vec<_> = pending.into_iter().collect();
-    stranded.sort_by_key(|&(t, _)| t);
-    for (thread, block) in stranded {
+    // Slots ascend with thread ids, so these come out in thread order.
+    for (slot, block) in pending.into_iter().enumerate() {
+        let Some(block) = block else { continue };
+        let thread = idx.thread(slot);
         violations.push(Violation::LostWakeup {
             thread,
             reason: block.reason,
@@ -639,24 +632,7 @@ fn check(trace: &Trace) -> (CheckReport, usize) {
         }
     }
 
-    // Machine-recorded memory diagnostics ride in with `thread: None`, which
-    // the causality loop above deliberately skips — scan them separately.
-    for &i in &order {
-        let e = &trace.events[i];
-        match e.kind {
-            EventKind::FreeUnderflow { bytes } => {
-                violations.push(Violation::FreeUnderflow { bytes, at: e.at });
-            }
-            EventKind::BoundViolation { footprint, bound } => {
-                violations.push(Violation::SpaceBound {
-                    footprint,
-                    bound,
-                    at: e.at,
-                });
-            }
-            _ => {}
-        }
-    }
+    violations.append(&mut memory);
 
     let report = CheckReport {
         violations,

@@ -33,10 +33,11 @@
 //! with the vector-clock checker in `check.rs`, so the two features cannot
 //! drift apart on what constitutes a happens-before edge.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ptdf_smp::VirtTime;
 
+use crate::index::TraceIndex;
 use crate::trace::{BlockReason, Event, EventKind, Trace};
 
 /// A happens-before edge carried by one trace [`Event`], as consumed by
@@ -312,25 +313,18 @@ pub struct ObjectWait {
 /// the waits per `(reason, obj)`. Sorted by total descending (ties: reason
 /// name, then id).
 pub fn object_waits(trace: &Trace) -> Vec<ObjectWait> {
-    let mut order: Vec<usize> = (0..trace.events.len()).collect();
-    order.sort_by_key(|&i| trace.events[i].at);
-    let mut pending: HashMap<u32, (VirtTime, BlockReason, u32)> = HashMap::new();
+    let idx = TraceIndex::new(trace);
+    // Each thread's open block on a sync object, by thread slot.
+    let mut pending: Vec<Option<(VirtTime, BlockReason, u32)>> = vec![None; idx.threads()];
     let mut agg: HashMap<(BlockReason, u32), ObjectWait> = HashMap::new();
-    for &i in &order {
-        let e = &trace.events[i];
-        let Some(t) = e.thread else { continue };
+    for e in idx.events() {
+        let Some(slot) = e.thread.and_then(|t| idx.slot(t)) else {
+            continue;
+        };
         match e.kind {
-            EventKind::Block {
-                reason,
-                obj: Some(o),
-            } => {
-                pending.insert(t, (e.at, reason, o));
-            }
-            EventKind::Block { obj: None, .. } => {
-                pending.remove(&t);
-            }
+            EventKind::Block { reason, obj } => pending[slot] = obj.map(|o| (e.at, reason, o)),
             EventKind::Wake { .. } | EventKind::Timeout { .. } | EventKind::Cancel { .. } => {
-                if let Some((at, reason, o)) = pending.remove(&t) {
+                if let Some((at, reason, o)) = pending[slot].take() {
                     let wait = e.at.since(at);
                     let entry = agg.entry((reason, o)).or_insert(ObjectWait {
                         reason,
@@ -357,8 +351,8 @@ pub fn object_waits(trace: &Trace) -> Vec<ObjectWait> {
     out
 }
 
-/// Why a span's thread got dispatched, reconstructed per span by a forward
-/// pass over each thread's events.
+/// Why a span's thread got dispatched, reconstructed per span by one forward
+/// pass over the events.
 #[derive(Debug, Clone, Copy)]
 enum Cause {
     /// A wake published at `at`, optionally resolving a block.
@@ -386,16 +380,25 @@ struct Window {
     floor: VirtTime,
 }
 
+/// One thread's state in the forward pass that binds dispatch causes to
+/// spans: a merge of the thread's events with its sorted spans.
+#[derive(Clone, Default)]
+struct Cursor {
+    /// Position in the thread's span list of the next span to bind.
+    next: usize,
+    pending: Option<(VirtTime, BlockReason, Option<u32>)>,
+    resolution: Option<Cause>,
+}
+
 struct Analyzer<'a> {
     trace: &'a Trace,
-    /// Span indices per thread, sorted by `(start, end, idx)`.
-    by_thread: HashMap<u32, Vec<usize>>,
+    idx: TraceIndex<'a>,
     /// Dispatch cause per span index.
     causes: Vec<Option<Cause>>,
-    /// First `Join{target}` event inside each span: `(at, target)`.
-    joins_in_span: HashMap<usize, (VirtTime, u32)>,
-    /// Spawn time and parent per thread.
-    spawn_info: HashMap<u32, (VirtTime, Option<u32>)>,
+    /// Target of the first `Join` event inside each span, by span index.
+    join_in_span: Vec<Option<u32>>,
+    /// Time and parent of each thread's first `Spawn` event, by thread slot.
+    spawn: Vec<Option<(VirtTime, Option<u32>)>>,
     windows: Vec<Window>,
     /// Built in decreasing time order, reversed at the end.
     segs: Vec<Segment>,
@@ -408,120 +411,82 @@ struct Analyzer<'a> {
 
 impl<'a> Analyzer<'a> {
     fn new(trace: &'a Trace) -> Self {
-        let mut by_thread: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (i, s) in trace.spans.iter().enumerate() {
-            by_thread.entry(s.thread).or_default().push(i);
-        }
-        for list in by_thread.values_mut() {
-            list.sort_by_key(|&i| (trace.spans[i].start, trace.spans[i].end, i));
-        }
-        let mut events_by_thread: HashMap<u32, Vec<usize>> = HashMap::new();
-        let mut order: Vec<usize> = (0..trace.events.len()).collect();
-        order.sort_by_key(|&i| trace.events[i].at);
-        let mut spawn_info = HashMap::new();
-        for &i in &order {
-            let e = &trace.events[i];
-            let Some(t) = e.thread else { continue };
-            if let EventKind::Spawn { parent } = e.kind {
-                spawn_info.entry(t).or_insert((e.at, parent));
-            }
-            if matches!(
-                e.kind,
-                EventKind::Block { .. }
-                    | EventKind::Wake { .. }
-                    | EventKind::Timeout { .. }
-                    | EventKind::Cancel { .. }
-                    | EventKind::Preempt
-                    | EventKind::FirstDispatch
-                    | EventKind::Join { .. }
-            ) {
-                events_by_thread.entry(t).or_default().push(i);
-            }
-        }
+        let idx = TraceIndex::new(trace);
         let mut causes: Vec<Option<Cause>> = vec![None; trace.spans.len()];
-        let mut joins_in_span = HashMap::new();
-        for (&t, evs) in &events_by_thread {
-            let spans = by_thread.get(&t).map(Vec::as_slice).unwrap_or(&[]);
-            let mut pending: Option<(VirtTime, BlockReason, Option<u32>)> = None;
-            let mut resolution: Option<Cause> = None;
-            let mut last_span: Option<usize> = None;
-            let (mut ei, mut si) = (0usize, 0usize);
-            loop {
-                // Events strictly before the next span start are processed
-                // first; at equal times, dispatch causes (wake, timeout,
-                // preempt, first-dispatch, block) still precede the span,
-                // but a `Join` belongs to the span it completes *inside*.
-                // Once a dispatch cause is pending it binds to the next
-                // same-instant span: pop the span before reading further
-                // events, or a cluster of zero-length spans at one instant
-                // (block/wake chains under a zero-cost model) would shift
-                // every cause one span late and leak the last one onto an
-                // unrelated later span.
-                let next_event = evs.get(ei).map(|&i| &trace.events[i]);
-                let next_span = spans.get(si).map(|&i| &trace.spans[i]);
-                let take_event = match (next_event, next_span) {
-                    (Some(e), Some(s)) => {
-                        e.at < s.start
-                            || (e.at == s.start
-                                && resolution.is_none()
-                                && !matches!(e.kind, EventKind::Join { .. }))
-                    }
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                if take_event {
-                    let e = next_event.expect("checked");
-                    match e.kind {
-                        EventKind::Block { reason, obj } => {
-                            pending = Some((e.at, reason, obj));
-                        }
-                        EventKind::Wake { waker } => {
-                            resolution = Some(Cause::Woken {
-                                at: e.at,
-                                waker,
-                                block: pending.take(),
-                            });
-                        }
-                        EventKind::Timeout { .. } => {
-                            resolution = Some(Cause::TimedOut {
-                                at: e.at,
-                                block: pending.take(),
-                            });
-                        }
-                        EventKind::Cancel { by, .. } => {
-                            // The cancel-unwind span is blamed on the
-                            // canceller, like a wake from that thread.
-                            resolution = Some(Cause::Woken {
-                                at: e.at,
-                                waker: by,
-                                block: pending.take(),
-                            });
-                        }
-                        EventKind::Preempt => resolution = Some(Cause::Preempted { at: e.at }),
-                        EventKind::FirstDispatch => resolution = Some(Cause::First),
-                        EventKind::Join { target } => {
-                            if let Some(open) = last_span {
-                                joins_in_span.entry(open).or_insert((e.at, target));
-                            }
-                        }
-                        _ => {}
-                    }
-                    ei += 1;
-                } else if let Some(&idx) = spans.get(si) {
-                    causes[idx] = resolution.take();
-                    last_span = Some(idx);
-                    si += 1;
-                } else {
+        let mut join_in_span: Vec<Option<u32>> = vec![None; trace.spans.len()];
+        let mut spawn = vec![None; idx.threads()];
+        let mut cursors = vec![Cursor::default(); idx.threads()];
+        for e in idx.events() {
+            let Some(t) = e.thread else { continue };
+            let slot = idx.slot(t).expect("an event's subject has a slot");
+            let (c, spans) = (&mut cursors[slot], idx.spans_of(t));
+            // Bind the thread's spans that precede this event. An event
+            // strictly before the next span start reads first; at equal
+            // times it still precedes the span (the dispatch causes: wake,
+            // timeout, preempt, first-dispatch), but a `Join` belongs to
+            // the span it completes *inside*. Once a dispatch cause is
+            // pending it binds to the next same-instant span: bind the span
+            // before reading further events, or a cluster of zero-length
+            // spans at one instant (block/wake chains under a zero-cost
+            // model) would shift every cause one span late and leak the
+            // last one onto an unrelated later span.
+            while let Some(&i) = spans.get(c.next) {
+                let start = trace.spans[i].start;
+                let event_first = e.at < start
+                    || (e.at == start
+                        && c.resolution.is_none()
+                        && !matches!(e.kind, EventKind::Join { .. }));
+                if event_first {
                     break;
+                }
+                causes[i] = c.resolution.take();
+                c.next += 1;
+            }
+            match e.kind {
+                EventKind::Spawn { parent } => {
+                    spawn[slot].get_or_insert((e.at, parent));
+                }
+                EventKind::Block { reason, obj } => c.pending = Some((e.at, reason, obj)),
+                // The cancel-unwind span is blamed on the canceller, like a
+                // wake from that thread.
+                EventKind::Wake { waker } | EventKind::Cancel { by: waker, .. } => {
+                    c.resolution = Some(Cause::Woken {
+                        at: e.at,
+                        waker,
+                        block: c.pending.take(),
+                    });
+                }
+                EventKind::Timeout { .. } => {
+                    c.resolution = Some(Cause::TimedOut {
+                        at: e.at,
+                        block: c.pending.take(),
+                    });
+                }
+                EventKind::Preempt => c.resolution = Some(Cause::Preempted { at: e.at }),
+                EventKind::FirstDispatch => c.resolution = Some(Cause::First),
+                EventKind::Join { target } => {
+                    if let Some(open) = c.next.checked_sub(1) {
+                        join_in_span[spans[open]].get_or_insert(target);
+                    }
+                }
+                _ => {}
+            }
+        }
+        // A cause still pending when a thread's events end binds to its
+        // next span.
+        for (slot, c) in cursors.iter().enumerate() {
+            if c.resolution.is_some() {
+                if let Some(&i) = idx.spans_of(idx.thread(slot)).get(c.next) {
+                    causes[i] = c.resolution;
                 }
             }
         }
         Analyzer {
             trace,
-            by_thread,
+            idx,
             causes,
-            joins_in_span,
-            spawn_info,
+            join_in_span,
+            spawn,
             windows: Vec::new(),
             segs: Vec::new(),
             hint: None,
@@ -531,7 +496,7 @@ impl<'a> Analyzer<'a> {
     /// Latest span of `thread` with `start <= t` (position in the thread's
     /// sorted list, plus the span index).
     fn find_span(&self, thread: u32, t: VirtTime) -> Option<(usize, usize)> {
-        let list = self.by_thread.get(&thread)?;
+        let list = self.idx.spans_of(thread);
         let pos = list.partition_point(|&i| self.trace.spans[i].start <= t);
         pos.checked_sub(1).map(|p| (p, list[p]))
     }
@@ -541,17 +506,14 @@ impl<'a> Analyzer<'a> {
         self.find_span(thread, t).is_some()
     }
 
-    /// Thread exit time: lifecycle record, else its latest span end.
+    /// Thread exit time: the lifecycle table read by position (where the
+    /// recorder puts thread `i`), else the thread's latest span end.
     fn exit_of(&self, thread: u32) -> Option<VirtTime> {
-        if let Some(lc) = self.trace.threads.get(thread as usize) {
-            if let Some(e) = lc.exited {
-                return Some(e);
-            }
-        }
-        self.by_thread
-            .get(&thread)
-            .and_then(|l| l.last())
-            .map(|&i| self.trace.spans[i].end)
+        let recorded = self.trace.threads.get(thread as usize);
+        recorded.and_then(|lc| lc.exited).or_else(|| {
+            let last = self.idx.spans_of(thread).last();
+            last.map(|&i| self.trace.spans[i].end)
+        })
     }
 
     fn push(&mut self, thread: Option<u32>, start: VirtTime, end: VirtTime, bucket: BlameBucket) {
@@ -590,6 +552,20 @@ impl<'a> Analyzer<'a> {
         }
     }
 
+    /// Steps from `cur`'s span at `pos` down to its previous one, blaming the
+    /// gap up to `t` on the ready queue; `None`, with `[0, t]` dumped into
+    /// residual, when there is none.
+    fn descend(&mut self, cur: u32, pos: usize, t: VirtTime) -> Option<VirtTime> {
+        let Some(prev) = pos.checked_sub(1) else {
+            self.push(Some(cur), VirtTime::ZERO, t, BlameBucket::Residual);
+            return None;
+        };
+        let pe = self.trace.spans[self.idx.spans_of(cur)[prev]].end.min(t);
+        self.push(Some(cur), pe, t, BlameBucket::ReadyWait);
+        self.hint = Some((cur, prev));
+        Some(pe)
+    }
+
     fn wait_bucket(reason: BlockReason, obj: Option<u32>) -> BlameBucket {
         if reason == BlockReason::Join {
             BlameBucket::JoinWait
@@ -608,20 +584,13 @@ impl<'a> Analyzer<'a> {
         let Some((_, last_span)) = last else {
             // Degenerate trace: no spans at all. Still produce a total
             // tiling (one residual segment) instead of panicking.
-            let mut cp = CritPath {
+            self.push(None, VirtTime::ZERO, makespan, BlameBucket::Residual);
+            return finalize(CritPath {
                 empty: true,
                 makespan,
+                segments: self.segs,
                 ..CritPath::default()
-            };
-            if makespan > VirtTime::ZERO {
-                cp.segments.push(Segment {
-                    thread: None,
-                    start: VirtTime::ZERO,
-                    end: makespan,
-                    bucket: BlameBucket::Residual,
-                });
-            }
-            return finalize(cp);
+            });
         };
         let makespan = makespan.max(last_span.end);
         let mut cur = last_span.thread;
@@ -643,10 +612,7 @@ impl<'a> Analyzer<'a> {
             }
             let (cur0, t0) = (cur, t);
             let looked_up = match self.hint.take() {
-                Some((th, p)) if th == cur => {
-                    let list = &self.by_thread[&cur];
-                    Some((p, list[p]))
-                }
+                Some((th, p)) if th == cur => Some((p, self.idx.spans_of(cur)[p])),
                 _ => self.find_span(cur, t),
             };
             let Some((pos, si)) = looked_up else {
@@ -672,43 +638,29 @@ impl<'a> Analyzer<'a> {
                     };
                     self.push(Some(cur), w, t, ready);
                     t = w;
-                    match block {
-                        Some((b_at, reason, obj)) => {
-                            let b = b_at.min(w);
-                            // Hop only into a waker that was still around at
-                            // the wake instant. A join of an already-exited
-                            // child emits a wake clamped to the *block* time,
-                            // after the child's last span — following it
-                            // would land in a hole; the critical predecessor
-                            // is this thread's own earlier activity.
-                            let hop = waker.is_some_and(|wk| {
-                                self.walkable(wk, w)
-                                    && self.exit_of(wk).is_some_and(|x| x >= w)
+                    // Hop only into a waker that was still around at the
+                    // wake instant. A join of an already-exited child emits
+                    // a wake clamped to the *block* time, after the child's
+                    // last span — following it would land in a hole; the
+                    // critical predecessor is this thread's own earlier
+                    // activity.
+                    let hop = waker.filter(|&wk| {
+                        self.walkable(wk, w) && self.exit_of(wk).is_some_and(|x| x >= w)
+                    });
+                    if let Some((b_at, reason, obj)) = block {
+                        let b = b_at.min(w);
+                        if hop.is_none() {
+                            self.push(Some(cur), b, w, Self::wait_bucket(reason, obj));
+                            t = b;
+                        } else if reason != BlockReason::Join {
+                            self.windows.push(Window {
+                                reason,
+                                obj,
+                                floor: b,
                             });
-                            if hop {
-                                if reason != BlockReason::Join {
-                                    self.windows.push(Window {
-                                        reason,
-                                        obj,
-                                        floor: b,
-                                    });
-                                }
-                                cur = waker.expect("checked");
-                            } else {
-                                self.push(Some(cur), b, w, Self::wait_bucket(reason, obj));
-                                t = b;
-                            }
-                        }
-                        None => {
-                            if let Some(wk) = waker {
-                                if self.walkable(wk, w)
-                                    && self.exit_of(wk).is_some_and(|x| x >= w)
-                                {
-                                    cur = wk;
-                                }
-                            }
                         }
                     }
+                    cur = hop.unwrap_or(cur);
                 }
                 Some(Cause::TimedOut { at, block }) => {
                     let to = at.min(t);
@@ -731,11 +683,8 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 Some(Cause::First) => {
-                    let (sp_at, parent) = self
-                        .spawn_info
-                        .get(&cur)
-                        .copied()
-                        .unwrap_or((VirtTime::ZERO, None));
+                    let spawn = self.idx.slot(cur).and_then(|slot| self.spawn[slot]);
+                    let (sp_at, parent) = spawn.unwrap_or((VirtTime::ZERO, None));
                     let sp = sp_at.min(t);
                     self.push(Some(cur), sp, t, BlameBucket::ReadyWait);
                     t = sp;
@@ -752,10 +701,7 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 None => {
-                    let prev_end = pos.checked_sub(1).map(|p| {
-                        let list = &self.by_thread[&cur];
-                        self.trace.spans[list[p]].end
-                    });
+                    let list = self.idx.spans_of(cur);
                     // A join completed inside this span with no wake event:
                     // the thread slept (`JoinWake`) until the target's exit.
                     // Hop through the join edge so the target's compute is
@@ -765,9 +711,8 @@ impl<'a> Analyzer<'a> {
                     // JoinWake republications, common under a zero-cost
                     // model) don't refute that gap, so skip them when
                     // locating the real predecessor end.
-                    let join_hop = self.joins_in_span.get(&si).copied().and_then(|(_, tgt)| {
+                    let join_hop = self.join_in_span[si].and_then(|tgt| {
                         let e = self.exit_of(tgt)?.min(t);
-                        let list = &self.by_thread[&cur];
                         let mut gap_end = None;
                         for q in (0..pos).rev() {
                             let ps = self.trace.spans[list[q]];
@@ -784,41 +729,28 @@ impl<'a> Analyzer<'a> {
                         self.push(Some(cur), e, t, BlameBucket::JoinWait);
                         t = e;
                         cur = tgt;
-                    } else if let Some(pe) = prev_end {
-                        let pe = pe.min(t);
-                        self.push(Some(cur), pe, t, BlameBucket::ReadyWait);
-                        t = pe;
-                        self.hint = Some((cur, pos - 1));
                     } else {
-                        self.push(Some(cur), VirtTime::ZERO, t, BlameBucket::Residual);
-                        break;
+                        let Some(pe) = self.descend(cur, pos, t) else {
+                            break;
+                        };
+                        t = pe;
                     }
                 }
             }
             if (cur, t) == (cur0, t0) && self.hint.is_none() {
                 // No progress this iteration (all-zero-length causes with no
-                // hop). Force the descent to the previous span, or give up
-                // into residual.
-                let list = &self.by_thread[&cur];
-                match pos.checked_sub(1).map(|p| self.trace.spans[list[p]].end) {
-                    Some(pe) => {
-                        let pe = pe.min(t);
-                        self.push(Some(cur), pe, t, BlameBucket::ReadyWait);
-                        t = pe;
-                        self.hint = Some((cur, pos - 1));
-                    }
-                    None => {
-                        self.push(Some(cur), VirtTime::ZERO, t, BlameBucket::Residual);
-                        break;
-                    }
-                }
+                // hop): force the descent.
+                let Some(pe) = self.descend(cur, pos, t) else {
+                    break;
+                };
+                t = pe;
             }
         }
         self.segs.reverse();
         finalize(CritPath {
             empty: false,
             makespan,
-            segments: std::mem::take(&mut self.segs),
+            segments: self.segs,
             ..CritPath::default()
         })
     }
@@ -828,7 +760,7 @@ impl<'a> Analyzer<'a> {
 /// tables) from the segment tiling.
 fn finalize(mut cp: CritPath) -> CritPath {
     let mut objects: HashMap<(BlockReason, Option<u32>), ObjectBlame> = HashMap::new();
-    let mut threads: HashMap<u32, ThreadBlame> = HashMap::new();
+    let mut threads: BTreeMap<u32, ThreadBlame> = BTreeMap::new();
     for seg in &cp.segments {
         let d = seg.dur();
         match seg.bucket {

@@ -33,6 +33,7 @@
 //! fingerprint dedup is exact for every schedule actually executed.
 
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ptdf_smp::VirtTime;
@@ -162,13 +163,45 @@ struct RunResult {
     touches: Vec<(VirtTime, u32, u32)>,
 }
 
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a-64 as a [`Hasher`]: a fingerprint is the `Hash` of the values it
+/// covers, fed through here, not a hash of their `Debug` text.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a-64 of a byte string (the hash corpora of `trace.rs` are in it).
+#[cfg(test)]
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Fingerprint of one executed schedule: its violation class, and the
+/// event sequence of its trace (or, for a run that left no trace, its
+/// decision log).
+fn fingerprint(kind: Option<&str>, body: &impl Hash) -> u64 {
+    let mut h = Fnv1a::default();
+    kind.hash(&mut h);
+    body.hash(&mut h);
+    h.finish()
 }
 
 /// Violation class label: text before the first `:` of the display form.
@@ -191,11 +224,6 @@ fn touches_of(trace: &Trace) -> Vec<(VirtTime, u32, u32)> {
             obj.map(|o| (e.at, e.proc as u32, o))
         })
         .collect()
-}
-
-fn fingerprint_trace(kind: &Option<String>, trace: &Trace) -> u64 {
-    let body = format!("{:?}|{:?}", kind, trace.events);
-    fnv1a(body.as_bytes())
 }
 
 /// Executes one schedule from `prefix` under a scripted oracle: trace on,
@@ -261,8 +289,8 @@ where
         }
     };
     let (fingerprint, touches) = match trace.as_ref() {
-        Some(tr) => (fingerprint_trace(&kind, tr), touches_of(tr)),
-        None => (fnv1a(format!("{:?}|{:?}", kind, log).as_bytes()), Vec::new()),
+        Some(tr) => (fingerprint(kind.as_deref(), &tr.events), touches_of(tr)),
+        None => (fingerprint(kind.as_deref(), &log), Vec::new()),
     };
     RunResult {
         out: ReplayOutcome {
@@ -286,7 +314,7 @@ fn finish_panic(
     kind: String,
     detail: String,
 ) -> RunResult {
-    let fingerprint = fnv1a(format!("{:?}|{:?}", kind, log).as_bytes());
+    let fingerprint = fingerprint(Some(&kind), &log);
     RunResult {
         out: ReplayOutcome {
             kind: Some(kind),

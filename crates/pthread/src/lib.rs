@@ -58,6 +58,7 @@ pub mod check;
 mod config;
 pub mod critpath;
 pub mod explore;
+mod index;
 pub mod json;
 pub mod litmus;
 mod mem;

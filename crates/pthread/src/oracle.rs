@@ -83,7 +83,7 @@ impl DecisionKind {
 /// Only genuine choices are recorded: a decision point with a single
 /// candidate is not a decision and produces no record, so the decision
 /// log is exactly the branching structure of the schedule space.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash, serde::Serialize)]
 pub struct Decision {
     /// The decision point.
     pub kind: DecisionKind,
@@ -102,7 +102,7 @@ pub struct Decision {
 /// independence analysis (processor ids for the tie kinds; empty for
 /// object-scoped kinds, where candidates contend on the same object and
 /// are never independent).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct DecisionRecord {
     /// The resolved decision.
     pub decision: Decision,

@@ -140,7 +140,7 @@ impl BlockReason {
 }
 
 /// A structured scheduler or memory event.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash, serde::Serialize)]
 pub enum EventKind {
     /// A thread was created.
     Spawn {
@@ -295,7 +295,7 @@ impl EventKind {
 }
 
 /// One event on the virtual timeline.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash, serde::Serialize)]
 pub struct Event {
     /// Virtual time of the event.
     pub at: VirtTime,
@@ -469,22 +469,21 @@ pub struct LifecycleSummary {
     pub ready_wait: LatencyStats,
 }
 
-/// Recyclable backing storage of a [`Trace`]: the span/event/lifecycle
-/// vectors plus generic counter-track buffers (every counter track shares
-/// the `(VirtTime, u64)` element type, so a retired machine track can back
-/// a runtime-sampled track on the next run).
+/// Recyclable backing storage of a [`Trace`]: its record vectors, emptied.
+/// Each vector goes back to the slot it came from, so a steady-state
+/// record → export → parse cycle refills buffers of the size it needs.
 #[derive(Default)]
 struct TraceStorage {
     spans: Vec<Span>,
     events: Vec<Event>,
     threads: Vec<ThreadLifecycle>,
-    tracks: Vec<Vec<(VirtTime, u64)>>,
+    counters: Counters,
 }
 
-/// Upper bound on pooled storages (and on `tracks` per storage). The pool
-/// exists to let repeated `with_trace` runs reuse warmed vector capacity
-/// instead of re-growing from empty each run; a handful of entries covers
-/// that without retaining unbounded memory from one huge trace.
+/// Upper bound on pooled storages. The pool exists to let repeated traced
+/// runs and parses reuse warmed vector capacity instead of re-growing from
+/// empty each time; a handful of entries covers that without retaining
+/// unbounded memory from one huge trace.
 const TRACE_POOL_MAX: usize = 4;
 
 thread_local! {
@@ -493,6 +492,19 @@ thread_local! {
     /// run's `Trace::new` see the same pool.
     static TRACE_POOL: std::cell::RefCell<Vec<TraceStorage>> =
         const { std::cell::RefCell::new(Vec::new()) };
+}
+
+impl Counters {
+    fn tracks_mut(&mut self) -> [&mut Vec<(VirtTime, u64)>; 6] {
+        [
+            &mut self.footprint,
+            &mut self.live_threads,
+            &mut self.ready,
+            &mut self.active_deques,
+            &mut self.sched_lock_wait,
+            &mut self.host_pool_cached,
+        ]
+    }
 }
 
 /// Returning storage on `Drop` (rather than at some explicit engine hook)
@@ -506,32 +518,24 @@ impl Drop for Trace {
             spans: std::mem::take(&mut self.spans),
             events: std::mem::take(&mut self.events),
             threads: std::mem::take(&mut self.threads),
-            tracks: Vec::new(),
+            counters: std::mem::take(&mut self.counters),
         };
-        for track in [
-            std::mem::take(&mut self.counters.footprint),
-            std::mem::take(&mut self.counters.live_threads),
-            std::mem::take(&mut self.counters.ready),
-            std::mem::take(&mut self.counters.active_deques),
-            std::mem::take(&mut self.counters.sched_lock_wait),
-            std::mem::take(&mut self.counters.host_pool_cached),
-        ] {
-            if track.capacity() > 0 && storage.tracks.len() < TRACE_POOL_MAX {
-                storage.tracks.push(track);
-            }
-        }
         if storage.spans.capacity() == 0
             && storage.events.capacity() == 0
             && storage.threads.capacity() == 0
-            && storage.tracks.is_empty()
+            && storage
+                .counters
+                .tracks_mut()
+                .iter()
+                .all(|t| t.capacity() == 0)
         {
             return; // nothing worth pooling
         }
         storage.spans.clear();
         storage.events.clear();
         storage.threads.clear();
-        for t in &mut storage.tracks {
-            t.clear();
+        for track in storage.counters.tracks_mut() {
+            track.clear();
         }
         let _ = TRACE_POOL.try_with(|pool| {
             if let Ok(mut pool) = pool.try_borrow_mut() {
@@ -544,6 +548,9 @@ impl Drop for Trace {
 }
 
 impl Trace {
+    /// An empty trace on pooled storage, when the pool has one. (A
+    /// recorder's machine tracks are installed wholesale by
+    /// `absorb_machine`; only a parsed trace fills those three buffers.)
     pub(crate) fn new(meta: TraceMeta) -> Self {
         let storage = TRACE_POOL
             .try_with(|pool| pool.try_borrow_mut().ok().and_then(|mut p| p.pop()))
@@ -555,19 +562,7 @@ impl Trace {
         trace.spans = storage.spans;
         trace.events = storage.events;
         trace.threads = storage.threads;
-        let mut tracks = storage.tracks;
-        // Only the runtime-sampled tracks draw pooled buffers; the machine
-        // tracks are installed wholesale by `absorb_machine`.
-        for slot in [
-            &mut trace.counters.ready,
-            &mut trace.counters.active_deques,
-            &mut trace.counters.host_pool_cached,
-        ] {
-            match tracks.pop() {
-                Some(t) => *slot = t,
-                None => break,
-            }
-        }
+        trace.counters = storage.counters;
         trace
     }
 
@@ -693,12 +688,9 @@ impl Trace {
         // Machine samples and runtime events arrive in engine (real-time)
         // order; processors' clocks interleave, so sort everything onto the
         // virtual timeline (stably: ties keep engine order).
-        self.counters.footprint.sort_by_key(|&(at, _)| at);
-        self.counters.live_threads.sort_by_key(|&(at, _)| at);
-        self.counters.sched_lock_wait.sort_by_key(|&(at, _)| at);
-        self.counters.ready.sort_by_key(|&(at, _)| at);
-        self.counters.active_deques.sort_by_key(|&(at, _)| at);
-        self.counters.host_pool_cached.sort_by_key(|&(at, _)| at);
+        for track in self.counters.tracks_mut() {
+            track.sort_by_key(|&(at, _)| at);
+        }
         self.events.sort_by_key(|e| e.at);
     }
 
@@ -1111,7 +1103,9 @@ impl Trace {
         ];
         let mut scratch = Scratch::default();
         let mut r = Reader::new(text, &mut scratch);
-        let mut trace = Trace::default();
+        // Pooled storage, like a recorder's: in a record → export → parse
+        // cycle the parsed trace refills what an earlier one gave back.
+        let mut trace = Trace::new(TraceMeta::default());
         let mut seen = [false; SECTIONS.len()];
         let mut have_events = false;
         if r.peek() == Some(b'{') {
@@ -1745,6 +1739,18 @@ mod tests {
         );
         let back = Trace::from_chrome_json(&json_pooled).expect("parse back");
         assert_eq!(back, second);
+        // The parser draws from the pool as a recorder does, so a record →
+        // export → parse cycle refills the two storages it gave back.
+        drop(back);
+        let pooled = Trace::pool_len();
+        assert!(pooled >= 1);
+        let again = Trace::from_chrome_json(&json_pooled).expect("parse back");
+        assert_eq!(
+            Trace::pool_len(),
+            pooled - 1,
+            "a parse must draw from the pool"
+        );
+        assert_eq!(again, second);
     }
 
     #[test]
@@ -2224,6 +2230,147 @@ mod tests {
             };
             assert_eq!(&back.to_chrome_json(), base, "{name}");
         }
+    }
+
+    /// What the three analyses say about `t`, in their `Debug` form.
+    fn analyses(t: &Trace) -> String {
+        let results = (
+            crate::check_trace(t),
+            crate::critpath::analyze(t),
+            crate::critpath::object_waits(t),
+        );
+        format!("{results:?}")
+    }
+
+    /// FNV-1a-64 of [`analyses`] on every base document of
+    /// [`export_corpus`], captured from the analyzers that each made a
+    /// private pass over the trace. The shared index under them must
+    /// reproduce every value; the table is never regenerated by a refactor.
+    /// (The 500-request server row lives in `tests/flight_recorder.rs`,
+    /// where `ptdf-server` is a dependency.)
+    const ANALYSIS_CORPUS: &[(&str, u64)] = &[
+        ("fork-join/fifo", 0xf4c06b9c2014bd9a),
+        ("fork-join/lifo", 0xf4c06b9c2014bd9a),
+        ("fork-join/df", 0x991cbb25bf2125e8),
+        ("fork-join/df-deques", 0x1c0055a663134ab7),
+        ("fork-join/ws", 0x387a55ada2503f5e),
+        ("litmus/mutex_increments", 0x55e4b857982115bf),
+        ("deadlock-ring", 0x9a9fcf0751e0c354),
+        ("cancelled-timed-wait", 0xfd48cccb5f58aa8b),
+        ("profiled", 0x963a8fd282940c7f),
+        ("fixture/zero_count_host_phase", 0xbe3bb89c7020d912),
+        ("fixture/zero_events", 0xbe3bb89c7020d912),
+        ("fixture/zero_makespan", 0x6d010ecbf0dc60ff),
+        ("hostile", 0x189d0c73434fa273),
+    ];
+
+    #[test]
+    fn analyses_are_value_identical_on_the_corpus() {
+        let rows = export_corpus();
+        let base: Vec<_> = rows
+            .iter()
+            .filter(|(name, _)| !name.starts_with("critpath/"))
+            .collect();
+        assert_eq!(base.len(), ANALYSIS_CORPUS.len());
+        for ((name, json), &(want_name, want)) in base.iter().zip(ANALYSIS_CORPUS) {
+            assert_eq!(name, want_name);
+            let t = Trace::from_chrome_json(json).expect("corpus row parses");
+            assert_eq!(
+                crate::explore::fnv1a(analyses(&t).as_bytes()),
+                want,
+                "{name}: check, critpath or object_waits changed its answer"
+            );
+        }
+    }
+
+    /// A document's `events` need not be in time order (the recorder sorts
+    /// them; an editor may not): the analyses read them as their stable
+    /// sort by `at`.
+    #[test]
+    fn out_of_order_events_analyse_as_their_stable_sort() {
+        let cfg = Config::new(4, SchedKind::Df)
+            .with_trace()
+            .with_quota(16 * 1024);
+        let (_, report) = run(cfg, corpus_program);
+        let mut shuffled = recorded(report);
+        let mut rng = Prng::new(0x9e37_79b9_7f4a_7c15);
+        for i in (1..shuffled.events.len()).rev() {
+            shuffled.events.swap(i, pick(&mut rng, i + 1));
+        }
+        assert!(shuffled.events.windows(2).any(|w| w[0].at > w[1].at));
+        let mut sorted = shuffled.clone();
+        sorted.events.sort_by_key(|e| e.at);
+        assert_eq!(analyses(&shuffled), analyses(&sorted));
+        let cp = crate::critpath::analyze(&shuffled);
+        assert!(cp.blame.compute > VirtTime::ZERO && cp.blame.sum() == cp.makespan);
+    }
+
+    /// Thread ids are dense in a recorded trace, but a document is user
+    /// input: five records naming ids near `u32::MAX` are analysed in
+    /// memory proportional to the records, not to the largest id (which
+    /// would be a 32 GB table, i.e. an allocation failure).
+    #[test]
+    fn sparse_thread_ids_are_analysed_without_a_table_of_the_largest_id() {
+        const BIG: u32 = u32::MAX;
+        const WAKER: u32 = 3_000_000_000;
+        let ns = VirtTime::from_ns;
+        let event = |at, kind| Event {
+            at: ns(at),
+            proc: 0,
+            thread: Some(BIG),
+            kind,
+        };
+        let mut t = Trace::default();
+        t.spans.push(Span {
+            proc: 0,
+            thread: BIG,
+            start: ns(10),
+            end: ns(50),
+            kind: SpanKind::Run,
+        });
+        t.events.push(event(
+            0,
+            EventKind::Spawn {
+                parent: Some(BIG - 1),
+            },
+        ));
+        t.events.push(event(10, EventKind::FirstDispatch));
+        t.events.push(event(
+            50,
+            EventKind::Block {
+                reason: BlockReason::Mutex,
+                obj: Some(BIG),
+            },
+        ));
+        t.events
+            .push(event(80, EventKind::Wake { waker: Some(WAKER) }));
+        let check = crate::check_trace(&t);
+        assert_eq!(
+            check.violations,
+            vec![crate::Violation::WakeWithoutNotify {
+                thread: BIG,
+                waker: Some(WAKER),
+                obj: BIG,
+                at: ns(80),
+            }]
+        );
+        let cp = crate::critpath::analyze(&t);
+        assert_eq!(cp.makespan, ns(50));
+        assert_eq!(
+            (cp.blame.compute, cp.blame.ready_wait, cp.blame.sum()),
+            (ns(40), ns(10), ns(50))
+        );
+        assert!(cp.segments.iter().all(|s| s.thread == Some(BIG)));
+        assert_eq!(
+            crate::critpath::object_waits(&t),
+            vec![crate::critpath::ObjectWait {
+                reason: BlockReason::Mutex,
+                obj: BIG,
+                waits: 1,
+                total: ns(30),
+                max: ns(30),
+            }]
+        );
     }
 
     /// A seeded index below `n` (the property tests' only randomness is

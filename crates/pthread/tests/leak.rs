@@ -3,11 +3,13 @@
 //! threads alive, not the threads ever created. Twin of `ptdf-fiber`'s
 //! `tests/leak.rs` (which pins the fiber exit protocol); this one would also
 //! catch a leak in the thread table, the policy queues or the stack pool.
-//! Own binary for the counting `#[global_allocator]`, one `#[test]` so
-//! nothing else allocates while it counts.
+//! Own binary for the counting `#[global_allocator]`, which counts only on
+//! the test's thread and on threads started after the test armed it:
+//! libtest's main thread allocates while a test runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering::Relaxed};
 
 use ptdf::{run, spawn, work, Config, SchedKind};
 
@@ -22,19 +24,53 @@ fn grow(by: isize) {
     PEAK_BYTES.fetch_max(live, Relaxed);
 }
 
+/// Set by [`arm`]; a thread that allocates for the first time after it
+/// counts, one that allocated before it (libtest's main thread) never does.
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread's allocations count; `None` until its first one.
+    /// Const-initialised and without a destructor, so reading it inside the
+    /// allocator neither allocates nor fails during thread teardown.
+    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+fn counted() -> bool {
+    COUNTED.with(|c| {
+        c.get().unwrap_or_else(|| {
+            let armed = ARMED.load(Relaxed);
+            c.set(Some(armed));
+            armed
+        })
+    })
+}
+
+/// Starts counting on the calling thread and on every thread started from
+/// now on (the portable backend's fibers are OS threads).
+fn arm() {
+    COUNTED.with(|c| c.set(Some(true)));
+    ARMED.store(true, Relaxed);
+}
+
 // SAFETY: defers every request to `System` unchanged; the counters are
 // statistics and touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as isize);
+        if counted() {
+            grow(layout.size() as isize);
+        }
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
+        if counted() {
+            LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
+        }
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size as isize - layout.size() as isize);
+        if counted() {
+            grow(new_size as isize - layout.size() as isize);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -74,6 +110,7 @@ fn storm(threads: u64) -> isize {
 
 #[test]
 fn consecutive_runs_leave_live_bytes_flat_and_peak_heap_ignores_total_threads() {
+    arm();
     storm(THREADS); // once-only allocations (lazy statics, thread-locals) land here
     let after_first = LIVE_BYTES.load(Relaxed);
     let peak_small = storm(THREADS);

@@ -4,6 +4,7 @@
 //! (spans + event kinds + counter tracks) — across all scheduler policies.
 
 use ptdf::{json, Config, Report, SchedKind};
+use ptdf_server::{serve, serve_traced, ServerConfig};
 
 const ALL_KINDS: [SchedKind; 5] = [
     SchedKind::Fifo,
@@ -206,4 +207,70 @@ fn host_phase_ns_sum_stays_under_measured_wall_ns() {
             "{kind:?}: a profiled run must hit at least one phase"
         );
     }
+}
+
+/// Tracing records the run; it does not move it. The benchmark measures
+/// every end-to-end metric with tracing off and reads its layers from a
+/// traced run, so the two must be one schedule: the same `RunStats`
+/// (makespan, per-processor breakdown and dispatches, every memory
+/// high-water mark), steals, thread count and server counters.
+#[test]
+fn tracing_does_not_move_the_model() {
+    fn model(r: &Report) -> (&ptdf_smp::RunStats, u64, usize) {
+        (&r.stats, r.steals, r.total_threads)
+    }
+    let server = ServerConfig {
+        requests: 200,
+        ..ServerConfig::standard(0x7ACE)
+    }
+    .overload_pct(200);
+    for kind in ALL_KINDS {
+        let (_, plain) = ptdf::run(Config::new(4, kind), || fork_tree(8));
+        let (_, traced) = ptdf::run(Config::new(4, kind).with_trace(), || fork_tree(8));
+        assert!(plain.trace.is_none() && traced.trace.is_some());
+        assert_eq!(model(&plain), model(&traced), "{kind:?}: fork-join tree");
+        let (plain, traced) = (serve(&server, 4, kind), serve_traced(&server, 4, kind));
+        assert!(traced.report.trace.is_some());
+        assert_eq!(plain.stats, traced.stats, "{kind:?}: server counters");
+        assert_eq!(
+            model(&plain.report),
+            model(&traced.report),
+            "{kind:?}: server"
+        );
+    }
+}
+
+/// FNV-1a-64, as `ptdf::explore` fingerprints with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The server row of `ANALYSIS_CORPUS` (`crates/pthread/src/trace.rs`, which
+/// cannot depend on `ptdf-server`): what `check_trace`, `critpath::analyze`
+/// and `object_waits` say about 500 requests at 200 % under DF, captured
+/// from the analyzers that each indexed the trace privately. Never
+/// regenerated by a refactor of the analyses.
+#[test]
+fn analyses_of_a_server_trace_are_value_identical() {
+    const WANT: u64 = 0x3068_a126_c880_d602;
+    let cfg = ServerConfig {
+        requests: 500,
+        ..ServerConfig::standard(42)
+    }
+    .overload_pct(200);
+    let run = serve_traced(&cfg, 4, SchedKind::Df);
+    let t = run.report.trace.as_ref().expect("tracing enabled");
+    let results = (
+        ptdf::check_trace(t),
+        ptdf::critpath::analyze(t),
+        ptdf::object_waits(t),
+    );
+    assert!(results.0.is_clean() && !results.2.is_empty());
+    assert_eq!(
+        fnv1a(format!("{results:?}").as_bytes()),
+        WANT,
+        "check, critpath or object_waits changed its answer"
+    );
 }
