@@ -167,15 +167,6 @@ pub struct Config {
     /// oracle supersedes [`Config::perturb_seed`] at the decision points it
     /// owns, so explorer configs should leave perturbation off.
     pub oracle: Option<crate::oracle::SharedOracle>,
-    /// Restores the pre-fix *lazy* timed-wait eviction: a timed waiter
-    /// whose deadline fires leaves its queue entry in place until the
-    /// waiter resumes, and grant paths hand the object to the front entry
-    /// without checking that its thread is still blocked on the object.
-    /// This reproduces the stale-grant/lost-wake bugs the schedule
-    /// explorer was built to flush out; it exists only so the litmus
-    /// corpus can pin them. Never enable it in real runs.
-    #[doc(hidden)]
-    pub lazy_timeout_eviction: bool,
 }
 
 impl Config {
@@ -202,7 +193,6 @@ impl Config {
             host_profile: false,
             hot_path: true,
             oracle: None,
-            lazy_timeout_eviction: false,
         }
     }
 
@@ -321,14 +311,6 @@ impl Config {
     /// [`Config::oracle`].
     pub fn with_oracle(mut self, oracle: crate::oracle::SharedOracle) -> Self {
         self.oracle = Some(oracle);
-        self
-    }
-
-    /// Restores the pre-fix lazy timed-wait eviction (builder style); for
-    /// bug-demo fixtures only. See [`Config::lazy_timeout_eviction`].
-    #[doc(hidden)]
-    pub fn with_lazy_timeout_eviction(mut self, on: bool) -> Self {
-        self.lazy_timeout_eviction = on;
         self
     }
 }

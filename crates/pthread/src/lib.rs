@@ -73,6 +73,7 @@ mod sync;
 mod thread;
 mod tls;
 pub mod trace;
+mod waitq;
 
 pub use api::{
     current_thread, footprint, now, processors, scope, space_margin, spawn, spawn_attr,

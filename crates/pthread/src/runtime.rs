@@ -27,6 +27,7 @@ use crate::thread::{
     YieldReason,
 };
 use crate::trace::{BlockReason, EventKind, Trace, TraceMeta};
+use crate::waitq::{parked, Evict, Holders};
 
 /// A TLS-destructor hook: called with an exiting thread's id, it drops the
 /// thread's slot in one [`crate::TlsKey`]'s map and returns the released
@@ -34,12 +35,14 @@ use crate::trace::{BlockReason, EventKind, Trace, TraceMeta};
 /// per key per run; holds only the key's own map, never the runtime.
 pub(crate) type TlsCleaner = Box<dyn Fn(ThreadId) -> u64>;
 
-/// An eager timed-wait eviction hook (see [`Tcb::evict`]): called by the
-/// engine when the owning thread's deadline fires, with the engine borrow
-/// held, to withdraw the thread's entry from its primitive's wait queue
-/// and re-admit whoever that unblocks. Must not suspend or re-enter the
-/// runtime context.
-pub(crate) type EvictFn = Box<dyn FnOnce(&mut Inner, ThreadId)>;
+/// Why [`Inner::evict_wake`] wakes a blocked thread.
+#[derive(Clone, Copy)]
+pub(crate) enum Evicted {
+    /// Its armed deadline (the payload) fired.
+    Timeout(VirtTime),
+    /// A cancellation request was delivered to it.
+    Cancel,
+}
 
 /// Runtime internals; shared between the engine loop and the API functions
 /// (via the thread-local [`ActiveCtx`]).
@@ -104,7 +107,10 @@ pub(crate) struct Inner {
     /// primitives at block/handoff time only — the uncontended fast path
     /// never touches this map, keeping sentinel bookkeeping off the hot
     /// path. An entry exists exactly while the object has queued waiters.
-    holders: HashMap<u32, Vec<ThreadId>>,
+    holders: HashMap<u32, Holders>,
+    /// [`Inner::fire_due_timeouts`]'s list of due deadlines, kept between
+    /// rounds so that a firing allocates nothing.
+    due: Vec<(ThreadId, ProcId, VirtTime)>,
     /// Chaos fault-injection stream, when armed ([`Config::with_chaos`]):
     /// lock-holder preemption storms, delayed wake delivery and spurious
     /// condvar wakeups all draw from this generator.
@@ -118,9 +124,6 @@ pub(crate) struct Inner {
     /// diff` can report decision divergence. Stays empty (and costs one
     /// discriminant test per decision point) in unperturbed runs.
     pub decisions: Vec<Decision>,
-    /// Pre-fix lazy timed-wait eviction ([`Config::lazy_timeout_eviction`]),
-    /// kept for the explorer's bug-demo litmus fixtures.
-    pub lazy_evict: bool,
     /// What the rounds of this run did about deadlines, for the unit tests.
     #[cfg(test)]
     round_stats: RoundStats,
@@ -238,6 +241,7 @@ impl Inner {
             next_sync_id: 0,
             deadlocks: Vec::new(),
             holders: HashMap::new(),
+            due: Vec::new(),
             // Distinct stream from both perturbation generators, for the
             // same decorrelation reason.
             chaos: config
@@ -245,7 +249,6 @@ impl Inner {
                 .map(|s| Prng::new(s ^ 0xC4A0_5F00_D5EE_D001)),
             oracle: config.oracle.clone(),
             decisions: Vec::new(),
-            lazy_evict: config.lazy_timeout_eviction,
             #[cfg(test)]
             round_stats: RoundStats::default(),
         }
@@ -354,7 +357,7 @@ impl Inner {
     /// Whether the current fiber's quantum has outrun the rest of the
     /// machine by more than [`TIMESLICE`], against the cached reference
     /// clock. Never true for a thread that has already registered itself on
-    /// a wait queue (state Blocked, between `block_current` and its
+    /// a wait queue (state Blocked, between its `park` and the
     /// `Blocked` suspend — e.g. the unlock inside `Condvar::wait`): a
     /// concurrent wake would queue it while it also sits in the handoff
     /// slot, double-dispatching it.
@@ -369,7 +372,7 @@ impl Inner {
     }
 
     /// Whether `tid` is executing on `p` right now — false between its
-    /// `block_current` and the `Blocked` suspend that follows.
+    /// `park` and the `Blocked` suspend that follows.
     #[inline]
     fn running_on(&self, tid: ThreadId, p: ProcId) -> bool {
         self.threads
@@ -660,8 +663,8 @@ impl Inner {
         let (prio, affinity) = (tcb.attr.priority, tcb.last_proc);
         tcb.state = TState::Ready;
         tcb.ready_since = now;
-        // The wake supersedes any waits-for edge, armed deadline, or
-        // pending eviction hook (the stale heap entry is discarded lazily;
+        // The wake supersedes the waits-for edge, any armed deadline and
+        // the eviction record (the stale heap entry is discarded lazily;
         // `timed_out` is untouched — only a real deadline firing sets it).
         tcb.wait = None;
         tcb.deadline = None;
@@ -678,57 +681,90 @@ impl Inner {
         self.unpark(now);
     }
 
-    /// Registers the current thread as blocked (caller must already have
-    /// put it on some wait queue) — to be followed by a `Blocked` suspend.
-    /// `target` is the join target when the wait is on a thread's exit;
-    /// together with `obj` it forms the thread's waits-for edge.
-    pub fn block_current(
-        &mut self,
-        reason: BlockReason,
-        obj: Option<u32>,
-        target: Option<ThreadId>,
-    ) -> (ThreadId, ProcId) {
+    /// Blocks the current thread on `wait` — already registered wherever
+    /// its grant will come from ([`crate::waitq`]) — and arms `timeout`,
+    /// relative to the clock once the block is charged, if there is one:
+    /// state, waits-for edge, eviction record and deadline in one TCB
+    /// write. To be followed by a `Blocked` suspend.
+    pub fn park(&mut self, wait: Wait, timeout: Option<VirtTime>, evict: Evict) {
         let (tid, p) = self.cur.expect("block outside a thread");
         let now = self.machine.clock(p);
-        let t = self.threads.live_mut(tid);
-        t.state = TState::Blocked;
-        t.blocked_at = now;
-        t.wait = Some(Wait {
-            reason,
-            obj,
-            target,
-        });
         if self.trace.is_some() {
             let t0 = self.prof_start();
             let tr = self.trace.as_mut().expect("checked");
+            let (reason, obj) = (wait.reason, wait.obj);
             tr.event(now, p, Some(tid.0), EventKind::Block { reason, obj });
             self.prof_close(t0, |hp| &mut hp.trace_alloc);
         }
         self.policy.on_block(tid);
         self.sched_op(p);
-        (tid, p)
+        let deadline = timeout.map(|t| {
+            VirtTime::from_ns(self.machine.clock(p).as_ns().saturating_add(t.as_ns()))
+        });
+        let t = self.threads.live_mut(tid);
+        t.state = TState::Blocked;
+        t.blocked_at = now;
+        t.wait = Some(wait);
+        t.evict = Some(evict);
+        t.deadline = deadline;
+        if let Some(deadline) = deadline {
+            self.machine.arm_deadline(p, deadline, u64::from(tid.0));
+        }
     }
 
-    /// Arms a timed wait for the current thread, with an eager eviction
-    /// hook: call between [`Inner::block_current`] and the `Blocked`
-    /// suspend. Returns the armed absolute deadline. When the deadline
-    /// fires, the engine immediately runs `evict` to withdraw the thread's
-    /// wait-queue entry (and re-admit whoever that unblocks), so no later
-    /// grant can meet a stale entry. Under the legacy
-    /// [`Config::lazy_timeout_eviction`] mode the hook is discarded and the
-    /// entry lingers until the waiter resumes — the historical behaviour
-    /// the explorer's bug-demo litmus programs pin.
-    pub fn arm_timed_wait_evicting(&mut self, timeout: VirtTime, evict: EvictFn) -> VirtTime {
-        let (tid, p) = self.cur.expect("timed wait outside a thread");
-        let now = self.machine.clock(p);
-        let deadline = VirtTime::from_ns(now.as_ns().saturating_add(timeout.as_ns()));
-        let tcb = self.threads.live_mut(tid);
-        tcb.deadline = Some(deadline);
-        if !self.lazy_evict {
-            tcb.evict = Some(evict);
+    /// [`Inner::make_ready`]'s twin for the two wakes that are not grants:
+    /// `t`'s deadline fired, or a cancellation was delivered to it. Emits a
+    /// `Timeout` / `Cancel` event instead of a `Wake` (the checker's other
+    /// sanctioned wakes) and sets the flag the blocking API consumes on
+    /// resume. A timeout is timestamped at the deadline itself, however
+    /// late in engine order it fires; a cancel at the canceller's clock on
+    /// `p`; both clamped by the block. A cancelled thread also has further
+    /// cancellation disabled, so its unwind's own sync operations cannot
+    /// re-deliver. Then the thread's slot goes with it: the eviction record
+    /// `park` left runs *after* the event and the unpark, so the wakes a
+    /// re-admission publishes are causally after the eviction, and with
+    /// `cur` pointed at the evictee so they are attributed to it.
+    pub fn evict_wake(&mut self, t: ThreadId, p: ProcId, cause: Evicted) {
+        let at = match cause {
+            Evicted::Timeout(at) => at,
+            Evicted::Cancel => self.machine.clock(p),
+        };
+        let tcb = self.threads.live_mut(t);
+        debug_assert_eq!(tcb.state, TState::Blocked);
+        let now = at.max(tcb.blocked_at);
+        tcb.state = TState::Ready;
+        tcb.ready_since = now;
+        // A cancel leaves any armed deadline dead: `deadline_live` discards
+        // the leftover heap entry lazily.
+        tcb.deadline = None;
+        let obj = tcb.wait.take().and_then(|w| w.obj);
+        let event = match cause {
+            Evicted::Timeout(_) => {
+                tcb.timed_out = true;
+                EventKind::Timeout { obj }
+            }
+            Evicted::Cancel => {
+                tcb.cancel_woken = true;
+                tcb.cancel_requested = false;
+                tcb.cancel_enabled = false;
+                let by = tcb.canceled_by;
+                EventKind::Cancel { obj, by }
+            }
+        };
+        let (prio, affinity, record) = (tcb.attr.priority, tcb.last_proc, tcb.evict.take());
+        if self.trace.is_some() {
+            let t0 = self.prof_start();
+            let tr = self.trace.as_mut().expect("checked");
+            tr.event(now, p, Some(t.0), event);
+            self.prof_close(t0, |hp| &mut hp.trace_alloc);
         }
-        self.machine.arm_deadline(p, deadline, u64::from(tid.0));
-        deadline
+        self.sched_op(p);
+        self.policy.on_ready(t, prio, now, p, affinity);
+        self.unpark(now);
+        let record = record.expect("a blocked thread carries its eviction record");
+        let saved = self.cur.replace((t, p));
+        crate::waitq::evict(self, t, record);
+        self.cur = saved;
     }
 
     /// Consumes the current thread's timeout flag: `true` exactly when its
@@ -741,7 +777,7 @@ impl Inner {
     }
 
     /// Consumes the current thread's cancel-woken flag: `true` exactly when
-    /// its last wake was a cancellation delivery ([`Inner::cancel_wake`])
+    /// its last wake was a cancellation delivery ([`Inner::evict_wake`])
     /// rather than a grant or timeout. The resuming primitive must unwind
     /// with [`Inner::cancel_error_current`] instead of completing its wait.
     pub fn consume_cancel_woken(&mut self) -> bool {
@@ -758,20 +794,6 @@ impl Inner {
             thread: tid,
             by: self.threads.live(tid).canceled_by.map(ThreadId),
         }
-    }
-
-    /// Registers an eviction hook for the current thread's *untimed* block:
-    /// the cancel twin of [`Inner::arm_timed_wait_evicting`]. A later
-    /// [`Inner::cancel_wake`] runs the hook to withdraw the thread's
-    /// wait-queue entry (and re-admit whoever that unblocks), so no grant
-    /// can land on the cancelled waiter. Unconditional — cancellation
-    /// eviction is always eager, even under the legacy
-    /// [`Config::lazy_timeout_eviction`] bug-demo mode (which pins only the
-    /// historical *timeout* behaviour). A normal wake clears the hook
-    /// unrun ([`Inner::make_ready`]).
-    pub fn arm_block_evict(&mut self, evict: EvictFn) {
-        let (tid, _) = self.cur.expect("block outside a thread");
-        self.threads.live_mut(tid).evict = Some(evict);
     }
 
     /// Latches a cancellation request on `target` and, when the target is
@@ -812,7 +834,7 @@ impl Inner {
             let defer = barrier || (timed && self.choose_cancel_delivery(target));
             if !defer {
                 let p = self.cur.map(|(_, p)| p).unwrap_or(0);
-                self.cancel_wake(target, p);
+                self.evict_wake(target, p, Evicted::Cancel);
             }
         }
         true
@@ -845,67 +867,9 @@ impl Inner {
         defer
     }
 
-    /// [`Inner::make_ready`]'s cancellation twin: wakes blocked `t` because
-    /// a cancellation request was delivered, not because the primitive
-    /// handed over. Emits a `Cancel` event instead of a `Wake` (the
-    /// checker's third sanctioned wake), sets `cancel_woken` for the
-    /// primitive to consume on resume, and disables further cancellation so
-    /// the unwind's own sync operations cannot re-deliver. Timestamped at
-    /// the canceller's clock (clamped by the block). Runs the waiter's
-    /// eviction hook so no later grant meets the dead queue entry — same
-    /// discipline as [`Inner::timeout_wake`].
-    fn cancel_wake(&mut self, t: ThreadId, p: ProcId) {
-        let at = self.machine.clock(p);
-        let (now, prio, affinity, obj, by, evict) = {
-            let tcb = self.threads.live_mut(t);
-            debug_assert_eq!(tcb.state, TState::Blocked);
-            let now = at.max(tcb.blocked_at);
-            tcb.state = TState::Ready;
-            tcb.ready_since = now;
-            tcb.cancel_woken = true;
-            tcb.cancel_requested = false;
-            tcb.cancel_enabled = false;
-            // Any armed deadline is dead: `deadline_live` discards the
-            // leftover heap entry lazily.
-            tcb.deadline = None;
-            let obj = tcb.wait.and_then(|w| w.obj);
-            tcb.wait = None;
-            let evict = tcb.evict.take();
-            (now, tcb.attr.priority, tcb.last_proc, obj, tcb.canceled_by, evict)
-        };
-        if self.trace.is_some() {
-            let t0 = self.prof_start();
-            let tr = self.trace.as_mut().expect("checked");
-            tr.event(now, p, Some(t.0), EventKind::Cancel { obj, by });
-            self.prof_close(t0, |hp| &mut hp.trace_alloc);
-        }
-        self.sched_op(p);
-        self.policy.on_ready(t, prio, now, p, affinity);
-        self.unpark(now);
-        // Eager eviction, exactly as in `timeout_wake`: the hook runs with
-        // `cur` pointed at the evictee so the re-admission wakes it
-        // publishes are attributed to the cancelled waiter.
-        if let Some(evict) = evict {
-            let saved = self.cur;
-            self.cur = Some((t, p));
-            evict(self, t);
-            self.cur = saved;
-        }
-    }
-
-    /// Whether `t` is currently blocked (false for an exited thread and for
-    /// the never-issued outside-a-runtime sentinel id). Wake paths use this
-    /// to skip waiters that a timeout already woke.
-    pub fn thread_is_blocked(&self, t: ThreadId) -> bool {
-        self.threads
-            .get(t)
-            .is_some_and(|tcb| tcb.state == TState::Blocked)
-    }
-
-    /// Whether `t` is currently blocked *on sync object `obj`* — the strict
-    /// form of [`Inner::thread_is_blocked`] grant paths use: a queue entry
-    /// whose thread has moved on (timed out, or even blocked on a different
-    /// object since) must never receive a grant.
+    /// Whether `t` is currently blocked *on sync object `obj`*: what every
+    /// slot of the object's wait queue must satisfy (the queue asserts it
+    /// at each grant, in debug builds).
     pub fn blocked_on(&self, t: ThreadId, obj: u32) -> bool {
         self.threads.get(t).is_some_and(|tcb| {
             tcb.state == TState::Blocked && tcb.wait.is_some_and(|w| w.obj == Some(obj))
@@ -915,11 +879,11 @@ impl Inner {
     /// Publishes the holder set of a contended sync object (or retires the
     /// entry when `holders` is empty). Primitives call this only on their
     /// contended paths, so the map stays off the uncontended hot path.
-    pub fn note_holders(&mut self, obj: u32, holders: Vec<ThreadId>) {
-        if holders.is_empty() {
-            self.holders.remove(&obj);
-        } else {
+    pub fn note_holders(&mut self, obj: u32, holders: Holders) {
+        if !holders.as_slice().is_empty() {
             self.holders.insert(obj, holders);
+        } else if !self.holders.is_empty() {
+            self.holders.remove(&obj);
         }
     }
 
@@ -934,23 +898,19 @@ impl Inner {
         obj: Option<u32>,
         target: Option<ThreadId>,
     ) -> Option<DeadlockInfo> {
-        fn successors(holders: &HashMap<u32, Vec<ThreadId>>, w: &Wait) -> Vec<ThreadId> {
-            if let Some(t) = w.target {
-                return vec![t];
-            }
-            match (w.reason, w.obj) {
-                // Only ownership waits have a well-defined "who must act"
-                // edge; condvar/semaphore/barrier waits can be satisfied by
-                // anyone and get no outgoing edge (no false positives).
-                (BlockReason::Mutex | BlockReason::RwRead | BlockReason::RwWrite, Some(o)) => {
-                    holders.get(&o).cloned().unwrap_or_default()
+        fn successors<'a>(holders: &'a HashMap<u32, Holders>, w: &'a Wait) -> &'a [ThreadId] {
+            match (&w.target, w.obj) {
+                (Some(t), _) => std::slice::from_ref(t),
+                // Only a wait on an owner has a "who must act" edge.
+                (None, Some(o)) if crate::waitq::owned(w.reason) => {
+                    holders.get(&o).map_or(&[], Holders::as_slice)
                 }
-                _ => Vec::new(),
+                _ => &[],
             }
         }
         fn walk(
             threads: &ThreadTable,
-            holders: &HashMap<u32, Vec<ThreadId>>,
+            holders: &HashMap<u32, Holders>,
             me: ThreadId,
             t: ThreadId,
             path: &mut Vec<(ThreadId, Option<u32>)>,
@@ -980,11 +940,11 @@ impl Inner {
             if tcb.cancel_requested && tcb.cancel_enabled {
                 return false;
             }
-            let Some(w) = tcb.wait else {
+            let Some(w) = tcb.wait.as_ref() else {
                 return false;
             };
             path.push((t, w.obj));
-            for s in successors(holders, &w) {
+            for &s in successors(holders, w) {
                 if walk(threads, holders, me, s, path, seen) {
                     return true;
                 }
@@ -992,20 +952,18 @@ impl Inner {
             path.pop();
             false
         }
-        let first = successors(
-            &self.holders,
-            &Wait {
-                reason: obj.map_or(BlockReason::Join, |_| BlockReason::Mutex),
-                obj,
-                target,
-            },
-        );
+        let edge = Wait {
+            reason: obj.map_or(BlockReason::Join, |_| BlockReason::Mutex),
+            obj,
+            target,
+        };
+        let first = successors(&self.holders, &edge);
         if first.is_empty() {
             return None;
         }
         let mut path = vec![(me, obj)];
         let mut seen = std::collections::HashSet::new();
-        for s in first {
+        for &s in first {
             if walk(&self.threads, &self.holders, me, s, &mut path, &mut seen) {
                 let at = match self.cur {
                     Some((_, p)) => self.machine.clock(p),
@@ -1158,22 +1116,11 @@ impl Inner {
         }
         self.live -= 1;
         if let Some(j) = joiner {
-            // A `join_timeout` joiner may already have been timeout-woken
-            // (Ready, not Blocked); waking it again would double-queue it.
-            if self.thread_is_blocked(j) {
-                self.make_ready(j, p);
-            }
-        }
-    }
-
-    /// Withdraws `me`'s registration as `target`'s joiner, if it still
-    /// stands: the target may have exited meanwhile and taken it, and then
-    /// the next join attempt observes the exit.
-    fn withdraw_joiner(&mut self, target: ThreadId, me: ThreadId) {
-        if let Some(tcb) = self.threads.get_mut(target) {
-            if tcb.joiner == Some(me) {
-                tcb.joiner = None;
-            }
+            // A joiner that timed out or was cancelled withdrew its
+            // registration with that wake (`Evict::Joiner`): whoever is
+            // still registered is blocked on this exit.
+            debug_assert_eq!(self.threads.live(j).state, TState::Blocked);
+            self.make_ready(j, p);
         }
     }
 
@@ -1235,10 +1182,10 @@ impl Inner {
         }
         // Gather every live due deadline first: the firing order among
         // simultaneously-due timeouts is itself a scheduling decision
-        // point, and an eviction hook run by one firing may satisfy (and
-        // thereby cancel) a later gathered one, which the per-entry
-        // liveness re-check below discards.
-        let mut due: Vec<(ThreadId, ProcId, VirtTime)> = Vec::new();
+        // point, and the re-admission one firing's eviction runs may
+        // satisfy (and thereby cancel) a later gathered one, which the
+        // per-entry liveness re-check below discards.
+        let mut due = std::mem::take(&mut self.due);
         for q in 0..self.parked.len() {
             while let Some((at, token)) = self.machine.peek_deadline(q) {
                 let t = ThreadId(token as u32);
@@ -1265,58 +1212,15 @@ impl Inner {
             }
         }
         let mut fired = false;
-        for (t, q, at) in due {
+        for (t, q, at) in due.drain(..) {
             if !self.deadline_live(t, at) {
                 continue; // an earlier firing's eviction already woke it
             }
-            self.timeout_wake(t, q, at);
+            self.evict_wake(t, q, Evicted::Timeout(at));
             fired = true;
         }
+        self.due = due;
         fired
-    }
-
-    /// [`Inner::make_ready`]'s timeout twin: wakes `t` because its armed
-    /// deadline (`at`) fired, not because the primitive handed over. Emits
-    /// a `Timeout` event instead of a `Wake`, so the happens-before checker
-    /// knows no notify sanctioned this wake, and sets `timed_out` for the
-    /// timed API to consume on resume. Timestamped at the deadline itself
-    /// (clamped by the block), however late in engine order the firing is.
-    fn timeout_wake(&mut self, t: ThreadId, p: ProcId, at: VirtTime) {
-        let (now, prio, affinity, obj, evict) = {
-            let tcb = self.threads.live_mut(t);
-            debug_assert_eq!(tcb.state, TState::Blocked);
-            let now = at.max(tcb.blocked_at);
-            tcb.state = TState::Ready;
-            tcb.ready_since = now;
-            tcb.timed_out = true;
-            tcb.deadline = None;
-            let obj = tcb.wait.and_then(|w| w.obj);
-            tcb.wait = None;
-            (now, tcb.attr.priority, tcb.last_proc, obj, tcb.evict.take())
-        };
-        if self.trace.is_some() {
-            let t0 = self.prof_start();
-            let tr = self.trace.as_mut().expect("checked");
-            tr.event(now, p, Some(t.0), EventKind::Timeout { obj });
-            self.prof_close(t0, |hp| &mut hp.trace_alloc);
-        }
-        self.sched_op(p);
-        self.policy.on_ready(t, prio, now, p, affinity);
-        self.unpark(now);
-        // Eager eviction: withdraw the timed-out thread's queue entry (and
-        // re-admit whoever that unblocks) before any later grant can see
-        // it. Runs after the Timeout event and unpark so re-admission
-        // wakes are causally ordered after the timeout itself. The hook
-        // runs with `cur` pointed at the evictee: its withdrawal is what
-        // re-admits the batch, so the Notify/Wake events it publishes are
-        // attributed to it (keeping the checker's wake-sanction rule —
-        // every wake needs a notify by its waker — satisfied).
-        if let Some(evict) = evict {
-            let saved = self.cur;
-            self.cur = Some((t, p));
-            evict(self, t);
-            self.cur = saved;
-        }
     }
 
     /// The watchdog's verdict when all processors are idle with live
@@ -2029,7 +1933,7 @@ pub(crate) fn raise_cancel(err: crate::CancelError) -> ! {
 }
 
 /// The shared resume-side cancellation check: when the wake that resumed
-/// the current thread was a [`Inner::cancel_wake`], unwind with the
+/// the current thread was a cancel [`Inner::evict_wake`], unwind with the
 /// structured [`crate::CancelError`] instead of completing the wait. The
 /// `Cancel` event was already emitted by the wake; this only raises.
 pub(crate) fn unwind_if_cancel_woken(rc: &Rc<RefCell<Inner>>) {
@@ -2060,7 +1964,7 @@ pub(crate) fn join_impl<T>(h: &JoinHandle<T>) -> T {
 /// [`JoinError`] instead of unwinding the joiner.
 pub(crate) fn try_join_impl<T>(h: &JoinHandle<T>) -> Result<T, JoinError> {
     if let Some(rc) = owning_run(h.run) {
-        if let Some(payload) = join_wait_in(&rc, h.id) {
+        if let Some(payload) = join_wait_in(&rc, h.id, None).expect(UNTIMED) {
             return Err(match payload.downcast::<crate::CancelError>() {
                 Ok(e) => JoinError::Canceled(*e),
                 Err(p) => JoinError::Panicked(p),
@@ -2082,6 +1986,9 @@ pub(crate) fn owning_run(run: Option<u64>) -> Option<Rc<RefCell<Inner>>> {
     })
 }
 
+/// What an untimed [`join_wait_in`] cannot return.
+const UNTIMED: &str = "an untimed join has no deadline";
+
 /// Blocks the current thread until `target`, a thread of the active run,
 /// exits. Returns the target's panic payload, if it panicked; the caller
 /// decides whether to re-raise.
@@ -2090,25 +1997,44 @@ pub(crate) fn join_wait(target: ThreadId) -> Option<Box<dyn std::any::Any + Send
         Some(ActiveCtx::Par(rc)) => rc.clone(),
         _ => panic!("join on a runtime thread outside the runtime"),
     });
-    join_wait_in(&rc, target)
+    join_wait_in(&rc, target, None).expect(UNTIMED)
 }
 
+/// Waits for `target`'s exit, at most `timeout` of virtual time if there is
+/// one: `Err(TimedOut)` when `target` has not (virtually) exited by then;
+/// otherwise the target's panic payload, if it panicked.
 fn join_wait_in(
     rc: &Rc<RefCell<Inner>>,
     target: ThreadId,
-) -> Option<Box<dyn std::any::Any + Send>> {
+    timeout: Option<VirtTime>,
+) -> Result<Option<Box<dyn std::any::Any + Send>>, crate::TimedOut> {
     // Join is a cancellation point (POSIX): deliver on entry…
     deliver_cancel(rc);
+    let mut deadline: Option<VirtTime> = None;
     loop {
         let mut inner = rc.borrow_mut();
         // Lenient on context: a scope guard unwinding during stall teardown
         // joins children that will never run; report "no value" upstream
         // instead of tearing the process down with a nested panic.
-        let (cur, p) = inner.cur?;
+        let Some((cur, p)) = inner.cur else {
+            return Ok(None);
+        };
+        let now = inner.machine.clock(p);
+        if let Some(timeout) = timeout {
+            deadline.get_or_insert(VirtTime::from_ns(now.as_ns().saturating_add(timeout.as_ns())));
+        }
         if let Some(exit_time) = inner.threads.exit_time(target) {
+            if let Some(deadline) = deadline.filter(|&d| exit_time > d) {
+                // The child's virtual exit lies beyond our budget: sleep to
+                // the deadline (greedily, like `JoinWake`) and report the
+                // timeout at exactly the promised virtual instant.
+                drop(inner);
+                suspend_current(rc, YieldReason::JoinWake { at: deadline });
+                return Err(crate::TimedOut);
+            }
             // Happens-before: join cannot return before the child's virtual
             // exit, even when the engine (real-time) ran the child first.
-            if inner.machine.clock(p) < exit_time {
+            if now < exit_time {
                 // The exit lies in this processor's virtual future. Don't
                 // idle the processor across the gap — that would be
                 // non-greedy (and breaks Brent's bound when other work is
@@ -2124,7 +2050,7 @@ fn join_wait_in(
                 let tr = inner.trace.as_mut().expect("checked");
                 tr.event(at, p, Some(cur.0), EventKind::Join { target: target.0 });
             }
-            return inner.threads.take_panic(target);
+            return Ok(inner.threads.take_panic(target));
         }
         assert!(
             inner.threads.live(target).joiner.is_none(),
@@ -2132,21 +2058,28 @@ fn join_wait_in(
         );
         // A join edge can close a waits-for cycle just like a lock edge
         // (t1 joins t2 while t2 blocks on a mutex t1 holds). Check before
-        // registering as joiner, and unwind instead of blocking forever.
-        if let Some(info) = inner.check_for_cycle(cur, None, Some(target)) {
-            inner.record_deadlock(&info);
-            drop(inner);
-            std::panic::panic_any(DeadlockError { info });
+        // registering as joiner, and unwind instead of blocking forever —
+        // unless the wait is timed: its deadline breaks any cycle.
+        if timeout.is_none() {
+            if let Some(info) = inner.check_for_cycle(cur, None, Some(target)) {
+                inner.record_deadlock(&info);
+                drop(inner);
+                std::panic::panic_any(DeadlockError { info });
+            }
         }
+        // The registration is a one-slot wait queue on the target: its exit
+        // grants it, and a deadline or a cancel withdraws it with the wake
+        // (`Evict::Joiner`), so the exit never meets a dead joiner.
         inner.threads.live_mut(target).joiner = Some(cur);
-        inner.block_current(BlockReason::Join, None, Some(target));
-        // …and while blocked: a cancel_wake must withdraw the joiner
-        // registration so the target's eventual exit doesn't wake (or
-        // assert on) a dead joiner.
-        inner.arm_block_evict(Box::new(move |eng, me| eng.withdraw_joiner(target, me)));
+        let wait = Wait {
+            reason: BlockReason::Join,
+            obj: None,
+            target: Some(target),
+        };
+        let left = deadline.map(|d| VirtTime::from_ns(d.as_ns().saturating_sub(now.as_ns())));
+        inner.park(wait, left, Evict::Joiner(target));
         drop(inner);
-        suspend_current(rc, YieldReason::Blocked);
-        unwind_if_cancel_woken(rc);
+        parked(rc, timeout.is_some())?;
     }
 }
 
@@ -2157,7 +2090,7 @@ pub(crate) fn join_timeout_impl<T>(
     timeout: VirtTime,
 ) -> Result<T, JoinHandle<T>> {
     if let Some(rc) = owning_run(h.run) {
-        match join_wait_timeout(&rc, h.id, timeout) {
+        match join_wait_in(&rc, h.id, Some(timeout)) {
             Ok(Some(payload)) => resume_unwind(payload),
             Ok(None) => {}
             Err(crate::TimedOut) => return Err(h),
@@ -2166,76 +2099,6 @@ pub(crate) fn join_timeout_impl<T>(
     match h.slot.borrow_mut().take() {
         Some(v) => Ok(v),
         None => panic!("{}", JoinError::NoValue),
-    }
-}
-
-/// Timed flavour of [`join_wait`]: `Err(TimedOut)` when `target` has not
-/// (virtually) exited within `timeout`; otherwise the target's panic
-/// payload, like `join_wait`.
-fn join_wait_timeout(
-    rc: &Rc<RefCell<Inner>>,
-    target: ThreadId,
-    timeout: VirtTime,
-) -> Result<Option<Box<dyn std::any::Any + Send>>, crate::TimedOut> {
-    // Timed join is a cancellation point too.
-    deliver_cancel(rc);
-    let mut deadline: Option<VirtTime> = None;
-    loop {
-        let mut inner = rc.borrow_mut();
-        let Some((cur, p)) = inner.cur else {
-            return Ok(None);
-        };
-        let now = inner.machine.clock(p);
-        let deadline =
-            *deadline.get_or_insert(VirtTime::from_ns(now.as_ns().saturating_add(timeout.as_ns())));
-        if let Some(exit_time) = inner.threads.exit_time(target) {
-            if exit_time > deadline {
-                // The child's virtual exit lies beyond our budget: sleep to
-                // the deadline (greedily, like `JoinWake`) and report the
-                // timeout at exactly the promised virtual instant.
-                drop(inner);
-                suspend_current(rc, YieldReason::JoinWake { at: deadline });
-                return Err(crate::TimedOut);
-            }
-            if now < exit_time {
-                drop(inner);
-                suspend_current(rc, YieldReason::JoinWake { at: exit_time });
-                continue;
-            }
-            let c = inner.machine.cost().join_exited;
-            inner.machine.thread_op(p, c);
-            if inner.trace.is_some() {
-                let at = inner.machine.clock(p);
-                let tr = inner.trace.as_mut().expect("checked");
-                tr.event(at, p, Some(cur.0), EventKind::Join { target: target.0 });
-            }
-            return Ok(inner.threads.take_panic(target));
-        }
-        let tcb = inner.threads.live_mut(target);
-        assert!(tcb.joiner.is_none(), "two threads joining {target}");
-        tcb.joiner = Some(cur);
-        inner.block_current(BlockReason::Join, None, Some(target));
-        // The eviction hook (shared by the deadline firing and a
-        // cancel_wake) withdraws the joiner registration eagerly, so the
-        // target's eventual exit never meets a dead joiner.
-        inner.arm_timed_wait_evicting(
-            VirtTime::from_ns(deadline.as_ns().saturating_sub(now.as_ns())),
-            Box::new(move |eng, me| eng.withdraw_joiner(target, me)),
-        );
-        drop(inner);
-        suspend_current(rc, YieldReason::Blocked);
-        unwind_if_cancel_woken(rc);
-        let mut inner = rc.borrow_mut();
-        if inner.consume_timeout() {
-            // Under eager eviction the hook already withdrew the joiner
-            // registration; the legacy lazy mode still needs it.
-            inner.withdraw_joiner(target, cur);
-            drop(inner);
-            // A timed wait's expiry resumption is itself a cancellation
-            // point: deliver a request that raced the deadline and lost.
-            deliver_cancel(rc);
-            return Err(crate::TimedOut);
-        }
     }
 }
 

@@ -3,24 +3,26 @@
 //! Writer-preferring: once a writer is queued, new readers block behind it,
 //! avoiding writer starvation. Blocking threads keep their DF-queue
 //! placeholder like every other blocking primitive.
+//!
+//! The lock is its admission state ([`RwState`]: who holds it) over one
+//! [`WaitQueue`], and one function, [`admit`], saying what a release admits.
+//! A waiter that times out or is cancelled re-runs that same function.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 
+use ptdf_smp::VirtTime;
+
 use crate::api::par_ctx;
-use crate::runtime::suspend_current;
-use crate::thread::{ThreadId, YieldReason};
+use crate::runtime::{deliver_cancel, Inner};
+use crate::sentinel::TimedOut;
+use crate::thread::ThreadId;
+use crate::trace::BlockReason::{self, RwRead, RwWrite};
+use crate::waitq::{untimed, Evict, Holders, WaitQueue};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Waiter {
-    Reader(ThreadId),
-    Writer(ThreadId),
-}
-
-struct RwState {
-    /// Per-run trace id, assigned at first engine interaction.
-    id: Cell<Option<u32>>,
+/// Who holds the lock, and who waits for it.
+#[derive(Default)]
+pub(crate) struct RwState {
     /// Active readers (writer active is represented by `writer`).
     readers: Cell<usize>,
     writer: Cell<bool>,
@@ -29,136 +31,78 @@ struct RwState {
     /// thread id) are counted in `readers`/`writer` but not recorded here.
     writer_id: Cell<Option<ThreadId>>,
     reader_ids: RefCell<Vec<ThreadId>>,
-    waiters: RefCell<VecDeque<Waiter>>,
+    /// Readers park as [`RwRead`], writers as [`RwWrite`].
+    pub(crate) queue: WaitQueue,
 }
 
 impl RwState {
     /// Current holder snapshot: the writer, or the reader set.
-    fn holders(&self) -> Vec<ThreadId> {
-        if self.writer.get() {
-            self.writer_id.get().into_iter().collect()
-        } else {
-            self.reader_ids.borrow().clone()
+    fn holders(&self) -> Holders {
+        let readers = self.reader_ids.borrow();
+        match (self.writer.get(), self.writer_id.get(), &readers[..]) {
+            (true, Some(w), _) => Holders::One(w),
+            (true, None, _) | (false, _, []) => Holders::None,
+            (false, _, &[r]) => Holders::One(r),
+            (false, _, many) => Holders::Many(many.to_vec()),
         }
     }
+
+    /// Takes `access` for the calling thread if it is free right now and
+    /// nothing queued is in its way (`behind`).
+    fn try_take(&self, access: BlockReason, behind: bool) -> bool {
+        let free = !self.writer.get() && !behind && (access == RwRead || self.readers.get() == 0);
+        if free {
+            self.enter(access, crate::api::current_thread());
+        }
+        free
+    }
+
+    /// Records `t` as a holder (`None` outside a runtime thread).
+    fn enter(&self, access: BlockReason, t: Option<ThreadId>) {
+        if access == RwRead {
+            self.readers.set(self.readers.get() + 1);
+            self.reader_ids.borrow_mut().extend(t);
+        } else {
+            self.writer.set(true);
+            self.writer_id.set(t);
+        }
+    }
+}
+
+/// What a release admits: the front writer once the lock is free, or every
+/// reader ahead of the first queued writer once no writer holds it. Guard
+/// drops run it, and so does the eviction of a waiter that timed out or was
+/// cancelled ([`Evict::RwAdmission`]). With no engine (outside a runtime, or
+/// a guard dropped during stall teardown) admission state still advances;
+/// nobody is woken.
+pub(crate) fn admit(st: &RwState, eng: Option<&mut Inner>) {
+    let free = !st.writer.get();
+    let (access, k) = match st.queue.front() {
+        Some((w, RwWrite)) if free && st.readers.get() == 0 => {
+            st.enter(RwWrite, Some(w));
+            (RwWrite, 1)
+        }
+        Some((_, RwRead)) if free => {
+            let k = st.queue.front_run(RwRead, |r| st.enter(RwRead, Some(r)));
+            (RwRead, k)
+        }
+        _ => {
+            // Nobody admissible (a partial release, an eviction that drained
+            // the queue): still refresh or retire the sentinel's holder
+            // snapshot, so it never walks a stale reader edge.
+            if let Some(eng) = eng {
+                st.queue.publish_holders(eng, || st.holders());
+            }
+            return;
+        }
+    };
+    st.queue.grant_batch(eng, access, k, || st.holders());
 }
 
 struct RwInner<T> {
-    /// Behind an `Rc` so the timed-wait eviction hook (a `'static` closure
-    /// stored on the TCB) can capture the queue without borrowing `T`.
+    /// Its own `Rc`: a parked waiter's eviction record holds it.
     state: Rc<RwState>,
     value: UnsafeCell<T>,
-}
-
-/// Admission pump: wakes whatever the fairness policy admits next — the
-/// front writer, or the maximal prefix of readers. A free function over the
-/// shared state so both guard drops (which borrow the engine themselves)
-/// and the timed-wait eviction hook (which already holds the engine borrow)
-/// can run it. With no engine access (`inner` is `None`: outside a runtime,
-/// or a teardown-path borrow failure) admission state still advances but
-/// wakes and bookkeeping are skipped, like the old lenient `wake_batch`.
-fn pump(st: &RwState, mut inner: Option<&mut crate::runtime::Inner>) {
-    // Strict mode: purge entries whose thread is no longer blocked on this
-    // lock — a timed-out writer's stale entry at the front must not be
-    // admitted (it would install a ghost writer and strand every later
-    // acquirer). Eager eviction already withdrew such entries; this retain
-    // is the second line of defense. Legacy lazy mode skips the purge,
-    // reproducing the historical starvation window.
-    if let Some(eng) = inner.as_deref_mut() {
-        if !eng.lazy_evict {
-            let obj = eng.sync_id_for(&st.id);
-            st.waiters.borrow_mut().retain(|w| {
-                let t = match *w {
-                    Waiter::Reader(t) | Waiter::Writer(t) => t,
-                };
-                eng.blocked_on(t, obj)
-            });
-        }
-    }
-    let nwaiters = st.waiters.borrow().len() as u64;
-    enum Admit {
-        Writer(ThreadId),
-        Readers(Vec<ThreadId>),
-        Nobody,
-    }
-    let admit = {
-        let mut waiters = st.waiters.borrow_mut();
-        match waiters.front().copied() {
-            Some(Waiter::Writer(w)) if st.readers.get() == 0 && !st.writer.get() => {
-                waiters.pop_front();
-                Admit::Writer(w)
-            }
-            Some(Waiter::Reader(_)) if !st.writer.get() => {
-                let mut woken = Vec::new();
-                while let Some(Waiter::Reader(r)) = waiters.front().copied() {
-                    waiters.pop_front();
-                    woken.push(r);
-                }
-                Admit::Readers(woken)
-            }
-            _ => Admit::Nobody,
-        }
-    };
-    match admit {
-        Admit::Writer(w) => {
-            st.writer.set(true);
-            st.writer_id.set(Some(w));
-            wake_admitted(st, inner, crate::trace::BlockReason::RwWrite, nwaiters, vec![w]);
-        }
-        Admit::Readers(batch) => {
-            for &r in &batch {
-                st.readers.set(st.readers.get() + 1);
-                st.reader_ids.borrow_mut().push(r);
-            }
-            wake_admitted(st, inner, crate::trace::BlockReason::RwRead, nwaiters, batch);
-        }
-        Admit::Nobody => {
-            // Nothing admissible: still refresh (or retire) the sentinel's
-            // holder snapshot — an eviction may just have drained the queue.
-            if let Some(eng) = inner {
-                let obj = eng.sync_id_for(&st.id);
-                let holders = if st.waiters.borrow().is_empty() {
-                    Vec::new()
-                } else {
-                    st.holders()
-                };
-                eng.note_holders(obj, holders);
-            }
-        }
-    }
-}
-
-/// Wakes an admitted batch (delivery order is a schedule decision point:
-/// shuffled under perturbation, scripted under the oracle) and records the
-/// handoff for the happens-before checker and the deadlock sentinel.
-fn wake_admitted(
-    st: &RwState,
-    inner: Option<&mut crate::runtime::Inner>,
-    reason: crate::trace::BlockReason,
-    nwaiters: u64,
-    mut batch: Vec<ThreadId>,
-) {
-    let Some(eng) = inner else { return };
-    let Some((_, p)) = eng.cur else { return };
-    let obj = eng.sync_id_for(&st.id);
-    eng.wake_order(obj, &mut batch);
-    eng.note_sync(reason, obj, nwaiters, batch.len() as u64);
-    // Sentinel registry: the admitted batch holds the lock now; retire the
-    // entry once the queue drained.
-    let holders = if st.waiters.borrow().is_empty() {
-        Vec::new()
-    } else {
-        st.holders()
-    };
-    eng.note_holders(obj, holders);
-    for w in batch {
-        // Guarded wake: a lazy-mode admission of a thread that already gave
-        // up is dropped (a deterministic lost wake the explorer surfaces)
-        // rather than waking a thread that is not blocked.
-        if eng.thread_is_blocked(w) {
-            eng.make_ready(w, p);
-        }
-    }
 }
 
 /// A blocking readers-writer lock protecting a `T` (handle semantics, like
@@ -202,24 +146,12 @@ fn charge_op() {
     }
 }
 
-/// The calling thread's id, when inside a runtime thread.
-fn me() -> Option<ThreadId> {
-    crate::api::current_thread()
-}
-
 impl<T> RwLock<T> {
     /// Creates an unlocked lock.
     pub fn new(value: T) -> Self {
         RwLock {
             inner: Rc::new(RwInner {
-                state: Rc::new(RwState {
-                    id: Cell::new(None),
-                    readers: Cell::new(0),
-                    writer: Cell::new(false),
-                    writer_id: Cell::new(None),
-                    reader_ids: RefCell::new(Vec::new()),
-                    waiters: RefCell::new(VecDeque::new()),
-                }),
+                state: Rc::default(),
                 value: UnsafeCell::new(value),
             }),
         }
@@ -228,125 +160,72 @@ impl<T> RwLock<T> {
     /// Acquires shared access; blocks while a writer holds or awaits the
     /// lock (writer preference).
     pub fn read(&self) -> ReadGuard<'_, T> {
-        charge_op();
-        if let Some(rc) = par_ctx() {
-            // Cancellation point: deliver a latched request before taking
-            // or queueing for the lock.
-            crate::runtime::deliver_cancel(&rc);
-        }
-        let st = &self.inner.state;
-        let writer_queued = st
-            .waiters
-            .borrow()
-            .iter()
-            .any(|w| matches!(w, Waiter::Writer(_)));
-        if !st.writer.get() && !writer_queued {
-            st.readers.set(st.readers.get() + 1);
-            if let Some(me) = me() {
-                st.reader_ids.borrow_mut().push(me);
-            }
-            return ReadGuard { lock: self };
-        }
-        let rc = par_ctx().expect("contended rwlock outside a runtime would deadlock");
-        let me = crate::api::current_thread().expect("read outside a thread");
-        {
-            let mut inner = rc.borrow_mut();
-            let obj = inner.sync_id_for(&st.id);
-            // Publish the live holders and probe the prospective waits-for
-            // edge before enqueueing (see Mutex::lock). The edge points at
-            // the *actual* holders, skipping any queued writer: a blocked
-            // reader transitively waits on whatever the writer waits on.
-            inner.note_holders(obj, st.holders());
-            if let Some(info) = inner.check_for_cycle(me, Some(obj), None) {
-                inner.record_deadlock(&info);
-                if st.waiters.borrow().is_empty() {
-                    inner.note_holders(obj, Vec::new());
-                }
-                drop(inner);
-                std::panic::panic_any(crate::DeadlockError { info });
-            }
-            st.waiters.borrow_mut().push_back(Waiter::Reader(me));
-            inner.block_current(crate::trace::BlockReason::RwRead, Some(obj), None);
-            // Cancellation eviction: a cancel_wake withdraws the queue
-            // entry and re-pumps admission (withdrawing a front reader can
-            // admit the writer queued behind it).
-            let st2 = self.inner.state.clone();
-            inner.arm_block_evict(Box::new(move |eng, t| {
-                st2.waiters
-                    .borrow_mut()
-                    .retain(|w| !matches!(*w, Waiter::Reader(x) if x == t));
-                pump(&st2, Some(eng));
-            }));
-        }
-        suspend_current(&rc, YieldReason::Blocked);
-        // Cancelled while blocked: unwind without the lock.
-        crate::runtime::unwind_if_cancel_woken(&rc);
-        // Woken by release(): reader count already incremented on our behalf.
-        debug_assert!(st.readers.get() > 0);
+        untimed(self.acquire(RwRead, None));
         ReadGuard { lock: self }
     }
 
     /// Acquires exclusive access.
     pub fn write(&self) -> WriteGuard<'_, T> {
+        untimed(self.acquire(RwWrite, None));
+        WriteGuard { lock: self }
+    }
+
+    /// Like [`RwLock::read`], but gives up after `timeout` of virtual time,
+    /// returning [`crate::TimedOut`] instead of a guard. Deadlock-sentinel
+    /// exempt like [`RwLock::write_timeout`]; a front reader that gives up
+    /// can admit the writer queued behind it.
+    pub fn read_timeout(&self, timeout: VirtTime) -> Result<ReadGuard<'_, T>, TimedOut> {
+        let taken = self.acquire(RwRead, Some(timeout));
+        taken.map(|()| ReadGuard { lock: self })
+    }
+
+    /// Like [`RwLock::write`], but gives up after `timeout` of virtual
+    /// time, returning [`crate::TimedOut`] instead of a guard.
+    ///
+    /// Timed waits are exempt from the deadlock sentinel (the deadline
+    /// guarantees progress). A writer that gives up leaves the queue with
+    /// that wake and re-admits the readers held back only by writer
+    /// preference (the `rwlock_writer_timeout` litmus program).
+    pub fn write_timeout(&self, timeout: VirtTime) -> Result<WriteGuard<'_, T>, TimedOut> {
+        let taken = self.acquire(RwWrite, Some(timeout));
+        taken.map(|()| WriteGuard { lock: self })
+    }
+
+    /// Takes `access`, parking behind whoever holds the lock — and, for a
+    /// reader, behind any queued writer.
+    fn acquire(&self, access: BlockReason, timeout: Option<VirtTime>) -> Result<(), TimedOut> {
         charge_op();
-        if let Some(rc) = par_ctx() {
+        let ctx = par_ctx();
+        if let Some(rc) = &ctx {
             // Cancellation point: deliver a latched request before taking
             // or queueing for the lock.
-            crate::runtime::deliver_cancel(&rc);
+            deliver_cancel(rc);
         }
         let st = &self.inner.state;
-        if !st.writer.get() && st.readers.get() == 0 {
-            st.writer.set(true);
-            st.writer_id.set(me());
-            return WriteGuard { lock: self };
+        if st.try_take(access, access == RwRead && st.queue.holds(RwWrite)) {
+            return Ok(());
         }
-        let rc = par_ctx().expect("contended rwlock outside a runtime would deadlock");
-        let me = crate::api::current_thread().expect("write outside a thread");
-        {
-            let mut inner = rc.borrow_mut();
-            let obj = inner.sync_id_for(&st.id);
-            inner.note_holders(obj, st.holders());
-            if let Some(info) = inner.check_for_cycle(me, Some(obj), None) {
-                inner.record_deadlock(&info);
-                if st.waiters.borrow().is_empty() {
-                    inner.note_holders(obj, Vec::new());
-                }
-                drop(inner);
-                std::panic::panic_any(crate::DeadlockError { info });
-            }
-            st.waiters.borrow_mut().push_back(Waiter::Writer(me));
-            inner.block_current(crate::trace::BlockReason::RwWrite, Some(obj), None);
-            // Cancellation eviction: a cancel_wake withdraws the queue
-            // entry and re-pumps admission (withdrawing a queued writer
-            // re-admits readers held back only by writer preference).
-            let st2 = self.inner.state.clone();
-            inner.arm_block_evict(Box::new(move |eng, t| {
-                st2.waiters
-                    .borrow_mut()
-                    .retain(|w| !matches!(*w, Waiter::Writer(x) if x == t));
-                pump(&st2, Some(eng));
-            }));
-        }
-        suspend_current(&rc, YieldReason::Blocked);
-        // Cancelled while blocked: unwind without the lock.
-        crate::runtime::unwind_if_cancel_woken(&rc);
-        debug_assert!(st.writer.get());
-        WriteGuard { lock: self }
+        // The sentinel's edge points at the *actual* holders, skipping any
+        // queued writer: a blocked reader transitively waits on whatever
+        // the writer waits on.
+        let evict = Evict::RwAdmission(st.clone());
+        st.queue
+            .wait(ctx, access, timeout, evict, || st.holders())?;
+        // Woken by a release: the admission state already includes us.
+        debug_assert!(if access == RwRead {
+            st.readers.get() > 0
+        } else {
+            st.writer.get()
+        });
+        Ok(())
     }
 
     /// Attempts shared access without blocking.
     pub fn try_read(&self) -> Option<ReadGuard<'_, T>> {
         charge_op();
         let st = &self.inner.state;
-        if !st.writer.get() && st.waiters.borrow().is_empty() {
-            st.readers.set(st.readers.get() + 1);
-            if let Some(me) = me() {
-                st.reader_ids.borrow_mut().push(me);
-            }
-            Some(ReadGuard { lock: self })
-        } else {
-            None
-        }
+        st.try_take(RwRead, !st.queue.is_empty())
+            .then(|| ReadGuard { lock: self })
     }
 
     /// Attempts exclusive access without blocking. Like [`RwLock::try_read`]
@@ -356,176 +235,23 @@ impl<T> RwLock<T> {
     pub fn try_write(&self) -> Option<WriteGuard<'_, T>> {
         charge_op();
         let st = &self.inner.state;
-        if !st.writer.get() && st.readers.get() == 0 && st.waiters.borrow().is_empty() {
-            st.writer.set(true);
-            st.writer_id.set(me());
-            Some(WriteGuard { lock: self })
-        } else {
-            None
-        }
+        st.try_take(RwWrite, !st.queue.is_empty())
+            .then(|| WriteGuard { lock: self })
     }
 
-    /// Wakes whatever the fairness policy admits next: either the front
-    /// writer, or the maximal prefix of readers (see [`pump`]).
-    fn release_next(&self) {
+    /// Threads parked on this lock.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> usize {
+        self.inner.state.queue.len()
+    }
+
+    /// [`admit`] from a guard drop, with the engine if it can be had:
+    /// lenient outside a runtime and while the engine is borrowed (stall
+    /// teardown).
+    fn release(&self) {
         let ctx = par_ctx();
-        let borrowed = ctx.as_ref().map(|rc| rc.try_borrow_mut());
-        match borrowed {
-            Some(Ok(mut inner)) => pump(&self.inner.state, Some(&mut inner)),
-            _ => pump(&self.inner.state, None),
-        }
-    }
-
-    /// Refreshes the sentinel's holder entry for this lock: the current
-    /// holder snapshot while waiters are queued, retired otherwise. Lenient
-    /// on context like [`RwLock::wake_batch`].
-    fn publish_holders(&self) {
-        if let Some(rc) = par_ctx() {
-            if let Ok(mut inner) = rc.try_borrow_mut() {
-                let st = &self.inner.state;
-                let obj = inner.sync_id_for(&st.id);
-                let holders = if st.waiters.borrow().is_empty() {
-                    Vec::new()
-                } else {
-                    st.holders()
-                };
-                inner.note_holders(obj, holders);
-            }
-        }
-    }
-
-    /// Like [`RwLock::write`], but gives up after `timeout` of virtual
-    /// time, returning [`crate::TimedOut`] instead of a guard.
-    ///
-    /// Timed waits are exempt from the deadlock sentinel (the deadline
-    /// guarantees progress). When the deadline fires the queue entry is
-    /// withdrawn *eagerly*, and withdrawing a queued writer immediately
-    /// re-admits any readers that were held back only by writer preference
-    /// — the fairness re-ordering window this API originally opened is
-    /// pinned by the `rwlock_writer_timeout` litmus program.
-    pub fn write_timeout(
-        &self,
-        timeout: ptdf_smp::VirtTime,
-    ) -> Result<WriteGuard<'_, T>, crate::TimedOut> {
-        charge_op();
-        if let Some(rc) = par_ctx() {
-            // Cancellation point on entry.
-            crate::runtime::deliver_cancel(&rc);
-        }
-        let st = &self.inner.state;
-        if !st.writer.get() && st.readers.get() == 0 {
-            st.writer.set(true);
-            st.writer_id.set(me());
-            return Ok(WriteGuard { lock: self });
-        }
-        let Some(rc) = par_ctx() else {
-            // Outside a runtime nobody can release: time out immediately.
-            return Err(crate::TimedOut);
-        };
-        let me = crate::api::current_thread().expect("write outside a thread");
-        {
-            let mut inner = rc.borrow_mut();
-            let obj = inner.sync_id_for(&st.id);
-            st.waiters.borrow_mut().push_back(Waiter::Writer(me));
-            inner.block_current(crate::trace::BlockReason::RwWrite, Some(obj), None);
-            let st2 = self.inner.state.clone();
-            inner.arm_timed_wait_evicting(
-                timeout,
-                Box::new(move |eng, t| {
-                    st2.waiters
-                        .borrow_mut()
-                        .retain(|w| !matches!(*w, Waiter::Writer(x) if x == t));
-                    pump(&st2, Some(eng));
-                }),
-            );
-        }
-        suspend_current(&rc, YieldReason::Blocked);
-        // Cancelled while blocked: unwind without the lock.
-        crate::runtime::unwind_if_cancel_woken(&rc);
-        {
-            let mut inner = rc.borrow_mut();
-            if inner.consume_timeout() {
-                // Defense in depth for the lazy mode: the eviction hook
-                // already withdrew the entry (and pumped admission) in the
-                // default configuration.
-                st.waiters
-                    .borrow_mut()
-                    .retain(|w| !matches!(*w, Waiter::Writer(x) if x == me));
-                drop(inner);
-                self.publish_holders();
-                // The expiry resumption is itself a cancellation point.
-                crate::runtime::deliver_cancel(&rc);
-                return Err(crate::TimedOut);
-            }
-        }
-        debug_assert!(st.writer.get());
-        Ok(WriteGuard { lock: self })
-    }
-
-    /// Like [`RwLock::read`], but gives up after `timeout` of virtual time,
-    /// returning [`crate::TimedOut`] instead of a guard. Deadlock-sentinel
-    /// exempt and eagerly evicted on expiry like [`RwLock::write_timeout`]
-    /// (withdrawing a front reader can admit the writer queued behind it).
-    pub fn read_timeout(
-        &self,
-        timeout: ptdf_smp::VirtTime,
-    ) -> Result<ReadGuard<'_, T>, crate::TimedOut> {
-        charge_op();
-        if let Some(rc) = par_ctx() {
-            // Cancellation point on entry.
-            crate::runtime::deliver_cancel(&rc);
-        }
-        let st = &self.inner.state;
-        let writer_queued = st
-            .waiters
-            .borrow()
-            .iter()
-            .any(|w| matches!(w, Waiter::Writer(_)));
-        if !st.writer.get() && !writer_queued {
-            st.readers.set(st.readers.get() + 1);
-            if let Some(me) = me() {
-                st.reader_ids.borrow_mut().push(me);
-            }
-            return Ok(ReadGuard { lock: self });
-        }
-        let Some(rc) = par_ctx() else {
-            return Err(crate::TimedOut);
-        };
-        let me = crate::api::current_thread().expect("read outside a thread");
-        {
-            let mut inner = rc.borrow_mut();
-            let obj = inner.sync_id_for(&st.id);
-            st.waiters.borrow_mut().push_back(Waiter::Reader(me));
-            inner.block_current(crate::trace::BlockReason::RwRead, Some(obj), None);
-            let st2 = self.inner.state.clone();
-            inner.arm_timed_wait_evicting(
-                timeout,
-                Box::new(move |eng, t| {
-                    st2.waiters
-                        .borrow_mut()
-                        .retain(|w| !matches!(*w, Waiter::Reader(x) if x == t));
-                    pump(&st2, Some(eng));
-                }),
-            );
-        }
-        suspend_current(&rc, YieldReason::Blocked);
-        // Cancelled while blocked: unwind without the lock.
-        crate::runtime::unwind_if_cancel_woken(&rc);
-        {
-            let mut inner = rc.borrow_mut();
-            if inner.consume_timeout() {
-                st.waiters
-                    .borrow_mut()
-                    .retain(|w| !matches!(*w, Waiter::Reader(x) if x == me));
-                drop(inner);
-                self.publish_holders();
-                // The expiry resumption is itself a cancellation point.
-                crate::runtime::deliver_cancel(&rc);
-                return Err(crate::TimedOut);
-            }
-        }
-        debug_assert!(st.readers.get() > 0);
-        Ok(ReadGuard { lock: self })
+        let mut eng = ctx.as_ref().and_then(|rc| rc.try_borrow_mut().ok());
+        admit(&self.inner.state, eng.as_deref_mut());
     }
 }
 
@@ -542,18 +268,16 @@ impl<T> Drop for ReadGuard<'_, T> {
         charge_op();
         let st = &self.lock.inner.state;
         st.readers.set(st.readers.get() - 1);
-        if let Some(me) = me() {
+        if let Some(me) = crate::api::current_thread() {
             let mut ids = st.reader_ids.borrow_mut();
             if let Some(i) = ids.iter().position(|&r| r == me) {
                 ids.swap_remove(i);
             }
         }
-        if st.readers.get() == 0 {
-            self.lock.release_next();
-        } else if !st.waiters.borrow().is_empty() {
-            // Partial release under contention: keep the sentinel's holder
-            // snapshot accurate so it never walks a stale reader edge.
-            self.lock.publish_holders();
+        // The last reader out admits the next waiter; a partial release
+        // under contention admits nobody but refreshes the holder snapshot.
+        if st.readers.get() == 0 || !st.queue.is_empty() {
+            self.lock.release();
         }
     }
 }
@@ -576,9 +300,10 @@ impl<T> std::ops::DerefMut for WriteGuard<'_, T> {
 impl<T> Drop for WriteGuard<'_, T> {
     fn drop(&mut self) {
         charge_op();
-        self.lock.inner.state.writer.set(false);
-        self.lock.inner.state.writer_id.set(None);
-        self.lock.release_next();
+        let st = &self.lock.inner.state;
+        st.writer.set(false);
+        st.writer_id.set(None);
+        self.lock.release();
     }
 }
 

@@ -6,18 +6,27 @@
 //! a thread that blocks keeps its placeholder in the DF scheduler's ordered
 //! queue and resumes at its depth-first position when woken.
 //!
+//! Each primitive is its admission state (an owner, a permit count, a round
+//! counter) over one [`WaitQueue`]; parking, granting, timed waits and
+//! cancel eviction are the queue's ([`crate::waitq`]). A timed entry point
+//! and its untimed twin are one body taking `Option<VirtTime>`.
+//!
 //! Handle semantics: each primitive is a cheap clonable handle (like a
 //! `pthread_mutex_t*`); clones refer to the same underlying object. Outside
 //! a runtime the primitives degrade to plain sequential semantics (locking
 //! an unlocked mutex succeeds; blocking would self-deadlock and panics).
 
 use std::cell::{Cell, RefCell, UnsafeCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 
+use ptdf_smp::VirtTime;
+
 use crate::api::par_ctx;
-use crate::runtime::suspend_current;
+use crate::runtime::{deliver_cancel, suspend_current, unwind_if_cancel_woken, Inner};
+use crate::sentinel::TimedOut;
 use crate::thread::{ThreadId, YieldReason};
+use crate::trace::BlockReason;
+use crate::waitq::{untimed, Evict, Holders, WaitQueue};
 
 /// Sentinel owner for lock acquisition outside a runtime.
 const NO_THREAD: ThreadId = ThreadId(u32::MAX - 1);
@@ -39,31 +48,29 @@ fn charge_sync_op() {
             inner.machine.sync_op(p, c);
         }
         crate::runtime::maybe_timeslice(&rc);
-        // Schedule exploration: sync-operation boundaries are exactly the
-        // points where involuntary preemption exposes protocol windows.
+        // Sync-operation boundaries are where involuntary preemption
+        // exposes protocol windows (perturbation) and where threads hold
+        // locks (chaos: the lock-holder preemption storm).
         crate::runtime::maybe_perturb_yield(&rc);
-        // Chaos fault injection preempts at the same boundaries — sync ops
-        // are exactly where threads hold locks, so this is the lock-holder
-        // preemption storm.
         crate::runtime::maybe_chaos_yield(&rc);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Mutex
-// ---------------------------------------------------------------------------
-
-struct MutexState {
-    /// Per-run trace id, assigned at first engine interaction.
-    id: Cell<Option<u32>>,
-    owner: Cell<Option<ThreadId>>,
-    waiters: RefCell<VecDeque<ThreadId>>,
+/// The entry of a blocking operation: charges it and, inside a runtime, is
+/// a cancellation point — a latched request is delivered before the wait
+/// queue is touched. Returns the runtime, if any.
+fn enter_blocking_op() -> Option<Rc<RefCell<Inner>>> {
+    charge_sync_op();
+    let ctx = par_ctx();
+    if let Some(rc) = &ctx {
+        deliver_cancel(rc);
+    }
+    ctx
 }
 
 struct MutexInner<T: ?Sized> {
-    /// Behind an `Rc` so the timed-wait eviction hook (a `'static` closure
-    /// stored on the TCB) can capture the queue without borrowing `T`.
-    state: Rc<MutexState>,
+    owner: Cell<Option<ThreadId>>,
+    queue: Rc<WaitQueue>,
     value: UnsafeCell<T>,
 }
 
@@ -86,7 +93,7 @@ impl<T> Clone for Mutex<T> {
 impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mutex")
-            .field("locked", &self.inner.state.owner.get().is_some())
+            .field("locked", &self.is_locked())
             .finish()
     }
 }
@@ -101,11 +108,8 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex {
             inner: Rc::new(MutexInner {
-                state: Rc::new(MutexState {
-                    id: Cell::new(None),
-                    owner: Cell::new(None),
-                    waiters: RefCell::new(VecDeque::new()),
-                }),
+                owner: Cell::new(None),
+                queue: Rc::default(),
                 value: UnsafeCell::new(value),
             }),
         }
@@ -113,71 +117,7 @@ impl<T> Mutex<T> {
 
     /// Acquires the lock, blocking the calling thread if necessary.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        charge_sync_op();
-        let me = current_or_sentinel();
-        match par_ctx() {
-            Some(rc) => {
-                // Cancellation point: deliver a latched request before
-                // touching the wait queue.
-                crate::runtime::deliver_cancel(&rc);
-                let must_block = {
-                    let st = &self.inner.state;
-                    if st.owner.get().is_none() {
-                        st.owner.set(Some(me));
-                        false
-                    } else {
-                        let owner = st.owner.get().expect("contended lock with no owner");
-                        let mut inner = rc.borrow_mut();
-                        let obj = inner.sync_id_for(&st.id);
-                        // Publish the live holder and probe the prospective
-                        // waits-for edge *before* enqueueing: a closed cycle
-                        // (including the recursive self-lock) unwinds as a
-                        // structured DeadlockError instead of blocking a
-                        // doomed thread. The unwind releases every guard the
-                        // thread holds, so its cycle peers can proceed.
-                        inner.note_holders(obj, vec![owner]);
-                        if let Some(info) = inner.check_for_cycle(me, Some(obj), None) {
-                            inner.record_deadlock(&info);
-                            if st.waiters.borrow().is_empty() {
-                                inner.note_holders(obj, Vec::new());
-                            }
-                            drop(inner);
-                            std::panic::panic_any(crate::DeadlockError { info });
-                        }
-                        st.waiters.borrow_mut().push_back(me);
-                        inner.block_current(crate::trace::BlockReason::Mutex, Some(obj), None);
-                        // Cancellation eviction: a cancel_wake withdraws our
-                        // queue entry (and retires the sentinel's holders
-                        // edge if the queue drained) so no later unlock can
-                        // hand the lock to the unwinding waiter.
-                        let st2 = self.inner.state.clone();
-                        inner.arm_block_evict(Box::new(move |eng, t| {
-                            st2.waiters.borrow_mut().retain(|&w| w != t);
-                            if st2.waiters.borrow().is_empty() {
-                                let obj = eng.sync_id_for(&st2.id);
-                                eng.note_holders(obj, Vec::new());
-                            }
-                        }));
-                        true
-                    }
-                };
-                if must_block {
-                    suspend_current(&rc, YieldReason::Blocked);
-                    // Cancelled while blocked: unwind without the lock.
-                    crate::runtime::unwind_if_cancel_woken(&rc);
-                    // Direct handoff: the unlocker made us the owner.
-                    debug_assert_eq!(self.inner.state.owner.get(), Some(me));
-                }
-            }
-            None => {
-                assert!(
-                    self.inner.state.owner.get().is_none(),
-                    "mutex contended outside a runtime: would deadlock"
-                );
-                self.inner.state.owner.set(Some(me));
-            }
-        }
-        MutexGuard { mutex: self }
+        untimed(self.lock_for(None))
     }
 
     /// Like [`Mutex::lock`], but gives up after `timeout` of virtual time,
@@ -186,81 +126,30 @@ impl<T> Mutex<T> {
     /// Timed waits are exempt from the deadlock sentinel — the deadline
     /// itself guarantees progress — which makes this the building block for
     /// deadlock *recovery* (pair it with [`crate::backoff::Backoff`]).
-    pub fn lock_timeout(
-        &self,
-        timeout: ptdf_smp::VirtTime,
-    ) -> Result<MutexGuard<'_, T>, crate::TimedOut> {
-        charge_sync_op();
-        let me = current_or_sentinel();
-        let st = &self.inner.state;
-        let Some(rc) = par_ctx() else {
-            // Outside a runtime no other thread can release the lock: an
-            // uncontended acquire succeeds, a contended one times out
-            // immediately (there is no virtual clock to wait on).
-            if st.owner.get().is_none() {
-                st.owner.set(Some(me));
-                return Ok(MutexGuard { mutex: self });
-            }
-            return Err(crate::TimedOut);
-        };
-        // Cancellation point: deliver a latched request before touching the
-        // wait queue.
-        crate::runtime::deliver_cancel(&rc);
-        if st.owner.get().is_none() {
+    pub fn lock_timeout(&self, timeout: VirtTime) -> Result<MutexGuard<'_, T>, TimedOut> {
+        self.lock_for(Some(timeout))
+    }
+
+    fn lock_for(&self, timeout: Option<VirtTime>) -> Result<MutexGuard<'_, T>, TimedOut> {
+        let ctx = enter_blocking_op();
+        let (st, me) = (&*self.inner, current_or_sentinel());
+        if let Some(owner) = st.owner.get() {
+            let evict = Evict::Queue(st.queue.clone());
+            let holder = || Holders::One(owner);
+            st.queue
+                .wait(ctx, BlockReason::Mutex, timeout, evict, holder)?;
+            // Direct handoff: the unlocker made us the owner.
+            debug_assert_eq!(st.owner.get(), Some(me));
+        } else {
             st.owner.set(Some(me));
-            return Ok(MutexGuard { mutex: self });
         }
-        {
-            let mut inner = rc.borrow_mut();
-            let obj = inner.sync_id_for(&st.id);
-            st.waiters.borrow_mut().push_back(me);
-            inner.block_current(crate::trace::BlockReason::Mutex, Some(obj), None);
-            // Eager eviction: the moment the deadline fires, withdraw our
-            // queue entry (and retire the sentinel's holders edge if the
-            // queue drained) so no later unlock can hand the lock to a
-            // waiter that already gave up.
-            let st2 = self.inner.state.clone();
-            inner.arm_timed_wait_evicting(
-                timeout,
-                Box::new(move |eng, t| {
-                    st2.waiters.borrow_mut().retain(|&w| w != t);
-                    if st2.waiters.borrow().is_empty() {
-                        let obj = eng.sync_id_for(&st2.id);
-                        eng.note_holders(obj, Vec::new());
-                    }
-                }),
-            );
-        }
-        suspend_current(&rc, YieldReason::Blocked);
-        // Cancelled while blocked: unwind without the lock.
-        crate::runtime::unwind_if_cancel_woken(&rc);
-        {
-            let mut inner = rc.borrow_mut();
-            if inner.consume_timeout() {
-                // Defense in depth: the eviction hook already withdrew our
-                // entry (unless lazy eviction is armed); repeat the
-                // withdrawal and holders retirement here for the lazy mode.
-                st.waiters.borrow_mut().retain(|&w| w != me);
-                if st.waiters.borrow().is_empty() {
-                    let obj = inner.sync_id_for(&st.id);
-                    inner.note_holders(obj, Vec::new());
-                }
-                drop(inner);
-                // A timed wait's expiry resumption is itself a cancellation
-                // point: deliver a request that raced the deadline and lost.
-                crate::runtime::deliver_cancel(&rc);
-                return Err(crate::TimedOut);
-            }
-        }
-        // Direct handoff: the unlocker made us the owner.
-        debug_assert_eq!(st.owner.get(), Some(me));
         Ok(MutexGuard { mutex: self })
     }
 
     /// Attempts the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         charge_sync_op();
-        let st = &self.inner.state;
+        let st = &*self.inner;
         if st.owner.get().is_none() {
             st.owner.set(Some(current_or_sentinel()));
             Some(MutexGuard { mutex: self })
@@ -271,7 +160,7 @@ impl<T> Mutex<T> {
 
     /// Whether the mutex is currently held.
     pub fn is_locked(&self) -> bool {
-        self.inner.state.owner.get().is_some()
+        self.inner.owner.get().is_some()
     }
 
     /// Consumes the mutex, returning the protected value (fails if other
@@ -284,65 +173,15 @@ impl<T> Mutex<T> {
         }
     }
 
+    /// What a release admits: the next waiter, as the new owner (direct
+    /// handoff: the resumed waiter can assert it).
     fn unlock(&self) {
         charge_sync_op();
-        let st = &self.inner.state;
-        let nwaiters = st.waiters.borrow().len() as u64;
         let ctx = par_ctx();
-        let mut inner = match ctx.as_ref() {
-            Some(rc) => rc.try_borrow_mut().ok(),
-            None => None,
-        };
-        // Hand off to the next waiter. Strict (default) grant: keep only
-        // entries whose thread is still blocked *on this mutex* — eager
-        // eviction already withdrew timed-out waiters, this retain is the
-        // second line of defense — and let the schedule oracle pick among
-        // them (index 0, FIFO, is the natural choice). Legacy lazy mode
-        // hands the lock to the front entry blindly, reproducing the
-        // historical stale-grant bug the litmus corpus pins.
-        let next = match inner.as_deref_mut() {
-            Some(eng) if !eng.lazy_evict => {
-                let obj = eng.sync_id_for(&st.id);
-                st.waiters.borrow_mut().retain(|&w| eng.blocked_on(w, obj));
-                let n = st.waiters.borrow().len();
-                if n == 0 {
-                    None
-                } else {
-                    let i = eng.grant_pick(obj, n);
-                    st.waiters.borrow_mut().remove(i)
-                }
-            }
-            _ => st.waiters.borrow_mut().pop_front(),
-        };
-        match next {
-            Some(w) => {
-                // Ownership transfers *before* the wake is published, so
-                // the resumed waiter can assert the handoff.
-                st.owner.set(Some(w));
-                if let Some(inner) = inner.as_deref_mut() {
-                    if let Some((_, p)) = inner.cur {
-                        let obj = inner.sync_id_for(&st.id);
-                        inner.note_sync(crate::trace::BlockReason::Mutex, obj, nwaiters, 1);
-                        // Sentinel registry: `w` is the holder now; retire
-                        // the entry when the queue drained.
-                        if st.waiters.borrow().is_empty() {
-                            inner.note_holders(obj, Vec::new());
-                        } else {
-                            inner.note_holders(obj, vec![w]);
-                        }
-                        // Guarded wake: under lazy eviction the blind grant
-                        // may have picked a thread that already gave up —
-                        // the handoff is then lost (a deterministic stall
-                        // the explorer surfaces) rather than a corrupting
-                        // wake of a running thread.
-                        if inner.thread_is_blocked(w) {
-                            inner.make_ready(w, p);
-                        }
-                    }
-                }
-            }
-            None => st.owner.set(None),
-        }
+        let mut inner = ctx.as_ref().and_then(|rc| rc.try_borrow_mut().ok());
+        let st = &*self.inner;
+        st.owner
+            .set(st.queue.grant_one(inner.as_deref_mut(), BlockReason::Mutex));
     }
 }
 
@@ -367,22 +206,11 @@ impl<T> Drop for MutexGuard<'_, T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Condvar
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct CvState {
-    /// Per-run trace id, assigned at first engine interaction.
-    id: Cell<Option<u32>>,
-    waiters: RefCell<VecDeque<ThreadId>>,
-}
-
 /// A condition variable; pairs with [`Mutex`] as `pthread_cond_t` pairs with
 /// `pthread_mutex_t`.
 #[derive(Clone, Default)]
 pub struct Condvar {
-    state: Rc<CvState>,
+    queue: Rc<WaitQueue>,
 }
 
 impl Condvar {
@@ -394,64 +222,13 @@ impl Condvar {
     /// Atomically releases `guard` and blocks until notified; re-acquires
     /// the mutex before returning.
     ///
-    /// There is no naked-notify window here: the waiter is appended to the
-    /// wait list *before* the mutex is released, and the engine runs no
-    /// other thread between the two steps (the single preemption hook on
-    /// the unlock path, `runtime::maybe_timeslice` — and its
-    /// perturbation twin — refuses to yield a thread whose state is already
-    /// `Blocked`). A notifier therefore either sees the waiter on the list
-    /// or runs strictly before the wait began.
+    /// There is no naked-notify window: the waiter is queued *before* the
+    /// mutex is released, and the engine runs no other thread in between
+    /// (the preemption hooks on the unlock path refuse to yield a thread
+    /// already `Blocked`). A notifier either sees the waiter or runs
+    /// strictly before the wait began.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        let rc = par_ctx().expect("Condvar::wait requires a runtime");
-        // Cancellation point on entry (the unwind drops `guard`, releasing
-        // the mutex). A cancel delivered *during* the wait unwinds without
-        // re-acquiring the mutex — see the crate::cancel module docs.
-        crate::runtime::deliver_cancel(&rc);
-        let mutex = guard.mutex;
-        let me = crate::api::current_thread().expect("wait outside a thread");
-        {
-            self.state.waiters.borrow_mut().push_back(me);
-            let mut inner = rc.borrow_mut();
-            let obj = inner.sync_id_for(&self.state.id);
-            inner.block_current(crate::trace::BlockReason::Condvar, Some(obj), None);
-            // Cancellation eviction: a cancel_wake withdraws us from the
-            // wait list so no later notify is spent on the unwinding
-            // waiter.
-            let st2 = self.state.clone();
-            inner.arm_block_evict(Box::new(move |_eng, t| {
-                st2.waiters.borrow_mut().retain(|&w| w != t);
-            }));
-            // Chaos fault: occasionally arm a short artificial deadline so
-            // this wait returns *spuriously* — POSIX sanctions spurious
-            // wakeups, and callers in the canonical `wait_while` idiom must
-            // tolerate them. Confined to condvars: every other primitive's
-            // resume protocol asserts a real handoff happened.
-            let spurious = inner.chaos.as_mut().is_some_and(|c| c.chance(1, 8));
-            if spurious {
-                let jitter = inner.chaos.as_mut().expect("checked").below(1_500);
-                let st2 = self.state.clone();
-                inner.arm_timed_wait_evicting(
-                    ptdf_smp::VirtTime::from_ns(500 + jitter),
-                    Box::new(move |_eng, t| {
-                        st2.waiters.borrow_mut().retain(|&w| w != t);
-                    }),
-                );
-            }
-        }
-        drop(guard); // releases the mutex (may hand it to a lock waiter)
-        suspend_current(&rc, YieldReason::Blocked);
-        // Cancelled while waiting: unwind, deliberately without
-        // re-acquiring the mutex (the guard was consumed at entry).
-        crate::runtime::unwind_if_cancel_woken(&rc);
-        {
-            let mut inner = rc.borrow_mut();
-            if inner.consume_timeout() {
-                // Spurious wake: withdraw from the wait list so a later
-                // notify is not charged for a wake it never delivered.
-                self.state.waiters.borrow_mut().retain(|&w| w != me);
-            }
-        }
-        mutex.lock()
+        self.wait_for(guard, None).0
     }
 
     /// Blocks until `cond(&mut value)` is false, re-checking after every
@@ -473,106 +250,66 @@ impl Condvar {
     pub fn wait_timeout<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
-        timeout: ptdf_smp::VirtTime,
-    ) -> (MutexGuard<'a, T>, Result<(), crate::TimedOut>) {
-        let rc = par_ctx().expect("Condvar::wait_timeout requires a runtime");
-        // Cancellation point on entry; a mid-wait cancel unwinds without
-        // re-acquiring the mutex, exactly as in [`Condvar::wait`].
-        crate::runtime::deliver_cancel(&rc);
+        timeout: VirtTime,
+    ) -> (MutexGuard<'a, T>, Result<(), TimedOut>) {
+        let (guard, timed_out) = self.wait_for(guard, Some(timeout));
+        (guard, if timed_out { Err(TimedOut) } else { Ok(()) })
+    }
+
+    /// Returns the re-acquired guard and whether a deadline ended the wait.
+    fn wait_for<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timeout: Option<VirtTime>,
+    ) -> (MutexGuard<'a, T>, bool) {
+        let rc = par_ctx().expect("Condvar::wait requires a runtime");
+        // Cancellation point on entry (the unwind drops `guard`). A cancel
+        // delivered *during* the wait unwinds without re-acquiring the
+        // mutex — see the crate::cancel module docs.
+        deliver_cancel(&rc);
         let mutex = guard.mutex;
-        let me = crate::api::current_thread().expect("wait outside a thread");
         {
-            self.state.waiters.borrow_mut().push_back(me);
             let mut inner = rc.borrow_mut();
-            let obj = inner.sync_id_for(&self.state.id);
-            inner.block_current(crate::trace::BlockReason::Condvar, Some(obj), None);
-            // Eager eviction: a fired deadline withdraws us from the wait
-            // list at once, so no later notify is spent on a waiter that
-            // already gave up.
-            let st2 = self.state.clone();
-            inner.arm_timed_wait_evicting(
-                timeout,
-                Box::new(move |_eng, t| {
-                    st2.waiters.borrow_mut().retain(|&w| w != t);
-                }),
-            );
+            // Chaos fault: occasionally arm a short artificial deadline so
+            // an untimed wait returns *spuriously* (POSIX sanctions it; the
+            // `wait_while` idiom tolerates it). Confined to condvars: every
+            // other primitive's resume protocol asserts a real handoff.
+            let deadline = timeout.or_else(|| {
+                let chaos = inner.chaos.as_mut()?;
+                chaos
+                    .chance(1, 8)
+                    .then(|| VirtTime::from_ns(500 + chaos.below(1_500)))
+            });
+            let evict = Evict::Queue(self.queue.clone());
+            self.queue
+                .park(&mut inner, BlockReason::Condvar, deadline, evict);
         }
-        drop(guard);
+        drop(guard); // releases the mutex (may hand it to a lock waiter)
         suspend_current(&rc, YieldReason::Blocked);
-        // Cancelled while waiting: unwind without re-acquiring the mutex.
-        crate::runtime::unwind_if_cancel_woken(&rc);
-        let timed_out = {
-            let mut inner = rc.borrow_mut();
-            let timed_out = inner.consume_timeout();
-            if timed_out {
-                // Withdraw from the wait list so a later notify is not
-                // charged for a wake it never delivered.
-                self.state.waiters.borrow_mut().retain(|&w| w != me);
-            }
-            timed_out
-        };
-        if timed_out {
-            // The expiry resumption is itself a cancellation point: a
-            // request that raced the deadline and lost delivers here,
-            // before the mutex is re-acquired.
-            crate::runtime::deliver_cancel(&rc);
+        unwind_if_cancel_woken(&rc);
+        // A spurious wake is a fired deadline too: consume the flag always.
+        let timed_out = rc.borrow_mut().consume_timeout();
+        if timed_out && timeout.is_some() {
+            // An expiry is itself a cancellation point: a request that
+            // raced the deadline and lost delivers before the re-acquire.
+            deliver_cancel(&rc);
         }
-        let guard = mutex.lock();
-        (guard, if timed_out { Err(crate::TimedOut) } else { Ok(()) })
+        (mutex.lock(), timed_out)
     }
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
         charge_sync_op();
-        let nwaiters = self.state.waiters.borrow().len() as u64;
-        match par_ctx() {
-            Some(rc) => {
-                let mut inner = rc.borrow_mut();
-                let obj = inner.sync_id_for(&self.state.id);
-                // Strict grant: keep only waiters still blocked on this
-                // condvar (spurious/timed wakes were evicted eagerly; the
-                // retain is the second line of defense) and let the oracle
-                // pick the recipient. Legacy lazy mode keeps the historical
-                // skip-unblocked front pop.
-                let woken = if !inner.lazy_evict {
-                    let eng = &mut *inner;
-                    self.state.waiters.borrow_mut().retain(|&w| eng.blocked_on(w, obj));
-                    let n = self.state.waiters.borrow().len();
-                    if n == 0 {
-                        None
-                    } else {
-                        let i = eng.grant_pick(obj, n);
-                        self.state.waiters.borrow_mut().remove(i)
-                    }
-                } else {
-                    loop {
-                        match self.state.waiters.borrow_mut().pop_front() {
-                            Some(w) if !inner.thread_is_blocked(w) => continue,
-                            other => break other,
-                        }
-                    }
-                };
-                inner.note_sync(
-                    crate::trace::BlockReason::Condvar,
-                    obj,
-                    nwaiters,
-                    woken.is_some() as u64,
-                );
-                if let Some(w) = woken {
-                    if let Some((_, p)) = inner.cur {
-                        // Guarded wake: a lazy-mode grant to an already-woken
-                        // waiter is dropped (a lost notify the checker and
-                        // explorer surface) rather than corrupting state.
-                        if inner.thread_is_blocked(w) {
-                            inner.make_ready(w, p);
-                        }
-                    }
-                }
-            }
-            None => {
-                let woken = self.state.waiters.borrow_mut().pop_front();
-                assert!(woken.is_none(), "notify requires a runtime");
-            }
+        let Some(rc) = par_ctx() else {
+            return assert!(self.queue.is_empty(), "notify requires a runtime");
+        };
+        let mut inner = rc.borrow_mut();
+        let woken = self.queue.grant_one(Some(&mut inner), BlockReason::Condvar);
+        if woken.is_none() {
+            // A notify nobody heard is a record too: the checker tells a
+            // lost notify from a naked one by it.
+            let obj = self.queue.id(&mut inner);
+            inner.note_sync(BlockReason::Condvar, obj, 0, 0);
         }
     }
 
@@ -580,288 +317,113 @@ impl Condvar {
     /// perturbation — simultaneous wakes have no defined order).
     pub fn notify_all(&self) {
         charge_sync_op();
-        let mut woken: Vec<_> = self.state.waiters.borrow_mut().drain(..).collect();
-        match par_ctx() {
-            Some(rc) => {
-                let mut inner = rc.borrow_mut();
-                let obj = inner.sync_id_for(&self.state.id);
-                // Drop waiters that already woke spuriously; their wake
-                // happened and counting them would overstate delivery.
-                // Strict mode checks the wait object too, not just the
-                // blocked state.
-                if !inner.lazy_evict {
-                    let eng = &*inner;
-                    woken.retain(|&w| eng.blocked_on(w, obj));
-                } else {
-                    let eng = &*inner;
-                    woken.retain(|&w| eng.thread_is_blocked(w));
-                }
-                inner.wake_order(obj, &mut woken);
-                let n = woken.len() as u64;
-                inner.note_sync(crate::trace::BlockReason::Condvar, obj, n, n);
-                if let Some((_, p)) = inner.cur {
-                    for &w in &woken {
-                        inner.make_ready(w, p);
-                    }
-                }
-            }
-            None => assert!(woken.is_empty(), "notify requires a runtime"),
-        }
+        let Some(rc) = par_ctx() else {
+            return assert!(self.queue.is_empty(), "notify requires a runtime");
+        };
+        self.queue
+            .grant_all(&mut rc.borrow_mut(), BlockReason::Condvar);
     }
 
     /// Number of threads currently waiting.
     pub fn waiter_count(&self) -> usize {
-        self.state.waiters.borrow().len()
+        self.queue.len()
     }
-}
-
-/// Test-only raw wake (the production paths all wake under the borrow they
-/// already hold); kept lenient like the other bookkeeping paths.
-#[cfg(test)]
-fn wake(t: ThreadId) {
-    if let Some(rc) = par_ctx() {
-        if let Ok(mut inner) = rc.try_borrow_mut() {
-            if let Some((_, p)) = inner.cur {
-                inner.make_ready(t, p);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-struct SemState {
-    /// Per-run trace id, assigned at first engine interaction.
-    id: Cell<Option<u32>>,
-    permits: Cell<i64>,
-    waiters: RefCell<VecDeque<ThreadId>>,
 }
 
 /// A counting semaphore (POSIX `sem_t`), used by the paper's Figure 3
 /// two-thread synchronization microbenchmark.
 #[derive(Clone)]
 pub struct Semaphore {
-    state: Rc<SemState>,
+    permits: Rc<Cell<i64>>,
+    queue: Rc<WaitQueue>,
 }
 
 impl Semaphore {
     /// Creates a semaphore with `permits` initial permits.
     pub fn new(permits: i64) -> Self {
         Semaphore {
-            state: Rc::new(SemState {
-                id: Cell::new(None),
-                permits: Cell::new(permits),
-                waiters: RefCell::new(VecDeque::new()),
-            }),
+            permits: Rc::new(Cell::new(permits)),
+            queue: Rc::default(),
         }
     }
 
     /// P / `sem_wait`: takes a permit, blocking while none are available.
     pub fn acquire(&self) {
-        charge_sync_op();
-        match par_ctx() {
-            Some(rc) => {
-                // Cancellation point (`sem_wait` is one in POSIX too).
-                crate::runtime::deliver_cancel(&rc);
-                let must_block = {
-                    if self.state.permits.get() > 0 {
-                        self.state.permits.set(self.state.permits.get() - 1);
-                        false
-                    } else {
-                        let me = crate::api::current_thread().expect("acquire outside a thread");
-                        self.state.waiters.borrow_mut().push_back(me);
-                        let mut inner = rc.borrow_mut();
-                        let obj = inner.sync_id_for(&self.state.id);
-                        inner.block_current(crate::trace::BlockReason::Semaphore, Some(obj), None);
-                        // Cancellation eviction: a cancel_wake withdraws the
-                        // entry so no later release spends its permit on the
-                        // unwinding waiter.
-                        let st2 = self.state.clone();
-                        inner.arm_block_evict(Box::new(move |_eng, t| {
-                            st2.waiters.borrow_mut().retain(|&w| w != t);
-                        }));
-                        true
-                    }
-                };
-                if must_block {
-                    // Direct handoff: the releaser consumed the permit for us.
-                    suspend_current(&rc, YieldReason::Blocked);
-                    // Cancelled while blocked: unwind without the permit.
-                    crate::runtime::unwind_if_cancel_woken(&rc);
-                }
-            }
-            None => {
-                assert!(
-                    self.state.permits.get() > 0,
-                    "semaphore acquire would deadlock outside a runtime"
-                );
-                self.state.permits.set(self.state.permits.get() - 1);
-            }
-        }
+        untimed(self.acquire_for(None))
     }
 
     /// Timed P: takes a permit, giving up with [`crate::TimedOut`] if none
     /// arrived within `timeout` of virtual time.
-    pub fn acquire_timeout(&self, timeout: ptdf_smp::VirtTime) -> Result<(), crate::TimedOut> {
-        charge_sync_op();
-        let st = &*self.state;
-        let Some(rc) = par_ctx() else {
-            // Outside a runtime nobody can release: succeed or time out now.
-            if st.permits.get() > 0 {
-                st.permits.set(st.permits.get() - 1);
-                return Ok(());
-            }
-            return Err(crate::TimedOut);
-        };
-        // Cancellation point (`sem_timedwait` is one in POSIX too).
-        crate::runtime::deliver_cancel(&rc);
-        if st.permits.get() > 0 {
-            st.permits.set(st.permits.get() - 1);
+    pub fn acquire_timeout(&self, timeout: VirtTime) -> Result<(), TimedOut> {
+        self.acquire_for(Some(timeout))
+    }
+
+    fn acquire_for(&self, timeout: Option<VirtTime>) -> Result<(), TimedOut> {
+        let ctx = enter_blocking_op();
+        if self.try_take() {
             return Ok(());
         }
-        let me = crate::api::current_thread().expect("acquire outside a thread");
-        {
-            st.waiters.borrow_mut().push_back(me);
-            let mut inner = rc.borrow_mut();
-            let obj = inner.sync_id_for(&st.id);
-            inner.block_current(crate::trace::BlockReason::Semaphore, Some(obj), None);
-            // Eager eviction: when the deadline fires mid-queue the entry
-            // is withdrawn immediately, so a later `release` can never
-            // spend its permit on the timed-out slot and strand the next
-            // FIFO waiter (the stale-grant bug the explorer flushed out).
-            let st2 = self.state.clone();
-            inner.arm_timed_wait_evicting(
-                timeout,
-                Box::new(move |_eng, t| {
-                    st2.waiters.borrow_mut().retain(|&w| w != t);
-                }),
-            );
+        // Direct handoff: a grant means the releaser consumed the permit
+        // for us.
+        let evict = Evict::Queue(self.queue.clone());
+        let reason = BlockReason::Semaphore;
+        self.queue
+            .wait(ctx, reason, timeout, evict, Holders::default)
+    }
+
+    fn try_take(&self) -> bool {
+        let free = self.permits.get() > 0;
+        if free {
+            self.permits.set(self.permits.get() - 1);
         }
-        suspend_current(&rc, YieldReason::Blocked);
-        // Cancelled while blocked: unwind without the permit.
-        crate::runtime::unwind_if_cancel_woken(&rc);
-        let mut inner = rc.borrow_mut();
-        if inner.consume_timeout() {
-            // Defense in depth for the lazy mode; the eviction hook already
-            // removed the entry in the default configuration.
-            st.waiters.borrow_mut().retain(|&w| w != me);
-            drop(inner);
-            // Expiry resumption is a cancellation point: deliver a request
-            // that raced the deadline and lost.
-            crate::runtime::deliver_cancel(&rc);
-            return Err(crate::TimedOut);
-        }
-        // Direct handoff: the releaser consumed the permit for us.
-        Ok(())
+        free
     }
 
     /// Non-blocking P: takes a permit if one is available.
     pub fn try_acquire(&self) -> bool {
         charge_sync_op();
-        if self.state.permits.get() > 0 {
-            self.state.permits.set(self.state.permits.get() - 1);
-            true
-        } else {
-            false
-        }
+        self.try_take()
     }
 
     /// V / `sem_post`: returns a permit, waking the longest-blocked waiter
-    /// (FIFO) if one may now proceed.
-    ///
-    /// While the permit count is negative — a "debt" from constructing the
-    /// semaphore with a negative initial value — releases pay the debt
-    /// down toward zero *before* any waiter is woken. (The previous
-    /// behaviour handed the permit to a waiter whenever one was queued,
-    /// which let an acquirer through while the semaphore still owed
-    /// releases: `new(-2)` acted like `new(0)` the moment a waiter
-    /// blocked.)
+    /// (FIFO) if one may now proceed. While the permit count is negative —
+    /// a "debt" from constructing the semaphore with a negative initial
+    /// value — releases pay the debt down toward zero *before* any waiter
+    /// is woken.
     pub fn release(&self) {
         charge_sync_op();
-        let st = &*self.state;
-        if st.permits.get() < 0 {
-            st.permits.set(st.permits.get() + 1);
+        if self.permits.get() < 0 {
+            self.permits.set(self.permits.get() + 1);
             return;
         }
-        let nwaiters = st.waiters.borrow().len() as u64;
         let ctx = par_ctx();
-        let mut inner = match ctx.as_ref() {
-            Some(rc) => rc.try_borrow_mut().ok(),
-            None => None,
-        };
-        // Strict grant (default): keep only entries whose thread is still
-        // blocked on this semaphore — eager eviction already withdrew
-        // timed-out waiters; the retain is the second line of defense —
-        // and let the schedule oracle pick the recipient. Legacy lazy mode
-        // hands the permit to the front entry blindly, reproducing the
-        // stale-grant bug (permit consumed for a thread that gave up; the
-        // next FIFO waiter is stranded).
-        let woken = match inner.as_deref_mut() {
-            Some(eng) if !eng.lazy_evict => {
-                let obj = eng.sync_id_for(&st.id);
-                st.waiters.borrow_mut().retain(|&w| eng.blocked_on(w, obj));
-                let n = st.waiters.borrow().len();
-                if n == 0 {
-                    None
-                } else {
-                    let i = eng.grant_pick(obj, n);
-                    st.waiters.borrow_mut().remove(i)
-                }
-            }
-            _ => st.waiters.borrow_mut().pop_front(),
-        };
-        match woken {
-            Some(w) => {
-                // Direct handoff: the permit is consumed on the waiter's
-                // behalf (never parked in `permits`, so a concurrent
-                // `try_acquire` cannot steal it from under the wake).
-                if let Some(inner) = inner.as_deref_mut() {
-                    let obj = inner.sync_id_for(&st.id);
-                    inner.note_sync(crate::trace::BlockReason::Semaphore, obj, nwaiters, 1);
-                    if let Some((_, p)) = inner.cur {
-                        // Guarded wake: a lazy-mode misgrant is dropped (a
-                        // deterministic lost wake) rather than waking a
-                        // thread that is not blocked.
-                        if inner.thread_is_blocked(w) {
-                            inner.make_ready(w, p);
-                        }
-                    }
-                }
-            }
-            None => st.permits.set(st.permits.get() + 1),
+        let mut inner = ctx.as_ref().and_then(|rc| rc.try_borrow_mut().ok());
+        // Direct handoff: the permit is consumed on the grantee's behalf,
+        // never parked in `permits` for a `try_acquire` to steal.
+        let granted = self
+            .queue
+            .grant_one(inner.as_deref_mut(), BlockReason::Semaphore);
+        if granted.is_none() {
+            self.permits.set(self.permits.get() + 1);
         }
     }
 
     /// Current permit count.
     pub fn permits(&self) -> i64 {
-        self.state.permits.get()
+        self.permits.get()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-struct BarrierState {
-    /// Per-run trace id, assigned at first engine interaction.
-    id: Cell<Option<u32>>,
-    n: usize,
-    count: Cell<usize>,
-    /// Completed-round counter. Bumped by the leader *before* it wakes
-    /// anyone, so back-to-back reuse (a woken thread re-entering `wait`
-    /// while earlier waiters are still being delivered) always joins a
-    /// fresh round, and a resumed waiter can assert its own round closed.
-    generation: Cell<u64>,
-    waiters: RefCell<Vec<ThreadId>>,
 }
 
 /// A reusable barrier for `n` threads (the coarse-grained SPMD benchmarks
 /// synchronize phases with one of these, as in SPLASH-2).
 #[derive(Clone)]
 pub struct Barrier {
-    state: Rc<BarrierState>,
+    n: usize,
+    /// Arrivals of the open round, and rounds completed. The leader closes
+    /// the round *before* it wakes anyone: back-to-back reuse always joins
+    /// a fresh round, and a resumed waiter can assert its own round closed.
+    round: Rc<Cell<(usize, u64)>>,
+    queue: Rc<WaitQueue>,
 }
 
 impl Barrier {
@@ -869,67 +431,45 @@ impl Barrier {
     pub fn new(n: usize) -> Self {
         assert!(n >= 1);
         Barrier {
-            state: Rc::new(BarrierState {
-                id: Cell::new(None),
-                n,
-                count: Cell::new(0),
-                generation: Cell::new(0),
-                waiters: RefCell::new(Vec::new()),
-            }),
+            n,
+            round: Rc::default(),
+            queue: Rc::default(),
         }
     }
 
     /// Blocks until all `n` participants arrive. Returns `true` on the
-    /// leader (last arriver).
+    /// leader (last arriver). Not a cancellation point (POSIX parity): a
+    /// request latched on a waiter delivers after the barrier releases it.
     pub fn wait(&self) -> bool {
         charge_sync_op();
-        if self.state.n == 1 {
+        if self.n == 1 {
             return true;
         }
         let rc = par_ctx().expect("Barrier::wait with n > 1 requires a runtime");
-        let st = &*self.state;
-        let arrived = st.count.get() + 1;
-        if arrived == st.n {
-            // Leader: close this generation before waking anyone, so the
-            // barrier is immediately reusable — a woken thread re-entering
-            // `wait` starts round g+1 against fully reset state even while
-            // round g's wakes are still being delivered.
-            st.count.set(0);
-            st.generation.set(st.generation.get().wrapping_add(1));
-            let mut woken = std::mem::take(&mut *st.waiters.borrow_mut());
-            let mut inner = rc.borrow_mut();
-            let obj = inner.sync_id_for(&st.id);
-            inner.wake_order(obj, &mut woken);
-            let n = woken.len() as u64;
-            inner.note_sync(crate::trace::BlockReason::Barrier, obj, n, n);
-            if let Some((_, p)) = inner.cur {
-                for w in woken {
-                    inner.make_ready(w, p);
-                }
-            }
-            true
+        let (arrived, generation) = self.round.get();
+        let leader = arrived + 1 == self.n;
+        if leader {
+            // A woken thread re-entering `wait` starts the next round against
+            // reset state even while this round's wakes are being delivered.
+            self.round.set((0, generation.wrapping_add(1)));
+            self.queue
+                .grant_all(&mut rc.borrow_mut(), BlockReason::Barrier);
         } else {
-            st.count.set(arrived);
-            let gen = st.generation.get();
-            {
-                let me = crate::api::current_thread().expect("barrier outside a thread");
-                st.waiters.borrow_mut().push(me);
-                let mut inner = rc.borrow_mut();
-                let obj = inner.sync_id_for(&st.id);
-                inner.block_current(crate::trace::BlockReason::Barrier, Some(obj), None);
-            }
+            self.round.set((arrived + 1, generation));
+            let evict = Evict::Queue(self.queue.clone());
+            self.queue
+                .park(&mut rc.borrow_mut(), BlockReason::Barrier, None, evict);
             suspend_current(&rc, YieldReason::Blocked);
-            // The leader drains the waiter list atomically while bumping
-            // the generation, so a resumed waiter must observe its own
-            // round closed — a same-generation resume would be a stale
-            // wake from a previous round's delivery leaking across reuse.
+            // The leader takes the whole queue while closing the round: a
+            // same-round resume would be a stale wake from a previous
+            // round's delivery leaking across reuse.
             assert_ne!(
-                st.generation.get(),
-                gen,
+                self.round.get().1,
+                generation,
                 "barrier waiter resumed with its own round still open"
             );
-            false
         }
+        leader
     }
 }
 
@@ -995,7 +535,7 @@ mod tests {
                 s2.acquire();
                 log2.lock().push("acquired");
             });
-            while s.state.waiters.borrow().is_empty() {
+            while s.queue.is_empty() {
                 crate::yield_now();
             }
             for _ in 0..3 {
@@ -1039,7 +579,7 @@ mod tests {
                     })
                 })
                 .collect();
-            while s.state.waiters.borrow().len() < 3 {
+            while s.queue.len() < 3 {
                 crate::yield_now();
             }
             for _ in 0..3 {
@@ -1126,6 +666,15 @@ mod tests {
         }
     }
 
+    /// Raw wake, behind the queue's back (every production wake is the
+    /// queue's own).
+    fn wake(t: ThreadId) {
+        let rc = par_ctx().expect("runtime");
+        let mut inner = rc.borrow_mut();
+        let (_, p) = inner.cur.expect("inside a thread");
+        inner.make_ready(t, p);
+    }
+
     #[test]
     fn checker_catches_a_dropped_notify() {
         // Acceptance: an intentionally lossy condvar — records the Notify
@@ -1143,11 +692,11 @@ mod tests {
             while cv.waiter_count() == 0 {
                 crate::yield_now();
             }
-            let w = cv.state.waiters.borrow_mut().pop_front().expect("one waiter");
+            let w = cv.queue.lose_front().expect("one waiter");
             {
                 let rc = par_ctx().expect("runtime");
                 let mut inner = rc.borrow_mut();
-                let obj = inner.sync_id_for(&cv.state.id);
+                let obj = cv.queue.id(&mut inner);
                 inner.note_sync(crate::trace::BlockReason::Condvar, obj, 1, 0);
             }
             wake(w);

@@ -87,7 +87,7 @@ pub(crate) enum Kind {
 }
 
 /// What a blocked thread is waiting for — one edge of the waits-for graph
-/// the deadlock sentinel walks. Written by `block_current`, cleared on wake.
+/// the deadlock sentinel walks. Written by `park`, cleared on wake.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Wait {
     /// Primitive class (mutex, condvar, join, ...).
@@ -144,15 +144,11 @@ pub(crate) struct Tcb {
     /// Set by the engine when the thread was woken by its deadline rather
     /// than by the primitive; the timed API consumes (clears) it on resume.
     pub timed_out: bool,
-    /// Eager timed-wait eviction hook, registered by the timed sync APIs
-    /// alongside the deadline: when the deadline fires, the engine runs it
-    /// to withdraw this thread's entry from the primitive's wait queue (and
-    /// re-admit whoever the withdrawal unblocks) *before* any later grant
-    /// can see the stale entry. Cleared by a normal wake. Cancellation
-    /// delivery to a blocked thread reuses the same hook (the PR 9 eager-
-    /// eviction discipline): a cancelled waiter leaves its queue before any
-    /// later grant can land on it.
-    pub evict: Option<crate::runtime::EvictFn>,
+    /// How to take this thread out of its wait when a deadline or a
+    /// cancellation wakes it instead of a grant: plain data, written by
+    /// `park`, consumed by `evict_wake`, cleared by a grant
+    /// ([`crate::waitq`]). `Some` exactly while `state == Blocked`.
+    pub evict: Option<crate::waitq::Evict>,
     /// A cancellation request is latched on this thread
     /// ([`fn@crate::cancel`] / [`JoinHandle::cancel`]); delivered (and
     /// cleared) at the thread's next cancellation point.

@@ -1,0 +1,191 @@
+//! Heap allocations per blocking operation, as upper bounds.
+//!
+//! A lock in a lightweight-thread runtime is a small policy over one
+//! park/unpark queue, and what it costs is its bookkeeping, not the switch
+//! (`fiber.switch_ns` is ~15 ns against ~1,000 for a mutex handoff). The
+//! part of that bookkeeping that is easy to count exactly is the heap: the
+//! number of allocator calls a round of blocking operations makes, taken as
+//! the difference between an `N`-round and a `2N`-round run so everything
+//! that happens once per run or per thread cancels. p = 2, FIFO, tracing
+//! off.
+//!
+//! What is left after the wait-queue rebuild, and why it is allowed: an
+//! *untimed* block on a held mutex or rwlock runs the deadlock sentinel's
+//! cycle probe, whose scratch — the path vector and the visited set — is
+//! two allocations per probe (`Inner::check_for_cycle`). Nothing else on a
+//! park, grant, timeout or wake path allocates: the eviction record on the
+//! TCB is plain data, a single holder is published inline, and the
+//! due-deadline list is the engine's own reused vector.
+//!
+//! Own binary for the counting `#[global_allocator]`, armed on the test's
+//! thread as in `tests/leak.rs`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+
+use ptdf::{run, spawn, yield_now, Condvar, Config, Mutex, RwLock, SchedKind, Semaphore, VirtTime};
+
+struct Counting;
+
+/// Allocator calls that hand out memory (`alloc`, `realloc`) on counted
+/// threads.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Set by [`arm`]; a thread that allocates for the first time after it
+/// counts, one that allocated before it (libtest's main thread) never does.
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread's allocations count; `None` until its first one.
+    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+fn counted() -> bool {
+    COUNTED.with(|c| {
+        c.get().unwrap_or_else(|| {
+            let armed = ARMED.load(Relaxed);
+            c.set(Some(armed));
+            armed
+        })
+    })
+}
+
+/// Starts counting on the calling thread and on every thread started from
+/// now on (the portable backend's fibers are OS threads).
+fn arm() {
+    COUNTED.with(|c| c.set(Some(true)));
+    ARMED.store(true, Relaxed);
+}
+
+// SAFETY: defers every request to `System` unchanged; the counter is a
+// statistic and touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if counted() {
+            CALLS.fetch_add(1, Relaxed);
+        }
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if counted() {
+            CALLS.fetch_add(1, Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const N: u64 = 2_000;
+
+/// Allocator calls of one run of `body(rounds)`.
+fn calls(rounds: u64, body: fn(u64)) -> u64 {
+    let before = CALLS.load(Relaxed);
+    run(Config::new(2, SchedKind::Fifo), move || body(rounds));
+    CALLS.load(Relaxed) - before
+}
+
+/// Allocator calls per round: what `N` more rounds add, over `N`.
+fn per_round(body: fn(u64)) -> f64 {
+    arm();
+    calls(N, body); // once-only allocations (lazy statics, thread-locals) land here
+    let (short, long) = (calls(N, body), calls(2 * N, body));
+    (long as f64 - short as f64) / N as f64
+}
+
+/// Two threads running `each(me, rounds)`; a round is one iteration of both.
+fn pair(rounds: u64, each: impl Fn(usize, u64) + Clone + 'static) {
+    let hs: Vec<_> = (0..2)
+        .map(|me| {
+            let each = each.clone();
+            spawn(move || each(me, rounds))
+        })
+        .collect();
+    hs.into_iter().for_each(|h| h.join());
+}
+
+fn sem_pingpong(rounds: u64) {
+    let sems = [Semaphore::new(1), Semaphore::new(0)];
+    pair(rounds, move |me, rounds| {
+        for _ in 0..rounds {
+            sems[me].acquire();
+            sems[1 - me].release();
+        }
+    });
+}
+
+/// A round is one timed wait that fires.
+fn timed_sem_fire(rounds: u64) {
+    let never = Semaphore::new(0);
+    for _ in 0..rounds {
+        assert!(never.acquire_timeout(VirtTime::from_us(1)).is_err());
+    }
+}
+
+fn condvar_pingpong(rounds: u64) {
+    let turn = Mutex::new(0usize);
+    let cvs = [Condvar::new(), Condvar::new()];
+    pair(rounds, move |me, rounds| {
+        for _ in 0..rounds {
+            let mut g = turn.lock();
+            while *g != me {
+                g = cvs[me].wait(g);
+            }
+            *g = 1 - me;
+            drop(g);
+            cvs[1 - me].notify_one();
+        }
+    });
+}
+
+/// The holder yields inside the critical section, so every iteration is one
+/// block and one direct handoff.
+fn mutex_handoff(rounds: u64) {
+    let m = Mutex::new(0u64);
+    pair(rounds, move |_, rounds| {
+        for _ in 0..rounds {
+            let mut g = m.lock();
+            *g += 1;
+            yield_now();
+        }
+    });
+}
+
+fn rwlock_write_handoff(rounds: u64) {
+    let rw = RwLock::new(0u64);
+    pair(rounds, move |_, rounds| {
+        for _ in 0..rounds {
+            let mut g = rw.write();
+            *g += 1;
+            yield_now();
+        }
+    });
+}
+
+/// One test, so the five measurements never share the counter.
+#[test]
+fn blocking_operations_stay_within_their_allocation_bounds() {
+    let mut over = Vec::new();
+    // Allocator calls per round before the wait-queue rebuild, and the
+    // bound now.
+    let mut check = |name: &str, body: fn(u64), before: u64, bound: u64| {
+        let now = per_round(body);
+        println!("{name}: {now:.2} allocator calls per round (was {before}, bound {bound})");
+        // Amortised growth of a queue that doubles contributes a few calls
+        // per run, not per round.
+        if now > bound as f64 + 0.02 {
+            over.push(format!("{name}: {now:.2} > {bound}"));
+        }
+    };
+    check("sem_pingpong", sem_pingpong, 2, 0);
+    check("timed_sem_fire", timed_sem_fire, 2, 0);
+    check("condvar_pingpong", condvar_pingpong, 2, 0);
+    check("mutex_handoff", mutex_handoff, 10, 4);
+    check("rwlock_write_handoff", rwlock_write_handoff, 12, 4);
+    assert!(over.is_empty(), "over the bound: {over:?}");
+}

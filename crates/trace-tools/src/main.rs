@@ -152,17 +152,15 @@ commands:
       the exact moment the two schedules split, rather than just the
       first differing event downstream of it.
   explore --litmus <name|all> [--sched POLICY] [--depth K] [--budget N]
-          [--procs P] [--replay i,j,...] [--legacy-lazy-eviction] [--json]
+          [--procs P] [--replay i,j,...] [--json]
       Systematic schedule exploration (DPOR) of a litmus program from
       the built-in corpus (ptdf::litmus). Prints schedules executed,
       states pruned, the pruning ratio, and — for every violation
       class found — the minimal decision prefix that reproduces it.
       --replay executes exactly one schedule from the given
-      comma-separated decision prefix instead of exploring.
-      --legacy-lazy-eviction re-enables the historical lazy timed-wait
-      eviction (the stale-grant bugs) so their counter-examples can be
-      reproduced on demand. Exits 1 if a violation was found (or the
-      replayed schedule violates), 0 if the space is clean.
+      comma-separated decision prefix instead of exploring. Exits 1 if
+      a violation was found (or the replayed schedule violates), 0 if
+      the space is clean.
 ";
 
 fn load(path: &str) -> Result<Trace, Failure> {
@@ -926,7 +924,6 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
     let mut budget = 2000usize;
     let mut procs: Option<usize> = None;
     let mut replay: Option<Vec<u32>> = None;
-    let mut lazy = false;
     let mut json = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -956,7 +953,6 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
                     .collect();
                 replay = Some(prefix.map_err(|e| format!("--replay: {e}"))?);
             }
-            "--legacy-lazy-eviction" => lazy = true,
             "--json" => json = true,
             other => return Err(format!("unknown explore flag `{other}`\n{USAGE}").into()),
         }
@@ -974,9 +970,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
             )
         })?]
     };
-    let config = |l: &ptdf::Litmus| {
-        ptdf::Config::new(procs.unwrap_or(l.procs), sched).with_lazy_timeout_eviction(lazy)
-    };
+    let config = |l: &ptdf::Litmus| ptdf::Config::new(procs.unwrap_or(l.procs), sched);
 
     if let Some(prefix) = replay {
         let [l] = programs[..] else {
@@ -1004,7 +998,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
         if json {
             println!("{}", explore_json(l, &report).to_json());
         } else {
-            print!("{}", render_explore(l, &report, lazy));
+            print!("{}", render_explore(l, &report));
         }
         dirty |= !report.is_clean();
     }
@@ -1023,7 +1017,7 @@ fn join_u32(v: &[u32]) -> String {
 }
 
 /// Renders one litmus program's exploration report.
-fn render_explore(l: &ptdf::Litmus, r: &ptdf::ExploreReport, lazy: bool) -> String {
+fn render_explore(l: &ptdf::Litmus, r: &ptdf::ExploreReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
@@ -1054,10 +1048,9 @@ fn render_explore(l: &ptdf::Litmus, r: &ptdf::ExploreReport, lazy: bool) -> Stri
         let _ = writeln!(out, "    minimal prefix [{}]", join_u32(&v.prefix));
         let _ = writeln!(
             out,
-            "    replay: ptdf-trace explore --litmus {} --sched {}{} --replay {}",
+            "    replay: ptdf-trace explore --litmus {} --sched {} --replay {}",
             l.name,
             v.policy,
-            if lazy { " --legacy-lazy-eviction" } else { "" },
             if v.prefix.is_empty() {
                 "''".to_string()
             } else {
@@ -1202,16 +1195,11 @@ mod tests {
                 l.body,
             )
         });
-        let out = render_explore(l, &report, false);
+        let out = render_explore(l, &report);
         assert!(out.contains("minimal prefix [1]"), "{out}");
         assert!(
             out.contains("--litmus buggy_grant_order --sched fifo --replay 1"),
             "{out}"
-        );
-        let lazy_out = render_explore(l, &report, true);
-        assert!(
-            lazy_out.contains("--sched fifo --legacy-lazy-eviction --replay 1"),
-            "{lazy_out}"
         );
         let json = explore_json(l, &report).to_json();
         let v = ptdf::json::Value::parse(&json).unwrap();

@@ -11,10 +11,11 @@
 //!    bit-identical `ExploreReport`, counter-example prefixes included.
 //! 4. **Detection** — the known-bad fixture is caught, minimized, and its
 //!    minimal prefix replays bit-exactly.
-//! 5. **Regression** — the two timed-wait grant bugs (stale semaphore
-//!    queue slots, rwlock writer-timeout window) reproduce under the
-//!    legacy lazy-eviction mode and are schedule-exhaustively absent
-//!    under the default eager eviction.
+//! 5. **Regression** — the programs that once exposed the timed-wait
+//!    grant bugs (a stale semaphore or mutex queue slot, the rwlock
+//!    writer-timeout window) are schedule-exhaustively clean: a timed-out
+//!    waiter's slot leaves its queue with the wake (`ptdf`'s `waitq`
+//!    module, whose unit tests build the stale slot by hand).
 //!
 //! `REPRO_QUICK=1` shrinks depth/budget for CI smoke runs.
 
@@ -135,84 +136,38 @@ fn exploration_is_deterministic() {
     }
 }
 
-#[test]
-fn stale_semaphore_slot_reproduces_under_lazy_eviction() {
-    // Satellite 1: before the fix (legacy lazy eviction), a release could
-    // grant to a waiter whose acquire_timeout deadline had already fired,
-    // stranding the next live waiter forever. The explorer finds that
-    // schedule; the default eager eviction has none, exhaustively.
-    let l = ptdf::litmus::find("sem_timeout_grant").expect("fixture exists");
-    let lazy = explore(
-        Config::new(l.procs, SchedKind::Fifo).with_lazy_timeout_eviction(true),
-        opts(),
-        l.body,
-    );
-    assert!(
-        !lazy.is_clean(),
-        "lazy-eviction semaphore bug no longer reproduces — did the legacy \
-         mode change? ({} schedules explored)",
-        lazy.schedules_executed
-    );
-    let case = &lazy.violations[0];
-    assert!(case.replay_verified, "{case:#?}");
+/// Explores `program` exhaustively under every policy and demands it clean.
+fn exhaustively_clean(program: &str, what: &str) {
+    let l = ptdf::litmus::find(program).expect("fixture exists");
     for kind in POLICIES {
-        let fixed = explore(Config::new(l.procs, kind), opts(), l.body);
+        let report = explore(Config::new(l.procs, kind), opts(), l.body);
         assert!(
-            fixed.is_clean(),
-            "eager eviction still loses a grant under {kind:?}: {:#?}",
-            fixed.violations
+            report.is_clean(),
+            "{what} under {kind:?}: {:#?}",
+            report.violations
         );
     }
 }
 
 #[test]
-fn stale_mutex_slot_reproduces_under_lazy_eviction() {
-    // Satellite audit (ISSUE 10): the mutex flavor of the PR 9 stale-slot
-    // bug class. Under legacy lazy eviction an unlock's blind pop can hand
-    // the lock to a waiter whose lock_timeout deadline already fired,
-    // stranding the live waiter; eager eviction is exhaustively clean.
-    let l = ptdf::litmus::find("mutex_timeout_grant").expect("fixture exists");
-    let lazy = explore(
-        Config::new(l.procs, SchedKind::Fifo).with_lazy_timeout_eviction(true),
-        opts(),
-        l.body,
-    );
-    assert!(
-        !lazy.is_clean(),
-        "lazy-eviction mutex bug no longer reproduces ({} schedules explored)",
-        lazy.schedules_executed
-    );
-    assert!(lazy.violations[0].replay_verified, "{:#?}", lazy.violations);
-    for kind in POLICIES {
-        let fixed = explore(Config::new(l.procs, kind), opts(), l.body);
-        assert!(
-            fixed.is_clean(),
-            "eager eviction still loses a mutex grant under {kind:?}: {:#?}",
-            fixed.violations
-        );
-    }
+fn stale_semaphore_slot_is_exhaustively_absent() {
+    // Once (PR 9) a release could grant to a waiter whose acquire_timeout
+    // deadline had already fired, stranding the next live waiter forever.
+    exhaustively_clean("sem_timeout_grant", "a timed-out slot still eats a permit");
+}
+
+#[test]
+fn stale_mutex_slot_is_exhaustively_absent() {
+    // The mutex flavor of the same bug class (ISSUE 10): an unlock handing
+    // the lock to a waiter whose lock_timeout deadline already fired.
+    exhaustively_clean("mutex_timeout_grant", "a timed-out slot still takes the lock");
 }
 
 #[test]
 fn condvar_notify_is_immune_to_stale_timed_slots() {
-    // Satellite audit (ISSUE 10), negative result worth pinning: the
-    // condvar wake loop skips entries that are no longer blocked, so a
-    // timed-out slot cannot eat a notify even under lazy eviction — the
-    // same schedule space that breaks the mutex and semaphore grant paths
-    // is exhaustively clean here, in BOTH eviction modes.
-    let l = ptdf::litmus::find("condvar_timeout_notify").expect("fixture exists");
-    for lazy in [false, true] {
-        let report = explore(
-            Config::new(l.procs, SchedKind::Fifo).with_lazy_timeout_eviction(lazy),
-            opts(),
-            l.body,
-        );
-        assert!(
-            report.is_clean(),
-            "condvar notify lost to a stale slot (lazy={lazy}): {:#?}",
-            report.violations
-        );
-    }
+    // Same schedule space as the two above, condvar flavor: a timed-out
+    // waiter's slot cannot eat a notify.
+    exhaustively_clean("condvar_timeout_notify", "condvar notify lost to a stale slot");
 }
 
 #[test]
@@ -246,31 +201,11 @@ fn cancel_delivery_is_a_real_decision_point() {
 }
 
 #[test]
-fn rwlock_writer_timeout_reproduces_under_lazy_eviction() {
-    // Satellite 2: before the fix, a writer unwinding from lock_timeout
-    // left its queue entry behind; grant pumping could then admit the
-    // stale writer slot and strand live waiters. Same shape: legacy mode
-    // must reproduce, default mode must be exhaustively clean.
-    let l = ptdf::litmus::find("rwlock_writer_timeout").expect("fixture exists");
-    let lazy = explore(
-        Config::new(l.procs, SchedKind::Fifo).with_lazy_timeout_eviction(true),
-        opts(),
-        l.body,
-    );
-    assert!(
-        !lazy.is_clean(),
-        "lazy-eviction rwlock bug no longer reproduces ({} schedules explored)",
-        lazy.schedules_executed
-    );
-    assert!(lazy.violations[0].replay_verified, "{:#?}", lazy.violations);
-    for kind in POLICIES {
-        let fixed = explore(Config::new(l.procs, kind), opts(), l.body);
-        assert!(
-            fixed.is_clean(),
-            "writer-timeout window still open under {kind:?}: {:#?}",
-            fixed.violations
-        );
-    }
+fn rwlock_writer_timeout_window_is_exhaustively_closed() {
+    // Once a writer unwinding from write_timeout left its queue entry
+    // behind; admission could then install the stale writer and strand live
+    // waiters.
+    exhaustively_clean("rwlock_writer_timeout", "writer-timeout window still open");
 }
 
 #[test]
