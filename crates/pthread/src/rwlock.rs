@@ -14,8 +14,9 @@ use std::rc::Rc;
 use ptdf_smp::VirtTime;
 
 use crate::api::par_ctx;
-use crate::runtime::{deliver_cancel, Inner};
+use crate::runtime::Inner;
 use crate::sentinel::TimedOut;
+use crate::sync::{charge_sync_op, enter_blocking_op};
 use crate::thread::ThreadId;
 use crate::trace::BlockReason::{self, RwRead, RwWrite};
 use crate::waitq::{untimed, Evict, Holders, WaitQueue};
@@ -129,23 +130,6 @@ pub struct WriteGuard<'a, T> {
     lock: &'a RwLock<T>,
 }
 
-fn charge_op() {
-    if let Some(rc) = par_ctx() {
-        {
-            let mut inner = rc.borrow_mut();
-            // Lenient on context: stall-teardown destructors (guard drops)
-            // release the lock with no current thread.
-            let Some((_, p)) = inner.cur else {
-                return;
-            };
-            let c = inner.machine.cost().sync_op;
-            inner.machine.sync_op(p, c);
-        }
-        crate::runtime::maybe_timeslice(&rc);
-        crate::runtime::maybe_chaos_yield(&rc);
-    }
-}
-
 impl<T> RwLock<T> {
     /// Creates an unlocked lock.
     pub fn new(value: T) -> Self {
@@ -194,13 +178,7 @@ impl<T> RwLock<T> {
     /// Takes `access`, parking behind whoever holds the lock — and, for a
     /// reader, behind any queued writer.
     fn acquire(&self, access: BlockReason, timeout: Option<VirtTime>) -> Result<(), TimedOut> {
-        charge_op();
-        let ctx = par_ctx();
-        if let Some(rc) = &ctx {
-            // Cancellation point: deliver a latched request before taking
-            // or queueing for the lock.
-            deliver_cancel(rc);
-        }
+        let ctx = enter_blocking_op();
         let st = &self.inner.state;
         if st.try_take(access, access == RwRead && st.queue.holds(RwWrite)) {
             return Ok(());
@@ -222,7 +200,7 @@ impl<T> RwLock<T> {
 
     /// Attempts shared access without blocking.
     pub fn try_read(&self) -> Option<ReadGuard<'_, T>> {
-        charge_op();
+        charge_sync_op();
         let st = &self.inner.state;
         st.try_take(RwRead, !st.queue.is_empty())
             .then(|| ReadGuard { lock: self })
@@ -233,7 +211,7 @@ impl<T> RwLock<T> {
     /// waiter owns the next turn, and barging past it would hand two
     /// threads the lock's fairness slot at once.
     pub fn try_write(&self) -> Option<WriteGuard<'_, T>> {
-        charge_op();
+        charge_sync_op();
         let st = &self.inner.state;
         st.try_take(RwWrite, !st.queue.is_empty())
             .then(|| WriteGuard { lock: self })
@@ -265,7 +243,7 @@ impl<T> std::ops::Deref for ReadGuard<'_, T> {
 
 impl<T> Drop for ReadGuard<'_, T> {
     fn drop(&mut self) {
-        charge_op();
+        charge_sync_op();
         let st = &self.lock.inner.state;
         st.readers.set(st.readers.get() - 1);
         if let Some(me) = crate::api::current_thread() {
@@ -299,7 +277,7 @@ impl<T> std::ops::DerefMut for WriteGuard<'_, T> {
 
 impl<T> Drop for WriteGuard<'_, T> {
     fn drop(&mut self) {
-        charge_op();
+        charge_sync_op();
         let st = &self.lock.inner.state;
         st.writer.set(false);
         st.writer_id.set(None);

@@ -35,7 +35,8 @@ fn current_or_sentinel() -> ThreadId {
     crate::api::current_thread().unwrap_or(NO_THREAD)
 }
 
-fn charge_sync_op() {
+/// Charges one sync operation to the current processor; a preemption point.
+pub(crate) fn charge_sync_op() {
     if let Some(rc) = par_ctx() {
         {
             let mut inner = rc.borrow_mut();
@@ -59,7 +60,7 @@ fn charge_sync_op() {
 /// The entry of a blocking operation: charges it and, inside a runtime, is
 /// a cancellation point — a latched request is delivered before the wait
 /// queue is touched. Returns the runtime, if any.
-fn enter_blocking_op() -> Option<Rc<RefCell<Inner>>> {
+pub(crate) fn enter_blocking_op() -> Option<Rc<RefCell<Inner>>> {
     charge_sync_op();
     let ctx = par_ctx();
     if let Some(rc) = &ctx {
