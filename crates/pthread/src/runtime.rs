@@ -27,7 +27,7 @@ use crate::thread::{
     YieldReason,
 };
 use crate::trace::{BlockReason, EventKind, Trace, TraceMeta};
-use crate::waitq::{parked, Evict, Holders};
+use crate::waitq::{parked, untimed, Evict, Holders};
 
 /// A TLS-destructor hook: called with an exiting thread's id, it drops the
 /// thread's slot in one [`crate::TlsKey`]'s map and returns the released
@@ -1964,7 +1964,7 @@ pub(crate) fn join_impl<T>(h: &JoinHandle<T>) -> T {
 /// [`JoinError`] instead of unwinding the joiner.
 pub(crate) fn try_join_impl<T>(h: &JoinHandle<T>) -> Result<T, JoinError> {
     if let Some(rc) = owning_run(h.run) {
-        if let Some(payload) = join_wait_in(&rc, h.id, None).expect(UNTIMED) {
+        if let Some(payload) = untimed(join_wait_in(&rc, h.id, None)) {
             return Err(match payload.downcast::<crate::CancelError>() {
                 Ok(e) => JoinError::Canceled(*e),
                 Err(p) => JoinError::Panicked(p),
@@ -1986,9 +1986,6 @@ pub(crate) fn owning_run(run: Option<u64>) -> Option<Rc<RefCell<Inner>>> {
     })
 }
 
-/// What an untimed [`join_wait_in`] cannot return.
-const UNTIMED: &str = "an untimed join has no deadline";
-
 /// Blocks the current thread until `target`, a thread of the active run,
 /// exits. Returns the target's panic payload, if it panicked; the caller
 /// decides whether to re-raise.
@@ -1997,7 +1994,7 @@ pub(crate) fn join_wait(target: ThreadId) -> Option<Box<dyn std::any::Any + Send
         Some(ActiveCtx::Par(rc)) => rc.clone(),
         _ => panic!("join on a runtime thread outside the runtime"),
     });
-    join_wait_in(&rc, target, None).expect(UNTIMED)
+    untimed(join_wait_in(&rc, target, None))
 }
 
 /// Waits for `target`'s exit, at most `timeout` of virtual time if there is

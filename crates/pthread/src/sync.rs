@@ -374,9 +374,7 @@ impl Semaphore {
 
     fn try_take(&self) -> bool {
         let free = self.permits.get() > 0;
-        if free {
-            self.permits.set(self.permits.get() - 1);
-        }
+        self.permits.set(self.permits.get() - i64::from(free));
         free
     }
 
