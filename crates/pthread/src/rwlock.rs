@@ -177,6 +177,7 @@ impl<T> RwLock<T> {
 
     /// Takes `access`, parking behind whoever holds the lock — and, for a
     /// reader, behind any queued writer.
+    #[inline(always)]
     fn acquire(&self, access: BlockReason, timeout: Option<VirtTime>) -> Result<(), TimedOut> {
         let ctx = enter_blocking_op();
         let st = &self.inner.state;

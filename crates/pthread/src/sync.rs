@@ -28,11 +28,9 @@ use crate::thread::{ThreadId, YieldReason};
 use crate::trace::BlockReason;
 use crate::waitq::{untimed, Evict, Holders, WaitQueue};
 
-/// Sentinel owner for lock acquisition outside a runtime.
-const NO_THREAD: ThreadId = ThreadId(u32::MAX - 1);
-
+/// The calling thread, or a sentinel owner outside a runtime.
 fn current_or_sentinel() -> ThreadId {
-    crate::api::current_thread().unwrap_or(NO_THREAD)
+    crate::api::current_thread().unwrap_or(ThreadId(u32::MAX - 1))
 }
 
 /// Charges one sync operation to the current processor; a preemption point.
@@ -131,6 +129,7 @@ impl<T> Mutex<T> {
         self.lock_for(Some(timeout))
     }
 
+    #[inline(always)]
     fn lock_for(&self, timeout: Option<VirtTime>) -> Result<MutexGuard<'_, T>, TimedOut> {
         let ctx = enter_blocking_op();
         let (st, me) = (&*self.inner, current_or_sentinel());
@@ -359,6 +358,7 @@ impl Semaphore {
         self.acquire_for(Some(timeout))
     }
 
+    #[inline(always)]
     fn acquire_for(&self, timeout: Option<VirtTime>) -> Result<(), TimedOut> {
         let ctx = enter_blocking_op();
         if self.try_take() {

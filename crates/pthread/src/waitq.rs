@@ -123,7 +123,10 @@ impl WaitQueue {
     /// included — leaves every queue untouched and unwinds the caller with
     /// a [`DeadlockError`], releasing its guards so its cycle peers proceed.
     /// Outside a runtime (no `ctx`) nobody can release: a timed wait times
-    /// out at once, an untimed one would wait forever.
+    /// out at once, an untimed one would wait forever. Inlined, like the
+    /// timed/untimed bodies that call it: a cancel unwinds through every
+    /// frame up to the thread body, ~0.4 µs each (`sync.cancel_blocked_ns`).
+    #[inline(always)]
     pub fn wait(
         &self,
         ctx: Option<Rc<RefCell<Inner>>>,
@@ -182,10 +185,9 @@ impl WaitQueue {
 
     /// Grants to one waiter: the oracle's pick among the whole queue (FIFO
     /// naturally; a decision only when two or more wait). Returns the
-    /// grantee, already woken — the caller hands it the resource; a mutex
-    /// grantee becomes the object's holder. With no engine (outside a
-    /// runtime, or a guard dropped while the engine is borrowed during
-    /// stall teardown) the front slot is popped and nobody is woken.
+    /// grantee, already woken; a mutex grantee becomes the object's holder.
+    /// With no engine (outside a runtime, or a guard dropped while it is
+    /// borrowed during stall teardown) the front slot goes, nobody is woken.
     pub fn grant_one(&self, eng: Option<&mut Inner>, reason: BlockReason) -> Option<ThreadId> {
         let Some(eng) = eng else {
             return self.slots.borrow_mut().pop_front().map(|(t, _)| t);
@@ -285,10 +287,9 @@ impl WaitQueue {
 }
 
 /// The second half of a park: suspends the current thread until a grant, its
-/// deadline or a cancellation wakes it, and says which. A cancel unwinds
-/// from here (without the resource); an expired `timed` wait is itself a
-/// cancellation point — a request that raced the deadline and lost is
-/// delivered before the caller sees [`TimedOut`].
+/// deadline or a cancel wakes it. A cancel unwinds from here, without the
+/// resource; an expired `timed` wait is itself a cancellation point — a
+/// request that raced the deadline and lost delivers before [`TimedOut`].
 pub(crate) fn parked(rc: &Rc<RefCell<Inner>>, timed: bool) -> Result<(), TimedOut> {
     suspend_current(rc, YieldReason::Blocked);
     unwind_if_cancel_woken(rc);
