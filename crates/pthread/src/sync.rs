@@ -129,6 +129,9 @@ impl<T> Mutex<T> {
         self.lock_for(Some(timeout))
     }
 
+    // Each shared timed/untimed body is inlined into its two entry points:
+    // a cancel unwinds through every frame up to the thread body, ~0.4 µs
+    // a frame (`sync.cancel_blocked_ns`).
     #[inline(always)]
     fn lock_for(&self, timeout: Option<VirtTime>) -> Result<MutexGuard<'_, T>, TimedOut> {
         let ctx = enter_blocking_op();

@@ -123,10 +123,7 @@ impl WaitQueue {
     /// included — leaves every queue untouched and unwinds the caller with
     /// a [`DeadlockError`], releasing its guards so its cycle peers proceed.
     /// Outside a runtime (no `ctx`) nobody can release: a timed wait times
-    /// out at once, an untimed one would wait forever. Inlined, like the
-    /// timed/untimed bodies that call it: a cancel unwinds through every
-    /// frame up to the thread body, ~0.4 µs each (`sync.cancel_blocked_ns`).
-    #[inline(always)]
+    /// out at once, an untimed one would wait forever.
     pub fn wait(
         &self,
         ctx: Option<Rc<RefCell<Inner>>>,
