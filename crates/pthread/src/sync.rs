@@ -6,10 +6,9 @@
 //! a thread that blocks keeps its placeholder in the DF scheduler's ordered
 //! queue and resumes at its depth-first position when woken.
 //!
-//! Each primitive is its admission state (an owner, a permit count, a round
-//! counter) over one [`WaitQueue`]; parking, granting, timed waits and
-//! cancel eviction are the queue's ([`crate::waitq`]). A timed entry point
-//! and its untimed twin are one body taking `Option<VirtTime>`.
+//! Each primitive is its admission state (owner, permits, round) over one
+//! [`WaitQueue`], which parks, grants, times out and evicts ([`crate::waitq`]);
+//! a timed entry point and its untimed twin are one body.
 //!
 //! Handle semantics: each primitive is a cheap clonable handle (like a
 //! `pthread_mutex_t*`); clones refer to the same underlying object. Outside
@@ -129,9 +128,8 @@ impl<T> Mutex<T> {
         self.lock_for(Some(timeout))
     }
 
-    // Each shared timed/untimed body is inlined into its two entry points:
-    // a cancel unwinds through every frame up to the thread body, ~0.4 µs
-    // a frame (`sync.cancel_blocked_ns`).
+    // The shared body, and `WaitQueue::wait` in it, are inlined into the entry
+    // points: a cancel unwinds ~0.4 µs per frame (`sync.cancel_blocked_ns`).
     #[inline(always)]
     fn lock_for(&self, timeout: Option<VirtTime>) -> Result<MutexGuard<'_, T>, TimedOut> {
         let ctx = enter_blocking_op();

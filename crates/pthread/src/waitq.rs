@@ -124,6 +124,7 @@ impl WaitQueue {
     /// a [`DeadlockError`], releasing its guards so its cycle peers proceed.
     /// Outside a runtime (no `ctx`) nobody can release: a timed wait times
     /// out at once, an untimed one would wait forever.
+    #[inline(always)]
     pub fn wait(
         &self,
         ctx: Option<Rc<RefCell<Inner>>>,
@@ -287,6 +288,7 @@ impl WaitQueue {
 /// deadline or a cancel wakes it. A cancel unwinds from here, without the
 /// resource; an expired `timed` wait is itself a cancellation point — a
 /// request that raced the deadline and lost delivers before [`TimedOut`].
+#[inline]
 pub(crate) fn parked(rc: &Rc<RefCell<Inner>>, timed: bool) -> Result<(), TimedOut> {
     suspend_current(rc, YieldReason::Blocked);
     unwind_if_cancel_woken(rc);
