@@ -456,9 +456,10 @@ impl Barrier {
                 .grant_all(&mut rc.borrow_mut(), BlockReason::Barrier);
         } else {
             self.round.set((arrived + 1, generation));
-            let evict = Evict::Queue(self.queue.clone());
+            let mut eng = rc.borrow_mut();
             self.queue
-                .park(&mut rc.borrow_mut(), BlockReason::Barrier, None, evict);
+                .park(&mut eng, BlockReason::Barrier, None, Evict::Never);
+            drop(eng);
             suspend_current(&rc, YieldReason::Blocked);
             // The leader takes the whole queue while closing the round: a
             // same-round resume would be a stale wake from a previous

@@ -60,8 +60,7 @@ pub(crate) fn owned(reason: BlockReason) -> bool {
 }
 
 /// How to take a parked thread out of its wait when a deadline or a cancel
-/// wakes it instead of a grant: plain data on the TCB, written by `park`,
-/// run by [`evict`], dropped unrun by a grant.
+/// wakes it: plain data on the TCB, run by [`evict`], dropped by a grant.
 pub(crate) enum Evict {
     /// Withdraw the slot; the queue's primitive has nothing to re-admit.
     Queue(Rc<WaitQueue>),
@@ -69,11 +68,12 @@ pub(crate) enum Evict {
     RwAdmission(Rc<crate::rwlock::RwState>),
     /// Withdraw the registration as this thread's joiner.
     Joiner(ThreadId),
+    /// A barrier wait: no deadline, and not a cancellation point.
+    Never,
 }
 
 /// The threads blocked on one sync object, in arrival order, each with the
-/// [`BlockReason`] it parked for (the rwlock tells readers from writers by
-/// it), and the object's per-run trace id.
+/// [`BlockReason`] it parked for, and the object's per-run trace id.
 #[derive(Default)]
 pub(crate) struct WaitQueue {
     /// Assigned at the object's first engine interaction, so ids are dense
@@ -221,10 +221,9 @@ impl WaitQueue {
     }
 
     /// Grants to the first `k` waiters at once (a barrier round, a
-    /// `notify_all`, an rwlock's admitted batch). Their delivery order is a
+    /// `notify_all`, an rwlock's admitted batch), in an order that is a
     /// schedule decision: shuffled under perturbation, scripted under the
-    /// oracle. `holders` is who holds an owned object once they are in.
-    /// Lenient like [`WaitQueue::grant_one`].
+    /// oracle. `holders`: who holds an owned object once they are in.
     pub fn grant_batch(
         &self,
         eng: Option<&mut Inner>,
@@ -265,8 +264,7 @@ impl WaitQueue {
     }
 
     /// Moves the sentinel's holder edge: `holders()` while threads wait
-    /// here, retired once the queue has drained (the registry has an entry
-    /// exactly for the objects somebody is blocked on).
+    /// here, retired once the queue has drained.
     pub fn publish_holders(&self, eng: &mut Inner, holders: impl FnOnce() -> Holders) {
         let obj = self.id(eng);
         if self.is_empty() {
@@ -325,6 +323,7 @@ pub(crate) fn evict(eng: &mut Inner, t: ThreadId, record: Evict) {
         }
         // The target may have exited meanwhile and taken the registration;
         // the next join attempt observes the exit.
+        Evict::Never => unreachable!("a barrier wait is never evicted"),
         Evict::Joiner(target) => {
             if let Some(tcb) = eng.threads.get_mut(target) {
                 if tcb.joiner == Some(t) {
