@@ -113,7 +113,8 @@ pub fn try_spawn_attr<T: 'static>(
 /// A cancellation point on both edges: a latched cancel request delivers
 /// before the processor is given up, and a request that arrived while the
 /// thread sat on the ready queue delivers on resume (a ready thread is
-/// never `cancel_wake`d, so the resume edge is plain latched delivery).
+/// never woken by a cancel `evict_wake`, so the resume edge is plain latched
+/// delivery).
 pub fn yield_now() {
     if let Some(rc) = par_ctx() {
         crate::runtime::deliver_cancel(&rc);

@@ -448,7 +448,7 @@ impl Inner {
     /// degree of freedom. Perturbation shuffles; a scripted oracle orders
     /// the batch by successive selection decisions (pick among `n`, then
     /// among `n-1`, …) so each position is one replayable decision.
-    pub fn wake_order(&mut self, obj: u32, batch: &mut [ThreadId]) {
+    pub fn wake_order<T: Copy + PartialEq>(&mut self, obj: u32, batch: &mut [T]) {
         if batch.len() <= 1 {
             return;
         }
@@ -468,7 +468,7 @@ impl Inner {
         if self.perturb.is_none() {
             return;
         }
-        let before: Vec<ThreadId> = if self.record_decisions() {
+        let before: Vec<T> = if self.record_decisions() {
             batch.to_vec()
         } else {
             Vec::new()

@@ -231,31 +231,24 @@ impl WaitQueue {
         k: usize,
         holders: impl FnOnce() -> Holders,
     ) {
-        let waiters = self.len() as u64;
-        // A batch of one (every writer admission) stays off the heap.
-        let (mut one, mut many) = ([ThreadId(0)], Vec::new());
-        let batch: &mut [ThreadId] = {
-            let mut slots = self.slots.borrow_mut();
-            if k == 1 {
-                one[0] = slots.pop_front().expect("k waiters are queued").0;
-                &mut one
-            } else {
-                many.extend(slots.drain(..k).map(|(t, _)| t));
-                &mut many
+        let mut slots = self.slots.borrow_mut();
+        let (waiters, drained) = (slots.len() as u64, slots.len() == k);
+        // Lenient like `grant_one`: the slots go, nobody is woken.
+        if let Some((eng, (_, p))) = eng.and_then(|e| e.cur.map(|cur| (e, cur))) {
+            let obj = self.id(eng);
+            let batch = &mut slots.make_contiguous()[..k];
+            debug_assert!(batch.iter().all(|&(t, _)| eng.blocked_on(t, obj)));
+            eng.wake_order(obj, batch);
+            eng.note_sync(reason, obj, waiters, k as u64);
+            if owned(reason) {
+                let holders = if drained { Holders::None } else { holders() };
+                eng.note_holders(obj, holders);
             }
-        };
-        let Some(eng) = eng else { return };
-        let Some((_, p)) = eng.cur else { return };
-        let obj = self.id(eng);
-        debug_assert!(batch.iter().all(|&t| eng.blocked_on(t, obj)));
-        eng.wake_order(obj, batch);
-        eng.note_sync(reason, obj, waiters, batch.len() as u64);
-        if owned(reason) {
-            self.publish_holders(eng, holders);
+            for &(w, _) in batch.iter() {
+                eng.make_ready(w, p);
+            }
         }
-        for &w in batch.iter() {
-            eng.make_ready(w, p);
-        }
+        slots.drain(..k);
     }
 
     /// [`WaitQueue::grant_batch`] to everyone queued, on an unowned object.
