@@ -475,6 +475,27 @@ mod tests {
         }
     }
 
+    /// The phantom and its octree at the two sizes in use (64 for tests and
+    /// the benchmark, 256 for the paper's scale): voxels, finest block edge,
+    /// and every level's (min, max) pairs.
+    #[test]
+    fn phantom_and_octree_bits_are_pinned() {
+        for (size, want) in [(64, 0xbb57_9cc9_3453_99c6u64), (256, 0x045b_6920_9b2f_c829)] {
+            let vol = gen_volume(size);
+            let mut h = crate::output_corpus::Fnv::new();
+            vol.data.iter().for_each(|&v| h.byte(v));
+            h.word(vol.block as u64);
+            for level in &vol.octree {
+                h.word(level.len() as u64);
+                for &(mn, mx) in level {
+                    h.byte(mn);
+                    h.byte(mx);
+                }
+            }
+            assert_eq!(h.finish(), want, "size {size}: {:#018x}", h.finish());
+        }
+    }
+
     #[test]
     fn image_is_nontrivial() {
         let p = Params::small();
