@@ -410,6 +410,54 @@ mod tests {
         }
     }
 
+    /// The base case `serial_mult` used to be, kept as its reference: a `C`
+    /// row loaded and stored once per `(i, k)`.
+    fn row_saxpy(a: Sub, b: Sub, c: Sub, size: usize) {
+        for i in 0..size {
+            // SAFETY: the three views are over distinct buffers owned by
+            // the calling test, and every index is inside the view's block.
+            let c_row = unsafe { c.buf.slice_mut(c.idx(i, 0), size) };
+            for k in 0..size {
+                let aik = unsafe { a.buf.get(a.idx(i, k)) };
+                let b_row = unsafe { b.buf.slice(b.idx(k, 0), size) };
+                for j in 0..size {
+                    c_row[j] = aik.mul_add(b_row[j], c_row[j]);
+                }
+            }
+        }
+    }
+
+    /// Every size up to past one tile in each direction, as a whole buffer
+    /// and as an offset block of a wider one; comparing the whole `C`
+    /// buffer also shows that nothing outside the block is written.
+    #[test]
+    fn serial_mult_is_bit_identical_to_row_saxpy() {
+        let mut state = 0x5EED;
+        for size in 1..=70 {
+            for (stride, row, col) in [(size, 0, 0), (2 * size + 3, size / 2 + 1, size + 2)] {
+                let mut fill = || -> Vec<f64> {
+                    (0..(row + size) * stride)
+                        .map(|_| uniform01(&mut state) * 2.0 - 1.0)
+                        .collect()
+                };
+                let (mut a, mut b, mut c) = (fill(), fill(), fill());
+                let mut want = c.clone();
+                let sub = |buf: &mut Vec<f64>| Sub {
+                    buf: SharedSlice::new(buf),
+                    stride,
+                    row,
+                    col,
+                };
+                row_saxpy(sub(&mut a), sub(&mut b), sub(&mut want), size);
+                serial_mult(sub(&mut a), sub(&mut b), sub(&mut c), size, size);
+                assert!(
+                    c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "size {size}, stride {stride}, block at ({row}, {col})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn base_equal_n_is_pure_serial_kernel() {
         let p = Params {
