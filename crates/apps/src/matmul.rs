@@ -170,32 +170,68 @@ fn mm(a: Sub, b: Sub, c: Sub, size: usize, base: usize, path: u64) {
     drop(t_buf);
 }
 
-/// Serial base-case kernel: `C += A × B` on a `size × size` block (ikj
-/// order). Charges the modelled flops and declares block locality.
+/// Register tile of the base-case kernel: `MR` rows by `NR` columns of `C`
+/// held in locals across the whole `k` loop (4 × 16 `f64` is eight 512-bit
+/// or sixteen 256-bit accumulators, leaving room for the `B` row).
+const MR: usize = 4;
+const NR: usize = 16;
+
+/// Serial base-case kernel: `C += A × B` on a `size × size` block. Charges
+/// the modelled flops and declares block locality.
+///
+/// Each `c[i][j]` is updated by `fma(a[i][k], b[k][j], c[i][j])` for
+/// `k = 0..size` in ascending order, which fixes its bits; the tiling only
+/// chooses how many of those chains run side by side.
 fn serial_mult(a: Sub, b: Sub, c: Sub, size: usize, base: usize) {
     touch_block(salt::MATMUL_A, &a, size, base);
     touch_block(salt::MATMUL_B, &b, size, base);
     touch_block(salt::MATMUL_C, &c, size, base);
-    for i in 0..size {
-        // SAFETY: C blocks of concurrently-live threads are disjoint
-        // quadrants; A/B live in different buffers and are read-only during
-        // the multiply, so the row borrows cannot alias.
-        let c_row = unsafe { c.buf.slice_mut(c.idx(i, 0), size) };
-        for k in 0..size {
-            // SAFETY: a is only read; indices in-block (see SharedSlice).
-            let aik = unsafe { a.buf.get(a.idx(i, k)) };
-            let b_row = unsafe { b.buf.slice(b.idx(k, 0), size) };
-            // Same ikj order as the elementwise form, fused multiply-add
-            // per element (values shift by at most one rounding step, well
-            // inside the verification tolerance; the charge below is what
-            // the model sees and is unchanged). Over contiguous rows the
-            // compiler bounds-checks once and vectorizes to FMA lanes.
-            for j in 0..size {
-                c_row[j] = aik.mul_add(b_row[j], c_row[j]);
+    for i0 in (0..size).step_by(MR) {
+        let mr = MR.min(size - i0);
+        for j0 in (0..size).step_by(NR) {
+            let nr = NR.min(size - j0);
+            // The accumulators stay in registers only when the trip counts
+            // are constants: a full tile gets them as literals, an edge
+            // tile runs the same inlined loop nest with its short bounds.
+            if (mr, nr) == (MR, NR) {
+                mult_tile(a, b, c, size, (i0, j0), (MR, NR));
+            } else {
+                mult_tile(a, b, c, size, (i0, j0), (mr, nr));
             }
         }
     }
     charge_flops_dense(2 * (size as u64).pow(3));
+}
+
+/// `C[i0.., j0..] += A[i0.., ..] × B[.., j0..]` over an `mr × nr` tile
+/// (`mr ≤ MR`, `nr ≤ NR`): the tile of `C` is loaded once, accumulated over
+/// all of `k`, and stored once.
+#[inline(always)]
+fn mult_tile(a: Sub, b: Sub, c: Sub, size: usize, (i0, j0): (usize, usize), (mr, nr): (usize, usize)) {
+    let mut acc = [[0.0f64; NR]; MR];
+    for (r, acc_row) in acc[..mr].iter_mut().enumerate() {
+        // SAFETY: C blocks of concurrently-live threads are disjoint
+        // quadrants; A/B live in different buffers and are read-only during
+        // the multiply, so the row borrows cannot alias.
+        let c_row = unsafe { c.buf.slice(c.idx(i0 + r, j0), nr) };
+        acc_row[..nr].copy_from_slice(c_row);
+    }
+    for k in 0..size {
+        // SAFETY: b is only read; indices in-block (see SharedSlice).
+        let b_row = unsafe { b.buf.slice(b.idx(k, j0), nr) };
+        for (r, acc_row) in acc[..mr].iter_mut().enumerate() {
+            // SAFETY: a is only read; indices in-block.
+            let aik = unsafe { a.buf.get(a.idx(i0 + r, k)) };
+            for (cj, &bj) in acc_row[..nr].iter_mut().zip(b_row) {
+                *cj = aik.mul_add(bj, *cj);
+            }
+        }
+    }
+    for (r, acc_row) in acc[..mr].iter().enumerate() {
+        // SAFETY: as for the load above; this thread owns the C block.
+        let c_row = unsafe { c.buf.slice_mut(c.idx(i0 + r, j0), nr) };
+        c_row.copy_from_slice(&acc_row[..nr]);
+    }
 }
 
 /// Parallel divide-and-conquer `C += T` (the paper's `Matrix_Add`).
