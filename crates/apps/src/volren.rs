@@ -128,7 +128,7 @@ impl Volume {
     #[inline]
     fn block_max(&self, p: [f32; 3]) -> u8 {
         let bs = self.block;
-        let per = self.size / bs;
+        let per = self.size.div_ceil(bs);
         let bx = (p[0].max(0.0) as usize / bs).min(per - 1);
         let by = (p[1].max(0.0) as usize / bs).min(per - 1);
         let bz = (p[2].max(0.0) as usize / bs).min(per - 1);
@@ -171,9 +171,12 @@ pub fn gen_volume(size: usize) -> Volume {
     build_octree(size, data)
 }
 
+/// Any `size` is accepted: block counts are rounded up at every level, so
+/// the last block along an axis is short when `block` does not divide `size`
+/// and the last parent has one child when a level's count is odd.
 fn build_octree(size: usize, data: Vec<u8>) -> Volume {
     let block = (size / 8).max(4);
-    let per = size / block;
+    let per = size.div_ceil(block);
     let mut level0 = vec![(u8::MAX, u8::MIN); per * per * per];
     for z in 0..size {
         for y in 0..size {
@@ -190,7 +193,7 @@ fn build_octree(size: usize, data: Vec<u8>) -> Volume {
     let mut octree = vec![level0];
     let mut cur_per = per;
     while cur_per > 1 {
-        let next_per = cur_per / 2;
+        let next_per = cur_per.div_ceil(2);
         let prev = octree.last().unwrap();
         let mut next = vec![(u8::MAX, u8::MIN); next_per * next_per * next_per];
         for z in 0..cur_per {
@@ -454,24 +457,43 @@ mod tests {
         assert!(center > 0 && center < 230, "center density {center}");
     }
 
+    /// Every voxel lies within the (min, max) of its block at every level,
+    /// also where the last block of a row is short (36 = 9 blocks of 4,
+    /// then 5, 3, 2, 1 a side) or overhangs the volume (100 = 9 of 12).
     #[test]
     fn octree_min_max_sound() {
-        let vol = gen_volume(64);
-        let per = vol.size / vol.block;
-        for bz in 0..per {
-            for by in 0..per {
-                for bx in 0..per {
-                    let (mn, mx) = vol.octree[0][(bz * per + by) * per + bx];
-                    for z in bz * vol.block..(bz + 1) * vol.block {
-                        for y in by * vol.block..(by + 1) * vol.block {
-                            for x in bx * vol.block..(bx + 1) * vol.block {
-                                let v = vol.at(x, y, z);
-                                assert!(v >= mn && v <= mx);
-                            }
+        for size in [64, 36, 100] {
+            let vol = gen_volume(size);
+            assert_eq!(vol.octree.last().map(Vec::len), Some(1), "size {size}");
+            for (k, level) in vol.octree.iter().enumerate() {
+                let edge = vol.block << k;
+                let per = size.div_ceil(edge);
+                assert_eq!(level.len(), per * per * per, "size {size}, level {k}");
+                for z in 0..size {
+                    for y in 0..size {
+                        for x in 0..size {
+                            let (mn, mx) = level[((z / edge) * per + y / edge) * per + x / edge];
+                            let v = vol.at(x, y, z);
+                            assert!(mn <= v && v <= mx, "size {size}, level {k}");
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// `gen_volume` used to index past its octree for most sizes that are
+    /// not a power of two (20, 30, 36, 100, ...).
+    #[test]
+    fn every_volume_size_builds_and_renders() {
+        for size in (8..=72).step_by(4) {
+            let p = Params {
+                size,
+                image: 24,
+                ..Params::small()
+            };
+            let img = render_reference(&gen_volume(size), &p);
+            assert!(img.iter().any(|&v| v > 10.0), "size {size}: empty image");
         }
     }
 
