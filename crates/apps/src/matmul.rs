@@ -53,11 +53,22 @@ impl Params {
     pub fn flops(&self) -> u64 {
         2 * (self.n as u64).pow(3)
     }
+
+    /// The recursions halve `n` until it reaches `base`; on any other shape
+    /// a halving truncates and rows and columns are silently never written.
+    fn assert_halves_to_base(&self) {
+        assert!(
+            self.n.is_power_of_two() && self.base.is_power_of_two() && self.base <= self.n,
+            "matmul: n and base must be powers of two with base <= n (n = {}, base = {})",
+            self.n,
+            self.base
+        );
+    }
 }
 
 /// Generates two random `n×n` matrices (row-major).
 pub fn gen_input(p: &Params) -> (Vec<f64>, Vec<f64>) {
-    assert!(p.n.is_power_of_two() && p.base.is_power_of_two() && p.base <= p.n);
+    p.assert_halves_to_base();
     let mut state = p.seed;
     let gen = |state: &mut u64| {
         (0..p.n * p.n)
@@ -97,6 +108,7 @@ impl Sub {
 /// `C = A × B` with the paper's divide-and-conquer algorithm. Runs in any
 /// execution mode (parallel runtime, serial baseline, or standalone).
 pub fn multiply(a: &[f64], b: &[f64], p: &Params) -> Vec<f64> {
+    p.assert_halves_to_base();
     let n = p.n;
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
@@ -283,6 +295,7 @@ fn touch_block(s: u64, m: &Sub, size: usize, base: usize) {
 /// `C = A × B` by Strassen's algorithm with a thread per recursive product.
 /// Falls back to the serial kernel at `p.base`.
 pub fn strassen(a: &[f64], b: &[f64], p: &Params) -> Vec<f64> {
+    p.assert_halves_to_base();
     let n = p.n;
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
@@ -540,6 +553,28 @@ mod tests {
             seed: 0,
         };
         let _ = gen_input(&p);
+    }
+
+    /// 130 → 65 → 32: `multiply` and `strassen` used to return a `C` with
+    /// row and column 64 of each quadrant never written.
+    #[test]
+    fn entry_points_reject_sizes_that_do_not_halve_to_base() {
+        let p = Params {
+            n: 130,
+            base: 64,
+            seed: 0,
+        };
+        let zeros = vec![0.0; p.n * p.n];
+        let entry_points: [fn(&[f64], &[f64], &Params) -> Vec<f64>; 2] = [multiply, strassen];
+        for entry in entry_points {
+            let panic = std::panic::catch_unwind(|| entry(&zeros, &zeros, &p))
+                .expect_err("n = 130 must be rejected");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.contains("powers of two") && message.contains("n = 130, base = 64"),
+                "{message}"
+            );
+        }
     }
 
     #[test]
