@@ -135,7 +135,7 @@ pub(crate) struct Inner {
 struct RoundStats {
     /// Full (non-solo) scheduling rounds.
     rounds: u64,
-    /// [`Inner::fire_due_timeouts`] calls that got past the nothing-armed
+    /// [`Inner::fire_due_timeouts`] calls that got past the nothing-can-be-due
     /// check and walked the deadline heaps.
     deadline_scans: u64,
 }
@@ -1170,10 +1170,16 @@ impl Inner {
     /// publisher's (monotone) clock, so no wake earlier than the floor can
     /// appear. Firing is deferred, never early: a deadline beyond the floor
     /// stays armed so a slower processor can still win the race with a
-    /// virtually-earlier wake. Returns whether any fired; with no deadline
-    /// armed anywhere that is one load.
+    /// virtually-earlier wake. Returns whether any fired.
+    ///
+    /// With no deadline armed, or none that `floor` has reached, that is one
+    /// load and a compare: the machine's bound says no heap holds an entry
+    /// at or before `floor`, so there is nothing to fire. Nor is anything
+    /// discarded then: a stale entry stays at the top of its heap until the
+    /// floor reaches it, which keeps [`Machine::has_deadlines`] true for
+    /// longer and so only keeps the engine off its serial fast path.
     fn fire_due_timeouts(&mut self, floor: VirtTime) -> bool {
-        if !self.machine.has_deadlines() {
+        if floor < self.machine.deadline_bound() {
             return false;
         }
         #[cfg(test)]
@@ -1200,6 +1206,7 @@ impl Inner {
                 due.push((t, q, at));
             }
         }
+        self.machine.tighten_deadline_bound();
         if due.len() >= 2 {
             if let Some(oracle) = self.oracle.clone() {
                 let mut oracle = oracle.borrow_mut();
@@ -2178,25 +2185,62 @@ mod tests {
     }
 
     #[test]
-    fn the_skip_re_engages_once_a_satisfied_timed_wait_is_discarded() {
-        let ((armed, end), _) = run(Config::new(4, SchedKind::Df), || {
+    fn a_deadline_the_floor_has_not_reached_costs_no_heap_walk() {
+        let ((armed, idle, fired, end), _) = run(Config::new(4, SchedKind::Df), || {
             // A timed join the child beats by a wide margin: the wake is a
-            // normal one and the armed heap entry goes stale.
+            // normal one and the heap entry goes stale, half a second ahead
+            // of every clock.
             let child = spawn(|| crate::work(1_000));
             assert!(child.join_timeout(VirtTime::from_ms(500)).is_ok());
             let armed = round_stats();
             untimed_rounds();
-            (armed, round_stats())
+            let idle = round_stats();
+            // A timed wait nobody satisfies fires once the floor gets
+            // there, and that walk discards the stale entry as well.
+            let t0 = crate::now().expect("inside the run");
+            let never = crate::Semaphore::new(0);
+            assert!(never.acquire_timeout(VirtTime::from_us(50)).is_err());
+            let waited = crate::now().expect("inside the run").as_ns() - t0.as_ns();
+            assert!((50_000..100_000).contains(&waited), "fired after {waited} ns");
+            let fired = round_stats();
+            untimed_rounds();
+            (armed, idle, fired, round_stats())
         });
-        assert!(
-            armed.deadline_scans > 0,
-            "the timed join must have put the rounds on the heaps"
+        assert!(idle.rounds - armed.rounds > 200, "the tail must take full rounds");
+        assert_eq!(
+            idle.deadline_scans, 0,
+            "a deadline 500 ms away put the rounds on the heaps"
         );
-        assert!(end.rounds - armed.rounds > 200, "the tail must take full rounds");
-        // The stale entry surfaces at the top of its heap within the next
-        // round or two and is popped; every later round takes the skip.
-        let late = end.deadline_scans - armed.deadline_scans;
-        assert!(late <= 4, "{late} heap walks after the timed wait was satisfied");
+        let walks = fired.deadline_scans - idle.deadline_scans;
+        assert!((1..=4).contains(&walks), "{walks} heap walks to fire one timeout");
+        assert!(end.rounds - fired.rounds > 200, "the tail must take full rounds");
+        assert_eq!(
+            end.deadline_scans, fired.deadline_scans,
+            "nothing is armed any more, yet a round scanned"
+        );
+    }
+
+    #[test]
+    fn a_live_deadline_far_ahead_is_not_looked_at_every_round() {
+        let ((before, after, outcome), _) = run(Config::new(4, SchedKind::Df), || {
+            let gate = std::rc::Rc::new(crate::Semaphore::new(0));
+            let waiter = spawn({
+                let gate = gate.clone();
+                move || gate.acquire_timeout(VirtTime::from_ms(500))
+            });
+            yield_now();
+            let before = round_stats();
+            untimed_rounds();
+            let after = round_stats();
+            gate.release();
+            (before, after, waiter.join())
+        });
+        assert!(outcome.is_ok(), "the release came long before the deadline");
+        assert!(after.rounds - before.rounds > 200, "the run must take full rounds");
+        assert_eq!(
+            after.deadline_scans, before.deadline_scans,
+            "rounds walked the heaps for a deadline 500 ms ahead of the floor"
+        );
     }
 
     #[test]

@@ -84,7 +84,14 @@ pub struct Machine {
     /// Entries across all of `deadlines`, so "is any deadline armed" is a
     /// load instead of a scan of the heaps.
     deadline_entries: usize,
+    /// No entry of `deadlines` fires before this: lowered by every arm,
+    /// raised only by [`Machine::tighten_deadline_bound`]. Pops leave it
+    /// alone, which keeps it a bound, merely a loose one.
+    deadline_bound: VirtTime,
 }
+
+/// The bound with no deadline armed: later than any clock.
+const NO_DEADLINE: VirtTime = VirtTime::from_ns(u64::MAX);
 
 /// Maximum extra nanoseconds the perturbation mode injects at one
 /// sync-operation boundary. Small relative to every modelled cost, so the
@@ -131,6 +138,7 @@ impl Machine {
             pending_bucket: [0; Bucket::COUNT],
             deadlines: (0..p).map(|_| BinaryHeap::new()).collect(),
             deadline_entries: 0,
+            deadline_bound: NO_DEADLINE,
         }
     }
 
@@ -233,6 +241,7 @@ impl Machine {
         let win = self.prof_open();
         self.deadlines[p].push(Reverse((at, token)));
         self.deadline_entries += 1;
+        self.deadline_bound = self.deadline_bound.min(at);
         self.prof_close(win, |hp| &mut hp.heap_push);
     }
 
@@ -258,6 +267,26 @@ impl Machine {
     #[inline]
     pub fn has_deadlines(&self) -> bool {
         self.deadline_entries != 0
+    }
+
+    /// A time before which no armed deadline, on any processor, is due: a
+    /// runtime whose firing floor lies before it has nothing to look at in
+    /// the heaps. Later than every clock when nothing has been armed.
+    #[inline]
+    pub fn deadline_bound(&self) -> VirtTime {
+        self.deadline_bound
+    }
+
+    /// Raises [`Machine::deadline_bound`] to the earliest entry now at the
+    /// top of any heap; for the runtime to call once it has popped what it
+    /// wanted off the tops.
+    pub fn tighten_deadline_bound(&mut self) {
+        self.deadline_bound = self
+            .deadlines
+            .iter()
+            .filter_map(|heap| heap.peek().map(|Reverse((at, _))| *at))
+            .min()
+            .unwrap_or(NO_DEADLINE);
     }
 
     /// Arms the space-bound enforcer: every footprint growth is checked
@@ -917,6 +946,30 @@ mod tests {
         assert_eq!((m.clock(0), m.clock(1)), before);
         let stats = m.finish();
         assert_eq!(stats.makespan, VirtTime::ZERO);
+    }
+
+    #[test]
+    fn deadline_bound_never_exceeds_an_armed_entry() {
+        let mut m = machine(2);
+        let at = VirtTime::from_us;
+        assert!(m.deadline_bound() > at(u64::MAX / 1000));
+        m.arm_deadline(0, at(30), 3);
+        m.arm_deadline(1, at(10), 1);
+        m.arm_deadline(0, at(20), 2);
+        assert_eq!(m.deadline_bound(), at(10));
+        // A pop leaves the bound where it was: still a bound, now loose.
+        assert_eq!(m.pop_deadline(1), Some((at(10), 1)));
+        assert_eq!(m.deadline_bound(), at(10));
+        m.tighten_deadline_bound();
+        assert_eq!(m.deadline_bound(), at(20));
+        m.arm_deadline(1, at(5), 4);
+        assert_eq!(m.deadline_bound(), at(5));
+        while m.has_deadlines() {
+            m.pop_deadline(0);
+            m.pop_deadline(1);
+        }
+        m.tighten_deadline_bound();
+        assert_eq!(m.deadline_bound(), NO_DEADLINE);
     }
 
     #[test]
