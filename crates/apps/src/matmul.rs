@@ -219,7 +219,14 @@ fn serial_mult(a: Sub, b: Sub, c: Sub, size: usize, base: usize) {
 /// (`mr ≤ MR`, `nr ≤ NR`): the tile of `C` is loaded once, accumulated over
 /// all of `k`, and stored once.
 #[inline(always)]
-fn mult_tile(a: Sub, b: Sub, c: Sub, size: usize, (i0, j0): (usize, usize), (mr, nr): (usize, usize)) {
+fn mult_tile(
+    a: Sub,
+    b: Sub,
+    c: Sub,
+    size: usize,
+    (i0, j0): (usize, usize),
+    (mr, nr): (usize, usize),
+) {
     let mut acc = [[0.0f64; NR]; MR];
     for (r, acc_row) in acc[..mr].iter_mut().enumerate() {
         // SAFETY: C blocks of concurrently-live threads are disjoint
