@@ -87,6 +87,8 @@ pub struct Volume {
     octree: Vec<Vec<(u8, u8)>>,
     /// Finest octree block edge (voxels).
     block: usize,
+    /// Finest-level blocks along one axis: `size / block`, rounded up.
+    per: usize,
 }
 
 impl Volume {
@@ -127,8 +129,7 @@ impl Volume {
     /// Max density over the finest octree block containing the point.
     #[inline]
     fn block_max(&self, p: [f32; 3]) -> u8 {
-        let bs = self.block;
-        let per = self.size.div_ceil(bs);
+        let (bs, per) = (self.block, self.per);
         let bx = (p[0].max(0.0) as usize / bs).min(per - 1);
         let by = (p[1].max(0.0) as usize / bs).min(per - 1);
         let bz = (p[2].max(0.0) as usize / bs).min(per - 1);
@@ -214,6 +215,7 @@ fn build_octree(size: usize, data: Vec<u8>) -> Volume {
         data,
         octree,
         block,
+        per,
     }
 }
 
