@@ -572,8 +572,8 @@ mod tests {
             seed: 0,
         };
         let zeros = vec![0.0; p.n * p.n];
-        let entry_points: [fn(&[f64], &[f64], &Params) -> Vec<f64>; 2] = [multiply, strassen];
-        for entry in entry_points {
+        type Entry = fn(&[f64], &[f64], &Params) -> Vec<f64>;
+        for entry in [multiply as Entry, strassen] {
             let panic = std::panic::catch_unwind(|| entry(&zeros, &zeros, &p))
                 .expect_err("n = 130 must be rejected");
             let message = panic.downcast_ref::<String>().expect("a formatted message");

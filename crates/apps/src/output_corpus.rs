@@ -130,9 +130,12 @@ fn volren_bits() -> u64 {
     )
 }
 
-/// App, its output hash run standalone, and under DF at p = 4.
+/// An app, the hash of its output, and what that hash must be when the app
+/// runs standalone and under DF at p = 4.
+type Row = (&'static str, fn() -> u64, u64, u64);
+
 #[rustfmt::skip]
-const APP_OUTPUT_CORPUS: [(&str, fn() -> u64, u64, u64); 7] = [
+const APP_OUTPUT_CORPUS: [Row; 7] = [
     ("matmul",     matmul_bits,     0x1bb2_187c_0c32_ae54, 0x1bb2_187c_0c32_ae54),
     ("barnes_hut", barnes_hut_bits, 0xaba4_4e3f_27fb_25f0, 0xaba4_4e3f_27fb_25f0),
     ("fmm",        fmm_bits,        0xd3b7_17a8_0a65_bafc, 0xd3b7_17a8_0a65_bafc),

@@ -2201,19 +2201,31 @@ mod tests {
             let never = crate::Semaphore::new(0);
             assert!(never.acquire_timeout(VirtTime::from_us(50)).is_err());
             let waited = crate::now().expect("inside the run").as_ns() - t0.as_ns();
-            assert!((50_000..100_000).contains(&waited), "fired after {waited} ns");
+            assert!(
+                (50_000..100_000).contains(&waited),
+                "fired after {waited} ns"
+            );
             let fired = round_stats();
             untimed_rounds();
             (armed, idle, fired, round_stats())
         });
-        assert!(idle.rounds - armed.rounds > 200, "the tail must take full rounds");
+        assert!(
+            idle.rounds - armed.rounds > 200,
+            "the tail must take full rounds"
+        );
         assert_eq!(
             idle.deadline_scans, 0,
             "a deadline 500 ms away put the rounds on the heaps"
         );
         let walks = fired.deadline_scans - idle.deadline_scans;
-        assert!((1..=4).contains(&walks), "{walks} heap walks to fire one timeout");
-        assert!(end.rounds - fired.rounds > 200, "the tail must take full rounds");
+        assert!(
+            (1..=4).contains(&walks),
+            "{walks} heap walks to fire one timeout"
+        );
+        assert!(
+            end.rounds - fired.rounds > 200,
+            "the tail must take full rounds"
+        );
         assert_eq!(
             end.deadline_scans, fired.deadline_scans,
             "nothing is armed any more, yet a round scanned"
@@ -2236,7 +2248,10 @@ mod tests {
             (before, after, waiter.join())
         });
         assert!(outcome.is_ok(), "the release came long before the deadline");
-        assert!(after.rounds - before.rounds > 200, "the run must take full rounds");
+        assert!(
+            after.rounds - before.rounds > 200,
+            "the run must take full rounds"
+        );
         assert_eq!(
             after.deadline_scans, before.deadline_scans,
             "rounds walked the heaps for a deadline 500 ms ahead of the floor"

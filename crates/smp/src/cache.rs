@@ -230,7 +230,9 @@ mod tests {
     fn agrees_with_a_vec_backed_lru_at_every_step() {
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         let mut next = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         for seq in 0..200 {
