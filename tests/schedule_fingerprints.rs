@@ -259,6 +259,23 @@ fn storm(nthreads: usize, rounds: usize) {
     black_box((*counter.lock(), *table.read()));
 }
 
+/// A charge-dense quantum: three threads each issuing 4,000 `work`/`touch`
+/// pairs, several timeslice preemptions per thread at these virtual
+/// durations — the shape that deferred charge batching and the cached
+/// timeslice threshold exist for.
+fn charge_storm() {
+    ptdf::scope(|s| {
+        for t in 0..3u64 {
+            s.spawn(move || {
+                for i in 0..4_000u64 {
+                    ptdf::work(150 + (i + t) % 7);
+                    ptdf::touch(t * 64 + i % 8, 256);
+                }
+            });
+        }
+    });
+}
+
 /// Every run cell of the table, in a fixed order.
 fn run_rows() -> String {
     let mut out = String::new();
@@ -279,6 +296,11 @@ fn run_rows() -> String {
     for kind in POLICIES {
         for variant in VARIANTS {
             run_cell(&mut out, "storm(4,3)", 4, kind, variant, || storm(4, 3));
+        }
+    }
+    for kind in POLICIES {
+        for variant in VARIANTS {
+            run_cell(&mut out, "charge(3x4000)", 4, kind, variant, charge_storm);
         }
     }
     // The paper's seven applications at test size (`REPRO_FULL` unset) and
