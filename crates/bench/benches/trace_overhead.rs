@@ -13,9 +13,9 @@
 //!    0.03 = 3%) of the baseline, exiting nonzero on a regression. Points
 //!    over tolerance are individually re-measured (best-of) before being
 //!    flagged, so shared-host scheduling noise doesn't trip the gate.
-//!    Guard mode also re-runs the engine spawn storm and holds the pooled
-//!    fiber-stack path to the committed baseline, to the unpooled path,
-//!    and to a ≥90% pool hit rate. Finally it re-runs the sentinel-armed
+//!    Guard mode also re-runs the engine spawn storm and holds it to the
+//!    committed baseline and to a ≥90% stack-pool hit rate. Finally it
+//!    re-runs the sentinel-armed
 //!    join storm and holds the deadlock sentinel's waits-for bookkeeping
 //!    to the committed `sentinel_storm` baseline within
 //!    `TRACE_GUARD_SENTINEL_TOL` (default 0.05 = 5%); the sentinel's cost
@@ -23,12 +23,8 @@
 //!    (bookkeeping lives in the engine's block/unblock paths), which the
 //!    micro-storm comparison above witnesses. It also re-runs the spawn
 //!    storm with the host phase profiler explicitly disarmed
-//!    (`with_host_profile(false)`) and holds it to the committed pooled
-//!    baseline — the profiler must be zero-cost when off. Finally it runs
-//!    the profiled join storm with the engine hot path on and off: the
-//!    virtual makespans must be identical, and the batched engine must
-//!    not spend more attributable host time than the unbatched one (both
-//!    sides fresh measurements, so the check is hardware-independent).
+//!    (`with_host_profile(false)`) and holds it to the committed spawn
+//!    baseline — the profiler must be zero-cost when off.
 //!
 //! Run with: `cargo bench -p ptdf-bench --bench trace_overhead`
 //! (`REPRO_QUICK=1` for the CI smoke configuration.)
@@ -160,64 +156,32 @@ fn guard() -> i32 {
     failed |= spawn_guard(&doc, tol);
     failed |= sentinel_guard(&doc);
     failed |= host_profile_off_guard(&doc, tol);
-    failed |= hot_path_guard(tol);
     i32::from(failed)
 }
 
-/// Holds the line on the engine hot path (batched charge transactions +
-/// serial fast path + pooled trace events): the profiled join storm run
-/// with the hot path on and off must produce *identical* virtual
-/// makespans, and the batched engine must not spend more attributable
-/// host nanoseconds than the unbatched one. Both sides are fresh
-/// measurements on the same host, so the comparison is
-/// hardware-independent; the batched side is re-measured (best-of) before
-/// a slowdown is called a regression.
-fn hot_path_guard(tol: f64) -> bool {
-    const GUARD_RETRIES: usize = 4;
-    let (mk_on, phases_on) = wallclock::host_phase_join_storm(4, true);
-    let (mk_off, phases_off) = wallclock::host_phase_join_storm(4, false);
-    if mk_on != mk_off {
-        println!(
-            "  hot_path join storm: makespan {mk_on} ns batched vs {mk_off} ns unbatched REGRESSION"
-        );
-        return true;
-    }
-    let off_ns = phases_off.total_ns();
-    let mut best = phases_on.total_ns();
-    let mut retries = 0;
-    while best as f64 > off_ns as f64 * (1.0 + tol) && retries < GUARD_RETRIES {
-        best = best.min(wallclock::host_phase_join_storm(4, true).1.total_ns());
-        retries += 1;
-    }
-    let ratio = best as f64 / off_ns.max(1) as f64;
-    let verdict = if ratio <= 1.0 + tol { "ok" } else { "REGRESSION" };
-    println!(
-        "  hot_path join storm: engine {best} ns batched vs {off_ns} ns unbatched \
-         ({:.2}x, makespans identical, {retries} retries) {verdict}",
-        off_ns as f64 / best.max(1) as f64
-    );
-    ratio > 1.0 + tol
+/// The committed spawn-storm `ns_per_spawn` for a storm of `threads`.
+fn spawn_baseline(doc: &Value, threads: u64) -> Option<f64> {
+    doc.get("spawn_storm").and_then(Value::as_arr).and_then(|arr| {
+        arr.iter()
+            .find(|b| {
+                b.get("pool").and_then(Value::as_str) == Some("pooled")
+                    && b.get("threads").and_then(Value::as_u64) == Some(threads)
+            })
+            .and_then(|b| b.get("ns_per_spawn").and_then(Value::as_f64))
+    })
 }
 
 /// Holds the line on the host phase profiler's *disarmed* cost: a spawn
 /// storm run with `with_host_profile(false)` — the path every unprofiled
 /// run takes through the profiler's hot-path hooks — must stay within
-/// tolerance of the committed pooled baseline. When off, the hooks are one
+/// tolerance of the committed spawn baseline. When off, the hooks are one
 /// `Option` discriminant test each; this guard is what keeps them that way.
 fn host_profile_off_guard(doc: &Value, tol: f64) -> bool {
     const GUARD_RETRIES: usize = 4;
     let fresh = wallclock::spawn_storm_profile_off();
-    let baseline = doc.get("spawn_storm").and_then(Value::as_arr).and_then(|arr| {
-        arr.iter()
-            .find(|b| {
-                b.get("pool").and_then(Value::as_str) == Some("pooled")
-                    && b.get("threads").and_then(Value::as_u64) == Some(fresh.threads)
-            })
-            .and_then(|b| b.get("ns_per_spawn").and_then(Value::as_f64))
-    });
-    let Some(base) = baseline else {
+    let Some(base) = spawn_baseline(doc, fresh.threads) else {
         println!(
-            "  host_profile(off): no committed pooled baseline for {} threads",
+            "  host_profile(off): no committed spawn baseline for {} threads",
             fresh.threads
         );
         return false;
@@ -276,62 +240,37 @@ fn sentinel_guard(doc: &Value) -> bool {
     ratio > 1.0 + tol
 }
 
-/// Holds the line on the pooled spawn path: fresh pooled ns/spawn must stay
-/// within tolerance of the committed baseline (when one is present for this
-/// storm size) *and* of the fresh unpooled measurement, and the pool must
-/// actually serve the storm (≥90% hit rate on the real-stack backend).
+/// Holds the line on the spawn path: fresh ns/spawn must stay within
+/// tolerance of the committed baseline (when one is present for this storm
+/// size), and the stack pool must actually serve the storm (≥90% hit rate
+/// on the real-stack backend).
 fn spawn_guard(doc: &Value, tol: f64) -> bool {
     const GUARD_RETRIES: usize = 4;
-    let points = wallclock::run_spawn_storms();
-    let Some(pooled) = points.iter().find(|p| p.pool == "pooled") else {
-        return true;
-    };
-    let Some(unpooled) = points.iter().find(|p| p.pool == "unpooled") else {
-        return true;
-    };
-
-    let mut targets = vec![("unpooled (fresh)", unpooled.ns_per_spawn)];
-    let baseline = doc.get("spawn_storm").and_then(Value::as_arr).and_then(|arr| {
-        arr.iter()
-            .find(|b| {
-                b.get("pool").and_then(Value::as_str) == Some("pooled")
-                    && b.get("threads").and_then(Value::as_u64) == Some(pooled.threads)
-            })
-            .and_then(|b| b.get("ns_per_spawn").and_then(Value::as_f64))
-    });
-    match baseline {
-        Some(base) => targets.push(("baseline", base)),
-        None => println!("  spawn_storm: no committed baseline for {} threads", pooled.threads),
-    }
-
-    let mut best = pooled.ns_per_spawn;
-    let limit = targets
-        .iter()
-        .map(|&(_, t)| t)
-        .fold(f64::INFINITY, f64::min)
-        * (1.0 + tol);
-    let mut retries = 0;
-    while best > limit && retries < GUARD_RETRIES {
-        best = best.min(wallclock::remeasure_spawn_pooled().ns_per_spawn);
-        retries += 1;
-    }
-
+    let fresh = wallclock::run_spawn_storm();
     let mut failed = false;
-    for (name, target) in targets {
-        let ratio = best / target;
-        let verdict = if ratio <= 1.0 + tol { "ok" } else { "REGRESSION" };
-        println!(
-            "  spawn_storm pooled @{:>7}: {best:.1} ns vs {target:.1} ns {name} ({:+.1}%, {retries} retries) {verdict}",
-            pooled.threads,
-            (ratio - 1.0) * 100.0
-        );
-        failed |= ratio > 1.0 + tol;
+    match spawn_baseline(doc, fresh.threads) {
+        Some(base) => {
+            let mut best = fresh.ns_per_spawn;
+            let mut retries = 0;
+            while best > base * (1.0 + tol) && retries < GUARD_RETRIES {
+                best = best.min(wallclock::remeasure_spawn().ns_per_spawn);
+                retries += 1;
+            }
+            let ratio = best / base;
+            let verdict = if ratio <= 1.0 + tol { "ok" } else { "REGRESSION" };
+            println!(
+                "  spawn_storm pooled @{:>7}: {best:.1} ns vs {base:.1} ns baseline ({:+.1}%, {retries} retries) {verdict}",
+                fresh.threads,
+                (ratio - 1.0) * 100.0
+            );
+            failed |= ratio > 1.0 + tol;
+        }
+        None => println!("  spawn_storm: no committed baseline for {} threads", fresh.threads),
     }
-
-    if ptdf_fiber::HAS_REAL_STACKS && pooled.pool_hit_rate < 0.9 {
+    if ptdf_fiber::HAS_REAL_STACKS && fresh.pool_hit_rate < 0.9 {
         println!(
             "  spawn_storm pooled hit rate {:.4} < 0.9 REGRESSION",
-            pooled.pool_hit_rate
+            fresh.pool_hit_rate
         );
         failed = true;
     }

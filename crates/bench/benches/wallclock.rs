@@ -1,8 +1,8 @@
 //! Wall-clock scheduler benchmark: micro dispatch storms (indexed vs
 //! reference policies, 10k–1M live threads), host runtimes of all seven
-//! paper applications under each scheduler, spawn/sentinel storms, the
-//! host engine phase profile, and the hot-path comparison cells (charge
-//! batching off). Writes `BENCH_sched.json` at the workspace root.
+//! paper applications under each scheduler, spawn/sentinel storms and the
+//! host engine phase profile. Writes `BENCH_sched.json` at the workspace
+//! root.
 //! `REPRO_QUICK=1` for the CI smoke configuration.
 
 use ptdf_bench::wallclock::{self, StormPoint};
@@ -57,49 +57,17 @@ fn main() {
     }
     t.finish();
 
-    let apps_unbatched = wallclock::run_apps_unbatched(procs);
-    let mut t = Table::new(
-        "wallclock_apps_unbatched",
-        "Hot-path comparison cells: acceptance apps with charge batching off (df)",
-        &["app", "sched", "procs", "host ms", "dispatches", "host ns/dispatch"],
-    );
-    for a in &apps_unbatched {
-        t.row(vec![
-            a.app.to_string(),
-            a.sched.to_string(),
-            a.procs.to_string(),
-            format!("{:.1}", a.host_ms),
-            a.dispatches.to_string(),
-            format!("{:.1}", a.host_ns_per_dispatch),
-        ]);
-    }
-    t.finish();
-    for a in &apps_unbatched {
-        let batched = apps
-            .iter()
-            .find(|b| b.app == a.app && b.sched == a.sched && b.procs == a.procs)
-            .expect("batched df cell exists for every unbatched app");
-        assert_eq!(
-            batched.virt_makespan_ns, a.virt_makespan_ns,
-            "{}: hot path must not change the virtual makespan",
-            a.app
-        );
-    }
-
-    let spawn = wallclock::run_spawn_storms();
+    let spawn = wallclock::run_spawn_storm();
     let mut t = Table::new(
         "wallclock_spawn",
-        "Engine spawn storm: host ns per fork/join (stack pool on vs off)",
-        &["pool", "threads", "ns/spawn", "pool hit rate"],
+        "Engine spawn storm: host ns per fork/join",
+        &["threads", "ns/spawn", "pool hit rate"],
     );
-    for p in &spawn {
-        t.row(vec![
-            p.pool.to_string(),
-            p.threads.to_string(),
-            format!("{:.1}", p.ns_per_spawn),
-            format!("{:.4}", p.pool_hit_rate),
-        ]);
-    }
+    t.row(vec![
+        spawn.threads.to_string(),
+        format!("{:.1}", spawn.ns_per_spawn),
+        format!("{:.4}", spawn.pool_hit_rate),
+    ]);
     t.finish();
 
     let sentinel = wallclock::run_sentinel_storm();
@@ -135,35 +103,15 @@ fn main() {
     }
     t.finish();
 
-    let host_phase_unbatched = wallclock::run_host_phase_unbatched(procs);
-    let mut t = Table::new(
-        "wallclock_engine_batching",
-        "Engine-attributable host ns per workload: charge batching off vs on (df)",
-        &["workload", "batched engine ns", "unbatched engine ns", "speedup"],
-    );
-    for (workload, batched_ns, unbatched_ns, x) in
-        wallclock::engine_batching_speedups(&host_phase, &host_phase_unbatched)
-    {
-        t.row(vec![
-            workload.to_string(),
-            batched_ns.to_string(),
-            unbatched_ns.to_string(),
-            format!("{x:.1}x"),
-        ]);
-    }
-    t.finish();
-
     let path = wallclock::json_path();
     std::fs::write(
         &path,
         wallclock::to_json(
             &micro,
             &apps,
-            &apps_unbatched,
-            &spawn,
+            std::slice::from_ref(&spawn),
             std::slice::from_ref(&sentinel),
             &host_phase,
-            &host_phase_unbatched,
         ),
     )
     .expect("write BENCH_sched.json");

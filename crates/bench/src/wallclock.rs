@@ -23,12 +23,10 @@
 //!    host runtime and host nanoseconds per engine dispatch.
 //!
 //! 3. **Spawn storm** — a 100k-thread fork/join churn through the full
-//!    engine, run twice: with the fiber stack pool (the default) and with
-//!    it disabled (`Config::with_stack_pool_cap(0)`). Reports host
-//!    nanoseconds per spawn and the pool hit rate; the overhead guard
-//!    (`trace_overhead --bench`, `TRACE_GUARD=1`) uses both to hold the
-//!    line that pooled spawn is never slower than the committed baseline
-//!    or than the unpooled path.
+//!    engine. Reports host nanoseconds per spawn and the fiber stack pool's
+//!    hit rate; the overhead guard (`trace_overhead --bench`,
+//!    `TRACE_GUARD=1`) holds spawn to the committed baseline and the hit
+//!    rate to at least 90 %.
 //!
 //! 4. **Sentinel-armed join storm** — fork/join waves whose every join
 //!    *blocks*, so the deadlock sentinel's waits-for bookkeeping (edge
@@ -41,14 +39,6 @@
 //!    with tracing on, reporting where the engine's own host time goes
 //!    (event-heap push/pop, dispatch prologue, charge batching, sched-lock
 //!    accounting, trace allocation) as counts, nanoseconds, and shares.
-//!
-//! 6. **Hot-path comparison cells** — the three acceptance apps and the
-//!    profiled join storm re-run with the engine hot path disabled
-//!    (`Config::with_hot_path(false)`): `apps_unbatched` and
-//!    `host_phase_unbatched` in the JSON, plus the derived
-//!    `engine_batching_speedup` table (unbatched / batched
-//!    engine-attributable host ns per workload). The virtual makespans in
-//!    the unbatched cells must equal the batched DF cells bit-for-bit.
 //!
 //! `REPRO_QUICK=1` shrinks the storm sizes and budgets for CI smoke runs.
 
@@ -343,52 +333,15 @@ pub fn run_apps(procs: usize) -> Vec<AppPoint> {
     out
 }
 
-/// The hot-path acceptance apps (matmul, FFT, decision tree) re-run under
-/// DF with the engine hot path disabled (`Config::with_hot_path(false)`):
-/// the *unbatched* comparison cells for the committed `apps` table. Only
-/// host time may differ from the batched DF cells — the virtual makespans
-/// must match bit-for-bit (the schedule-fuzz matrix enforces this across
-/// every policy and seed; these cells let the committed JSON witness it
-/// alongside the host-time delta).
-pub fn run_apps_unbatched(procs: usize) -> Vec<AppPoint> {
-    let kind = SchedKind::Df;
-    let apps: [(&'static str, AppDriver); 3] = [
-        ("matmul", matmul_driver()),
-        ("fft", fft_driver()),
-        ("dtree", dtree_driver()),
-    ];
-    let mut out = Vec::new();
-    for (app, driver) in apps {
-        let cfg = Config::new(procs, kind).with_hot_path(false);
-        let start = Instant::now();
-        let report = (driver.fine)(cfg);
-        let host = start.elapsed();
-        let dispatches: u64 = report.stats.procs.iter().map(|p| p.dispatches).sum();
-        out.push(AppPoint {
-            app,
-            sched: kind.name(),
-            procs,
-            host_ms: host.as_secs_f64() * 1e3,
-            dispatches,
-            host_ns_per_dispatch: host.as_nanos() as f64 / dispatches.max(1) as f64,
-            virt_makespan_ns: report.makespan().as_ns(),
-        });
-    }
-    out
-}
-
-/// One spawn-storm measurement: the engine's fork/join churn with the
-/// fiber-stack pool on or off.
+/// One spawn-storm measurement: the engine's fork/join churn.
 #[derive(Debug, Clone)]
 pub struct SpawnPoint {
-    /// "pooled" (default config) or "unpooled" (`stack_pool_cap = 0`).
-    pub pool: &'static str,
     /// Threads spawned and joined over the run.
     pub threads: u64,
     /// Host nanoseconds per spawn+join (total runtime / threads).
     pub ns_per_spawn: f64,
-    /// Fraction of fiber stacks served from the pool (0 when disabled or
-    /// on the portable thread backend, which has no real stacks).
+    /// Fraction of fiber stacks served from the pool (0 on the portable
+    /// thread backend, which has no real stacks).
     pub pool_hit_rate: f64,
 }
 
@@ -403,11 +356,8 @@ pub fn spawn_storm_threads() -> u64 {
 
 /// One spawn-storm run: `threads` fork/joins in waves of 64 so the live
 /// set stays small and every exit feeds the next wave's acquires.
-fn spawn_storm_once(threads: u64, pool_cap: usize) -> SpawnPoint {
-    spawn_storm_cfg(
-        threads,
-        Config::new(4, SchedKind::Df).with_stack_pool_cap(pool_cap),
-    )
+fn spawn_storm_once(threads: u64) -> SpawnPoint {
+    spawn_storm_cfg(threads, Config::new(4, SchedKind::Df))
 }
 
 /// The spawn storm with the host phase profiler *explicitly disarmed*
@@ -423,7 +373,6 @@ pub fn spawn_storm_profile_off() -> SpawnPoint {
 }
 
 fn spawn_storm_cfg(threads: u64, cfg: Config) -> SpawnPoint {
-    let pool_cap = cfg.stack_pool_cap;
     let start = Instant::now();
     let (_, report) = ptdf::run(cfg, move || {
         let mut done = 0u64;
@@ -438,35 +387,28 @@ fn spawn_storm_cfg(threads: u64, cfg: Config) -> SpawnPoint {
     });
     let host = start.elapsed();
     SpawnPoint {
-        pool: if pool_cap == 0 { "unpooled" } else { "pooled" },
         threads,
         ns_per_spawn: host.as_nanos() as f64 / threads as f64,
         pool_hit_rate: report.stack_pool_hit_rate(),
     }
 }
 
-/// Runs the spawn storm pooled and unpooled, keeping the best of
-/// `STORM_REPS` repetitions per configuration.
-pub fn run_spawn_storms() -> Vec<SpawnPoint> {
+/// Runs the spawn storm, best of `STORM_REPS` repetitions.
+pub fn run_spawn_storm() -> SpawnPoint {
     let threads = spawn_storm_threads();
-    [ptdf_fiber::DEFAULT_POOL_CAP, 0]
-        .into_iter()
-        .map(|cap| {
-            let mut best = spawn_storm_once(threads, cap);
-            for _ in 1..STORM_REPS {
-                let p = spawn_storm_once(threads, cap);
-                if p.ns_per_spawn < best.ns_per_spawn {
-                    best = p;
-                }
-            }
-            best
-        })
-        .collect()
+    let mut best = spawn_storm_once(threads);
+    for _ in 1..STORM_REPS {
+        let p = spawn_storm_once(threads);
+        if p.ns_per_spawn < best.ns_per_spawn {
+            best = p;
+        }
+    }
+    best
 }
 
-/// Re-measures the pooled spawn storm once (the guard's retry hook).
-pub fn remeasure_spawn_pooled() -> SpawnPoint {
-    spawn_storm_once(spawn_storm_threads(), ptdf_fiber::DEFAULT_POOL_CAP)
+/// Re-measures the spawn storm once (the guard's retry hook).
+pub fn remeasure_spawn() -> SpawnPoint {
+    spawn_storm_once(spawn_storm_threads())
 }
 
 /// One sentinel-armed join-storm measurement: fork/join churn shaped so
@@ -558,18 +500,6 @@ fn host_phase_joins() -> u64 {
 /// Profiles the engine phase breakdown over three paper apps plus a
 /// fork/join storm, tracing enabled (so the trace-alloc phase is live).
 pub fn run_host_phase(procs: usize) -> Vec<HostPhasePoint> {
-    host_phase_profile(procs, true)
-}
-
-/// The same phase profile with the engine hot path disabled: the *before*
-/// half of the batched-vs-unbatched attribution in `BENCH_sched.json`
-/// (`host_phase` is the after; this is what the engine cost per workload
-/// was when every charge point paid its own clock/heap transaction).
-pub fn run_host_phase_unbatched(procs: usize) -> Vec<HostPhasePoint> {
-    host_phase_profile(procs, false)
-}
-
-fn host_phase_profile(procs: usize, hot_path: bool) -> Vec<HostPhasePoint> {
     let kind = SchedKind::Df;
     let mut out = Vec::new();
     let apps: [(&'static str, AppDriver); 3] = [
@@ -583,10 +513,7 @@ fn host_phase_profile(procs: usize, hot_path: bool) -> Vec<HostPhasePoint> {
     // storm in this harness.
     for (workload, driver) in apps {
         let run = || {
-            let cfg = Config::new(procs, kind)
-                .with_trace()
-                .with_host_profile(true)
-                .with_hot_path(hot_path);
+            let cfg = Config::new(procs, kind).with_trace().with_host_profile(true);
             *(driver.fine)(cfg).host_phase()
         };
         let mut best = run();
@@ -602,9 +529,9 @@ fn host_phase_profile(procs: usize, hot_path: bool) -> Vec<HostPhasePoint> {
             phases: best,
         });
     }
-    let mut best = host_phase_join_storm(procs, hot_path).1;
+    let mut best = host_phase_join_storm(procs);
     for _ in 1..STORM_REPS {
-        let p = host_phase_join_storm(procs, hot_path).1;
+        let p = host_phase_join_storm(procs);
         if p.total_ns() < best.total_ns() {
             best = p;
         }
@@ -617,16 +544,13 @@ fn host_phase_profile(procs: usize, hot_path: bool) -> Vec<HostPhasePoint> {
     out
 }
 
-/// One profiled join storm (the host-phase fork/join workload) with the
-/// hot path toggled; returns the virtual makespan and the phase counters.
-/// The overhead guard uses this pair directly: the makespans must be
-/// identical and the batched engine must not be slower.
-pub fn host_phase_join_storm(procs: usize, hot_path: bool) -> (u64, ptdf_smp::HostPhaseStats) {
+/// One profiled join storm (the host-phase fork/join workload); returns
+/// the phase counters.
+fn host_phase_join_storm(procs: usize) -> ptdf_smp::HostPhaseStats {
     let joins = host_phase_joins();
     let cfg = Config::new(procs, SchedKind::Df)
         .with_trace()
-        .with_host_profile(true)
-        .with_hot_path(hot_path);
+        .with_host_profile(true);
     let (_, report) = ptdf::run(cfg, move || {
         let mut done = 0u64;
         while done < joins {
@@ -640,7 +564,7 @@ pub fn host_phase_join_storm(procs: usize, hot_path: bool) -> (u64, ptdf_smp::Ho
             done += wave;
         }
     });
-    (report.makespan().as_ns(), *report.host_phase())
+    *report.host_phase()
 }
 
 fn json_f(v: f64) -> String {
@@ -652,20 +576,12 @@ fn json_f(v: f64) -> String {
 }
 
 /// Renders the whole result set as the `BENCH_sched.json` document.
-///
-/// `apps_unbatched` and `host_phase_unbatched` are the hot-path comparison
-/// cells (`Config::with_hot_path(false)`): `host_phase_unbatched` is the
-/// *before* engine attribution, `host_phase` the *after*, and the derived
-/// `engine_batching_speedup` table reports the per-workload ratio of
-/// engine-attributable host nanoseconds (unbatched / batched).
 pub fn to_json(
     micro: &[StormPoint],
     apps: &[AppPoint],
-    apps_unbatched: &[AppPoint],
     spawn: &[SpawnPoint],
     sentinel: &[SentinelPoint],
     host_phase: &[HostPhasePoint],
-    host_phase_unbatched: &[HostPhasePoint],
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n  \"bench\": \"wallclock\",\n");
@@ -704,27 +620,11 @@ pub fn to_json(
         );
         s.push_str(if i + 1 < apps.len() { ",\n" } else { "\n" });
     }
-    s.push_str("  ],\n  \"apps_unbatched\": [\n");
-    for (i, a) in apps_unbatched.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"app\": \"{}\", \"sched\": \"{}\", \"procs\": {}, \"host_ms\": {}, \"dispatches\": {}, \"host_ns_per_dispatch\": {}, \"virt_makespan_ns\": {}}}",
-            a.app,
-            a.sched,
-            a.procs,
-            json_f(a.host_ms),
-            a.dispatches,
-            json_f(a.host_ns_per_dispatch),
-            a.virt_makespan_ns
-        );
-        s.push_str(if i + 1 < apps_unbatched.len() { ",\n" } else { "\n" });
-    }
     s.push_str("  ],\n  \"spawn_storm\": [\n");
     for (i, p) in spawn.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"pool\": \"{}\", \"threads\": {}, \"ns_per_spawn\": {}, \"pool_hit_rate\": {:.4}}}",
-            p.pool,
+            "    {{\"pool\": \"pooled\", \"threads\": {}, \"ns_per_spawn\": {}, \"pool_hit_rate\": {:.4}}}",
             p.threads,
             json_f(p.ns_per_spawn),
             p.pool_hit_rate
@@ -741,61 +641,30 @@ pub fn to_json(
         );
         s.push_str(if i + 1 < sentinel.len() { ",\n" } else { "\n" });
     }
-    for (section, points) in [
-        ("host_phase", host_phase),
-        ("host_phase_unbatched", host_phase_unbatched),
-    ] {
-        let _ = write!(s, "  ],\n  \"{section}\": [\n");
-        for (i, p) in points.iter().enumerate() {
-            let total = p.phases.total_ns().max(1);
-            let _ = write!(
-                s,
-                "    {{\"workload\": \"{}\", \"sched\": \"{}\", \"total_ns\": {}",
-                p.workload,
-                p.sched,
-                p.phases.total_ns()
-            );
-            for (name, ps) in p.phases.phases() {
-                let _ = write!(
-                    s,
-                    ", \"{name}\": {{\"count\": {}, \"ns\": {}, \"share\": {}}}",
-                    ps.count,
-                    ps.ns,
-                    json_f(ps.ns as f64 / total as f64 * 100.0)
-                );
-            }
-            s.push('}');
-            s.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-        }
-    }
-    s.push_str("  ],\n  \"engine_batching_speedup\": [\n");
-    let sp = engine_batching_speedups(host_phase, host_phase_unbatched);
-    for (i, (workload, batched_ns, unbatched_ns, x)) in sp.iter().enumerate() {
+    s.push_str("  ],\n  \"host_phase\": [\n");
+    for (i, p) in host_phase.iter().enumerate() {
+        let total = p.phases.total_ns().max(1);
         let _ = write!(
             s,
-            "    {{\"workload\": \"{workload}\", \"batched_engine_ns\": {batched_ns}, \"unbatched_engine_ns\": {unbatched_ns}, \"speedup\": {}}}",
-            json_f(*x)
+            "    {{\"workload\": \"{}\", \"sched\": \"{}\", \"total_ns\": {}",
+            p.workload,
+            p.sched,
+            p.phases.total_ns()
         );
-        s.push_str(if i + 1 < sp.len() { ",\n" } else { "\n" });
+        for (name, ps) in p.phases.phases() {
+            let _ = write!(
+                s,
+                ", \"{name}\": {{\"count\": {}, \"ns\": {}, \"share\": {}}}",
+                ps.count,
+                ps.ns,
+                json_f(ps.ns as f64 / total as f64 * 100.0)
+            );
+        }
+        s.push('}');
+        s.push_str(if i + 1 < host_phase.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-/// Per-workload engine-attributable speedup (unbatched engine ns / batched
-/// engine ns) for every workload present in both profiles.
-pub fn engine_batching_speedups(
-    batched: &[HostPhasePoint],
-    unbatched: &[HostPhasePoint],
-) -> Vec<(&'static str, u64, u64, f64)> {
-    batched
-        .iter()
-        .filter_map(|b| {
-            let u = unbatched.iter().find(|u| u.workload == b.workload)?;
-            let (bn, un) = (b.phases.total_ns(), u.phases.total_ns());
-            Some((b.workload, bn, un, un as f64 / bn.max(1) as f64))
-        })
-        .collect()
 }
 
 /// `BENCH_sched.json` at the workspace root (the committed snapshot

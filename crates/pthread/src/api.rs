@@ -128,52 +128,36 @@ pub fn yield_now() {
 /// virtual-time model (see DESIGN.md: the code *also* really executes; the
 /// charge is the modelled duration on the 167 MHz reference machine).
 pub fn work(cycles: u64) {
-    let after = with_active(|ctx| match ctx {
+    let due = with_active(|ctx| match ctx {
         Some(ActiveCtx::Par(rc)) => {
             let mut inner = rc.borrow_mut();
             let (tid, p) = inner.cur.expect("work outside a thread");
-            if inner.hot_path {
-                // Hot path: defer the charge into the machine's pending
-                // transaction and test the cached timeslice threshold — one
-                // borrow, no processor scan. Bit-identical to the slow path
-                // (clock reads are pending-aware, the threshold is exact).
-                inner.machine.compute_deferred(p, cycles);
-                inner.timeslice_due(tid, p).then(|| (rc.clone(), true))
-            } else {
-                inner.machine.compute(p, cycles);
-                Some((rc.clone(), false))
-            }
+            // Defer the charge into the machine's pending transaction and
+            // test the cached timeslice threshold — one borrow, no processor
+            // scan (clock reads are pending-aware, the threshold is exact).
+            inner.machine.compute_deferred(p, cycles);
+            inner.timeslice_due(tid, p).then(|| rc.clone())
         }
         Some(ActiveCtx::Serial(rc)) => {
-            // Serial runs have no observers between charges; always batch.
             rc.borrow_mut().machine.compute_deferred(0, cycles);
             None
         }
         None => None,
     });
-    if let Some((rc, due)) = after {
-        if due {
-            suspend_current(&rc, YieldReason::Timeslice);
-        } else {
-            crate::runtime::maybe_timeslice(&rc);
-        }
+    if let Some(rc) = due {
+        suspend_current(&rc, YieldReason::Timeslice);
     }
 }
 
 /// Declares that the current thread is about to work on `bytes` of data
 /// region `region` (locality model; see [`ptdf_smp::CacheModel`]).
 pub fn touch(region: u64, bytes: u64) {
-    let after = with_active(|ctx| match ctx {
+    let due = with_active(|ctx| match ctx {
         Some(ActiveCtx::Par(rc)) => {
             let mut inner = rc.borrow_mut();
             let (tid, p) = inner.cur.expect("touch outside a thread");
-            if inner.hot_path {
-                inner.machine.touch_deferred(p, region, bytes);
-                inner.timeslice_due(tid, p).then(|| (rc.clone(), true))
-            } else {
-                inner.machine.touch(p, region, bytes);
-                Some((rc.clone(), false))
-            }
+            inner.machine.touch_deferred(p, region, bytes);
+            inner.timeslice_due(tid, p).then(|| rc.clone())
         }
         Some(ActiveCtx::Serial(rc)) => {
             rc.borrow_mut().machine.touch_deferred(0, region, bytes);
@@ -181,12 +165,8 @@ pub fn touch(region: u64, bytes: u64) {
         }
         None => None,
     });
-    if let Some((rc, due)) = after {
-        if due {
-            suspend_current(&rc, YieldReason::Timeslice);
-        } else {
-            crate::runtime::maybe_timeslice(&rc);
-        }
+    if let Some(rc) = due {
+        suspend_current(&rc, YieldReason::Timeslice);
     }
 }
 

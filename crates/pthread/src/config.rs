@@ -30,9 +30,9 @@ pub enum SchedKind {
     Df,
     /// The paper's §5.3 future-work variant: depth-first order with a
     /// bounded locality window — a dispatching processor may take, from
-    /// among the leftmost [`Config::locality_window`] ready threads, one
-    /// that last ran on it. Weakens the space bound by at most the window
-    /// size while restoring cache affinity at fine thread granularity.
+    /// among the leftmost 16 ready threads, one that last ran on it. Weakens
+    /// the space bound by at most the window size while restoring cache
+    /// affinity at fine thread granularity.
     DfLocal,
     /// Parallelized depth-first scheduler after Narlikar's `DFDeques` (the
     /// paper's §6 scalability future work, reference \[34\]): per-processor
@@ -85,20 +85,10 @@ pub struct Config {
     /// attributes (1 MB in stock Solaris; 8 KB in the paper's modified
     /// library). This drives the lazy-commit stack memory model.
     pub default_stack: u64,
-    /// Real host stack size for each fiber, in bytes. Purely an
-    /// implementation detail of the reproduction; not accounted.
-    pub fiber_stack: usize,
     /// Seed for the work-stealing victim sequence (determinism).
     pub seed: u64,
-    /// Locality window for [`SchedKind::DfLocal`]: how many of the leftmost
-    /// ready threads a processor may inspect for an affinity match.
-    pub locality_window: usize,
     /// Record an execution trace (see [`crate::Trace`]).
     pub trace: bool,
-    /// When tracing, heap allocs/frees at or above this many bytes produce
-    /// individual trace events (smaller ones still move the footprint
-    /// counter track). Keeps traces of allocation-heavy runs bounded.
-    pub trace_alloc_threshold: u64,
     /// Schedule-perturbation seed. `Some(seed)` turns on deterministic
     /// schedule exploration: sync-operation boundaries gain clock jitter
     /// and may preempt the running thread, multi-thread wakes are
@@ -137,10 +127,6 @@ pub struct Config {
     /// trace event (surfaced by [`crate::check_trace`] and `ptdf-trace
     /// audit`). Enforcement never changes the accounting itself.
     pub space_bound: Option<u64>,
-    /// Byte cap of the host fiber-stack pool (recycled real stacks). `0`
-    /// disables recycling. Cached stacks are touched memory, so the cap
-    /// bounds real RSS; see `ptdf_fiber::StackPool`.
-    pub stack_pool_cap: usize,
     /// Arms the host-side engine phase profiler: monotonic counters and
     /// host (real-time) nanosecond timers around the engine's internal
     /// phases — deadline-heap push/pop, clock charge points, scheduler-lock
@@ -149,15 +135,6 @@ pub struct Config {
     /// by default; when off every hook costs one `Option` discriminant test
     /// (or one boolean), leaving the dispatch hot path unchanged.
     pub host_profile: bool,
-    /// Arms the engine hot path (on by default): deferred charge batching in
-    /// [`crate::work`]/[`crate::touch`] quanta and the solo-processor fast
-    /// dispatch path. Every observable value — virtual makespans, Reports,
-    /// traces — is bit-identical with the hot path off; the knob exists so
-    /// benches and the schedule-fuzz matrix can prove exactly that against
-    /// the unbatched engine. Note the host-phase *profile* is the one
-    /// deliberate exception: batching coalesces charge windows, so profiled
-    /// phase counts differ between the two engines.
-    pub hot_path: bool,
     /// Scripted schedule oracle for systematic exploration. When set, the
     /// engine routes every scheduling decision point (dispatch/unpark
     /// tie-breaks, wake-batch order, queue grants, timeout firing order)
@@ -179,19 +156,14 @@ impl Config {
             quota: DEFAULT_QUOTA,
             cost: CostModel::ultrasparc_167(),
             default_stack: STACK_8KB,
-            fiber_stack: 64 * 1024,
             seed: 0x5EED,
-            locality_window: 16,
             trace: false,
-            trace_alloc_threshold: 4096,
             perturb_seed: None,
             chaos_seed: None,
             ledger: false,
             alloc_fail_rate: None,
             space_bound: None,
-            stack_pool_cap: ptdf_fiber::DEFAULT_POOL_CAP,
             host_profile: false,
-            hot_path: true,
             oracle: None,
         }
     }
@@ -222,22 +194,9 @@ impl Config {
         self
     }
 
-    /// Sets the DfLocal locality window (builder style).
-    pub fn with_locality_window(mut self, window: usize) -> Self {
-        self.locality_window = window;
-        self
-    }
-
     /// Enables execution tracing (builder style).
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Sets the alloc/free trace-event threshold (builder style); implies
-    /// nothing about tracing itself — combine with [`Config::with_trace`].
-    pub fn with_trace_alloc_threshold(mut self, bytes: u64) -> Self {
-        self.trace_alloc_threshold = bytes;
         self
     }
 
@@ -286,24 +245,10 @@ impl Config {
         self.with_space_bound(s1 + factor * p * depth)
     }
 
-    /// Sets the host fiber-stack pool's byte cap (builder style); `0`
-    /// disables stack recycling. See [`Config::stack_pool_cap`].
-    pub fn with_stack_pool_cap(mut self, bytes: usize) -> Self {
-        self.stack_pool_cap = bytes;
-        self
-    }
-
     /// Arms (or explicitly disarms) the host-side engine phase profiler
     /// (builder style). See [`Config::host_profile`].
     pub fn with_host_profile(mut self, on: bool) -> Self {
         self.host_profile = on;
-        self
-    }
-
-    /// Arms or disarms the engine hot path (builder style); on by default.
-    /// See [`Config::hot_path`].
-    pub fn with_hot_path(mut self, on: bool) -> Self {
-        self.hot_path = on;
         self
     }
 

@@ -65,14 +65,9 @@ pub(crate) struct Inner {
     /// Currently executing (thread, processor); set before each resume.
     pub cur: Option<(ThreadId, ProcId)>,
     pub default_stack: u64,
-    pub fiber_stack: usize,
     /// Flight-recorder trace, when enabled. Every hook below tests this
     /// `Option`'s discriminant and nothing else when tracing is off.
     pub trace: Option<Trace>,
-    /// Engine hot path armed ([`Config::hot_path`], on by default):
-    /// `work`/`touch` defer charges into the machine's pending transaction
-    /// and the engine loop takes the solo-processor fast dispatch path.
-    pub hot_path: bool,
     /// Cached timeslice reference: the minimum clock among non-parked
     /// processors *other than* the one running the current fiber (`None`
     /// when there is no other active processor). While one fiber runs a
@@ -182,12 +177,16 @@ pub(crate) fn install_serial(ctx: Rc<RefCell<crate::serial::SerialCtx>>) -> impl
     install(ActiveCtx::Serial(ctx))
 }
 
+/// When tracing, heap allocs/frees of at least this many bytes record an
+/// event of their own; smaller ones only move the footprint counter track.
+const TRACE_ALLOC_THRESHOLD: u64 = 4096;
+
 impl Inner {
     fn new(config: &Config) -> Self {
         let mut machine =
             Machine::new(config.processors, config.cost.clone(), config.default_stack);
         if config.trace {
-            machine.enable_recording(config.trace_alloc_threshold);
+            machine.enable_recording(TRACE_ALLOC_THRESHOLD);
         }
         if let Some(seed) = config.perturb_seed {
             machine.enable_perturbation(seed);
@@ -209,7 +208,6 @@ impl Inner {
             live: 0,
             cur: None,
             default_stack: config.default_stack,
-            fiber_stack: config.fiber_stack,
             trace: config.trace.then(|| {
                 Trace::new(TraceMeta {
                     scheduler: config.scheduler.name().to_string(),
@@ -230,9 +228,8 @@ impl Inner {
             perturb: config
                 .perturb_seed
                 .map(|s| Prng::new(s ^ 0x0051_CED0_5EED_F00D)),
-            hot_path: config.hot_path,
             ts_min_other: None,
-            stack_pool: StackPool::new(config.stack_pool_cap),
+            stack_pool: StackPool::new(ptdf_fiber::DEFAULT_POOL_CAP),
             ledger: config
                 .ledger
                 .then(|| Ledger::new(config.alloc_fail_rate.map(|r| (config.seed, r)))),
@@ -275,7 +272,7 @@ impl Inner {
 
     /// Hands out a host stack for a new fiber, recycling through the pool.
     pub fn acquire_fiber_stack(&mut self) -> Stack {
-        let stack = self.stack_pool.acquire(self.fiber_stack);
+        let stack = self.stack_pool.acquire(ptdf_fiber::DEFAULT_STACK_SIZE);
         self.sample_pool_cached();
         stack
     }
@@ -1651,15 +1648,15 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
                 None => return Some(inner.stall_info()),
             }
         };
-        // Serial fast path (the cycle-box analogue): with the hot path
-        // armed, no deadline outstanding, and exactly one runnable
-        // processor holding a direct handoff, the full scheduling round is
+        // Serial fast path (the cycle-box analogue): with no deadline
+        // outstanding and exactly one runnable processor holding a direct
+        // handoff, the full scheduling round is
         // provably a no-op beyond taking the handoff — the min-clock pick
         // has no rivals (so the perturbed tie-break draws nothing), and no
         // timeout can fire with no deadline armed. The guard re-evaluates
         // every iteration, so the engine falls back to the event-heap round
         // the instant a second processor unparks or a deadline is armed.
-        if inner.hot_path && scan.unparked == 1 && !inner.machine.has_deadlines() {
+        if scan.unparked == 1 && !inner.machine.has_deadlines() {
             if let Some((tid, ts_resume)) = inner.handoff[best].take() {
                 run_quantum(inner, inner_rc, best, tid, ts_resume, None);
                 continue;
@@ -2167,20 +2164,18 @@ mod tests {
     #[test]
     fn a_run_that_never_arms_a_deadline_never_walks_the_heaps() {
         for sched in [SchedKind::Df, SchedKind::Ws] {
-            for hot in [true, false] {
-                let (stats, _) = run(Config::new(4, sched).with_hot_path(hot), || {
-                    untimed_rounds();
-                    round_stats()
-                });
-                assert!(
-                    stats.rounds > 200,
-                    "{sched:?}: the run must take full rounds"
-                );
-                assert_eq!(
-                    stats.deadline_scans, 0,
-                    "{sched:?}: no deadline armed, yet a round scanned"
-                );
-            }
+            let (stats, _) = run(Config::new(4, sched), || {
+                untimed_rounds();
+                round_stats()
+            });
+            assert!(
+                stats.rounds > 200,
+                "{sched:?}: the run must take full rounds"
+            );
+            assert_eq!(
+                stats.deadline_scans, 0,
+                "{sched:?}: no deadline armed, yet a round scanned"
+            );
         }
     }
 

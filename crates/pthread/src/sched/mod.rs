@@ -129,6 +129,10 @@ pub(crate) trait Policy {
     }
 }
 
+/// How many of the leftmost ready threads a [`SchedKind::DfLocal`]
+/// processor may inspect for an affinity match.
+const LOCALITY_WINDOW: usize = 16;
+
 /// Instantiates the policy selected by `config`.
 pub(crate) fn make_policy(config: &Config) -> Box<dyn Policy> {
     match config.scheduler {
@@ -137,7 +141,7 @@ pub(crate) fn make_policy(config: &Config) -> Box<dyn Policy> {
         SchedKind::Df => Box::new(DfSched::new(config.quota.max(1))),
         SchedKind::DfLocal => Box::new(DfSched::with_window(
             config.quota.max(1),
-            config.locality_window.max(1),
+            LOCALITY_WINDOW,
             config.processors,
         )),
         SchedKind::DfDeques => {

@@ -211,70 +211,6 @@ fn failure_injection_matrix_degrades_gracefully() {
     }
 }
 
-/// A charge-dense quantum: a few threads each issuing thousands of
-/// `work`/`touch` calls, so the hot path's deferred batching and cached
-/// timeslice threshold actually engage (several timeslice preemptions per
-/// thread at these virtual durations).
-fn charge_storm() {
-    ptdf::scope(|s| {
-        for t in 0..3u64 {
-            s.spawn(move || {
-                for i in 0..4_000u64 {
-                    ptdf::work(150 + (i + t) % 7);
-                    ptdf::touch(t * 64 + i % 8, 256);
-                }
-            });
-        }
-    });
-}
-
-#[test]
-fn hot_path_matrix_is_bit_identical_to_unbatched() {
-    // ISSUE 8 tentpole acceptance: the batched/fast-path engine
-    // ([`Config::hot_path`], the default) must be observationally identical
-    // to the unbatched engine — same results, same Report statistics, same
-    // trace byte-for-byte (the in-process equivalent of `ptdf-trace diff`
-    // on the exported Chrome JSON) — for every (policy, seed) cell.
-    let seeds = (seed_budget() / 8).max(2);
-    for kind in POLICIES {
-        for seed in 0..seeds {
-            let run_cell = |hot: bool| {
-                let cfg = Config::new(4, kind)
-                    .with_trace()
-                    .with_perturbation(seed)
-                    .with_hot_path(hot);
-                ptdf::run(cfg, move || {
-                    let storm = sync_storm(4, 3);
-                    charge_storm();
-                    storm
-                })
-            };
-            let (out_hot, rep_hot) = run_cell(true);
-            let (out_cold, rep_cold) = run_cell(false);
-            assert_eq!(out_hot, out_cold, "{kind:?} seed {seed}: results diverged");
-            assert_eq!(
-                rep_hot.stats, rep_cold.stats,
-                "{kind:?} seed {seed}: Report statistics diverged"
-            );
-            assert_eq!(
-                rep_hot.total_threads, rep_cold.total_threads,
-                "{kind:?} seed {seed}: thread counts diverged"
-            );
-            assert_eq!(rep_hot.steals, rep_cold.steals, "{kind:?} seed {seed}");
-            let (hot_trace, cold_trace) = (rep_hot.trace.unwrap(), rep_cold.trace.unwrap());
-            assert_eq!(
-                hot_trace, cold_trace,
-                "{kind:?} seed {seed}: traces diverged"
-            );
-            assert_eq!(
-                hot_trace.to_chrome_json(),
-                cold_trace.to_chrome_json(),
-                "{kind:?} seed {seed}: exported Chrome JSON diverged"
-            );
-        }
-    }
-}
-
 #[test]
 fn captured_seed_pairs_replay_bit_exactly() {
     // The promise behind the printed replay recipe: the same
