@@ -131,8 +131,8 @@ commands:
   validate <trace.json> [--s1 BYTES] [--depth BYTES] [--factor F]
       Structural validation (a file that does not parse as a trace
       fails it); with --s1 and --depth also audits the footprint
-      high-water mark against S1 + factor * p * depth (factor defaults
-      to 1.0).
+      high-water mark against S1 + factor * p * depth (factor: finite,
+      >= 0, default 1.0).
   audit <trace.json>... --s1 BYTES --depth BYTES [--factor F]
       Space-bound audit with margin: for each trace, compare the
       footprint high-water mark against S1 + factor * p * depth and
@@ -547,13 +547,7 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, Failure> {
         match a.as_str() {
             "--s1" => s1 = Some(parse_flag_u64(&mut it, "--s1")?),
             "--depth" => depth = Some(parse_flag_u64(&mut it, "--depth")?),
-            "--factor" => {
-                factor = it
-                    .next()
-                    .ok_or("--factor expects a value")?
-                    .parse()
-                    .map_err(|e| format!("--factor: {e}"))?
-            }
+            "--factor" => factor = parse_flag_factor(&mut it)?,
             other if path.is_none() && !other.starts_with("--") => {
                 path = Some(other.to_string())
             }
@@ -606,6 +600,22 @@ fn parse_flag_u64(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u
         .map_err(|e| format!("{flag}: {e}"))
 }
 
+/// `--factor`'s value: a finite, non-negative multiplier of `p · depth`. An
+/// infinite, NaN or negative one would turn the bound into a saturated or
+/// zero byte count and every verdict into a silent wrong answer.
+fn parse_flag_factor(it: &mut std::slice::Iter<'_, String>) -> Result<f64, String> {
+    let factor: f64 = it
+        .next()
+        .ok_or("--factor expects a value")?
+        .parse()
+        .map_err(|e| format!("--factor: {e}"))?;
+    if factor.is_finite() && factor >= 0.0 {
+        Ok(factor)
+    } else {
+        Err(format!("--factor: expected a finite number >= 0, got {factor}"))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // audit
 // ---------------------------------------------------------------------------
@@ -620,13 +630,7 @@ fn cmd_audit(args: &[String]) -> Result<ExitCode, Failure> {
         match a.as_str() {
             "--s1" => s1 = Some(parse_flag_u64(&mut it, "--s1")?),
             "--depth" => depth = Some(parse_flag_u64(&mut it, "--depth")?),
-            "--factor" => {
-                factor = it
-                    .next()
-                    .ok_or("--factor expects a value")?
-                    .parse()
-                    .map_err(|e| format!("--factor: {e}"))?
-            }
+            "--factor" => factor = parse_flag_factor(&mut it)?,
             other if !other.starts_with("--") => paths.push(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`\n{USAGE}").into()),
         }

@@ -1,7 +1,9 @@
 //! `ptdf-trace`'s exit status on input that is not a trace: a file that
 //! reads but does not parse is a failed check (exit 1, one `path: reason`
 //! line) for every subcommand that takes traces; only a path that cannot be
-//! read is an I/O error (exit 2). Drives the built binary.
+//! read is an I/O error (exit 2). A `--factor` that is not a finite
+//! non-negative number is a usage error, exit 2 as well. Drives the built
+//! binary.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -74,4 +76,24 @@ fn a_file_that_is_not_a_trace_exits_1_with_one_line_and_a_missing_one_exits_2() 
     }
     // And a trace still answers 0.
     assert_eq!(ptdf_trace(&["summarize", good]).status.code(), Some(0));
+}
+
+#[test]
+fn a_factor_that_is_not_a_finite_non_negative_number_is_a_usage_error() {
+    let good = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/zero_events.json");
+    for cmd in ["validate", "audit"] {
+        for factor in ["inf", "nan", "-3"] {
+            let out = ptdf_trace(&[cmd, good, "--s1", "1", "--depth", "1", "--factor", factor]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{cmd} --factor {factor}: {stderr}"
+            );
+            assert_eq!(stderr.lines().count(), 1, "{stderr}");
+            assert!(stderr.starts_with("ptdf-trace: --factor: "), "{stderr}");
+        }
+        let out = ptdf_trace(&[cmd, good, "--s1", "1", "--depth", "1", "--factor", "4"]);
+        assert_eq!(out.status.code(), Some(0), "{cmd} --factor 4");
+    }
 }
