@@ -161,14 +161,16 @@ fn guard() -> i32 {
 
 /// The committed spawn-storm `ns_per_spawn` for a storm of `threads`.
 fn spawn_baseline(doc: &Value, threads: u64) -> Option<f64> {
-    doc.get("spawn_storm").and_then(Value::as_arr).and_then(|arr| {
-        arr.iter()
-            .find(|b| {
-                b.get("pool").and_then(Value::as_str) == Some("pooled")
-                    && b.get("threads").and_then(Value::as_u64) == Some(threads)
-            })
-            .and_then(|b| b.get("ns_per_spawn").and_then(Value::as_f64))
-    })
+    doc.get("spawn_storm")
+        .and_then(Value::as_arr)
+        .and_then(|arr| {
+            arr.iter()
+                .find(|b| {
+                    b.get("pool").and_then(Value::as_str) == Some("pooled")
+                        && b.get("threads").and_then(Value::as_u64) == Some(threads)
+                })
+                .and_then(|b| b.get("ns_per_spawn").and_then(Value::as_f64))
+        })
 }
 
 /// Holds the line on the host phase profiler's *disarmed* cost: a spawn
@@ -265,7 +267,10 @@ fn spawn_guard(doc: &Value, tol: f64) -> bool {
             );
             failed |= ratio > 1.0 + tol;
         }
-        None => println!("  spawn_storm: no committed baseline for {} threads", fresh.threads),
+        None => println!(
+            "  spawn_storm: no committed baseline for {} threads",
+            fresh.threads
+        ),
     }
     if ptdf_fiber::HAS_REAL_STACKS && fresh.pool_hit_rate < 0.9 {
         println!(

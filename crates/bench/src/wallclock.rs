@@ -513,7 +513,9 @@ pub fn run_host_phase(procs: usize) -> Vec<HostPhasePoint> {
     // storm in this harness.
     for (workload, driver) in apps {
         let run = || {
-            let cfg = Config::new(procs, kind).with_trace().with_host_profile(true);
+            let cfg = Config::new(procs, kind)
+                .with_trace()
+                .with_host_profile(true);
             *(driver.fine)(cfg).host_phase()
         };
         let mut best = run();
@@ -661,7 +663,11 @@ pub fn to_json(
             );
         }
         s.push('}');
-        s.push_str(if i + 1 < host_phase.len() { ",\n" } else { "\n" });
+        s.push_str(if i + 1 < host_phase.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     s.push_str("  ]\n}\n");
     s

@@ -239,10 +239,19 @@ impl Config {
     }
 
     /// Arms the space-bound enforcer at `S1 + factor · p · depth` bytes,
-    /// with `p` taken from [`Config::processors`] (builder style).
+    /// with `p` taken from [`Config::processors`] (builder style). Panics
+    /// if the bound does not fit in a `u64`: a wrapped bound would be a
+    /// small number that every run then reports as violated.
     pub fn with_space_bound_terms(self, s1: u64, factor: u64, depth: u64) -> Self {
         let p = self.processors as u64;
-        self.with_space_bound(s1 + factor * p * depth)
+        let bound = factor
+            .checked_mul(p)
+            .and_then(|x| x.checked_mul(depth))
+            .and_then(|x| x.checked_add(s1));
+        let bound = bound.unwrap_or_else(|| {
+            panic!("space bound S1 {s1} + factor {factor} * p {p} * depth {depth} overflows u64")
+        });
+        self.with_space_bound(bound)
     }
 
     /// Arms (or explicitly disarms) the host-side engine phase profiler
@@ -315,5 +324,19 @@ mod tests {
         assert_eq!(a.stack_size, Some(4096));
         assert_eq!(a.priority, 2);
         assert!(a.detached);
+    }
+
+    #[test]
+    fn space_bound_terms_multiply_out() {
+        let c = Config::new(4, SchedKind::Df).with_space_bound_terms(1000, 3, 256);
+        assert_eq!(c.space_bound, Some(1000 + 3 * 4 * 256));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "space bound S1 1 + factor 4 * p 4 * depth 1152921504606846976 overflows u64"
+    )]
+    fn space_bound_terms_that_overflow_panic_instead_of_wrapping() {
+        let _ = Config::new(4, SchedKind::Df).with_space_bound_terms(1, 4, 1 << 60);
     }
 }
