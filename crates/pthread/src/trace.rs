@@ -2190,9 +2190,8 @@ mod tests {
 
     /// FNV-1a-64 and length of every corpus row (first captured from the
     /// `Value`-tree exporter, which the streaming one had to reproduce).
-    /// The documents must never change by accident: `ptdf-trace diff`, the
-    /// CI `cmp` of the hot-path traces and every committed fixture depend
-    /// on the bytes.
+    /// The documents must never change by accident: `ptdf-trace diff` and
+    /// every committed fixture depend on the bytes.
     const EXPORT_CORPUS: &[(&str, u64, usize)] = &[
         ("fork-join/fifo", 0x3dcb64c1f7b83f42, 16137),
         ("fork-join/lifo", 0xad6ce1795e9541c8, 16137),
