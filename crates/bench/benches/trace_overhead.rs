@@ -15,8 +15,8 @@
 //!    flagged, so shared-host scheduling noise doesn't trip the gate.
 //!    Guard mode also re-runs the engine spawn storm and holds it to the
 //!    committed baseline and to a ≥90% stack-pool hit rate. Finally it
-//!    re-runs the sentinel-armed
-//!    join storm and holds the deadlock sentinel's waits-for bookkeeping
+//!    re-runs the sentinel-armed join storm and holds the deadlock
+//!    sentinel's waits-for bookkeeping
 //!    to the committed `sentinel_storm` baseline within
 //!    `TRACE_GUARD_SENTINEL_TOL` (default 0.05 = 5%); the sentinel's cost
 //!    on the *policy-level* indexed dispatch paths is zero by design

@@ -109,7 +109,7 @@ fn main() {
         wallclock::to_json(
             &micro,
             &apps,
-            std::slice::from_ref(&spawn),
+            &spawn,
             std::slice::from_ref(&sentinel),
             &host_phase,
         ),

@@ -581,7 +581,7 @@ fn json_f(v: f64) -> String {
 pub fn to_json(
     micro: &[StormPoint],
     apps: &[AppPoint],
-    spawn: &[SpawnPoint],
+    spawn: &SpawnPoint,
     sentinel: &[SentinelPoint],
     host_phase: &[HostPhasePoint],
 ) -> String {
@@ -622,17 +622,13 @@ pub fn to_json(
         );
         s.push_str(if i + 1 < apps.len() { ",\n" } else { "\n" });
     }
-    s.push_str("  ],\n  \"spawn_storm\": [\n");
-    for (i, p) in spawn.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"pool\": \"pooled\", \"threads\": {}, \"ns_per_spawn\": {}, \"pool_hit_rate\": {:.4}}}",
-            p.threads,
-            json_f(p.ns_per_spawn),
-            p.pool_hit_rate
-        );
-        s.push_str(if i + 1 < spawn.len() { ",\n" } else { "\n" });
-    }
+    let _ = writeln!(
+        s,
+        "  ],\n  \"spawn_storm\": [\n    {{\"pool\": \"pooled\", \"threads\": {}, \"ns_per_spawn\": {}, \"pool_hit_rate\": {:.4}}}",
+        spawn.threads,
+        json_f(spawn.ns_per_spawn),
+        spawn.pool_hit_rate
+    );
     s.push_str("  ],\n  \"sentinel_storm\": [\n");
     for (i, p) in sentinel.iter().enumerate() {
         let _ = write!(

@@ -324,12 +324,8 @@ mod tests {
         assert_eq!(a.stack_size, Some(4096));
         assert_eq!(a.priority, 2);
         assert!(a.detached);
-    }
-
-    #[test]
-    fn space_bound_terms_multiply_out() {
-        let c = Config::new(4, SchedKind::Df).with_space_bound_terms(1000, 3, 256);
-        assert_eq!(c.space_bound, Some(1000 + 3 * 4 * 256));
+        let b = Config::new(4, SchedKind::Df).with_space_bound_terms(1000, 3, 256);
+        assert_eq!(b.space_bound, Some(1000 + 3 * 4 * 256));
     }
 
     #[test]

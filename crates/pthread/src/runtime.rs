@@ -1650,10 +1650,10 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
         };
         // Serial fast path (the cycle-box analogue): with no deadline
         // outstanding and exactly one runnable processor holding a direct
-        // handoff, the full scheduling round is
-        // provably a no-op beyond taking the handoff — the min-clock pick
-        // has no rivals (so the perturbed tie-break draws nothing), and no
-        // timeout can fire with no deadline armed. The guard re-evaluates
+        // handoff, the full scheduling round is provably a no-op beyond
+        // taking the handoff — the min-clock pick has no rivals (so the
+        // perturbed tie-break draws nothing), and no timeout can fire with
+        // no deadline armed. The guard re-evaluates
         // every iteration, so the engine falls back to the event-heap round
         // the instant a second processor unparks or a deadline is armed.
         if scan.unparked == 1 && !inner.machine.has_deadlines() {
