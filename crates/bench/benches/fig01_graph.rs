@@ -2,81 +2,55 @@
 //!
 //! Reproduces the paper's claim: a serial FIFO execution of the 7-thread
 //! example graph makes all 7 threads simultaneously active, while a
-//! depth-first (child-first) execution needs at most `d = 3`. Also shows
-//! the same contrast on deeper trees, plus the §4 queue-LIFO variant
-//! (which is only *close* to depth-first).
+//! depth-first execution needs at most `d = 3`. Also shows the same
+//! contrast on deeper trees and random programs, plus the §4 queue-LIFO
+//! variant (which is only *close* to depth-first). Every cell is the real
+//! scheduler at p = 1, running the graph through `run_program`.
 
-use ptdf_bench::Table;
-use ptdf_dag::{
-    fig1_example, gen_program, max_path_threads, simulate, GenParams, PolicyKind,
-};
+use ptdf_bench::{run_program, Config, CostModel, SchedKind, Table};
+use ptdf_dag::{binary_tree, fig1_example, gen_program, max_path_threads, GenParams, Program};
 
 fn main() {
     ptdf_bench::methodology_note();
+    let kinds = [SchedKind::Fifo, SchedKind::Lifo, SchedKind::Df];
+    let mut headers = vec!["graph", "threads", "d"];
+    headers.extend(kinds.map(SchedKind::name));
     let mut t = Table::new(
         "fig01_graph",
         "Figure 1: max simultaneously active threads (serial execution)",
-        &["graph", "threads", "d", "fifo", "lifo-queue", "child-first(df)"],
+        &headers,
     );
-    let policies = [
-        PolicyKind::FifoQueue,
-        PolicyKind::LifoQueue,
-        PolicyKind::ChildFirst,
-    ];
-    let mut add = |name: &str, p: &ptdf_dag::Program| {
-        let live: Vec<usize> = policies
-            .iter()
-            .map(|&pol| simulate(p, pol, 1).max_live_threads)
-            .collect();
-        t.row(vec![
+    let mut add = |name: &str, p: &Program| {
+        let mut row = vec![
             name.to_string(),
             p.len().to_string(),
             max_path_threads(p).to_string(),
-            live[0].to_string(),
-            live[1].to_string(),
-            live[2].to_string(),
-        ]);
+        ];
+        for kind in kinds {
+            // A quota no run reaches: DF forks no dummy threads.
+            let cfg = Config::new(1, kind)
+                .with_cost(CostModel::zero_overhead())
+                .with_quota(u64::MAX / 4);
+            row.push(run_program(p, cfg).max_live_threads().to_string());
+        }
+        t.row(row);
     };
     add("fig1 (7 threads)", &fig1_example());
     for depth in [4, 6, 8, 10] {
-        let prog = binary_tree(depth);
-        add(&format!("binary depth {depth}"), &prog);
+        add(&format!("binary depth {depth}"), &binary_tree(depth));
     }
-    for seed in [1, 2, 3] {
+    // The first three seeds whose program forks at least 50 threads.
+    for seed in [3, 4, 6] {
         let prog = gen_program(GenParams {
             seed,
             max_threads: 400,
             ..GenParams::default()
         });
-        add(&format!("random #{seed}"), &prog);
+        add(&format!("random seed {seed}"), &prog);
     }
     t.finish();
     println!(
         "paper: FIFO activates all 7 threads of the example; a depth-first\n\
          order needs at most d = 3. The gap widens with graph size."
     );
-}
-
-fn binary_tree(depth: u32) -> ptdf_dag::Program {
-    use ptdf_dag::{Action, Program, ThreadSpec};
-    fn build(threads: &mut Vec<ThreadSpec>, depth: u32) -> usize {
-        let idx = threads.len();
-        threads.push(ThreadSpec::default());
-        if depth == 0 {
-            threads[idx].actions = vec![Action::Work(1)];
-        } else {
-            let l = build(threads, depth - 1);
-            let r = build(threads, depth - 1);
-            threads[idx].actions = vec![
-                Action::Fork(l),
-                Action::Fork(r),
-                Action::Join(l),
-                Action::Join(r),
-            ];
-        }
-        idx
-    }
-    let mut threads = Vec::new();
-    build(&mut threads, depth);
-    Program { threads }
 }

@@ -14,14 +14,50 @@
 
 #![warn(missing_docs)]
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
+
+use ptdf_dag::{Action, Program};
 
 pub mod drivers;
 pub mod plot;
 pub mod wallclock;
 
 pub use ptdf::{Config, CostModel, Report, SchedKind, SerialReport, VirtTime};
+
+/// Cycles [`run_program`] charges per unit of `Action::Work`.
+pub const CYCLES_PER_WORK_UNIT: u64 = 10_000;
+
+/// Runs a fork-join [`Program`] on the real runtime under `cfg`: program
+/// thread 0 is the root thread, `Fork(c)` spawns thread `c` and `Join(c)`
+/// joins it, `Work(u)` charges `u ×` [`CYCLES_PER_WORK_UNIT`] cycles, and
+/// `Alloc`/`Free` go through `rt_alloc`/`rt_free`. This is the one executor
+/// of a `Program`; it panics on a program `ptdf_dag::validate` rejects.
+pub fn run_program(prog: &Program, cfg: Config) -> Report {
+    let prog = Rc::new(prog.clone());
+    ptdf::run(cfg, move || exec_thread(&prog, 0)).1
+}
+
+fn exec_thread(prog: &Rc<Program>, t: usize) {
+    let mut handles: HashMap<usize, ptdf::JoinHandle<()>> = HashMap::new();
+    for &action in &prog.threads[t].actions {
+        match action {
+            Action::Work(u) => ptdf::work(u * CYCLES_PER_WORK_UNIT),
+            Action::Alloc(b) => ptdf::rt_alloc(b),
+            Action::Free(b) => ptdf::rt_free(b),
+            Action::Fork(c) => {
+                let prog = prog.clone();
+                handles.insert(c, ptdf::spawn(move || exec_thread(&prog, c)));
+            }
+            Action::Join(c) => handles
+                .remove(&c)
+                .expect("join of a child this thread did not fork or already joined")
+                .join(),
+        }
+    }
+}
 
 /// True when the paper's full problem sizes were requested.
 pub fn full_scale() -> bool {

@@ -15,6 +15,8 @@ pub enum ProgramError {
     JoinBeforeFork(usize),
     /// `Join(i)` in a thread that did not fork `i`.
     ForeignJoin(usize),
+    /// A second `Join(i)` of the same child (a thread is joined once).
+    DoubleJoin(usize),
     /// Fork edges contain a cycle (a thread is its own ancestor).
     Cycle(usize),
     /// A `Free` without matching outstanding allocation in that thread.
@@ -37,6 +39,7 @@ pub fn validate(p: &Program) -> Result<(), ProgramError> {
     let mut fork_count = vec![0usize; n];
     for (i, t) in p.threads.iter().enumerate() {
         let mut forked_here: Vec<usize> = Vec::new();
+        let mut joined_here: Vec<usize> = Vec::new();
         let mut alloc_balance: i64 = 0;
         for a in &t.actions {
             match *a {
@@ -58,6 +61,10 @@ pub fn validate(p: &Program) -> Result<(), ProgramError> {
                             ProgramError::JoinBeforeFork(i)
                         });
                     }
+                    if joined_here.contains(&c) {
+                        return Err(ProgramError::DoubleJoin(i));
+                    }
+                    joined_here.push(c);
                 }
                 Action::Alloc(b) => alloc_balance += b as i64,
                 Action::Free(b) => {
@@ -213,6 +220,15 @@ mod tests {
     fn validate_rejects_join_before_fork() {
         let p = prog(vec![vec![Action::Join(1), Action::Fork(1)], vec![]]);
         assert_eq!(validate(&p), Err(ProgramError::JoinBeforeFork(0)));
+    }
+
+    #[test]
+    fn validate_rejects_double_join() {
+        let p = prog(vec![
+            vec![Action::Fork(1), Action::Join(1), Action::Join(1)],
+            vec![],
+        ]);
+        assert_eq!(validate(&p), Err(ProgramError::DoubleJoin(0)));
     }
 
     #[test]

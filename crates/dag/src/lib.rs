@@ -3,27 +3,24 @@
 //! The paper's Figure 1 explains scheduler space behaviour on an abstract
 //! computation graph: nodes are actions within threads, solid edges are
 //! forks, dashed edges are joins. This crate models such graphs as
-//! [`Program`]s, computes their serial space `S1`, critical path `D`, and
-//! total work `W`, and simulates the execution policies (FIFO queue, LIFO
-//! queue, child-first depth-first, work stealing) on `p` abstract
-//! processors, reporting the maximum number of simultaneously live threads
-//! and the space high-water mark.
+//! [`Program`]s and computes their serial space `S1`, critical path `D`,
+//! total work `W` and thread depth `d`.
 //!
-//! The same [`Program`] can be lowered onto the real `ptdf` runtime (see the
-//! workspace integration tests), so the abstract analysis and the concrete
-//! scheduler can be property-tested against each other.
+//! A [`Program`] runs by being lowered onto the real `ptdf` runtime
+//! (`ptdf_bench::run_program`: forks become spawns), so Figure 1 and the
+//! workspace crosscheck measure the real schedulers against these analyses.
 
 #![warn(missing_docs)]
 
 mod analysis;
 mod generate;
 mod program;
-mod sim;
 
-pub use analysis::{critical_path, max_path_threads, serial_space, total_work, validate};
+pub use analysis::{
+    critical_path, max_path_threads, serial_space, total_work, validate, ProgramError,
+};
 pub use generate::{gen_program, GenParams};
 pub use program::{Action, Program, ThreadSpec};
-pub use sim::{simulate, PolicyKind, SimResult};
 
 /// The example graph of the paper's Figure 1: a three-level binary tree of
 /// seven threads, where each interior thread forks both children before
@@ -59,6 +56,33 @@ pub fn fig1_example() -> Program {
     }
 }
 
+/// A complete binary fork tree `depth` levels deep (`2^(depth+1) - 1`
+/// threads): each interior thread forks both children and then joins them,
+/// each leaf does one unit of work. Threads are numbered in serial
+/// depth-first order.
+pub fn binary_tree(depth: u32) -> Program {
+    fn build(threads: &mut Vec<ThreadSpec>, depth: u32) -> usize {
+        let idx = threads.len();
+        threads.push(ThreadSpec::default());
+        if depth == 0 {
+            threads[idx].actions = vec![Action::Work(1)];
+        } else {
+            let l = build(threads, depth - 1);
+            let r = build(threads, depth - 1);
+            threads[idx].actions = vec![
+                Action::Fork(l),
+                Action::Fork(r),
+                Action::Join(l),
+                Action::Join(r),
+            ];
+        }
+        idx
+    }
+    let mut threads = Vec::new();
+    build(&mut threads, depth);
+    Program { threads }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,25 +93,19 @@ mod tests {
     }
 
     #[test]
-    fn fig1_fifo_activates_all_seven() {
-        let r = simulate(&fig1_example(), PolicyKind::FifoQueue, 1);
-        assert_eq!(r.max_live_threads, 7);
-    }
-
-    #[test]
-    fn fig1_child_first_needs_three() {
-        let r = simulate(&fig1_example(), PolicyKind::ChildFirst, 1);
-        assert_eq!(r.max_live_threads, 3);
-    }
-
-    #[test]
-    fn fig1_queue_lifo_between() {
-        let r = simulate(&fig1_example(), PolicyKind::LifoQueue, 1);
-        assert!(r.max_live_threads > 3 && r.max_live_threads < 7);
-    }
-
-    #[test]
     fn fig1_depth_is_three() {
         assert_eq!(max_path_threads(&fig1_example()), 3);
+    }
+
+    #[test]
+    fn binary_tree_shape() {
+        for depth in 0..8 {
+            let p = binary_tree(depth);
+            validate(&p).unwrap();
+            assert_eq!(p.len(), (1 << (depth + 1)) - 1);
+            assert_eq!(max_path_threads(&p) as u32, depth + 1);
+            assert_eq!(total_work(&p), 1 << depth);
+            assert_eq!(critical_path(&p), 1);
+        }
     }
 }
