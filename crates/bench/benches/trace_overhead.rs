@@ -113,17 +113,17 @@ fn guard() -> i32 {
         return 1;
     };
 
-    // run_micro_indexed is already best-of-N per point; single samples on a
-    // shared host swing by tens of percent, the minimum is stable. Points
-    // that still exceed tolerance get individually re-measured a few times
+    // run_micro is already best-of-N per point; single samples on a shared
+    // host swing by tens of percent, the minimum is stable. Points that
+    // still exceed tolerance get individually re-measured a few times
     // (keeping the minimum) before being called regressions: noise never
     // survives extra minima, a real slowdown does.
     const GUARD_RETRIES: usize = 4;
-    let fresh = wallclock::run_micro_indexed();
+    let fresh = wallclock::run_micro();
     println!("guard: indexed dispatch vs {} (tol {:.0}%):", path.display(), tol * 100.0);
     let mut failed = false;
     let mut compared = 0;
-    for p in fresh.iter().filter(|p| p.impl_name == "indexed") {
+    for p in &fresh {
         let Some(base) = lookup(baseline, p) else {
             continue; // baseline from a different size sweep (quick vs full)
         };
@@ -282,13 +282,12 @@ fn spawn_guard(doc: &Value, tol: f64) -> bool {
     failed
 }
 
-/// Baseline `ns_per_dispatch` for the same (storm, impl, size) point.
+/// Baseline `ns_per_dispatch` for the same (storm, size) point.
 fn lookup(baseline: &[Value], p: &StormPoint) -> Option<f64> {
     baseline
         .iter()
         .find(|b| {
             b.get("storm").and_then(Value::as_str) == Some(p.storm)
-                && b.get("impl").and_then(Value::as_str) == Some(p.impl_name)
                 && b.get("live_threads").and_then(Value::as_u64) == Some(p.live_threads)
         })
         .and_then(|b| b.get("ns_per_dispatch").and_then(Value::as_f64))

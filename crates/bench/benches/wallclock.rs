@@ -1,8 +1,7 @@
-//! Wall-clock scheduler benchmark: micro dispatch storms (indexed vs
-//! reference policies, 10k–1M live threads), host runtimes of all seven
-//! paper applications under each scheduler, spawn/sentinel storms and the
-//! host engine phase profile. Writes `BENCH_sched.json` at the workspace
-//! root.
+//! Wall-clock scheduler benchmark: micro dispatch storms (10k–1M live
+//! threads), host runtimes of all seven paper applications under each
+//! scheduler, spawn/sentinel storms and the host engine phase profile.
+//! Writes `BENCH_sched.json` at the workspace root.
 //! `REPRO_QUICK=1` for the CI smoke configuration.
 
 use ptdf_bench::wallclock::{self, StormPoint};
@@ -12,12 +11,11 @@ fn main() {
     let micro = wallclock::run_micro();
     let mut t = Table::new(
         "wallclock_micro",
-        "Dispatch hot paths: host ns per dispatch attempt (indexed vs reference)",
-        &["storm", "live threads", "impl", "ops", "ns/dispatch"],
+        "Dispatch hot paths: host ns per dispatch attempt",
+        &["storm", "live threads", "ops", "ns/dispatch"],
     );
     for StormPoint {
         storm,
-        impl_name,
         live_threads,
         ops,
         ns_per_dispatch,
@@ -27,16 +25,11 @@ fn main() {
         t.row(vec![
             storm.to_string(),
             live_threads.to_string(),
-            impl_name.to_string(),
             ops.to_string(),
             format!("{ns_per_dispatch:.1}"),
         ]);
     }
     t.finish();
-
-    for (storm, n, x) in wallclock::speedups(&micro) {
-        println!("{storm} @ {n} live threads: indexed is {x:.0}x the reference");
-    }
 
     let procs = if wallclock::quick() { 2 } else { 4 };
     let apps = wallclock::run_apps(procs);

@@ -4,9 +4,7 @@
 //! uses this to drive a scheduling policy (`sched::Policy`) through
 //! synthetic fork/join storms without the engine, fibers, or cost model in
 //! the way — isolating the per-dispatch cost that the indexed schedulers
-//! optimise. Both the production policies and their naive references
-//! (`sched::reference`) are exposed so the speedup can be measured
-//! like-for-like.
+//! optimise.
 //!
 //! This is **not** part of the public API proper: types are flattened to
 //! primitives (`u32` thread ids, `u64` nanosecond times) so the bench crate
@@ -14,7 +12,6 @@
 
 use ptdf_smp::VirtTime;
 
-use crate::sched::reference::{RefDfDequesSched, RefDfSched};
 use crate::sched::{DfDequesSched, DfSched, Policy, Pop, WsSched};
 use crate::thread::ThreadId;
 
@@ -47,24 +44,10 @@ impl BenchPolicy {
         }
     }
 
-    /// The naive reference depth-first scheduler (pre-index seed code).
-    pub fn df_reference(quota: u64) -> Self {
-        BenchPolicy {
-            inner: Box::new(RefDfSched::new(quota)),
-        }
-    }
-
     /// The indexed `DFDeques` scheduler.
     pub fn dfdeques(quota: u64, procs: usize) -> Self {
         BenchPolicy {
             inner: Box::new(DfDequesSched::new(quota, procs)),
-        }
-    }
-
-    /// The naive reference `DFDeques` scheduler.
-    pub fn dfdeques_reference(quota: u64, procs: usize) -> Self {
-        BenchPolicy {
-            inner: Box::new(RefDfDequesSched::new(quota, procs)),
         }
     }
 

@@ -16,8 +16,8 @@ mod fifo;
 mod lifo;
 mod ws;
 
-#[cfg(any(test, feature = "bench-internals"))]
-pub(crate) mod reference;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod diff_tests;

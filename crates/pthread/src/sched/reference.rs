@@ -1,4 +1,4 @@
-//! Naive reference schedulers for differential testing and benchmarking.
+//! Naive reference schedulers for differential testing.
 //!
 //! These are the pre-index revisions of [`super::df::DfSched`] and
 //! [`super::dfdeques::DfDequesSched`], kept verbatim except for the
@@ -17,8 +17,8 @@
 //! interleavings and assert bit-identical `Pop` sequences (including exact
 //! `NotYet` times — the engine charges a scheduling operation per dispatch
 //! attempt, so even a *conservative* wake-up estimate would change virtual
-//! makespans). The wall-clock benchmarks (`ptdf-bench`, `wallclock`) use
-//! them as the baseline the indexed versions are measured against.
+//! makespans). They compile only under `cfg(test)`: an oracle, not a
+//! shipped scheduler.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
