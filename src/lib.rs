@@ -10,8 +10,8 @@
 //!   switching.
 //! * [`ptdf_smp`] — the virtual machine model (cost model, caches, memory
 //!   system, lock contention).
-//! * [`ptdf_dag`] — abstract fork-join graph analysis (Figure 1, space
-//!   bounds).
+//! * [`ptdf_dag`] — fork-join graph model and its static analyses (`S1`,
+//!   `W`, `D`, `d`); Figure 1 runs these graphs on the real schedulers.
 //! * [`ptdf_apps`] — the seven parallel benchmarks.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
