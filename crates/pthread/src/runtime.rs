@@ -272,32 +272,12 @@ impl Inner {
 
     /// Hands out a host stack for a new fiber, recycling through the pool.
     pub fn acquire_fiber_stack(&mut self) -> Stack {
-        let stack = self.stack_pool.acquire(ptdf_fiber::DEFAULT_STACK_SIZE);
-        self.sample_pool_cached();
-        stack
+        self.stack_pool.acquire(ptdf_fiber::DEFAULT_STACK_SIZE)
     }
 
     /// Returns a completed fiber's host stack to the pool.
     fn recycle_fiber_stack(&mut self, stack: Stack) {
         self.stack_pool.release(stack);
-        self.sample_pool_cached();
-    }
-
-    /// Samples the pool's cached-byte count into the flight recorder, so the
-    /// `host_pool_cached` track shows recycling behaviour over virtual time.
-    fn sample_pool_cached(&mut self) {
-        if self.trace.is_none() {
-            return;
-        }
-        let at = match self.cur {
-            Some((_, p)) => self.machine.clock(p),
-            None => self.machine.clock(0),
-        };
-        let bytes = self.stack_pool.stats().cached_bytes;
-        self.trace
-            .as_mut()
-            .expect("checked")
-            .sample_pool_cached(at, bytes);
     }
 
     /// Charges one scheduler-queue operation on `p` (global lock for
