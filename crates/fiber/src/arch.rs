@@ -26,21 +26,22 @@ extern "C" {
 
 /// The Rust-side entry invoked (exactly once per fiber) by the assembly
 /// trampoline. `data` is the raw pointer that [`init_stack`] stashed in the
-/// initial frame's `r12` slot.
+/// initial frame's `r12` slot: an [`EntryThunk`] that starts the record
+/// `coro.rs` keeps at the top of the fiber's stack.
 ///
 /// The function pointer indirection keeps this module monomorphic; generic
 /// dispatch happens in `coro.rs`.
 ///
 /// Exit protocol: the final switch back to the resumer never returns, so
 /// nothing owned by a frame below it is ever dropped. `run` therefore
-/// *returns* once the body is done — freeing the erased closure and its
-/// boxes on the way out — and this function, which by then owns no heap
-/// memory (the thunk is freed before `run` is called), performs the switch.
+/// *returns* once the body is done — dropping the body closure on the way
+/// out — and this function, which owns nothing, performs the switch.
 #[no_mangle]
 extern "C" fn ptdf_fiber_entry(data: *mut c_void) -> ! {
-    // SAFETY: `data` is the `EntryThunk` pointer installed by `init_stack`.
-    let EntryThunk { run, payload } = *unsafe { Box::from_raw(data as *mut EntryThunk) };
-    let exit = run(payload);
+    // SAFETY: `data` is the `EntryThunk` pointer installed by `init_stack`,
+    // inside the record at the top of this stack, which outlives the fiber.
+    let run = unsafe { (*data.cast::<EntryThunk>()).run };
+    let exit = run(data);
     // SAFETY: `run`'s contract — `save` is a writable slot that outlives
     // this (dead) context and `restore` is the resumer's suspended context.
     unsafe { ptdf_raw_switch(exit.save, exit.restore) };
@@ -58,14 +59,14 @@ pub struct FiberExit {
     pub restore: *mut c_void,
 }
 
-/// Type-erased fiber entry: `run(payload)` executes the fiber body, releases
-/// everything `payload` owns, and returns the switch that hands control back
-/// to the resumer.
+/// Type-erased fiber entry, the first member of the record `coro.rs` writes
+/// at the top of the fiber's stack: `run(record)` executes the fiber body,
+/// drops it, and returns the switch that hands control back to the resumer.
+#[repr(C)]
 pub struct EntryThunk {
-    /// Monomorphic dispatcher provided by `coro.rs`.
+    /// Monomorphic dispatcher provided by `coro.rs`; called with the
+    /// thunk's own address, which is the record's.
     pub run: fn(*mut c_void) -> FiberExit,
-    /// Pointer to the coroutine's erased main closure.
-    pub payload: *mut c_void,
 }
 
 // Initial mxcsr (all exceptions masked, round-to-nearest) and x87 control
@@ -73,9 +74,10 @@ pub struct EntryThunk {
 const INIT_MXCSR: u32 = 0x1F80;
 const INIT_FCW: u16 = 0x037F;
 
-/// Writes the bootstrap frame for a new fiber onto `stack_top` (the 16-byte
-/// aligned one-past-the-end address of the stack) and returns the suspended
-/// stack pointer to pass to [`ptdf_raw_switch`] for the first resume.
+/// Writes the bootstrap frame for a new fiber below `stack_top` (16-byte
+/// aligned: where the record at the top of the stack begins) and returns the
+/// suspended stack pointer to pass to [`ptdf_raw_switch`] for the first
+/// resume.
 ///
 /// Frame layout (descending addresses from `stack_top`):
 /// ```text
@@ -94,9 +96,10 @@ const INIT_FCW: u16 = 0x037F;
 /// if the trampoline had been `call`ed.
 ///
 /// # Safety
-/// `stack_top` must point one past the end of a live, 16-byte-aligned stack
-/// of at least [`crate::MIN_STACK_SIZE`] bytes; `thunk` must be a valid
-/// `Box::into_raw` pointer that `ptdf_fiber_entry` may consume.
+/// `stack_top` must be a 16-byte-aligned address inside a live stack with
+/// room for the frame below it (and any leaf call after it); `thunk` must
+/// point to an [`EntryThunk`] that stays valid until `ptdf_fiber_entry` has
+/// called it.
 pub unsafe fn init_stack(stack_top: *mut u8, thunk: *mut EntryThunk) -> *mut c_void {
     debug_assert_eq!(stack_top as usize % 16, 0);
     let top = stack_top as *mut u64;

@@ -7,7 +7,10 @@
 //! coroutine transfers control back by calling [`Yielder::suspend`]. Control
 //! transfer is a ~20-instruction assembly routine that saves and restores the
 //! callee-saved register set and swaps stack pointers — no syscalls, no heap
-//! traffic, no OS scheduler involvement.
+//! traffic, no OS scheduler involvement. Creating a coroutine on a given
+//! stack makes no heap allocation either: its mailbox and its body closure
+//! live in a record at the top of that stack (a body too large for it is
+//! boxed inside the record).
 //!
 //! # Example
 //!
