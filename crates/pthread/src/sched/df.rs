@@ -36,10 +36,9 @@
 //!   arrived and reads the earliest remaining one in O(1) for its `NotYet`
 //!   answer, instead of rescanning every entry.
 //!
-//! Thread-id lookups use a dense `Vec<u32>` indexed by `ThreadId` (ids are
-//! allocated sequentially by the engine and never reused), not a hash map.
-//! It is the one table in any policy that grows with the threads ever
-//! created rather than the threads alive: four bytes an id.
+//! Thread-id lookups go through the same [`IdDirectory`] as the thread
+//! table, not a hash map: ids are issued sequentially and never reused, and
+//! its pages follow the threads alive, not the threads ever created.
 //!
 //! The naive-scan revision survives as `reference::RefDfSched`, and
 //! randomized differential tests (`diff_tests`) prove both emit identical
@@ -52,12 +51,9 @@ use ptdf_smp::{ProcId, VirtTime};
 
 use crate::config::SchedKind;
 use crate::sched::{Policy, Pop};
-use crate::thread::ThreadId;
+use crate::thread::{IdDirectory, ThreadId};
 
 const NIL: usize = usize::MAX;
-
-/// [`DfSched::pos`] value of a thread without an entry.
-const NO_POS: u32 = u32::MAX;
 
 /// Preferred label gap consumed by one insertion. Biasing new labels close
 /// to the *left* neighbour leaves room at the insertion point for the DF
@@ -106,8 +102,8 @@ pub(crate) struct DfSched {
     /// Priority keys of `levels`, descending (cached so multi-level `pop`
     /// allocates nothing).
     prio_desc: Vec<i32>,
-    /// Dense `ThreadId -> slab index` table ([`NO_POS`] = no entry).
-    pos: Vec<u32>,
+    /// Live `ThreadId -> slab index`.
+    pos: IdDirectory,
     ready: usize,
     /// Latest dispatch clock observed; publishes at or before it go
     /// straight to `eligible`, later ones to `pending`.
@@ -129,7 +125,7 @@ impl DfSched {
             free: Vec::new(),
             levels: BTreeMap::new(),
             prio_desc: Vec::new(),
-            pos: Vec::new(),
+            pos: IdDirectory::new(),
             ready: 0,
             clock_hint: VirtTime::ZERO,
         }
@@ -157,19 +153,7 @@ impl DfSched {
 
     /// Slab position of `t`'s entry, if it has one.
     fn pos_of(&self, t: ThreadId) -> Option<usize> {
-        match self.pos.get(t.index()) {
-            Some(&n) if n != NO_POS => Some(n as usize),
-            _ => None,
-        }
-    }
-
-    fn set_pos(&mut self, t: ThreadId, n: usize) {
-        let i = t.index();
-        if i >= self.pos.len() {
-            self.pos.resize(i + 1, NO_POS);
-        }
-        // One node per live thread: far below 2^32.
-        self.pos[i] = u32::try_from(n).expect("node index fits the position table");
+        self.pos.get(t).map(|n| n as usize)
     }
 
     fn level(&mut self, prio: i32) -> (usize, usize) {
@@ -414,7 +398,9 @@ impl Policy for DfSched {
             })
             .unwrap_or(tail);
         self.link_before(n, anchor, prio);
-        self.set_pos(t, n);
+        // One node per live thread: far below 2^32.
+        let n32 = u32::try_from(n).expect("node index fits the position map");
+        self.pos.insert(t, n32);
         if enqueue {
             self.ready += 1;
             self.publish(n);
@@ -446,8 +432,7 @@ impl Policy for DfSched {
     }
 
     fn on_exit(&mut self, t: ThreadId) {
-        let n = self.pos_of(t).expect("exiting thread has a placeholder");
-        self.pos[t.index()] = NO_POS;
+        let n = self.pos.remove(t).expect("exiting thread has a placeholder") as usize;
         debug_assert!(!self.nodes[n].ready, "exiting thread still queued");
         self.unlink(n);
         self.free.push(n);
@@ -625,6 +610,22 @@ mod tests {
         s.on_create(t(0), None, 0, true, VirtTime::from_ns(100), 0);
         assert_eq!(s.pop(0, VirtTime::from_ns(10)), Pop::NotYet(VirtTime::from_ns(100)));
         assert_eq!(s.pop(0, VirtTime::from_ns(100)), got(t(0)));
+    }
+
+    #[test]
+    fn a_long_run_with_few_threads_alive_keeps_few_position_pages() {
+        let mut s = DfSched::new(1024);
+        s.on_create(t(0), None, 0, true, VirtTime::ZERO, 0);
+        assert_eq!(s.pop(0, VirtTime::ZERO), got(t(0)));
+        let mut live = std::collections::VecDeque::new();
+        for i in 1..=200_000 {
+            s.on_create(t(i), Some(t(0)), 0, false, VirtTime::ZERO, 0);
+            live.push_back(t(i));
+            if live.len() > 3 {
+                s.on_exit(live.pop_front().expect("four are live"));
+            }
+            assert!(s.pos.resident_pages() <= 3, "at {i}: {} pages", s.pos.resident_pages());
+        }
     }
 
     #[test]
