@@ -229,6 +229,59 @@ impl<T: Copy> SharedBuf<T> {
     }
 }
 
+/// A `Copy`able raw view of a **read-only** buffer shared between forked
+/// threads: [`SharedBuf`] without a setter, built from `&[T]`, for data
+/// that every thread reads and none writes (an input, a precomputed table)
+/// and that therefore needs neither a copy nor a `&mut`.
+///
+/// # Safety contract
+/// Constructing a view is safe; its readers must guarantee that the view
+/// does not outlive the buffer (join-before-drop) and that nothing writes
+/// the buffer while the view is in use.
+#[derive(Debug)]
+pub struct SharedView<T> {
+    ptr: *const T,
+    len: usize,
+}
+
+impl<T> Clone for SharedView<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for SharedView<T> {}
+
+impl<T: Copy> SharedView<T> {
+    /// Creates a view over `data` (caller keeps ownership; join-before-drop).
+    pub fn new(data: &[T]) -> Self {
+        SharedView {
+            ptr: data.as_ptr(),
+            len: data.len(),
+        }
+    }
+
+    /// Reads element `i`.
+    ///
+    /// # Safety
+    /// `i < len`, and the buffer is alive and unwritten.
+    #[inline]
+    pub unsafe fn get(&self, i: usize) -> T {
+        debug_assert!(i < self.len);
+        *self.ptr.add(i)
+    }
+
+    /// Borrows `[start, start + len)`.
+    ///
+    /// # Safety
+    /// The range is in bounds, and the buffer is alive and unwritten for the
+    /// lifetime of the borrow.
+    #[inline]
+    pub unsafe fn slice(&self, start: usize, len: usize) -> &[T] {
+        debug_assert!(start + len <= self.len);
+        std::slice::from_raw_parts(self.ptr.add(start), len)
+    }
+}
+
 /// Forks one thread per task index in `[lo, hi)` as a **binary tree** (the
 /// paper's pattern: "the Pthreads interface allows only a binary fork, so
 /// these threads are forked as a binary tree"), so thread-creation cost is
@@ -286,6 +339,19 @@ mod tests {
             assert_eq!(s.get(3), 1.75);
         }
         assert_eq!(data[3], 1.75);
+    }
+
+    #[test]
+    fn shared_view_reads_the_buffer_in_place() {
+        let data = [1u32, 2, 3, 4];
+        let v = SharedView::new(&data);
+        // SAFETY: `data` outlives the view and is never written; every
+        // index and range is in bounds.
+        unsafe {
+            assert_eq!(v.get(2), 3);
+            assert_eq!(v.slice(1, 2), &[2, 3]);
+            assert_eq!(v.slice(0, 4).as_ptr(), data.as_ptr());
+        }
     }
 
     #[test]
