@@ -1,6 +1,10 @@
 //! Run configuration: scheduler choice, processor count, thread attributes.
 
+use std::num::NonZeroU64;
+
 use ptdf_smp::CostModel;
+
+use crate::oracle::{Schedule, SharedOracle};
 
 /// Scheduling policy for unbound threads at a given priority level.
 ///
@@ -70,6 +74,25 @@ pub const STACK_1MB: u64 = 1024 * 1024;
 /// The reduced default stack size (one 8 KB page) of §4 item 3.
 pub const STACK_8KB: u64 = 8 * 1024;
 
+/// The allocation ledger's setting ([`Config::ledger`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LedgerMode {
+    /// No ledger: unarmed runs pay nothing per allocation.
+    #[default]
+    Off,
+    /// Per-thread attribution of every `rt_alloc`/`rt_free` (and TLS slot
+    /// bytes), with a leak report on the run's [`crate::Report`]. The
+    /// ledger touches a hash map per allocation.
+    On,
+    /// The ledger, plus a seeded injector that fails roughly one in `n`
+    /// *fallible* allocation requests ([`crate::try_rt_alloc`],
+    /// [`crate::try_spawn`]). The infallible paths ([`crate::rt_alloc`],
+    /// [`crate::spawn`]) never observe injected failures — they have no
+    /// way to degrade gracefully. Driven by a generator seeded from
+    /// [`Config::seed`], so runs replay deterministically.
+    FailOneIn(NonZeroU64),
+}
+
 /// Configuration for a virtual-SMP run.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -89,37 +112,12 @@ pub struct Config {
     pub seed: u64,
     /// Record an execution trace (see [`crate::Trace`]).
     pub trace: bool,
-    /// Schedule-perturbation seed. `Some(seed)` turns on deterministic
-    /// schedule exploration: sync-operation boundaries gain clock jitter
-    /// and may preempt the running thread, multi-thread wakes are
-    /// delivered in shuffled order, same-timestamp processor ties break
-    /// pseudo-randomly, and the work-stealing victim sequence is re-keyed.
-    /// Everything is driven by seeded deterministic generators, so any
-    /// `(policy, seed)` pair replays the exact same perturbed schedule —
-    /// which is what lets the happens-before checker
-    /// ([`crate::check_trace`]) turn a flagged run back into a repro.
-    pub perturb_seed: Option<u64>,
-    /// Chaos-fault seed. `Some(seed)` arms seeded fault injection on top of
-    /// (and independent of) perturbation: lock-holder preemption storms at
-    /// sync boundaries, delayed wake delivery, and spurious condvar wakeups
-    /// (POSIX-sanctioned; `wait` may return without a notify, which is why
-    /// `wait_while` re-checks its predicate). All draws come from a
-    /// deterministic generator, so a `(policy, perturb seed, chaos seed)`
-    /// triple replays the exact same faulted schedule.
-    pub chaos_seed: Option<u64>,
-    /// Arms the allocation ledger: per-thread attribution of every
-    /// `rt_alloc`/`rt_free` (and TLS slot bytes), with a leak report on the
-    /// run's [`crate::Report`]. Off by default — the ledger touches a hash
-    /// map per allocation, which unarmed runs should not pay for.
-    pub ledger: bool,
-    /// Injects allocation failures at a seeded rate: `Some(n)` makes
-    /// roughly one in `n` *fallible* allocation requests
-    /// ([`crate::try_rt_alloc`], [`crate::try_spawn`]) fail. The infallible
-    /// paths ([`crate::rt_alloc`], [`crate::spawn`]) never observe injected
-    /// failures — they have no way to degrade gracefully. Implies
-    /// [`Config::ledger`]. Driven by a generator seeded from
-    /// [`Config::seed`], so runs replay deterministically.
-    pub alloc_fail_rate: Option<u64>,
+    /// Where the scheduling decisions come from: the natural choice, a
+    /// seeded perturbation (optionally with chaos faults), or a scripted
+    /// oracle. See [`Schedule`].
+    pub schedule: Schedule,
+    /// The allocation ledger and its failure injector. See [`LedgerMode`].
+    pub ledger: LedgerMode,
     /// Arms the runtime space-bound enforcer with an absolute byte limit,
     /// typically `S1 + c·p·D` (S1 from [`crate::run_serial`], D from the
     /// DAG crosscheck). Every footprint growth above the limit is counted
@@ -135,15 +133,6 @@ pub struct Config {
     /// by default; when off every hook costs one `Option` discriminant test
     /// (or one boolean), leaving the dispatch hot path unchanged.
     pub host_profile: bool,
-    /// Scripted schedule oracle for systematic exploration. When set, the
-    /// engine routes every scheduling decision point (dispatch/unpark
-    /// tie-breaks, wake-batch order, queue grants, timeout firing order)
-    /// through the oracle instead of the natural/perturbed resolution, and
-    /// logs each decision. Used by [`fn@crate::explore`]; combine with
-    /// [`Config::trace`] to get the decision log on the run's trace. The
-    /// oracle supersedes [`Config::perturb_seed`] at the decision points it
-    /// owns, so explorer configs should leave perturbation off.
-    pub oracle: Option<crate::oracle::SharedOracle>,
 }
 
 impl Config {
@@ -158,13 +147,10 @@ impl Config {
             default_stack: STACK_8KB,
             seed: 0x5EED,
             trace: false,
-            perturb_seed: None,
-            chaos_seed: None,
-            ledger: false,
-            alloc_fail_rate: None,
+            schedule: Schedule::Natural,
+            ledger: LedgerMode::Off,
             space_bound: None,
             host_profile: false,
-            oracle: None,
         }
     }
 
@@ -200,32 +186,42 @@ impl Config {
         self
     }
 
-    /// Enables seeded schedule perturbation (builder style). See
-    /// [`Config::perturb_seed`].
+    /// Perturbs the schedule from `seed` (builder style), keeping any chaos
+    /// seed. See [`Schedule::Perturbed`].
     pub fn with_perturbation(mut self, seed: u64) -> Self {
-        self.perturb_seed = Some(seed);
+        let chaos = self.schedule.chaos_seed();
+        self.schedule = Schedule::Perturbed { seed, chaos };
         self
     }
 
-    /// Arms seeded chaos-fault injection (builder style). See
-    /// [`Config::chaos_seed`].
+    /// Arms seeded chaos-fault injection on a perturbed schedule (builder
+    /// style). See [`Schedule::Perturbed`].
+    ///
+    /// # Panics
+    /// If the schedule is not perturbed: chaos faults ride on
+    /// [`Config::with_perturbation`], which must come first.
     pub fn with_chaos(mut self, seed: u64) -> Self {
-        self.chaos_seed = Some(seed);
+        match &mut self.schedule {
+            Schedule::Perturbed { chaos, .. } => *chaos = Some(seed),
+            _ => panic!("with_chaos needs a perturbed schedule: call with_perturbation first"),
+        }
         self
     }
 
-    /// Arms the allocation ledger (builder style). See [`Config::ledger`].
+    /// Arms the allocation ledger (builder style), keeping an armed failure
+    /// injector. See [`LedgerMode::On`].
     pub fn with_ledger(mut self) -> Self {
-        self.ledger = true;
+        if let LedgerMode::Off = self.ledger {
+            self.ledger = LedgerMode::On;
+        }
         self
     }
 
     /// Injects roughly one allocation failure per `rate` fallible requests
-    /// (builder style); implies the ledger. See [`Config::alloc_fail_rate`].
+    /// (builder style); implies the ledger. See [`LedgerMode::FailOneIn`].
     pub fn with_alloc_failures(mut self, rate: u64) -> Self {
-        assert!(rate > 0, "failure rate must be positive");
-        self.alloc_fail_rate = Some(rate);
-        self.ledger = true;
+        let rate = NonZeroU64::new(rate).expect("failure rate must be positive");
+        self.ledger = LedgerMode::FailOneIn(rate);
         self
     }
 
@@ -261,10 +257,10 @@ impl Config {
         self
     }
 
-    /// Installs a scripted schedule oracle (builder style). See
-    /// [`Config::oracle`].
-    pub fn with_oracle(mut self, oracle: crate::oracle::SharedOracle) -> Self {
-        self.oracle = Some(oracle);
+    /// Scripts the schedule with an oracle (builder style), replacing any
+    /// perturbation. See [`Schedule::Scripted`].
+    pub fn with_oracle(mut self, oracle: SharedOracle) -> Self {
+        self.schedule = Schedule::Scripted(oracle);
         self
     }
 }
@@ -335,4 +331,32 @@ mod tests {
     fn space_bound_terms_that_overflow_panic_instead_of_wrapping() {
         let _ = Config::new(4, SchedKind::Df).with_space_bound_terms(1, 4, 1 << 60);
     }
+
+    #[test]
+    #[should_panic(expected = "with_chaos needs a perturbed schedule: call with_perturbation first")]
+    fn chaos_without_perturbation_panics() {
+        let _ = Config::new(2, SchedKind::Df).with_chaos(3);
+    }
+
+    #[test]
+    fn schedule_and_ledger_builders() {
+        let c = Config::new(2, SchedKind::Df);
+        assert!(matches!(c.schedule, Schedule::Natural));
+        assert_eq!(c.ledger, LedgerMode::Off);
+        let c = c.with_perturbation(5).with_chaos(6).with_perturbation(7);
+        assert_eq!(c.schedule.perturb_seed(), Some(7));
+        assert_eq!(c.schedule.chaos_seed(), Some(6));
+        // An oracle replaces the perturbation: it is the only source.
+        let oracle = crate::ScheduleOracle::scripted(vec![1]).shared();
+        let c = c.with_oracle(oracle);
+        assert!(matches!(c.schedule, Schedule::Scripted(_)));
+        assert_eq!((c.schedule.perturb_seed(), c.schedule.chaos_seed()), (None, None));
+
+        let rate = NonZeroU64::new(4).unwrap();
+        let c = Config::new(2, SchedKind::Df).with_alloc_failures(4).with_ledger();
+        assert_eq!(c.ledger, LedgerMode::FailOneIn(rate));
+        let c = Config::new(2, SchedKind::Df).with_ledger();
+        assert_eq!(c.ledger, LedgerMode::On);
+    }
 }
+

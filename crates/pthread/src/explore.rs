@@ -226,18 +226,13 @@ fn touches_of(trace: &Trace) -> Vec<(VirtTime, u32, u32)> {
         .collect()
 }
 
-/// Executes one schedule from `prefix` under a scripted oracle: trace on,
-/// perturbation and chaos disarmed (the oracle owns every decision point).
+/// Executes one schedule from `prefix` under a scripted oracle, trace on.
 fn execute<W>(base: &Config, prefix: &[u32], workload: W) -> RunResult
 where
     W: Fn() + 'static,
 {
     let oracle = ScheduleOracle::scripted(prefix.to_vec()).shared();
-    let mut cfg = base.clone();
-    cfg.oracle = Some(oracle.clone());
-    cfg.trace = true;
-    cfg.perturb_seed = None;
-    cfg.chaos_seed = None;
+    let cfg = base.clone().with_oracle(oracle.clone()).with_trace();
     let res = catch_unwind(AssertUnwindSafe(move || try_run(cfg, workload)));
     // The oracle outlives the run either way: harvest the decision log.
     let log: Vec<DecisionRecord> = oracle.borrow().log().to_vec();
@@ -436,9 +431,8 @@ where
 /// invariants as `assert!`s inside the workload — an assertion failure
 /// surfaces as a `"panic"` violation with the minimal reproducing prefix.
 ///
-/// `config.trace` is forced on; `config.perturb_seed` and
-/// `config.chaos_seed` are cleared (the oracle owns every decision point;
-/// seeded jitter would only blur replay).
+/// `config.trace` is forced on, and `config.schedule` is replaced by the
+/// explorer's scripted one.
 pub fn explore<W>(config: Config, opts: ExploreOpts, workload: W) -> ExploreReport
 where
     W: Fn() + Clone + 'static,

@@ -14,11 +14,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use ptdf_fiber::{Coroutine, ForcedUnwind, Stack, StackPool, Step};
-use ptdf_smp::{Machine, Prng, ProcId, VirtTime};
+use ptdf_smp::{Machine, ProcId, VirtTime};
 
-use crate::config::{Attr, Config, SchedKind};
+use crate::config::{Attr, Config, LedgerMode, SchedKind};
 use crate::mem::Ledger;
-use crate::oracle::{Decision, DecisionKind, SharedOracle};
+use crate::oracle::{DecisionKind, Resolver};
 use crate::report::Report;
 use crate::sched::{make_policy, Policy, Pop};
 use crate::sentinel::{DeadlockError, DeadlockInfo, RunError, StallInfo, StalledThread};
@@ -77,11 +77,9 @@ pub(crate) struct Inner {
     /// are the only writers, so refreshing at those two points keeps every
     /// timeslice check bit-identical to a full scan.
     pub ts_min_other: Option<VirtTime>,
-    /// Engine-level schedule perturbation stream, when enabled
-    /// ([`Config::perturb_seed`]): same-timestamp tie-breaks, wake-order
-    /// shuffles, and injected preemptions all draw from this generator, so
-    /// one seed fixes the whole explored schedule.
-    pub perturb: Option<Prng>,
+    /// The decision source built from [`Config::schedule`]: every
+    /// decision point, sync-boundary preemption and chaos fault asks it.
+    pub schedule: Resolver,
     /// Recycles real (host) fiber stacks across spawns; see
     /// `ptdf_fiber::StackPool`. Completed fibers return their stack here and
     /// the next spawn reuses it, canary re-armed.
@@ -111,19 +109,6 @@ pub(crate) struct Inner {
     /// already visited.
     probe_path: Vec<(ThreadId, Option<u32>)>,
     probe_seen: Vec<ThreadId>,
-    /// Chaos fault-injection stream, when armed ([`Config::with_chaos`]):
-    /// lock-holder preemption storms, delayed wake delivery and spurious
-    /// condvar wakeups all draw from this generator.
-    pub chaos: Option<Prng>,
-    /// Scripted schedule oracle ([`Config::oracle`]): when present it owns
-    /// every scheduling decision point and logs each decision taken.
-    pub oracle: Option<SharedOracle>,
-    /// Decision log of a perturbed *traced* run without an oracle: the
-    /// perturbation PRNG's tie-break/shuffle outcomes re-expressed as
-    /// [`Decision`]s, harvested onto the trace at run end so `ptdf-trace
-    /// diff` can report decision divergence. Stays empty (and costs one
-    /// discriminant test per decision point) in unperturbed runs.
-    pub decisions: Vec<Decision>,
     /// What the rounds of this run did about deadlines, for the unit tests.
     #[cfg(test)]
     round_stats: RoundStats,
@@ -193,7 +178,7 @@ impl Inner {
         if config.trace {
             machine.enable_recording(TRACE_ALLOC_THRESHOLD);
         }
-        if let Some(seed) = config.perturb_seed {
+        if let Some(seed) = config.schedule.perturb_seed() {
             machine.enable_perturbation(seed);
         }
         if let Some(limit) = config.space_bound {
@@ -223,21 +208,18 @@ impl Inner {
                         SchedKind::Df | SchedKind::DfLocal | SchedKind::DfDeques
                     )
                     .then_some(config.quota),
-                    perturb_seed: config.perturb_seed,
-                    chaos_seed: config.chaos_seed,
+                    perturb_seed: config.schedule.perturb_seed(),
+                    chaos_seed: config.schedule.chaos_seed(),
                 })
             }),
-            // Distinct stream from the machine-level jitter generator: the
-            // engine draws at different points than the cost model, and
-            // xoring a constant keeps the two sequences uncorrelated.
-            perturb: config
-                .perturb_seed
-                .map(|s| Prng::new(s ^ 0x0051_CED0_5EED_F00D)),
+            schedule: Resolver::new(&config.schedule, config.trace),
             ts_min_other: None,
             stack_pool: StackPool::new(ptdf_fiber::DEFAULT_POOL_CAP),
-            ledger: config
-                .ledger
-                .then(|| Ledger::new(config.alloc_fail_rate.map(|r| (config.seed, r)))),
+            ledger: match config.ledger {
+                LedgerMode::Off => None,
+                LedgerMode::On => Some(Ledger::new(None)),
+                LedgerMode::FailOneIn(n) => Some(Ledger::new(Some((config.seed, n.get())))),
+            },
             tls_cleaners: Vec::new(),
             run_token: RUN_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             next_sync_id: 0,
@@ -246,13 +228,6 @@ impl Inner {
             due: Vec::new(),
             probe_path: Vec::new(),
             probe_seen: Vec::new(),
-            // Distinct stream from both perturbation generators, for the
-            // same decorrelation reason.
-            chaos: config
-                .chaos_seed
-                .map(|s| Prng::new(s ^ 0xC4A0_5F00_D5EE_D001)),
-            oracle: config.oracle.clone(),
-            decisions: Vec::new(),
             #[cfg(test)]
             round_stats: RoundStats::default(),
         }
@@ -364,15 +339,6 @@ impl Inner {
             .is_some_and(|t| t.state == TState::Running(p))
     }
 
-    /// Whether resolved decision points should be pushed onto
-    /// [`Inner::decisions`]: only in perturbed traced runs (the oracle logs
-    /// for itself, and natural runs have exactly one schedule — recording
-    /// it would cost trace bytes on the hot path for zero information).
-    #[inline]
-    fn record_decisions(&self) -> bool {
-        self.trace.is_some() && self.perturb.is_some()
-    }
-
     /// Virtual time to stamp on an object-scoped decision: the deciding
     /// thread's processor clock.
     fn decision_clock(&self) -> VirtTime {
@@ -384,128 +350,47 @@ impl Inner {
 
     /// Resolves a processor tie-break decision point: several processors
     /// tied with `best` at its clock value (and admitted by `eligible`).
-    /// The plain engine keeps `best` (lowest index); perturbation re-picks
-    /// uniformly among the ties; a scripted oracle picks by decision index.
-    /// Single-candidate points return immediately and are never decisions.
+    /// A natural schedule keeps `best` (lowest index) without gathering
+    /// the ties. Single-candidate points are never decisions.
     fn tie_break(
         &mut self,
         best: ProcId,
         kind: DecisionKind,
         eligible: impl Fn(&Inner, ProcId) -> bool,
     ) -> ProcId {
-        if self.perturb.is_none() && self.oracle.is_none() {
+        if self.schedule.is_natural() {
             return best;
         }
         let t = self.machine.clock(best);
-        let ties: Vec<ProcId> = (0..self.parked.len())
+        let ties: Vec<u32> = (0..self.parked.len())
             .filter(|&q| eligible(self, q) && self.machine.clock(q) == t)
+            .map(|q| q as u32)
             .collect();
         if ties.len() <= 1 {
             return best;
         }
-        if let Some(oracle) = self.oracle.clone() {
-            // `ties` is sorted ascending, so index 0 is `best`: the natural
-            // choice and the scripted default coincide.
-            debug_assert_eq!(ties[0], best);
-            let cands: Vec<u32> = ties.iter().map(|&q| q as u32).collect();
-            let i = oracle
-                .borrow_mut()
-                .choose(kind, t, ties.len(), None, &cands);
-            return ties[i];
-        }
-        let prng = self.perturb.as_mut().expect("no oracle implies perturb");
-        let i = prng.below(ties.len() as u64) as usize;
-        if self.record_decisions() {
-            self.decisions.push(Decision {
-                kind,
-                at: t,
-                n: ties.len() as u32,
-                chosen: i as u32,
-                obj: None,
-            });
-        }
-        ties[i]
+        // `ties` is ascending, so index 0 is `best`: the natural choice.
+        debug_assert_eq!(ties[0], best as u32);
+        ties[self.schedule.pick(kind, t, ties.len(), None, &ties)] as ProcId
     }
 
     /// Resolves the delivery order of a multi-thread wake batch (barrier
     /// release, `notify_all`, rwlock reader admission): a genuine schedule
-    /// degree of freedom. Perturbation shuffles; a scripted oracle orders
-    /// the batch by successive selection decisions (pick among `n`, then
-    /// among `n-1`, …) so each position is one replayable decision.
+    /// degree of freedom.
     pub fn wake_order<T: Copy + PartialEq>(&mut self, obj: u32, batch: &mut [T]) {
-        if batch.len() <= 1 {
-            return;
-        }
-        if let Some(oracle) = self.oracle.clone() {
-            let at = self.decision_clock();
-            let mut oracle = oracle.borrow_mut();
-            for i in 0..batch.len() - 1 {
-                let n = batch.len() - i;
-                if n < 2 {
-                    break;
-                }
-                let c = oracle.choose(DecisionKind::WakeOrder, at, n, Some(obj), &[]);
-                batch.swap(i, i + c);
-            }
-            return;
-        }
-        if self.perturb.is_none() {
-            return;
-        }
-        let before: Vec<T> = if self.record_decisions() {
-            batch.to_vec()
-        } else {
-            Vec::new()
-        };
-        self.perturb.as_mut().expect("checked").shuffle(batch);
-        if !before.is_empty() {
-            // Re-express the shuffle as the selection decisions the oracle
-            // would have taken, so perturbed and scripted runs produce
-            // comparable decision streams.
-            let at = self.decision_clock();
-            let mut rest = before;
-            for &placed in batch.iter() {
-                let n = rest.len();
-                if n < 2 {
-                    break;
-                }
-                let c = rest.iter().position(|&t| t == placed).unwrap_or(0);
-                self.decisions.push(Decision {
-                    kind: DecisionKind::WakeOrder,
-                    at,
-                    n: n as u32,
-                    chosen: c as u32,
-                    obj: Some(obj),
-                });
-                rest.remove(c);
-            }
-        }
+        let at = self.decision_clock();
+        self.schedule.order(DecisionKind::WakeOrder, Some(obj), batch, |_| at);
     }
 
     /// Resolves a queue-grant decision point: which of `n ≥ 1` eligible
-    /// waiters of sync object `obj` receives the grant. The natural engine
-    /// grants FIFO (index 0); a scripted oracle may pick any index. This is
-    /// a decision only when `n ≥ 2`.
+    /// waiters of sync object `obj` receives the grant (FIFO, index 0,
+    /// unless scripted). This is a decision only when `n ≥ 2`.
     pub fn grant_pick(&mut self, obj: u32, n: usize) -> usize {
-        if n <= 1 {
+        if n <= 1 || self.schedule.is_natural() {
             return 0;
         }
         let at = self.decision_clock();
-        if let Some(oracle) = self.oracle.clone() {
-            return oracle
-                .borrow_mut()
-                .choose(DecisionKind::Grant, at, n, Some(obj), &[]);
-        }
-        if self.record_decisions() {
-            self.decisions.push(Decision {
-                kind: DecisionKind::Grant,
-                at,
-                n: n as u32,
-                chosen: 0,
-                obj: Some(obj),
-            });
-        }
-        0
+        self.schedule.pick(DecisionKind::Grant, at, n, Some(obj), &[])
     }
 
     /// Allocates a per-run sync-object id (dense, engine-order stable).
@@ -641,7 +526,7 @@ impl Inner {
         // 2 µs later than the primitive issued it, exactly like an IPI that
         // sat in a pending-interrupt register. Still causally sound (never
         // earlier than the suspension).
-        if let Some(chaos) = self.chaos.as_mut() {
+        if let Some(chaos) = self.schedule.chaos() {
             now = VirtTime::from_ns(now.as_ns() + chaos.below(2_001));
         }
         let (prio, affinity) = (tcb.attr.priority, tcb.last_proc);
@@ -815,40 +700,19 @@ impl Inner {
                 .wait
                 .is_some_and(|w| w.reason == BlockReason::Barrier);
             let timed = tcb.deadline.is_some();
-            let defer = barrier || (timed && self.choose_cancel_delivery(target));
+            // A deadline-bounded wait may also resolve on its own, so when
+            // to deliver is a decision: index 1 defers to that resolution.
+            let defer = barrier || (timed && {
+                let at = self.decision_clock();
+                let kind = DecisionKind::CancelDelivery;
+                self.schedule.pick(kind, at, 2, Some(target.0), &[]) == 1
+            });
             if !defer {
                 let p = self.cur.map(|(_, p)| p).unwrap_or(0);
                 self.evict_wake(target, p, Evicted::Cancel);
             }
         }
         true
-    }
-
-    /// Resolves the [`DecisionKind::CancelDelivery`] decision point for a
-    /// cancel against `target`'s deadline-bounded wait: `false` = deliver
-    /// now (natural), `true` = defer to the wait's own resolution.
-    fn choose_cancel_delivery(&mut self, target: ThreadId) -> bool {
-        let at = self.decision_clock();
-        if let Some(oracle) = self.oracle.clone() {
-            return oracle
-                .borrow_mut()
-                .choose(DecisionKind::CancelDelivery, at, 2, Some(target.0), &[])
-                == 1;
-        }
-        let Some(prng) = self.perturb.as_mut() else {
-            return false;
-        };
-        let defer = prng.chance(1, 2);
-        if self.record_decisions() {
-            self.decisions.push(Decision {
-                kind: DecisionKind::CancelDelivery,
-                at,
-                n: 2,
-                chosen: defer as u32,
-                obj: Some(target.0),
-            });
-        }
-        defer
     }
 
     /// Whether `t` is currently blocked *on sync object `obj`*: what every
@@ -1206,17 +1070,7 @@ impl Inner {
             }
         }
         self.machine.tighten_deadline_bound();
-        if due.len() >= 2 {
-            if let Some(oracle) = self.oracle.clone() {
-                let mut oracle = oracle.borrow_mut();
-                for i in 0..due.len() - 1 {
-                    let n = due.len() - i;
-                    let c =
-                        oracle.choose(DecisionKind::TimeoutOrder, due[i].2, n, None, &[]);
-                    due.swap(i, i + c);
-                }
-            }
-        }
+        self.schedule.order(DecisionKind::TimeoutOrder, None, &mut due, |d| d.2);
         let mut fired = false;
         for (t, q, at) in due.drain(..) {
             if !self.deadline_live(t, at) {
@@ -1339,13 +1193,8 @@ pub fn try_run<T: 'static>(
         if let Some(rec) = inner.machine.take_recording() {
             tr.absorb_machine(rec);
         }
-        // Attach the schedule decision log (engine order, never sorted):
-        // from the oracle when one drove the run, else whatever the
-        // perturbed engine recorded. Natural runs attach nothing.
-        tr.decisions = match inner.oracle.as_ref() {
-            Some(oracle) => oracle.borrow().decisions(),
-            None => std::mem::take(&mut inner.decisions),
-        };
+        // Attach the schedule decision log (engine order, never sorted).
+        tr.decisions = inner.schedule.take_log();
     }
     let mut stats = {
         let machine = std::mem::replace(
@@ -1517,55 +1366,30 @@ pub(crate) fn maybe_timeslice(rc: &Rc<RefCell<Inner>>) {
     }
 }
 
-/// Under perturbation, probabilistically preempts the current thread at a
-/// sync-operation boundary — exactly the points where a real SMP's
-/// involuntary preemption exposes sync-protocol windows. Reuses
+/// Under a perturbed schedule, probabilistically preempts the current
+/// thread at a sync-operation boundary — exactly the points where a real
+/// SMP's involuntary preemption exposes sync-protocol windows, and where
+/// threads hold locks. The perturbation yield is drawn first, the chaos
+/// yield once any suspend it caused has resumed. Each reuses
 /// [`maybe_timeslice`]'s Running-state guard: a thread that has already
 /// registered itself on a wait queue must not also be requeued as ready.
-pub(crate) fn maybe_perturb_yield(rc: &Rc<RefCell<Inner>>) {
-    let should = {
-        let mut inner = rc.borrow_mut();
-        // Generator first: every sync-operation boundary of every run comes
-        // through here, and almost none has it armed.
-        if inner.perturb.is_none() {
-            return;
-        }
-        let Some((tid, p)) = inner.cur else {
-            return;
+pub(crate) fn maybe_preempt(rc: &Rc<RefCell<Inner>>) {
+    for chaos in [false, true] {
+        let should = {
+            let mut inner = rc.borrow_mut();
+            // Schedule first: every sync-operation boundary of every run
+            // comes through here, and almost none preempts.
+            if !inner.schedule.preempts(chaos) {
+                return;
+            }
+            let Some((tid, p)) = inner.cur else {
+                return;
+            };
+            inner.running_on(tid, p) && inner.schedule.preempt(chaos)
         };
-        if !inner.running_on(tid, p) {
-            return;
+        if should {
+            suspend_current(rc, YieldReason::Yielded);
         }
-        // 1-in-8 keeps runs fast while still visiting each boundary with
-        // high probability across a modest seed budget.
-        inner.perturb.as_mut().expect("checked").chance(1, 8)
-    };
-    if should {
-        suspend_current(rc, YieldReason::Yielded);
-    }
-}
-
-/// Under chaos ([`Config::with_chaos`]), preempts the current thread at a
-/// sync-operation boundary with probability 1/4 — a lock-holder preemption
-/// storm, since sync operations are exactly where threads hold locks. Reuses
-/// the same Running-state guard as [`maybe_perturb_yield`]: a thread already
-/// registered on a wait queue must not also be requeued as ready.
-pub(crate) fn maybe_chaos_yield(rc: &Rc<RefCell<Inner>>) {
-    let should = {
-        let mut inner = rc.borrow_mut();
-        if inner.chaos.is_none() {
-            return;
-        }
-        let Some((tid, p)) = inner.cur else {
-            return;
-        };
-        if !inner.running_on(tid, p) {
-            return;
-        }
-        inner.chaos.as_mut().expect("checked").chance(1, 4)
-    };
-    if should {
-        suspend_current(rc, YieldReason::Yielded);
     }
 }
 
@@ -2119,6 +1943,7 @@ pub(crate) fn join_timeout_impl<T>(
 mod tests {
     use super::*;
     use crate::{spawn, yield_now};
+    use ptdf_smp::Prng;
 
     /// The running engine's round statistics so far (call from a thread of
     /// the run).

@@ -151,7 +151,7 @@ pub(crate) fn make_policy(config: &Config) -> Box<dyn Policy> {
             // Schedule perturbation re-keys the victim sequence: steal
             // targeting is the Ws policy's own schedule degree of freedom,
             // so each perturbation seed explores a different one.
-            let seed = match config.perturb_seed {
+            let seed = match config.schedule.perturb_seed() {
                 Some(ps) => config.seed ^ ps.rotate_left(17) ^ 0x9E37_79B9_7F4A_7C15,
                 None => config.seed,
             };

@@ -46,11 +46,7 @@ pub(crate) fn charge_sync_op() {
             inner.machine.sync_op(p, c);
         }
         crate::runtime::maybe_timeslice(&rc);
-        // Sync-operation boundaries are where involuntary preemption
-        // exposes protocol windows (perturbation) and where threads hold
-        // locks (chaos: the lock-holder preemption storm).
-        crate::runtime::maybe_perturb_yield(&rc);
-        crate::runtime::maybe_chaos_yield(&rc);
+        crate::runtime::maybe_preempt(&rc);
     }
 }
 
@@ -276,7 +272,7 @@ impl Condvar {
             // `wait_while` idiom tolerates it). Confined to condvars: every
             // other primitive's resume protocol asserts a real handoff.
             let deadline = timeout.or_else(|| {
-                let chaos = inner.chaos.as_mut()?;
+                let chaos = inner.schedule.chaos()?;
                 chaos
                     .chance(1, 8)
                     .then(|| VirtTime::from_ns(500 + chaos.below(1_500)))

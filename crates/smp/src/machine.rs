@@ -337,11 +337,6 @@ impl Machine {
         self.perturb = Some(Prng::new(seed ^ 0xA5A5_0000_5A5A_FFFF));
     }
 
-    /// Whether perturbation mode is on.
-    pub fn perturbed(&self) -> bool {
-        self.perturb.is_some()
-    }
-
     /// Starts flight recording: memory-system events (allocs/frees of at
     /// least `alloc_event_threshold` bytes, stack reserve/release) and
     /// counter samples at every footprint / live-thread / lock-wait change.
