@@ -75,10 +75,9 @@ pub const STACK_1MB: u64 = 1024 * 1024;
 pub const STACK_8KB: u64 = 8 * 1024;
 
 /// The allocation ledger's setting ([`Config::ledger`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LedgerMode {
     /// No ledger: unarmed runs pay nothing per allocation.
-    #[default]
     Off,
     /// Per-thread attribution of every `rt_alloc`/`rt_free` (and TLS slot
     /// bytes), with a leak report on the run's [`crate::Report`]. The
@@ -333,7 +332,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "with_chaos needs a perturbed schedule: call with_perturbation first")]
+    #[should_panic(
+        expected = "with_chaos needs a perturbed schedule: call with_perturbation first"
+    )]
     fn chaos_without_perturbation_panics() {
         let _ = Config::new(2, SchedKind::Df).with_chaos(3);
     }
@@ -350,13 +351,17 @@ mod tests {
         let oracle = crate::ScheduleOracle::scripted(vec![1]).shared();
         let c = c.with_oracle(oracle);
         assert!(matches!(c.schedule, Schedule::Scripted(_)));
-        assert_eq!((c.schedule.perturb_seed(), c.schedule.chaos_seed()), (None, None));
+        assert_eq!(
+            (c.schedule.perturb_seed(), c.schedule.chaos_seed()),
+            (None, None)
+        );
 
         let rate = NonZeroU64::new(4).unwrap();
-        let c = Config::new(2, SchedKind::Df).with_alloc_failures(4).with_ledger();
+        let c = Config::new(2, SchedKind::Df)
+            .with_alloc_failures(4)
+            .with_ledger();
         assert_eq!(c.ledger, LedgerMode::FailOneIn(rate));
         let c = Config::new(2, SchedKind::Df).with_ledger();
         assert_eq!(c.ledger, LedgerMode::On);
     }
 }
-

@@ -119,7 +119,8 @@ pub struct DecisionRecord {
 /// installed on a [`crate::Config`]; consumed by one run. Every decision
 /// taken — scripted or defaulted — is appended to the log, so after the
 /// run the full decision vector of the executed schedule can be read
-/// back with [`ScheduleOracle::taken`].
+/// back with [`ScheduleOracle::taken`]. A traced perturbed run keeps its
+/// log in one without a script, which logs the perturbation's draws.
 #[derive(Debug, Default)]
 pub struct ScheduleOracle {
     script: Vec<u32>,
@@ -147,9 +148,9 @@ impl ScheduleOracle {
         Rc::new(RefCell::new(self))
     }
 
-    /// Resolves one decision among `n ≥ 2` candidates and logs it: the
-    /// value a perturbed run `drawn` for it, else the script's next value,
-    /// else the natural 0.
+    /// Resolves one decision among `n ≥ 2` candidates and logs it:
+    /// `drawn` when a perturbed run drew the value itself, else the
+    /// script's next value, else the natural 0.
     ///
     /// Scripted values are clamped to `n - 1`: a prefix recorded on one
     /// schedule may meet a narrower candidate set when an earlier flip
@@ -210,12 +211,11 @@ impl ScheduleOracle {
 
 /// Where a run's scheduling decisions come from: the one schedule knob of
 /// a [`crate::Config`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub enum Schedule {
     /// Every decision point takes its natural choice (front of the queue,
     /// lowest processor index) and nothing is logged: one schedule per
     /// `(config, workload)`.
-    #[default]
     Natural,
     /// Seeded schedule exploration ([`crate::Config::with_perturbation`]):
     /// sync-operation boundaries gain clock jitter and may preempt the
@@ -401,7 +401,9 @@ impl Resolver {
 
     /// The decisions taken, in engine order. Empty for a natural run.
     pub(crate) fn take_log(&mut self) -> Vec<Decision> {
-        self.oracle.as_ref().map_or_else(Vec::new, |o| o.borrow().decisions())
+        self.oracle
+            .as_ref()
+            .map_or_else(Vec::new, |o| o.borrow().decisions())
     }
 }
 
@@ -415,9 +417,15 @@ mod tests {
         let t = VirtTime::from_ns(5);
         assert_eq!(o.choose(DecisionKind::Grant, t, 3, Some(7), &[], None), 1);
         // Scripted value clamped into range.
-        assert_eq!(o.choose(DecisionKind::DispatchTie, t, 2, None, &[0, 1], None), 1);
+        assert_eq!(
+            o.choose(DecisionKind::DispatchTie, t, 2, None, &[0, 1], None),
+            1
+        );
         // Beyond the prefix: natural choice.
-        assert_eq!(o.choose(DecisionKind::WakeOrder, t, 4, Some(7), &[], None), 0);
+        assert_eq!(
+            o.choose(DecisionKind::WakeOrder, t, 4, Some(7), &[], None),
+            0
+        );
         assert_eq!(o.taken(), vec![1, 1, 0]);
         assert_eq!(o.log().len(), 3);
         assert_eq!(o.decisions()[0].n, 3);
@@ -508,7 +516,13 @@ mod tests {
 
     #[test]
     fn only_a_script_reorders_timeouts() {
-        for schedule in [Schedule::Natural, Schedule::Perturbed { seed: 1, chaos: None }] {
+        for schedule in [
+            Schedule::Natural,
+            Schedule::Perturbed {
+                seed: 1,
+                chaos: None,
+            },
+        ] {
             let mut r = Resolver::new(&schedule, true);
             assert_eq!(due_order(&mut r), vec![10, 11, 12, 13]);
             assert!(r.take_log().is_empty());
@@ -524,14 +538,20 @@ mod tests {
 
     #[test]
     fn only_a_traced_perturbed_resolver_logs_and_only_chaos_arms_faults() {
-        let plain = Schedule::Perturbed { seed: 3, chaos: None };
+        let plain = Schedule::Perturbed {
+            seed: 3,
+            chaos: None,
+        };
         let mut untraced = Resolver::new(&plain, false);
         drive(&mut untraced);
         assert!(untraced.take_log().is_empty());
         assert!(untraced.preempts(false) && !untraced.preempts(true));
         assert!(untraced.chaos().is_none());
 
-        let faulted = Schedule::Perturbed { seed: 3, chaos: Some(4) };
+        let faulted = Schedule::Perturbed {
+            seed: 3,
+            chaos: Some(4),
+        };
         let mut r = Resolver::new(&faulted, false);
         assert!(r.preempts(false) && r.preempts(true));
         assert!(r.chaos().is_some());

@@ -379,7 +379,8 @@ impl Inner {
     /// degree of freedom.
     pub fn wake_order<T: Copy + PartialEq>(&mut self, obj: u32, batch: &mut [T]) {
         let at = self.decision_clock();
-        self.schedule.order(DecisionKind::WakeOrder, Some(obj), batch, |_| at);
+        self.schedule
+            .order(DecisionKind::WakeOrder, Some(obj), batch, |_| at);
     }
 
     /// Resolves a queue-grant decision point: which of `n ≥ 1` eligible
@@ -390,7 +391,8 @@ impl Inner {
             return 0;
         }
         let at = self.decision_clock();
-        self.schedule.pick(DecisionKind::Grant, at, n, Some(obj), &[])
+        self.schedule
+            .pick(DecisionKind::Grant, at, n, Some(obj), &[])
     }
 
     /// Allocates a per-run sync-object id (dense, engine-order stable).
@@ -702,11 +704,13 @@ impl Inner {
             let timed = tcb.deadline.is_some();
             // A deadline-bounded wait may also resolve on its own, so when
             // to deliver is a decision: index 1 defers to that resolution.
-            let defer = barrier || (timed && {
+            let defer = if barrier || !timed {
+                barrier
+            } else {
                 let at = self.decision_clock();
                 let kind = DecisionKind::CancelDelivery;
                 self.schedule.pick(kind, at, 2, Some(target.0), &[]) == 1
-            });
+            };
             if !defer {
                 let p = self.cur.map(|(_, p)| p).unwrap_or(0);
                 self.evict_wake(target, p, Evicted::Cancel);
@@ -1070,7 +1074,8 @@ impl Inner {
             }
         }
         self.machine.tighten_deadline_bound();
-        self.schedule.order(DecisionKind::TimeoutOrder, None, &mut due, |d| d.2);
+        self.schedule
+            .order(DecisionKind::TimeoutOrder, None, &mut due, |d| d.2);
         let mut fired = false;
         for (t, q, at) in due.drain(..) {
             if !self.deadline_live(t, at) {
