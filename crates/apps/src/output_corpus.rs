@@ -7,47 +7,33 @@
 //! standalone and under DF at p = 4. A row is regenerated only by a change
 //! that means to move that app's numbers and says so.
 
+use std::hash::Hasher;
+
+use ptdf::trace::Fnv1a;
 use ptdf::{Config, SchedKind};
 
 use crate::{barnes_hut, dtree, fft, fmm, matmul, spmv, volren};
 
-/// FNV-1a-64 over little-endian words.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    pub(crate) fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
+/// Feeds `w` to `h` as its little-endian bytes, so a hash is the same on
+/// every host (`Hasher::write_u64` is native-endian).
+pub(crate) fn word(h: &mut Fnv1a, w: u64) {
+    h.write(&w.to_le_bytes());
 }
 
 fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     for w in words {
-        h.word(w);
+        word(&mut h, w);
     }
     h.finish()
 }
 
-fn hash_node(node: &dtree::Node, h: &mut Fnv) {
+fn hash_node(node: &dtree::Node, h: &mut Fnv1a) {
     match node {
         dtree::Node::Leaf { label, count } => {
-            h.word(0);
-            h.word(*label as u64);
-            h.word(*count as u64);
+            word(h, 0);
+            word(h, *label as u64);
+            word(h, *count as u64);
         }
         dtree::Node::Split {
             attr,
@@ -55,9 +41,9 @@ fn hash_node(node: &dtree::Node, h: &mut Fnv) {
             left,
             right,
         } => {
-            h.word(1);
-            h.word(*attr as u64);
-            h.word(threshold.to_bits() as u64);
+            word(h, 1);
+            word(h, *attr as u64);
+            word(h, threshold.to_bits() as u64);
             hash_node(left, h);
             hash_node(right, h);
         }
@@ -91,7 +77,7 @@ fn fmm_bits() -> u64 {
 fn dtree_bits() -> u64 {
     let p = dtree::Params::small();
     let ds = dtree::gen_dataset(&p);
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     hash_node(&dtree::build(&ds, &p), &mut h);
     h.finish()
 }

@@ -444,7 +444,9 @@ pub fn to_pgm(img: &[f32], edge: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output_corpus::word;
     use ptdf::{Config, SchedKind};
+    use std::hash::Hasher;
 
     #[test]
     fn phantom_has_structure() {
@@ -506,14 +508,13 @@ mod tests {
     fn phantom_and_octree_bits_are_pinned() {
         for (size, want) in [(64, 0xbb57_9cc9_3453_99c6u64), (256, 0x045b_6920_9b2f_c829)] {
             let vol = gen_volume(size);
-            let mut h = crate::output_corpus::Fnv::new();
-            vol.data.iter().for_each(|&v| h.byte(v));
-            h.word(vol.block as u64);
+            let mut h = ptdf::trace::Fnv1a::default();
+            h.write(&vol.data);
+            word(&mut h, vol.block as u64);
             for level in &vol.octree {
-                h.word(level.len() as u64);
+                word(&mut h, level.len() as u64);
                 for &(mn, mx) in level {
-                    h.byte(mn);
-                    h.byte(mx);
+                    h.write(&[mn, mx]);
                 }
             }
             assert_eq!(h.finish(), want, "size {size}: {:#018x}", h.finish());

@@ -60,6 +60,21 @@ impl SchedKind {
             SchedKind::Ws => "ws",
         }
     }
+
+    /// Inverse of [`SchedKind::name`].
+    pub fn from_name(name: &str) -> Option<SchedKind> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// Every policy, in declaration order.
+    const ALL: [SchedKind; 6] = [
+        SchedKind::Fifo,
+        SchedKind::Lifo,
+        SchedKind::Df,
+        SchedKind::DfLocal,
+        SchedKind::DfDeques,
+        SchedKind::Ws,
+    ];
 }
 
 /// Default per-quantum memory quota `K` for the depth-first scheduler, in
@@ -305,6 +320,18 @@ impl Attr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_scheduler_name_round_trips() {
+        let names = SchedKind::ALL.map(SchedKind::name);
+        assert_eq!(names, ["fifo", "lifo", "df", "df-local", "df-deques", "ws"]);
+        for kind in SchedKind::ALL {
+            assert_eq!(SchedKind::from_name(kind.name()), Some(kind));
+        }
+        for unknown in ["", "DF", "df_local", "fifo "] {
+            assert_eq!(SchedKind::from_name(unknown), None, "{unknown:?}");
+        }
+    }
 
     #[test]
     fn builders() {

@@ -42,7 +42,7 @@ use crate::check::check_trace;
 use crate::config::Config;
 use crate::oracle::{Decision, DecisionKind, DecisionRecord, ScheduleOracle};
 use crate::runtime::try_run;
-use crate::trace::{EventKind, Trace};
+use crate::trace::{EventKind, Fnv1a, Trace};
 
 /// Exploration limits for [`explore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -161,37 +161,6 @@ struct RunResult {
     /// `(virtual time, processor, object)` of every object-bearing event,
     /// in trace order.
     touches: Vec<(VirtTime, u32, u32)>,
-}
-
-/// FNV-1a-64 as a [`Hasher`]: a fingerprint is the `Hash` of the values it
-/// covers, fed through here, not a hash of their `Debug` text.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a-64 of a byte string (the hash corpora of `trace.rs` are in it).
-#[cfg(test)]
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::default();
-    h.write(bytes);
-    h.finish()
 }
 
 /// Fingerprint of one executed schedule: its violation class, and the
@@ -528,8 +497,8 @@ mod tests {
     fn trim_and_fnv_are_stable() {
         assert_eq!(trim_trailing_zeros(vec![1, 0, 2, 0, 0]), vec![1, 0, 2]);
         assert_eq!(trim_trailing_zeros(vec![0, 0]), Vec::<u32>::new());
-        assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
-        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
+        assert_eq!(Fnv1a::digest(b"abc"), Fnv1a::digest(b"abc"));
+        assert_ne!(Fnv1a::digest(b"abc"), Fnv1a::digest(b"abd"));
     }
 
     #[test]

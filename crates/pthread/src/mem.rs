@@ -227,16 +227,8 @@ pub fn rt_alloc(bytes: u64) {
                 let Some((cur, p)) = inner.cur else {
                     return;
                 };
-                if inner.trace.is_some() {
-                    let at = inner.machine.clock(p);
-                    let tr = inner.trace.as_mut().expect("checked");
-                    tr.event(
-                        at,
-                        p,
-                        Some(cur.0),
-                        crate::trace::EventKind::DummyInsert { count: delta },
-                    );
-                }
+                let kind = crate::trace::EventKind::DummyInsert { count: delta };
+                inner.trace_event(p, cur.0, kind);
                 inner.create_dummy_tree(cur, p, delta);
             }
             suspend_current(&rc, YieldReason::Preempted);

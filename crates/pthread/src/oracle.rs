@@ -24,81 +24,7 @@ use std::rc::Rc;
 
 use ptdf_smp::{Prng, VirtTime};
 
-/// Which decision point a [`Decision`] was taken at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
-pub enum DecisionKind {
-    /// Dispatch tie-break: several idle processors share the minimum
-    /// virtual clock; one must run the next ready thread.
-    DispatchTie,
-    /// Unpark tie-break: a wake must choose among equally-idle parked
-    /// processors.
-    UnparkTie,
-    /// Delivery order of a multi-thread wake batch (condvar broadcast,
-    /// barrier release, reader-batch admission). Encoded as a sequence of
-    /// selection decisions: first pick among `n`, then among `n-1`, …
-    WakeOrder,
-    /// Grant order of a sync-object wait queue (mutex unlock, semaphore
-    /// release, condvar signal, rwlock admission).
-    Grant,
-    /// Firing order among timed waits that are simultaneously due at the
-    /// same wake floor.
-    TimeoutOrder,
-    /// Delivery timing of a cancellation request against a *blocked*
-    /// target whose wait is deadline-bounded: index 0 delivers now (evict
-    /// and wake the waiter immediately — the natural choice), index 1
-    /// defers delivery to the wait's own resolution (its deadline or a
-    /// grant), modelling the cancel losing the race. Only deadline-bounded
-    /// waits offer the deferred branch: an unbounded wait has no other
-    /// guaranteed wake, so deferral could stall the target forever.
-    CancelDelivery,
-}
-
-impl DecisionKind {
-    /// Stable short name used in traces, JSON, and CLI output.
-    pub fn name(self) -> &'static str {
-        match self {
-            DecisionKind::DispatchTie => "dispatch-tie",
-            DecisionKind::UnparkTie => "unpark-tie",
-            DecisionKind::WakeOrder => "wake-order",
-            DecisionKind::Grant => "grant",
-            DecisionKind::TimeoutOrder => "timeout-order",
-            DecisionKind::CancelDelivery => "cancel-delivery",
-        }
-    }
-
-    /// Inverse of [`DecisionKind::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "dispatch-tie" => DecisionKind::DispatchTie,
-            "unpark-tie" => DecisionKind::UnparkTie,
-            "wake-order" => DecisionKind::WakeOrder,
-            "grant" => DecisionKind::Grant,
-            "timeout-order" => DecisionKind::TimeoutOrder,
-            "cancel-delivery" => DecisionKind::CancelDelivery,
-            _ => return None,
-        })
-    }
-}
-
-/// One resolved scheduling decision, as recorded in a [`crate::Trace`].
-///
-/// Only genuine choices are recorded: a decision point with a single
-/// candidate is not a decision and produces no record, so the decision
-/// log is exactly the branching structure of the schedule space.
-#[derive(Debug, Clone, Copy, PartialEq, Hash, serde::Serialize)]
-pub struct Decision {
-    /// The decision point.
-    pub kind: DecisionKind,
-    /// Virtual time at which the decision was taken.
-    pub at: VirtTime,
-    /// Number of candidates (always ≥ 2).
-    pub n: u32,
-    /// Index chosen, in `0..n`. Index 0 is the natural choice.
-    pub chosen: u32,
-    /// Per-run sync-object id for object-scoped decisions
-    /// ([`DecisionKind::WakeOrder`], [`DecisionKind::Grant`]).
-    pub obj: Option<u32>,
-}
+pub use crate::trace::{Decision, DecisionKind};
 
 /// A [`Decision`] plus the candidate identities the explorer needs for
 /// independence analysis (processor ids for the tie kinds; empty for

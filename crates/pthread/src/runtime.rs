@@ -16,7 +16,7 @@ use std::rc::Rc;
 use ptdf_fiber::{Coroutine, ForcedUnwind, Stack, StackPool, Step};
 use ptdf_smp::{Machine, ProcId, VirtTime};
 
-use crate::config::{Attr, Config, LedgerMode, SchedKind};
+use crate::config::{Attr, Config, LedgerMode};
 use crate::mem::Ledger;
 use crate::oracle::{DecisionKind, Resolver};
 use crate::report::Report;
@@ -26,7 +26,8 @@ use crate::thread::{
     Exit, Fiber, FiberYielder, JoinCell, JoinError, JoinHandle, Kind, Payload, TState, Tcb,
     ThreadId, ThreadTable, Wait, YieldReason,
 };
-use crate::trace::{BlockReason, EventKind, Trace, TraceMeta};
+use crate::recorder::{Emission, Recorder};
+use crate::trace::{BlockReason, EventKind, Span, SpanKind};
 use crate::waitq::{parked, untimed, Evict, Holders};
 
 /// A TLS-destructor hook: called with an exiting thread's id, it drops the
@@ -65,9 +66,10 @@ pub(crate) struct Inner {
     /// Currently executing (thread, processor); set before each resume.
     pub cur: Option<(ThreadId, ProcId)>,
     pub default_stack: u64,
-    /// Flight-recorder trace, when enabled. Every hook below tests this
-    /// `Option`'s discriminant and nothing else when tracing is off.
-    pub trace: Option<Trace>,
+    /// The flight recorder; every event, span and lifecycle note goes
+    /// through its one hook, [`Recorder::emit`], which tests one `Option`
+    /// discriminant and nothing else when tracing is off.
+    pub recorder: Recorder,
     /// Cached timeslice reference: the minimum clock among non-parked
     /// processors *other than* the one running the current fiber (`None`
     /// when there is no other active processor). While one fiber runs a
@@ -167,17 +169,11 @@ pub(crate) fn install_serial(ctx: Rc<RefCell<crate::serial::SerialCtx>>) -> impl
     install(ActiveCtx::Serial(ctx))
 }
 
-/// When tracing, heap allocs/frees of at least this many bytes record an
-/// event of their own; smaller ones only move the footprint counter track.
-const TRACE_ALLOC_THRESHOLD: u64 = 4096;
-
 impl Inner {
     fn new(config: &Config) -> Self {
         let mut machine =
             Machine::new(config.processors, config.cost.clone(), config.default_stack);
-        if config.trace {
-            machine.enable_recording(TRACE_ALLOC_THRESHOLD);
-        }
+        let recorder = Recorder::new(config, &mut machine);
         if let Some(seed) = config.schedule.perturb_seed() {
             machine.enable_perturbation(seed);
         }
@@ -198,20 +194,7 @@ impl Inner {
             live: 0,
             cur: None,
             default_stack: config.default_stack,
-            trace: config.trace.then(|| {
-                Trace::new(TraceMeta {
-                    scheduler: config.scheduler.name().to_string(),
-                    processors: config.processors,
-                    default_stack: config.default_stack,
-                    quota: matches!(
-                        config.scheduler,
-                        SchedKind::Df | SchedKind::DfLocal | SchedKind::DfDeques
-                    )
-                    .then_some(config.quota),
-                    perturb_seed: config.schedule.perturb_seed(),
-                    chaos_seed: config.schedule.chaos_seed(),
-                })
-            }),
+            recorder,
             schedule: Resolver::new(&config.schedule, config.trace),
             ts_min_other: None,
             stack_pool: StackPool::new(ptdf_fiber::DEFAULT_POOL_CAP),
@@ -231,25 +214,6 @@ impl Inner {
             #[cfg(test)]
             round_stats: RoundStats::default(),
         }
-    }
-
-    /// Opens a host-phase timing window iff the profiler is armed
-    /// ([`Config::with_host_profile`]); one `Option` discriminant test and
-    /// no clock read when off. The profiler is the machine's — runtime and
-    /// machine windows share one nesting-aware accumulator, so a `charge`
-    /// window inside a `dispatch` window stays disjoint.
-    fn prof_start(&self) -> Option<ptdf_smp::ProfWin> {
-        self.machine.prof_open()
-    }
-
-    /// Closes a window opened by [`Inner::prof_start`] into one phase of
-    /// the profile.
-    fn prof_close(
-        &mut self,
-        win: Option<ptdf_smp::ProfWin>,
-        phase: fn(&mut ptdf_smp::HostPhaseStats) -> &mut ptdf_smp::PhaseStat,
-    ) {
-        self.machine.prof_close(win, phase);
     }
 
     /// Hands out a host stack for a new fiber, recycling through the pool.
@@ -421,27 +385,27 @@ impl Inner {
     /// these to catch lost notifies without reconstructing wait-list state
     /// from interleaved per-processor timestamps.
     pub fn note_sync(&mut self, reason: BlockReason, obj: u32, waiters: u64, woken: u64) {
-        if self.trace.is_none() {
-            return;
-        }
         // Lenient on context: stall-teardown destructors release primitives
         // with no current thread; their bookkeeping is best-effort.
         let Some((tid, p)) = self.cur else {
             return;
         };
-        let now = self.machine.clock(p);
-        let tr = self.trace.as_mut().expect("checked");
-        tr.event(
-            now,
-            p,
-            Some(tid.0),
-            EventKind::Notify {
-                reason,
-                obj,
-                waiters,
-                woken,
-            },
-        );
+        let kind = EventKind::Notify {
+            reason,
+            obj,
+            waiters,
+            woken,
+        };
+        self.trace_event(p, tid.0, kind);
+    }
+
+    /// Records `kind` for `thread` at `p`'s clock, through the recorder's
+    /// one hook.
+    #[inline]
+    pub fn trace_event(&mut self, p: ProcId, thread: u32, kind: EventKind) {
+        self.recorder.emit(&mut self.machine, |m| {
+            Emission::event(m.clock(p), p, thread, kind)
+        });
     }
 
     /// Creates a thread record. `enqueue_override` forces queue insertion
@@ -477,19 +441,10 @@ impl Inner {
         }
         let id = self.threads.issue(tcb);
         self.live += 1;
-        if self.trace.is_some() {
-            let t0 = self.prof_start();
-            let tr = self.trace.as_mut().expect("checked");
-            tr.event(
-                now,
-                on_proc,
-                Some(id.0),
-                EventKind::Spawn {
-                    parent: parent.map(|t| t.0),
-                },
-            );
-            self.prof_close(t0, |hp| &mut hp.trace_alloc);
-        }
+        let parent_id = parent.map(|t| t.0);
+        self.recorder.emit(&mut self.machine, |_| {
+            Emission::event(now, on_proc, id.0, EventKind::Spawn { parent: parent_id })
+        });
         self.sched_op(on_proc);
         self.policy
             .on_create(id, parent, prio, !handoff_child, now, on_proc);
@@ -541,12 +496,9 @@ impl Inner {
         tcb.deadline = None;
         tcb.evict = None;
         let waker = self.cur.map(|(w, _)| w.0);
-        if self.trace.is_some() {
-            let t0 = self.prof_start();
-            let tr = self.trace.as_mut().expect("checked");
-            tr.event(now, p, Some(t.0), EventKind::Wake { waker });
-            self.prof_close(t0, |hp| &mut hp.trace_alloc);
-        }
+        self.recorder.emit(&mut self.machine, |_| {
+            Emission::event(now, p, t.0, EventKind::Wake { waker })
+        });
         self.sched_op(p);
         self.policy.on_ready(t, prio, now, p, affinity);
         self.unpark(now);
@@ -560,13 +512,10 @@ impl Inner {
     pub fn park(&mut self, wait: Wait, timeout: Option<VirtTime>, evict: Evict) {
         let (tid, p) = self.cur.expect("block outside a thread");
         let now = self.machine.clock(p);
-        if self.trace.is_some() {
-            let t0 = self.prof_start();
-            let tr = self.trace.as_mut().expect("checked");
-            let (reason, obj) = (wait.reason, wait.obj);
-            tr.event(now, p, Some(tid.0), EventKind::Block { reason, obj });
-            self.prof_close(t0, |hp| &mut hp.trace_alloc);
-        }
+        let (reason, obj) = (wait.reason, wait.obj);
+        self.recorder.emit(&mut self.machine, |_| {
+            Emission::event(now, p, tid.0, EventKind::Block { reason, obj })
+        });
         self.policy.on_block(tid);
         self.sched_op(p);
         let deadline = timeout.map(|t| {
@@ -623,12 +572,8 @@ impl Inner {
             }
         };
         let (prio, affinity, record) = (tcb.attr.priority, tcb.last_proc, tcb.evict.take());
-        if self.trace.is_some() {
-            let t0 = self.prof_start();
-            let tr = self.trace.as_mut().expect("checked");
-            tr.event(now, p, Some(t.0), event);
-            self.prof_close(t0, |hp| &mut hp.trace_alloc);
-        }
+        self.recorder
+            .emit(&mut self.machine, |_| Emission::event(now, p, t.0, event));
         self.sched_op(p);
         self.policy.on_ready(t, prio, now, p, affinity);
         self.unpark(now);
@@ -840,22 +785,17 @@ impl Inner {
     /// index), naming who each member waits for and through which object.
     pub fn record_deadlock(&mut self, info: &DeadlockInfo) {
         let idx = self.deadlocks.len() as u32;
-        if let (Some(tr), Some((_, p))) = (self.trace.as_mut(), self.cur) {
-            let now = self.machine.clock(p);
+        if let Some((_, p)) = self.cur {
             let n = info.cycle.len();
             for i in 0..n {
                 let (member, waits_for, obj) =
                     (info.cycle[i], info.cycle[(i + 1) % n], info.objs[i]);
-                tr.event(
-                    now,
-                    p,
-                    Some(member),
-                    EventKind::Deadlock {
-                        cycle: idx,
-                        waits_for,
-                        obj,
-                    },
-                );
+                let kind = EventKind::Deadlock {
+                    cycle: idx,
+                    waits_for,
+                    obj,
+                };
+                self.trace_event(p, member, kind);
             }
         }
         self.deadlocks.push(info.clone());
@@ -867,7 +807,7 @@ impl Inner {
     fn dispatch_prologue(
         machine: &mut Machine,
         quota: Option<u64>,
-        trace: &mut Option<Trace>,
+        recorder: &mut Recorder,
         t: &mut Tcb,
         p: ProcId,
     ) {
@@ -886,16 +826,13 @@ impl Inner {
         }
         t.state = TState::Running(p);
         t.last_proc = Some(p);
-        let first_run_at = machine.clock(p);
-        if let Some(tr) = trace.as_mut() {
-            tr.note_quantum(t.id.0, dispatched_at);
-            if was_ready {
-                tr.add_ready_wait(t.id.0, dispatched_at.since(ready_since));
-            }
-            if !has_run {
-                tr.event(first_run_at, p, Some(t.id.0), EventKind::FirstDispatch);
-            }
-        }
+        let thread = t.id.0;
+        recorder.emit(machine, |m| Emission::Dispatch {
+            thread,
+            at: dispatched_at,
+            ready_wait: was_ready.then(|| dispatched_at.since(ready_since)),
+            first_run: (!has_run).then(|| (p, m.clock(p))),
+        });
     }
 
     /// Books a suspended fiber back into its thread's record and does what
@@ -931,9 +868,9 @@ impl Inner {
         tcb.state = TState::Ready;
         tcb.ready_since = at;
         if matches!(reason, YieldReason::Preempted) {
-            if let Some(tr) = self.trace.as_mut() {
-                tr.event(at, p, Some(tid.0), EventKind::Preempt);
-            }
+            self.recorder.emit(&mut self.machine, |_| {
+                Emission::event(at, p, tid.0, EventKind::Preempt)
+            });
         }
         self.sched_op(p);
         self.policy.on_ready(tid, prio, at, p, Some(p));
@@ -958,9 +895,10 @@ impl Inner {
         self.machine.thread_exit(p, reserved, committed);
         self.policy.on_exit(tid);
         let exit_time = self.machine.clock(p);
-        if let Some(tr) = self.trace.as_mut() {
-            tr.note_exit(tid.0, exit_time);
-        }
+        self.recorder.emit(&mut self.machine, |_| Emission::Exit {
+            thread: tid.0,
+            at: exit_time,
+        });
         exit_time
     }
 
@@ -1191,16 +1129,9 @@ pub fn try_run<T: 'static>(
     let mut inner = inner_rc.borrow_mut();
     let total_threads = inner.threads.issued();
     let steals = inner.policy.steals();
-    let mut trace = inner.trace.take();
-    if let Some(tr) = trace.as_mut() {
-        // Fold the machine-level recording (memory events, exact counter
-        // tracks) into the trace before the machine is consumed.
-        if let Some(rec) = inner.machine.take_recording() {
-            tr.absorb_machine(rec);
-        }
-        // Attach the schedule decision log (engine order, never sorted).
-        tr.decisions = inner.schedule.take_log();
-    }
+    // The machine-level recording (memory events, exact counter tracks)
+    // leaves before the machine is consumed.
+    let recording = inner.machine.take_recording();
     let mut stats = {
         let machine = std::mem::replace(
             &mut inner.machine,
@@ -1218,13 +1149,9 @@ pub fn try_run<T: 'static>(
     stats.mem.host_stack_cached_hwm = pool.cached_bytes_hwm;
     // The runtime records its phases (dispatch, sched-pop, trace-alloc)
     // directly into the machine's profiler, so `stats.host_phase` is already
-    // complete; stamp it onto the trace so standalone trace tools can
-    // report it.
-    if stats.host_phase.enabled {
-        if let Some(tr) = trace.as_mut() {
-            tr.host_phase = Some(stats.host_phase);
-        }
-    }
+    // complete; the trace carries it so standalone trace tools can report it.
+    let recorder = std::mem::take(&mut inner.recorder);
+    let trace = recorder.finish(recording, &mut inner.schedule, stats.host_phase);
     let leaks = inner
         .ledger
         .take()
@@ -1527,33 +1454,27 @@ fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
         } else {
             inner.sched_op(p);
             let now = inner.machine.clock(p);
-            let t0 = inner.prof_start();
+            let t0 = inner.machine.prof_open();
             let popped = inner.policy.pop(p, now);
-            inner.prof_close(t0, |hp| &mut hp.sched_pop);
+            inner.machine.prof_close(t0, |hp| &mut hp.sched_pop);
             match popped {
                 Pop::Got { tid, stolen } => {
                     if stolen {
                         // Migration: pay an extra switch for the cold start.
                         let c = inner.machine.cost().ctx_switch;
                         inner.machine.thread_op(p, c);
-                        if inner.trace.is_some() {
-                            let at = inner.machine.clock(p);
-                            let victim =
-                                inner.policy.last_steal_victim().map(|v| v as u32);
-                            let tr = inner.trace.as_mut().expect("checked");
-                            tr.event(at, p, Some(tid.0), EventKind::Steal { victim });
-                        }
+                        let inner = &mut *inner;
+                        inner.recorder.emit(&mut inner.machine, |m| {
+                            let victim = inner.policy.last_steal_victim().map(|v| v as u32);
+                            Emission::event(m.clock(p), p, tid.0, EventKind::Steal { victim })
+                        });
                     }
-                    if inner.trace.is_some() {
-                        let at = inner.machine.clock(p);
-                        let ready = inner.policy.ready_len() as u64;
-                        let deques = inner.policy.active_deques();
-                        let tr = inner.trace.as_mut().expect("checked");
-                        tr.sample_ready(at, ready);
-                        if let Some(d) = deques {
-                            tr.sample_active_deques(at, d as u64);
-                        }
-                    }
+                    let inner = &mut *inner;
+                    inner.recorder.emit(&mut inner.machine, |m| Emission::Sample {
+                        at: m.clock(p),
+                        ready: inner.policy.ready_len() as u64,
+                        deques: inner.policy.active_deques().map(|d| d as u64),
+                    });
                     (tid, false)
                 }
                 Pop::NotYet(t) => {
@@ -1634,21 +1555,14 @@ fn run_quantum(
     if !ts_resume {
         let t0 = inner.machine.prof_open();
         let quota = inner.policy.quota();
-        Inner::dispatch_prologue(&mut inner.machine, quota, &mut inner.trace, tcb, p);
+        Inner::dispatch_prologue(&mut inner.machine, quota, &mut inner.recorder, tcb, p);
         inner.machine.prof_close(t0, |hp| &mut hp.dispatch);
     }
     // The dispatched fiber's timeslice reference clock for this quantum.
     inner.ts_min_other = horizon;
     let span_start = inner.machine.clock(p);
     let dummy = tcb.kind == Kind::Dummy;
-    let span_kind = if ts_resume {
-        crate::trace::SpanKind::Resume
-    } else if dummy {
-        crate::trace::SpanKind::Dummy
-    } else {
-        crate::trace::SpanKind::Run
-    };
-    if dummy {
+    let mut guard = if dummy {
         // Dummies perform a no-op and exit (paper §4 item 2); their cost
         // is creation + dispatch + exit bookkeeping. A dummy standing
         // for a subtree of the lazy binary tree forks its two children
@@ -1660,37 +1574,42 @@ fn run_quantum(
         inner.machine.compute(p, 100);
         inner.exit_thread(tid, p);
         inner.retire(tid, p);
-        let end = inner.machine.clock(p);
-        if inner.trace.is_some() {
-            let t0 = inner.prof_start();
-            let tr = inner.trace.as_mut().expect("checked");
-            tr.record(p, tid, span_start, end, span_kind);
-            inner.prof_close(t0, |hp| &mut hp.trace_alloc);
-        }
-        return;
-    }
-    let mut fiber = tcb.fiber.take().expect("dispatched thread has no fiber");
-    drop(guard);
-    let step = fiber.resume(());
-    let mut inner = inner_rc.borrow_mut();
-    match step {
-        Step::Yield(reason) => inner.handle_yield(tid, p, reason, fiber),
-        Step::Complete(()) => {
-            // Recycle the completed fiber's host stack for the next
-            // spawn (the portable backend has no real stack to return).
-            if let Some(stack) = fiber.into_stack() {
-                inner.recycle_fiber_stack(stack);
+        guard
+    } else {
+        let mut fiber = tcb.fiber.take().expect("dispatched thread has no fiber");
+        drop(guard);
+        let step = fiber.resume(());
+        let mut inner = inner_rc.borrow_mut();
+        match step {
+            Step::Yield(reason) => inner.handle_yield(tid, p, reason, fiber),
+            Step::Complete(()) => {
+                // Recycle the completed fiber's host stack for the next
+                // spawn (the portable backend has no real stack to return).
+                if let Some(stack) = fiber.into_stack() {
+                    inner.recycle_fiber_stack(stack);
+                }
+                inner.retire(tid, p);
             }
-            inner.retire(tid, p);
         }
-    }
-    let end = inner.machine.clock(p);
-    if inner.trace.is_some() {
-        let t0 = inner.prof_start();
-        let tr = inner.trace.as_mut().expect("checked");
-        tr.record(p, tid, span_start, end, span_kind);
-        inner.prof_close(t0, |hp| &mut hp.trace_alloc);
-    }
+        inner
+    };
+    let kind = if ts_resume {
+        SpanKind::Resume
+    } else if dummy {
+        SpanKind::Dummy
+    } else {
+        SpanKind::Run
+    };
+    let inner = &mut *guard;
+    inner.recorder.emit(&mut inner.machine, |m| {
+        Emission::Span(Span {
+            proc: p,
+            thread: tid.0,
+            start: span_start,
+            end: m.clock(p),
+            kind,
+        })
+    });
 }
 
 /// Implementation of [`fn@crate::cancel`]: resolves the active runtime and
@@ -1754,13 +1673,7 @@ pub(crate) fn deliver_cancel(rc: &Rc<RefCell<Inner>>) {
         tcb.cancel_requested = false;
         tcb.cancel_enabled = false;
         let by = tcb.canceled_by;
-        if inner.trace.is_some() {
-            let now = inner.machine.clock(p);
-            let t0 = inner.prof_start();
-            let tr = inner.trace.as_mut().expect("checked");
-            tr.event(now, p, Some(tid.0), EventKind::Cancel { obj: None, by });
-            inner.prof_close(t0, |hp| &mut hp.trace_alloc);
-        }
+        inner.trace_event(p, tid.0, EventKind::Cancel { obj: None, by });
         crate::CancelError {
             thread: tid,
             by: by.map(ThreadId),
@@ -1887,11 +1800,7 @@ fn join_wait_in(
             }
             let c = inner.machine.cost().join_exited;
             inner.machine.thread_op(p, c);
-            if inner.trace.is_some() {
-                let at = inner.machine.clock(p);
-                let tr = inner.trace.as_mut().expect("checked");
-                tr.event(at, p, Some(cur.0), EventKind::Join { target: target.0 });
-            }
+            inner.trace_event(p, cur.0, EventKind::Join { target: target.0 });
             return Ok(exit.take_panic());
         }
         assert!(
@@ -1947,7 +1856,7 @@ pub(crate) fn join_timeout_impl<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{spawn, yield_now};
+    use crate::{spawn, yield_now, SchedKind};
     use ptdf_smp::Prng;
 
     /// The running engine's round statistics so far (call from a thread of

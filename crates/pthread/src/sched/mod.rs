@@ -12,8 +12,7 @@
 
 mod df;
 mod dfdeques;
-mod fifo;
-mod lifo;
+mod queue;
 mod ws;
 
 #[cfg(test)]
@@ -24,8 +23,7 @@ mod diff_tests;
 
 pub(crate) use df::DfSched;
 pub(crate) use dfdeques::DfDequesSched;
-pub(crate) use fifo::FifoSched;
-pub(crate) use lifo::LifoSched;
+pub(crate) use queue::QueueSched;
 pub(crate) use ws::WsSched;
 
 use ptdf_smp::{ProcId, VirtTime};
@@ -136,8 +134,7 @@ const LOCALITY_WINDOW: usize = 16;
 /// Instantiates the policy selected by `config`.
 pub(crate) fn make_policy(config: &Config) -> Box<dyn Policy> {
     match config.scheduler {
-        SchedKind::Fifo => Box::new(FifoSched::new()),
-        SchedKind::Lifo => Box::new(LifoSched::new()),
+        SchedKind::Fifo | SchedKind::Lifo => Box::new(QueueSched::new(config.scheduler)),
         SchedKind::Df => Box::new(DfSched::new(config.quota.max(1))),
         SchedKind::DfLocal => Box::new(DfSched::with_window(
             config.quota.max(1),

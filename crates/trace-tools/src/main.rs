@@ -909,18 +909,6 @@ fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-fn parse_sched(name: &str) -> Result<ptdf::SchedKind, String> {
-    use ptdf::SchedKind::*;
-    Ok(match name {
-        "fifo" => Fifo,
-        "lifo" => Lifo,
-        "df" => Df,
-        "df-deques" => DfDeques,
-        "ws" => Ws,
-        other => return Err(format!("unknown scheduler `{other}`")),
-    })
-}
-
 fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
     let mut litmus_name: Option<String> = None;
     let mut sched = ptdf::SchedKind::Fifo;
@@ -938,7 +926,11 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
         };
         match arg.as_str() {
             "--litmus" => litmus_name = Some(val("--litmus")?),
-            "--sched" => sched = parse_sched(&val("--sched")?)?,
+            "--sched" => {
+                let name = val("--sched")?;
+                sched = ptdf::SchedKind::from_name(&name)
+                    .ok_or_else(|| format!("unknown scheduler `{name}`"))?
+            }
             "--depth" => {
                 depth = val("--depth")?.parse().map_err(|e| format!("--depth: {e}"))?
             }

@@ -2,8 +2,8 @@
 //! reads but does not parse is a failed check (exit 1, one `path: reason`
 //! line) for every subcommand that takes traces; only a path that cannot be
 //! read is an I/O error (exit 2). A `--factor` that is not a finite
-//! non-negative number is a usage error, exit 2 as well. Drives the built
-//! binary.
+//! non-negative number is a usage error, exit 2 as well, and so is an
+//! `explore --sched` name no policy has. Drives the built binary.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -96,4 +96,37 @@ fn a_factor_that_is_not_a_finite_non_negative_number_is_a_usage_error() {
         let out = ptdf_trace(&[cmd, good, "--s1", "1", "--depth", "1", "--factor", "4"]);
         assert_eq!(out.status.code(), Some(0), "{cmd} --factor 4");
     }
+}
+
+/// `explore --sched` takes every scheduler name the runtime has, and a
+/// name it does not have is a usage error.
+#[test]
+fn explore_takes_every_scheduler_name() {
+    for sched in ["fifo", "lifo", "df", "df-local", "df-deques", "ws"] {
+        let out = ptdf_trace(&[
+            "explore",
+            "--litmus",
+            "mutex_increments",
+            "--sched",
+            sched,
+            "--depth",
+            "2",
+            "--budget",
+            "50",
+        ]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{sched}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains(&format!("executed under {sched} ")), "{stdout}");
+    }
+    let out = ptdf_trace(&["explore", "--litmus", "mutex_increments", "--sched", "nope"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "ptdf-trace: unknown scheduler `nope`\n"
+    );
 }

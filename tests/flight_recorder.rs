@@ -240,15 +240,8 @@ fn tracing_does_not_move_the_model() {
     }
 }
 
-/// FNV-1a-64, as `ptdf::explore` fingerprints with.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// The server row of `ANALYSIS_CORPUS` (`crates/pthread/src/trace.rs`, which
-/// cannot depend on `ptdf-server`): what `check_trace`, `critpath::analyze`
+/// The server row of `ANALYSIS_CORPUS` (`crates/pthread/tests/trace_corpus.rs`,
+/// whose crate cannot depend on `ptdf-server`): what `check_trace`, `critpath::analyze`
 /// and `object_waits` say about 500 requests at 200 % under DF, captured
 /// from the analyzers that each indexed the trace privately. Never
 /// regenerated by a refactor of the analyses.
@@ -269,7 +262,7 @@ fn analyses_of_a_server_trace_are_value_identical() {
     );
     assert!(results.0.is_clean() && !results.2.is_empty());
     assert_eq!(
-        fnv1a(format!("{results:?}").as_bytes()),
+        ptdf::trace::Fnv1a::digest(format!("{results:?}").as_bytes()),
         WANT,
         "check, critpath or object_waits changed its answer"
     );
