@@ -14,12 +14,13 @@ use std::marker::PhantomData;
 use std::rc::Rc;
 
 use ptdf_fiber::Coroutine;
+use ptdf_smp::{Machine, ProcId};
 
 use crate::config::Attr;
-use crate::runtime::{
-    fiber_body, join_wait, make_fiber, suspend_current, with_active, ActiveCtx, Inner,
+use crate::runtime::{fiber_body, make_fiber, suspend_current, with_active, ActiveCtx, Inner};
+use crate::thread::{
+    join_wait, Exit, JoinCell, JoinError, JoinHandle, Kind, ThreadId, YieldReason,
 };
-use crate::thread::{Exit, JoinCell, JoinError, JoinHandle, Kind, ThreadId, YieldReason};
 
 pub(crate) fn par_ctx() -> Option<Rc<RefCell<Inner>>> {
     with_active(|ctx| match ctx {
@@ -123,9 +124,9 @@ pub fn try_spawn_attr<T: 'static>(
 /// delivery).
 pub fn yield_now() {
     if let Some(rc) = par_ctx() {
-        crate::runtime::deliver_cancel(&rc);
+        crate::cancel::deliver_cancel(&rc);
         suspend_current(&rc, YieldReason::Yielded);
-        crate::runtime::deliver_cancel(&rc);
+        crate::cancel::deliver_cancel(&rc);
     }
 }
 
@@ -134,39 +135,38 @@ pub fn yield_now() {
 /// virtual-time model (see DESIGN.md: the code *also* really executes; the
 /// charge is the modelled duration on the 167 MHz reference machine).
 pub fn work(cycles: u64) {
-    let due = with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) => {
-            let mut inner = rc.borrow_mut();
-            let (tid, p) = inner.cur.expect("work outside a thread");
-            // Defer the charge into the machine's pending transaction and
-            // test the cached timeslice threshold — one borrow, no processor
-            // scan (clock reads are pending-aware, the threshold is exact).
-            inner.machine.compute_deferred(p, cycles);
-            inner.timeslice_due(tid, p).then(|| rc.clone())
-        }
-        Some(ActiveCtx::Serial(rc)) => {
-            rc.borrow_mut().machine.compute_deferred(0, cycles);
-            None
-        }
-        None => None,
-    });
-    if let Some(rc) = due {
-        suspend_current(&rc, YieldReason::Timeslice);
-    }
+    charge_current(
+        |m, p| m.compute_deferred(p, cycles),
+        "work outside a thread",
+    );
 }
 
 /// Declares that the current thread is about to work on `bytes` of data
 /// region `region` (locality model; see [`ptdf_smp::CacheModel`]).
 pub fn touch(region: u64, bytes: u64) {
+    charge_current(
+        |m, p| m.touch_deferred(p, region, bytes),
+        "touch outside a thread",
+    );
+}
+
+/// Defers `charge` into the machine's pending transaction on the calling
+/// thread's processor (processor 0 under the serial baseline) and tests
+/// the cached timeslice threshold — one borrow, no processor scan (clock
+/// reads are pending-aware, the threshold is exact) — then takes the
+/// timeslice yield if it is due. `outside`: the panic message for a call
+/// from outside a thread of a run.
+#[inline(always)]
+fn charge_current(charge: impl FnOnce(&mut Machine, ProcId), outside: &str) {
     let due = with_active(|ctx| match ctx {
         Some(ActiveCtx::Par(rc)) => {
             let mut inner = rc.borrow_mut();
-            let (tid, p) = inner.cur.expect("touch outside a thread");
-            inner.machine.touch_deferred(p, region, bytes);
+            let (tid, p) = inner.cur.expect(outside);
+            charge(&mut inner.machine, p);
             inner.timeslice_due(tid, p).then(|| rc.clone())
         }
         Some(ActiveCtx::Serial(rc)) => {
-            rc.borrow_mut().machine.touch_deferred(0, region, bytes);
+            charge(&mut rc.borrow_mut().machine, 0);
             None
         }
         None => None,
@@ -187,36 +187,20 @@ pub fn current_thread() -> Option<ThreadId> {
 /// Number of virtual processors of the active run (1 in serial mode; `None`
 /// outside any run).
 pub fn processors() -> Option<usize> {
-    with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) => Some(rc.borrow().machine.processors()),
-        Some(ActiveCtx::Serial(_)) => Some(1),
-        None => None,
-    })
+    read_machine(|m, _| m.processors())
 }
 
 /// Current virtual time on the calling thread's processor (`None` outside
 /// any run). Pending hot-path charge transactions are included, so the
 /// reading is exact at any point in a thread's execution.
 pub fn now() -> Option<ptdf_smp::VirtTime> {
-    with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) => {
-            let inner = rc.borrow();
-            let p = inner.cur.map(|(_, p)| p).unwrap_or(0);
-            Some(inner.machine.clock(p))
-        }
-        Some(ActiveCtx::Serial(rc)) => Some(rc.borrow().machine.clock(0)),
-        None => None,
-    })
+    read_machine(|m, p| m.clock(p))
 }
 
 /// Live modelled heap footprint of the active run, in bytes (`None`
 /// outside any run).
 pub fn footprint() -> Option<u64> {
-    with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) => Some(rc.borrow().machine.footprint()),
-        Some(ActiveCtx::Serial(rc)) => Some(rc.borrow().machine.footprint()),
-        None => None,
-    })
+    read_machine(|m, _| m.footprint())
 }
 
 /// Headroom under the armed space bound: `bound - footprint`, saturating
@@ -225,21 +209,19 @@ pub fn footprint() -> Option<u64> {
 /// policies poll this to shed work *before* the bound trips as a
 /// [`ptdf_smp::MemEventKind::BoundViolation`].
 pub fn space_margin() -> Option<u64> {
+    read_machine(|m, _| m.space_bound().map(|b| b.saturating_sub(m.footprint()))).flatten()
+}
+
+/// `f` of the active run's machine and the calling thread's processor
+/// (processor 0 outside a thread and under the serial baseline); `None`
+/// outside any run.
+fn read_machine<R>(f: impl FnOnce(&Machine, ProcId) -> R) -> Option<R> {
     with_active(|ctx| match ctx {
         Some(ActiveCtx::Par(rc)) => {
             let inner = rc.borrow();
-            inner
-                .machine
-                .space_bound()
-                .map(|b| b.saturating_sub(inner.machine.footprint()))
+            Some(f(&inner.machine, inner.cur.map_or(0, |(_, p)| p)))
         }
-        Some(ActiveCtx::Serial(rc)) => {
-            let inner = rc.borrow();
-            inner
-                .machine
-                .space_bound()
-                .map(|b| b.saturating_sub(inner.machine.footprint()))
-        }
+        Some(ActiveCtx::Serial(rc)) => Some(f(&rc.borrow().machine, 0)),
         None => None,
     })
 }
@@ -425,12 +407,7 @@ impl<T> ScopedHandle<'_, T> {
     /// Waits for the thread and returns its value (re-raising its panic;
     /// a cancelled child re-raises its structured [`crate::CancelError`]).
     pub fn join(self) -> T {
-        match self.try_join() {
-            Ok(v) => v,
-            Err(JoinError::Panicked(payload)) => std::panic::resume_unwind(payload),
-            Err(JoinError::Canceled(e)) => crate::runtime::raise_cancel(e),
-            Err(e @ JoinError::NoValue) => panic!("scoped {e}"),
-        }
+        self.try_join().unwrap_or_else(|e| e.raise("scoped "))
     }
 
     /// Waits for the thread; a panic in it becomes a
@@ -495,5 +472,3 @@ pub fn scope<'env, T>(f: impl FnOnce(&Scope<'env>) -> T) -> T {
     drop(guard);
     out
 }
-
-pub(crate) use crate::runtime::join_impl;

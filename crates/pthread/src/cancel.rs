@@ -40,7 +40,15 @@
 //! the thread: cleanup handlers and guard destructors may use sync
 //! operations during the unwind without re-delivery.
 
-use crate::thread::ThreadId;
+use std::cell::RefCell;
+use std::panic::resume_unwind;
+use std::rc::Rc;
+
+use crate::api::par_ctx;
+use crate::oracle::DecisionKind;
+use crate::runtime::{Evicted, Inner};
+use crate::thread::{TState, Tcb, ThreadId};
+use crate::trace::{BlockReason, EventKind};
 
 /// Payload unwinding a cancelled thread at a cancellation point.
 ///
@@ -74,23 +82,158 @@ impl std::error::Error for CancelError {}
 /// a request subtree registry). Returns `false` when the target has
 /// already exited or no runtime is active.
 pub fn cancel(tid: ThreadId) -> bool {
-    crate::runtime::cancel_impl(tid)
+    par_ctx().is_some_and(|rc| rc.borrow_mut().request_cancel(tid))
 }
 
 /// An explicit cancellation point (`pthread_testcancel`): delivers a
 /// latched cancel request on the calling thread, if cancellation is
 /// enabled. No-op outside the runtime.
 pub fn cancel_point() {
-    crate::runtime::cancel_point_impl();
+    if let Some(rc) = par_ctx() {
+        deliver_cancel(&rc);
+    }
 }
 
 /// Sets the calling thread's cancel state (`pthread_setcancelstate`):
 /// `false` = `PTHREAD_CANCEL_DISABLE`, `true` = `PTHREAD_CANCEL_ENABLE`.
 /// Returns the previous state. A request arriving while disabled stays
-/// latched and fires at the first cancellation point after re-enabling.
-/// Outside the runtime this is a no-op returning `true`.
+/// latched and fires at the first cancellation point after re-enabling —
+/// re-enabling does not deliver it by itself. Outside the runtime this is
+/// a no-op returning `true`.
 pub fn set_cancel_enabled(enabled: bool) -> bool {
-    crate::runtime::set_cancel_enabled_impl(enabled)
+    let Some(rc) = par_ctx() else {
+        return true;
+    };
+    let mut inner = rc.borrow_mut();
+    let Some((tid, _)) = inner.cur else {
+        return true;
+    };
+    std::mem::replace(&mut inner.threads.live_mut(tid).cancel_enabled, enabled)
+}
+
+impl Tcb {
+    /// Accepts the latched cancellation request for delivery: clears it and
+    /// disables cancellation for the rest of the thread, so that the
+    /// unwind's own sync operations cannot re-deliver. Returns who asked.
+    pub(crate) fn accept_cancel(&mut self) -> Option<u32> {
+        self.cancel_requested = false;
+        self.cancel_enabled = false;
+        self.canceled_by
+    }
+
+    /// The payload that unwinds this thread for its accepted cancellation.
+    fn cancel_error(&self) -> CancelError {
+        CancelError {
+            thread: self.id,
+            by: self.canceled_by.map(ThreadId),
+        }
+    }
+}
+
+impl Inner {
+    /// Latches a cancellation request on `target` and, when the target is
+    /// blocked with cancellation enabled, delivers it (`pthread_cancel`
+    /// semantics). Returns `false` when the target has already exited (or
+    /// the id was never issued), `true` otherwise — including when the
+    /// request merely latched because the target is running or has
+    /// cancellation disabled.
+    ///
+    /// Delivery against a *deadline-bounded* blocked wait is a genuine
+    /// schedule race (the deadline may fire first in virtual time) and goes
+    /// through the [`DecisionKind::CancelDelivery`] decision point: deliver
+    /// now, or defer to the wait's own resolution — the resume from a timed
+    /// wait is itself a cancellation point, so the deferred branch still
+    /// unwinds, just at the timeout. An *unbounded* blocked wait has no
+    /// other guaranteed wake, so it always delivers immediately (no
+    /// decision recorded, mirroring single-candidate grant points).
+    pub(crate) fn request_cancel(&mut self, target: ThreadId) -> bool {
+        let Some(tcb) = self.threads.get_mut(target) else {
+            return false;
+        };
+        if tcb.cancel_requested || tcb.cancel_woken {
+            return true;
+        }
+        tcb.cancel_requested = true;
+        tcb.canceled_by = self.cur.map(|(w, _)| w.0);
+        if !tcb.cancel_enabled {
+            return true;
+        }
+        if tcb.state == TState::Blocked {
+            // Barrier waits are not cancellation points (POSIX parity):
+            // the request stays latched and delivers at the thread's next
+            // cancellation point after the barrier releases it.
+            let barrier = tcb
+                .wait
+                .is_some_and(|w| w.reason == BlockReason::Barrier);
+            let timed = tcb.deadline.is_some();
+            // A deadline-bounded wait may also resolve on its own, so when
+            // to deliver is a decision: index 1 defers to that resolution.
+            let defer = if barrier || !timed {
+                barrier
+            } else {
+                let at = self.decision_clock();
+                let kind = DecisionKind::CancelDelivery;
+                self.schedule.pick(kind, at, 2, Some(target.0), &[]) == 1
+            };
+            if !defer {
+                let p = self.cur.map(|(_, p)| p).unwrap_or(0);
+                self.evict_wake(target, p, Evicted::Cancel);
+            }
+        }
+        true
+    }
+}
+
+/// Delivers a latched cancellation request on the *current, running*
+/// thread, if one is pending and cancellation is enabled: accepts it,
+/// emits the `Cancel` event (`obj: None` — there is no wait queue to
+/// leave), and unwinds with a [`CancelError`]. Every cancellation point
+/// calls this on entry; returns normally when nothing is pending.
+pub(crate) fn deliver_cancel(rc: &Rc<RefCell<Inner>>) {
+    let err = {
+        let mut inner = rc.borrow_mut();
+        let Some((tid, p)) = inner.cur else {
+            return;
+        };
+        let tcb = inner.threads.live_mut(tid);
+        if !(tcb.cancel_requested && tcb.cancel_enabled) {
+            return;
+        }
+        let by = tcb.accept_cancel();
+        let err = tcb.cancel_error();
+        inner.trace_event(p, tid.0, EventKind::Cancel { obj: None, by });
+        err
+    };
+    raise_cancel(err)
+}
+
+/// Unwinds the current thread with `err` as the payload. Cancellation is
+/// control flow, not a fault, so it starts the unwind directly
+/// (`resume_unwind`): `panic_any` would first run the process's panic hook,
+/// which by default prints a "panicked at" line per cancelled thread.
+#[cold]
+pub(crate) fn raise_cancel(err: CancelError) -> ! {
+    resume_unwind(Box::new(err))
+}
+
+/// The shared resume-side cancellation check: when the wake that resumed
+/// the current thread was a cancel (`Inner::evict_wake`), consumes that
+/// flag and unwinds with the thread's [`CancelError`] instead of completing
+/// the wait. The `Cancel` event was already emitted by the wake; this only
+/// raises.
+pub(crate) fn unwind_if_cancel_woken(rc: &Rc<RefCell<Inner>>) {
+    let err = {
+        let mut inner = rc.borrow_mut();
+        let Some((tid, _)) = inner.cur else {
+            return;
+        };
+        let tcb = inner.threads.live_mut(tid);
+        if !std::mem::take(&mut tcb.cancel_woken) {
+            return;
+        }
+        tcb.cancel_error()
+    };
+    raise_cancel(err)
 }
 
 /// A `pthread_cleanup_push`-style cleanup handler: runs `f` when dropped —

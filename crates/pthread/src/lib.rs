@@ -68,6 +68,7 @@ mod sentinel;
 mod serial;
 mod sync;
 mod thread;
+mod timecore;
 mod tls;
 pub mod trace;
 mod waitq;

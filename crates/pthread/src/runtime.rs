@@ -7,9 +7,16 @@
 //! dispatches on the processor with the smallest clock, and every scheduler
 //! entry carries the virtual time at which it was published, so causality
 //! holds: a processor never consumes an event from its own future.
+//!
+//! This module is the *what* of the engine: the run state ([`Inner`]), the
+//! thread lifecycle (create, ready, park, evict, exit, retire), dispatch and
+//! the fiber resume. The *when* — which processor steps, how far it may run
+//! ahead, where an idle one advances to, which deadlines are due — is the
+//! time core's ([`crate::timecore`]). Cancellation delivery lives in
+//! [`mod@crate::cancel`], the deadlock sentinel in [`crate::sentinel`] and the
+//! join wait in [`crate::thread`], each beside the API it implements.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
@@ -19,16 +26,16 @@ use ptdf_smp::{Machine, ProcId, VirtTime};
 use crate::config::{Attr, Config, LedgerMode};
 use crate::mem::Ledger;
 use crate::oracle::{DecisionKind, Resolver};
+use crate::recorder::{Emission, Recorder};
 use crate::report::Report;
 use crate::sched::{make_policy, Policy, Pop};
-use crate::sentinel::{DeadlockError, DeadlockInfo, RunError, StallInfo, StalledThread};
+use crate::sentinel::{RunError, Sentinel, StallInfo};
 use crate::thread::{
-    Exit, Fiber, FiberYielder, JoinCell, JoinError, JoinHandle, Kind, Payload, TState, Tcb,
-    ThreadId, ThreadTable, Wait, YieldReason,
+    Fiber, FiberYielder, JoinCell, Kind, TState, Tcb, ThreadId, ThreadTable, Wait, YieldReason,
 };
-use crate::recorder::{Emission, Recorder};
+use crate::timecore::TimeCore;
 use crate::trace::{BlockReason, EventKind, Span, SpanKind};
-use crate::waitq::{parked, untimed, Evict, Holders};
+use crate::waitq::Evict;
 
 /// A TLS-destructor hook: called with an exiting thread's id, it drops the
 /// thread's slot in one [`crate::TlsKey`]'s map and returns the released
@@ -55,12 +62,9 @@ pub(crate) struct Inner {
     /// (`resume = false`, full dispatch) or a time-sliced fiber
     /// (`resume = true`, cost-free continuation).
     pub handoff: Vec<Option<(ThreadId, bool)>>,
-    /// Processors that found the scheduler empty; woken on publish.
-    /// Written only through [`Inner::set_parked`].
-    pub parked: Vec<bool>,
-    /// How many entries of `parked` are set, so [`Inner::unpark`] with
-    /// nobody parked is a load instead of a scan.
-    parked_count: usize,
+    /// *When* each processor steps: parked processors, the timeslice
+    /// reference and the deadline wakeups ([`crate::timecore`]).
+    pub time: TimeCore,
     /// Live (non-exited) threads of any kind.
     pub live: usize,
     /// Currently executing (thread, processor); set before each resume.
@@ -70,15 +74,6 @@ pub(crate) struct Inner {
     /// through its one hook, [`Recorder::emit`], which tests one `Option`
     /// discriminant and nothing else when tracing is off.
     pub recorder: Recorder,
-    /// Cached timeslice reference: the minimum clock among non-parked
-    /// processors *other than* the one running the current fiber (`None`
-    /// when there is no other active processor). While one fiber runs a
-    /// quantum of `work`/`touch` calls, no other processor's clock or parked
-    /// state can change except through [`Inner::unpark`] — the engine loop
-    /// (which derives it from the round's one [`RoundScan`]) and `unpark`
-    /// are the only writers, so refreshing at those two points keeps every
-    /// timeslice check bit-identical to a full scan.
-    pub ts_min_other: Option<VirtTime>,
     /// The decision source built from [`Config::schedule`]: every
     /// decision point, sync-boundary preemption and chaos fault asks it.
     pub schedule: Resolver,
@@ -96,35 +91,9 @@ pub(crate) struct Inner {
     /// Next per-run sync-object id (assigned lazily at an object's first
     /// engine interaction, so ids are dense and engine-order deterministic).
     next_sync_id: u32,
-    /// Waits-for cycles detected so far (delivered via [`Report::deadlocks`]).
-    pub deadlocks: Vec<DeadlockInfo>,
-    /// Current holders of each *contended* sync object, published by the
-    /// primitives at block/handoff time only — the uncontended fast path
-    /// never touches this map, keeping sentinel bookkeeping off the hot
-    /// path. An entry exists exactly while the object has queued waiters.
-    holders: HashMap<u32, Holders>,
-    /// [`Inner::fire_due_timeouts`]'s list of due deadlines, kept between
-    /// rounds so that a firing allocates nothing.
-    due: Vec<(ThreadId, ProcId, VirtTime)>,
-    /// [`Inner::check_for_cycle`]'s scratch, kept between probes so that a
-    /// probe allocates nothing: the path walked so far, and the threads
-    /// already visited.
-    probe_path: Vec<(ThreadId, Option<u32>)>,
-    probe_seen: Vec<ThreadId>,
-    /// What the rounds of this run did about deadlines, for the unit tests.
-    #[cfg(test)]
-    round_stats: RoundStats,
-}
-
-/// Test-only observation of the engine rounds' deadline work.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, Default)]
-struct RoundStats {
-    /// Full (non-solo) scheduling rounds.
-    rounds: u64,
-    /// [`Inner::fire_due_timeouts`] calls that got past the nothing-can-be-due
-    /// check and walked the deadline heaps.
-    deadline_scans: u64,
+    /// The deadlock sentinel: the contended holders, the cycle probe and
+    /// the cycles detected so far ([`crate::sentinel`]).
+    pub sentinel: Sentinel,
 }
 
 /// What kind of execution context the calling code is inside.
@@ -189,14 +158,12 @@ impl Inner {
             policy: make_policy(config),
             threads: ThreadTable::new(),
             handoff: vec![None; config.processors],
-            parked: vec![false; config.processors],
-            parked_count: 0,
+            time: TimeCore::new(config.processors),
             live: 0,
             cur: None,
             default_stack: config.default_stack,
             recorder,
             schedule: Resolver::new(&config.schedule, config.trace),
-            ts_min_other: None,
             stack_pool: StackPool::new(ptdf_fiber::DEFAULT_POOL_CAP),
             ledger: match config.ledger {
                 LedgerMode::Off => None,
@@ -206,24 +173,13 @@ impl Inner {
             tls_cleaners: Vec::new(),
             run_token: RUN_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             next_sync_id: 0,
-            deadlocks: Vec::new(),
-            holders: HashMap::new(),
-            due: Vec::new(),
-            probe_path: Vec::new(),
-            probe_seen: Vec::new(),
-            #[cfg(test)]
-            round_stats: RoundStats::default(),
+            sentinel: Sentinel::default(),
         }
     }
 
     /// Hands out a host stack for a new fiber, recycling through the pool.
     pub fn acquire_fiber_stack(&mut self) -> Stack {
         self.stack_pool.acquire(ptdf_fiber::DEFAULT_STACK_SIZE)
-    }
-
-    /// Returns a completed fiber's host stack to the pool.
-    fn recycle_fiber_stack(&mut self, stack: Stack) {
-        self.stack_pool.release(stack);
     }
 
     /// Charges one scheduler-queue operation on `p` (global lock for
@@ -238,60 +194,24 @@ impl Inner {
         }
     }
 
-    /// One pass over the processors: everything a scheduling round needs
-    /// to know about their clocks.
-    fn scan_procs(&self) -> RoundScan {
-        RoundScan::of(&self.parked, |q| self.machine.clock(q))
-    }
-
-    fn set_parked(&mut self, q: ProcId, parked: bool) {
-        debug_assert_ne!(self.parked[q], parked);
-        self.parked[q] = parked;
-        if parked {
-            self.parked_count += 1;
-        } else {
-            self.parked_count -= 1;
-        }
-    }
-
-    /// Wakes one parked processor for an event published at time `at`
-    /// (wake-one semantics, like an OS run queue: each published entry wakes
-    /// one waiter; waking everyone would model a thundering herd on the
-    /// scheduler lock that real schedulers avoid).
+    /// Wakes one parked processor for an event published at `at`
+    /// ([`TimeCore::unpark`]).
     fn unpark(&mut self, at: VirtTime) {
-        if self.parked_count == 0 {
-            return;
-        }
-        let victim = (0..self.parked.len())
-            .filter(|&q| self.parked[q])
-            .min_by_key(|&q| self.machine.clock(q))
-            .expect("parked_count counts the set entries of parked");
-        let q = self.tie_break(victim, DecisionKind::UnparkTie, |inner, r| inner.parked[r]);
-        self.set_parked(q, false);
-        self.machine.idle_until(q, at);
-        // A processor just became runnable mid-quantum: the cached
-        // timeslice reference for the current fiber must see it.
-        self.ts_min_other = match self.cur {
-            Some((_, p)) => self.scan_procs().min_other(p),
-            None => None,
-        };
+        let running = self.cur.map(|(_, p)| p);
+        self.time
+            .unpark(&mut self.machine, &mut self.schedule, at, running);
     }
 
     /// Whether the current fiber's quantum has outrun the rest of the
-    /// machine by more than [`TIMESLICE`], against the cached reference
-    /// clock. Never true for a thread that has already registered itself on
-    /// a wait queue (state Blocked, between its `park` and the
-    /// `Blocked` suspend — e.g. the unlock inside `Condvar::wait`): a
-    /// concurrent wake would queue it while it also sits in the handoff
-    /// slot, double-dispatching it.
+    /// machine by more than a timeslice ([`TimeCore::timeslice_due`]).
+    /// Never true for a thread that has already registered itself on a
+    /// wait queue (state Blocked, between its `park` and the `Blocked`
+    /// suspend — e.g. the unlock inside `Condvar::wait`): a concurrent wake
+    /// would queue it while it also sits in the handoff slot,
+    /// double-dispatching it.
     #[inline]
     pub(crate) fn timeslice_due(&self, tid: ThreadId, p: ProcId) -> bool {
-        match self.ts_min_other {
-            Some(min) => {
-                self.machine.clock(p).since(min) > TIMESLICE && self.running_on(tid, p)
-            }
-            None => false,
-        }
+        self.time.timeslice_due(&self.machine, p) && self.running_on(tid, p)
     }
 
     /// Whether `tid` is executing on `p` right now — false between its
@@ -305,37 +225,11 @@ impl Inner {
 
     /// Virtual time to stamp on an object-scoped decision: the deciding
     /// thread's processor clock.
-    fn decision_clock(&self) -> VirtTime {
+    pub(crate) fn decision_clock(&self) -> VirtTime {
         match self.cur {
             Some((_, p)) => self.machine.clock(p),
             None => self.machine.clock(0),
         }
-    }
-
-    /// Resolves a processor tie-break decision point: several processors
-    /// tied with `best` at its clock value (and admitted by `eligible`).
-    /// A natural schedule keeps `best` (lowest index) without gathering
-    /// the ties. Single-candidate points are never decisions.
-    fn tie_break(
-        &mut self,
-        best: ProcId,
-        kind: DecisionKind,
-        eligible: impl Fn(&Inner, ProcId) -> bool,
-    ) -> ProcId {
-        if self.schedule.is_natural() {
-            return best;
-        }
-        let t = self.machine.clock(best);
-        let ties: Vec<u32> = (0..self.parked.len())
-            .filter(|&q| eligible(self, q) && self.machine.clock(q) == t)
-            .map(|q| q as u32)
-            .collect();
-        if ties.len() <= 1 {
-            return best;
-        }
-        // `ties` is ascending, so index 0 is `best`: the natural choice.
-        debug_assert_eq!(ties[0], best as u32);
-        ties[self.schedule.pick(kind, t, ties.len(), None, &ties)] as ProcId
     }
 
     /// Resolves the delivery order of a multi-thread wake batch (barrier
@@ -359,24 +253,17 @@ impl Inner {
             .pick(DecisionKind::Grant, at, n, Some(obj), &[])
     }
 
-    /// Allocates a per-run sync-object id (dense, engine-order stable).
-    pub fn alloc_sync_id(&mut self) -> u32 {
+    /// Lazily assigns a per-run id to a sync object at its first engine
+    /// interaction, memoized in the object's `cell`: ids are dense and
+    /// engine-order stable.
+    pub fn sync_id_for(&mut self, cell: &std::cell::Cell<Option<u32>>) -> u32 {
+        if let Some(id) = cell.get() {
+            return id;
+        }
         let id = self.next_sync_id;
         self.next_sync_id += 1;
+        cell.set(Some(id));
         id
-    }
-
-    /// Lazily assigns a per-run id to a sync object at its first engine
-    /// interaction, memoized in the object's `cell`.
-    pub fn sync_id_for(&mut self, cell: &std::cell::Cell<Option<u32>>) -> u32 {
-        match cell.get() {
-            Some(id) => id,
-            None => {
-                let id = self.alloc_sync_id();
-                cell.set(Some(id));
-                id
-            }
-        }
     }
 
     /// Records a wake-capable sync operation — notify, post, lock handoff,
@@ -565,9 +452,7 @@ impl Inner {
             }
             Evicted::Cancel => {
                 tcb.cancel_woken = true;
-                tcb.cancel_requested = false;
-                tcb.cancel_enabled = false;
-                let by = tcb.canceled_by;
+                let by = tcb.accept_cancel();
                 EventKind::Cancel { obj, by }
             }
         };
@@ -592,78 +477,6 @@ impl Inner {
         }
     }
 
-    /// Consumes the current thread's cancel-woken flag: `true` exactly when
-    /// its last wake was a cancellation delivery ([`Inner::evict_wake`])
-    /// rather than a grant or timeout. The resuming primitive must unwind
-    /// with [`Inner::cancel_error_current`] instead of completing its wait.
-    pub fn consume_cancel_woken(&mut self) -> bool {
-        match self.cur {
-            Some((tid, _)) => std::mem::take(&mut self.threads.live_mut(tid).cancel_woken),
-            None => false,
-        }
-    }
-
-    /// The [`crate::CancelError`] payload for the current thread's unwind.
-    pub fn cancel_error_current(&self) -> crate::CancelError {
-        let (tid, _) = self.cur.expect("cancel unwind outside a thread");
-        crate::CancelError {
-            thread: tid,
-            by: self.threads.live(tid).canceled_by.map(ThreadId),
-        }
-    }
-
-    /// Latches a cancellation request on `target` and, when the target is
-    /// blocked with cancellation enabled, delivers it (`pthread_cancel`
-    /// semantics). Returns `false` when the target has already exited (or
-    /// the id was never issued), `true` otherwise — including when the
-    /// request merely latched because the target is running or has
-    /// cancellation disabled.
-    ///
-    /// Delivery against a *deadline-bounded* blocked wait is a genuine
-    /// schedule race (the deadline may fire first in virtual time) and goes
-    /// through the [`DecisionKind::CancelDelivery`] decision point: deliver
-    /// now, or defer to the wait's own resolution — the resume from a timed
-    /// wait is itself a cancellation point, so the deferred branch still
-    /// unwinds, just at the timeout. An *unbounded* blocked wait has no
-    /// other guaranteed wake, so it always delivers immediately (no
-    /// decision recorded, mirroring single-candidate grant points).
-    pub fn request_cancel(&mut self, target: ThreadId) -> bool {
-        let Some(tcb) = self.threads.get_mut(target) else {
-            return false;
-        };
-        if tcb.cancel_requested || tcb.cancel_woken {
-            return true;
-        }
-        tcb.cancel_requested = true;
-        tcb.canceled_by = self.cur.map(|(w, _)| w.0);
-        if !tcb.cancel_enabled {
-            return true;
-        }
-        if tcb.state == TState::Blocked {
-            // Barrier waits are not cancellation points (POSIX parity):
-            // the request stays latched and delivers at the thread's next
-            // cancellation point after the barrier releases it.
-            let barrier = tcb
-                .wait
-                .is_some_and(|w| w.reason == BlockReason::Barrier);
-            let timed = tcb.deadline.is_some();
-            // A deadline-bounded wait may also resolve on its own, so when
-            // to deliver is a decision: index 1 defers to that resolution.
-            let defer = if barrier || !timed {
-                barrier
-            } else {
-                let at = self.decision_clock();
-                let kind = DecisionKind::CancelDelivery;
-                self.schedule.pick(kind, at, 2, Some(target.0), &[]) == 1
-            };
-            if !defer {
-                let p = self.cur.map(|(_, p)| p).unwrap_or(0);
-                self.evict_wake(target, p, Evicted::Cancel);
-            }
-        }
-        true
-    }
-
     /// Whether `t` is currently blocked *on sync object `obj`*: what every
     /// slot of the object's wait queue must satisfy (the queue asserts it
     /// at each grant, in debug builds).
@@ -671,134 +484,6 @@ impl Inner {
         self.threads.get(t).is_some_and(|tcb| {
             tcb.state == TState::Blocked && tcb.wait.is_some_and(|w| w.obj == Some(obj))
         })
-    }
-
-    /// Publishes the holder set of a contended sync object (or retires the
-    /// entry when `holders` is empty). Primitives call this only on their
-    /// contended paths, so the map stays off the uncontended hot path.
-    pub fn note_holders(&mut self, obj: u32, holders: Holders) {
-        if !holders.as_slice().is_empty() {
-            self.holders.insert(obj, holders);
-        } else if !self.holders.is_empty() {
-            self.holders.remove(&obj);
-        }
-    }
-
-    /// Walks the waits-for graph from a prospective edge — `me` about to
-    /// block on `obj` (follow its published holders) or on thread `target`
-    /// (join) — and returns the cycle if one would close. Called *before*
-    /// the thread enqueues, so a detected deadlock leaves every queue
-    /// untouched and the caller can unwind instead of blocking.
-    pub fn check_for_cycle(
-        &mut self,
-        me: ThreadId,
-        obj: Option<u32>,
-        target: Option<ThreadId>,
-    ) -> Option<DeadlockInfo> {
-        fn successors<'a>(holders: &'a HashMap<u32, Holders>, w: &'a Wait) -> &'a [ThreadId] {
-            match (&w.target, w.obj) {
-                (Some(t), _) => std::slice::from_ref(t),
-                // Only a wait on an owner has a "who must act" edge.
-                (None, Some(o)) if crate::waitq::owned(w.reason) => {
-                    holders.get(&o).map_or(&[], Holders::as_slice)
-                }
-                _ => &[],
-            }
-        }
-        fn walk(
-            threads: &ThreadTable,
-            holders: &HashMap<u32, Holders>,
-            me: ThreadId,
-            t: ThreadId,
-            path: &mut Vec<(ThreadId, Option<u32>)>,
-            seen: &mut Vec<ThreadId>,
-        ) -> bool {
-            if t == me {
-                return true;
-            }
-            // A walk visits a handful of threads: a list beats a hash.
-            if seen.contains(&t) {
-                return false;
-            }
-            seen.push(t);
-            // Exited threads, never-issued ids (the outside-a-runtime owner
-            // sentinel) and runnable threads have no outgoing edge.
-            let Some(tcb) = threads.get(t) else {
-                return false;
-            };
-            if tcb.state != TState::Blocked {
-                return false;
-            }
-            // A deadline-bounded wait cannot sustain a deadlock: the engine
-            // will wake it at its deadline, breaking any cycle through it.
-            if tcb.deadline.is_some() {
-                return false;
-            }
-            // Nor can a waiter with a live cancellation request: delivery
-            // will evict and unwind it, breaking the cycle.
-            if tcb.cancel_requested && tcb.cancel_enabled {
-                return false;
-            }
-            let Some(w) = tcb.wait.as_ref() else {
-                return false;
-            };
-            path.push((t, w.obj));
-            for &s in successors(holders, w) {
-                if walk(threads, holders, me, s, path, seen) {
-                    return true;
-                }
-            }
-            path.pop();
-            false
-        }
-        let edge = Wait {
-            reason: obj.map_or(BlockReason::Join, |_| BlockReason::Mutex),
-            obj,
-            target,
-        };
-        let first = successors(&self.holders, &edge);
-        if first.is_empty() {
-            return None;
-        }
-        let (path, seen) = (&mut self.probe_path, &mut self.probe_seen);
-        path.clear();
-        seen.clear();
-        path.push((me, obj));
-        for &s in first {
-            if walk(&self.threads, &self.holders, me, s, path, seen) {
-                let at = match self.cur {
-                    Some((_, p)) => self.machine.clock(p),
-                    None => VirtTime::ZERO,
-                };
-                return Some(DeadlockInfo {
-                    cycle: path.iter().map(|(t, _)| t.0).collect(),
-                    objs: path.iter().map(|(_, o)| *o).collect(),
-                    at,
-                });
-            }
-        }
-        None
-    }
-
-    /// Records a detected cycle: appends it to the report list and emits one
-    /// `Deadlock` flight-recorder event per member (all sharing the cycle's
-    /// index), naming who each member waits for and through which object.
-    pub fn record_deadlock(&mut self, info: &DeadlockInfo) {
-        let idx = self.deadlocks.len() as u32;
-        if let Some((_, p)) = self.cur {
-            let n = info.cycle.len();
-            for i in 0..n {
-                let (member, waits_for, obj) =
-                    (info.cycle[i], info.cycle[(i + 1) % n], info.objs[i]);
-                let kind = EventKind::Deadlock {
-                    cycle: idx,
-                    waits_for,
-                    obj,
-                };
-                self.trace_event(p, member, kind);
-            }
-        }
-        self.deadlocks.push(info.clone());
     }
 
     /// Dispatch bookkeeping for the thread whose record is `t`, on `p`.
@@ -833,6 +518,37 @@ impl Inner {
             ready_wait: was_ready.then(|| dispatched_at.since(ready_since)),
             first_run: (!has_run).then(|| (p, m.clock(p))),
         });
+    }
+
+    /// Pops `p`'s next thread from the policy — a steal pays an extra
+    /// switch for the cold start — or says when the next ready entry is
+    /// published if that is still ahead of `p`'s clock (`None`: the policy
+    /// holds nothing).
+    fn pop(&mut self, p: ProcId) -> Result<ThreadId, Option<VirtTime>> {
+        self.sched_op(p);
+        let now = self.machine.clock(p);
+        let t0 = self.machine.prof_open();
+        let popped = self.policy.pop(p, now);
+        self.machine.prof_close(t0, |hp| &mut hp.sched_pop);
+        let (tid, stolen) = match popped {
+            Pop::Got { tid, stolen } => (tid, stolen),
+            Pop::NotYet(t) => return Err(Some(t)),
+            Pop::Empty => return Err(None),
+        };
+        if stolen {
+            let c = self.machine.cost().ctx_switch;
+            self.machine.thread_op(p, c);
+            self.recorder.emit(&mut self.machine, |m| {
+                let victim = self.policy.last_steal_victim().map(|v| v as u32);
+                Emission::event(m.clock(p), p, tid.0, EventKind::Steal { victim })
+            });
+        }
+        self.recorder.emit(&mut self.machine, |m| Emission::Sample {
+            at: m.clock(p),
+            ready: self.policy.ready_len() as u64,
+            deques: self.policy.active_deques().map(|d| d as u64),
+        });
+        Ok(tid)
     }
 
     /// Books a suspended fiber back into its thread's record and does what
@@ -929,129 +645,39 @@ impl Inner {
         }
     }
 
-    /// True when `t`'s armed deadline is exactly `at` and it is still
-    /// blocked — i.e. the heap entry is live, not a leftover from a wait
-    /// that was satisfied normally (whose thread may since have exited).
-    fn deadline_live(&self, t: ThreadId, at: VirtTime) -> bool {
-        self.threads
-            .get(t)
-            .is_some_and(|tcb| tcb.state == TState::Blocked && tcb.deadline == Some(at))
-    }
-
-    /// Earliest live deadline armed on `p`, discarding stale heap entries.
-    fn next_live_deadline(&mut self, p: ProcId) -> Option<VirtTime> {
-        while let Some((at, token)) = self.machine.peek_deadline(p) {
-            if self.deadline_live(ThreadId(token as u32), at) {
-                return Some(at);
-            }
-            self.machine.pop_deadline(p);
-        }
-        None
-    }
-
-    /// Earliest live deadline on *any* processor's heap (parked ones
-    /// included — their entries fire once the active processors' clocks
-    /// pass them).
-    fn next_live_deadline_any(&mut self) -> Option<VirtTime> {
-        if !self.machine.has_deadlines() {
-            return None;
-        }
-        (0..self.parked.len())
-            .filter_map(|q| self.next_live_deadline(q))
-            .min()
-    }
-
-    /// The firing floor seen from `p` once its own clock has moved (idling):
-    /// the minimum of its clock and its causal horizon.
-    fn wake_floor(&self, p: ProcId, horizon: Option<VirtTime>) -> VirtTime {
-        let me = self.machine.clock(p);
-        horizon.map_or(me, |h| me.min(h))
-    }
-
-    /// Fires every live deadline — on any processor's heap — due at or
-    /// before `floor`: the latest virtual time up to which the
-    /// wake-vs-timeout race is already decided, i.e. the minimum clock over
-    /// the non-parked processors. Every future wake is timestamped at its
-    /// publisher's (monotone) clock, so no wake earlier than the floor can
-    /// appear. Firing is deferred, never early: a deadline beyond the floor
-    /// stays armed so a slower processor can still win the race with a
-    /// virtually-earlier wake. Returns whether any fired.
-    ///
-    /// With no deadline armed, or none that `floor` has reached, that is one
-    /// load and a compare: the machine's bound says no heap holds an entry
-    /// at or before `floor`, so there is nothing to fire. Nor is anything
-    /// discarded then: a stale entry stays at the top of its heap until the
-    /// floor reaches it, which keeps [`Machine::has_deadlines`] true for
-    /// longer and so only keeps the engine off its serial fast path.
+    /// Fires every live deadline due at or before `floor`
+    /// ([`TimeCore::take_due`]), in the order the core returns: each waiter
+    /// is evicted from its wait and woken. Returns whether any fired.
     fn fire_due_timeouts(&mut self, floor: VirtTime) -> bool {
-        if floor < self.machine.deadline_bound() {
+        let live = |token, at| deadline_live(&self.threads, token, at);
+        let Some(mut due) = self
+            .time
+            .take_due(&mut self.machine, &mut self.schedule, floor, live)
+        else {
             return false;
-        }
-        #[cfg(test)]
-        {
-            self.round_stats.deadline_scans += 1;
-        }
-        // Gather every live due deadline first: the firing order among
-        // simultaneously-due timeouts is itself a scheduling decision
-        // point, and the re-admission one firing's eviction runs may
-        // satisfy (and thereby cancel) a later gathered one, which the
-        // per-entry liveness re-check below discards.
-        let mut due = std::mem::take(&mut self.due);
-        for q in 0..self.parked.len() {
-            while let Some((at, token)) = self.machine.peek_deadline(q) {
-                let t = ThreadId(token as u32);
-                if !self.deadline_live(t, at) {
-                    self.machine.pop_deadline(q);
-                    continue;
-                }
-                if at > floor {
-                    break;
-                }
-                self.machine.pop_deadline(q);
-                due.push((t, q, at));
-            }
-        }
-        self.machine.tighten_deadline_bound();
-        self.schedule
-            .order(DecisionKind::TimeoutOrder, None, &mut due, |d| d.2);
+        };
         let mut fired = false;
-        for (t, q, at) in due.drain(..) {
-            if !self.deadline_live(t, at) {
-                continue; // an earlier firing's eviction already woke it
+        for (token, q, at) in due.drain(..) {
+            // The re-admission an earlier firing's eviction ran may have
+            // satisfied (and so disarmed) a later gathered one.
+            if deadline_live(&self.threads, token, at) {
+                self.evict_wake(ThreadId(token as u32), q, Evicted::Timeout(at));
+                fired = true;
             }
-            self.evict_wake(t, q, Evicted::Timeout(at));
-            fired = true;
         }
-        self.due = due;
+        self.time.recycle_due(due);
         fired
     }
+}
 
-    /// The watchdog's verdict when all processors are idle with live
-    /// threads: who is alive, what each waits on, and since when.
-    fn stall_info(&self) -> StallInfo {
-        let at = (0..self.parked.len())
-            .map(|q| self.machine.clock(q))
-            .max()
-            .unwrap_or(VirtTime::ZERO);
-        let threads = self
-            .threads
-            .live_ids()
-            .map(|id| {
-                let t = self.threads.live(id);
-                StalledThread {
-                    thread: id.0,
-                    reason: t.wait.map(|w| w.reason),
-                    obj: t.wait.and_then(|w| w.obj),
-                    since: t.blocked_at,
-                }
-            })
-            .collect();
-        StallInfo {
-            at,
-            scheduler: self.policy.kind().name().to_string(),
-            threads,
-        }
-    }
+/// Whether the deadline armed with `token` at `at` is live: its thread is
+/// still blocked in that same timed wait — not a leftover of a wait that was
+/// satisfied or cancelled (whose thread may since have exited). The time
+/// core asks this of every heap entry it meets.
+fn deadline_live(threads: &ThreadTable, token: u64, at: VirtTime) -> bool {
+    threads
+        .get(ThreadId(token as u32))
+        .is_some_and(|tcb| tcb.state == TState::Blocked && tcb.deadline == Some(at))
 }
 
 /// Runs `f` as the root thread of a fresh virtual-SMP runtime and returns
@@ -1156,7 +782,7 @@ pub fn try_run<T: 'static>(
         .ledger
         .take()
         .map(|l| l.report(stats.mem.free_underflows));
-    let deadlocks = std::mem::take(&mut inner.deadlocks);
+    let deadlocks = std::mem::take(&mut inner.sentinel.deadlocks);
     drop(inner);
     let mut report = Report::new(&config, stats, total_threads, steals, trace, leaks, deadlocks);
     match stalled {
@@ -1190,15 +816,14 @@ pub(crate) fn fiber_body<T, C: AsRef<JoinCell<T>>>(
     // thread, which starts with an empty thread-local context; capture the
     // engine's context now (on the engine thread) and install it when the
     // fiber first runs. A no-op under the single-thread assembly backend.
-    let ctx = with_active(|c| match c {
-        Some(ActiveCtx::Par(rc)) => Some(rc.clone()),
-        _ => None,
-    });
+    let ctx = crate::api::par_ctx();
     move |yielder: &FiberYielder, ()| {
         if let Some(rc) = ctx {
             adopt_context(rc);
         }
-        register_yielder(yielder);
+        on_current_fiber(|inner, tid, _| {
+            inner.threads.live_mut(tid).yielder = yielder as *const _;
+        });
         let join = (*cell).as_ref();
         let body = AssertUnwindSafe(|| {
             let value = f();
@@ -1213,7 +838,8 @@ pub(crate) fn fiber_body<T, C: AsRef<JoinCell<T>>>(
             Err(payload) if payload.is::<ForcedUnwind>() => resume_unwind(payload),
             Err(payload) => join.exit.set_panic(payload),
         }
-        join.exit.set_time(exit_current());
+        join.exit
+            .set_time(on_current_fiber(|inner, tid, p| inner.exit_thread(tid, p)));
     }
 }
 
@@ -1241,26 +867,15 @@ fn adopt_context(rc: Rc<RefCell<Inner>>) {
     });
 }
 
-fn register_yielder(y: &crate::thread::FiberYielder) {
-    with_active(|ctx| {
-        let Some(ActiveCtx::Par(rc)) = ctx else {
-            panic!("fiber running without an active runtime")
-        };
-        let mut inner = rc.borrow_mut();
-        let (tid, _) = inner.cur.expect("fiber running without cur");
-        inner.threads.live_mut(tid).yielder = y as *const _;
-    });
-}
-
-/// [`Inner::exit_thread`] for the calling thread, from its own fiber.
-fn exit_current() -> VirtTime {
+/// `f` of the engine and the thread and processor of the calling fiber.
+fn on_current_fiber<R>(f: impl FnOnce(&mut Inner, ThreadId, ProcId) -> R) -> R {
     with_active(|ctx| {
         let Some(ActiveCtx::Par(rc)) = ctx else {
             panic!("fiber running without an active runtime")
         };
         let mut inner = rc.borrow_mut();
         let (tid, p) = inner.cur.expect("fiber running without cur");
-        inner.exit_thread(tid, p)
+        f(&mut inner, tid, p)
     })
 }
 
@@ -1278,13 +893,8 @@ pub(crate) fn suspend_current(rc: &Rc<RefCell<Inner>>, reason: YieldReason) {
     yielder.suspend(reason);
 }
 
-/// Virtual-time quantum after which a fiber that has run ahead of every
-/// other active processor pauses so virtually-concurrent segments
-/// interleave (see [`YieldReason::Timeslice`]).
-const TIMESLICE: VirtTime = VirtTime::from_us(200);
-
 /// Suspends the current fiber (cost-free) if its processor's clock is more
-/// than one [`TIMESLICE`] ahead of every other non-parked processor.
+/// than one timeslice ahead of every other non-parked processor.
 pub(crate) fn maybe_timeslice(rc: &Rc<RefCell<Inner>>) {
     let should = {
         let inner = rc.borrow();
@@ -1325,214 +935,81 @@ pub(crate) fn maybe_preempt(rc: &Rc<RefCell<Inner>>) {
     }
 }
 
-/// What one pass over the processors tells a scheduling round: who runs
-/// next, how far the timeout race is decided, and how far anyone may run
-/// ahead. Computed once per round ([`Inner::scan_procs`]); every per-round
-/// question about processor clocks is answered from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RoundScan {
-    /// Non-parked processors.
-    unparked: usize,
-    /// The non-parked processor with the smallest clock (lowest index on
-    /// ties) and that clock — the minimum over the non-parked processors,
-    /// which is also the floor up to which the wake-vs-timeout race is
-    /// decided (see [`Inner::fire_due_timeouts`]). `None` when every
-    /// processor is parked.
-    lead: Option<(ProcId, VirtTime)>,
-    /// The minimum over the non-parked processors other than the lead
-    /// (equal to its clock on a tie); `None` when there is no other.
-    second: Option<VirtTime>,
-}
-
-impl RoundScan {
-    fn of(parked: &[bool], clock: impl Fn(ProcId) -> VirtTime) -> Self {
-        let mut scan = RoundScan {
-            unparked: 0,
-            lead: None,
-            second: None,
-        };
-        for q in (0..parked.len()).filter(|&q| !parked[q]) {
-            let c = clock(q);
-            scan.unparked += 1;
-            match scan.lead {
-                Some((_, min)) if c >= min => {
-                    if scan.second.is_none_or(|s| c < s) {
-                        scan.second = Some(c);
-                    }
-                }
-                lead => {
-                    scan.second = lead.map(|(_, min)| min);
-                    scan.lead = Some((q, c));
-                }
-            }
-        }
-        scan
-    }
-
-    /// Minimum clock among the non-parked processors *other than* `p` — its
-    /// causal horizon: the earliest virtual time at which anyone else could
-    /// still publish a wake, and the reference a fiber running on `p` is
-    /// timesliced against. `None` when `p` is the only active processor
-    /// (then nobody can, and `p` may advance freely). Parked processors are
-    /// excluded because [`Inner::unpark`] idles them forward to the
-    /// publication that revives them: they can never act before an active
-    /// processor's present.
-    ///
-    /// Stays valid while only `p`'s own clock advances (dispatch costs,
-    /// idling): the answer never involves it.
-    fn min_other(&self, p: ProcId) -> Option<VirtTime> {
-        match self.lead {
-            Some((q, _)) if q == p => self.second,
-            lead => lead.map(|(_, min)| min),
-        }
-    }
-}
-
 fn engine_loop(inner_rc: &Rc<RefCell<Inner>>) -> Option<StallInfo> {
     loop {
-        let mut inner = inner_rc.borrow_mut();
-        if inner.live == 0 {
+        let mut guard = inner_rc.borrow_mut();
+        if guard.live == 0 {
             return None;
         }
+        let inner = &mut *guard;
         // The round's one pass over the processors.
-        let scan = inner.scan_procs();
-        let Some((best, floor)) = scan.lead else {
-            // All processors parked. A live timed wait still guarantees
-            // progress: advance the earliest-deadline processor to its
-            // deadline and fire it — with everyone parked no wake can
-            // materialize, so the race is decided. With no deadline armed
-            // the run is stalled: hand the watchdog's verdict up instead
-            // of panicking here.
-            let due = (0..inner.parked.len())
-                .filter_map(|q| inner.next_live_deadline(q).map(|d| (d, q)))
-                .min();
-            match due {
-                Some((d, q)) => {
-                    inner.set_parked(q, false);
-                    inner.machine.idle_until(q, d);
-                    inner.fire_due_timeouts(d);
-                    continue;
+        let scan = inner.time.scan(&inner.machine);
+        // A processor with nothing to run, its causal horizon, and when the
+        // next ready entry is published: the idle step's question. With
+        // every processor parked there is no such processor.
+        let (p, horizon, next_ready) = match scan.lead {
+            None => (None, None, None),
+            Some((best, floor)) => {
+                // Serial fast path (the cycle-box analogue): with no
+                // deadline outstanding and exactly one runnable processor
+                // (the lead has no causal horizon: nobody else is active)
+                // holding a direct handoff, the full round is provably a
+                // no-op beyond taking the handoff — the min-clock pick has
+                // no rivals (so the perturbed tie-break draws nothing), and
+                // no timeout can fire with no deadline armed. The guard
+                // re-evaluates every iteration, so the engine falls back to
+                // the full round the instant a second processor unparks or a
+                // deadline is armed.
+                if scan.min_other(best).is_none() && !inner.machine.has_deadlines() {
+                    if let Some((tid, ts_resume)) = inner.handoff[best].take() {
+                        run_quantum(guard, inner_rc, best, tid, ts_resume, None);
+                        continue;
+                    }
                 }
-                None => return Some(inner.stall_info()),
+                let p = inner
+                    .time
+                    .dispatch_tie(&inner.machine, &mut inner.schedule, best);
+                // `p`'s causal horizon. Only `p`'s own clock moves from here
+                // to the resume — unless a timeout fires, whose wake charges
+                // the waiter's processor and may unpark another: then the
+                // round scans again.
+                let mut horizon = scan.min_other(p);
+                // Deliver every timed wait whose deadline the whole machine
+                // has passed, before this processor picks new work. `p`
+                // holds the minimum clock right now, so the floor is its own
+                // clock.
+                if inner.fire_due_timeouts(floor) {
+                    horizon = inner.time.scan(&inner.machine).min_other(p);
+                }
+                let next = match inner.handoff[p].take() {
+                    Some(handoff) => Ok(handoff),
+                    None => inner.pop(p).map(|tid| (tid, false)),
+                };
+                match next {
+                    Ok((tid, ts_resume)) => {
+                        run_quantum(guard, inner_rc, p, tid, ts_resume, horizon);
+                        continue;
+                    }
+                    Err(next_ready) => (Some(p), horizon, next_ready),
+                }
             }
         };
-        // Serial fast path (the cycle-box analogue): with no deadline
-        // outstanding and exactly one runnable processor holding a direct
-        // handoff, the full scheduling round is provably a no-op beyond
-        // taking the handoff — the min-clock pick has no rivals (so the
-        // perturbed tie-break draws nothing), and no timeout can fire with
-        // no deadline armed. The guard re-evaluates
-        // every iteration, so the engine falls back to the event-heap round
-        // the instant a second processor unparks or a deadline is armed.
-        if scan.unparked == 1 && !inner.machine.has_deadlines() {
-            if let Some((tid, ts_resume)) = inner.handoff[best].take() {
-                run_quantum(inner, inner_rc, best, tid, ts_resume, None);
-                continue;
-            }
-        }
-        #[cfg(test)]
+        let live = |token, at| deadline_live(&inner.threads, token, at);
+        if let Some(floor) = inner
+            .time
+            .idle(&mut inner.machine, p, horizon, next_ready, live)
         {
-            inner.round_stats.rounds += 1;
+            inner.fire_due_timeouts(floor);
+        } else if p.is_none() {
+            // Every processor parked and no timed wait to wake: the run is
+            // stalled. Hand the watchdog's verdict up instead of panicking.
+            let scheduler = inner.policy.kind().name();
+            return Some(Sentinel::stall_info(
+                &inner.threads,
+                &inner.machine,
+                scheduler,
+            ));
         }
-        // Minimum-clock runnable processor. Under perturbation, ties at the
-        // minimum clock break pseudo-randomly instead of always toward the
-        // lowest index — this is the main source of genuinely different
-        // (but still causally valid) event interleavings.
-        let p = inner.tie_break(best, DecisionKind::DispatchTie, |inner, r| !inner.parked[r]);
-        // `p`'s causal horizon. Only `p`'s own clock moves from here to the
-        // resume — unless a timeout fires, whose wake charges the waiter's
-        // processor and may unpark another: then the round scans again.
-        let mut horizon = scan.min_other(p);
-        // Deliver every timed wait whose deadline the whole machine has
-        // passed, before this processor picks new work. `p` holds the
-        // minimum clock right now, so the floor is its own clock.
-        if inner.fire_due_timeouts(floor) {
-            horizon = inner.scan_procs().min_other(p);
-        }
-        let (tid, ts_resume) = if let Some((child, resume)) = inner.handoff[p].take() {
-            (child, resume)
-        } else {
-            inner.sched_op(p);
-            let now = inner.machine.clock(p);
-            let t0 = inner.machine.prof_open();
-            let popped = inner.policy.pop(p, now);
-            inner.machine.prof_close(t0, |hp| &mut hp.sched_pop);
-            match popped {
-                Pop::Got { tid, stolen } => {
-                    if stolen {
-                        // Migration: pay an extra switch for the cold start.
-                        let c = inner.machine.cost().ctx_switch;
-                        inner.machine.thread_op(p, c);
-                        let inner = &mut *inner;
-                        inner.recorder.emit(&mut inner.machine, |m| {
-                            let victim = inner.policy.last_steal_victim().map(|v| v as u32);
-                            Emission::event(m.clock(p), p, tid.0, EventKind::Steal { victim })
-                        });
-                    }
-                    let inner = &mut *inner;
-                    inner.recorder.emit(&mut inner.machine, |m| Emission::Sample {
-                        at: m.clock(p),
-                        ready: inner.policy.ready_len() as u64,
-                        deques: inner.policy.active_deques().map(|d| d as u64),
-                    });
-                    (tid, false)
-                }
-                Pop::NotYet(t) => {
-                    // Idle only as far as the nearest *decidable* armed
-                    // deadline, so a timed wait fires on schedule even when
-                    // the next ready entry lies beyond it. A deadline past
-                    // the causal horizon (another processor still trails
-                    // it) must not short-stop the idle: that processor may
-                    // yet publish the earlier wake, and the post-idle
-                    // firing floor defers the timeout either way.
-                    let mut until = t;
-                    if let Some(d) = inner.next_live_deadline_any() {
-                        let decidable = horizon.is_none_or(|h| d <= h);
-                        if decidable && d < until {
-                            until = d;
-                        }
-                    }
-                    inner.machine.idle_until(p, until);
-                    let floor = inner.wake_floor(p, horizon);
-                    inner.fire_due_timeouts(floor);
-                    continue;
-                }
-                Pop::Empty => {
-                    // An idle processor is what keeps timed waits honest:
-                    // it advances to the earliest armed deadline — but only
-                    // as fast as the slowest active processor (the causal
-                    // horizon), so a wake published from virtually behind
-                    // the deadline still wins the race. At the horizon with
-                    // the deadline still ahead, park: either a wake revives
-                    // this processor, or everyone ends up parked and the
-                    // all-parked arm above fires the deadline.
-                    if let Some(d) = inner.next_live_deadline_any() {
-                        let now = inner.machine.clock(p);
-                        match horizon {
-                            None => {
-                                inner.machine.idle_until(p, d);
-                                inner.fire_due_timeouts(d);
-                                continue;
-                            }
-                            Some(h) if d <= h => {
-                                inner.machine.idle_until(p, d);
-                                let floor = inner.wake_floor(p, horizon);
-                                inner.fire_due_timeouts(floor);
-                                continue;
-                            }
-                            Some(h) if h > now => {
-                                inner.machine.idle_until(p, h);
-                                continue;
-                            }
-                            Some(_) => {} // at the horizon already: park
-                        }
-                    }
-                    inner.set_parked(p, true);
-                    continue;
-                }
-            }
-        };
-        run_quantum(inner, inner_rc, p, tid, ts_resume, horizon);
     }
 }
 
@@ -1559,7 +1036,7 @@ fn run_quantum(
         inner.machine.prof_close(t0, |hp| &mut hp.dispatch);
     }
     // The dispatched fiber's timeslice reference clock for this quantum.
-    inner.ts_min_other = horizon;
+    inner.time.set_horizon(horizon);
     let span_start = inner.machine.clock(p);
     let dummy = tcb.kind == Kind::Dummy;
     let mut guard = if dummy {
@@ -1586,7 +1063,7 @@ fn run_quantum(
                 // Recycle the completed fiber's host stack for the next
                 // spawn (the portable backend has no real stack to return).
                 if let Some(stack) = fiber.into_stack() {
-                    inner.recycle_fiber_stack(stack);
+                    inner.stack_pool.release(stack);
                 }
                 inner.retire(tid, p);
             }
@@ -1612,258 +1089,17 @@ fn run_quantum(
     });
 }
 
-/// Implementation of [`fn@crate::cancel`]: resolves the active runtime and
-/// latches/delivers the request. Outside a runtime there is nothing to
-/// cancel; report `false`.
-pub(crate) fn cancel_impl(tid: ThreadId) -> bool {
-    with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) => rc.borrow_mut().request_cancel(tid),
-        _ => false,
-    })
-}
-
-/// Implementation of [`crate::cancel_point`]: an explicit cancellation
-/// point on the calling thread. No-op outside the runtime.
-pub(crate) fn cancel_point_impl() {
-    let rc = with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) => Some(rc.clone()),
-        _ => None,
-    });
-    if let Some(rc) = rc {
-        deliver_cancel(&rc);
-    }
-}
-
-/// Implementation of [`crate::set_cancel_enabled`]: swaps the current
-/// thread's cancel state, returning the previous one. Re-enabling does
-/// *not* deliver a latched request by itself — delivery waits for the next
-/// cancellation point, per POSIX `pthread_setcancelstate`.
-pub(crate) fn set_cancel_enabled_impl(enabled: bool) -> bool {
-    with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) => {
-            let mut inner = rc.borrow_mut();
-            match inner.cur {
-                Some((tid, _)) => {
-                    std::mem::replace(&mut inner.threads.live_mut(tid).cancel_enabled, enabled)
-                }
-                None => true,
-            }
-        }
-        _ => true,
-    })
-}
-
-/// Delivers a latched cancellation request on the *current, running*
-/// thread, if one is pending and cancellation is enabled: clears the
-/// request, disables further cancellation (the unwind's own sync
-/// operations must not re-deliver), emits the `Cancel` event (`obj: None`
-/// — there is no wait queue to leave), and unwinds with a
-/// [`crate::CancelError`]. Every cancellation point calls this on entry;
-/// returns normally when nothing is pending.
-pub(crate) fn deliver_cancel(rc: &Rc<RefCell<Inner>>) {
-    let err = {
-        let mut inner = rc.borrow_mut();
-        let Some((tid, p)) = inner.cur else {
-            return;
-        };
-        let tcb = inner.threads.live_mut(tid);
-        if !(tcb.cancel_requested && tcb.cancel_enabled) {
-            return;
-        }
-        tcb.cancel_requested = false;
-        tcb.cancel_enabled = false;
-        let by = tcb.canceled_by;
-        inner.trace_event(p, tid.0, EventKind::Cancel { obj: None, by });
-        crate::CancelError {
-            thread: tid,
-            by: by.map(ThreadId),
-        }
-    };
-    raise_cancel(err)
-}
-
-/// Unwinds the current thread with `err` as the payload. Cancellation is
-/// control flow, not a fault, so it starts the unwind directly
-/// (`resume_unwind`): `panic_any` would first run the process's panic hook,
-/// which by default prints a "panicked at" line per cancelled thread.
-#[cold]
-pub(crate) fn raise_cancel(err: crate::CancelError) -> ! {
-    resume_unwind(Box::new(err))
-}
-
-/// The shared resume-side cancellation check: when the wake that resumed
-/// the current thread was a cancel [`Inner::evict_wake`], unwind with the
-/// structured [`crate::CancelError`] instead of completing the wait. The
-/// `Cancel` event was already emitted by the wake; this only raises.
-pub(crate) fn unwind_if_cancel_woken(rc: &Rc<RefCell<Inner>>) {
-    let err = {
-        let mut inner = rc.borrow_mut();
-        if !inner.consume_cancel_woken() {
-            return;
-        }
-        inner.cancel_error_current()
-    };
-    raise_cancel(err)
-}
-
-/// Implementation of [`JoinHandle::join`]: re-raises a child panic in the
-/// joiner (pthread `join` semantics on a cancelled/aborted thread); a
-/// cancelled child re-raises its structured [`crate::CancelError`].
-pub(crate) fn join_impl<T>(h: &JoinHandle<T>) -> T {
-    match try_join_impl(h) {
-        Ok(v) => v,
-        Err(JoinError::Panicked(payload)) => resume_unwind(payload),
-        Err(JoinError::Canceled(e)) => raise_cancel(e),
-        Err(e @ JoinError::NoValue) => panic!("{e}"),
-    }
-}
-
-/// Implementation of [`JoinHandle::try_join`]: waits for the child exactly
-/// like `join`, but surfaces a child panic (or a missing value) as a
-/// [`JoinError`] instead of unwinding the joiner.
-pub(crate) fn try_join_impl<T>(h: &JoinHandle<T>) -> Result<T, JoinError> {
-    if let Some(rc) = owning_run(h.run) {
-        if let Some(payload) = untimed(join_wait_in(&rc, h.id, &h.cell.exit, None)) {
-            return Err(JoinError::of(payload));
-        }
-    }
-    h.cell.value.take().ok_or(JoinError::NoValue)
-}
-
-/// The active run, when it is the one that made a handle stamped `run`
-/// (see [`JoinHandle`]'s `run` field). `None` for an inline handle, outside
-/// any run, and inside a different run — where the handle's thread is long
-/// complete and its id means nothing.
-pub(crate) fn owning_run(run: Option<u64>) -> Option<Rc<RefCell<Inner>>> {
-    let run = run?;
-    with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) if rc.borrow().run_token == run => Some(rc.clone()),
-        _ => None,
-    })
-}
-
-/// Blocks the current thread until `target`, a thread of the active run
-/// whose cell holds `exit`, exits. Returns the target's panic payload, if
-/// it panicked; the caller decides whether to re-raise.
-pub(crate) fn join_wait(target: ThreadId, exit: &Exit) -> Option<Payload> {
-    let rc = with_active(|ctx| match ctx {
-        Some(ActiveCtx::Par(rc)) => rc.clone(),
-        _ => panic!("join on a runtime thread outside the runtime"),
-    });
-    untimed(join_wait_in(&rc, target, exit, None))
-}
-
-/// Waits for `target`'s exit — recorded in `exit`, from its cell — at most
-/// `timeout` of virtual time if there is one: `Err(TimedOut)` when `target`
-/// has not (virtually) exited by then; otherwise the target's panic
-/// payload, if it panicked.
-fn join_wait_in(
-    rc: &Rc<RefCell<Inner>>,
-    target: ThreadId,
-    exit: &Exit,
-    timeout: Option<VirtTime>,
-) -> Result<Option<Payload>, crate::TimedOut> {
-    // Join is a cancellation point (POSIX): deliver on entry…
-    deliver_cancel(rc);
-    let mut deadline: Option<VirtTime> = None;
-    loop {
-        let mut inner = rc.borrow_mut();
-        // Lenient on context: a scope guard unwinding during stall teardown
-        // joins children that will never run; report "no value" upstream
-        // instead of tearing the process down with a nested panic.
-        let Some((cur, p)) = inner.cur else {
-            return Ok(None);
-        };
-        let now = inner.machine.clock(p);
-        if let Some(timeout) = timeout {
-            deadline.get_or_insert(VirtTime::from_ns(now.as_ns().saturating_add(timeout.as_ns())));
-        }
-        if let Some(exit_time) = exit.time() {
-            if let Some(deadline) = deadline.filter(|&d| exit_time > d) {
-                // The child's virtual exit lies beyond our budget: sleep to
-                // the deadline (greedily, like `JoinWake`) and report the
-                // timeout at exactly the promised virtual instant.
-                drop(inner);
-                suspend_current(rc, YieldReason::JoinWake { at: deadline });
-                return Err(crate::TimedOut);
-            }
-            // Happens-before: join cannot return before the child's virtual
-            // exit, even when the engine (real-time) ran the child first.
-            if now < exit_time {
-                // The exit lies in this processor's virtual future. Don't
-                // idle the processor across the gap — that would be
-                // non-greedy (and breaks Brent's bound when other work is
-                // ready). Sleep until the exit becomes visible instead.
-                drop(inner);
-                suspend_current(rc, YieldReason::JoinWake { at: exit_time });
-                continue;
-            }
-            let c = inner.machine.cost().join_exited;
-            inner.machine.thread_op(p, c);
-            inner.trace_event(p, cur.0, EventKind::Join { target: target.0 });
-            return Ok(exit.take_panic());
-        }
-        assert!(
-            inner.threads.live(target).joiner.is_none(),
-            "two threads joining {target}"
-        );
-        // A join edge can close a waits-for cycle just like a lock edge
-        // (t1 joins t2 while t2 blocks on a mutex t1 holds). Check before
-        // registering as joiner, and unwind instead of blocking forever —
-        // unless the wait is timed: its deadline breaks any cycle.
-        if timeout.is_none() {
-            if let Some(info) = inner.check_for_cycle(cur, None, Some(target)) {
-                inner.record_deadlock(&info);
-                drop(inner);
-                std::panic::panic_any(DeadlockError { info });
-            }
-        }
-        // The registration is a one-slot wait queue on the target: its exit
-        // grants it, and a deadline or a cancel withdraws it with the wake
-        // (`Evict::Joiner`), so the exit never meets a dead joiner.
-        inner.threads.live_mut(target).joiner = Some(cur);
-        let wait = Wait {
-            reason: BlockReason::Join,
-            obj: None,
-            target: Some(target),
-        };
-        let left = deadline.map(|d| VirtTime::from_ns(d.as_ns().saturating_sub(now.as_ns())));
-        inner.park(wait, left, Evict::Joiner(target));
-        drop(inner);
-        parked(rc, timeout.is_some())?;
-    }
-}
-
-/// Implementation of [`JoinHandle::join_timeout`]: waits at most `timeout`
-/// of virtual time, returning the handle back on expiry.
-pub(crate) fn join_timeout_impl<T>(
-    h: JoinHandle<T>,
-    timeout: VirtTime,
-) -> Result<T, JoinHandle<T>> {
-    if let Some(rc) = owning_run(h.run) {
-        match join_wait_in(&rc, h.id, &h.cell.exit, Some(timeout)) {
-            Ok(Some(payload)) => resume_unwind(payload),
-            Ok(None) => {}
-            Err(crate::TimedOut) => return Err(h),
-        }
-    }
-    match h.cell.value.take() {
-        Some(v) => Ok(v),
-        None => panic!("{}", JoinError::NoValue),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timecore::RoundStats;
     use crate::{spawn, yield_now, SchedKind};
-    use ptdf_smp::Prng;
 
     /// The running engine's round statistics so far (call from a thread of
     /// the run).
     fn round_stats() -> RoundStats {
         with_active(|ctx| match ctx {
-            Some(ActiveCtx::Par(rc)) => rc.borrow().round_stats,
+            Some(ActiveCtx::Par(rc)) => rc.borrow().time.stats,
             _ => panic!("round_stats outside a run"),
         })
     }
@@ -1957,7 +1193,7 @@ mod tests {
                 "{sched:?}: the run must take full rounds"
             );
             assert_eq!(
-                stats.deadline_scans, 0,
+                stats.heap_walks, 0,
                 "{sched:?}: no deadline armed, yet a round scanned"
             );
         }
@@ -1993,10 +1229,10 @@ mod tests {
             "the tail must take full rounds"
         );
         assert_eq!(
-            idle.deadline_scans, 0,
+            idle.heap_walks, 0,
             "a deadline 500 ms away put the rounds on the heaps"
         );
-        let walks = fired.deadline_scans - idle.deadline_scans;
+        let walks = fired.heap_walks - idle.heap_walks;
         assert!(
             (1..=4).contains(&walks),
             "{walks} heap walks to fire one timeout"
@@ -2006,7 +1242,7 @@ mod tests {
             "the tail must take full rounds"
         );
         assert_eq!(
-            end.deadline_scans, fired.deadline_scans,
+            end.heap_walks, fired.heap_walks,
             "nothing is armed any more, yet a round scanned"
         );
     }
@@ -2032,50 +1268,8 @@ mod tests {
             "the run must take full rounds"
         );
         assert_eq!(
-            after.deadline_scans, before.deadline_scans,
+            after.heap_walks, before.heap_walks,
             "rounds walked the heaps for a deadline 500 ms ahead of the floor"
         );
-    }
-
-    #[test]
-    fn round_scan_matches_the_per_question_scans() {
-        let mut prng = Prng::new(12);
-        for case in 0..20_000 {
-            let p = 1 + prng.below(8) as usize;
-            // Few distinct clock values, so ties are the common case; every
-            // tenth case parks everybody.
-            let clocks: Vec<VirtTime> = (0..p)
-                .map(|_| VirtTime::from_ns(prng.below(4) * 100))
-                .collect();
-            let parked: Vec<bool> = (0..p)
-                .map(|_| case % 10 == 0 || prng.chance(1, 3))
-                .collect();
-            let active = || (0..p).filter(|&q| !parked[q]);
-            let scan = RoundScan::of(&parked, |q| clocks[q]);
-
-            // `pick_proc`: first minimum-clock non-parked processor.
-            let pick = active().min_by_key(|&q| clocks[q]);
-            assert_eq!(
-                scan.lead,
-                pick.map(|b| (b, clocks[b])),
-                "clocks {clocks:?} parked {parked:?}"
-            );
-            assert_eq!(scan.unparked, active().count());
-            for q in 0..p {
-                // `causal_horizon(q)` / `refresh_ts_min_other` with `cur` on q.
-                let horizon = active().filter(|&r| r != q).map(|r| clocks[r]).min();
-                assert_eq!(
-                    scan.min_other(q),
-                    horizon,
-                    "q {q} clocks {clocks:?} parked {parked:?}"
-                );
-                // `wake_floor(q)`, for the processor a round can pick: one
-                // holding the minimum clock (any of the tied ones).
-                if !parked[q] && Some(clocks[q]) == pick.map(|b| clocks[b]) {
-                    let floor = horizon.map_or(clocks[q], |h| clocks[q].min(h));
-                    assert_eq!(scan.lead.map(|(_, min)| min), Some(floor));
-                }
-            }
-        }
     }
 }

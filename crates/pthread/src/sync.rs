@@ -21,7 +21,8 @@ use std::rc::Rc;
 use ptdf_smp::VirtTime;
 
 use crate::api::par_ctx;
-use crate::runtime::{deliver_cancel, suspend_current, unwind_if_cancel_woken, Inner};
+use crate::cancel::{deliver_cancel, unwind_if_cancel_woken};
+use crate::runtime::{suspend_current, Inner};
 use crate::sentinel::TimedOut;
 use crate::thread::{ThreadId, YieldReason};
 use crate::trace::BlockReason;

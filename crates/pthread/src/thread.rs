@@ -1,13 +1,20 @@
 //! Thread control blocks, the thread table and join handles.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::panic::resume_unwind;
 use std::rc::Rc;
 
 use ptdf_fiber::{Coroutine, Yielder};
 use ptdf_smp::{ProcId, VirtTime};
 
+use crate::api::par_ctx;
+use crate::cancel::{deliver_cancel, raise_cancel};
 use crate::config::Attr;
+use crate::runtime::{suspend_current, Inner};
+use crate::sentinel::{DeadlockError, TimedOut};
+use crate::trace::{BlockReason, EventKind};
+use crate::waitq::{parked, untimed, Evict};
 
 /// Identifier of a thread within one run.
 ///
@@ -646,6 +653,17 @@ impl JoinError {
         }
     }
 
+    /// Unwinds the joiner with what the joined thread left — its panic, or
+    /// its structured [`crate::CancelError`] — and panics with `what` and
+    /// this error for a missing value.
+    pub(crate) fn raise(self, what: &str) -> ! {
+        match self {
+            JoinError::Panicked(payload) => resume_unwind(payload),
+            JoinError::Canceled(e) => raise_cancel(e),
+            JoinError::NoValue => panic!("{what}{self}"),
+        }
+    }
+
     /// The panic payload, if the thread panicked (a cancelled thread's
     /// payload is its boxed [`crate::CancelError`], so re-raising keeps
     /// the structured form).
@@ -713,15 +731,22 @@ impl<T> JoinHandle<T> {
     /// Waits for the thread to finish and returns its result.
     ///
     /// # Panics
-    /// Re-raises a panic that escaped the thread's closure.
+    /// Re-raises a panic that escaped the thread's closure (pthread `join`
+    /// semantics on an aborted thread); a cancelled thread re-raises its
+    /// structured [`crate::CancelError`].
     pub fn join(self) -> T {
-        crate::api::join_impl(&self)
+        self.try_join().unwrap_or_else(|e| e.raise(""))
     }
 
     /// Waits for the thread to finish; a panic in the thread is returned as
     /// [`JoinError::Panicked`] instead of unwinding the joiner.
     pub fn try_join(self) -> Result<T, JoinError> {
-        crate::runtime::try_join_impl(&self)
+        if let Some(rc) = self.owning_run() {
+            if let Some(payload) = untimed(join_wait_in(&rc, self.id, &self.cell.exit, None)) {
+                return Err(JoinError::of(payload));
+            }
+        }
+        self.cell.value.take().ok_or(JoinError::NoValue)
     }
 
     /// Waits up to `timeout` of virtual time for the thread to finish.
@@ -733,7 +758,18 @@ impl<T> JoinHandle<T> {
         self,
         timeout: ptdf_smp::VirtTime,
     ) -> Result<T, JoinHandle<T>> {
-        crate::runtime::join_timeout_impl(self, timeout)
+        if let Some(rc) = self.owning_run() {
+            match join_wait_in(&rc, self.id, &self.cell.exit, Some(timeout)) {
+                Ok(Some(payload)) => resume_unwind(payload),
+                Ok(None) => {}
+                Err(TimedOut) => return Err(self),
+            }
+        }
+        Ok(self
+            .cell
+            .value
+            .take()
+            .unwrap_or_else(|| JoinError::NoValue.raise("")))
     }
 
     /// Requests cancellation of the thread (`pthread_cancel` semantics,
@@ -750,8 +786,16 @@ impl<T> JoinHandle<T> {
     /// already exited, the handle completed inline (serial mode), or the
     /// run that made the handle is over.
     pub fn cancel(&self) -> bool {
-        crate::runtime::owning_run(self.run)
+        self.owning_run()
             .is_some_and(|rc| rc.borrow_mut().request_cancel(self.id))
+    }
+
+    /// The active run, when it is the one that made this handle. `None` for
+    /// an inline handle, outside any run, and inside a different run —
+    /// where the handle's thread is long complete and its id means nothing.
+    fn owning_run(&self) -> Option<Rc<RefCell<Inner>>> {
+        let run = self.run?;
+        par_ctx().filter(|rc| rc.borrow().run_token == run)
     }
 
     /// Explicitly detaches the thread (equivalent to dropping the handle).
@@ -769,6 +813,94 @@ impl<T> Drop for JoinHandle<T> {
 impl<T> std::fmt::Debug for JoinHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JoinHandle").field("id", &self.id).finish()
+    }
+}
+
+/// Blocks the current thread until `target`, a thread of the active run
+/// whose cell holds `exit`, exits. Returns the target's panic payload, if
+/// it panicked; the caller decides whether to re-raise.
+pub(crate) fn join_wait(target: ThreadId, exit: &Exit) -> Option<Payload> {
+    let rc = par_ctx().expect("join on a runtime thread outside the runtime");
+    untimed(join_wait_in(&rc, target, exit, None))
+}
+
+/// Waits for `target`'s exit — recorded in `exit`, from its cell — at most
+/// `timeout` of virtual time if there is one: `Err(TimedOut)` when `target`
+/// has not (virtually) exited by then; otherwise the target's panic
+/// payload, if it panicked.
+fn join_wait_in(
+    rc: &Rc<RefCell<Inner>>,
+    target: ThreadId,
+    exit: &Exit,
+    timeout: Option<VirtTime>,
+) -> Result<Option<Payload>, TimedOut> {
+    // Join is a cancellation point (POSIX): deliver on entry…
+    deliver_cancel(rc);
+    let mut deadline: Option<VirtTime> = None;
+    loop {
+        let mut inner = rc.borrow_mut();
+        // Lenient on context: a scope guard unwinding during stall teardown
+        // joins children that will never run; report "no value" upstream
+        // instead of tearing the process down with a nested panic.
+        let Some((cur, p)) = inner.cur else {
+            return Ok(None);
+        };
+        let now = inner.machine.clock(p);
+        if let Some(timeout) = timeout {
+            deadline.get_or_insert(VirtTime::from_ns(now.as_ns().saturating_add(timeout.as_ns())));
+        }
+        if let Some(exit_time) = exit.time() {
+            if let Some(deadline) = deadline.filter(|&d| exit_time > d) {
+                // The child's virtual exit lies beyond our budget: sleep to
+                // the deadline (greedily, like `JoinWake`) and report the
+                // timeout at exactly the promised virtual instant.
+                drop(inner);
+                suspend_current(rc, YieldReason::JoinWake { at: deadline });
+                return Err(TimedOut);
+            }
+            // Happens-before: join cannot return before the child's virtual
+            // exit, even when the engine (real-time) ran the child first.
+            if now < exit_time {
+                // The exit lies in this processor's virtual future. Don't
+                // idle the processor across the gap — that would be
+                // non-greedy (and breaks Brent's bound when other work is
+                // ready). Sleep until the exit becomes visible instead.
+                drop(inner);
+                suspend_current(rc, YieldReason::JoinWake { at: exit_time });
+                continue;
+            }
+            let c = inner.machine.cost().join_exited;
+            inner.machine.thread_op(p, c);
+            inner.trace_event(p, cur.0, EventKind::Join { target: target.0 });
+            return Ok(exit.take_panic());
+        }
+        assert!(
+            inner.threads.live(target).joiner.is_none(),
+            "two threads joining {target}"
+        );
+        // A join edge can close a waits-for cycle just like a lock edge
+        // (t1 joins t2 while t2 blocks on a mutex t1 holds). Check before
+        // registering as joiner, and unwind instead of blocking forever —
+        // unless the wait is timed: its deadline breaks any cycle.
+        if timeout.is_none() {
+            if let Some(info) = inner.probe_deadlock(None, Some(target)) {
+                drop(inner);
+                std::panic::panic_any(DeadlockError { info });
+            }
+        }
+        // The registration is a one-slot wait queue on the target: its exit
+        // grants it, and a deadline or a cancel withdraws it with the wake
+        // (`Evict::Joiner`), so the exit never meets a dead joiner.
+        inner.threads.live_mut(target).joiner = Some(cur);
+        let wait = Wait {
+            reason: BlockReason::Join,
+            obj: None,
+            target: Some(target),
+        };
+        let left = deadline.map(|d| VirtTime::from_ns(d.as_ns().saturating_sub(now.as_ns())));
+        inner.park(wait, left, Evict::Joiner(target));
+        drop(inner);
+        parked(rc, timeout.is_some())?;
     }
 }
 

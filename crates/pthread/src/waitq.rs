@@ -24,7 +24,8 @@ use std::rc::Rc;
 
 use ptdf_smp::VirtTime;
 
-use crate::runtime::{deliver_cancel, suspend_current, unwind_if_cancel_woken, Inner};
+use crate::cancel::{deliver_cancel, unwind_if_cancel_woken};
+use crate::runtime::{suspend_current, Inner};
 use crate::sentinel::{DeadlockError, TimedOut};
 use crate::thread::{ThreadId, Wait, YieldReason};
 use crate::trace::BlockReason;
@@ -142,13 +143,11 @@ impl WaitQueue {
         };
         let mut eng = rc.borrow_mut();
         if timeout.is_none() && owned(reason) {
-            let (me, _) = eng.cur.expect("block outside a thread");
             let obj = self.id(&mut eng);
-            eng.note_holders(obj, holders());
-            if let Some(info) = eng.check_for_cycle(me, Some(obj), None) {
-                eng.record_deadlock(&info);
+            eng.sentinel.note_holders(obj, holders());
+            if let Some(info) = eng.probe_deadlock(Some(obj), None) {
                 if self.is_empty() {
-                    eng.note_holders(obj, Holders::None);
+                    eng.sentinel.note_holders(obj, Holders::None);
                 }
                 drop(eng);
                 std::panic::panic_any(DeadlockError { info });
@@ -242,7 +241,7 @@ impl WaitQueue {
             eng.note_sync(reason, obj, waiters, k as u64);
             if owned(reason) {
                 let holders = if drained { Holders::None } else { holders() };
-                eng.note_holders(obj, holders);
+                eng.sentinel.note_holders(obj, holders);
             }
             for &(w, _) in batch.iter() {
                 eng.make_ready(w, p);
@@ -261,9 +260,9 @@ impl WaitQueue {
     pub fn publish_holders(&self, eng: &mut Inner, holders: impl FnOnce() -> Holders) {
         let obj = self.id(eng);
         if self.is_empty() {
-            eng.note_holders(obj, Holders::None);
+            eng.sentinel.note_holders(obj, Holders::None);
         } else {
-            eng.note_holders(obj, holders());
+            eng.sentinel.note_holders(obj, holders());
         }
     }
 
