@@ -1,7 +1,7 @@
 //! Benchmark drivers: one uniform entry point per paper benchmark, used by
-//! the figure harnesses.
+//! the figure registry.
 
-use ptdf::{Config, Report, SerialReport};
+use ptdf::{Config, CostModel, Report, SerialReport};
 use ptdf_apps::{barnes_hut, dtree, fft, fmm, matmul, spmv, volren};
 
 use crate::full_scale;
@@ -14,8 +14,9 @@ pub struct AppDriver {
     pub name: &'static str,
     /// Paper problem-size description.
     pub problem: String,
-    /// Serial baseline (the paper's "serial C version").
-    pub serial: Box<dyn Fn() -> SerialReport>,
+    /// Serial baseline (the paper's "serial C version") under the given
+    /// cost model.
+    pub serial: Box<dyn Fn(CostModel) -> SerialReport>,
     /// Fine-grained version (many threads) under the given config.
     pub fine: Box<dyn Fn(Config) -> Report>,
     /// Coarse-grained version (one thread per processor), if the paper had
@@ -38,12 +39,9 @@ pub fn matmul_driver() -> AppDriver {
     AppDriver {
         name: "Matrix Mult.",
         problem: format!("{n}x{n}", n = p.n),
-        serial: Box::new(move || {
+        serial: Box::new(move |cost| {
             let (a, b) = matmul::gen_input(&p);
-            ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || {
-                matmul::multiply(&a, &b, &p)
-            })
-            .1
+            ptdf::run_serial(cost, || matmul::multiply(&a, &b, &p)).1
         }),
         fine: Box::new(move |cfg| {
             let (a, b) = matmul::gen_input(&p);
@@ -63,12 +61,9 @@ pub fn barnes_hut_driver() -> AppDriver {
     AppDriver {
         name: "Barnes Hut",
         problem: format!("N={}, Plummer", p.n_bodies),
-        serial: Box::new(move || {
+        serial: Box::new(move |cost| {
             let mut bodies = barnes_hut::plummer(p.n_bodies, p.seed);
-            ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || {
-                barnes_hut::run_fine(&mut bodies, &p)
-            })
-            .1
+            ptdf::run_serial(cost, || barnes_hut::run_fine(&mut bodies, &p)).1
         }),
         fine: Box::new(move |cfg| {
             let mut bodies = barnes_hut::plummer(p.n_bodies, p.seed);
@@ -92,12 +87,9 @@ pub fn fmm_driver() -> AppDriver {
     AppDriver {
         name: "FMM",
         problem: format!("N={}, {} terms", p.n_particles, p.terms),
-        serial: Box::new(move || {
+        serial: Box::new(move |cost| {
             let particles = fmm::gen_particles(&p);
-            ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || {
-                fmm::run_fmm(&particles, &p)
-            })
-            .1
+            ptdf::run_serial(cost, || fmm::run_fmm(&particles, &p)).1
         }),
         fine: Box::new(move |cfg| {
             let particles = fmm::gen_particles(&p);
@@ -117,9 +109,9 @@ pub fn dtree_driver() -> AppDriver {
     AppDriver {
         name: "Decision Tree",
         problem: format!("{} instances", p.instances),
-        serial: Box::new(move || {
+        serial: Box::new(move |cost| {
             let ds = dtree::gen_dataset(&p);
-            ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || dtree::build(&ds, &p)).1
+            ptdf::run_serial(cost, || dtree::build(&ds, &p)).1
         }),
         fine: Box::new(move |cfg| {
             let ds = dtree::gen_dataset(&p);
@@ -141,10 +133,10 @@ pub fn fft_driver() -> AppDriver {
     AppDriver {
         name: "FFTW",
         problem: format!("N=2^{}", mk(1).log2n),
-        serial: Box::new(move || {
+        serial: Box::new(move |cost| {
             let p = mk(1);
             let x = fft::gen_input(&p);
-            ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || fft::fft(&x, &p)).1
+            ptdf::run_serial(cost, || fft::fft(&x, &p)).1
         }),
         fine: Box::new(move |cfg| {
             let p = mk(256);
@@ -169,13 +161,10 @@ pub fn spmv_driver() -> AppDriver {
     AppDriver {
         name: "Sparse Matrix",
         problem: format!("{} nodes", p.nodes),
-        serial: Box::new(move || {
+        serial: Box::new(move |cost| {
             let m = spmv::gen_matrix(&p);
             let v = spmv::gen_vector(&p);
-            ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || {
-                spmv::run_fine(&m, &v, &p)
-            })
-            .1
+            ptdf::run_serial(cost, || spmv::run_fine(&m, &v, &p)).1
         }),
         fine: Box::new(move |cfg| {
             let m = spmv::gen_matrix(&p);
@@ -191,22 +180,24 @@ pub fn spmv_driver() -> AppDriver {
     }
 }
 
-/// The volume-rendering driver.
-pub fn volren_driver() -> AppDriver {
-    let p = if full_scale() {
+/// Volume-rendering parameters at the active scale.
+pub(crate) fn volren_params() -> volren::Params {
+    if full_scale() {
         volren::Params::paper()
     } else {
         volren::Params::small()
-    };
+    }
+}
+
+/// The volume-rendering driver.
+pub fn volren_driver() -> AppDriver {
+    let p = volren_params();
     AppDriver {
         name: "Vol. Rend.",
         problem: format!("{s}^3 vol, {i}^2 img", s = p.size, i = p.image),
-        serial: Box::new(move || {
+        serial: Box::new(move |cost| {
             let vol = volren::gen_volume(p.size);
-            ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || {
-                volren::render_fine(&vol, &p)
-            })
-            .1
+            ptdf::run_serial(cost, || volren::render_fine(&vol, &p)).1
         }),
         fine: Box::new(move |cfg| {
             let vol = volren::gen_volume(p.size);

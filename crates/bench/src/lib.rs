@@ -1,27 +1,30 @@
-//! Shared harness utilities for the experiment benches.
+//! Shared harness utilities for the experiments.
 //!
-//! Every bench target regenerates one table or figure of the paper: it runs
-//! the relevant benchmark under the relevant configurations, prints an
-//! aligned text table with the same rows/series the paper reports, and
-//! writes a CSV under `target/experiments/` for plotting.
+//! Every table and figure of the paper is one entry of [`figures::FIGURES`]:
+//! it runs the relevant benchmark under the relevant configurations and
+//! returns [`Table`]s with the same rows/series the paper reports. The
+//! `repro` bench target prints them as aligned text and writes a CSV (and
+//! an SVG per declared chart) under `target/experiments/`.
 //!
-//! Environment knobs:
-//!
-//! * `REPRO_FULL=1` — run the paper's full problem sizes (slower). The
-//!   default sizes are scaled down so `cargo bench` completes quickly;
-//!   the *shapes* of the results are the same.
-//! * `REPRO_PROCS=1,2,4,8` — override the processor counts swept.
+//! `REPRO_FULL=1` runs the paper's full problem sizes (slower). The default
+//! sizes are scaled down so `cargo bench` completes quickly; the *shapes*
+//! of the results are the same.
 
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use ptdf_dag::{Action, Program};
 
+use plot::Chart;
+
 pub mod drivers;
+pub mod figures;
+pub mod golden;
 pub mod plot;
 pub mod wallclock;
 
@@ -64,23 +67,14 @@ pub fn full_scale() -> bool {
     std::env::var("REPRO_FULL").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
 }
 
-/// Processor counts to sweep (default 1..=8 like the paper's figures).
-pub fn procs_list() -> Vec<usize> {
-    if let Ok(v) = std::env::var("REPRO_PROCS") {
-        return v
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .collect();
-    }
-    vec![1, 2, 3, 4, 5, 6, 7, 8]
-}
-
 /// A result table being accumulated.
 pub struct Table {
     name: String,
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
+    charts: Vec<Chart>,
+    note: String,
 }
 
 impl Table {
@@ -91,7 +85,37 @@ impl Table {
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            charts: Vec::new(),
+            note: String::new(),
         }
+    }
+
+    /// Declares a chart drawn from this table's columns.
+    pub fn chart(mut self, chart: Chart) -> Self {
+        self.charts.push(chart);
+        self
+    }
+
+    /// Sets the note printed after the table: what the paper says it
+    /// should show.
+    pub fn note(mut self, note: impl Into<String>) -> Self {
+        self.note = note.into();
+        self
+    }
+
+    /// The CSV file stem.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The title, the headers and every row as golden-file lines: `# name:
+    /// title`, then the cells of each line tab-separated after the name.
+    pub fn tsv(&self) -> String {
+        let mut out = format!("# {}: {}\n", self.name, self.title);
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            let _ = writeln!(out, "{}\t{}", self.name, cells.join("\t"));
+        }
+        out
     }
 
     /// Appends a row.
@@ -100,14 +124,17 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Prints the aligned table and writes the CSV to
-    /// [`experiments_dir`]; returns the CSV path.
+    /// Prints the aligned table and writes the CSV and the charts to
+    /// [`experiments_dir`]; returns the CSV path. Panics, naming the path,
+    /// if a file cannot be written.
     pub fn finish(&self) -> PathBuf {
         self.finish_in(&experiments_dir())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Table::finish`] with the CSV written to `dir`.
-    pub fn finish_in(&self, dir: &Path) -> PathBuf {
+    /// [`Table::finish`] with the files written to `dir`; the error names
+    /// the path that could not be written.
+    pub fn finish_in(&self, dir: &Path) -> io::Result<PathBuf> {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
@@ -138,16 +165,27 @@ impl Table {
             let _ = writeln!(out, "{}", line(row, &widths));
         }
         println!("{out}");
-        // CSV.
-        let _ = std::fs::create_dir_all(dir);
+        let write = |path: &Path, body: String| {
+            std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(path, body))
+                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+        };
         let path = dir.join(format!("{}.csv", self.name));
         let mut csv = csv_line(&self.headers);
         for row in &self.rows {
             csv.push_str(&csv_line(row));
         }
-        let _ = std::fs::write(&path, csv);
+        write(&path, csv)?;
         println!("[csv written to {}]", path.display());
-        path
+        for chart in &self.charts {
+            let svg = dir.join(format!("{}.svg", chart.name));
+            write(&svg, chart.svg(&self.headers, &self.rows))?;
+            println!("[svg written to {}]", svg.display());
+        }
+        if !self.note.is_empty() {
+            println!("{}", self.note);
+        }
+        Ok(path)
     }
 }
 
@@ -187,17 +225,7 @@ fn csv_line(cells: &[String]) -> String {
     out
 }
 
-/// Formats a byte count as MB with two decimals.
-pub fn mb(bytes: u64) -> String {
-    format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Formats a speedup.
-pub fn speedup(report: &Report, serial: VirtTime) -> String {
-    format!("{:.2}", report.speedup_vs(serial))
-}
-
-/// Standard note emitted by every harness about the methodology.
+/// Standard note printed before the figures about the methodology.
 pub fn methodology_note() {
     println!(
         "[virtual-time SMP model calibrated to a 167 MHz UltraSPARC / Solaris 2.5; \
@@ -228,10 +256,22 @@ mod tests {
         let mut t = Table::new("unit_test_table", "t", &["a", "b"]);
         t.row(vec!["1".into(), "x, y".into()]);
         t.row(vec!["2".into(), "z".into()]);
-        let path = t.finish_in(&dir);
+        let path = t.finish_in(&dir).unwrap();
         let body = std::fs::read_to_string(path).unwrap();
         assert_eq!(body, "a,b\n1,\"x, y\"\n2,z\n");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn finish_in_reports_a_csv_it_could_not_write() {
+        let file = std::env::temp_dir().join("ptdf_table_test_not_a_dir");
+        std::fs::write(&file, "").unwrap();
+        let dir = file.join("experiments");
+        let err = Table::new("unwritable", "t", &["a"])
+            .finish_in(&dir)
+            .unwrap_err();
+        assert!(err.to_string().contains(&*dir.to_string_lossy()), "{err}");
+        let _ = std::fs::remove_file(file);
     }
 
     #[test]

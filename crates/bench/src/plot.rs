@@ -1,7 +1,8 @@
-//! Minimal dependency-free SVG line charts for the experiment CSVs.
+//! Minimal dependency-free SVG line charts for the experiment tables.
 //!
-//! The `plot_figures` bench target turns the CSVs under
-//! `target/experiments/` into SVG plots mirroring the paper's figures.
+//! A [`crate::Table`] that is drawn declares its [`Chart`]s beside its
+//! columns; [`crate::Table::finish`] writes each one as an SVG next to the
+//! table's CSV.
 
 use std::fmt::Write as _;
 
@@ -178,35 +179,70 @@ fn xml(s: &str) -> String {
     s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
 }
 
-/// Parses a CSV written by [`crate::Table`] into (headers, rows). Handles
-/// the quoting produced by the writer.
-pub fn parse_csv(body: &str) -> (Vec<String>, Vec<Vec<String>>) {
-    let mut lines = body.lines();
-    let headers = lines.next().map(split_csv_line).unwrap_or_default();
-    let rows = lines.map(split_csv_line).collect();
-    (headers, rows)
+/// A line chart drawn from the columns of one table.
+#[derive(Debug)]
+pub struct Chart {
+    /// SVG file stem.
+    pub name: &'static str,
+    /// Chart heading.
+    pub title: &'static str,
+    /// Axis labels, x then y.
+    pub axes: (&'static str, &'static str),
+    /// Column holding the x values.
+    pub x: usize,
+    /// Which columns become lines.
+    pub lines: Lines,
 }
 
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes && chars.peek() == Some(&'"') => {
-                cur.push('"');
-                chars.next();
+/// How a [`Chart`] splits a table into lines.
+#[derive(Debug, Clone, Copy)]
+pub enum Lines {
+    /// One line per listed column, labelled with its header.
+    Columns(&'static [usize]),
+    /// One line per distinct value of column `group`, with y from column
+    /// `y`, in order of first appearance.
+    GroupBy {
+        /// Column whose value labels the line.
+        group: usize,
+        /// Column holding the y values.
+        y: usize,
+    },
+}
+
+impl Chart {
+    /// Renders the chart over a table's `headers` and `rows`. A row whose
+    /// x or y cell is not a number (a `serial` row) adds no point.
+    pub(crate) fn svg(&self, headers: &[String], rows: &[Vec<String>]) -> String {
+        let num = |row: &[String], col: usize| row[col].trim().parse::<f64>().ok();
+        let point = |row: &[String], y: usize| Some((num(row, self.x)?, num(row, y)?));
+        let series: Vec<Series> = match self.lines {
+            Lines::Columns(ys) => ys
+                .iter()
+                .filter_map(|&y| {
+                    let points: Vec<(f64, f64)> = rows.iter().filter_map(|r| point(r, y)).collect();
+                    (!points.is_empty()).then(|| Series {
+                        label: headers[y].clone(),
+                        points,
+                    })
+                })
+                .collect(),
+            Lines::GroupBy { group, y } => {
+                let mut series: Vec<Series> = Vec::new();
+                for row in rows {
+                    let Some(p) = point(row, y) else { continue };
+                    match series.iter_mut().find(|s| s.label == row[group]) {
+                        Some(s) => s.points.push(p),
+                        None => series.push(Series {
+                            label: row[group].clone(),
+                            points: vec![p],
+                        }),
+                    }
+                }
+                series
             }
-            '"' => in_quotes = !in_quotes,
-            ',' if !in_quotes => {
-                out.push(std::mem::take(&mut cur));
-            }
-            c => cur.push(c),
-        }
+        };
+        line_chart(self.title, self.axes.0, self.axes.1, &series)
     }
-    out.push(cur);
-    out
 }
 
 #[cfg(test)]
@@ -238,19 +274,40 @@ mod tests {
     }
 
     #[test]
+    fn chart_lines_come_from_columns_or_groups() {
+        let headers = ["sched", "p", "speedup"].map(String::from);
+        let rows = [
+            ["serial", "-", "1.00"],
+            ["fifo", "1", "0.90"],
+            ["df", "1", "1.00"],
+            ["fifo", "2", "1.50"],
+        ]
+        .map(|r| r.map(String::from).to_vec());
+        let svg = |lines| {
+            let chart = Chart {
+                name: "t",
+                title: "t",
+                axes: ("p", "speedup"),
+                x: 1,
+                lines,
+            };
+            chart.svg(&headers, &rows)
+        };
+        let grouped = svg(Lines::GroupBy { group: 0, y: 2 });
+        assert_eq!(grouped.matches("<polyline").count(), 2, "no serial line");
+        assert!(grouped.contains(">fifo</text>") && grouped.contains(">df</text>"));
+        let columns = svg(Lines::Columns(&[2]));
+        assert_eq!(columns.matches("<polyline").count(), 1);
+        assert_eq!(columns.matches("<circle").count(), 3, "no serial point");
+        assert!(columns.contains(">speedup</text>"));
+    }
+
+    #[test]
     fn nice_ticks_cover_range() {
         let t = nice_ticks(0.0, 8.3, 5);
         assert!(t.first().copied().unwrap() <= 0.0 + 1e-9);
         assert!(*t.last().unwrap() <= 8.3 + 1e-9);
         assert!(t.len() >= 3);
-    }
-
-    #[test]
-    fn csv_roundtrip_with_quotes() {
-        let (h, rows) = parse_csv("a,b\n1,\"x, y\"\n2,\"he said \"\"hi\"\"\"\n");
-        assert_eq!(h, vec!["a", "b"]);
-        assert_eq!(rows[0], vec!["1", "x, y"]);
-        assert_eq!(rows[1], vec!["2", "he said \"hi\""]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 #   ./repro.sh          # scaled-down sizes (minutes)
 #   ./repro.sh --full   # the paper's problem sizes (tens of minutes)
 #
-# Output: text tables on stdout and CSVs under target/experiments/.
+# Output: text tables on stdout, CSVs and SVG charts under
+# target/experiments/.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -17,34 +18,4 @@ else
     echo "== scaled-down reproduction (pass --full for the paper's sizes) =="
 fi
 
-benches=(
-    fig01_graph
-    fig03_overheads
-    fig05_matmul_native
-    fig06_breakdown
-    fig07_matmul_sched
-    fig08_table
-    fig09_memory
-    fig10_fft
-    fig11_granularity
-    ablate_quota
-    ablate_stealing
-    ablate_sensitivity
-    scale16
-)
-
-cargo build --release --benches -p ptdf-bench
-
-for b in "${benches[@]}"; do
-    echo
-    echo "##### $b"
-    cargo bench -q -p ptdf-bench --bench "$b"
-done
-
-echo
-echo "##### plot_figures"
-cargo bench -q -p ptdf-bench --bench plot_figures
-
-echo
-echo "All CSVs and SVG figures are in target/experiments/. See EXPERIMENTS.md"
-echo "for the paper-vs-measured record."
+cargo bench -q -p ptdf-bench --bench repro

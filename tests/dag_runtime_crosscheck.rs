@@ -3,6 +3,7 @@
 //! must show the thread counts, space and time the analyses predict.
 
 use ptdf::{Config, CostModel, SchedKind};
+use ptdf_bench::figures::fig01_graphs;
 use ptdf_bench::{run_program, CYCLES_PER_WORK_UNIT};
 use ptdf_dag::{
     binary_tree, critical_path, fig1_example, gen_program, max_path_threads, serial_space,
@@ -31,22 +32,12 @@ fn programs() -> Vec<Program> {
 }
 
 /// Figure 1 as `fig01_graph` prints it: threads and max live threads at
-/// p = 1 under FIFO, LIFO and DF for every row. The table is literal so
-/// that no executor can move it.
+/// p = 1 under FIFO, LIFO and DF for every graph of the registry's Figure 1
+/// entry. The table is literal so that no executor can move it.
 #[test]
 fn figure_1_table_on_the_real_runtime() {
-    let mut rows = vec![("fig1 (7 threads)".to_string(), fig1_example())];
-    for depth in [4, 6, 8, 10] {
-        rows.push((format!("binary depth {depth}"), binary_tree(depth)));
-    }
-    for seed in [3, 4, 6] {
-        let prog = gen_program(GenParams {
-            seed,
-            max_threads: 400,
-            ..GenParams::default()
-        });
-        rows.push((format!("random seed {seed}"), prog));
-    }
+    let rows = fig01_graphs();
+    assert_eq!(rows.len(), 8);
     let table: [(usize, [u64; 3]); 8] = [
         (7, [7, 5, 3]),
         (31, [31, 9, 5]),

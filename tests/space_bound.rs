@@ -13,7 +13,7 @@
 //! smoke runs; problem sizes themselves follow `REPRO_FULL` (see
 //! `ptdf_bench::full_scale`).
 
-use ptdf::{check_trace, Config, SchedKind, Violation, STACK_1MB};
+use ptdf::{check_trace, Config, CostModel, SchedKind, Violation, STACK_1MB};
 use ptdf_bench::drivers::{all_drivers, matmul_driver};
 
 const PROCS: usize = 4;
@@ -38,7 +38,7 @@ fn df_schedulers_stay_within_s1_plus_p_depth() {
         drivers.truncate(3); // matmul, barnes-hut, fmm
     }
     for d in drivers {
-        let s1 = (d.serial)().s1_bytes();
+        let s1 = (d.serial)(CostModel::ultrasparc_167()).s1_bytes();
         for kind in [SchedKind::Df, SchedKind::DfDeques] {
             let cfg =
                 Config::new(PROCS, kind).with_space_bound_terms(s1, FACTOR, DEPTH_BYTES);
@@ -59,7 +59,7 @@ fn df_schedulers_stay_within_s1_plus_p_depth() {
 #[test]
 fn native_fifo_breaks_the_same_bound_on_fine_matmul() {
     let d = matmul_driver();
-    let s1 = (d.serial)().s1_bytes();
+    let s1 = (d.serial)(CostModel::ultrasparc_167()).s1_bytes();
     let cfg = Config::new(PROCS, SchedKind::Fifo)
         .with_stack(STACK_1MB)
         .with_space_bound_terms(s1, FACTOR, DEPTH_BYTES)
