@@ -141,16 +141,6 @@ impl ServerConfig {
         self.mean_interarrival = (self.mean_interarrival * 100 / pct).max(1);
         self
     }
-
-    /// Disables every shedding mechanism (queue cap, token bucket, space
-    /// margin): the baseline that demonstrates what overload does without
-    /// graceful degradation.
-    pub fn without_shedding(mut self) -> Self {
-        self.queue_cap = 0;
-        self.token_ns = 0;
-        self.shed_margin = 0;
-        self
-    }
 }
 
 /// Counters and latencies collected by one run of the workload.

@@ -381,31 +381,6 @@ mod tests {
         }
     }
 
-    /// The model inputs, pinned: makespan (ns) and dispatch count of a
-    /// 2^14-point transform serially, and under DF at p = 4 with 4 and 256
-    /// threads. A kernel change may reorder host arithmetic, never these.
-    #[test]
-    fn model_inputs_are_pinned() {
-        let p = |threads| Params {
-            log2n: 14,
-            threads,
-            seed: 5,
-        };
-        let x = gen_input(&p(1));
-        let serial = ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || fft(&x, &p(1))).1;
-        let dispatches =
-            |procs: &[ptdf_smp::ProcStats]| -> u64 { procs.iter().map(|s| s.dispatches).sum() };
-        let mut got = vec![(serial.time.as_ns(), dispatches(&serial.stats.procs))];
-        for threads in [4, 256] {
-            let (_, r) = ptdf::run(Config::new(4, SchedKind::Df), {
-                let x = x.clone();
-                move || fft(&x, &p(threads))
-            });
-            got.push((r.makespan().as_ns(), dispatches(&r.stats.procs)));
-        }
-        assert_eq!(got, [(13_411_344, 0), (7_974_296, 18), (23_084_572, 1_264)]);
-    }
-
     #[test]
     fn parseval_energy_conserved() {
         let p = Params {

@@ -32,8 +32,6 @@ pub mod dtree;
 pub mod fft;
 pub mod fmm;
 pub mod matmul;
-#[cfg(test)]
-mod output_corpus;
 pub mod spmv;
 pub mod util;
 pub mod volren;

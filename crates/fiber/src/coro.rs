@@ -341,11 +341,6 @@ impl<In, Y, R> Coroutine<In, Y, R> {
         self.shared().state.get() == ST_DONE
     }
 
-    /// True if the coroutine was created but never resumed.
-    pub fn is_fresh(&self) -> bool {
-        self.shared().state.get() == ST_CREATED
-    }
-
     /// The coroutine's stack, for canary checks / usage statistics.
     pub fn stack(&self) -> &Stack {
         self.stack.as_ref().expect("stack still owned")

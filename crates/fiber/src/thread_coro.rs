@@ -216,11 +216,6 @@ impl<In, Y, R> Coroutine<In, Y, R> {
         self.done
     }
 
-    /// True if never resumed.
-    pub fn is_fresh(&self) -> bool {
-        !self.started
-    }
-
     /// Placeholder stack (real stacks belong to the OS threads here).
     pub fn stack(&self) -> &Stack {
         &self.stack

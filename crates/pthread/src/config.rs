@@ -61,6 +61,12 @@ impl SchedKind {
         }
     }
 
+    /// Whether the policy runs its quanta under the memory quota
+    /// [`Config::quota`]: the three depth-first policies.
+    pub(crate) fn has_quota(self) -> bool {
+        matches!(self, SchedKind::Df | SchedKind::DfLocal | SchedKind::DfDeques)
+    }
+
     /// Inverse of [`SchedKind::name`].
     pub fn from_name(name: &str) -> Option<SchedKind> {
         Self::ALL.into_iter().find(|k| k.name() == name)
@@ -114,7 +120,9 @@ pub struct Config {
     pub processors: usize,
     /// Scheduling policy.
     pub scheduler: SchedKind,
-    /// Memory quota `K` for [`SchedKind::Df`]; ignored by other policies.
+    /// Memory quota `K` for the depth-first policies ([`SchedKind::Df`],
+    /// [`SchedKind::DfLocal`], [`SchedKind::DfDeques`]); ignored by the
+    /// others.
     pub quota: u64,
     /// Machine cost model.
     pub cost: CostModel,

@@ -9,7 +9,7 @@
 
 use ptdf_smp::{HostPhaseStats, Machine, MachineRecording, MemEventKind, ProcId, VirtTime};
 
-use crate::config::{Config, SchedKind};
+use crate::config::Config;
 use crate::oracle::Resolver;
 use crate::trace::{Event, EventKind, Span, ThreadLifecycle, Trace, TraceMeta};
 
@@ -75,11 +75,7 @@ impl Recorder {
             scheduler: config.scheduler.name().to_string(),
             processors: config.processors,
             default_stack: config.default_stack,
-            quota: matches!(
-                config.scheduler,
-                SchedKind::Df | SchedKind::DfLocal | SchedKind::DfDeques
-            )
-            .then_some(config.quota),
+            quota: config.scheduler.has_quota().then_some(config.quota),
             perturb_seed: config.schedule.perturb_seed(),
             chaos_seed: config.schedule.chaos_seed(),
         })))

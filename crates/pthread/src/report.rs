@@ -2,7 +2,7 @@
 
 use ptdf_smp::{RunStats, VirtTime};
 
-use crate::config::{Config, SchedKind};
+use crate::config::Config;
 
 /// Summary of one virtual-SMP run: configuration echo plus the machine's
 /// collected statistics. Everything the paper's figures plot is here.
@@ -14,7 +14,7 @@ pub struct Report {
     pub processors: usize,
     /// Default accounted stack size in bytes.
     pub default_stack: u64,
-    /// DF memory quota, if the DF policy ran.
+    /// Memory quota, if a depth-first policy (df, df-local, df-deques) ran.
     pub quota: Option<u64>,
     /// Total threads created over the run.
     pub total_threads: usize,
@@ -56,7 +56,7 @@ impl Report {
             scheduler: config.scheduler.name().to_string(),
             processors: config.processors,
             default_stack: config.default_stack,
-            quota: (config.scheduler == SchedKind::Df).then_some(config.quota),
+            quota: config.scheduler.has_quota().then_some(config.quota),
             total_threads,
             steals,
             stats,
@@ -76,11 +76,6 @@ impl Report {
     /// metric).
     pub fn footprint(&self) -> u64 {
         self.stats.mem.footprint_hwm
-    }
-
-    /// Same, in megabytes.
-    pub fn footprint_mb(&self) -> f64 {
-        self.footprint() as f64 / (1024.0 * 1024.0)
     }
 
     /// Peak simultaneously-live threads (the "Threads" column of Figure 8).

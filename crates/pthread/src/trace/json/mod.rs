@@ -34,9 +34,9 @@
 //!   input — [`Reader::key`] lexes the key and the table is searched, as
 //!   [`Reader::object`] always does. A hit consumes exactly the bytes the
 //!   lexer would have and names the same slot, so no answer and no error
-//!   depends on a guess; `PARSE_CORPUS` in `tests/trace_corpus.rs` pins
-//!   the verdicts of scrambled, spaced, cut and damaged documents from
-//!   before prediction. Everything else ([`Value::parse`],
+//!   depends on a guess; the `parse` rows of
+//!   `tests/golden/trace_corpus.tsv` pin the verdicts of scrambled, spaced,
+//!   cut and damaged documents from before prediction. Everything else ([`Value::parse`],
 //!   `Slots::member`) takes the lexer path only.
 //! * [`Value`] is the tree for the small documents the CLIs build and
 //!   inspect; [`Value::parse`] and [`Value::to_json`] are thin layers over

@@ -22,18 +22,17 @@
 //!   buckets sum bit-exactly to the makespan — the tool re-verifies this
 //!   and exits 1 on a mismatch. `--perfetto` re-exports the trace with
 //!   the path overlaid as a dedicated track (pid 1).
-//! * `validate <trace.json> [--s1 B] [--depth B] [--factor F]` — the file
-//!   must parse as a trace document (a truncated or garbled one fails with
-//!   a one-line reason), then structural checks (span overlap, event
-//!   ordering, counter monotonicity, lifecycle consistency) plus an
-//!   optional space-bound audit against the paper's
-//!   `S1 + O(p·D)` guarantee: with `--s1` (serial footprint, bytes) and
-//!   `--depth` (per-processor depth allowance, bytes) the footprint
-//!   high-water mark must stay within `S1 + factor·p·depth`.
-//! * `audit <trace.json>... --s1 B --depth B [--factor F]` — the same
-//!   space-bound comparison as `validate`, batched over many traces and
-//!   reporting the *margin* to the bound per trace (how far under — or
-//!   over — `S1 + factor·p·D` the run peaked), along with any
+//! * `validate <trace.json>` — the file must parse as a trace document (a
+//!   truncated or garbled one fails with a one-line reason), then
+//!   structural checks (span overlap, event ordering, counter
+//!   monotonicity, lifecycle consistency).
+//! * `audit <trace.json>... --s1 B --depth B [--factor F]` — the one
+//!   space-bound verdict, against the paper's `S1 + O(p·D)` guarantee:
+//!   with `--s1` (serial footprint, bytes) and `--depth` (per-processor
+//!   depth allowance, bytes) each trace's footprint high-water mark must
+//!   stay within `S1 + factor·p·D`, compared exactly. Reports the
+//!   *margin* per trace (how far under — or over — the largest whole byte
+//!   count within that bound the run peaked), along with any
 //!   bound-violation events the runtime itself recorded when armed via
 //!   [`ptdf::Config::with_space_bound`].
 //! * `check <trace.json>...` — run the happens-before checker
@@ -128,18 +127,17 @@ commands:
       --perfetto writes a Chrome/Perfetto file with the path overlaid
       as its own track. Exits 1 if the buckets fail to tile the
       makespan exactly.
-  validate <trace.json> [--s1 BYTES] [--depth BYTES] [--factor F]
+  validate <trace.json>
       Structural validation (a file that does not parse as a trace
-      fails it); with --s1 and --depth also audits the footprint
-      high-water mark against S1 + factor * p * depth (factor: finite,
-      >= 0, default 1.0).
+      fails it).
   audit <trace.json>... --s1 BYTES --depth BYTES [--factor F]
       Space-bound audit with margin: for each trace, compare the
-      footprint high-water mark against S1 + factor * p * depth and
-      print the margin to the bound (negative = over). Also reports
-      bound-violation events the runtime recorded when the run was
-      armed with Config::with_space_bound. Exits 1 if any trace is
-      over the bound.
+      footprint high-water mark against S1 + factor * p * depth
+      (factor: finite, >= 0, default 1.0) without rounding, and print
+      the largest whole byte count within it and the margin to that
+      (negative = over). Also reports bound-violation events the
+      runtime recorded when the run was armed with
+      Config::with_space_bound. Exits 1 if any trace is over the bound.
   check <trace.json>...
       Happens-before checking: lost notifies/wakeups, wait-past-notify,
       block/wake pairing, lifecycle inversions, recorded deadlock
@@ -538,26 +536,13 @@ fn critpath_json(cp: &ptdf::CritPath) -> ptdf::json::Value {
 // ---------------------------------------------------------------------------
 
 fn cmd_validate(args: &[String]) -> Result<ExitCode, Failure> {
-    let mut path = None;
-    let mut s1 = None;
-    let mut depth = None;
-    let mut factor = 1.0f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--s1" => s1 = Some(parse_flag_u64(&mut it, "--s1")?),
-            "--depth" => depth = Some(parse_flag_u64(&mut it, "--depth")?),
-            "--factor" => factor = parse_flag_factor(&mut it)?,
-            other if path.is_none() && !other.starts_with("--") => {
-                path = Some(other.to_string())
-            }
-            other => return Err(format!("unexpected argument `{other}`\n{USAGE}").into()),
-        }
-    }
-    let path = path.ok_or_else(|| format!("validate expects a trace file\n{USAGE}"))?;
+    let path = match args {
+        [path] if !path.starts_with("--") => path,
+        _ => return Err(format!("validate expects one trace file\n{USAGE}").into()),
+    };
     // A file that is not a trace document has failed validation, and is
     // reported like the other checks.
-    let trace = match load(&path) {
+    let trace = match load(path) {
         Ok(trace) => trace,
         Err(Failure::NotATrace(reason)) => {
             println!("structure   FAIL: {reason}");
@@ -567,30 +552,15 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, Failure> {
     };
 
     match trace.validate() {
-        Ok(()) => println!("structure   ok ({} spans, {} events)", trace.len(), trace.events.len()),
+        Ok(()) => {
+            println!("structure   ok ({} spans, {} events)", trace.len(), trace.events.len());
+            Ok(ExitCode::SUCCESS)
+        }
         Err(e) => {
             println!("structure   FAIL: {e}");
-            return Ok(ExitCode::FAILURE);
+            Ok(ExitCode::FAILURE)
         }
     }
-
-    if let Some(s1) = s1 {
-        let hwm = trace.footprint_hwm();
-        let p = trace.meta.processors as u64;
-        let over = hwm.saturating_sub(s1);
-        println!("footprint   hwm {hwm} B, S1 {s1} B, overhead {over} B ({} B/proc)", over / p.max(1));
-        if let Some(depth) = depth {
-            let bound = s1 as f64 + factor * p as f64 * depth as f64;
-            let verdict = if (hwm as f64) <= bound { "ok" } else { "FAIL" };
-            println!(
-                "space bound {verdict}: hwm {hwm} <= S1 + {factor} * p({p}) * D({depth}) = {bound:.0}"
-            );
-            if (hwm as f64) > bound {
-                return Ok(ExitCode::FAILURE);
-            }
-        }
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn parse_flag_u64(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u64, String> {
@@ -656,12 +626,14 @@ fn cmd_audit(args: &[String]) -> Result<ExitCode, Failure> {
 }
 
 /// Renders one trace's margin-to-bound report. Returns the text and whether
-/// the trace stayed within `S1 + factor·p·depth`.
+/// the trace stayed within `S1 + factor·p·depth`. The footprint is whole
+/// bytes, so the bound printed is the largest whole byte count within that
+/// sum (its floor, never its rounding): verdict and margin agree.
 fn audit(path: &str, trace: &Trace, s1: u64, depth: u64, factor: f64) -> (String, bool) {
     use std::fmt::Write;
     let hwm = trace.footprint_hwm();
     let p = trace.meta.processors as u64;
-    let bound = (s1 as f64 + factor * p as f64 * depth as f64).round() as u64;
+    let bound = (s1 as f64 + factor * p as f64 * depth as f64).floor() as u64;
     let margin = bound as i128 - hwm as i128;
     let ok = hwm <= bound;
     let verdict = if ok { "ok" } else { "OVER" };

@@ -2,11 +2,15 @@
 //! reads but does not parse is a failed check (exit 1, one `path: reason`
 //! line) for every subcommand that takes traces; only a path that cannot be
 //! read is an I/O error (exit 2). A `--factor` that is not a finite
-//! non-negative number is a usage error, exit 2 as well, and so is an
-//! `explore --sched` name no policy has. Drives the built binary.
+//! non-negative number is a usage error, exit 2 as well, and so are a
+//! bound given to `validate` and an `explore --sched` name no policy has.
+//! Drives the built binary.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use ptdf::Trace;
+use ptdf_smp::VirtTime;
 
 fn ptdf_trace(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ptdf-trace"))
@@ -81,21 +85,35 @@ fn a_file_that_is_not_a_trace_exits_1_with_one_line_and_a_missing_one_exits_2() 
 #[test]
 fn a_factor_that_is_not_a_finite_non_negative_number_is_a_usage_error() {
     let good = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/zero_events.json");
-    for cmd in ["validate", "audit"] {
-        for factor in ["inf", "nan", "-3"] {
-            let out = ptdf_trace(&[cmd, good, "--s1", "1", "--depth", "1", "--factor", factor]);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(
-                out.status.code(),
-                Some(2),
-                "{cmd} --factor {factor}: {stderr}"
-            );
-            assert_eq!(stderr.lines().count(), 1, "{stderr}");
-            assert!(stderr.starts_with("ptdf-trace: --factor: "), "{stderr}");
-        }
-        let out = ptdf_trace(&[cmd, good, "--s1", "1", "--depth", "1", "--factor", "4"]);
-        assert_eq!(out.status.code(), Some(0), "{cmd} --factor 4");
+    for factor in ["inf", "nan", "-3"] {
+        let out = ptdf_trace(&["audit", good, "--s1", "1", "--depth", "1", "--factor", factor]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--factor {factor}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with("ptdf-trace: --factor: "), "{stderr}");
     }
+    let out = ptdf_trace(&["audit", good, "--s1", "1", "--depth", "1", "--factor", "4"]);
+    assert_eq!(out.status.code(), Some(0), "--factor 4");
+}
+
+/// `audit` is the one space-bound verdict, and it does not round: a peak
+/// of 2,580,480 B on 4 processors is half a byte over 2,580,479 + 0.125 *
+/// 4 * 1. `validate` takes no bound.
+#[test]
+fn audit_compares_the_bound_without_rounding_and_validate_takes_none() {
+    let mut trace = Trace::default();
+    (trace.meta.scheduler, trace.meta.processors) = ("df".into(), 4);
+    trace.counters.footprint.push((VirtTime::ZERO, 2_580_480));
+    let path = file("exit_codes_hwm.json", trace.to_chrome_json().as_bytes());
+    let bound = ["--s1", "2580479", "--depth", "1", "--factor", "0.125"];
+    let out = ptdf_trace(&[&["audit", path.as_str()][..], &bound].concat());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains(": OVER [df/p4] hwm 2580480 B, bound 2580479 B"), "{stdout}");
+    assert!(stdout.ends_with("margin -1 B\n"), "{stdout}");
+    let out = ptdf_trace(&[&["validate", path.as_str()][..], &bound].concat());
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(ptdf_trace(&["validate", &path]).status.code(), Some(0));
 }
 
 /// `explore --sched` takes every scheduler name the runtime has, and a

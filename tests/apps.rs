@@ -1,0 +1,200 @@
+//! What a kernel change may not move, pinned in `tests/golden/apps.tsv`:
+//! per app at its test size (`Params::small()`), the FNV-1a-64 of every
+//! output word (the same standalone, serially and under DF at p = 4) and
+//! the model inputs, makespan and dispatches of a serial and a DF run of
+//! the app call alone (its input built outside the run); then FFT's
+//! 2^14-point cells and volren's phantom and octree. Each app's unit tests
+//! allow a tolerance or share the kernel with their reference; these rows
+//! do neither. A kernel speed-up regenerates nothing; a change that means
+//! to move an app's numbers runs `cargo test --test apps -- --ignored
+//! bless` and says which rows moved and why. The table must also pass
+//! under `--features ptdf/thread-backend`.
+
+use std::fmt::Write as _;
+use std::hash::Hasher;
+
+use ptdf::trace::Fnv1a;
+use ptdf::{Config, CostModel, SchedKind};
+use ptdf_apps::{barnes_hut, dtree, fft, fmm, matmul, spmv, volren};
+use ptdf_smp::RunStats;
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/apps.tsv");
+
+/// Feeds `w` to `h` as its little-endian bytes, so a hash is the same on
+/// every host (`Hasher::write_u64` is native-endian).
+fn word(h: &mut Fnv1a, w: u64) {
+    h.write(&w.to_le_bytes());
+}
+
+fn node_words(node: &dtree::Node, out: &mut Vec<u64>) {
+    match node {
+        dtree::Node::Leaf { label, count } => out.extend([0, *label as u64, *count as u64]),
+        dtree::Node::Split {
+            attr,
+            threshold,
+            left,
+            right,
+        } => {
+            out.extend([1, *attr as u64, threshold.to_bits() as u64]);
+            node_words(left, out);
+            node_words(right, out);
+        }
+    }
+}
+
+fn bits(v: impl IntoIterator<Item = f64>) -> Vec<u64> {
+    v.into_iter().map(f64::to_bits).collect()
+}
+
+/// A run's makespan (ns) and dispatch count.
+fn model(s: &RunStats) -> String {
+    let dispatches: u64 = s.procs.iter().map(|p| p.dispatches).sum();
+    format!("{}\t{dispatches}", s.makespan.as_ns())
+}
+
+fn serial_run<T>(f: impl FnOnce() -> T) -> (T, RunStats) {
+    let (out, r) = ptdf::run_serial(CostModel::ultrasparc_167(), f);
+    (out, r.stats)
+}
+
+fn df_run<T: 'static>(f: impl FnOnce() -> T + 'static) -> (T, RunStats) {
+    let (out, r) = ptdf::run(Config::new(4, SchedKind::Df), f);
+    (out, r.stats)
+}
+
+/// One app's row. `call` is the app call alone, returning its output
+/// words; `tail` is hashed after them.
+fn app(out: &mut String, name: &str, call: impl Fn() -> Vec<u64> + 'static, tail: &[u64]) {
+    let words = call();
+    let (serial_words, serial) = serial_run(&call);
+    let (df_words, df) = df_run(call);
+    assert!(
+        serial_words == words && df_words == words,
+        "{name}: output differs by mode"
+    );
+    let mut h = Fnv1a::default();
+    words.iter().chain(tail).for_each(|&w| word(&mut h, w));
+    let (serial, df) = (model(&serial), model(&df));
+    writeln!(out, "{name}\t{:016x}\t{serial}\t{df}", h.finish()).expect("to a String");
+}
+
+fn app_rows(out: &mut String) {
+    let p = matmul::Params::small();
+    let (a, b) = matmul::gen_input(&p);
+    let call = move || bits(matmul::multiply(&a, &b, &p));
+    app(out, "matmul", call, &[]);
+
+    let p = barnes_hut::Params::small();
+    let bodies = barnes_hut::plummer(p.n_bodies, p.seed);
+    let call = move || {
+        let mut bodies = bodies.clone();
+        barnes_hut::run_fine(&mut bodies, &p);
+        bits(bodies.iter().flat_map(|b| b.pos))
+    };
+    app(out, "barnes_hut", call, &[]);
+
+    let p = fmm::Params::small();
+    let particles = fmm::gen_particles(&p);
+    let call = move || bits(fmm::run_fmm(&particles, &p).potential);
+    app(out, "fmm", call, &[]);
+
+    let p = dtree::Params::small();
+    let ds = dtree::gen_dataset(&p);
+    let call = move || {
+        let mut words = Vec::new();
+        node_words(&dtree::build(&ds, &p), &mut words);
+        words
+    };
+    app(out, "dtree", call, &[]);
+
+    let p = fft::Params::small(256);
+    let x = fft::gen_input(&p);
+    let call = move || bits(fft::fft(&x, &p).iter().flat_map(|c| [c.re, c.im]));
+    app(out, "fft", call, &[]);
+
+    let p = spmv::Params::small();
+    let (m, v) = (spmv::gen_matrix(&p), spmv::gen_vector(&p));
+    app(out, "spmv", move || bits(spmv::run_fine(&m, &v, &p)), &[]);
+
+    // The image, then the total sample count, counted outside the run:
+    // `samples` is what the renderer charges to the model, so a ray loop
+    // that takes one sample more or fewer moves every makespan even when
+    // the image does not change.
+    let p = volren::Params::small();
+    let vol = volren::gen_volume(p.size);
+    let samples: u64 = (0..p.image * p.image)
+        .map(|i| volren::cast_ray(&vol, &p, i % p.image, i / p.image).1 as u64)
+        .sum();
+    let call = move || {
+        volren::render_fine(&vol, &p)
+            .iter()
+            .map(|v| v.to_bits() as u64)
+            .collect()
+    };
+    app(out, "volren", call, &[samples]);
+}
+
+/// FFT at 2^14 points: serially with one thread, and under DF at p = 4
+/// with 4 and 256 threads.
+fn fft_rows(out: &mut String) {
+    let p = |threads| fft::Params {
+        log2n: 14,
+        threads,
+        seed: 5,
+    };
+    let x = fft::gen_input(&p(1));
+    let (_, serial) = serial_run(|| fft::fft(&x, &p(1)));
+    writeln!(out, "fft,2^14,threads=1\tserial\t{}", model(&serial)).expect("to a String");
+    for threads in [4, 256] {
+        let x = x.clone();
+        let (_, df) = df_run(move || fft::fft(&x, &p(threads)));
+        writeln!(out, "fft,2^14,threads={threads}\tdf,p=4\t{}", model(&df)).expect("to a String");
+    }
+}
+
+/// The phantom and its octree at the two sizes in use (64 for tests and
+/// the benchmark, 256 for the paper's scale): voxels, finest block edge,
+/// and every level's (min, max) pairs.
+fn phantom_rows(out: &mut String) {
+    for size in [64, 256] {
+        let vol = volren::gen_volume(size);
+        let (block, levels) = vol.octree();
+        let mut h = Fnv1a::default();
+        h.write(&vol.data);
+        word(&mut h, block as u64);
+        for level in levels {
+            word(&mut h, level.len() as u64);
+            for &(mn, mx) in level {
+                h.write(&[mn, mx]);
+            }
+        }
+        writeln!(out, "volren:phantom\t{size}\t{:016x}", h.finish()).expect("to a String");
+    }
+}
+
+fn table() -> String {
+    let mut out = String::from("# app\toutput_fnv1a\tserial_makespan_ns\tserial_dispatches\t");
+    out.push_str("df_p4_makespan_ns\tdf_p4_dispatches\n");
+    app_rows(&mut out);
+    out.push_str("# cell\trun\tmakespan_ns\tdispatches\n");
+    fft_rows(&mut out);
+    out.push_str("# volume\tsize\tfnv1a\n");
+    phantom_rows(&mut out);
+    out
+}
+
+#[test]
+fn apps_match_the_committed_table() {
+    ptdf_bench::golden::assert_unchanged(
+        GOLDEN,
+        &table(),
+        "A kernel change must not move an output bit or a model input. If \
+         this change moves them on purpose: cargo test --test apps -- --ignored bless",
+    );
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/apps.tsv from the code as it stands"]
+fn bless() {
+    ptdf_bench::golden::bless(GOLDEN, &table());
+}
