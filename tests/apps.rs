@@ -3,7 +3,8 @@
 //! output word (the same standalone, serially and under DF at p = 4) and
 //! the model inputs, makespan and dispatches of a serial and a DF run of
 //! the app call alone (its input built outside the run); then FFT's
-//! 2^14-point cells and volren's phantom and octree. Each app's unit tests
+//! 2^14-point cells, matmul's output and space over eight (n, base) shapes,
+//! and volren's phantom and octree. Each app's unit tests
 //! allow a tolerance or share the kernel with their reference; these rows
 //! do neither. A kernel speed-up regenerates nothing; a change that means
 //! to move an app's numbers runs `cargo test --test apps -- --ignored
@@ -152,6 +153,51 @@ fn fft_rows(out: &mut String) {
     }
 }
 
+/// Matmul over (n, base) shapes from a lone leaf to two levels above a
+/// 64-block: the output bits standalone, then serially and under FIFO, DF
+/// and WS at p = 4 the output bits, makespan and footprint. FIFO holds every
+/// level's temporary `T` at once, so its footprint pins when each `T` is
+/// allocated and freed.
+fn matmul_shape_rows(out: &mut String) {
+    let shapes = [
+        (1, 1),
+        (8, 1),
+        (16, 4),
+        (64, 8),
+        (128, 16),
+        (256, 32),
+        (256, 64),
+        (64, 64),
+    ];
+    for (n, base) in shapes {
+        let p = matmul::Params {
+            n,
+            base,
+            seed: 0xA1,
+        };
+        let (a, b) = matmul::gen_input(&p);
+        let cell = format!("matmul,n={n},base={base}");
+        let fnv = |c: &[f64]| {
+            let mut h = Fnv1a::default();
+            c.iter().for_each(|x| word(&mut h, x.to_bits()));
+            h.finish()
+        };
+        let standalone = fnv(&matmul::multiply(&a, &b, &p));
+        writeln!(out, "{cell}	standalone	{standalone:016x}	-	-").expect("to a String");
+        let (c, serial) = serial_run(|| matmul::multiply(&a, &b, &p));
+        let mut runs = vec![("serial".to_string(), fnv(&c), serial)];
+        for kind in [SchedKind::Fifo, SchedKind::Df, SchedKind::Ws] {
+            let (a, b) = (a.clone(), b.clone());
+            let (c, r) = ptdf::run(Config::new(4, kind), move || matmul::multiply(&a, &b, &p));
+            runs.push((format!("{},p=4", kind.name()), fnv(&c), r.stats));
+        }
+        for (run, h, s) in runs {
+            let (makespan, footprint) = (s.makespan.as_ns(), s.mem.footprint_hwm);
+            writeln!(out, "{cell}	{run}	{h:016x}	{makespan}	{footprint}").expect("to a String");
+        }
+    }
+}
+
 /// The phantom and its octree at the two sizes in use (64 for tests and
 /// the benchmark, 256 for the paper's scale): voxels, finest block edge,
 /// and every level's (min, max) pairs.
@@ -178,6 +224,8 @@ fn table() -> String {
     app_rows(&mut out);
     out.push_str("# cell\trun\tmakespan_ns\tdispatches\n");
     fft_rows(&mut out);
+    out.push_str("# cell\trun\toutput_fnv1a\tmakespan_ns\tfootprint_bytes\n");
+    matmul_shape_rows(&mut out);
     out.push_str("# volume\tsize\tfnv1a\n");
     phantom_rows(&mut out);
     out
