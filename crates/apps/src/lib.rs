@@ -11,6 +11,11 @@
 //! | [`spmv`] | Spark98-style sparse matrix-vector product | synthetic FE-style mesh |
 //! | [`volren`] | SPLASH-2 volume renderer (ray casting) | synthetic CT-head phantom |
 //!
+//! [`APPS`] declares the seven once, in this order: per app its key, its
+//! Figure 8 label, its problem at each [`Scale`], and how to build its
+//! input and run its [`Version`]s. The figures and `tests/golden/apps.tsv`
+//! iterate it.
+//!
 //! Every benchmark follows the same conventions:
 //!
 //! * **One implementation, three execution modes.** The fine-grained code
@@ -32,6 +37,12 @@ pub mod dtree;
 pub mod fft;
 pub mod fmm;
 pub mod matmul;
+mod registry;
 pub mod spmv;
 pub mod util;
 pub mod volren;
+
+pub use registry::{
+    volren_params, App, Bodies, Scale, Version, APPS, BARNES_HUT, DTREE, FFT, FMM, MATMUL, SPMV,
+    VOLREN,
+};
