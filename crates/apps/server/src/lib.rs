@@ -315,16 +315,16 @@ fn workload(cfg: ServerConfig) -> ServerStats {
         let mut admitted = false;
         for attempt in 0..=cfg.retries {
             let now = ptdf::now().expect("runtime");
-            if let Some(refill) = (now.as_ns().saturating_sub(last_refill.as_ns()) * 1000)
-                .checked_div(cfg.token_ns)
+            if let Some(refill) =
+                (now.as_ns().saturating_sub(last_refill.as_ns()) * 1000).checked_div(cfg.token_ns)
             {
                 bucket_milli = (bucket_milli + refill).min(cfg.bucket_cap * 1000);
                 last_refill = now;
             }
             let queue_ok = cfg.queue_cap == 0 || in_flight.get() < cfg.queue_cap;
             let tokens_ok = cfg.token_ns == 0 || bucket_milli >= 1000;
-            let space_ok = cfg.shed_margin == 0
-                || ptdf::space_margin().is_none_or(|m| m >= cfg.shed_margin);
+            let space_ok =
+                cfg.shed_margin == 0 || ptdf::space_margin().is_none_or(|m| m >= cfg.shed_margin);
             if queue_ok && tokens_ok && space_ok {
                 if cfg.token_ns > 0 {
                     bucket_milli -= 1000;
@@ -468,9 +468,12 @@ mod tests {
             0,
             "shedding failed to protect the space bound"
         );
-        let accounted = run.stats.completed + run.stats.late + run.stats.canceled
-            + run.stats.shed;
-        assert_eq!(accounted, run.stats.offered, "a request vanished: {:?}", run.stats);
+        let accounted = run.stats.completed + run.stats.late + run.stats.canceled + run.stats.shed;
+        assert_eq!(
+            accounted, run.stats.offered,
+            "a request vanished: {:?}",
+            run.stats
+        );
     }
 
     #[test]

@@ -42,8 +42,17 @@ fn main() {
 
     println!(
         "{:<10} {:>5} {:>6} {:>6} {:>5} {:>5} {:>9} {:>9} {:>9} {:>8} {:>8}",
-        "sched", "load%", "compl", "cancel", "late", "shed", "p50us", "p99us", "p999us",
-        "good/ms", "peakKB"
+        "sched",
+        "load%",
+        "compl",
+        "cancel",
+        "late",
+        "shed",
+        "p50us",
+        "p99us",
+        "p999us",
+        "good/ms",
+        "peakKB"
     );
     for (name, load, run) in &cells {
         println!(
@@ -91,7 +100,10 @@ fn main() {
                 ("goodput_per_ms", Value::Float(run.goodput_per_ms())),
                 ("shed_rate", Value::Float(run.shed_rate())),
                 ("peak_kb", Value::UInt(run.report.footprint() / 1024)),
-                ("bound_violations", Value::UInt(run.report.bound_violations())),
+                (
+                    "bound_violations",
+                    Value::UInt(run.report.bound_violations()),
+                ),
             ])
         })
         .collect();

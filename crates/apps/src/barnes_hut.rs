@@ -195,11 +195,7 @@ impl BhNode {
         match self {
             BhNode::Leaf { .. } => 1,
             BhNode::Internal { children, .. } => {
-                1 + children
-                    .iter()
-                    .flatten()
-                    .map(|c| c.cells())
-                    .sum::<usize>()
+                1 + children.iter().flatten().map(|c| c.cells()).sum::<usize>()
             }
         }
     }
@@ -335,13 +331,7 @@ pub fn build_tree(bodies: &[Body], p: &Params, parallel: bool) -> BhNode {
 /// counts body-cell interactions for cost charging). Leaf cells are always
 /// opened (direct sum over their bodies, excluding the target itself via
 /// the softening guard).
-pub fn accel_on(
-    bodies: &[Body],
-    pos: V3,
-    tree: &BhNode,
-    theta: f64,
-    interactions: &mut u64,
-) -> V3 {
+pub fn accel_on(bodies: &[Body], pos: V3, tree: &BhNode, theta: f64, interactions: &mut u64) -> V3 {
     const EPS2: f64 = 1e-4;
     let mut acc = [0.0; 3];
     // Explicit stack walk (avoids deep fiber recursion on large trees).
@@ -397,9 +387,7 @@ fn force_rec(
     path: u64,
 ) {
     match node {
-        BhNode::Leaf {
-            bodies: idx, ..
-        } => {
+        BhNode::Leaf { bodies: idx, .. } => {
             ptdf::touch(region(salt::BH_BODIES, path), (idx.len() * 80) as u64);
             let mut inter = 0u64;
             for &i in idx {

@@ -108,8 +108,8 @@ pub fn gen_matrix(p: &Params) -> Csr {
             if j < n && j != i {
                 // Keep the strip structure: ±1 must stay on the same row of
                 // the grid.
-                let same_strip_ok = (j != i + 1 || (i % w) != w - 1)
-                    && (j != i.wrapping_sub(1) || (i % w) != 0);
+                let same_strip_ok =
+                    (j != i + 1 || (i % w) != w - 1) && (j != i.wrapping_sub(1) || (i % w) != 0);
                 if same_strip_ok {
                     cols.push(j);
                 }
@@ -144,14 +144,19 @@ pub fn gen_matrix(p: &Params) -> Csr {
 /// Random dense vector.
 pub fn gen_vector(p: &Params) -> Vec<f64> {
     let mut s = p.seed ^ 0xDEAD;
-    (0..p.nodes).map(|_| uniform01(&mut s) * 2.0 - 1.0).collect()
+    (0..p.nodes)
+        .map(|_| uniform01(&mut s) * 2.0 - 1.0)
+        .collect()
 }
 
 /// Multiplies rows `[lo, hi)` of `m` by `v` into `w`, charging modelled
 /// costs and declaring locality.
 fn rows_kernel(m: &Csr, v: &[f64], w: SharedSlice, lo: usize, hi: usize) {
     let mut nnz = 0u64;
-    ptdf::touch(region(salt::SPMV, (lo / 256) as u64), ((hi - lo) * 64) as u64);
+    ptdf::touch(
+        region(salt::SPMV, (lo / 256) as u64),
+        ((hi - lo) * 64) as u64,
+    );
     for i in lo..hi {
         let (a, b) = (m.row_ptr[i] as usize, m.row_ptr[i + 1] as usize);
         let mut acc = 0.0;
@@ -338,8 +343,7 @@ mod tests {
     fn serial_mode_matches() {
         let (m, v, p) = small();
         let want = reference(&m, &v);
-        let (got, _) =
-            ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || run_fine(&m, &v, &p));
+        let (got, _) = ptdf::run_serial(ptdf::CostModel::ultrasparc_167(), || run_fine(&m, &v, &p));
         assert_eq!(got, want);
     }
 }

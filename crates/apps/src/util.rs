@@ -374,12 +374,9 @@ mod tests {
 
     #[test]
     fn fork_each_under_runtime_creates_count_minus_one_threads() {
-        let (_, report) = ptdf::run(
-            ptdf::Config::new(4, ptdf::SchedKind::Df),
-            || {
-                fork_each(0, 16, |_| ptdf::work(1000));
-            },
-        );
+        let (_, report) = ptdf::run(ptdf::Config::new(4, ptdf::SchedKind::Df), || {
+            fork_each(0, 16, |_| ptdf::work(1000));
+        });
         // 15 forked threads + the root.
         assert_eq!(report.total_threads, 16);
     }

@@ -120,7 +120,11 @@ fn guard() -> i32 {
     // survives extra minima, a real slowdown does.
     const GUARD_RETRIES: usize = 4;
     let fresh = wallclock::run_micro();
-    println!("guard: indexed dispatch vs {} (tol {:.0}%):", path.display(), tol * 100.0);
+    println!(
+        "guard: indexed dispatch vs {} (tol {:.0}%):",
+        path.display(),
+        tol * 100.0
+    );
     let mut failed = false;
     let mut compared = 0;
     for p in &fresh {
@@ -137,7 +141,11 @@ fn guard() -> i32 {
             retries += 1;
         }
         let ratio = best / base;
-        let verdict = if ratio <= 1.0 + tol { "ok" } else { "REGRESSION" };
+        let verdict = if ratio <= 1.0 + tol {
+            "ok"
+        } else {
+            "REGRESSION"
+        };
         println!(
             "  {:<22} @{:>9}: {:.1} ns vs {:.1} ns baseline ({:+.1}%, {retries} retries) {verdict}",
             p.storm,
@@ -195,7 +203,11 @@ fn host_profile_off_guard(doc: &Value, tol: f64) -> bool {
         retries += 1;
     }
     let ratio = best / base;
-    let verdict = if ratio <= 1.0 + tol { "ok" } else { "REGRESSION" };
+    let verdict = if ratio <= 1.0 + tol {
+        "ok"
+    } else {
+        "REGRESSION"
+    };
     println!(
         "  host_profile(off) spawn storm @{:>7}: {best:.1} ns vs {base:.1} ns baseline \
          ({:+.1}%, {retries} retries) {verdict}",
@@ -215,13 +227,19 @@ fn sentinel_guard(doc: &Value) -> bool {
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.05);
     let fresh = wallclock::run_sentinel_storm();
-    let baseline = doc.get("sentinel_storm").and_then(Value::as_arr).and_then(|arr| {
-        arr.iter()
-            .find(|b| b.get("joins").and_then(Value::as_u64) == Some(fresh.joins))
-            .and_then(|b| b.get("ns_per_join").and_then(Value::as_f64))
-    });
+    let baseline = doc
+        .get("sentinel_storm")
+        .and_then(Value::as_arr)
+        .and_then(|arr| {
+            arr.iter()
+                .find(|b| b.get("joins").and_then(Value::as_u64) == Some(fresh.joins))
+                .and_then(|b| b.get("ns_per_join").and_then(Value::as_f64))
+        });
     let Some(base) = baseline else {
-        println!("  sentinel_storm: no committed baseline for {} joins", fresh.joins);
+        println!(
+            "  sentinel_storm: no committed baseline for {} joins",
+            fresh.joins
+        );
         return false;
     };
     let mut best = fresh.ns_per_join;
@@ -231,7 +249,11 @@ fn sentinel_guard(doc: &Value) -> bool {
         retries += 1;
     }
     let ratio = best / base;
-    let verdict = if ratio <= 1.0 + tol { "ok" } else { "REGRESSION" };
+    let verdict = if ratio <= 1.0 + tol {
+        "ok"
+    } else {
+        "REGRESSION"
+    };
     println!(
         "  sentinel_storm @{:>7} joins: {best:.1} ns vs {base:.1} ns baseline \
          ({:+.1}%, tol {:.0}%, {retries} retries) {verdict}",
@@ -259,7 +281,11 @@ fn spawn_guard(doc: &Value, tol: f64) -> bool {
                 retries += 1;
             }
             let ratio = best / base;
-            let verdict = if ratio <= 1.0 + tol { "ok" } else { "REGRESSION" };
+            let verdict = if ratio <= 1.0 + tol {
+                "ok"
+            } else {
+                "REGRESSION"
+            };
             println!(
                 "  spawn_storm pooled @{:>7}: {best:.1} ns vs {base:.1} ns baseline ({:+.1}%, {retries} retries) {verdict}",
                 fresh.threads,

@@ -36,7 +36,14 @@ fn main() {
     let mut t = Table::new(
         "wallclock_apps",
         "Application host runtime per scheduler (reduced scale)",
-        &["app", "sched", "procs", "host ms", "dispatches", "host ns/dispatch"],
+        &[
+            "app",
+            "sched",
+            "procs",
+            "host ms",
+            "dispatches",
+            "host ns/dispatch",
+        ],
     );
     for a in &apps {
         t.row(vec![

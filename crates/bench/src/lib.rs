@@ -263,11 +263,7 @@ mod tests {
 
     #[test]
     fn csv_quotes_fields_with_commas_and_quotes() {
-        let line = csv_line(&[
-            "plain".into(),
-            "has, comma".into(),
-            "has \"quote\"".into(),
-        ]);
+        let line = csv_line(&["plain".into(), "has, comma".into(), "has \"quote\"".into()]);
         assert_eq!(line, "plain,\"has, comma\",\"has \"\"quote\"\"\"\n");
     }
 

@@ -176,7 +176,9 @@ pub fn line_chart(title: &str, xlabel: &str, ylabel: &str, series: &[Series]) ->
 }
 
 fn xml(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 /// A line chart drawn from the columns of one table.

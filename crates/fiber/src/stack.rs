@@ -103,7 +103,10 @@ impl Stack {
         if clobbered == 0 {
             Ok(())
         } else {
-            Err(StackOverflow { clobbered, size: self.size() })
+            Err(StackOverflow {
+                clobbered,
+                size: self.size(),
+            })
         }
     }
 

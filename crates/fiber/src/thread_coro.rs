@@ -157,9 +157,8 @@ impl<In, Y, R> Coroutine<In, Y, R> {
             };
             let _ = to_caller.send(SendCell(out));
         };
-        let fiber_main: Box<dyn FnOnce() + 'static> = std::mem::transmute(
-            Box::new(fiber_main) as Box<dyn FnOnce() + '_>
-        );
+        let fiber_main: Box<dyn FnOnce() + 'static> =
+            std::mem::transmute(Box::new(fiber_main) as Box<dyn FnOnce() + '_>);
         let cell = SendCell(fiber_main);
         let handle = std::thread::Builder::new()
             .stack_size(stack_size.max(512 * 1024)) // OS stacks are lazily committed; floor generously

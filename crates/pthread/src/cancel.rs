@@ -162,9 +162,7 @@ impl Inner {
             // Barrier waits are not cancellation points (POSIX parity):
             // the request stays latched and delivers at the thread's next
             // cancellation point after the barrier releases it.
-            let barrier = tcb
-                .wait
-                .is_some_and(|w| w.reason == BlockReason::Barrier);
+            let barrier = tcb.wait.is_some_and(|w| w.reason == BlockReason::Barrier);
             let timed = tcb.deadline.is_some();
             // A deadline-bounded wait may also resolve on its own, so when
             // to deliver is a decision: index 1 defers to that resolution.

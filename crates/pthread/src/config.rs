@@ -64,7 +64,10 @@ impl SchedKind {
     /// Whether the policy runs its quanta under the memory quota
     /// [`Config::quota`]: the three depth-first policies.
     pub(crate) fn has_quota(self) -> bool {
-        matches!(self, SchedKind::Df | SchedKind::DfLocal | SchedKind::DfDeques)
+        matches!(
+            self,
+            SchedKind::Df | SchedKind::DfLocal | SchedKind::DfDeques
+        )
     }
 
     /// Inverse of [`SchedKind::name`].
@@ -289,8 +292,7 @@ impl Config {
 
 /// Per-thread creation attributes (the subset of `pthread_attr_t` the paper
 /// exercises).
-#[derive(Debug, Clone)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Attr {
     /// Accounted (reserved) stack size; `None` → the run's default.
     pub stack_size: Option<u64>,
@@ -301,7 +303,6 @@ pub struct Attr {
     /// Detached threads are reclaimed on exit without a join.
     pub detached: bool,
 }
-
 
 impl Attr {
     /// Attribute set with an explicit stack size.
@@ -343,7 +344,9 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = Config::new(8, SchedKind::Df).with_stack(STACK_1MB).with_quota(1024);
+        let c = Config::new(8, SchedKind::Df)
+            .with_stack(STACK_1MB)
+            .with_quota(1024);
         assert_eq!(c.default_stack, STACK_1MB);
         assert_eq!(c.quota, 1024);
         assert_eq!(c.scheduler.name(), "df");

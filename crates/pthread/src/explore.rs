@@ -175,7 +175,12 @@ fn fingerprint(kind: Option<&str>, body: &impl Hash) -> u64 {
 
 /// Violation class label: text before the first `:` of the display form.
 fn kind_label(display: &str) -> String {
-    display.split(':').next().unwrap_or("violation").trim().to_string()
+    display
+        .split(':')
+        .next()
+        .unwrap_or("violation")
+        .trim()
+        .to_string()
 }
 
 fn touches_of(trace: &Trace) -> Vec<(VirtTime, u32, u32)> {
@@ -235,13 +240,7 @@ where
             } else if let Some(ce) = payload.downcast_ref::<crate::CancelError>() {
                 // A CancelError that escapes to the root: the workload let
                 // a cancelled thread's unwind propagate uncontained.
-                return finish_panic(
-                    log,
-                    decisions,
-                    taken,
-                    "cancel".to_string(),
-                    ce.to_string(),
-                );
+                return finish_panic(log, decisions, taken, "cancel".to_string(), ce.to_string());
             } else if let Some(s) = payload.downcast_ref::<&str>() {
                 (*s).to_string()
             } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -440,8 +439,7 @@ where
         }
         if let Some(kind) = r.out.kind.clone() {
             if seen_kinds.insert(kind.clone()) && report.violations.len() < MAX_VIOLATIONS {
-                let executed_prefix =
-                    r.out.taken[..prefix.len().min(r.out.taken.len())].to_vec();
+                let executed_prefix = r.out.taken[..prefix.len().min(r.out.taken.len())].to_vec();
                 let (case, replays) = minimize_and_verify(
                     &config,
                     executed_prefix,

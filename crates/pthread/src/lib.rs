@@ -74,39 +74,33 @@ pub mod trace;
 mod waitq;
 
 pub use api::{
-    current_thread, footprint, now, processors, scope, space_margin, spawn, spawn_attr,
-    touch, try_spawn, try_spawn_attr, work, yield_now, Scope, ScopedHandle, SpawnError,
+    current_thread, footprint, now, processors, scope, space_margin, spawn, spawn_attr, touch,
+    try_spawn, try_spawn_attr, work, yield_now, Scope, ScopedHandle, SpawnError,
 };
 pub use cancel::{cancel, cancel_point, cleanup, set_cancel_enabled, CancelError, CleanupGuard};
 pub use check::{check_trace, CheckReport, Violation};
+pub use config::{Attr, Config, LedgerMode, SchedKind, DEFAULT_QUOTA, STACK_1MB, STACK_8KB};
 pub use critpath::{
     analyze_with_makespan, causal_edge, object_waits, Blame, BlameBucket, CausalEdge, CritPath,
     ObjectBlame, ObjectWait, Segment, ThreadBlame,
 };
-pub use config::{Attr, Config, LedgerMode, SchedKind, DEFAULT_QUOTA, STACK_1MB, STACK_8KB};
 pub use explore::{
     explore, replay_schedule, ExploreOpts, ExploreReport, ReplayOutcome, ViolationCase,
 };
 pub use litmus::{litmus, litmus_names, Litmus};
-pub use oracle::{
-    Decision, DecisionKind, DecisionRecord, Schedule, ScheduleOracle, SharedOracle,
-};
-pub use mem::{
-    rt_alloc, rt_free, try_rt_alloc, AllocError, LeakReport, ThreadLedger, TrackedBuf,
-};
+pub use mem::{rt_alloc, rt_free, try_rt_alloc, AllocError, LeakReport, ThreadLedger, TrackedBuf};
+pub use oracle::{Decision, DecisionKind, DecisionRecord, Schedule, ScheduleOracle, SharedOracle};
 pub use report::Report;
 pub use runtime::{run, try_run};
-pub use sentinel::{
-    DeadlockError, DeadlockInfo, RunError, StallInfo, StalledThread, TimedOut,
-};
-pub use serial::{run_serial, SerialReport};
 pub use rwlock::{ReadGuard, RwLock, WriteGuard};
+pub use sentinel::{DeadlockError, DeadlockInfo, RunError, StallInfo, StalledThread, TimedOut};
+pub use serial::{run_serial, SerialReport};
 pub use sync::{Barrier, Condvar, Mutex, MutexGuard, Semaphore};
 pub use thread::{JoinError, JoinHandle, ThreadId};
 pub use tls::TlsKey;
 pub use trace::{
-    check, critpath, json, BlockReason, Counters, Event, EventKind, LatencyStats,
-    LifecycleSummary, Span, SpanKind, ThreadLifecycle, Trace, TraceMeta,
+    check, critpath, json, BlockReason, Counters, Event, EventKind, LatencyStats, LifecycleSummary,
+    Span, SpanKind, ThreadLifecycle, Trace, TraceMeta,
 };
 
 // Re-export the quantities callers need to interpret reports.
@@ -404,9 +398,7 @@ mod tests {
         let (ok, _) = run(Config::new(2, SchedKind::Df), || {
             let h = spawn(|| -> u32 { panic!("worker exploded") });
             match h.try_join() {
-                Err(JoinError::Panicked(p)) => {
-                    p.downcast_ref::<&str>() == Some(&"worker exploded")
-                }
+                Err(JoinError::Panicked(p)) => p.downcast_ref::<&str>() == Some(&"worker exploded"),
                 _ => false,
             }
         });
@@ -550,7 +542,10 @@ mod tests {
             .iter()
             .filter(|v| matches!(v, Violation::SpaceBound { .. }))
             .count();
-        assert_eq!(crossings, 1, "exactly one crossing event marks the excursion");
+        assert_eq!(
+            crossings, 1,
+            "exactly one crossing event marks the excursion"
+        );
     }
 
     #[test]

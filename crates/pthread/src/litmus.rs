@@ -187,7 +187,10 @@ fn rwlock_writer_timeout() {
     yield_now(); // let reader1 acquire and the writer enqueue behind it
     crate::work(5_000); // ~30 µs: the writer's deadline fires here
     let first = reader1.join();
-    assert!(first == 0 || first == 10, "reader1 saw a torn write: {first}");
+    assert!(
+        first == 0 || first == 10,
+        "reader1 saw a torn write: {first}"
+    );
     let wrote = writer.join();
     let late = reader2.join();
     assert!(late == 0 || late == 10, "reader2 saw a torn write: {late}");
@@ -268,7 +271,10 @@ fn condvar_timeout() {
     let v = *m.lock();
     // Signaled in time: 1 then +10. Timed out first: +10 then set to 1,
     // or set happens after the +10 on a 0 — every path lands in this set.
-    assert!(v == 11 || v == 10 || v == 1, "condvar timeout lost an update: {v}");
+    assert!(
+        v == 11 || v == 10 || v == 1,
+        "condvar timeout lost an update: {v}"
+    );
 }
 
 fn barrier_rounds() {

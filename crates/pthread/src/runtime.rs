@@ -189,8 +189,7 @@ impl Inner {
             self.machine.sched_lock(p);
         } else {
             let cs = self.machine.cost().sched_cs;
-            self.machine
-                .charge(p, ptdf_smp::Bucket::SchedCs, cs);
+            self.machine.charge(p, ptdf_smp::Bucket::SchedCs, cs);
         }
     }
 
@@ -405,9 +404,8 @@ impl Inner {
         });
         self.policy.on_block(tid);
         self.sched_op(p);
-        let deadline = timeout.map(|t| {
-            VirtTime::from_ns(self.machine.clock(p).as_ns().saturating_add(t.as_ns()))
-        });
+        let deadline = timeout
+            .map(|t| VirtTime::from_ns(self.machine.clock(p).as_ns().saturating_add(t.as_ns())));
         let t = self.threads.live_mut(tid);
         t.state = TState::Blocked;
         t.blocked_at = now;
@@ -784,7 +782,15 @@ pub fn try_run<T: 'static>(
         .map(|l| l.report(stats.mem.free_underflows));
     let deadlocks = std::mem::take(&mut inner.sentinel.deadlocks);
     drop(inner);
-    let mut report = Report::new(&config, stats, total_threads, steals, trace, leaks, deadlocks);
+    let mut report = Report::new(
+        &config,
+        stats,
+        total_threads,
+        steals,
+        trace,
+        leaks,
+        deadlocks,
+    );
     match stalled {
         None => {
             let value = root
@@ -1118,7 +1124,12 @@ mod tests {
         // 10,000 threads its slab is exactly as long as the most threads
         // that were ever alive at once (S1 + O(p·D) under DF), whatever
         // the policy makes that number.
-        for sched in [SchedKind::Df, SchedKind::DfDeques, SchedKind::Ws, SchedKind::Fifo] {
+        for sched in [
+            SchedKind::Df,
+            SchedKind::DfDeques,
+            SchedKind::Ws,
+            SchedKind::Fifo,
+        ] {
             let (slots, report) = run(Config::new(4, sched), || {
                 for _ in 0..100 {
                     let wave: Vec<_> = (0..100).map(|_| spawn(|| crate::work(200))).collect();

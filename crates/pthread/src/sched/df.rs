@@ -248,7 +248,10 @@ impl DfSched {
             let node = &self.nodes[n];
             (node.prio, node.label, node.ready_at)
         };
-        let level = self.levels.get_mut(&prio).expect("publish into a live level");
+        let level = self
+            .levels
+            .get_mut(&prio)
+            .expect("publish into a live level");
         if at <= self.clock_hint {
             level.eligible.insert((label, n));
         } else {
@@ -432,7 +435,10 @@ impl Policy for DfSched {
     }
 
     fn on_exit(&mut self, t: ThreadId) {
-        let n = self.pos.remove(t).expect("exiting thread has a placeholder") as usize;
+        let n = self
+            .pos
+            .remove(t)
+            .expect("exiting thread has a placeholder") as usize;
         debug_assert!(!self.nodes[n].ready, "exiting thread still queued");
         self.unlink(n);
         self.free.push(n);
@@ -493,7 +499,7 @@ mod tests {
         let mut s = DfSched::new(1024);
         s.on_create(t(0), None, 0, true, VirtTime::ZERO, 0);
         assert_eq!(s.pop(0, VirtTime::ZERO), got(t(0))); // root dispatched
-        // Root forks two children (preempt-on-fork: placeholders, not ready).
+                                                         // Root forks two children (preempt-on-fork: placeholders, not ready).
         s.on_create(t(1), Some(t(0)), 0, false, VirtTime::ZERO, 0);
         // Parent re-queued at its placeholder; child 1 is direct-handed.
         s.on_ready(t(0), 0, VirtTime::ZERO, 0, None);
@@ -608,7 +614,10 @@ mod tests {
     fn future_ready_at_respected() {
         let mut s = DfSched::new(1024);
         s.on_create(t(0), None, 0, true, VirtTime::from_ns(100), 0);
-        assert_eq!(s.pop(0, VirtTime::from_ns(10)), Pop::NotYet(VirtTime::from_ns(100)));
+        assert_eq!(
+            s.pop(0, VirtTime::from_ns(10)),
+            Pop::NotYet(VirtTime::from_ns(100))
+        );
         assert_eq!(s.pop(0, VirtTime::from_ns(100)), got(t(0)));
     }
 
@@ -624,7 +633,11 @@ mod tests {
             if live.len() > 3 {
                 s.on_exit(live.pop_front().expect("four are live"));
             }
-            assert!(s.pos.resident_pages() <= 3, "at {i}: {} pages", s.pos.resident_pages());
+            assert!(
+                s.pos.resident_pages() <= 3,
+                "at {i}: {} pages",
+                s.pos.resident_pages()
+            );
         }
     }
 

@@ -198,7 +198,11 @@ impl DfDequesSched {
     fn push_item(&mut self, d: usize, tid: ThreadId, at: VirtTime) {
         let dq = &mut self.deques[d];
         let was_empty = dq.live_items == 0;
-        dq.items.push_back(Item { tid, at, dead: false });
+        dq.items.push_back(Item {
+            tid,
+            at,
+            dead: false,
+        });
         dq.live_items += 1;
         dq.min_hint = if was_empty {
             Some(at)
@@ -529,7 +533,10 @@ mod tests {
     fn not_yet_entries_respected() {
         let mut s = DfDequesSched::new(1024, 2);
         s.on_ready(t(1), 0, VirtTime::from_ns(100), 0, None);
-        assert_eq!(s.pop(1, VirtTime::from_ns(50)), Pop::NotYet(VirtTime::from_ns(100)));
+        assert_eq!(
+            s.pop(1, VirtTime::from_ns(50)),
+            Pop::NotYet(VirtTime::from_ns(100))
+        );
         assert_eq!(s.pop(1, VirtTime::from_ns(100)), got(t(1), true));
     }
 
@@ -541,7 +548,10 @@ mod tests {
         s.on_ready(t(2), 0, VirtTime::ZERO, 0, None);
         // A thief at time 50 must NOT reach behind the ineligible top for
         // t2 — the deque is simply not stealable until its top is eligible.
-        assert_eq!(s.pop(1, VirtTime::from_ns(50)), Pop::NotYet(VirtTime::from_ns(100)));
+        assert_eq!(
+            s.pop(1, VirtTime::from_ns(50)),
+            Pop::NotYet(VirtTime::from_ns(100))
+        );
         // Once the top is eligible the steal takes it (the top, not t2).
         assert_eq!(s.pop(1, VirtTime::from_ns(100)), got(t(1), true));
         // The owner, meanwhile, is free to work its own deque newest-first.

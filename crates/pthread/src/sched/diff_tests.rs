@@ -146,9 +146,7 @@ impl Driver {
                     };
                     let at = VirtTime::from_ns(self.clocks[waker] + rng.gen_range(0u64..30));
                     let prio = self.prios[rng.gen_range(0..self.prios.len())];
-                    let affinity = rng
-                        .gen_bool(0.5)
-                        .then(|| rng.gen_range(0..self.procs));
+                    let affinity = rng.gen_bool(0.5).then(|| rng.gen_range(0..self.procs));
                     self.a.on_ready(tid, prio, at, waker, affinity);
                     self.b.on_ready(tid, prio, at, waker, affinity);
                     self.live[i].1 = St::Ready;

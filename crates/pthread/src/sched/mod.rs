@@ -141,9 +141,7 @@ pub(crate) fn make_policy(config: &Config) -> Box<dyn Policy> {
             LOCALITY_WINDOW,
             config.processors,
         )),
-        SchedKind::DfDeques => {
-            Box::new(DfDequesSched::new(config.quota.max(1), config.processors))
-        }
+        SchedKind::DfDeques => Box::new(DfDequesSched::new(config.quota.max(1), config.processors)),
         SchedKind::Ws => {
             // Schedule perturbation re-keys the victim sequence: steal
             // targeting is the Ws policy's own schedule degree of freedom,

@@ -184,7 +184,10 @@ mod tests {
     fn future_entries_are_invisible() {
         let mut s = fifo();
         s.on_ready(t(1), 0, VirtTime::from_ns(100), 0, None);
-        assert_eq!(s.pop(0, VirtTime::from_ns(50)), Pop::NotYet(VirtTime::from_ns(100)));
+        assert_eq!(
+            s.pop(0, VirtTime::from_ns(50)),
+            Pop::NotYet(VirtTime::from_ns(100))
+        );
         assert_eq!(s.pop(0, VirtTime::from_ns(100)), got(t(1)));
     }
 
@@ -226,7 +229,10 @@ mod tests {
         s.on_ready(t(3), 0, VirtTime::from_ns(8), 0, None);
         assert_eq!(s.pop(0, VirtTime::from_ns(10)), got(t(3)));
         assert_eq!(s.pop(0, VirtTime::from_ns(10)), got(t(1)));
-        assert_eq!(s.pop(0, VirtTime::from_ns(10)), Pop::NotYet(VirtTime::from_ns(50)));
+        assert_eq!(
+            s.pop(0, VirtTime::from_ns(10)),
+            Pop::NotYet(VirtTime::from_ns(50))
+        );
     }
 
     #[test]

@@ -197,7 +197,10 @@ impl Policy for RefDfSched {
     }
 
     fn on_exit(&mut self, t: ThreadId) {
-        let n = self.pos.remove(&t).expect("exiting thread has a placeholder");
+        let n = self
+            .pos
+            .remove(&t)
+            .expect("exiting thread has a placeholder");
         self.prio_of.remove(&t);
         debug_assert!(!self.nodes[n].ready, "exiting thread still queued");
         self.unlink(n);

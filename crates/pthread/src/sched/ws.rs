@@ -165,8 +165,20 @@ mod tests {
         let mut s = WsSched::new(2, 42);
         s.on_ready(t(1), 0, VirtTime::ZERO, 0, None);
         s.on_ready(t(2), 0, VirtTime::ZERO, 0, None);
-        assert_eq!(s.pop(0, VirtTime::ZERO), Pop::Got { tid: t(2), stolen: false });
-        assert_eq!(s.pop(0, VirtTime::ZERO), Pop::Got { tid: t(1), stolen: false });
+        assert_eq!(
+            s.pop(0, VirtTime::ZERO),
+            Pop::Got {
+                tid: t(2),
+                stolen: false
+            }
+        );
+        assert_eq!(
+            s.pop(0, VirtTime::ZERO),
+            Pop::Got {
+                tid: t(1),
+                stolen: false
+            }
+        );
     }
 
     #[test]
@@ -175,7 +187,13 @@ mod tests {
         s.on_ready(t(1), 0, VirtTime::ZERO, 0, None);
         s.on_ready(t(2), 0, VirtTime::ZERO, 0, None);
         // Processor 1's own deque is empty: it steals the oldest (t1).
-        assert_eq!(s.pop(1, VirtTime::ZERO), Pop::Got { tid: t(1), stolen: true });
+        assert_eq!(
+            s.pop(1, VirtTime::ZERO),
+            Pop::Got {
+                tid: t(1),
+                stolen: true
+            }
+        );
         assert_eq!(s.ready_len(), 1);
     }
 
@@ -195,7 +213,9 @@ mod tests {
                 for i in 0..8 {
                     s.on_ready(t(i), 0, VirtTime::ZERO, (i % 4) as usize, None);
                 }
-                (0..8).map(|i| s.pop((i % 4) as usize, VirtTime::ZERO)).collect()
+                (0..8)
+                    .map(|i| s.pop((i % 4) as usize, VirtTime::ZERO))
+                    .collect()
             })
             .collect();
         assert_eq!(runs[0], runs[1]);

@@ -131,9 +131,16 @@ impl std::fmt::Display for StallInfo {
             self.threads.len()
         )?;
         for t in &self.threads {
-            let reason = t.reason.map(|r| r.name()).unwrap_or("ready (never dispatched)");
+            let reason = t
+                .reason
+                .map(|r| r.name())
+                .unwrap_or("ready (never dispatched)");
             match t.obj {
-                Some(obj) => writeln!(f, "  t{} blocked on {reason} #{obj} since {:?}", t.thread, t.since)?,
+                Some(obj) => writeln!(
+                    f,
+                    "  t{} blocked on {reason} #{obj} since {:?}",
+                    t.thread, t.since
+                )?,
                 None => writeln!(f, "  t{} blocked on {reason} since {:?}", t.thread, t.since)?,
             }
         }

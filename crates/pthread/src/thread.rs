@@ -340,7 +340,9 @@ enum SlabSlot {
     Live(Tcb),
     /// Unoccupied; `next` is the following free slot ([`NO_SLOT`] at the
     /// end of the chain).
-    Free { next: u32 },
+    Free {
+        next: u32,
+    },
 }
 
 /// The run's thread table: host space follows the threads that are *alive*,
@@ -574,7 +576,11 @@ impl Exit {
 
     /// Records the thread's exit at `at`.
     pub fn set_time(&self, at: VirtTime) {
-        debug_assert_ne!(at.as_ns(), RUNNING, "exit time collides with the running marker");
+        debug_assert_ne!(
+            at.as_ns(),
+            RUNNING,
+            "exit time collides with the running marker"
+        );
         self.at.set(at.as_ns());
     }
 
@@ -754,10 +760,7 @@ impl<T> JoinHandle<T> {
     /// On timeout the handle is returned so the caller can retry (or detach
     /// by dropping it); the thread keeps running either way. A panic in the
     /// joined thread is re-raised like [`JoinHandle::join`].
-    pub fn join_timeout(
-        self,
-        timeout: ptdf_smp::VirtTime,
-    ) -> Result<T, JoinHandle<T>> {
+    pub fn join_timeout(self, timeout: ptdf_smp::VirtTime) -> Result<T, JoinHandle<T>> {
         if let Some(rc) = self.owning_run() {
             match join_wait_in(&rc, self.id, &self.cell.exit, Some(timeout)) {
                 Ok(Some(payload)) => resume_unwind(payload),
@@ -847,7 +850,9 @@ fn join_wait_in(
         };
         let now = inner.machine.clock(p);
         if let Some(timeout) = timeout {
-            deadline.get_or_insert(VirtTime::from_ns(now.as_ns().saturating_add(timeout.as_ns())));
+            deadline.get_or_insert(VirtTime::from_ns(
+                now.as_ns().saturating_add(timeout.as_ns()),
+            ));
         }
         if let Some(exit_time) = exit.time() {
             if let Some(deadline) = deadline.filter(|&d| exit_time > d) {
@@ -987,14 +992,20 @@ mod tests {
                     assert_eq!(got, expect, "seed {seed} step {step}");
                     // A page stays exactly while it holds a live id or more
                     // ids may still arrive in it.
-                    let mut pages: Vec<usize> =
-                        expect.iter().map(|&(id, _)| id as usize / PAGE_IDS).collect();
+                    let mut pages: Vec<usize> = expect
+                        .iter()
+                        .map(|&(id, _)| id as usize / PAGE_IDS)
+                        .collect();
                     if !model.len().is_multiple_of(PAGE_IDS) {
                         pages.push((model.len() - 1) / PAGE_IDS);
                     }
                     pages.sort_unstable();
                     pages.dedup();
-                    assert_eq!(table.resident_pages(), pages.len(), "seed {seed} step {step}");
+                    assert_eq!(
+                        table.resident_pages(),
+                        pages.len(),
+                        "seed {seed} step {step}"
+                    );
                 }
             }
         }
@@ -1009,7 +1020,11 @@ mod tests {
             if lives.len() > 4 {
                 table.retire(lives.pop_front().expect("five are live"));
             }
-            assert!(table.resident_pages() <= 3, "step {step}: {} pages", table.resident_pages());
+            assert!(
+                table.resident_pages() <= 3,
+                "step {step}: {} pages",
+                table.resident_pages()
+            );
         }
         assert_eq!(table.issued(), 200_000);
     }

@@ -714,10 +714,14 @@ mod tests {
             },
         ));
         let check = check_trace(&trace);
-        assert!(check
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::LostNotify { obj: 7, waiters: 1, .. })));
+        assert!(check.violations.iter().any(|v| matches!(
+            v,
+            Violation::LostNotify {
+                obj: 7,
+                waiters: 1,
+                ..
+            }
+        )));
         assert!(check
             .violations
             .iter()
@@ -733,7 +737,9 @@ mod tests {
         };
         trace.events.push(event(10, 1, block));
         trace.events.push(event(20, 1, block));
-        trace.events.push(event(30, 2, EventKind::Wake { waker: Some(3) }));
+        trace
+            .events
+            .push(event(30, 2, EventKind::Wake { waker: Some(3) }));
         let check = check_trace(&trace);
         assert!(check
             .violations
@@ -775,10 +781,14 @@ mod tests {
         ));
         let check = check_trace(&trace);
         assert!(
-            check
-                .violations
-                .iter()
-                .any(|v| matches!(v, Violation::WaitPastNotify { thread: 1, obj: 9, .. })),
+            check.violations.iter().any(|v| matches!(
+                v,
+                Violation::WaitPastNotify {
+                    thread: 1,
+                    obj: 9,
+                    ..
+                }
+            )),
             "expected WaitPastNotify, got {:?}",
             check.violations
         );
@@ -928,9 +938,14 @@ mod tests {
         // Unlike Timeout, a Cancel with no pending block is NOT spurious:
         // running-thread delivery at a cancellation point has no block.
         let mut running = Trace::default();
-        running
-            .events
-            .push(event(5, 2, EventKind::Cancel { obj: None, by: None }));
+        running.events.push(event(
+            5,
+            2,
+            EventKind::Cancel {
+                obj: None,
+                by: None,
+            },
+        ));
         let check = check_trace(&running);
         assert!(check.is_clean(), "{:?}", check.violations);
     }
@@ -963,5 +978,4 @@ mod tests {
         let text = check.violations[0].to_string();
         assert!(text.contains("t1 -> t2 -> t3 -> t1"), "{text}");
     }
-
 }

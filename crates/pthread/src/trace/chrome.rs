@@ -178,7 +178,11 @@ impl Trace {
                     o.opt(key!("obj"), id(obj));
                     o.opt(key!("by"), id(by));
                 }
-                EventKind::Deadlock { cycle, waits_for, obj } => {
+                EventKind::Deadlock {
+                    cycle,
+                    waits_for,
+                    obj,
+                } => {
                     o.u64(key!("cycle"), u64::from(cycle));
                     o.u64(key!("waitsFor"), u64::from(waits_for));
                     o.opt(key!("obj"), id(obj));

@@ -111,7 +111,10 @@ pub enum CausalEdge {
 pub fn causal_edge(e: &Event) -> Option<CausalEdge> {
     let t = e.thread?;
     Some(match e.kind {
-        EventKind::Spawn { parent: Some(p) } => CausalEdge::Spawn { parent: p, child: t },
+        EventKind::Spawn { parent: Some(p) } => CausalEdge::Spawn {
+            parent: p,
+            child: t,
+        },
         EventKind::Wake { waker } => CausalEdge::Wake { waker, woken: t },
         EventKind::Timeout { .. } => CausalEdge::Timeout { woken: t },
         EventKind::Cancel { by, .. } => CausalEdge::Cancel { by, woken: t },

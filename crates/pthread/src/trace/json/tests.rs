@@ -369,8 +369,7 @@ fn strings_end_where_they_end_at_every_offset() {
                 let mut want = "x".repeat(len);
                 want.insert_str(at, special);
                 for pad in ["", " ", "  \n "] {
-                    let text =
-                        format!("{pad}[{},7]", Value::Str(want.as_str().into()).to_json());
+                    let text = format!("{pad}[{},7]", Value::Str(want.as_str().into()).to_json());
                     let got = Value::parse(&text).expect("a string and a number");
                     assert_eq!(
                         got,
@@ -443,13 +442,20 @@ fn key_is_matches_exactly_the_key_the_lexer_would_read() {
         let text = format!("{text}{pad}");
         let mut scratch = Scratch::default();
         let mut r = Reader::new(&text, &mut scratch);
-        assert_eq!((r.key_is(&ph), r.pos), (hit, if hit { 5 } else { 0 }), "{text}");
+        assert_eq!(
+            (r.key_is(&ph), r.pos),
+            (hit, if hit { 5 } else { 0 }),
+            "{text}"
+        );
     }
     // Within 24 bytes of the end nothing matches: the lexer reads it.
     let mut scratch = Scratch::default();
     assert!(!Reader::new(r#""ph":1"#, &mut scratch).key_is(&ph));
     for bad in ["a\"b", "a\\b", "twenty-two-bytes-long!"] {
-        assert!(std::panic::catch_unwind(|| KeyText::new(bad)).is_err(), "{bad}");
+        assert!(
+            std::panic::catch_unwind(|| KeyText::new(bad)).is_err(),
+            "{bad}"
+        );
     }
 }
 

@@ -507,7 +507,11 @@ impl LatencyStats {
         };
         let mut hist = Vec::new();
         for &s in &samples {
-            let bucket = if s == 0 { 0 } else { 64 - s.leading_zeros() as usize };
+            let bucket = if s == 0 {
+                0
+            } else {
+                64 - s.leading_zeros() as usize
+            };
             if hist.len() <= bucket {
                 hist.resize(bucket + 1, 0);
             }
@@ -669,13 +673,23 @@ impl Trace {
     /// High-water committed footprint implied by the footprint track
     /// (equals `MemStats::footprint_hwm` exactly; 0 without counters).
     pub fn footprint_hwm(&self) -> u64 {
-        self.counters.footprint.iter().map(|&(_, v)| v).max().unwrap_or(0)
+        self.counters
+            .footprint
+            .iter()
+            .map(|&(_, v)| v)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Peak live threads implied by the live-thread track (equals
     /// `MemStats::live_threads_hwm` exactly; 0 without counters).
     pub fn max_live_threads(&self) -> u64 {
-        self.counters.live_threads.iter().map(|&(_, v)| v).max().unwrap_or(0)
+        self.counters
+            .live_threads
+            .iter()
+            .map(|&(_, v)| v)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Event counts per kind name, sorted by name.
@@ -731,7 +745,10 @@ impl Trace {
     pub fn validate(&self) -> Result<(), String> {
         for s in &self.spans {
             if s.end < s.start {
-                return Err(format!("span t{} on proc {} ends before it starts", s.thread, s.proc));
+                return Err(format!(
+                    "span t{} on proc {} ends before it starts",
+                    s.thread, s.proc
+                ));
             }
         }
         if let Some((a, b)) = self.find_overlap() {
@@ -845,7 +862,10 @@ mod tests {
         let mut t = Trace::default();
         t.spans.push(span(0, 0, 100));
         t.spans.push(span(1, 50, 150));
-        assert!(t.find_overlap().is_none(), "adjacent-processor false positive");
+        assert!(
+            t.find_overlap().is_none(),
+            "adjacent-processor false positive"
+        );
         // The same intervals on one processor: caught.
         let mut t = Trace::default();
         t.spans.push(span(2, 0, 100));

@@ -227,7 +227,13 @@ fn blocking_operations_stay_within_their_allocation_bounds() {
     check("timed_sem_fire", SchedKind::Fifo, timed_sem_fire, 2, 0);
     check("condvar_pingpong", SchedKind::Fifo, condvar_pingpong, 2, 0);
     check("mutex_handoff", SchedKind::Fifo, mutex_handoff, 10, 0);
-    check("rwlock_write_handoff", SchedKind::Fifo, rwlock_write_handoff, 12, 0);
+    check(
+        "rwlock_write_handoff",
+        SchedKind::Fifo,
+        rwlock_write_handoff,
+        12,
+        0,
+    );
     // Six calls a spawn before (the result slot, the boxed body and the
     // fiber's four boxes), the scope's list and its cell, and the cycle
     // probe's two when an untimed join blocked on a child that had not
@@ -242,7 +248,11 @@ fn blocking_operations_stay_within_their_allocation_bounds() {
     ];
     for sched in [SchedKind::Df, SchedKind::Fifo] {
         for (name, body, before, bound) in spawn_rounds {
-            let bound = if ptdf_fiber::HAS_REAL_STACKS { bound } else { 20 };
+            let bound = if ptdf_fiber::HAS_REAL_STACKS {
+                bound
+            } else {
+                20
+            };
             check(name, sched, body, before, bound);
         }
     }

@@ -412,7 +412,10 @@ fn blame_tiles_the_makespan_under_all_policies() {
             prev = seg.end;
         }
         assert_eq!(prev, makespan);
-        assert!(cp.blame.compute > VirtTime::ZERO, "{kind:?}: path has compute");
+        assert!(
+            cp.blame.compute > VirtTime::ZERO,
+            "{kind:?}: path has compute"
+        );
         // Residual should be a sliver, not the bulk of the path.
         assert!(
             cp.blame.residual.as_ns() * 4 < makespan.as_ns(),
@@ -507,29 +510,32 @@ fn every_runtime_record_passes_through_the_one_trace_alloc_window() {
     let traced = |cfg: Config| cfg.with_trace().with_host_profile(true);
     // Spawn, first dispatch, block/wake, notify, join, timeout, and an
     // allocation above the quota: dummies and a preemption.
-    let (_, report) = run(traced(Config::new(2, SchedKind::Df).with_quota(1024)), || {
-        let m = Mutex::new(0u64);
-        let cv = Condvar::new();
-        let b = Barrier::new(2);
-        let (m2, cv2, b2) = (m.clone(), cv.clone(), b.clone());
-        let h = spawn(move || {
-            ptdf::work(5_000);
-            *m2.lock() += 1;
-            cv2.notify_all();
-            b2.wait();
-        });
-        ptdf::rt_alloc(8 * 1024);
-        ptdf::rt_free(8 * 1024);
-        let mut g = m.lock();
-        while *g == 0 {
-            g = cv.wait(g);
-        }
-        drop(g);
-        b.wait();
-        h.join();
-        let sem = Semaphore::new(0);
-        sem.acquire_timeout(VirtTime::from_us(5)).unwrap_err();
-    });
+    let (_, report) = run(
+        traced(Config::new(2, SchedKind::Df).with_quota(1024)),
+        || {
+            let m = Mutex::new(0u64);
+            let cv = Condvar::new();
+            let b = Barrier::new(2);
+            let (m2, cv2, b2) = (m.clone(), cv.clone(), b.clone());
+            let h = spawn(move || {
+                ptdf::work(5_000);
+                *m2.lock() += 1;
+                cv2.notify_all();
+                b2.wait();
+            });
+            ptdf::rt_alloc(8 * 1024);
+            ptdf::rt_free(8 * 1024);
+            let mut g = m.lock();
+            while *g == 0 {
+                g = cv.wait(g);
+            }
+            drop(g);
+            b.wait();
+            h.join();
+            let sem = Semaphore::new(0);
+            sem.acquire_timeout(VirtTime::from_us(5)).unwrap_err();
+        },
+    );
     check(report.trace.as_ref().expect("traced"));
     // Steals.
     let (_, report) = run(traced(Config::new(4, SchedKind::Ws)), || {

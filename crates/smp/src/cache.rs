@@ -177,7 +177,9 @@ mod tests {
         let mut c = CacheModel::new(512);
         let mut x: u64 = 0x9E3779B97F4A7C15;
         for _ in 0..10_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let region = (x >> 32) % 40;
             let bytes = (x & 0xFF) + 1;
             c.touch(region, bytes);

@@ -40,6 +40,9 @@ pub use heap::{HeapModel, StackPool};
 pub use machine::{Machine, ProcId};
 pub use perturb::Prng;
 pub use record::{MachineRecording, MemEvent, MemEventKind};
-pub use stats::{Bucket, HostPhaseStats, HostProf, MemStats, PhaseStat, ProcStats, ProfWin, RunStats, TimeBreakdown};
+pub use stats::{
+    Bucket, HostPhaseStats, HostProf, MemStats, PhaseStat, ProcStats, ProfWin, RunStats,
+    TimeBreakdown,
+};
 pub use time::VirtTime;
 pub use vlock::VirtualLock;

@@ -6,7 +6,9 @@ use crate::cost::CostModel;
 use crate::heap::{HeapModel, StackPool};
 use crate::perturb::Prng;
 use crate::record::{MachineRecording, MemEventKind, Recorder};
-use crate::stats::{Bucket, HostPhaseStats, HostProf, MemStats, PhaseStat, ProcStats, ProfWin, RunStats};
+use crate::stats::{
+    Bucket, HostPhaseStats, HostProf, MemStats, PhaseStat, ProcStats, ProfWin, RunStats,
+};
 use crate::time::VirtTime;
 use crate::vlock::VirtualLock;
 use std::cmp::Reverse;
@@ -309,7 +311,9 @@ impl Machine {
     /// Checks the current footprint against the armed bound after a growth
     /// on processor `p`. Called from every path that can grow the footprint.
     fn check_space_bound(&mut self, p: ProcId) {
-        let Some(bound) = self.space_bound else { return };
+        let Some(bound) = self.space_bound else {
+            return;
+        };
         let footprint = self.heap.footprint();
         if footprint <= bound {
             return;
@@ -549,7 +553,11 @@ impl Machine {
             }
         };
         if self.recorder.is_some() {
-            let (at, fp, live) = (self.procs[p].clock, self.heap.footprint(), self.live_threads);
+            let (at, fp, live) = (
+                self.procs[p].clock,
+                self.heap.footprint(),
+                self.live_threads,
+            );
             let r = self.recorder.as_deref_mut().expect("checked");
             r.event(at, p, MemEventKind::StackReserve { bytes: reserved });
             r.sample_live(at, live);
@@ -895,10 +903,17 @@ mod tests {
             .iter()
             .filter(|e| matches!(e.kind, MemEventKind::BoundViolation { .. }))
             .collect();
-        assert_eq!(crossings.len(), 1, "only the crossing growth records an event");
+        assert_eq!(
+            crossings.len(),
+            1,
+            "only the crossing growth records an event"
+        );
         assert!(matches!(
             crossings[0].kind,
-            MemEventKind::BoundViolation { footprint: 16_000, bound: 10_000 }
+            MemEventKind::BoundViolation {
+                footprint: 16_000,
+                bound: 10_000
+            }
         ));
     }
 
@@ -918,7 +933,10 @@ mod tests {
         let c = m.thread_create(0, 1024 * 1024); // commits 8 KiB at create
         let _ = m.thread_first_run(0, 1024 * 1024, c);
         let stats = m.finish();
-        assert!(stats.mem.bound_violations >= 2, "create + first-run growths");
+        assert!(
+            stats.mem.bound_violations >= 2,
+            "create + first-run growths"
+        );
     }
 
     #[test]

@@ -133,15 +133,15 @@ impl Recorder {
     /// Accumulates contended scheduler-lock wait.
     pub fn sample_lock_wait(&mut self, at: VirtTime, wait: VirtTime) {
         self.lock_wait_total += wait;
-        self.rec.sched_lock_wait.push((at, self.lock_wait_total.as_ns()));
+        self.rec
+            .sched_lock_wait
+            .push((at, self.lock_wait_total.as_ns()));
     }
 
     /// Records a memory event, applying the alloc/free threshold.
     pub fn event(&mut self, at: VirtTime, proc: ProcId, kind: MemEventKind) {
         let keep = match kind {
-            MemEventKind::Alloc { bytes } | MemEventKind::Free { bytes } => {
-                bytes >= self.threshold
-            }
+            MemEventKind::Alloc { bytes } | MemEventKind::Free { bytes } => bytes >= self.threshold,
             MemEventKind::StackReserve { .. }
             | MemEventKind::StackRelease { .. }
             | MemEventKind::FreeUnderflow { .. }

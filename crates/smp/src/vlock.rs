@@ -261,7 +261,7 @@ mod tests {
     fn earlier_acquirer_uses_gap_before_future_hold() {
         let mut l = VirtualLock::new();
         l.acquire(ns(1000), ns(50)); // busy [1000,1050)
-        // A virtually-earlier acquirer fits entirely before that hold.
+                                     // A virtually-earlier acquirer fits entirely before that hold.
         let (wait, rel) = l.acquire(ns(100), ns(50));
         assert_eq!(wait, ns(0));
         assert_eq!(rel, ns(150));
@@ -272,7 +272,7 @@ mod tests {
         let mut l = VirtualLock::new();
         l.acquire(ns(100), ns(50)); // [100,150)
         l.acquire(ns(160), ns(50)); // [160,210)
-        // Needs 50ns at t=120: [150,160) gap too small → granted at 210.
+                                    // Needs 50ns at t=120: [150,160) gap too small → granted at 210.
         let (wait, rel) = l.acquire(ns(120), ns(50));
         assert_eq!(wait, ns(90));
         assert_eq!(rel, ns(260));

@@ -297,7 +297,11 @@ fn summarize(trace: &Trace) -> String {
     let waits = ptdf::object_waits(trace);
     if !waits.is_empty() {
         let shown = waits.len().min(5);
-        let _ = writeln!(out, "blocked time by object (top {shown} of {})", waits.len());
+        let _ = writeln!(
+            out,
+            "blocked time by object (top {shown} of {})",
+            waits.len()
+        );
         for w in waits.iter().take(shown) {
             let _ = writeln!(
                 out,
@@ -362,9 +366,7 @@ fn cmd_critpath(args: &[String]) -> Result<ExitCode, Failure> {
                         .to_string(),
                 )
             }
-            other if path.is_none() && !other.starts_with("--") => {
-                path = Some(other.to_string())
-            }
+            other if path.is_none() && !other.starts_with("--") => path = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`\n{USAGE}").into()),
         }
     }
@@ -404,7 +406,11 @@ fn render_critpath(path: &str, cp: &ptdf::CritPath, top: usize) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     if cp.empty {
-        let _ = writeln!(out, "{path}: empty trace (no spans); makespan {}", cp.makespan);
+        let _ = writeln!(
+            out,
+            "{path}: empty trace (no spans); makespan {}",
+            cp.makespan
+        );
         return out;
     }
     let _ = writeln!(
@@ -472,7 +478,9 @@ fn critpath_json(cp: &ptdf::CritPath) -> ptdf::json::Value {
                 let mut members = vec![
                     (
                         "thread",
-                        s.thread.map(|t| Value::UInt(t as u64)).unwrap_or(Value::Null),
+                        s.thread
+                            .map(|t| Value::UInt(t as u64))
+                            .unwrap_or(Value::Null),
                     ),
                     ("startNs", Value::UInt(s.start.as_ns())),
                     ("endNs", Value::UInt(s.end.as_ns())),
@@ -521,10 +529,7 @@ fn critpath_json(cp: &ptdf::CritPath) -> ptdf::json::Value {
         ("empty", Value::Bool(cp.empty)),
         ("makespanNs", Value::UInt(cp.makespan.as_ns())),
         ("blameNs", blame),
-        (
-            "dominant",
-            Value::Str(cp.blame.dominant().0.into()),
-        ),
+        ("dominant", Value::Str(cp.blame.dominant().0.into())),
         ("segments", segments),
         ("objects", objects),
         ("threads", threads),
@@ -553,7 +558,11 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, Failure> {
 
     match trace.validate() {
         Ok(()) => {
-            println!("structure   ok ({} spans, {} events)", trace.len(), trace.events.len());
+            println!(
+                "structure   ok ({} spans, {} events)",
+                trace.len(),
+                trace.events.len()
+            );
             Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
@@ -582,7 +591,9 @@ fn parse_flag_factor(it: &mut std::slice::Iter<'_, String>) -> Result<f64, Strin
     if factor.is_finite() && factor >= 0.0 {
         Ok(factor)
     } else {
-        Err(format!("--factor: expected a finite number >= 0, got {factor}"))
+        Err(format!(
+            "--factor: expected a finite number >= 0, got {factor}"
+        ))
     }
 }
 
@@ -756,20 +767,39 @@ fn diff(a: &Trace, b: &Trace) -> String {
         "{:<18} {:>14} {:>14}",
         "scheduler", a.meta.scheduler, b.meta.scheduler
     );
-    row(&mut out, "processors", a.meta.processors as u64, b.meta.processors as u64);
-    let span_end = |t: &Trace| {
-        t.spans
-            .iter()
-            .map(|s| s.end.as_ns())
-            .max()
-            .unwrap_or(0)
-    };
+    row(
+        &mut out,
+        "processors",
+        a.meta.processors as u64,
+        b.meta.processors as u64,
+    );
+    let span_end = |t: &Trace| t.spans.iter().map(|s| s.end.as_ns()).max().unwrap_or(0);
     row(&mut out, "makespan ns", span_end(a), span_end(b));
     row(&mut out, "spans", a.len() as u64, b.len() as u64);
-    row(&mut out, "events", a.events.len() as u64, b.events.len() as u64);
-    row(&mut out, "footprint hwm B", a.footprint_hwm(), b.footprint_hwm());
-    row(&mut out, "live threads max", a.max_live_threads(), b.max_live_threads());
-    row(&mut out, "ready max", track_max(&a.counters.ready), track_max(&b.counters.ready));
+    row(
+        &mut out,
+        "events",
+        a.events.len() as u64,
+        b.events.len() as u64,
+    );
+    row(
+        &mut out,
+        "footprint hwm B",
+        a.footprint_hwm(),
+        b.footprint_hwm(),
+    );
+    row(
+        &mut out,
+        "live threads max",
+        a.max_live_threads(),
+        b.max_live_threads(),
+    );
+    row(
+        &mut out,
+        "ready max",
+        track_max(&a.counters.ready),
+        track_max(&b.counters.ready),
+    );
 
     // Union of event kinds, in name order (event_kind_counts is sorted).
     let ca = a.event_kind_counts();
@@ -777,9 +807,8 @@ fn diff(a: &Trace, b: &Trace) -> String {
     let mut kinds: Vec<&str> = ca.iter().chain(cb.iter()).map(|&(k, _)| k).collect();
     kinds.sort_unstable();
     kinds.dedup();
-    let count = |c: &[(&str, u64)], k: &str| {
-        c.iter().find(|&&(n, _)| n == k).map_or(0, |&(_, v)| v)
-    };
+    let count =
+        |c: &[(&str, u64)], k: &str| c.iter().find(|&&(n, _)| n == k).map_or(0, |&(_, v)| v);
     for k in kinds {
         row(&mut out, &format!("  {k}"), count(&ca, k), count(&cb, k));
     }
@@ -904,13 +933,21 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
                     .ok_or_else(|| format!("unknown scheduler `{name}`"))?
             }
             "--depth" => {
-                depth = val("--depth")?.parse().map_err(|e| format!("--depth: {e}"))?
+                depth = val("--depth")?
+                    .parse()
+                    .map_err(|e| format!("--depth: {e}"))?
             }
             "--budget" => {
-                budget = val("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?
+                budget = val("--budget")?
+                    .parse()
+                    .map_err(|e| format!("--budget: {e}"))?
             }
             "--procs" => {
-                procs = Some(val("--procs")?.parse().map_err(|e| format!("--procs: {e}"))?)
+                procs = Some(
+                    val("--procs")?
+                        .parse()
+                        .map_err(|e| format!("--procs: {e}"))?,
+                )
             }
             "--replay" => {
                 let csv = val("--replay")?;
@@ -961,8 +998,9 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
 
     let mut dirty = false;
     for l in programs {
-        let report =
-            with_quiet_panics(|| ptdf::explore(config(l), ptdf::ExploreOpts::new(depth, budget), l.body));
+        let report = with_quiet_panics(|| {
+            ptdf::explore(config(l), ptdf::ExploreOpts::new(depth, budget), l.body)
+        });
         if json {
             println!("{}", explore_json(l, &report).to_json());
         } else {
@@ -978,10 +1016,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, Failure> {
 }
 
 fn join_u32(v: &[u32]) -> String {
-    v.iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
+    v.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
 }
 
 /// Renders one litmus program's exploration report.
@@ -997,7 +1032,11 @@ fn render_explore(l: &ptdf::Litmus, r: &ptdf::ExploreReport) -> String {
         r.scheduler,
         r.depth,
         r.budget,
-        if r.budget_exhausted { ", EXHAUSTED" } else { "" },
+        if r.budget_exhausted {
+            ", EXHAUSTED"
+        } else {
+            ""
+        },
         r.states_pruned,
         r.pruning_ratio(),
         r.max_decisions,
@@ -1011,7 +1050,11 @@ fn render_explore(l: &ptdf::Litmus, r: &ptdf::ExploreReport) -> String {
             "  {}: {}{}",
             v.kind,
             v.detail.trim_end().replace('\n', "\n    "),
-            if v.replay_verified { "" } else { " [REPLAY UNSTABLE]" },
+            if v.replay_verified {
+                ""
+            } else {
+                " [REPLAY UNSTABLE]"
+            },
         );
         let _ = writeln!(out, "    minimal prefix [{}]", join_u32(&v.prefix));
         let _ = writeln!(
@@ -1038,7 +1081,10 @@ fn explore_json(l: &ptdf::Litmus, r: &ptdf::ExploreReport) -> ptdf::json::Value 
         ("scheduler", s(&r.scheduler)),
         ("depth", Value::UInt(r.depth as u64)),
         ("budget", Value::UInt(r.budget as u64)),
-        ("schedulesExecuted", Value::UInt(r.schedules_executed as u64)),
+        (
+            "schedulesExecuted",
+            Value::UInt(r.schedules_executed as u64),
+        ),
         ("replays", Value::UInt(r.replays as u64)),
         ("statesPruned", Value::UInt(r.states_pruned)),
         ("redundant", Value::UInt(r.redundant as u64)),
@@ -1108,7 +1154,11 @@ mod tests {
         });
         let hwm = report.footprint();
         let t = report.trace.unwrap();
-        assert_eq!(t.footprint_hwm(), hwm, "trace hwm must equal Report::footprint");
+        assert_eq!(
+            t.footprint_hwm(),
+            hwm,
+            "trace hwm must equal Report::footprint"
+        );
         let s = summarize(&t);
         assert!(s.contains(&format!("footprint hwm   {hwm} B")), "{s}");
     }
@@ -1139,13 +1189,22 @@ mod tests {
         a.decisions = vec![d(0), d(0), d(1)];
         b.decisions = vec![d(0), d(0), d(2)];
         let out = diff(&a, &b);
-        assert!(out.contains("decision prefix diverges at decision 2"), "{out}");
-        assert!(out.contains("grant at t=5000 chose 1 of 3 candidate(s) (obj #7)"), "{out}");
+        assert!(
+            out.contains("decision prefix diverges at decision 2"),
+            "{out}"
+        );
+        assert!(
+            out.contains("grant at t=5000 chose 1 of 3 candidate(s) (obj #7)"),
+            "{out}"
+        );
         assert!(out.contains("first 2 decision(s) agree"), "{out}");
         // Identical logs: say so instead of diffing events blindly.
         b.decisions = a.decisions.clone();
         let same = diff(&a, &b);
-        assert!(same.contains("decision logs identical (3 decisions)"), "{same}");
+        assert!(
+            same.contains("decision logs identical (3 decisions)"),
+            "{same}"
+        );
         // One log a strict prefix of the other: diverges where the short one ends.
         b.decisions.pop();
         let cut = diff(&a, &b);
@@ -1171,14 +1230,22 @@ mod tests {
         );
         let json = explore_json(l, &report).to_json();
         let v = ptdf::json::Value::parse(&json).unwrap();
-        assert_eq!(v.get("litmus").and_then(|x| x.as_str()), Some("buggy_grant_order"));
-        assert!(v.get("violations").and_then(|x| x.as_arr()).is_some_and(|a| !a.is_empty()));
+        assert_eq!(
+            v.get("litmus").and_then(|x| x.as_str()),
+            Some("buggy_grant_order")
+        );
+        assert!(v
+            .get("violations")
+            .and_then(|x| x.as_arr())
+            .is_some_and(|a| !a.is_empty()));
     }
 
     #[test]
     fn check_reports_clean_on_a_healthy_trace() {
         let (_, report) = run(
-            Config::new(2, SchedKind::Df).with_trace().with_perturbation(7),
+            Config::new(2, SchedKind::Df)
+                .with_trace()
+                .with_perturbation(7),
             || {
                 let m = ptdf::Mutex::new(0u32);
                 ptdf::scope(|s| {
@@ -1229,7 +1296,9 @@ mod tests {
         // reassembled cycle (this is the path the CI smoke drives through
         // examples/deadlock_trace.rs).
         let (_, report) = ptdf::try_run(
-            Config::new(2, SchedKind::Df).with_trace().with_perturbation(3),
+            Config::new(2, SchedKind::Df)
+                .with_trace()
+                .with_perturbation(3),
             || {
                 let a = ptdf::Mutex::new(());
                 let b = ptdf::Mutex::new(());
@@ -1307,7 +1376,10 @@ mod tests {
     fn assert_no_nan(name: &str, text: &str) {
         // Rust formats the offending floats as "NaN" / "inf" exactly.
         for bad in ["NaN", "inf"] {
-            assert!(!text.contains(bad), "{name} output contains {bad:?}:\n{text}");
+            assert!(
+                !text.contains(bad),
+                "{name} output contains {bad:?}:\n{text}"
+            );
         }
     }
 

@@ -86,7 +86,9 @@ fn a_file_that_is_not_a_trace_exits_1_with_one_line_and_a_missing_one_exits_2() 
 fn a_factor_that_is_not_a_finite_non_negative_number_is_a_usage_error() {
     let good = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/zero_events.json");
     for factor in ["inf", "nan", "-3"] {
-        let out = ptdf_trace(&["audit", good, "--s1", "1", "--depth", "1", "--factor", factor]);
+        let out = ptdf_trace(&[
+            "audit", good, "--s1", "1", "--depth", "1", "--factor", factor,
+        ]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "--factor {factor}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
@@ -109,7 +111,10 @@ fn audit_compares_the_bound_without_rounding_and_validate_takes_none() {
     let out = ptdf_trace(&[&["audit", path.as_str()][..], &bound].concat());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains(": OVER [df/p4] hwm 2580480 B, bound 2580479 B"), "{stdout}");
+    assert!(
+        stdout.contains(": OVER [df/p4] hwm 2580480 B, bound 2580479 B"),
+        "{stdout}"
+    );
     assert!(stdout.ends_with("margin -1 B\n"), "{stdout}");
     let out = ptdf_trace(&[&["validate", path.as_str()][..], &bound].concat());
     assert_eq!(out.status.code(), Some(2));
@@ -139,7 +144,10 @@ fn explore_takes_every_scheduler_name() {
             "{sched}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        assert!(stdout.contains(&format!("executed under {sched} ")), "{stdout}");
+        assert!(
+            stdout.contains(&format!("executed under {sched} ")),
+            "{stdout}"
+        );
     }
     let out = ptdf_trace(&["explore", "--litmus", "mutex_increments", "--sched", "nope"]);
     assert_eq!(out.status.code(), Some(2));

@@ -12,7 +12,9 @@
 use ptdf::{spawn, try_run, Config, Mutex, SchedKind};
 
 fn main() {
-    let cfg = Config::new(3, SchedKind::Df).with_trace().with_perturbation(9);
+    let cfg = Config::new(3, SchedKind::Df)
+        .with_trace()
+        .with_perturbation(9);
     // One member is *expected* to unwind with DeadlockError; keep the
     // default hook from spraying its backtrace over the demo output.
     std::panic::set_hook(Box::new(|_| {}));

@@ -258,10 +258,10 @@ fn deadlock_prone_workload_never_hangs_under_chaos() {
                         // `ptdf-trace check`.
                         let check = check_trace(&report.trace.expect("traced"));
                         assert!(
-                            check.violations.iter().any(|v| matches!(
-                                v,
-                                ptdf::Violation::Deadlock { .. }
-                            )),
+                            check
+                                .violations
+                                .iter()
+                                .any(|v| matches!(v, ptdf::Violation::Deadlock { .. })),
                             "{kind:?} seed {seed}: {:?}",
                             check.violations
                         );
@@ -295,7 +295,9 @@ fn chaos_actually_injects_faults() {
     // A chaos cell must differ from its chaos-free twin — otherwise the
     // matrix above soaks nothing.
     let go = |chaos: Option<u64>| {
-        let mut cfg = Config::new(4, SchedKind::Ws).with_trace().with_perturbation(3);
+        let mut cfg = Config::new(4, SchedKind::Ws)
+            .with_trace()
+            .with_perturbation(3);
         if let Some(c) = chaos {
             cfg = cfg.with_chaos(c);
         }

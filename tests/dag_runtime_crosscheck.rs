@@ -51,8 +51,7 @@ fn figure_1_table_on_the_real_runtime() {
     for ((name, prog), (threads, want)) in rows.iter().zip(table) {
         assert_eq!(prog.len(), threads, "{name}");
         let real = [SchedKind::Fifo, SchedKind::Lifo, SchedKind::Df].map(|kind| {
-            run_program(prog, cfg(kind, 1).with_cost(CostModel::zero_overhead()))
-                .max_live_threads()
+            run_program(prog, cfg(kind, 1).with_cost(CostModel::zero_overhead())).max_live_threads()
         });
         assert_eq!(real, want, "{name}: real FIFO/LIFO/DF");
     }

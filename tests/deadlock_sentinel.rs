@@ -208,29 +208,28 @@ fn timed_waits_are_exempt_and_break_the_cycle() {
     // no cycle check fires, the deadline expires, the timed side backs off
     // and releases — the run completes with zero recorded deadlocks.
     for kind in POLICIES {
-        let ((timed_out, completed), report) =
-            run(Config::new(2, kind).with_trace(), || {
-                let a = Mutex::new(());
-                let b = Mutex::new(());
-                let (a2, b2) = (a.clone(), b.clone());
-                let t1 = spawn(move || {
-                    let _ga = a2.lock();
-                    ptdf::work(HOLD);
-                    match b2.lock_timeout(VirtTime::from_ms(1)) {
-                        Ok(_g) => false,
-                        Err(TimedOut) => true, // back off: drop a, retry later
-                    }
-                });
-                let t2 = spawn(move || {
-                    let _gb = b.lock();
-                    ptdf::work(HOLD);
-                    let _ga = a.lock();
-                    true
-                });
-                let timed_out = t1.join();
-                let completed = t2.join();
-                (timed_out, completed)
+        let ((timed_out, completed), report) = run(Config::new(2, kind).with_trace(), || {
+            let a = Mutex::new(());
+            let b = Mutex::new(());
+            let (a2, b2) = (a.clone(), b.clone());
+            let t1 = spawn(move || {
+                let _ga = a2.lock();
+                ptdf::work(HOLD);
+                match b2.lock_timeout(VirtTime::from_ms(1)) {
+                    Ok(_g) => false,
+                    Err(TimedOut) => true, // back off: drop a, retry later
+                }
             });
+            let t2 = spawn(move || {
+                let _gb = b.lock();
+                ptdf::work(HOLD);
+                let _ga = a.lock();
+                true
+            });
+            let timed_out = t1.join();
+            let completed = t2.join();
+            (timed_out, completed)
+        });
         assert!(completed, "{kind:?}: untimed side must complete");
         assert!(
             report.deadlocks().is_empty(),

@@ -79,7 +79,11 @@ fn lifecycle_is_consistent_across_schedulers() {
         let makespan = report.makespan();
         for t in &trace.threads {
             if let Some(fd) = t.first_dispatch {
-                assert!(fd >= t.spawned, "{kind:?} t{}: dispatch before spawn", t.thread);
+                assert!(
+                    fd >= t.spawned,
+                    "{kind:?} t{}: dispatch before spawn",
+                    t.thread
+                );
             }
             assert!(
                 t.ready_wait <= makespan,
@@ -107,7 +111,9 @@ fn lifecycle_is_consistent_across_schedulers() {
 /// allocates), and at least 3 counter tracks.
 #[test]
 fn chrome_export_has_spans_events_and_counter_tracks() {
-    let cfg = Config::new(4, SchedKind::Df).with_trace().with_quota(16 * 1024);
+    let cfg = Config::new(4, SchedKind::Df)
+        .with_trace()
+        .with_quota(16 * 1024);
     let (_, report) = ptdf::run(cfg, || {
         let m = ptdf::Mutex::new(0u64);
         let b = ptdf::Barrier::new(2);
@@ -131,7 +137,12 @@ fn chrome_export_has_spans_events_and_counter_tracks() {
         .and_then(|v| v.as_arr())
         .expect("traceEvents array");
 
-    let ph_of = |e: &json::Value| e.get("ph").and_then(|v| v.as_str()).unwrap_or("").to_string();
+    let ph_of = |e: &json::Value| {
+        e.get("ph")
+            .and_then(|v| v.as_str())
+            .unwrap_or("")
+            .to_string()
+    };
     let spans = events.iter().filter(|e| ph_of(e) == "X").count();
     assert!(spans > 0, "export needs span records");
 

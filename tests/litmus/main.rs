@@ -100,14 +100,20 @@ fn flipped_grant_decision_needs_a_nonempty_prefix() {
     // somewhere the natural run never goes.
     let l = ptdf::litmus::find("buggy_grant_order").expect("fixture exists");
     let natural = replay_schedule(Config::new(l.procs, SchedKind::Fifo), &[], l.body);
-    assert_eq!(natural.kind, None, "natural schedule should be clean: {natural:#?}");
+    assert_eq!(
+        natural.kind, None,
+        "natural schedule should be clean: {natural:#?}"
+    );
     let report = explore(Config::new(l.procs, SchedKind::Fifo), opts(), l.body);
     let case = report
         .violations
         .iter()
         .find(|v| v.kind == "panic")
         .unwrap_or_else(|| panic!("grant-order bug not found: {:#?}", report.violations));
-    assert!(!case.prefix.is_empty(), "violation cannot be on the natural path");
+    assert!(
+        !case.prefix.is_empty(),
+        "violation cannot be on the natural path"
+    );
     assert!(case.prefix.iter().any(|&c| c != 0));
     assert!(case.replay_verified, "{case:#?}");
     let replay = replay_schedule(Config::new(l.procs, SchedKind::Fifo), &case.prefix, l.body);
@@ -160,14 +166,20 @@ fn stale_semaphore_slot_is_exhaustively_absent() {
 fn stale_mutex_slot_is_exhaustively_absent() {
     // The mutex flavor of the same bug class (ISSUE 10): an unlock handing
     // the lock to a waiter whose lock_timeout deadline already fired.
-    exhaustively_clean("mutex_timeout_grant", "a timed-out slot still takes the lock");
+    exhaustively_clean(
+        "mutex_timeout_grant",
+        "a timed-out slot still takes the lock",
+    );
 }
 
 #[test]
 fn condvar_notify_is_immune_to_stale_timed_slots() {
     // Same schedule space as the two above, condvar flavor: a timed-out
     // waiter's slot cannot eat a notify.
-    exhaustively_clean("condvar_timeout_notify", "condvar notify lost to a stale slot");
+    exhaustively_clean(
+        "condvar_timeout_notify",
+        "condvar notify lost to a stale slot",
+    );
 }
 
 #[test]
@@ -184,12 +196,18 @@ fn cancel_delivery_is_a_real_decision_point() {
         .iter()
         .position(|d| d.kind == ptdf::DecisionKind::CancelDelivery)
         .unwrap_or_else(|| {
-            panic!("no cancel-delivery decision recorded: {:#?}", natural.decisions)
+            panic!(
+                "no cancel-delivery decision recorded: {:#?}",
+                natural.decisions
+            )
         });
     let mut prefix = natural.taken[..i].to_vec();
     prefix.push(1); // defer: the wait resolves by its own deadline instead
     let deferred = replay_schedule(Config::new(l.procs, SchedKind::Df), &prefix, l.body);
-    assert_eq!(deferred.kind, None, "deferred delivery violated: {deferred:#?}");
+    assert_eq!(
+        deferred.kind, None,
+        "deferred delivery violated: {deferred:#?}"
+    );
     assert_eq!(
         deferred.decisions[i].chosen, 1,
         "scripted defer was not taken: {:#?}",
@@ -215,10 +233,16 @@ fn rwlock_timed_waiters_survive_sixteen_perturbed_seeds() {
     // interleavings than the oracle's systematic walk), every trace fed to
     // the happens-before checker.
     let l = ptdf::litmus::find("rwlock_writer_timeout").expect("fixture exists");
-    let seeds = if std::env::var_os("REPRO_QUICK").is_some() { 4 } else { 16 };
+    let seeds = if std::env::var_os("REPRO_QUICK").is_some() {
+        4
+    } else {
+        16
+    };
     for kind in POLICIES {
         for seed in 0..seeds {
-            let cfg = Config::new(l.procs, kind).with_trace().with_perturbation(seed);
+            let cfg = Config::new(l.procs, kind)
+                .with_trace()
+                .with_perturbation(seed);
             let (_, report) = ptdf::run(cfg, l.body);
             let check = ptdf::check_trace(&report.trace.expect("tracing enabled"));
             assert!(
@@ -238,7 +262,10 @@ fn reports_carry_the_advertised_statistics() {
     assert_eq!(report.scheduler, "fifo");
     assert_eq!(report.depth, opts.depth);
     assert_eq!(report.budget, opts.budget);
-    assert!(report.schedules_executed >= 2, "condvar race has >1 schedule");
+    assert!(
+        report.schedules_executed >= 2,
+        "condvar race has >1 schedule"
+    );
     assert!(report.pruning_ratio() >= 1.0);
     assert!(report.max_decisions > 0, "no decision points hit at all");
 }

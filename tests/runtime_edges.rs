@@ -295,7 +295,10 @@ fn a_deadline_token_that_outlives_its_thread_wakes_nobody() {
             assert!(*woke.borrow());
             woke_early
         });
-        assert!(!woke_early, "{kind:?}: a dead thread's deadline woke the slot's new tenant");
+        assert!(
+            !woke_early,
+            "{kind:?}: a dead thread's deadline woke the slot's new tenant"
+        );
     }
 }
 
@@ -315,7 +318,10 @@ fn cancelling_a_joined_thread_leaves_the_slots_new_tenant_alone() {
             // Let the tenant reach its wait under every policy.
             ptdf::work(100_000);
             yield_now();
-            assert!(!ptdf::cancel(gone_id), "{kind:?}: cancel of an exited thread");
+            assert!(
+                !ptdf::cancel(gone_id),
+                "{kind:?}: cancel of an exited thread"
+            );
             gate.release();
             tenant.try_join()
         });
@@ -357,27 +363,26 @@ fn a_handle_joined_ten_thousand_spawns_late_gets_its_own_result() {
 #[test]
 fn joining_an_exit_in_the_joiners_future_lands_at_the_exit() {
     for kind in POLICIES {
-        let ((child, before, after), report) =
-            run(Config::new(2, kind).with_trace(), move || {
-                // The child wakes the root and then runs on to its exit
-                // inside the same quantum — too short a stretch to be
-                // time-sliced — so by the time the root is dispatched the
-                // child has exited in engine order, ~60 virtual µs ahead of
-                // the root's clock.
-                let done = Semaphore::new(0);
-                let d2 = done.clone();
-                let child = spawn(move || {
-                    ptdf::work(5_000);
-                    d2.release();
-                    ptdf::work(10_000);
-                });
-                // Traces carry a thread's number: `t17` is 17.
-                let id: u32 = child.id().to_string()[1..].parse().expect("t<number>");
-                done.acquire();
-                let before = ptdf::now().unwrap();
-                child.join();
-                (id, before, ptdf::now().unwrap())
+        let ((child, before, after), report) = run(Config::new(2, kind).with_trace(), move || {
+            // The child wakes the root and then runs on to its exit
+            // inside the same quantum — too short a stretch to be
+            // time-sliced — so by the time the root is dispatched the
+            // child has exited in engine order, ~60 virtual µs ahead of
+            // the root's clock.
+            let done = Semaphore::new(0);
+            let d2 = done.clone();
+            let child = spawn(move || {
+                ptdf::work(5_000);
+                d2.release();
+                ptdf::work(10_000);
             });
+            // Traces carry a thread's number: `t17` is 17.
+            let id: u32 = child.id().to_string()[1..].parse().expect("t<number>");
+            done.acquire();
+            let before = ptdf::now().unwrap();
+            child.join();
+            (id, before, ptdf::now().unwrap())
+        });
         let trace = report.trace.expect("traced");
         let exit = trace
             .threads
@@ -390,14 +395,20 @@ fn joining_an_exit_in_the_joiners_future_lands_at_the_exit() {
             "{kind:?}: the join must start before the child's virtual exit"
         );
         assert!(
-            !trace
-                .events
-                .iter()
-                .any(|e| e.thread == Some(0)
-                    && matches!(e.kind, EventKind::Block { reason: BlockReason::Join, .. })),
+            !trace.events.iter().any(|e| e.thread == Some(0)
+                && matches!(
+                    e.kind,
+                    EventKind::Block {
+                        reason: BlockReason::Join,
+                        ..
+                    }
+                )),
             "{kind:?}: the child had exited in engine order, the join must not block"
         );
-        assert!(after >= exit, "{kind:?}: join returned at {after:?}, exit at {exit:?}");
+        assert!(
+            after >= exit,
+            "{kind:?}: join returned at {after:?}, exit at {exit:?}"
+        );
     }
 }
 
@@ -480,10 +491,20 @@ fn a_stale_handle_does_not_touch_a_thread_of_the_same_id_in_another_run() {
             ptdf::work(100_000);
             yield_now();
             let before = ptdf::now();
-            assert!(!stale_cancel.cancel(), "{kind:?}: the stale thread exited long ago");
+            assert!(
+                !stale_cancel.cancel(),
+                "{kind:?}: the stale thread exited long ago"
+            );
             assert!(matches!(stale.try_join(), Ok(7)), "{kind:?}");
-            assert!(matches!(stale_cancel.join_timeout(VirtTime::from_ms(1)), Ok(8)));
-            assert_eq!(ptdf::now(), before, "{kind:?}: a stale join costs no virtual time");
+            assert!(matches!(
+                stale_cancel.join_timeout(VirtTime::from_ms(1)),
+                Ok(8)
+            ));
+            assert_eq!(
+                ptdf::now(),
+                before,
+                "{kind:?}: a stale join costs no virtual time"
+            );
             gate.release();
             // The stale join did not register as t1's joiner, and the stale
             // cancel did not land on it.

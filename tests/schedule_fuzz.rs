@@ -150,7 +150,11 @@ fn ledger_armed_matrix_stays_clean_and_balanced() {
             );
             assert_eq!(leaks.total_allocated, 16 * 4096);
             let check = check_trace(&report.trace.expect("tracing was enabled"));
-            assert!(check.is_clean(), "{kind:?} seed {seed}: {:#?}", check.violations);
+            assert!(
+                check.is_clean(),
+                "{kind:?} seed {seed}: {:#?}",
+                check.violations
+            );
         }
     }
 }
@@ -174,15 +178,13 @@ fn failure_injection_matrix_degrades_gracefully() {
                 let mut denied_allocs = 0u64;
                 let mut handles = Vec::new();
                 for i in 0..32u64 {
-                    match ptdf::try_spawn(move || {
-                        match ptdf::try_rt_alloc(1024) {
-                            Ok(()) => {
-                                ptdf::work(100 + i);
-                                ptdf::rt_free(1024);
-                                0u64
-                            }
-                            Err(_) => 1u64,
+                    match ptdf::try_spawn(move || match ptdf::try_rt_alloc(1024) {
+                        Ok(()) => {
+                            ptdf::work(100 + i);
+                            ptdf::rt_free(1024);
+                            0u64
                         }
+                        Err(_) => 1u64,
                     }) {
                         Ok(h) => {
                             spawned += 1;
@@ -237,7 +239,9 @@ fn perturbation_actually_perturbs() {
     // seed pair must differ somewhere in the trace.
     let traces: Vec<_> = (0..4u64)
         .map(|seed| {
-            let cfg = Config::new(4, SchedKind::Ws).with_trace().with_perturbation(seed);
+            let cfg = Config::new(4, SchedKind::Ws)
+                .with_trace()
+                .with_perturbation(seed);
             let (_, report) = ptdf::run(cfg, || sync_storm(4, 4));
             report.trace.expect("tracing was enabled")
         })
@@ -248,7 +252,9 @@ fn perturbation_actually_perturbs() {
     );
     // An unperturbed run differs from a perturbed one too (jitter moves
     // virtual timestamps even when the interleaving survives).
-    let (_, base) = ptdf::run(Config::new(4, SchedKind::Ws).with_trace(), || sync_storm(4, 4));
+    let (_, base) = ptdf::run(Config::new(4, SchedKind::Ws).with_trace(), || {
+        sync_storm(4, 4)
+    });
     assert!(
         traces.iter().any(|t| *t != base.trace.clone().unwrap()),
         "perturbation had no observable effect at all"

@@ -56,7 +56,10 @@ fn deadline_cancellation_fires_under_overload() {
     for sched in [SchedKind::Df, SchedKind::DfDeques, SchedKind::Ws] {
         canceled += serve(&overload(), 4, sched).stats.canceled;
     }
-    assert!(canceled > 0, "no deadline cancellation across df/df-deques/ws");
+    assert!(
+        canceled > 0,
+        "no deadline cancellation across df/df-deques/ws"
+    );
 }
 
 #[test]
@@ -64,9 +67,19 @@ fn stats_are_deterministic_per_seed() {
     for sched in [SchedKind::Df, SchedKind::Fifo] {
         let a = serve(&overload(), 4, sched);
         let b = serve(&overload(), 4, sched);
-        assert_eq!(a.stats, b.stats, "{}: same-seed stats diverged", sched.name());
+        assert_eq!(
+            a.stats,
+            b.stats,
+            "{}: same-seed stats diverged",
+            sched.name()
+        );
         assert_eq!(a.report.makespan(), b.report.makespan(), "{}", sched.name());
-        assert_eq!(a.report.footprint(), b.report.footprint(), "{}", sched.name());
+        assert_eq!(
+            a.report.footprint(),
+            b.report.footprint(),
+            "{}",
+            sched.name()
+        );
     }
 }
 

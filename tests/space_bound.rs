@@ -87,7 +87,12 @@ fn native_fifo_breaks_the_same_bound_on_fine_matmul() {
         .filter(|v| matches!(v, Violation::SpaceBound { .. }))
         .collect();
     assert_eq!(crossings.len(), 1, "one crossing marks the excursion");
-    if let Violation::SpaceBound { bound: b, footprint, .. } = crossings[0] {
+    if let Violation::SpaceBound {
+        bound: b,
+        footprint,
+        ..
+    } = crossings[0]
+    {
         assert_eq!(*b, bound);
         assert!(*footprint > bound);
     }
