@@ -9,7 +9,10 @@
 //! - its Figure 8 label and problem string at test and at paper scale.
 //!
 //! Then FFT's 2^14-point cells, matmul's output and space over eight (n,
-//! base) shapes, and volren's phantom and octree. Each app's unit tests
+//! base) shapes, volren's phantom and octree, and the shapes on which the
+//! volren, FMM and decision-tree kernels must agree bit for bit: each ray's
+//! intensity and sample count, each kernel-derivative tensor, and each
+//! tree with its model inputs. Each app's unit tests
 //! allow a tolerance or share the kernel with their reference; these rows
 //! do neither. A kernel speed-up regenerates nothing; a change that means
 //! to move an app's numbers runs `cargo test --test apps -- --ignored
@@ -21,7 +24,9 @@ use std::hash::Hasher;
 
 use ptdf::trace::Fnv1a;
 use ptdf::{Config, CostModel, SchedKind};
-use ptdf_apps::{fft, matmul, volren, volren_params, Scale, Version, APPS, VOLREN};
+use ptdf_apps::fmm::jet::KernelJet;
+use ptdf_apps::util::uniform01;
+use ptdf_apps::{dtree, fft, fmm, matmul, volren, volren_params, Scale, Version, APPS, VOLREN};
 use ptdf_smp::RunStats;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/apps.tsv");
@@ -183,6 +188,147 @@ fn phantom_rows(out: &mut String) {
     }
 }
 
+/// Every ray of an image, one at a time: the FNV-1a of each pixel's
+/// intensity bits and sample count, the total sample count, and how many
+/// pixels stay unlit. The view angles 0, π/2, π and 3π/2 put a direction
+/// component at or next to ±0.0; sizes 20 and 36 have an odd number of
+/// octree blocks a side and 100 a short last block; where a pixel is narrower than two voxels, the first
+/// image row starts below y = 1 and never enters the volume; a cutoff of
+/// 2.0 never terminates a ray early.
+fn volren_ray_rows(out: &mut String) {
+    use std::f32::consts::{FRAC_PI_2, PI};
+    let shapes: [(usize, usize, f32, f32); 11] = [
+        (64, 96, 0.5, 0.98),
+        (64, 40, 0.0, 0.98),
+        (64, 40, FRAC_PI_2, 0.98),
+        (64, 40, PI, 0.98),
+        (64, 40, 3.0 * FRAC_PI_2, 0.98),
+        (64, 40, 0.5, 2.0),
+        (20, 24, 0.5, 0.98),
+        (36, 30, 1.0, 0.98),
+        (100, 48, 0.5, 0.98),
+        (100, 36, 2.5, 2.0),
+        (256, 24, 0.5, 0.98),
+    ];
+    let mut vol = volren::gen_volume(64);
+    for (size, image, view_angle, opacity_cutoff) in shapes {
+        if vol.size != size {
+            vol = volren::gen_volume(size);
+        }
+        let p = volren::Params {
+            size,
+            image,
+            view_angle,
+            opacity_cutoff,
+            ..volren::Params::small()
+        };
+        let mut h = Fnv1a::default();
+        let (mut samples, mut unlit) = (0u64, 0usize);
+        for py in 0..image {
+            for px in 0..image {
+                let (v, n) = volren::cast_ray(&vol, &p, px, py);
+                word(&mut h, u64::from(v.to_bits()) << 32 | u64::from(n));
+                samples += u64::from(n);
+                unlit += usize::from(v == 0.0);
+            }
+        }
+        assert!(unlit > 0, "volren {size}, {image}: every ray enters");
+        writeln!(
+            out,
+            "volren:rays\t{size}\t{image}\t{view_angle}\t{opacity_cutoff}\t{:016x}\t{samples}\t{unlit}",
+            h.finish()
+        )
+        .expect("to a String");
+    }
+}
+
+/// The Taylor coefficients of `1/|r|` at every order up to 12 (the jet of
+/// `P` = 1..6 expansion terms is order 2P), every bit and sign of zero, at
+/// the 316 unit M2L offsets and at 200 seeded points.
+fn fmm_jet_rows(out: &mut String) {
+    let mut lattice = Vec::new();
+    for dx in -3i32..=3 {
+        for dy in -3i32..=3 {
+            for dz in -3i32..=3 {
+                if dx.abs().max(dy.abs()).max(dz.abs()) >= 2 {
+                    lattice.push([dx as f64, dy as f64, dz as f64]);
+                }
+            }
+        }
+    }
+    assert_eq!(lattice.len(), 316);
+    let mut s = 43;
+    let random: Vec<[f64; 3]> = (0..200)
+        .map(|_| [0; 3].map(|_| uniform01(&mut s) * 6.0 - 3.0))
+        .collect();
+    for order in 1..=12 {
+        let kj = KernelJet::new(order);
+        for (points, set) in [("lattice", &lattice), ("random", &random)] {
+            let mut h = Fnv1a::default();
+            for &r0 in set {
+                kj.inv_r_coeffs(r0)
+                    .iter()
+                    .for_each(|c| word(&mut h, c.to_bits()));
+            }
+            writeln!(out, "fmm:jet\t{order}\t{points}\t{:016x}", h.finish()).expect("to a String");
+        }
+    }
+}
+
+/// `run_fmm` at two (particles, levels): every potential and field word,
+/// and its DF run at p = 4.
+fn fmm_shape_rows(out: &mut String) {
+    for (n_particles, levels) in [(1_000, 2), (3_000, 3)] {
+        let p = fmm::Params {
+            n_particles,
+            levels,
+            ..fmm::Params::small()
+        };
+        let particles = fmm::gen_particles(&p);
+        let (r, df) = df_run(move || fmm::run_fmm(&particles, &p));
+        let words: Vec<u64> = r
+            .potential
+            .iter()
+            .chain(r.field.iter().flatten())
+            .map(|x| x.to_bits())
+            .collect();
+        let cell = format!("fmm,n={n_particles},levels={levels}");
+        writeln!(out, "{cell}\t{:016x}\t{}", fnv(&words), model(&df)).expect("to a String");
+    }
+}
+
+/// The decision tree at four (instances, min_split, seed): the tree's
+/// `Debug` form (every threshold printed to its exact bits), and its DF
+/// run at p = 4 with its footprint.
+fn dtree_shape_rows(out: &mut String) {
+    for (instances, min_split, seed) in [
+        (2_500, 50, 1),
+        (6_000, 300, 7),
+        (12_000, 1_000, 0xD7),
+        (20_000, 2_000, 42),
+    ] {
+        let p = dtree::Params {
+            instances,
+            min_split,
+            seed,
+            ..dtree::Params::small()
+        };
+        let ds = dtree::gen_dataset(&p);
+        let (tree, df) = df_run(move || dtree::build(&ds, &p));
+        let mut h = Fnv1a::default();
+        h.write(format!("{tree:?}").as_bytes());
+        let cell = format!("dtree,n={instances},min_split={min_split},seed={seed}");
+        let footprint = df.mem.footprint_hwm;
+        writeln!(
+            out,
+            "{cell}\t{:016x}\t{}\t{footprint}",
+            h.finish(),
+            model(&df)
+        )
+        .expect("to a String");
+    }
+}
+
 fn table() -> String {
     let mut out = String::from("# app\toutput_fnv1a\tserial_makespan_ns\tserial_dispatches\t");
     out.push_str("df_p4_makespan_ns\tdf_p4_dispatches\n");
@@ -197,6 +343,16 @@ fn table() -> String {
     matmul_shape_rows(&mut out);
     out.push_str("# volume\tsize\tfnv1a\n");
     phantom_rows(&mut out);
+    out.push_str("# volren rays\tsize\timage\tview_angle\topacity_cutoff\tfnv1a\tsamples\tunlit\n");
+    volren_ray_rows(&mut out);
+    out.push_str("# fmm jet\torder\tpoints\tfnv1a\n");
+    fmm_jet_rows(&mut out);
+    out.push_str("# fmm cell\toutput_fnv1a\tdf_p4_makespan_ns\tdf_p4_dispatches\n");
+    fmm_shape_rows(&mut out);
+    out.push_str(
+        "# dtree cell\ttree_fnv1a\tdf_p4_makespan_ns\tdf_p4_dispatches\tfootprint_bytes\n",
+    );
+    dtree_shape_rows(&mut out);
     out
 }
 
