@@ -13,16 +13,32 @@ use super::tables::MultiIndexTable;
 #[derive(Debug, Clone)]
 pub struct KernelJet {
     table: MultiIndexTable,
-    /// Truncated-product pair list for this order.
-    pairs: Vec<(u32, u32, u32)>,
+    /// The truncated-product pairs `(a, b, out)` whose `b` is one of the
+    /// six positions where `u` can be nonzero, in the table's pair order.
+    u_pairs: Vec<(u32, u32, u32)>,
 }
 
 impl KernelJet {
     /// Builds the evaluator for derivatives up to `order`.
     pub fn new(order: usize) -> Self {
         let table = MultiIndexTable::new(order);
-        let pairs = table.product_pairs();
-        KernelJet { table, pairs }
+        let support: Vec<u32> = [
+            (1, 0, 0),
+            (0, 1, 0),
+            (0, 0, 1),
+            (2, 0, 0),
+            (0, 2, 0),
+            (0, 0, 2),
+        ]
+        .into_iter()
+        .filter_map(|(i, j, k)| table.pos(i, j, k).map(|p| p as u32))
+        .collect();
+        let u_pairs = table
+            .product_pairs()
+            .into_iter()
+            .filter(|(_, b, _)| support.contains(b))
+            .collect();
+        KernelJet { table, u_pairs }
     }
 
     /// The underlying index table.
@@ -30,11 +46,20 @@ impl KernelJet {
         &self.table
     }
 
-    /// Truncated product `out = a * b`.
-    fn mul(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
+    /// Truncated product `out = a * u`, for a `u` that is zero off the six
+    /// positions of `u_pairs`.
+    ///
+    /// The full pair list would also add `a[i] · 0.0`, that is ±0.0, for
+    /// every other position of `u`. Each `out[o]` is a running sum from
+    /// +0.0, and such a sum is never −0.0 (`x + (−x)` is +0.0, and a sum of
+    /// two finite floats is exact where it is subnormal, so it never rounds
+    /// to zero). Adding ±0.0 to a value that is not −0.0 leaves its bits
+    /// alone, so for finite `a` this gives every bit the full product
+    /// gives, signed zeros included.
+    fn mul_u(&self, a: &[f64], u: &[f64], out: &mut [f64]) {
         out.fill(0.0);
-        for &(i, j, o) in &self.pairs {
-            out[o as usize] += a[i as usize] * b[j as usize];
+        for &(i, j, o) in &self.u_pairs {
+            out[o as usize] += a[i as usize] * u[j as usize];
         }
     }
 
@@ -76,7 +101,7 @@ impl KernelJet {
         g[0] = c[order];
         let mut tmp = vec![0.0; n];
         for k in (0..order).rev() {
-            self.mul(&g, &u, &mut tmp);
+            self.mul_u(&g, &u, &mut tmp);
             std::mem::swap(&mut g, &mut tmp);
             g[0] += c[k];
         }
