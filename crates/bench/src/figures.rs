@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use ptdf::{Config, CostModel, Report, SchedKind, SerialReport, VirtTime, STACK_1MB, STACK_8KB};
 use ptdf_apps::{
-    volren, volren_params, App, Bodies, Version, BARNES_HUT, DTREE, FFT, FMM, MATMUL, SPMV, VOLREN,
+    volren, volren_params, App, Bodies, Version, BARNES_HUT, DTREE, FFT, FMM, MATMUL, SPMV,
 };
 use ptdf_dag::{binary_tree, fig1_example, gen_program, max_path_threads, GenParams, Program};
 use ptdf_fiber::{Coroutine, Step};
@@ -560,7 +560,10 @@ fn fig10_fft() -> Vec<Table> {
 fn fig11_granularity() -> Vec<Table> {
     let base = volren_params(scale());
     let vol = Rc::new(volren::gen_volume(base.size));
-    let serial = serial(&build(&VOLREN));
+    let serial = ptdf::run_serial(CostModel::ultrasparc_167(), || {
+        volren::render_fine(&vol, &base)
+    })
+    .1;
     println!(
         "serial time: {} | total tiles {}",
         serial.time,
