@@ -89,7 +89,7 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// CI-smoke-sized workload (`REPRO_QUICK` scale).
+    /// The small workload of `tests/server_soak.rs`: 80 requests.
     pub fn quick(seed: u64) -> Self {
         ServerConfig {
             seed,

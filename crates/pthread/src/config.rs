@@ -342,6 +342,37 @@ mod tests {
         }
     }
 
+    /// Names every field with no `..`: a new `Config` knob does not compile
+    /// until it is added here, with its default, in a reviewed edit.
+    #[test]
+    fn new_sets_every_field() {
+        let Config {
+            processors,
+            scheduler,
+            quota,
+            cost,
+            default_stack,
+            seed,
+            trace,
+            schedule,
+            ledger,
+            space_bound,
+            host_profile,
+        } = Config::new(4, SchedKind::Df);
+        assert_eq!((processors, scheduler), (4, SchedKind::Df));
+        assert_eq!(
+            (quota, default_stack, seed),
+            (DEFAULT_QUOTA, STACK_8KB, 0x5EED)
+        );
+        assert_eq!(
+            format!("{cost:?}"),
+            format!("{:?}", CostModel::ultrasparc_167())
+        );
+        assert!(matches!(schedule, Schedule::Natural));
+        assert_eq!(ledger, LedgerMode::Off);
+        assert_eq!((trace, space_bound, host_profile), (false, None, false));
+    }
+
     #[test]
     fn builders() {
         let c = Config::new(8, SchedKind::Df)

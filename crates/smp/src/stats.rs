@@ -256,6 +256,10 @@ impl HostProf {
     }
 
     /// Opens a timing window. Pass the result back to [`HostProf::close`].
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the model crates' one host-clock read: it lands in HostPhaseStats only, which no virtual number reads"
+    )]
     pub fn open(&self) -> ProfWin {
         ProfWin {
             t0: std::time::Instant::now(),

@@ -4,7 +4,8 @@
 //! read is an I/O error (exit 2). A `--factor` that is not a finite
 //! non-negative number is a usage error, exit 2 as well, and so are a
 //! bound given to `validate` and an `explore --sched` name no policy has.
-//! Drives the built binary.
+//! `explore` exits 1 when it finds a violating schedule and 0 when it finds
+//! none. Drives the built binary.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -155,4 +156,36 @@ fn explore_takes_every_scheduler_name() {
         String::from_utf8_lossy(&out.stderr),
         "ptdf-trace: unknown scheduler `nope`\n"
     );
+}
+
+/// `explore` exits 1 on the known-buggy fixture, printing its minimal
+/// prefix and the command that replays it, and 0 on the cancel programs,
+/// which are clean under both cancel-delivery arms.
+#[test]
+fn explore_exits_1_on_a_violation_and_0_on_the_clean_cancel_programs() {
+    let explore = |prog: &str| {
+        ptdf_trace(&[
+            "explore", "--litmus", prog, "--depth", "3", "--budget", "400",
+        ])
+    };
+    let out = explore("buggy_grant_order");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("minimal prefix"), "{stdout}");
+    assert!(stdout.contains("replay: ptdf-trace explore"), "{stdout}");
+    for prog in [
+        "cancel_lock_race",
+        "cancel_cleanup_handler",
+        "cancel_deadline_race",
+        "cancel_disabled_section",
+    ] {
+        let out = explore(prog);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{prog}: {}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

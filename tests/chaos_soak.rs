@@ -17,8 +17,6 @@
 //! Chaos cells replay bit-exactly: `(policy, perturb seed, chaos seed)`
 //! pins the entire schedule, which `ptdf-trace check` prints as the replay
 //! recipe (`--sched <p> --perturb-seed <s> --chaos-seed <c>`).
-//!
-//! `REPRO_QUICK=1` shrinks the seed budget for CI smoke runs.
 
 use ptdf::{
     check_trace, run, spawn, try_run, Barrier, Condvar, Config, Mutex, RwLock, SchedKind,
@@ -33,13 +31,8 @@ const POLICIES: [SchedKind; 5] = [
     SchedKind::Ws,
 ];
 
-fn seed_budget() -> u64 {
-    if std::env::var_os("REPRO_QUICK").is_some() {
-        2
-    } else {
-        6
-    }
-}
+/// Seeds per (workload, policy) cell.
+const SEED_BUDGET: u64 = 6;
 
 #[derive(Debug, PartialEq)]
 enum Verdict {
@@ -198,7 +191,7 @@ fn abba() -> u32 {
 fn correct_workloads_complete_under_chaos() {
     let (nthreads, rounds) = (4, 4);
     for kind in POLICIES {
-        for seed in 0..seed_budget() {
+        for seed in 0..SEED_BUDGET {
             let cfg = || {
                 Config::new(4, kind)
                     .with_perturbation(seed)
@@ -222,7 +215,7 @@ fn correct_workloads_complete_under_chaos() {
 #[test]
 fn timed_workloads_get_definite_verdicts_under_chaos() {
     for kind in POLICIES {
-        for seed in 0..seed_budget() {
+        for seed in 0..SEED_BUDGET {
             let cfg = Config::new(2, kind)
                 .with_perturbation(seed)
                 .with_chaos(seed ^ 0xC0FFEE);
@@ -238,7 +231,7 @@ fn timed_workloads_get_definite_verdicts_under_chaos() {
 #[test]
 fn deadlock_prone_workload_never_hangs_under_chaos() {
     for kind in POLICIES {
-        for seed in 0..seed_budget() {
+        for seed in 0..SEED_BUDGET {
             let cfg = Config::new(2, kind)
                 .with_perturbation(seed)
                 .with_chaos(seed ^ 0xDEAD)

@@ -16,8 +16,6 @@
 //!    writer-timeout window) are schedule-exhaustively clean: a timed-out
 //!    waiter's slot leaves its queue with the wake (`ptdf`'s `waitq`
 //!    module, whose unit tests build the stale slot by hand).
-//!
-//! `REPRO_QUICK=1` shrinks depth/budget for CI smoke runs.
 
 use ptdf::{explore, litmus, replay_schedule, Config, ExploreOpts, SchedKind};
 
@@ -30,11 +28,7 @@ const POLICIES: [SchedKind; 5] = [
 ];
 
 fn opts() -> ExploreOpts {
-    if std::env::var_os("REPRO_QUICK").is_some() {
-        ExploreOpts::new(3, 400)
-    } else {
-        ExploreOpts::new(4, 2000)
-    }
+    ExploreOpts::new(4, 2000)
 }
 
 #[test]
@@ -233,13 +227,8 @@ fn rwlock_timed_waiters_survive_sixteen_perturbed_seeds() {
     // interleavings than the oracle's systematic walk), every trace fed to
     // the happens-before checker.
     let l = ptdf::litmus::find("rwlock_writer_timeout").expect("fixture exists");
-    let seeds = if std::env::var_os("REPRO_QUICK").is_some() {
-        4
-    } else {
-        16
-    };
     for kind in POLICIES {
-        for seed in 0..seeds {
+        for seed in 0..16 {
             let cfg = Config::new(l.procs, kind)
                 .with_trace()
                 .with_perturbation(seed);

@@ -92,13 +92,7 @@ proptest! {
         // deterministic baseline of the same policy.
         let depth = 4;
         let expected_nodes = count_nodes(seed, depth);
-        let quick = std::env::var_os("REPRO_QUICK").is_some();
-        let kinds: &[SchedKind] = if quick {
-            &[SchedKind::Df, SchedKind::Ws]
-        } else {
-            &[SchedKind::Fifo, SchedKind::Lifo, SchedKind::Df, SchedKind::DfDeques, SchedKind::Ws]
-        };
-        for &kind in kinds {
+        for kind in [SchedKind::Fifo, SchedKind::Lifo, SchedKind::Df, SchedKind::DfDeques, SchedKind::Ws] {
             let body = move || {
                 let counter = Mutex::new(0u64);
                 let sum = chaos(seed, depth, &counter);

@@ -18,9 +18,6 @@
 //! cells (tracked alloc/free per round must balance under every schedule)
 //! and failure-injection cells (denied spawns/allocations must degrade
 //! gracefully and be counted exactly).
-//!
-//! `REPRO_QUICK=1` shrinks the seed budget (64 → 8 per policy) for smoke
-//! runs in CI.
 
 use ptdf::{check_trace, Barrier, Condvar, Config, Mutex, SchedKind, Semaphore};
 
@@ -32,13 +29,8 @@ const POLICIES: [SchedKind; 5] = [
     SchedKind::Ws,
 ];
 
-fn seed_budget() -> u64 {
-    if std::env::var_os("REPRO_QUICK").is_some() {
-        8
-    } else {
-        64
-    }
-}
+/// Perturbation seeds per policy.
+const SEED_BUDGET: u64 = 64;
 
 /// The fuzz workload: `nthreads` threads, `rounds` rounds. Each round
 /// funnels through a half-capacity semaphore, bumps a shared counter,
@@ -83,7 +75,7 @@ fn sync_storm(nthreads: usize, rounds: usize) -> (u64, usize) {
 
 #[test]
 fn perturbation_matrix_is_clean_and_invariant() {
-    let seeds = seed_budget();
+    let seeds = SEED_BUDGET;
     let (nthreads, rounds) = (4, 6);
     for kind in POLICIES {
         for seed in 0..seeds {
@@ -113,7 +105,7 @@ fn ledger_armed_matrix_stays_clean_and_balanced() {
     // the allocation ledger armed, each thread routing a tracked buffer
     // through rt_alloc/rt_free every round. Perturbation must never
     // unbalance the ledger or dirty the trace.
-    let seeds = seed_budget() / 4; // heavier cells, smaller budget
+    let seeds = SEED_BUDGET / 4; // heavier cells, smaller budget
     for kind in [SchedKind::Df, SchedKind::DfDeques, SchedKind::Fifo] {
         for seed in 0..seeds.max(2) {
             let cfg = Config::new(4, kind)
@@ -166,7 +158,7 @@ fn failure_injection_matrix_degrades_gracefully() {
     // Under every policy and seed the run must complete (no aborts), the
     // work actually performed must balance, and denied requests must be
     // exactly the injector's count.
-    let seeds = seed_budget() / 4;
+    let seeds = SEED_BUDGET / 4;
     for kind in POLICIES {
         for seed in 0..seeds.max(2) {
             let cfg = Config::new(4, kind)

@@ -9,9 +9,7 @@
 //! [`ptdf::Report::bound_violations`] and through [`ptdf::check_trace`]
 //! (the same signal `ptdf-trace audit` reads from an exported trace).
 //!
-//! `REPRO_QUICK=1` trims the all-benchmarks sweep to three apps for CI
-//! smoke runs; problem sizes themselves follow `REPRO_FULL` (see
-//! `ptdf_bench::full_scale`).
+//! Problem sizes follow `REPRO_FULL` (see `ptdf_bench::full_scale`).
 
 use ptdf::{check_trace, Config, CostModel, Report, SchedKind, Violation, STACK_1MB};
 use ptdf_apps::{App, Version, APPS, MATMUL};
@@ -28,10 +26,6 @@ const PROCS: usize = 4;
 const DEPTH_BYTES: u64 = 256 * 1024;
 const FACTOR: u64 = 4;
 
-fn quick() -> bool {
-    std::env::var_os("REPRO_QUICK").is_some()
-}
-
 /// `app`'s serial space `S1`, and a closure running its fine version
 /// under a config.
 fn s1_and_fine(app: &App) -> (u64, impl Fn(Config) -> Report) {
@@ -42,8 +36,7 @@ fn s1_and_fine(app: &App) -> (u64, impl Fn(Config) -> Report) {
 
 #[test]
 fn df_schedulers_stay_within_s1_plus_p_depth() {
-    let apps = if quick() { &APPS[..3] } else { &APPS[..] }; // quick: matmul, barnes-hut, fmm
-    for app in apps {
+    for app in &APPS {
         let (s1, fine) = s1_and_fine(app);
         for kind in [SchedKind::Df, SchedKind::DfDeques] {
             let cfg = Config::new(PROCS, kind).with_space_bound_terms(s1, FACTOR, DEPTH_BYTES);
