@@ -26,7 +26,9 @@
 //!
 //! The library exposes [`serve`] / [`serve_traced`] plus latency/goodput
 //! accessors; the `ptdf-server` binary sweeps scheduling policies under
-//! overload and folds the results into `BENCH_sched.json`.
+//! overload and prints a latency/goodput table. The benchmark times the
+//! server in its `server_nominal`, `server_overload` and `flight_recorder`
+//! workloads; `tests/server_soak.rs` pins its invariants.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -126,7 +128,8 @@ impl ServerConfig {
         }
     }
 
-    /// Full-scale workload.
+    /// 400 requests: the `ptdf-server` sweep's workload, and the base the
+    /// benchmark's server workloads resize.
     pub fn standard(seed: u64) -> Self {
         ServerConfig {
             requests: 400,
@@ -213,15 +216,6 @@ impl ServerRun {
             0.0
         } else {
             self.stats.completed as f64 / ms
-        }
-    }
-
-    /// Fraction of offered arrivals shed by admission control.
-    pub fn shed_rate(&self) -> f64 {
-        if self.stats.offered == 0 {
-            0.0
-        } else {
-            self.stats.shed as f64 / self.stats.offered as f64
         }
     }
 }

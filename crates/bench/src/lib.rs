@@ -26,7 +26,6 @@ use plot::Chart;
 pub mod figures;
 pub mod golden;
 pub mod plot;
-pub mod wallclock;
 
 pub use ptdf::{Config, CostModel, Report, SchedKind, SerialReport, VirtTime};
 

@@ -1,8 +1,27 @@
 //! Property tests of the machine-model primitives against reference
-//! implementations.
+//! implementations. Each property runs [`CASES`] cases drawn from a seeded
+//! [`Prng`], so a failure names its case and replays.
 
-use proptest::prelude::*;
-use ptdf_smp::{CacheModel, HeapModel, VirtTime, VirtualLock};
+use ptdf_smp::{CacheModel, HeapModel, Prng, VirtTime, VirtualLock};
+
+/// Cases per property.
+const CASES: u32 = 64;
+
+/// A value in `[lo, hi)`.
+fn within(rng: &mut Prng, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
+}
+
+/// A list of `[min_len, max_len)` items drawn by `item`.
+fn list<T>(
+    rng: &mut Prng,
+    min_len: u64,
+    max_len: u64,
+    mut item: impl FnMut(&mut Prng) -> T,
+) -> Vec<T> {
+    let n = within(rng, min_len, max_len);
+    (0..n).map(|_| item(&mut *rng)).collect()
+}
 
 /// Brute-force model of the lock: every granted hold kept as its own entry
 /// of a plain sorted `Vec` (no coalescing, no chunks, no fast path), scanned
@@ -45,41 +64,57 @@ impl RefLock {
     }
 }
 
-proptest! {
-    /// Granted critical sections never overlap, never start before the
-    /// acquirer arrives, and the counters add up.
-    #[test]
-    fn vlock_grants_are_disjoint(ops in proptest::collection::vec((0u64..10_000, 1u64..200), 1..200)) {
+/// Granted critical sections never overlap, never start before the
+/// acquirer arrives, and the counters add up.
+#[test]
+fn vlock_grants_are_disjoint() {
+    let mut rng = Prng::new(0x610C);
+    for case in 0..CASES {
+        let ops = list(&mut rng, 1, 200, |r| {
+            (within(r, 0, 10_000), within(r, 1, 200))
+        });
         let mut lock = VirtualLock::new();
         let mut grants: Vec<(u64, u64)> = Vec::new();
         let mut total_wait = 0u64;
         for (now, hold) in ops {
             let (wait, release) = lock.acquire(VirtTime::from_ns(now), VirtTime::from_ns(hold));
             let start = release.as_ns() - hold;
-            prop_assert!(start >= now, "granted before arrival");
-            prop_assert_eq!(wait.as_ns(), start - now);
+            assert!(start >= now, "case {case}: granted before arrival");
+            assert_eq!(wait.as_ns(), start - now, "case {case}");
             for &(s, e) in &grants {
-                prop_assert!(release.as_ns() <= s || start >= e,
-                    "overlap: [{start},{}) vs [{s},{e})", release.as_ns());
+                assert!(
+                    release.as_ns() <= s || start >= e,
+                    "case {case}: overlap: [{start},{}) vs [{s},{e})",
+                    release.as_ns()
+                );
             }
             grants.push((start, release.as_ns()));
             total_wait += wait.as_ns();
         }
         let (acq, wait, _) = lock.counters();
-        prop_assert_eq!(acq as usize, grants.len());
-        prop_assert_eq!(wait.as_ns(), total_wait);
+        assert_eq!(acq as usize, grants.len(), "case {case}");
+        assert_eq!(wait.as_ns(), total_wait, "case {case}");
     }
+}
 
-    /// Differential test of the chunked-ring `VirtualLock` against
-    /// [`RefLock`] over arrivals ahead of, inside and far behind the
-    /// recorded history, plain and deferred, with prunes at watermarks no
-    /// later arrival undercuts: every call returns the same `(wait,
-    /// release)` and leaves the same counters.
-    #[test]
-    fn vlock_matches_linear_reference(
-        ops in proptest::collection::vec((0u8..32, any::<u64>(), 0u64..=5_000, 0u64..=48), 1..1_500)
-    ) {
-        let ns = VirtTime::from_ns;
+/// Differential test of the chunked-ring `VirtualLock` against [`RefLock`]
+/// over arrivals ahead of, inside and far behind the recorded history,
+/// plain and deferred, with prunes at watermarks no later arrival
+/// undercuts: every call returns the same `(wait, release)` and leaves the
+/// same counters.
+#[test]
+fn vlock_matches_linear_reference() {
+    let ns = VirtTime::from_ns;
+    let mut rng = Prng::new(0x11EA);
+    for case in 0..CASES {
+        let ops = list(&mut rng, 1, 1_500, |r| {
+            (
+                r.below(32),
+                r.next_u64(),
+                within(r, 0, 5_001),
+                within(r, 0, 49),
+            )
+        });
         let mut lock = VirtualLock::new();
         let mut reference = RefLock::default();
         // Every later arrival is at or after `floor` (the last watermark);
@@ -95,7 +130,11 @@ proptest! {
                 _ => {
                     // Prune: mostly a slice off the old end, sometimes past
                     // everything.
-                    floor += if a % 16 == 0 { span + a % 100 } else { a % (span / 4 + 1) };
+                    floor += if a % 16 == 0 {
+                        span + a % 100
+                    } else {
+                        a % (span / 4 + 1)
+                    };
                     lock.prune(ns(floor));
                     reference.busy.retain(|&(_, e)| e >= floor);
                     continue;
@@ -107,21 +146,37 @@ proptest! {
                     reference.acquire_deferred(now, hold, defer),
                 )
             } else {
-                (lock.acquire(ns(now), ns(hold)), reference.acquire(now, hold))
+                (
+                    lock.acquire(ns(now), ns(hold)),
+                    reference.acquire(now, hold),
+                )
             };
-            prop_assert_eq!((got.0.as_ns(), got.1.as_ns()), want, "op {} kind {}", i, kind);
+            assert_eq!(
+                (got.0.as_ns(), got.1.as_ns()),
+                want,
+                "case {case} op {i} kind {kind}"
+            );
             let (acq, wait, held) = lock.counters();
-            prop_assert_eq!(
+            assert_eq!(
                 (acq, wait.as_ns(), held.as_ns()),
-                (reference.acquisitions, reference.total_wait, reference.total_held)
+                (
+                    reference.acquisitions,
+                    reference.total_wait,
+                    reference.total_held
+                ),
+                "case {case} op {i}"
             );
             tail = tail.max(want.1);
         }
     }
+}
 
-    /// HeapModel bookkeeping against a straightforward reference.
-    #[test]
-    fn heap_model_matches_reference(ops in proptest::collection::vec(1u64..5_000, 1..200)) {
+/// HeapModel bookkeeping against a straightforward reference.
+#[test]
+fn heap_model_matches_reference() {
+    let mut rng = Prng::new(0x4EA9);
+    for case in 0..CASES {
+        let ops = list(&mut rng, 1, 200, |r| within(r, 1, 5_000));
         let mut h = HeapModel::new();
         let mut live_ref = 0u64;
         let mut pool_ref = 0u64;
@@ -130,30 +185,36 @@ proptest! {
         for (i, &bytes) in ops.iter().enumerate() {
             if i % 3 == 2 && !outstanding.is_empty() {
                 let b = outstanding.pop().unwrap();
-                prop_assert_eq!(h.free(b), 0, "frees of live bytes never underflow");
+                assert_eq!(
+                    h.free(b),
+                    0,
+                    "case {case}: frees of live bytes never underflow"
+                );
                 live_ref -= b;
                 pool_ref += b;
             } else {
                 let fresh = h.alloc(bytes);
                 let reused = bytes.min(pool_ref);
-                prop_assert_eq!(fresh, bytes - reused);
+                assert_eq!(fresh, bytes - reused, "case {case} op {i}");
                 pool_ref -= reused;
                 footprint_ref += bytes - reused;
                 live_ref += bytes;
                 outstanding.push(bytes);
             }
-            prop_assert_eq!(h.live(), live_ref);
-            prop_assert_eq!(h.footprint(), footprint_ref);
-            prop_assert!(h.footprint() >= h.live());
+            assert_eq!(h.live(), live_ref, "case {case} op {i}");
+            assert_eq!(h.footprint(), footprint_ref, "case {case} op {i}");
+            assert!(h.footprint() >= h.live(), "case {case} op {i}");
         }
     }
+}
 
-    /// CacheModel agrees with a naive reference LRU.
-    #[test]
-    fn cache_model_matches_reference_lru(
-        touches in proptest::collection::vec((0u64..30, 1u64..300), 1..300)
-    ) {
-        let capacity = 1000u64;
+/// CacheModel agrees with a naive reference LRU.
+#[test]
+fn cache_model_matches_reference_lru() {
+    let capacity = 1000u64;
+    let mut rng = Prng::new(0xCAC4);
+    for case in 0..CASES {
+        let touches = list(&mut rng, 1, 300, |r| (within(r, 0, 30), within(r, 1, 300)));
         let mut cache = CacheModel::new(capacity);
         // Reference: vector of (region, bytes), most recent at the back.
         let mut lru: Vec<(u64, u64)> = Vec::new();
@@ -178,9 +239,12 @@ proptest! {
                 let (_, b) = lru.remove(0);
                 total -= b;
             }
-            prop_assert_eq!(missed, expected, "region {} bytes {}", region, bytes);
-            prop_assert!(cache.resident_bytes() <= capacity);
-            prop_assert_eq!(cache.resident_bytes(), total.min(capacity));
+            assert_eq!(
+                missed, expected,
+                "case {case}: region {region} bytes {bytes}"
+            );
+            assert!(cache.resident_bytes() <= capacity, "case {case}");
+            assert_eq!(cache.resident_bytes(), total.min(capacity), "case {case}");
         }
     }
 }

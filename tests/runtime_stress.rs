@@ -1,9 +1,19 @@
 //! Property-based stress tests of the runtime: random fork/join/mutex
 //! workloads must produce correct results, terminate, and respect the
 //! scheduler space disciplines, under every policy and processor count.
+//! Each property runs [`CASES`] cases drawn from a seeded [`Prng`], so a
+//! failure names its case and replays.
 
-use proptest::prelude::*;
 use ptdf::{Config, Mutex, SchedKind, Semaphore};
+use ptdf_smp::Prng;
+
+/// Cases per property.
+const CASES: u32 = 12;
+
+/// A value in `[lo, hi)`.
+fn within(rng: &mut Prng, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
+}
 
 /// A deterministic "random" recursive workload driven by a seed: forks a
 /// data-dependent number of children, does work, touches a mutex-protected
@@ -57,42 +67,62 @@ fn count_nodes(seed: u64, depth: u32) -> u64 {
         .sum::<u64>()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn chaos_workload_is_scheduler_invariant(seed in 1u64..u64::MAX, procs in 1usize..9) {
+#[test]
+fn chaos_workload_is_scheduler_invariant() {
+    let mut rng = Prng::new(0x5C4E);
+    for case in 0..CASES {
+        let seed = within(&mut rng, 1, u64::MAX);
+        let procs = within(&mut rng, 1, 9) as usize;
         let depth = 5;
         let expected_nodes = count_nodes(seed, depth);
         let mut checksums = Vec::new();
-        for kind in [SchedKind::Fifo, SchedKind::Lifo, SchedKind::Df, SchedKind::Ws] {
+        for kind in [
+            SchedKind::Fifo,
+            SchedKind::Lifo,
+            SchedKind::Df,
+            SchedKind::Ws,
+        ] {
             let (out, report) = ptdf::run(Config::new(procs, kind), move || {
                 let counter = Mutex::new(0u64);
                 let sum = chaos(seed, depth, &counter);
                 let hits = *counter.lock();
                 (sum, hits)
             });
-            prop_assert_eq!(out.1, expected_nodes, "{:?}: mutex hit count", kind);
-            prop_assert_eq!(report.total_threads as u64, expected_nodes, "{:?}", kind);
+            assert_eq!(
+                out.1, expected_nodes,
+                "case {case} {kind:?}: mutex hit count"
+            );
+            assert_eq!(
+                report.total_threads as u64, expected_nodes,
+                "case {case} {kind:?}"
+            );
             checksums.push(out.0);
         }
         // All schedulers compute the same checksum.
-        prop_assert!(checksums.windows(2).all(|w| w[0] == w[1]));
+        assert!(checksums.windows(2).all(|w| w[0] == w[1]), "case {case}");
     }
+}
 
-    #[test]
-    fn chaos_is_invariant_under_perturbation(
-        seed in 1u64..u64::MAX,
-        pseed in 0u64..u64::MAX,
-        procs in 1usize..9,
-    ) {
+#[test]
+fn chaos_is_invariant_under_perturbation() {
+    let mut rng = Prng::new(0x9E27);
+    for case in 0..CASES {
+        let seed = within(&mut rng, 1, u64::MAX);
+        let pseed = within(&mut rng, 0, u64::MAX);
+        let procs = within(&mut rng, 1, 9) as usize;
         // Schedule perturbation (jittered sync costs, shuffled wakes,
         // randomized tie-breaks) must never change what the program
         // computes — only when. Compare a perturbed cell against the
         // deterministic baseline of the same policy.
         let depth = 4;
         let expected_nodes = count_nodes(seed, depth);
-        for kind in [SchedKind::Fifo, SchedKind::Lifo, SchedKind::Df, SchedKind::DfDeques, SchedKind::Ws] {
+        for kind in [
+            SchedKind::Fifo,
+            SchedKind::Lifo,
+            SchedKind::Df,
+            SchedKind::DfDeques,
+            SchedKind::Ws,
+        ] {
             let body = move || {
                 let counter = Mutex::new(0u64);
                 let sum = chaos(seed, depth, &counter);
@@ -102,14 +132,27 @@ proptest! {
             let (base, _) = ptdf::run(Config::new(procs, kind), body);
             let cfg = Config::new(procs, kind).with_perturbation(pseed);
             let (pert, report) = ptdf::run(cfg, body);
-            prop_assert_eq!(pert.1, expected_nodes, "{:?} pseed {}: hit count", kind, pseed);
-            prop_assert_eq!(pert.0, base.0, "{:?} pseed {}: checksum drifted", kind, pseed);
-            prop_assert_eq!(report.total_threads as u64, expected_nodes, "{:?}", kind);
+            assert_eq!(
+                pert.1, expected_nodes,
+                "case {case} {kind:?} pseed {pseed}: hit count"
+            );
+            assert_eq!(
+                pert.0, base.0,
+                "case {case} {kind:?} pseed {pseed}: checksum drifted"
+            );
+            assert_eq!(
+                report.total_threads as u64, expected_nodes,
+                "case {case} {kind:?}"
+            );
         }
     }
+}
 
-    #[test]
-    fn df_space_discipline_under_chaos(seed in 1u64..u64::MAX) {
+#[test]
+fn df_space_discipline_under_chaos() {
+    let mut rng = Prng::new(0xD75D);
+    for case in 0..CASES {
+        let seed = within(&mut rng, 1, u64::MAX);
         let depth = 6;
         let (_, fifo) = ptdf::run(Config::new(4, SchedKind::Fifo), move || {
             let counter = Mutex::new(0u64);
@@ -121,24 +164,32 @@ proptest! {
         });
         // DF keeps roughly one path per processor: depth+1 threads per proc
         // plus in-flight slack — its absolute S1 + O(p·D)-style bound.
-        prop_assert!(
+        assert!(
             df.max_live_threads() <= 4 * (depth as u64 + 2) + 4,
-            "df {} exceeds p*(D+2)+p", df.max_live_threads()
+            "case {case}: df {} exceeds p*(D+2)+p",
+            df.max_live_threads()
         );
         // The comparative claim (DF ≪ FIFO) only holds when the graph is
         // wide enough for breadth-first execution to actually explode; for
         // narrow, chain-like graphs FIFO's live count can legitimately sit
         // below DF's p-paths. Compare only in the wide regime.
         if fifo.max_live_threads() > 4 * (depth as u64 + 2) + 4 {
-            prop_assert!(
+            assert!(
                 df.max_live_threads() < fifo.max_live_threads(),
-                "df {} vs fifo {}", df.max_live_threads(), fifo.max_live_threads()
+                "case {case}: df {} vs fifo {}",
+                df.max_live_threads(),
+                fifo.max_live_threads()
             );
         }
     }
+}
 
-    #[test]
-    fn semaphore_pipeline_delivers_everything(stages in 2usize..6, items in 1u64..40) {
+#[test]
+fn semaphore_pipeline_delivers_everything() {
+    let mut rng = Prng::new(0x5E4A);
+    for case in 0..CASES {
+        let stages = within(&mut rng, 2, 6) as usize;
+        let items = within(&mut rng, 1, 40);
         let (received, _) = ptdf::run(Config::new(4, SchedKind::Df), move || {
             // A chain of semaphore-linked stages, each forwarding `items`
             // tokens to the next.
@@ -173,34 +224,40 @@ proptest! {
                 got
             })
         });
-        prop_assert_eq!(received, items);
+        assert_eq!(received, items, "case {case}: {stages} stages");
     }
+}
 
-    #[test]
-    fn quota_sweep_never_changes_results(k_log2 in 10u32..24) {
-        let quota = 1u64 << k_log2;
-        let (v, report) = ptdf::run(
-            Config::new(3, SchedKind::Df).with_quota(quota),
-            move || {
-                let hs: Vec<_> = (0..8)
-                    .map(|i| {
-                        ptdf::spawn(move || {
-                            ptdf::rt_alloc(100_000);
-                            ptdf::work(10_000);
-                            ptdf::rt_free(100_000);
-                            i * 2
-                        })
+#[test]
+fn quota_sweep_never_changes_results() {
+    let mut rng = Prng::new(0x0707);
+    for case in 0..CASES {
+        let quota = 1u64 << within(&mut rng, 10, 24);
+        let (v, report) = ptdf::run(Config::new(3, SchedKind::Df).with_quota(quota), move || {
+            let hs: Vec<_> = (0..8)
+                .map(|i| {
+                    ptdf::spawn(move || {
+                        ptdf::rt_alloc(100_000);
+                        ptdf::work(10_000);
+                        ptdf::rt_free(100_000);
+                        i * 2
                     })
-                    .collect();
-                hs.into_iter().map(|h| h.join()).sum::<u64>()
-            },
-        );
-        prop_assert_eq!(v, 56);
+                })
+                .collect();
+            hs.into_iter().map(|h| h.join()).sum::<u64>()
+        });
+        assert_eq!(v, 56, "case {case}: quota {quota}");
         // Dummies are inserted exactly when an allocation exceeds K.
         if quota >= 100_000 {
-            prop_assert_eq!(report.stats.mem.dummy_threads, 0);
+            assert_eq!(
+                report.stats.mem.dummy_threads, 0,
+                "case {case}: quota {quota}"
+            );
         } else {
-            prop_assert!(report.stats.mem.dummy_threads > 0);
+            assert!(
+                report.stats.mem.dummy_threads > 0,
+                "case {case}: quota {quota}"
+            );
         }
     }
 }
