@@ -301,21 +301,19 @@ fn run_rows() -> String {
             row(&mut out, &cell, kind, "natural", "ok", &report);
         }
     }
-    let server = ptdf_server::ServerConfig {
-        requests: 200,
-        ..ptdf_server::ServerConfig::quick(42)
-    }
-    .overload_pct(200);
-    for kind in POLICIES {
-        let run = ptdf_server::serve_traced(&server, 4, kind);
-        row(
-            &mut out,
-            "server(200@200%)",
-            kind,
-            "natural",
-            "ok",
-            &run.report,
-        );
+    // Nominal load and 2x overload: admission sheds at one and not the
+    // other, so both pin the server's admission constants.
+    for pct in [100, 200] {
+        let server = ptdf_server::ServerConfig {
+            requests: 200,
+            ..ptdf_server::ServerConfig::quick(42)
+        }
+        .overload_pct(pct);
+        let cell = format!("server(200@{pct}%)");
+        for kind in POLICIES {
+            let run = ptdf_server::serve_traced(&server, 4, kind);
+            row(&mut out, &cell, kind, "natural", "ok", &run.report);
+        }
     }
     out
 }
