@@ -1,4 +1,4 @@
-//! Simulated open-system RPC server over the ptdf runtime (ISSUE 10).
+//! Simulated open-system RPC server over the ptdf runtime.
 //!
 //! Unlike the seven SC'98 benchmarks — closed-system programs whose thread
 //! count is fixed by the input — this workload is *open*: requests arrive
@@ -40,9 +40,11 @@ use ptdf::{
 };
 use ptdf_smp::Prng;
 
-/// Workload shape and control knobs. All times are virtual; all work is in
+/// What differs between two runs of the workload: the seed, the number of
+/// arrivals and the arrival rate. The request shape and the admission
+/// policy are the constants below. All times are virtual; all work is in
 /// model cycles (~6 ns each on the 167 MHz reference machine).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Seed for arrivals, service jitter, and client backoff.
     pub seed: u64,
@@ -50,45 +52,51 @@ pub struct ServerConfig {
     pub requests: usize,
     /// Mean inter-arrival gap, in cycles (exponentially distributed).
     pub mean_interarrival: u64,
-    /// Every `burst_every`-th arrival opens a burst (0 disables bursts).
-    pub burst_every: usize,
-    /// Extra back-to-back arrivals per burst.
-    pub burst_len: usize,
-    /// Per-request deadline, measured from the *scheduled* arrival time
-    /// (not admission — the open-loop correction for coordinated
-    /// omission: queueing delay before admission counts against the
-    /// deadline, exactly as a client-side timeout would).
-    pub deadline: VirtTime,
-    /// Admission: shed a request outright when less than this much of its
-    /// deadline remains at admission time (deadline-aware admission — a
-    /// request that cannot possibly finish is not worth starting).
-    pub min_slack: VirtTime,
-    /// Parallel lookups per request.
-    pub fanout: usize,
-    /// Parse stage compute, cycles.
-    pub parse_work: u64,
-    /// Per-lookup compute, cycles.
-    pub lookup_work: u64,
-    /// Aggregate stage compute, cycles.
-    pub aggregate_work: u64,
-    /// Modelled request buffer, bytes (held parse → aggregate).
-    pub request_bytes: u64,
-    /// Modelled per-lookup scratch, bytes.
-    pub lookup_bytes: u64,
-    /// Admission: max requests in flight (0 disables the cap).
-    pub queue_cap: usize,
-    /// Admission: token-bucket burst capacity, whole tokens.
-    pub bucket_cap: u64,
-    /// Admission: virtual ns to refill one token (0 disables the bucket).
-    pub token_ns: u64,
-    /// Admission: shed when the space-bound margin falls below this many
-    /// bytes (0 disables space shedding).
-    pub shed_margin: u64,
-    /// Space bound to arm on the run, bytes (0 leaves it unarmed).
-    pub space_bound: u64,
-    /// Client retries (with backoff) before an arrival counts as shed.
-    pub retries: u32,
 }
+
+/// Every `BURST_EVERY`-th arrival opens a burst.
+const BURST_EVERY: usize = 10;
+/// Extra back-to-back arrivals per burst.
+const BURST_LEN: usize = 3;
+/// Per-request deadline, measured from the *scheduled* arrival time (not
+/// admission — the open-loop correction for coordinated omission: queueing
+/// delay before admission counts against the deadline, exactly as a
+/// client-side timeout would).
+const DEADLINE: VirtTime = VirtTime::from_us(800);
+/// Admission: shed a request outright when less than this much of its
+/// deadline remains at admission time (deadline-aware admission — a
+/// request that cannot possibly finish is not worth starting).
+const MIN_SLACK: VirtTime = VirtTime::from_us(300);
+/// Parallel lookups per request.
+const FANOUT: usize = 4;
+/// Parse stage compute, cycles.
+const PARSE_WORK: u64 = 2_000;
+/// Per-lookup compute, cycles.
+const LOOKUP_WORK: u64 = 4_000;
+/// Aggregate stage compute, cycles.
+const AGGREGATE_WORK: u64 = 1_500;
+/// Modelled request buffer, bytes (held parse → aggregate).
+const REQUEST_BYTES: u64 = 8 * 1024;
+/// Modelled per-lookup scratch, bytes.
+const LOOKUP_BYTES: u64 = 2 * 1024;
+/// Admission: max requests in flight.
+const QUEUE_CAP: usize = 6;
+/// Admission: token-bucket burst capacity, whole tokens.
+const BUCKET_CAP: u64 = 4;
+/// Admission: virtual ns to refill one token.
+const TOKEN_NS: u64 = 25_000;
+/// Admission: shed when the space-bound margin falls below this many bytes.
+///
+/// A request in flight holds ~64 KB: six 8 KB stacks (watcher, handler, 4
+/// lookups) plus 16 KB of modelled heap. The queue cap alone admits
+/// ~384 KB, so [`SPACE_BOUND`] sits above that and the margin check is the
+/// defense-in-depth backstop for admission racing ahead of stack
+/// materialization.
+const SHED_MARGIN: u64 = 96 * 1024;
+/// Space bound armed on every run, bytes.
+const SPACE_BOUND: u64 = 512 * 1024;
+/// Client retries (with backoff) before an arrival counts as shed.
+const RETRIES: u32 = 2;
 
 impl ServerConfig {
     /// The small workload of `tests/server_soak.rs`: 80 requests.
@@ -104,27 +112,6 @@ impl ServerConfig {
             // the nominal load sits near 60% utilization and
             // `overload_pct(200)` is genuinely past saturation.
             mean_interarrival: 70_000,
-            burst_every: 10,
-            burst_len: 3,
-            deadline: VirtTime::from_us(800),
-            min_slack: VirtTime::from_us(300),
-            fanout: 4,
-            parse_work: 2_000,
-            lookup_work: 4_000,
-            aggregate_work: 1_500,
-            request_bytes: 8 * 1024,
-            lookup_bytes: 2 * 1024,
-            queue_cap: 6,
-            bucket_cap: 4,
-            token_ns: 25_000,
-            // A request in flight holds ~64 KB: six 8 KB stacks (watcher,
-            // handler, 4 lookups) plus 16 KB of modelled heap. The queue
-            // cap alone admits ~384 KB, so the bound sits above that and
-            // the margin check is the defense-in-depth backstop for
-            // admission racing ahead of stack materialization.
-            shed_margin: 96 * 1024,
-            space_bound: 512 * 1024,
-            retries: 2,
         }
     }
 
@@ -222,25 +209,21 @@ impl ServerRun {
 
 /// Runs the server workload under `sched` on `procs` virtual processors.
 pub fn serve(cfg: &ServerConfig, procs: usize, sched: SchedKind) -> ServerRun {
-    serve_with(cfg, base_config(cfg, procs, sched))
+    serve_with(cfg, base_config(procs, sched))
 }
 
 /// Like [`serve`], but with tracing enabled; the trace rides along in
 /// [`ServerRun::report`] for replay comparison and checking.
 pub fn serve_traced(cfg: &ServerConfig, procs: usize, sched: SchedKind) -> ServerRun {
-    serve_with(cfg, base_config(cfg, procs, sched).with_trace())
+    serve_with(cfg, base_config(procs, sched).with_trace())
 }
 
-fn base_config(cfg: &ServerConfig, procs: usize, sched: SchedKind) -> Config {
-    let mut c = Config::new(procs, sched);
-    if cfg.space_bound > 0 {
-        c = c.with_space_bound(cfg.space_bound);
-    }
-    c
+fn base_config(procs: usize, sched: SchedKind) -> Config {
+    Config::new(procs, sched).with_space_bound(SPACE_BOUND)
 }
 
 fn serve_with(cfg: &ServerConfig, rt: Config) -> ServerRun {
-    let cfg = cfg.clone();
+    let cfg = *cfg;
     let (stats, report) = ptdf::run(rt, move || workload(cfg));
     ServerRun { stats, report }
 }
@@ -274,7 +257,7 @@ fn workload(cfg: ServerConfig) -> ServerStats {
     // sleep that leaves the processor free for request work.
     let timer = Semaphore::new(0);
     // Token bucket in milli-tokens (integer math, no drift).
-    let mut bucket_milli: u64 = cfg.bucket_cap * 1000;
+    let mut bucket_milli: u64 = BUCKET_CAP * 1000;
     let mut last_refill = ptdf::now().expect("workload runs inside the runtime");
     let mut scheduled = last_refill;
     let mut burst_left = 0usize;
@@ -284,8 +267,8 @@ fn workload(cfg: ServerConfig) -> ServerStats {
             burst_left -= 1;
             0
         } else {
-            if cfg.burst_every > 0 && (i + 1) % cfg.burst_every == 0 {
-                burst_left = cfg.burst_len;
+            if (i + 1) % BURST_EVERY == 0 {
+                burst_left = BURST_LEN;
             }
             exp_gap(&mut prng, cfg.mean_interarrival)
         };
@@ -297,39 +280,33 @@ fn workload(cfg: ServerConfig) -> ServerStats {
         }
         stats.borrow_mut().offered += 1;
         // Deadline-aware admission: if the request spent so long queued
-        // that less than `min_slack` of its deadline remains, it cannot
+        // that less than `MIN_SLACK` of its deadline remains, it cannot
         // finish — shed without retrying (waiting only shrinks the slack).
         let queued = now.as_ns().saturating_sub(scheduled.as_ns());
-        if cfg.min_slack.as_ns() > 0 && queued + cfg.min_slack.as_ns() > cfg.deadline.as_ns() {
+        if queued + MIN_SLACK.as_ns() > DEADLINE.as_ns() {
             stats.borrow_mut().shed += 1;
             continue;
         }
         // Admission: queue cap, token bucket, space margin — retried with
         // seeded client backoff before the arrival is counted as shed.
         let mut admitted = false;
-        for attempt in 0..=cfg.retries {
+        for attempt in 0..=RETRIES {
             let now = ptdf::now().expect("runtime");
-            if let Some(refill) =
-                (now.as_ns().saturating_sub(last_refill.as_ns()) * 1000).checked_div(cfg.token_ns)
-            {
-                bucket_milli = (bucket_milli + refill).min(cfg.bucket_cap * 1000);
-                last_refill = now;
-            }
-            let queue_ok = cfg.queue_cap == 0 || in_flight.get() < cfg.queue_cap;
-            let tokens_ok = cfg.token_ns == 0 || bucket_milli >= 1000;
-            let space_ok =
-                cfg.shed_margin == 0 || ptdf::space_margin().is_none_or(|m| m >= cfg.shed_margin);
+            let refill = now.as_ns().saturating_sub(last_refill.as_ns()) * 1000 / TOKEN_NS;
+            bucket_milli = (bucket_milli + refill).min(BUCKET_CAP * 1000);
+            last_refill = now;
+            let queue_ok = in_flight.get() < QUEUE_CAP;
+            let tokens_ok = bucket_milli >= 1000;
+            let space_ok = ptdf::space_margin().expect("the bound is armed") >= SHED_MARGIN;
             if queue_ok && tokens_ok && space_ok {
-                if cfg.token_ns > 0 {
-                    bucket_milli -= 1000;
-                }
+                bucket_milli -= 1000;
                 if attempt > 0 {
                     stats.borrow_mut().retried_admits += 1;
                 }
                 admitted = true;
                 break;
             }
-            if attempt < cfg.retries {
+            if attempt < RETRIES {
                 backoff.pause();
             }
         }
@@ -340,8 +317,8 @@ fn workload(cfg: ServerConfig) -> ServerStats {
         }
         stats.borrow_mut().admitted += 1;
         in_flight.set(in_flight.get() + 1);
-        let (c, st, infl) = (cfg.clone(), stats.clone(), in_flight.clone());
-        watchers.push(spawn(move || watch_request(c, scheduled, st, infl)));
+        let (st, infl) = (stats.clone(), in_flight.clone());
+        watchers.push(spawn(move || watch_request(scheduled, st, infl)));
     }
     for w in watchers {
         w.join();
@@ -353,20 +330,15 @@ fn workload(cfg: ServerConfig) -> ServerStats {
 /// Per-request watcher: spawns the handler, enforces the deadline
 /// (measured from the scheduled arrival), and on expiry cancels the whole
 /// request subtree.
-fn watch_request(
-    cfg: ServerConfig,
-    scheduled: VirtTime,
-    stats: Rc<RefCell<ServerStats>>,
-    in_flight: Rc<Cell<usize>>,
-) {
+fn watch_request(scheduled: VirtTime, stats: Rc<RefCell<ServerStats>>, in_flight: Rc<Cell<usize>>) {
     let registry: Rc<RefCell<Vec<ThreadId>>> = Rc::new(RefCell::new(Vec::new()));
-    let (c, reg) = (cfg.clone(), registry.clone());
-    let handler = spawn(move || handle_request(c, reg));
+    let reg = registry.clone();
+    let handler = spawn(move || handle_request(reg));
     // Whatever the request already spent queued (plus spawn charges) has
     // been consumed from its deadline; clamp to 1 ns so an exhausted
     // budget still takes the expiry/cancel path below.
     let now = ptdf::now().expect("runtime");
-    let budget = (scheduled.as_ns() + cfg.deadline.as_ns())
+    let budget = (scheduled.as_ns() + DEADLINE.as_ns())
         .saturating_sub(now.as_ns())
         .max(1);
     match handler.join_timeout(VirtTime::from_ns(budget)) {
@@ -399,23 +371,21 @@ fn watch_request(
     in_flight.set(in_flight.get() - 1);
 }
 
-/// The request body: parse → `fanout` parallel lookups → aggregate.
+/// The request body: parse → [`FANOUT`] parallel lookups → aggregate.
 /// Modelled heap is guarded by cleanup handlers so a cancel-unwind returns
 /// every byte (no footprint leak under deadline storms).
-fn handle_request(cfg: ServerConfig, registry: Rc<RefCell<Vec<ThreadId>>>) {
-    rt_alloc(cfg.request_bytes);
-    let bytes = cfg.request_bytes;
-    let _buf = cleanup(move || rt_free(bytes));
-    work(cfg.parse_work);
+fn handle_request(registry: Rc<RefCell<Vec<ThreadId>>>) {
+    rt_alloc(REQUEST_BYTES);
+    let _buf = cleanup(|| rt_free(REQUEST_BYTES));
+    work(PARSE_WORK);
     scope(|s| {
-        let handles: Vec<_> = (0..cfg.fanout)
+        let handles: Vec<_> = (0..FANOUT)
             .map(|_| {
-                let (chunk, lb) = (cfg.lookup_work / 4, cfg.lookup_bytes);
-                let h = s.spawn(move || {
-                    rt_alloc(lb);
-                    let _scratch = cleanup(move || rt_free(lb));
+                let h = s.spawn(|| {
+                    rt_alloc(LOOKUP_BYTES);
+                    let _scratch = cleanup(|| rt_free(LOOKUP_BYTES));
                     for _ in 0..4 {
-                        work(chunk);
+                        work(LOOKUP_WORK / 4);
                         ptdf::cancel_point();
                     }
                 });
@@ -427,7 +397,7 @@ fn handle_request(cfg: ServerConfig, registry: Rc<RefCell<Vec<ThreadId>>>) {
             h.join();
         }
     });
-    work(cfg.aggregate_work);
+    work(AGGREGATE_WORK);
 }
 
 #[cfg(test)]

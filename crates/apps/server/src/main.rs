@@ -9,14 +9,6 @@
 use ptdf::SchedKind;
 use ptdf_server::{serve, ServerConfig, ServerRun};
 
-const POLICIES: [SchedKind; 5] = [
-    SchedKind::Fifo,
-    SchedKind::Lifo,
-    SchedKind::Df,
-    SchedKind::DfDeques,
-    SchedKind::Ws,
-];
-
 const SEED: u64 = 42;
 const PROCS: usize = 4;
 
@@ -24,12 +16,12 @@ fn main() {
     let base = ServerConfig::standard(SEED);
 
     let mut cells: Vec<(String, u64, ServerRun)> = Vec::new();
-    for sched in POLICIES {
-        let run = serve(&base.clone().overload_pct(200), PROCS, sched);
+    for sched in SchedKind::SWEEP {
+        let run = serve(&base.overload_pct(200), PROCS, sched);
         cells.push((sched.name().to_string(), 200, run));
     }
     // Nominal-load baseline under the paper's scheduler, for contrast.
-    let run = serve(&base.clone().overload_pct(100), PROCS, SchedKind::Df);
+    let run = serve(&base.overload_pct(100), PROCS, SchedKind::Df);
     cells.push(("df".to_string(), 100, run));
 
     println!(

@@ -37,6 +37,11 @@ fn norm2(a: V3) -> f64 {
     a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
 }
 
+/// Integration step.
+const DT: f64 = 0.025;
+/// Bodies per octree leaf.
+const LEAF_CAP: usize = 8;
+
 /// A body.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Body {
@@ -57,10 +62,6 @@ pub struct Params {
     pub timesteps: usize,
     /// Opening criterion θ (smaller = more accurate).
     pub theta: f64,
-    /// Integration step.
-    pub dt: f64,
-    /// Bodies per octree leaf.
-    pub leaf_cap: usize,
     /// Force-phase threads stop forking below this many bodies per subtree.
     pub grain: usize,
     /// Seed for the Plummer sampler.
@@ -74,8 +75,6 @@ impl Params {
             n_bodies: 100_000,
             timesteps: 2,
             theta: 0.75,
-            dt: 0.025,
-            leaf_cap: 8,
             grain: 64,
             seed: 0xB0D1,
         }
@@ -87,8 +86,6 @@ impl Params {
             n_bodies: 4_000,
             timesteps: 2,
             theta: 0.75,
-            dt: 0.025,
-            leaf_cap: 8,
             grain: 64,
             seed: 0xB0D1,
         }
@@ -236,7 +233,7 @@ fn build_rec(
         // shared, partially-built tree; we model that contended update here.
         *build_stats.lock() += 1;
     }
-    if idx.len() <= p.leaf_cap || half < 1e-6 {
+    if idx.len() <= LEAF_CAP || half < 1e-6 {
         return make_leaf(bodies, idx);
     }
     // Partition into octants.
@@ -432,15 +429,14 @@ pub fn step(bodies: &mut [Body], p: &Params, parallel: bool) -> usize {
             let mut lo = 0;
             while lo < n {
                 let hi = (lo + chunk).min(n);
-                let dt = p.dt;
                 let body = move || {
                     for i in lo..hi {
                         // SAFETY: disjoint index ranges per thread.
                         unsafe {
                             let mut b = bv.get(i);
                             let a = av.get(i);
-                            b.vel = add(b.vel, scale(a, dt));
-                            b.pos = add(b.pos, scale(b.vel, dt));
+                            b.vel = add(b.vel, scale(a, DT));
+                            b.pos = add(b.pos, scale(b.vel, DT));
                             bv.set(i, b);
                         }
                     }
@@ -542,8 +538,8 @@ pub fn run_coarse(bodies: &mut [Body], p: &Params, procs: usize) {
         weights = new_weights;
         // Phase 3: update.
         for (b, a) in bodies.iter_mut().zip(&acc) {
-            b.vel = add(b.vel, scale(*a, p.dt));
-            b.pos = add(b.pos, scale(b.vel, p.dt));
+            b.vel = add(b.vel, scale(*a, DT));
+            b.pos = add(b.pos, scale(b.vel, DT));
         }
         charge_flops_irregular(n as u64 * 12);
     }

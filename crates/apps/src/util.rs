@@ -36,8 +36,6 @@ pub mod salt {
     pub const MATMUL_B: u64 = 2;
     /// Matmul C/T output blocks.
     pub const MATMUL_C: u64 = 3;
-    /// Barnes-Hut octree subtrees.
-    pub const BH_TREE: u64 = 4;
     /// Barnes-Hut body chunks.
     pub const BH_BODIES: u64 = 5;
     /// FMM cell expansions.

@@ -28,15 +28,19 @@ pub struct Params {
     pub size: usize,
     /// Image edge length (pixels).
     pub image: usize,
-    /// Tile edge (pixels); the paper uses 4.
-    pub tile: usize,
     /// Tiles per fine-grained thread (Figure 11's granularity knob).
     pub tiles_per_thread: usize,
     /// Early-termination opacity threshold.
     pub opacity_cutoff: f32,
-    /// View angle (radians) around the vertical axis.
-    pub view_angle: f32,
 }
+
+/// Tile edge (pixels); the paper uses 4.
+const TILE: usize = 4;
+
+/// View angle (radians) around the vertical axis of every render. The ray
+/// kernel [`cast_ray`] takes the angle as an argument so that a test can
+/// drive it from every side of the volume.
+pub const VIEW_ANGLE: f32 = 0.5;
 
 impl Params {
     /// The paper's scale: 256³ volume, 375² image, 4×4 tiles, 64
@@ -45,10 +49,8 @@ impl Params {
         Params {
             size: 256,
             image: 375,
-            tile: 4,
             tiles_per_thread: 64,
             opacity_cutoff: 0.98,
-            view_angle: 0.5,
         }
     }
 
@@ -57,16 +59,14 @@ impl Params {
         Params {
             size: 64,
             image: 96,
-            tile: 4,
             tiles_per_thread: 16,
             opacity_cutoff: 0.98,
-            view_angle: 0.5,
         }
     }
 
     /// Number of tiles along one image edge.
     pub fn tiles_per_side(&self) -> usize {
-        self.image.div_ceil(self.tile)
+        self.image.div_ceil(TILE)
     }
 
     /// Total tile count.
@@ -250,7 +250,8 @@ fn transfer(d: f32) -> (f32, f32) {
     }
 }
 
-/// Casts the ray for pixel `(px, py)`; returns (intensity, samples taken).
+/// Casts the ray for pixel `(px, py)` of a view from `view_angle` radians
+/// around the vertical axis; returns (intensity, samples taken).
 ///
 /// The ray marches `t` from 0 in steps of 0.8 while `t < 3 · size`,
 /// counting one sample per step. A step inside the volume (every coordinate
@@ -259,9 +260,9 @@ fn transfer(d: f32) -> (f32, f32) {
 /// coordinate of `start + dir · t` is monotone in `t` in f32, so the inside
 /// steps are one interval: the steps before it lie on the shared grid `t_k`
 /// and a binary search finds its first, and the steps after it only count.
-pub fn cast_ray(vol: &Volume, p: &Params, px: usize, py: usize) -> (f32, u32) {
+pub fn cast_ray(vol: &Volume, p: &Params, view_angle: f32, px: usize, py: usize) -> (f32, u32) {
     let n = vol.size as f32;
-    let (sin, cos) = p.view_angle.sin_cos();
+    let (sin, cos) = view_angle.sin_cos();
     // Orthographic camera: image plane axes u (rotated x/z) and v (y).
     let scale = n / p.image as f32;
     let u = (px as f32 + 0.5) * scale - n / 2.0;
@@ -339,8 +340,8 @@ fn render_tiles(vol: &Volume, p: &Params, tiles: &[usize], img: SharedBuf<f32>) 
     let tps = p.tiles_per_side();
     let mut total_samples = 0u64;
     for &tidx in tiles {
-        let tx = (tidx % tps) * p.tile;
-        let ty = (tidx / tps) * p.tile;
+        let tx = (tidx % tps) * TILE;
+        let ty = (tidx / tps) * TILE;
         // Locality: a ray traverses a column of volume blocks, and
         // neighbouring tiles traverse mostly the same column. Touch the
         // blocks along the tile's central ray so the cache model sees the
@@ -348,10 +349,10 @@ fn render_tiles(vol: &Volume, p: &Params, tiles: &[usize], img: SharedBuf<f32>) 
         // granularity, paper Figure 11).
         {
             let n = vol.size as f32;
-            let (sin, cos) = p.view_angle.sin_cos();
+            let (sin, cos) = VIEW_ANGLE.sin_cos();
             let scale = n / p.image as f32;
-            let u = (tx as f32 + p.tile as f32 / 2.0) * scale - n / 2.0;
-            let v = (ty as f32 + p.tile as f32 / 2.0) * scale - n / 2.0;
+            let u = (tx as f32 + TILE as f32 / 2.0) * scale - n / 2.0;
+            let v = (ty as f32 + TILE as f32 / 2.0) * scale - n / 2.0;
             let dir = [-sin, 0.0, -cos];
             let center = [n / 2.0, n / 2.0, n / 2.0];
             let right = [cos, 0.0, -sin];
@@ -384,9 +385,9 @@ fn render_tiles(vol: &Volume, p: &Params, tiles: &[usize], img: SharedBuf<f32>) 
                 }
             }
         }
-        for py in ty..(ty + p.tile).min(p.image) {
-            for px in tx..(tx + p.tile).min(p.image) {
-                let (val, samples) = cast_ray(vol, p, px, py);
+        for py in ty..(ty + TILE).min(p.image) {
+            for px in tx..(tx + TILE).min(p.image) {
+                let (val, samples) = cast_ray(vol, p, VIEW_ANGLE, px, py);
                 // SAFETY: each pixel belongs to exactly one tile, and each
                 // tile to exactly one thread.
                 unsafe { img.set(py * p.image + px, val) };
@@ -466,7 +467,7 @@ pub fn render_reference(vol: &Volume, p: &Params) -> Vec<f32> {
     let mut img = vec![0.0f32; p.image * p.image];
     for py in 0..p.image {
         for px in 0..p.image {
-            img[py * p.image + px] = cast_ray(vol, p, px, py).0;
+            img[py * p.image + px] = cast_ray(vol, p, VIEW_ANGLE, px, py).0;
         }
     }
     img
@@ -581,8 +582,8 @@ mod tests {
         };
         for py in (0..p.image).step_by(7) {
             for px in (0..p.image).step_by(7) {
-                with += cast_ray(&vol, &p, px, py).1 as u64;
-                without += cast_ray(&vol, &p_no, px, py).1 as u64;
+                with += cast_ray(&vol, &p, VIEW_ANGLE, px, py).1 as u64;
+                without += cast_ray(&vol, &p_no, VIEW_ANGLE, px, py).1 as u64;
             }
         }
         assert!(with < without, "early termination must cut samples");

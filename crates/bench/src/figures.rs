@@ -12,14 +12,12 @@
 
 use std::ops::RangeInclusive;
 use std::rc::Rc;
-use std::time::Instant;
 
 use ptdf::{Config, CostModel, Report, SchedKind, SerialReport, VirtTime, STACK_1MB, STACK_8KB};
 use ptdf_apps::{
     volren, volren_params, App, Bodies, Version, BARNES_HUT, DTREE, FFT, FMM, MATMUL, SPMV,
 };
 use ptdf_dag::{binary_tree, fig1_example, gen_program, max_path_threads, GenParams, Program};
-use ptdf_fiber::{Coroutine, Step};
 
 use crate::plot::{Chart, Lines};
 use crate::{full_scale, run_app, run_app_serial, run_program, scale, Table};
@@ -146,26 +144,10 @@ fn fig01_graph() -> Vec<Table> {
     )]
 }
 
-/// Median of `reps` timings of `batch` iterations of `f`, in ns/op.
-fn time_ns(reps: usize, batch: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                f();
-            }
-            t0.elapsed().as_nanos() as f64 / batch as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[reps / 2]
-}
-
 /// Figure 3: thread operation overheads. The modelled Solaris 2.5 costs
 /// beside the paper's measurements (equal by construction: they are the
-/// calibration), and the real host cost of this runtime's own operations,
-/// an `Instant` median of batches: sub-microsecond switches, as a
-/// user-level threads library should have.
+/// calibration). The host cost of this runtime's own operations is the
+/// benchmark's business: `ptdf-perf layers` prints it.
 fn fig03_overheads() -> Vec<Table> {
     let cost = CostModel::ultrasparc_167();
     let mut model = Table::new(
@@ -198,48 +180,12 @@ fn fig03_overheads() -> Vec<Table> {
         model.row(vec![op.into(), us(v), paper.into()]);
     }
 
-    let mut host = Table::new(
-        "fig03_host",
-        "Figure 3 (host): measured cost of this runtime's own operations",
-        &["operation", "ns/op"],
-    );
-    let create_drop = time_ns(9, 2_000, || {
-        drop(Coroutine::<(), (), ()>::new(16 * 1024, |_, ()| ()));
-    });
-    let create_run = time_ns(9, 2_000, || {
-        let mut co = Coroutine::<(), (), ()>::new(16 * 1024, |_, ()| ());
-        assert_eq!(co.resume(()), Step::Complete(()));
-    });
-    // Context switch pair: resume into fiber + suspend back.
-    let mut co = Coroutine::<(), (), ()>::new(16 * 1024, |y, ()| loop {
-        y.suspend(());
-    });
-    let switch_pair = time_ns(9, 20_000, || {
-        co.resume(()).unwrap_yield();
-    });
-    drop(co);
-    let spawn_join = time_ns(5, 200, || {
-        ptdf::run(Config::new(1, SchedKind::Df), || {
-            ptdf::spawn(|| ()).join();
-        });
-    });
-    for (op, ns) in [
-        ("fiber create + drop (16KB stack)", create_drop),
-        ("fiber create + run + exit", create_run),
-        ("context switch pair (resume + suspend)", switch_pair),
-        ("full runtime boot + spawn + join (host)", spawn_join),
-    ] {
-        host.row(vec![op.into(), format!("{ns:.0}")]);
-    }
-    vec![
-        model,
-        host.note(
-            "paper context: Solaris user-level thread creation cost 20.5 us on a\n\
-             167 MHz UltraSPARC (~3400 cycles); the reproduction's fiber switch is\n\
-             tens of ns on modern hardware, i.e. the same 'user-level ops are\n\
-             10-100x cheaper than kernel threads' regime.",
-        ),
-    ]
+    vec![model.note(
+        "paper context: Solaris user-level thread creation cost 20.5 us on a\n\
+         167 MHz UltraSPARC (~3400 cycles). This runtime's own host costs are\n\
+         `ptdf-perf layers` rows: fiber.create_drop_ns, fiber.create_run_exit_ns,\n\
+         fiber.switch_ns and runtime.spawn_join_ns.df.",
+    )]
 }
 
 /// Matmul's input and its serial run, whose time and space are printed.

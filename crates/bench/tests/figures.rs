@@ -1,8 +1,7 @@
 //! The figure registry pinned at quick size: every table of every figure,
-//! title, headers and rows, against `tests/golden/figures.tsv`. Only
-//! `fig03_host` is left out: it is host-clock time. A change that moves a
-//! figure fails here, naming its table; when it moves them on purpose,
-//! regenerate with
+//! title, headers and rows, against `tests/golden/figures.tsv`. A change
+//! that moves a figure fails here, naming its table; when it moves them on
+//! purpose, regenerate with
 //!
 //! ```text
 //! cargo test -p ptdf-bench --test figures -- --ignored bless
@@ -26,9 +25,7 @@ fn table() -> String {
     let mut out = String::from("# table\tcells\n");
     for fig in FIGURES {
         for t in (fig.tables)() {
-            if t.name() != "fig03_host" {
-                out.push_str(&t.tsv());
-            }
+            out.push_str(&t.tsv());
         }
     }
     out

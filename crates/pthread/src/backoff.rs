@@ -26,33 +26,24 @@ use ptdf_smp::{Prng, VirtTime};
 ///
 /// Each [`pause`](Backoff::pause) sleeps the calling thread's virtual
 /// processor for a uniformly jittered slice of an exponentially growing
-/// window (`base · 2^attempt`, capped at `cap`). The jitter comes from a
-/// [`Prng`] seeded by the caller, so a given seed always produces the same
-/// delay sequence.
+/// window (`BASE · 2^attempt`, capped at `CAP`: 10 µs, then 20 µs, … up to
+/// 1 ms). The jitter comes from a [`Prng`] seeded by the caller, so a given
+/// seed always produces the same delay sequence.
 #[derive(Debug)]
 pub struct Backoff {
-    base: VirtTime,
-    cap: VirtTime,
     attempt: u32,
     prng: Prng,
 }
 
-/// Default first-window width.
-const DEFAULT_BASE: VirtTime = VirtTime::from_us(10);
-/// Default window cap.
-const DEFAULT_CAP: VirtTime = VirtTime::from_ms(1);
+/// First-window width.
+const BASE: VirtTime = VirtTime::from_us(10);
+/// Window cap.
+const CAP: VirtTime = VirtTime::from_ms(1);
 
 impl Backoff {
-    /// A backoff with the default bounds (10 µs first window, 1 ms cap).
+    /// A backoff whose jitter is seeded by `seed`.
     pub fn new(seed: u64) -> Self {
-        Self::with_bounds(seed, DEFAULT_BASE, DEFAULT_CAP)
-    }
-
-    /// A backoff with explicit window bounds.
-    pub fn with_bounds(seed: u64, base: VirtTime, cap: VirtTime) -> Self {
         Backoff {
-            base,
-            cap,
             attempt: 0,
             prng: Prng::new(seed ^ 0xBAC0_FF5E_ED00_0001),
         }
@@ -63,7 +54,7 @@ impl Backoff {
         self.attempt
     }
 
-    /// Resets the window to `base` (call after a success).
+    /// Resets the window to its first width (call after a success).
     pub fn reset(&mut self) {
         self.attempt = 0;
     }
@@ -72,11 +63,10 @@ impl Backoff {
     /// slice and returns the delay charged. Outside a run this only advances
     /// the internal sequence.
     pub fn pause(&mut self) -> VirtTime {
-        let window = self
-            .base
+        let window = BASE
             .as_ns()
             .saturating_mul(1u64 << self.attempt.min(20))
-            .min(self.cap.as_ns());
+            .min(CAP.as_ns());
         self.attempt = self.attempt.saturating_add(1);
         // Uniform in [window/2, window]: always makes progress, never
         // synchronizes two same-seed threads exactly.
@@ -139,9 +129,9 @@ mod tests {
         assert_ne!(a, seq(8), "different seeds must differ");
         // Windows grow until the cap; every delay is at least half its
         // window and none exceeds the cap.
-        assert!(a.iter().all(|d| *d <= DEFAULT_CAP));
+        assert!(a.iter().all(|d| *d <= CAP));
         assert!(a[0] >= VirtTime::from_us(5));
-        assert!(a.last().unwrap().as_ns() >= DEFAULT_CAP.as_ns() / 2);
+        assert!(a.last().unwrap().as_ns() >= CAP.as_ns() / 2);
     }
 
     #[test]

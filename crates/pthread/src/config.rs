@@ -75,6 +75,17 @@ impl SchedKind {
         Self::ALL.into_iter().find(|k| k.name() == name)
     }
 
+    /// The five policies a policy sweep runs, in declaration order: every
+    /// policy but [`SchedKind::DfLocal`], which is DF with a locality
+    /// window and is measured beside FIFO and DF in Figure 11.
+    pub const SWEEP: [SchedKind; 5] = [
+        SchedKind::Fifo,
+        SchedKind::Lifo,
+        SchedKind::Df,
+        SchedKind::DfDeques,
+        SchedKind::Ws,
+    ];
+
     /// Every policy, in declaration order.
     const ALL: [SchedKind; 6] = [
         SchedKind::Fifo,

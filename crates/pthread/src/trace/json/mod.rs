@@ -98,14 +98,6 @@ impl Value {
         }
     }
 
-    /// The value as a `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Value::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// The value as an `f64` (any number).
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
@@ -273,8 +265,8 @@ pub fn push_str(out: &mut String, s: &str) {
 /// One object member's value as a streaming consumer sees it: the scalars
 /// the trace format uses, by value. Everything else — `null`, floats,
 /// negative integers, arrays, objects — is validated, skipped and reported
-/// as [`Field::Other`], which is what `Value::as_u64` / `as_str` /
-/// `as_bool` answering `None` meant for a tree.
+/// as [`Field::Other`], which is what `Value::as_u64` / `as_str`
+/// answering `None` means for a tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Field<'a> {
     /// A non-negative integer.

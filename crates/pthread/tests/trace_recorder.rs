@@ -361,16 +361,6 @@ fn replay_recipe_round_trips_from_meta() {
     assert!(check.is_clean(), "{:?}", check.violations);
 }
 
-fn all_policies() -> [SchedKind; 5] {
-    [
-        SchedKind::Fifo,
-        SchedKind::Lifo,
-        SchedKind::Df,
-        SchedKind::DfDeques,
-        SchedKind::Ws,
-    ]
-}
-
 fn forkjoin_trace(kind: SchedKind, perturb: Option<u64>) -> (Trace, VirtTime) {
     let mut cfg = Config::new(4, kind).with_trace();
     if let Some(seed) = perturb {
@@ -394,7 +384,7 @@ fn forkjoin_trace(kind: SchedKind, perturb: Option<u64>) -> (Trace, VirtTime) {
 
 #[test]
 fn blame_tiles_the_makespan_under_all_policies() {
-    for kind in all_policies() {
+    for kind in SchedKind::SWEEP {
         let (trace, makespan) = forkjoin_trace(kind, None);
         let cp = analyze_with_makespan(&trace, makespan);
         assert!(!cp.empty);

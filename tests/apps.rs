@@ -80,7 +80,10 @@ fn app_rows(out: &mut String) {
             let p = volren_params(Scale::Small);
             let vol = volren::gen_volume(p.size);
             let samples: u64 = (0..p.image * p.image)
-                .map(|i| volren::cast_ray(&vol, &p, i % p.image, i / p.image).1 as u64)
+                .map(|i| {
+                    let (px, py) = (i % p.image, i / p.image);
+                    u64::from(volren::cast_ray(&vol, &p, volren::VIEW_ANGLE, px, py).1)
+                })
                 .sum();
             words.push(samples);
         }
@@ -218,7 +221,6 @@ fn volren_ray_rows(out: &mut String) {
         let p = volren::Params {
             size,
             image,
-            view_angle,
             opacity_cutoff,
             ..volren::Params::small()
         };
@@ -226,7 +228,7 @@ fn volren_ray_rows(out: &mut String) {
         let (mut samples, mut unlit) = (0u64, 0usize);
         for py in 0..image {
             for px in 0..image {
-                let (v, n) = volren::cast_ray(&vol, &p, px, py);
+                let (v, n) = volren::cast_ray(&vol, &p, view_angle, px, py);
                 word(&mut h, u64::from(v.to_bits()) << 32 | u64::from(n));
                 samples += u64::from(n);
                 unlit += usize::from(v == 0.0);

@@ -23,14 +23,6 @@ use ptdf::{
     Semaphore, VirtTime,
 };
 
-const POLICIES: [SchedKind; 5] = [
-    SchedKind::Fifo,
-    SchedKind::Lifo,
-    SchedKind::Df,
-    SchedKind::DfDeques,
-    SchedKind::Ws,
-];
-
 /// Seeds per (workload, policy) cell.
 const SEED_BUDGET: u64 = 6;
 
@@ -190,7 +182,7 @@ fn abba() -> u32 {
 #[test]
 fn correct_workloads_complete_under_chaos() {
     let (nthreads, rounds) = (4, 4);
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         for seed in 0..SEED_BUDGET {
             let cfg = || {
                 Config::new(4, kind)
@@ -214,7 +206,7 @@ fn correct_workloads_complete_under_chaos() {
 
 #[test]
 fn timed_workloads_get_definite_verdicts_under_chaos() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         for seed in 0..SEED_BUDGET {
             let cfg = Config::new(2, kind)
                 .with_perturbation(seed)
@@ -230,7 +222,7 @@ fn timed_workloads_get_definite_verdicts_under_chaos() {
 
 #[test]
 fn deadlock_prone_workload_never_hangs_under_chaos() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         for seed in 0..SEED_BUDGET {
             let cfg = Config::new(2, kind)
                 .with_perturbation(seed)

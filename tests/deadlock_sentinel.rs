@@ -15,14 +15,6 @@ use ptdf::{
     Semaphore, TimedOut, Violation, VirtTime,
 };
 
-const POLICIES: [SchedKind; 5] = [
-    SchedKind::Fifo,
-    SchedKind::Lifo,
-    SchedKind::Df,
-    SchedKind::DfDeques,
-    SchedKind::Ws,
-];
-
 /// Holds long enough to cross the 200 µs interleaving quantum, so every
 /// cycle member demonstrably acquires its first lock before any member
 /// attempts its second.
@@ -47,7 +39,7 @@ fn detect(cfg: Config, f: impl FnOnce() + 'static) -> (Vec<u32>, bool) {
 
 #[test]
 fn self_deadlock_is_a_one_cycle_under_every_policy() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let (members, flagged) = detect(Config::new(2, kind), || {
             let m = Mutex::new(());
             let h = spawn(move || {
@@ -68,7 +60,7 @@ fn self_deadlock_is_a_one_cycle_under_every_policy() {
 
 #[test]
 fn two_thread_lock_inversion_names_both_members() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let (members, flagged) = detect(Config::new(2, kind), || {
             let a = Mutex::new(());
             let b = Mutex::new(());
@@ -98,7 +90,7 @@ fn two_thread_lock_inversion_names_both_members() {
 
 #[test]
 fn three_thread_lock_cycle_names_all_members() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let (members, flagged) = detect(Config::new(3, kind), || {
             // t1 holds a wants b, t2 holds b wants c, t3 holds c wants a.
             let locks = [Mutex::new(()), Mutex::new(()), Mutex::new(())];
@@ -131,7 +123,7 @@ fn detection_survives_schedule_perturbation() {
     // The cycle must be found regardless of how the schedule is jittered:
     // perturbation reorders and delays, but the waits-for graph it produces
     // is the same graph.
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         for seed in [1u64, 42, 0xFEED] {
             let cfg = Config::new(2, kind).with_perturbation(seed);
             let (members, flagged) = detect(cfg, || {
@@ -207,7 +199,7 @@ fn timed_waits_are_exempt_and_break_the_cycle() {
     // The same 2-thread inversion, but one side bounds its second acquire:
     // no cycle check fires, the deadline expires, the timed side backs off
     // and releases — the run completes with zero recorded deadlocks.
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let ((timed_out, completed), report) = run(Config::new(2, kind).with_trace(), || {
             let a = Mutex::new(());
             let b = Mutex::new(());

@@ -6,14 +6,6 @@
 use ptdf::{json, Config, Report, SchedKind};
 use ptdf_server::{serve, serve_traced, ServerConfig};
 
-const ALL_KINDS: [SchedKind; 5] = [
-    SchedKind::Fifo,
-    SchedKind::Lifo,
-    SchedKind::Df,
-    SchedKind::DfDeques,
-    SchedKind::Ws,
-];
-
 /// A fork tree with tracked leaf allocations: enough churn to move every
 /// counter track and (for the deque policies) trigger steals.
 fn traced_run(kind: SchedKind) -> Report {
@@ -39,7 +31,7 @@ fn fork_tree(depth: u32) {
 /// (and the Report accessor), for every scheduler.
 #[test]
 fn footprint_track_max_equals_hwm_exactly() {
-    for kind in ALL_KINDS {
+    for kind in SchedKind::SWEEP {
         let report = traced_run(kind);
         let trace = report.trace.as_ref().expect("tracing enabled");
         assert_eq!(
@@ -55,7 +47,7 @@ fn footprint_track_max_equals_hwm_exactly() {
 /// Same exactness for the live-thread track vs `live_threads_hwm`.
 #[test]
 fn live_thread_track_max_equals_hwm_exactly() {
-    for kind in ALL_KINDS {
+    for kind in SchedKind::SWEEP {
         let report = traced_run(kind);
         let trace = report.trace.as_ref().expect("tracing enabled");
         assert_eq!(
@@ -72,7 +64,7 @@ fn live_thread_track_max_equals_hwm_exactly() {
 /// total matching the machine's dispatch count.
 #[test]
 fn lifecycle_is_consistent_across_schedulers() {
-    for kind in ALL_KINDS {
+    for kind in SchedKind::SWEEP {
         let report = traced_run(kind);
         let trace = report.trace.as_ref().expect("tracing enabled");
         trace.validate().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
@@ -200,7 +192,7 @@ fn tracing_off_means_no_trace() {
 /// whole run took, no matter how the hooks nest.
 #[test]
 fn host_phase_ns_sum_stays_under_measured_wall_ns() {
-    for kind in ALL_KINDS {
+    for kind in SchedKind::SWEEP {
         let t0 = std::time::Instant::now();
         let cfg = Config::new(4, kind).with_trace().with_host_profile(true);
         let (_, report) = ptdf::run(cfg, || fork_tree(5));
@@ -235,7 +227,7 @@ fn tracing_does_not_move_the_model() {
         ..ServerConfig::standard(0x7ACE)
     }
     .overload_pct(200);
-    for kind in ALL_KINDS {
+    for kind in SchedKind::SWEEP {
         let (_, plain) = ptdf::run(Config::new(4, kind), || fork_tree(8));
         let (_, traced) = ptdf::run(Config::new(4, kind).with_trace(), || fork_tree(8));
         assert!(plain.trace.is_none() && traced.trace.is_some());
@@ -255,7 +247,7 @@ fn tracing_does_not_move_the_model() {
 /// quota: the three depth-first ones.
 #[test]
 fn report_and_trace_agree_on_the_quota() {
-    for kind in ALL_KINDS.into_iter().chain([SchedKind::DfLocal]) {
+    for kind in SchedKind::SWEEP.into_iter().chain([SchedKind::DfLocal]) {
         let report = traced_run(kind);
         let quota = report.trace.as_ref().expect("tracing enabled").meta.quota;
         assert_eq!(report.quota, quota, "{kind:?}");

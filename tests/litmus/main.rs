@@ -19,14 +19,6 @@
 
 use ptdf::{explore, litmus, replay_schedule, Config, ExploreOpts, SchedKind};
 
-const POLICIES: [SchedKind; 5] = [
-    SchedKind::Fifo,
-    SchedKind::Lifo,
-    SchedKind::Df,
-    SchedKind::DfDeques,
-    SchedKind::Ws,
-];
-
 fn opts() -> ExploreOpts {
     ExploreOpts::new(4, 2000)
 }
@@ -37,7 +29,7 @@ fn corpus_is_clean_and_pruned_under_all_policies() {
     let mut executed = 0u64;
     let mut pruned = 0u64;
     for l in litmus().iter().filter(|l| !l.buggy) {
-        for kind in POLICIES {
+        for kind in SchedKind::SWEEP {
             let report = explore(Config::new(l.procs, kind), opts, l.body);
             assert!(
                 report.is_clean(),
@@ -128,7 +120,7 @@ fn exploration_is_deterministic() {
     ] {
         let l = ptdf::litmus::find(name).expect("fixture exists");
         assert_eq!(l.procs, procs);
-        for kind in POLICIES {
+        for kind in SchedKind::SWEEP {
             let first = explore(Config::new(l.procs, kind), opts, l.body);
             let second = explore(Config::new(l.procs, kind), opts, l.body);
             assert_eq!(first, second, "{name} under {kind:?} diverged");
@@ -139,7 +131,7 @@ fn exploration_is_deterministic() {
 /// Explores `program` exhaustively under every policy and demands it clean.
 fn exhaustively_clean(program: &str, what: &str) {
     let l = ptdf::litmus::find(program).expect("fixture exists");
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let report = explore(Config::new(l.procs, kind), opts(), l.body);
         assert!(
             report.is_clean(),
@@ -227,7 +219,7 @@ fn rwlock_timed_waiters_survive_sixteen_perturbed_seeds() {
     // interleavings than the oracle's systematic walk), every trace fed to
     // the happens-before checker.
     let l = ptdf::litmus::find("rwlock_writer_timeout").expect("fixture exists");
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         for seed in 0..16 {
             let cfg = Config::new(l.procs, kind)
                 .with_trace()

@@ -10,14 +10,6 @@ use ptdf::{
     CostModel, EventKind, JoinError, Mutex, RwLock, SchedKind, Semaphore, TlsKey, VirtTime,
 };
 
-const POLICIES: [SchedKind; 5] = [
-    SchedKind::Fifo,
-    SchedKind::Lifo,
-    SchedKind::Df,
-    SchedKind::DfDeques,
-    SchedKind::Ws,
-];
-
 #[test]
 fn deadlock_is_detected_and_reported() {
     let result = std::panic::catch_unwind(|| {
@@ -266,7 +258,7 @@ fn try_lock_semantics_under_contention() {
 
 #[test]
 fn a_deadline_token_that_outlives_its_thread_wakes_nobody() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let (woke_early, _) = run(Config::new(2, kind), move || {
             // A timed acquire granted long before its deadline: the armed
             // heap entry stays behind when the thread exits.
@@ -304,7 +296,7 @@ fn a_deadline_token_that_outlives_its_thread_wakes_nobody() {
 
 #[test]
 fn cancelling_a_joined_thread_leaves_the_slots_new_tenant_alone() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let (outcome, _) = run(Config::new(2, kind), move || {
             let gone = spawn(|| 1u32);
             let gone_id = gone.id();
@@ -331,7 +323,7 @@ fn cancelling_a_joined_thread_leaves_the_slots_new_tenant_alone() {
 
 #[test]
 fn a_handle_joined_ten_thousand_spawns_late_gets_its_own_result() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         run(Config::new(2, kind), move || {
             let plain = spawn(|| 41u64);
             let loud = spawn(|| -> u64 { std::panic::panic_any("mine") });
@@ -362,7 +354,7 @@ fn a_handle_joined_ten_thousand_spawns_late_gets_its_own_result() {
 
 #[test]
 fn joining_an_exit_in_the_joiners_future_lands_at_the_exit() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let ((child, before, after), report) = run(Config::new(2, kind).with_trace(), move || {
             // The child wakes the root and then runs on to its exit
             // inside the same quantum — too short a stretch to be
@@ -422,7 +414,7 @@ fn a_stall_lists_and_unwinds_the_survivors_in_ascending_id_order() {
         }
     }
     const SURVIVORS: [u32; 3] = [3, 9, 200];
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let dropped = Rc::new(RefCell::new(Vec::new()));
         let log = dropped.clone();
         let err = try_run(Config::new(2, kind), move || {
@@ -456,7 +448,7 @@ fn a_stall_lists_and_unwinds_the_survivors_in_ascending_id_order() {
 
 #[test]
 fn the_kth_spawn_is_thread_k() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let (_, report) = run(Config::new(2, kind), || {
             for k in 1..=10_000u32 {
                 let h = spawn(|| ());
@@ -476,7 +468,7 @@ fn the_kth_spawn_is_thread_k() {
 
 #[test]
 fn a_stale_handle_does_not_touch_a_thread_of_the_same_id_in_another_run() {
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         let (stale, _) = run(Config::new(2, kind), || spawn(|| 7u64));
         let stale_cancel = run(Config::new(2, kind), || spawn(|| 8u64)).0;
         let (_, report) = run(Config::new(2, kind).with_trace(), move || {

@@ -33,14 +33,6 @@ use ptdf::{
     SchedKind, Semaphore, VirtTime,
 };
 
-const POLICIES: [SchedKind; 5] = [
-    SchedKind::Fifo,
-    SchedKind::Lifo,
-    SchedKind::Df,
-    SchedKind::DfDeques,
-    SchedKind::Ws,
-];
-
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fingerprints.tsv");
 
 const HEADER: &str = "# cell\tpolicy\tvariant\toutcome\tevents_fnv1a\tmakespan_ns\tfootprint_hwm\ttotal_threads\tdecisions\n";
@@ -266,7 +258,7 @@ fn charge_storm() {
 fn run_rows() -> String {
     let mut out = String::new();
     for l in litmus().iter().filter(|l| !l.buggy) {
-        for kind in POLICIES {
+        for kind in SchedKind::SWEEP {
             for variant in VARIANTS {
                 run_cell(
                     &mut out,
@@ -279,12 +271,12 @@ fn run_rows() -> String {
             }
         }
     }
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         for variant in VARIANTS {
             run_cell(&mut out, "storm(4,3)", 4, kind, variant, || storm(4, 3));
         }
     }
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         for variant in VARIANTS {
             run_cell(&mut out, "charge(3x4000)", 4, kind, variant, charge_storm);
         }
@@ -294,7 +286,7 @@ fn run_rows() -> String {
     // schedules only.
     for app in ptdf_apps::APPS {
         let bodies = (app.build)(ptdf_apps::Scale::Small);
-        for kind in POLICIES {
+        for kind in SchedKind::SWEEP {
             let cfg = Config::new(4, kind).with_trace();
             let report = ptdf_bench::run_app(&bodies, ptdf_apps::Version::Fine, cfg);
             let cell = format!("app:{}", app.label.replace(' ', "_"));
@@ -310,7 +302,7 @@ fn run_rows() -> String {
         }
         .overload_pct(pct);
         let cell = format!("server(200@{pct}%)");
-        for kind in POLICIES {
+        for kind in SchedKind::SWEEP {
             let run = ptdf_server::serve_traced(&server, 4, kind);
             row(&mut out, &cell, kind, "natural", "ok", &run.report);
         }
@@ -323,7 +315,7 @@ fn run_rows() -> String {
 fn explore_rows() -> String {
     let mut out = String::new();
     for l in litmus() {
-        for kind in POLICIES {
+        for kind in SchedKind::SWEEP {
             let r = explore(Config::new(l.procs, kind), ExploreOpts::new(3, 400), l.body);
             writeln!(
                 out,

@@ -21,14 +21,6 @@
 
 use ptdf::{check_trace, Barrier, Condvar, Config, Mutex, SchedKind, Semaphore};
 
-const POLICIES: [SchedKind; 5] = [
-    SchedKind::Fifo,
-    SchedKind::Lifo,
-    SchedKind::Df,
-    SchedKind::DfDeques,
-    SchedKind::Ws,
-];
-
 /// Perturbation seeds per policy.
 const SEED_BUDGET: u64 = 64;
 
@@ -77,7 +69,7 @@ fn sync_storm(nthreads: usize, rounds: usize) -> (u64, usize) {
 fn perturbation_matrix_is_clean_and_invariant() {
     let seeds = SEED_BUDGET;
     let (nthreads, rounds) = (4, 6);
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         for seed in 0..seeds {
             let cfg = Config::new(4, kind).with_trace().with_perturbation(seed);
             let ((total, arrivals), report) = ptdf::run(cfg, move || sync_storm(nthreads, rounds));
@@ -159,7 +151,7 @@ fn failure_injection_matrix_degrades_gracefully() {
     // work actually performed must balance, and denied requests must be
     // exactly the injector's count.
     let seeds = SEED_BUDGET / 4;
-    for kind in POLICIES {
+    for kind in SchedKind::SWEEP {
         for seed in 0..seeds.max(2) {
             let cfg = Config::new(4, kind)
                 .with_alloc_failures(4)

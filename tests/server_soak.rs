@@ -6,21 +6,13 @@
 use ptdf::SchedKind;
 use ptdf_server::{serve, serve_traced, ServerConfig};
 
-const POLICIES: [SchedKind; 5] = [
-    SchedKind::Fifo,
-    SchedKind::Lifo,
-    SchedKind::Df,
-    SchedKind::DfDeques,
-    SchedKind::Ws,
-];
-
 fn overload() -> ServerConfig {
     ServerConfig::quick(0xD0_5EED).overload_pct(200)
 }
 
 #[test]
 fn every_policy_survives_2x_overload() {
-    for sched in POLICIES {
+    for sched in SchedKind::SWEEP {
         let run = serve(&overload(), 4, sched);
         let s = &run.stats;
         assert!(
