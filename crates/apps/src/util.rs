@@ -28,7 +28,8 @@ pub fn region(salt: u64, id: u64) -> u64 {
     (salt << 40) | (id & ((1 << 40) - 1))
 }
 
-/// Region namespaces (one per benchmark data structure).
+/// Region namespaces (one per benchmark data structure). A region id
+/// reaches the cache model, so a value is never renumbered.
 pub mod salt {
     /// Matmul A matrix blocks.
     pub const MATMUL_A: u64 = 1;
