@@ -572,3 +572,184 @@ fn corpus_matches_the_committed_table() {
 fn bless() {
     ptdf_bench::golden::bless(GOLDEN, &table());
 }
+
+/// A hand-built trace with every record layout the exporter writes: all
+/// three span kinds, all 18 event kinds (each optional member both present
+/// and `null`), all five counter tracks, lifecycle rows with each optional
+/// field present and absent, every decision kind, and times on both sides
+/// of the exact-decimal boundary up to `u64::MAX`.
+fn every_layout_trace() -> Trace {
+    use ptdf::trace::{Decision, DecisionKind};
+    const E15: u64 = 1_000_000_000_000_000;
+    const TIMES: [u64; 5] = [0, 999, E15 - 1, E15, u64::MAX];
+    let at = |i: usize| VirtTime::from_ns(TIMES[i % TIMES.len()]);
+    let mut t = Trace::default();
+    t.meta = TraceMeta {
+        scheduler: "df".to_string(),
+        processors: 4,
+        default_stack: 8192,
+        quota: Some(16_384),
+        perturb_seed: Some(9),
+        chaos_seed: None,
+    };
+    for (i, kind) in [SpanKind::Run, SpanKind::Dummy, SpanKind::Resume]
+        .into_iter()
+        .enumerate()
+    {
+        for (j, w) in TIMES.windows(2).enumerate() {
+            t.spans.push(Span {
+                proc: (i + j) % 4,
+                thread: (7 * i + j) as u32,
+                start: VirtTime::from_ns(w[0]),
+                end: VirtTime::from_ns(w[1]),
+                kind,
+            });
+        }
+    }
+    let reasons = [
+        BlockReason::Join,
+        BlockReason::Mutex,
+        BlockReason::Condvar,
+        BlockReason::Semaphore,
+        BlockReason::Barrier,
+        BlockReason::RwRead,
+        BlockReason::RwWrite,
+    ];
+    let mut kinds = Vec::new();
+    for some in [Some(3u32), None] {
+        kinds.extend([
+            EventKind::Spawn { parent: some },
+            EventKind::Block {
+                reason: reasons[kinds.len() % reasons.len()],
+                obj: some,
+            },
+            EventKind::Wake { waker: some },
+            EventKind::Steal { victim: some },
+            EventKind::Timeout { obj: some },
+            EventKind::Cancel {
+                obj: some,
+                by: some,
+            },
+            EventKind::Cancel {
+                obj: some,
+                by: some.map(|v| v + 1).xor(Some(5)),
+            },
+            EventKind::Deadlock {
+                cycle: 1,
+                waits_for: 2,
+                obj: some,
+            },
+        ]);
+    }
+    for (i, reason) in reasons.into_iter().enumerate() {
+        kinds.push(EventKind::Notify {
+            reason,
+            obj: i as u32,
+            waiters: 2 * i as u64,
+            woken: u64::MAX - i as u64,
+        });
+        kinds.push(EventKind::Block { reason, obj: None });
+    }
+    kinds.extend([
+        EventKind::FirstDispatch,
+        EventKind::Join { target: u32::MAX },
+        EventKind::DummyInsert { count: 12 },
+        EventKind::Preempt,
+        EventKind::StackReserve { bytes: 8192 },
+        EventKind::StackRelease { bytes: 8192 },
+        EventKind::Alloc { bytes: 1 << 20 },
+        EventKind::Free { bytes: 1 << 20 },
+        EventKind::FreeUnderflow { bytes: u64::MAX },
+        EventKind::BoundViolation {
+            footprint: u64::MAX,
+            bound: 0,
+        },
+    ]);
+    for (i, kind) in kinds.into_iter().enumerate() {
+        t.events.push(Event {
+            at: at(i),
+            proc: i % 4,
+            thread: (i % 3 != 0).then_some(i as u32),
+            kind,
+        });
+    }
+    for (i, track) in [
+        &mut t.counters.footprint,
+        &mut t.counters.live_threads,
+        &mut t.counters.ready,
+        &mut t.counters.active_deques,
+        &mut t.counters.sched_lock_wait,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for j in 0..TIMES.len() {
+            track.push((at(i + j), TIMES[(2 * i + j) % TIMES.len()]));
+        }
+    }
+    for (i, (first, exited)) in [(false, false), (true, false), (false, true), (true, true)]
+        .into_iter()
+        .enumerate()
+    {
+        t.threads.push(ThreadLifecycle {
+            thread: i as u32,
+            spawned: at(i),
+            first_dispatch: first.then(|| at(i + 1)),
+            ready_wait: at(i + 2),
+            quanta: TIMES[(i + 3) % TIMES.len()],
+            exited: exited.then(|| at(i + 4)),
+        });
+    }
+    for (i, kind) in [
+        DecisionKind::DispatchTie,
+        DecisionKind::UnparkTie,
+        DecisionKind::WakeOrder,
+        DecisionKind::Grant,
+        DecisionKind::TimeoutOrder,
+        DecisionKind::CancelDelivery,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        t.decisions.push(Decision {
+            kind,
+            at: at(i),
+            n: 2 + i as u32,
+            chosen: i as u32 % 2,
+            obj: (i % 2 == 0).then_some(u32::MAX - i as u32),
+        });
+    }
+    t
+}
+
+/// Every layout the exporter writes reads back to the trace it came from,
+/// and so does the same document with any one record written another way:
+/// a space after its `{`, which a reader of the exporter's exact layout
+/// does not accept and the general reader does.
+#[test]
+fn every_record_layout_round_trips_and_reads_the_same_respaced() {
+    let trace = every_layout_trace();
+    let json = trace.to_chrome_json();
+    let back = Trace::from_chrome_json(&json).expect("parse back");
+    assert!(back == trace, "round trip changed the trace");
+    assert_eq!(back.to_chrome_json(), json);
+    // Every record of `traceEvents`, `ptdfThreads` and `ptdfDecisions`
+    // opens with a `{` straight after the `[` or `,` before it.
+    let starts: Vec<usize> = json
+        .match_indices('{')
+        .map(|(at, _)| at)
+        .filter(|&at| at > 0 && matches!(json.as_bytes()[at - 1], b'[' | b','))
+        .collect();
+    let records = trace.spans.len()
+        + trace.events.len()
+        + trace.counters.footprint.len() * 5
+        + trace.threads.len()
+        + trace.decisions.len();
+    assert_eq!(starts.len(), records);
+    for at in starts {
+        let respaced = format!("{} {}", &json[..=at], &json[at + 1..]);
+        let back = Trace::from_chrome_json(&respaced)
+            .unwrap_or_else(|e| panic!("record at byte {at}: {e}"));
+        assert!(back == trace, "record at byte {at} read differently");
+    }
+}
