@@ -3,13 +3,26 @@
 //! and their critical-path variants) and one single-pass parser
 //! ([`Trace::from_chrome_json`]) over [`super::json`]'s writer and reader.
 //! The two are exact inverses on every recorded trace.
+//!
+//! The parser has two paths per record. A record in the exporter's own
+//! layout is read by a [`Template`] spelled with the exporter's literals
+//! (the `key!` macro and the constants below) and pushed straight into
+//! the trace; any other record is read by the lexer into [`Slots`]. The
+//! template accepts only what the lexer reads to the same value, so no
+//! verdict depends on the path: the `parse` rows of
+//! `tests/golden/trace_corpus.tsv` hash the verdicts on scrambled, spaced,
+//! cut and damaged documents, and
+//! `every_record_layout_round_trips_and_reads_the_same_respaced` reads
+//! every layout both ways. `every_record_the_exporter_writes_takes_the_template_path`
+//! (`recorder.rs`) holds every record of recorded traces to the template
+//! path, by a `#[cfg(test)]` tally of the records each path read.
 
 use std::io;
 
 use ptdf_smp::{HostPhaseStats, VirtTime};
 
 use super::critpath::{BlameBucket, CritPath};
-use super::json::{self, Reader, Scratch, Slots};
+use super::json::{self, Reader, Scratch, Slots, Template};
 use super::{
     BlockReason, Decision, DecisionKind, Event, EventKind, Span, SpanKind, ThreadLifecycle, Trace,
     TraceMeta,
@@ -96,13 +109,15 @@ impl Trace {
 
     /// The counter tracks as `(track name, value key, samples)`.
     fn counter_tracks(&self) -> [(&'static str, &'static str, &Samples); 5] {
-        [
-            ("footprint", "bytes", &self.counters.footprint),
-            ("live-threads", "threads", &self.counters.live_threads),
-            ("ready", "entries", &self.counters.ready),
-            ("active-deques", "deques", &self.counters.active_deques),
-            ("sched-lock-wait", "waitNs", &self.counters.sched_lock_wait),
-        ]
+        let c = &self.counters;
+        let tracks = [
+            &c.footprint,
+            &c.live_threads,
+            &c.ready,
+            &c.active_deques,
+            &c.sched_lock_wait,
+        ];
+        std::array::from_fn(|i| (COUNTERS[i].0, COUNTERS[i].1, &tracks[i][..]))
     }
 
     /// The one exporter: emits the document record by record into `o`,
@@ -111,7 +126,7 @@ impl Trace {
     fn emit_chrome(&self, cp: Option<&CritPath>, o: &mut ChromeOut<'_>) -> io::Result<()> {
         o.array("{\"traceEvents\":[");
         for s in &self.spans {
-            o.item("{\"name\":\"")?;
+            o.item(NAME)?;
             let thread = u64::from(s.thread);
             // `t5`, `dummy t5`, `t5 (resume)`.
             if s.kind == SpanKind::Dummy {
@@ -122,25 +137,25 @@ impl Trace {
             if s.kind == SpanKind::Resume {
                 o.lit(" (resume)");
             }
-            o.lit("\",\"ph\":\"X\",\"pid\":0");
+            o.lit(SPAN);
             o.u64(key!("tid"), s.proc as u64);
             o.micros(key!("ts"), s.start);
             o.micros(key!("dur"), s.end.since(s.start));
-            o.lit(",\"args\":{\"thread\":");
+            o.lit(SPAN_ARGS);
             o.num(thread);
             o.str(key!("kind"), s.kind.name());
             o.u64(key!("startNs"), s.start.as_ns());
             o.u64(key!("endNs"), s.end.as_ns());
-            o.lit("}}");
+            o.lit(CLOSE);
         }
         let id = |v: Option<u32>| v.map(u64::from);
         for e in &self.events {
-            o.item("{\"name\":\"")?;
+            o.item(NAME)?;
             o.lit(e.kind.name());
-            o.lit("\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0");
+            o.lit(INSTANT);
             o.u64(key!("tid"), e.proc as u64);
             o.micros(key!("ts"), e.at);
-            o.lit(",\"args\":{\"ns\":");
+            o.lit(INSTANT_ARGS);
             o.num(e.at.as_ns());
             o.opt(key!("thread"), id(e.thread));
             match e.kind {
@@ -189,20 +204,20 @@ impl Trace {
                 }
                 EventKind::FirstDispatch | EventKind::Preempt => {}
             }
-            o.lit("}}");
+            o.lit(CLOSE);
         }
         for (name, unit, track) in self.counter_tracks() {
             for &(at, v) in track {
-                o.item("{\"name\":\"")?;
+                o.item(NAME)?;
                 o.lit(name);
-                o.lit("\",\"ph\":\"C\",\"pid\":0");
+                o.lit(COUNTER);
                 o.micros(key!("ts"), at);
-                o.lit(",\"args\":{\"");
+                o.lit(COUNTER_ARGS);
                 o.lit(unit);
-                o.lit("\":");
+                o.lit(UNIT);
                 o.num(v);
                 o.u64(key!("ns"), at.as_ns());
-                o.lit("}}");
+                o.lit(CLOSE);
             }
         }
         if let Some(cp) = cp {
@@ -265,7 +280,7 @@ impl Trace {
         }
         o.array("},\"ptdfThreads\":[");
         for t in &self.threads {
-            o.item("{\"thread\":")?;
+            o.item(LIFECYCLE)?;
             o.num(u64::from(t.thread));
             o.u64(key!("spawnedNs"), t.spawned.as_ns());
             o.opt(
@@ -279,7 +294,7 @@ impl Trace {
         }
         o.array("],\"ptdfDecisions\":[");
         for d in &self.decisions {
-            o.item("{\"k\":\"")?;
+            o.item(DECISION)?;
             o.lit(d.kind.name());
             o.lit("\"");
             o.u64(key!("ns"), d.at.as_ns());
@@ -339,20 +354,26 @@ impl Trace {
         Ok(trace)
     }
 
-    /// `traceEvents`: each record's known members land in a flat scratch
-    /// (`rec` for the record, `args` for its first `args` member), reused
-    /// from record to record, and [`Trace::push_record`] reads the slots.
-    /// Both guess each key from the record before ([`Slots::key`]).
+    /// `traceEvents`: a record in the exporter's own layout is read by
+    /// [`Trace::template_record`]; any other goes to the lexer, whose
+    /// members land in a flat scratch (`rec` for the record, `args` for its
+    /// first `args` member), reused from record to record, and
+    /// [`Trace::push_record`] reads the slots.
     fn read_records(&mut self, r: &mut Reader<'_>) -> Option<()> {
         const ARGS: usize = slot!(RECORD_KEYS, "args");
         let mut rec = Slots::new(&RECORD_KEYS);
         let mut args = Slots::new(&ARG_KEYS);
         r.array(|r| {
+            let templated = r.template(|t| self.template_record(t)).is_some();
+            tally(!templated);
+            if templated {
+                return Some(());
+            }
             rec.clear();
             args.clear();
             if r.peek() == Some(b'{') {
                 let mut args_seen = false;
-                r.members(|r| match rec.key(r)? {
+                r.object(|r, key| match rec.slot(key) {
                     // The first `args` holds the arguments; a repeat is
                     // skipped like any repeated member.
                     Some(ARGS) if !std::mem::replace(&mut args_seen, true) => args.read(r),
@@ -363,6 +384,121 @@ impl Trace {
             }
             self.push_record(r, &rec, &args)
         })
+    }
+
+    /// One `traceEvents` record exactly as [`Trace::emit_chrome`] writes
+    /// it, pushed straight into the trace; `None`, with nothing pushed, for
+    /// a record in any other layout, or one the lexer path would refuse.
+    /// A span's name is not read (its thread is in `args`), so any name
+    /// without an escape matches.
+    #[inline(always)]
+    fn template_record(&mut self, t: &mut Template<'_>) -> Option<()> {
+        t.lit(NAME)?;
+        let name = t.plain()?;
+        if t.lit(SPAN).is_some() {
+            let proc = t.u64(key!("tid"))? as usize;
+            t.fraction(key!("ts"))?;
+            t.fraction(key!("dur"))?;
+            let thread = t.u64(SPAN_ARGS)? as u32;
+            let kind = SpanKind::from_name(t.str(key!("kind"))?)?;
+            let start = VirtTime::from_ns(t.u64(key!("startNs"))?);
+            let end = VirtTime::from_ns(t.u64(key!("endNs"))?);
+            t.lit(CLOSE)?;
+            self.spans.push(Span {
+                proc,
+                thread,
+                start,
+                end,
+                kind,
+            });
+        } else if t.lit(INSTANT).is_some() {
+            let proc = t.u64(key!("tid"))? as usize;
+            t.fraction(key!("ts"))?;
+            let at = VirtTime::from_ns(t.u64(INSTANT_ARGS)?);
+            let id = |v: Option<u64>| v.map(|v| v as u32);
+            let thread = id(t.opt(key!("thread"))?);
+            let reason = |t: &mut Template<'_>| BlockReason::from_name(t.str(key!("reason"))?);
+            let kind = match name {
+                "spawn" => EventKind::Spawn {
+                    parent: id(t.opt(key!("parent"))?),
+                },
+                "first-dispatch" => EventKind::FirstDispatch,
+                "block" => EventKind::Block {
+                    reason: reason(t)?,
+                    obj: id(t.opt(key!("obj"))?),
+                },
+                "wake" => EventKind::Wake {
+                    waker: id(t.opt(key!("waker"))?),
+                },
+                "notify" => EventKind::Notify {
+                    reason: reason(t)?,
+                    obj: t.u64(key!("obj"))? as u32,
+                    waiters: t.u64(key!("waiters"))?,
+                    woken: t.u64(key!("woken"))?,
+                },
+                "join" => EventKind::Join {
+                    target: t.u64(key!("target"))? as u32,
+                },
+                "steal" => EventKind::Steal {
+                    victim: id(t.opt(key!("victim"))?),
+                },
+                "dummy-insert" => EventKind::DummyInsert {
+                    count: t.u64(key!("count"))?,
+                },
+                "preempt" => EventKind::Preempt,
+                "stack-reserve" => EventKind::StackReserve {
+                    bytes: t.u64(key!("bytes"))?,
+                },
+                "stack-release" => EventKind::StackRelease {
+                    bytes: t.u64(key!("bytes"))?,
+                },
+                "alloc" => EventKind::Alloc {
+                    bytes: t.u64(key!("bytes"))?,
+                },
+                "free" => EventKind::Free {
+                    bytes: t.u64(key!("bytes"))?,
+                },
+                "free-underflow" => EventKind::FreeUnderflow {
+                    bytes: t.u64(key!("bytes"))?,
+                },
+                "bound-violation" => EventKind::BoundViolation {
+                    footprint: t.u64(key!("footprint"))?,
+                    bound: t.u64(key!("bound"))?,
+                },
+                "timeout" => EventKind::Timeout {
+                    obj: id(t.opt(key!("obj"))?),
+                },
+                "cancel" => EventKind::Cancel {
+                    obj: id(t.opt(key!("obj"))?),
+                    by: id(t.opt(key!("by"))?),
+                },
+                "deadlock" => EventKind::Deadlock {
+                    cycle: t.u64(key!("cycle"))? as u32,
+                    waits_for: t.u64(key!("waitsFor"))? as u32,
+                    obj: id(t.opt(key!("obj"))?),
+                },
+                _ => return None,
+            };
+            t.lit(CLOSE)?;
+            self.events.push(Event {
+                at,
+                proc,
+                thread,
+                kind,
+            });
+        } else {
+            t.lit(COUNTER)?;
+            let track = COUNTERS.iter().position(|&(track, _)| track == name)?;
+            t.fraction(key!("ts"))?;
+            t.lit(COUNTER_ARGS)?;
+            t.lit(COUNTERS[track].1)?;
+            t.lit(UNIT)?;
+            let value = t.num()?;
+            let at = VirtTime::from_ns(t.u64(key!("ns"))?);
+            t.lit(CLOSE)?;
+            self.counters.tracks_mut()[track].push((at, value));
+        }
+        Some(())
     }
 
     fn push_record(
@@ -571,6 +707,29 @@ impl Trace {
             };
         }
         r.array(|r| {
+            let row = r.template(|t| {
+                t.lit(LIFECYCLE)?;
+                let thread = t.num()? as u32;
+                let spawned = VirtTime::from_ns(t.u64(key!("spawnedNs"))?);
+                let first_dispatch = t.opt(key!("firstDispatchNs"))?.map(VirtTime::from_ns);
+                let ready_wait = VirtTime::from_ns(t.u64(key!("readyWaitNs"))?);
+                let quanta = t.u64(key!("quanta"))?;
+                let exited = t.opt(key!("exitedNs"))?.map(VirtTime::from_ns);
+                t.lit("}")?;
+                Some(ThreadLifecycle {
+                    thread,
+                    spawned,
+                    first_dispatch,
+                    ready_wait,
+                    quanta,
+                    exited,
+                })
+            });
+            tally(row.is_none());
+            if let Some(row) = row {
+                self.threads.push(row);
+                return Some(());
+            }
             t.read(r)?;
             self.threads.push(ThreadLifecycle {
                 thread: r.require(u!("thread"), "lifecycle without thread")? as u32,
@@ -596,6 +755,28 @@ impl Trace {
             };
         }
         r.array(|r| {
+            let decision = r.template(|t| {
+                t.lit(DECISION)?;
+                let kind = DecisionKind::from_name(t.plain()?)?;
+                t.lit("\"")?;
+                let at = VirtTime::from_ns(t.u64(key!("ns"))?);
+                let n = t.u64(key!("n"))? as u32;
+                let chosen = t.u64(key!("chosen"))? as u32;
+                let obj = t.opt(key!("obj"))?.map(|o| o as u32);
+                t.lit("}")?;
+                Some(Decision {
+                    kind,
+                    at,
+                    n,
+                    chosen,
+                    obj,
+                })
+            });
+            tally(decision.is_none());
+            if let Some(decision) = decision {
+                self.decisions.push(decision);
+                return Some(());
+            }
             d.read(r)?;
             self.decisions.push(Decision {
                 kind: r.require(
@@ -613,13 +794,64 @@ impl Trace {
     }
 }
 
-/// The members [`Trace::from_chrome_json`] reads, per object kind; every
-/// other member is validated and skipped. A record's keys in the order the
-/// exporter writes them, so that the first record's are guessed right too
-/// ([`Slots::key`]; `s`, `ts` and `dur` are there only to be guessed, and
-/// `args` is read by [`Trace::read_records`]); the others hot keys first,
-/// for the lookup after a wrong guess.
-const RECORD_KEYS: [&str; 8] = ["name", "ph", "s", "pid", "tid", "ts", "dur", "args"];
+/// The record literals longer than one `key!`, shared by the exporter and
+/// the template reader: a record's opening up to its name, the phase and
+/// `pid` after the name, the opening of `args`, the close.
+const NAME: &str = "{\"name\":\"";
+const SPAN: &str = "\",\"ph\":\"X\",\"pid\":0";
+const INSTANT: &str = "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0";
+const COUNTER: &str = "\",\"ph\":\"C\",\"pid\":0";
+const SPAN_ARGS: &str = ",\"args\":{\"thread\":";
+const INSTANT_ARGS: &str = ",\"args\":{\"ns\":";
+const COUNTER_ARGS: &str = ",\"args\":{\"";
+const UNIT: &str = "\":";
+const CLOSE: &str = "}}";
+const LIFECYCLE: &str = "{\"thread\":";
+const DECISION: &str = "{\"k\":\"";
+
+/// The counter tracks as `(track name, value key)`, in the order of
+/// [`Counters::tracks_mut`](super::Counters::tracks_mut).
+const COUNTERS: [(&str, &str); 5] = [
+    ("footprint", "bytes"),
+    ("live-threads", "threads"),
+    ("ready", "entries"),
+    ("active-deques", "deques"),
+    ("sched-lock-wait", "waitNs"),
+];
+
+#[cfg(test)]
+thread_local! {
+    /// Records read by the template (`[0]`) and by the lexer (`[1]`).
+    static TALLY: std::cell::Cell<[usize; 2]> = const { std::cell::Cell::new([0; 2]) };
+}
+
+/// Counts a record of `traceEvents`, `ptdfThreads` or `ptdfDecisions` the
+/// lexer read (`true`) or the template did, for the test that every record
+/// the exporter writes takes the template path.
+#[cfg(test)]
+fn tally(lexed: bool) {
+    TALLY.with(|t| {
+        let mut n = t.get();
+        n[usize::from(lexed)] += 1;
+        t.set(n);
+    });
+}
+
+#[cfg(not(test))]
+#[inline(always)]
+fn tally(_lexed: bool) {}
+
+/// The records this thread's parses read by the template and by the lexer
+/// since the last call, which sets both counts back to zero.
+#[cfg(test)]
+pub(crate) fn take_tally() -> [usize; 2] {
+    TALLY.with(|t| t.replace([0; 2]))
+}
+
+/// The members [`Trace::from_chrome_json`]'s lexer path reads, per object
+/// kind (hot keys first); every other member is validated and skipped.
+/// `args` is read by [`Trace::read_records`].
+const RECORD_KEYS: [&str; 5] = ["name", "ph", "pid", "tid", "args"];
 const ARG_KEYS: [&str; 24] = [
     "ns",
     "thread",

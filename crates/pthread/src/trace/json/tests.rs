@@ -424,101 +424,3 @@ fn slots_keep_the_first_occurrence_and_skip_the_rest() {
     assert_eq!(lex(doc, &mut four, |r| slots.read(r)), Ok(()));
     assert_eq!((slots.bool(2), slots.str(0)), (Some(true), Some("c")));
 }
-
-#[test]
-fn key_is_matches_exactly_the_key_the_lexer_would_read() {
-    let ph = KeyText::new("ph");
-    let pad = " ".repeat(24);
-    for (text, hit) in [
-        (r#""ph":1"#, true),
-        (r#""ph" :1"#, false),
-        (r#""phh":1"#, false),
-        (r#""p":1"#, false),
-        (r#""\u0070h":1"#, false),
-        (r#" "ph":1"#, false),
-        (r#"'ph":1"#, false),
-        (r#""PH":1"#, false),
-    ] {
-        let text = format!("{text}{pad}");
-        let mut scratch = Scratch::default();
-        let mut r = Reader::new(&text, &mut scratch);
-        assert_eq!(
-            (r.key_is(&ph), r.pos),
-            (hit, if hit { 5 } else { 0 }),
-            "{text}"
-        );
-    }
-    // Within 24 bytes of the end nothing matches: the lexer reads it.
-    let mut scratch = Scratch::default();
-    assert!(!Reader::new(r#""ph":1"#, &mut scratch).key_is(&ph));
-    for bad in ["a\"b", "a\\b", "twenty-two-bytes-long!"] {
-        assert!(
-            std::panic::catch_unwind(|| KeyText::new(bad)).is_err(),
-            "{bad}"
-        );
-    }
-}
-
-/// A guessed key is consumed by one comparison, any other by the lexer;
-/// either way [`Slots::read`] must answer what [`Value::get`] answers
-/// on the same object and fail where [`Value::parse`] fails. The objects
-/// are read in a row, each with the guesses the ones before it taught.
-#[test]
-fn slots_guesses_never_change_an_answer() {
-    const KEYS: [&str; 4] = ["ph", "ts", "name", "n"];
-    let objects = [
-        r#"{"ph":"X","ts":1,"name":"a"}"#,
-        r#"{"ph":"X","ts":2,"name":"b"}"#,
-        r#"{"ph":"i","name":"c","ts":3}"#,
-        r#"{"ph" :"i","ts":4}"#,
-        r#"{ "ph":"C", "ts" : 5 ,"name":"d"}"#,
-        r#"{"\u0070h":"Q","ts":6}"#,
-        r#"{"phx":1,"ph":"Y","tsx":2,"ts":7,"nam":3,"name":"e"}"#,
-        r#"{"ph":"Z","ph":"late","ts":8,"ts":9}"#,
-        r#"{"n":10,"name":"f","ph":null,"ts":1.5}"#,
-        r#"{"zz":[1,{"ph":2}],"ph":"W","ts":11}"#,
-        "{}",
-        "[1]",
-        r#"{"ph":"X","ts":12,"name":"g"}"#,
-    ];
-    fn field(v: &Value) -> Field<'_> {
-        match v {
-            Value::Str(s) => Field::Str(s),
-            Value::Bool(b) => Field::Bool(*b),
-            v => v.as_u64().map_or(Field::Other, Field::U64),
-        }
-    }
-    for pad in ["", "                         "] {
-        let doc = format!("[{}]{pad}", objects.join(","));
-        let tree = Value::parse(&doc).expect("a document");
-        let want: Vec<Vec<Option<Field>>> = tree
-            .as_arr()
-            .expect("an array")
-            .iter()
-            .map(|v| KEYS.iter().map(|k| v.get(k).map(field)).collect())
-            .collect();
-        let mut slots = Slots::new(&KEYS);
-        let mut scratch = Scratch::default();
-        let got = lex(&doc, &mut scratch, |r| {
-            let mut got = Vec::new();
-            r.array(|r| {
-                slots.read(r)?;
-                got.push((0..KEYS.len()).map(|i| slots.get(i)).collect::<Vec<_>>());
-                Some(())
-            })?;
-            Some(got)
-        });
-        assert_eq!(got, Ok(want), "{doc}");
-        // Cut anywhere, or damaged after a guessed key: the same error.
-        for cut in (1..doc.len()).map(|at| doc[..at].to_string()).chain([
-            doc.replacen(r#""ts":12"#, r#""ts":1.5e"#, 1),
-            doc.replacen(r#""ts":12"#, r#""ts":012"#, 1),
-            doc.replacen(r#""ts":12"#, r#""ts"12"#, 1),
-        ]) {
-            let mut slots = Slots::new(&KEYS);
-            let mut scratch = Scratch::default();
-            let read = lex(&cut, &mut scratch, |r| r.array(|r| slots.read(r)));
-            assert_eq!(read, Value::parse(&cut).map(drop), "{cut}");
-        }
-    }
-}
