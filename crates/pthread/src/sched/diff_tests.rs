@@ -22,16 +22,18 @@
 //!
 //! 1800 interleavings × ~220 events ≈ 400k cross-checked operations.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use ptdf_smp::VirtTime;
+use ptdf_smp::{Prng, VirtTime};
 
 use crate::sched::df::DfSched;
 use crate::sched::dfdeques::DfDequesSched;
 use crate::sched::reference::{RefDfDequesSched, RefDfSched};
 use crate::sched::{Policy, Pop};
 use crate::thread::ThreadId;
+
+/// A seeded index below `n`.
+fn below(rng: &mut Prng, n: usize) -> usize {
+    rng.below(n as u64) as usize
+}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum St {
@@ -72,24 +74,24 @@ impl Driver {
         );
     }
 
-    fn pick<F: Fn(&St) -> bool>(&self, rng: &mut SmallRng, f: F) -> Option<usize> {
+    fn pick<F: Fn(&St) -> bool>(&self, rng: &mut Prng, f: F) -> Option<usize> {
         let hits: Vec<usize> = (0..self.live.len())
             .filter(|&i| f(&self.live[i].1))
             .collect();
         if hits.is_empty() {
             None
         } else {
-            Some(hits[rng.gen_range(0..hits.len())])
+            Some(hits[below(rng, hits.len())])
         }
     }
 
     fn run(&mut self, seed: u64, steps: usize) {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Prng::new(seed);
         for step in 0..steps {
-            match rng.gen_range(0u32..100) {
+            match rng.below(100) {
                 // pop: the differential heart.
                 0..=39 => {
-                    let p = rng.gen_range(0..self.procs);
+                    let p = below(&mut rng, self.procs);
                     let now = VirtTime::from_ns(self.clocks[p]);
                     let ra = self.a.pop(p, now);
                     let rb = self.b.pop(p, now);
@@ -102,7 +104,7 @@ impl Driver {
                             .expect("popped thread is live");
                         assert_eq!(slot.1, St::Ready, "popped a non-ready thread");
                         slot.1 = St::Running(p);
-                        self.clocks[p] += rng.gen_range(1u64..50);
+                        self.clocks[p] += 1 + rng.below(49);
                     }
                 }
                 // create: parent = a running thread when one exists.
@@ -117,12 +119,12 @@ impl Driver {
                             };
                             (Some(ptid), p)
                         }
-                        None => (None, rng.gen_range(0..self.procs)),
+                        None => (None, below(&mut rng, self.procs)),
                     };
-                    let prio = self.prios[rng.gen_range(0..self.prios.len())];
+                    let prio = self.prios[below(&mut rng, self.prios.len())];
                     // enqueue=false models the engine's direct handoff: the
                     // child starts running without a dispatch.
-                    let enqueue = parent.is_none() || rng.gen_bool(0.6);
+                    let enqueue = parent.is_none() || rng.chance(3, 5);
                     let at = VirtTime::from_ns(self.clocks[p]);
                     self.a.on_create(tid, parent, prio, enqueue, at, p);
                     self.b.on_create(tid, parent, prio, enqueue, at, p);
@@ -142,11 +144,11 @@ impl Driver {
                     let waker = match self.live[i].1 {
                         // A yielding thread is re-published by its own proc.
                         St::Running(p) => p,
-                        _ => rng.gen_range(0..self.procs),
+                        _ => below(&mut rng, self.procs),
                     };
-                    let at = VirtTime::from_ns(self.clocks[waker] + rng.gen_range(0u64..30));
-                    let prio = self.prios[rng.gen_range(0..self.prios.len())];
-                    let affinity = rng.gen_bool(0.5).then(|| rng.gen_range(0..self.procs));
+                    let at = VirtTime::from_ns(self.clocks[waker] + rng.below(30));
+                    let prio = self.prios[below(&mut rng, self.prios.len())];
+                    let affinity = rng.chance(1, 2).then(|| below(&mut rng, self.procs));
                     self.a.on_ready(tid, prio, at, waker, affinity);
                     self.b.on_ready(tid, prio, at, waker, affinity);
                     self.live[i].1 = St::Ready;
@@ -173,8 +175,8 @@ impl Driver {
                 // advance a processor's clock (creates cross-proc skew and
                 // occasional regressions relative to published times).
                 _ => {
-                    let p = rng.gen_range(0..self.procs);
-                    self.clocks[p] += rng.gen_range(1u64..120);
+                    let p = below(&mut rng, self.procs);
+                    self.clocks[p] += 1 + rng.below(119);
                 }
             }
             self.check(seed, step);
