@@ -637,6 +637,29 @@ impl Trace {
         trace
     }
 
+    /// Runs `f` with the emptied event vector and counter tracks of a
+    /// pooled storage as scratch (fresh empty ones when the pool has
+    /// none). What `f` leaves in them goes back to the pool, emptied, in
+    /// their place: a buffer `f` swaps with a trace's is the trace's old
+    /// one, recycled, so lending adds no memory.
+    pub(crate) fn with_pooled_scratch<R>(f: impl FnOnce(&mut Vec<Event>, &mut Counters) -> R) -> R {
+        let pop = || TRACE_POOL.try_with(|pool| pool.try_borrow_mut().ok()?.pop());
+        let Some(mut storage) = pop().ok().flatten() else {
+            return f(&mut Vec::new(), &mut Counters::default());
+        };
+        let out = f(&mut storage.events, &mut storage.counters);
+        storage.events.clear();
+        for track in storage.counters.tracks_mut() {
+            track.clear();
+        }
+        let _ = TRACE_POOL.try_with(|pool| {
+            if let Ok(mut pool) = pool.try_borrow_mut() {
+                pool.push(storage);
+            }
+        });
+        out
+    }
+
     /// Pooled storages currently cached on this thread (test hook).
     #[cfg(test)]
     pub(crate) fn pool_len() -> usize {
