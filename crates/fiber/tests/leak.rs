@@ -6,80 +6,13 @@
 //! still owned by a frame beneath it is lost for good; this test pins the
 //! exit protocol that makes those frames own nothing (see
 //! `ptdf_fiber_entry`). It needs its own binary for the counting
-//! `#[global_allocator]`. libtest's main thread allocates while a test runs,
-//! so the allocator counts only on the test's thread and on threads started
-//! after the test armed it (the portable backend's fibers are OS threads).
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering::Relaxed};
+//! `#[global_allocator]`, `ptdf_smp::counting`, armed on the test's thread.
 
 use ptdf_fiber::{Coroutine, Step};
-
-struct Counting;
-
-static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-
-/// Set by [`arm`]; a thread that allocates for the first time after it
-/// counts, one that allocated before it (libtest's main thread) never does.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    /// Whether this thread's allocations count; `None` until its first one.
-    /// Const-initialised and without a destructor, so reading it inside the
-    /// allocator neither allocates nor fails during thread teardown.
-    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-fn counted() -> bool {
-    COUNTED.with(|c| {
-        c.get().unwrap_or_else(|| {
-            let armed = ARMED.load(Relaxed);
-            c.set(Some(armed));
-            armed
-        })
-    })
-}
-
-/// Starts counting on the calling thread and on every thread started from
-/// now on.
-fn arm() {
-    COUNTED.with(|c| c.set(Some(true)));
-    ARMED.store(true, Relaxed);
-}
-
-// SAFETY: defers every request to `System` unchanged; the counters are
-// statistics and touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counted() {
-            LIVE_BLOCKS.fetch_add(1, Relaxed);
-            LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
-        }
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if counted() {
-            LIVE_BLOCKS.fetch_sub(1, Relaxed);
-            LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
-        }
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counted() {
-            LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use ptdf_smp::counting::{arm, live, Counting};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-fn live() -> (isize, isize) {
-    (LIVE_BLOCKS.load(Relaxed), LIVE_BYTES.load(Relaxed))
-}
 
 type Co = Coroutine<u32, u32, String>;
 

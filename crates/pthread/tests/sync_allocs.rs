@@ -20,68 +20,13 @@
 //! block on a held mutex or rwlock and every untimed join of a live
 //! thread) are vectors the engine owns and reuses.
 //!
-//! Own binary for the counting `#[global_allocator]`, armed on the test's
-//! thread as in `tests/leak.rs`.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+//! Own binary for the counting `#[global_allocator]`, `ptdf_smp::counting`,
+//! armed on the test's thread.
 
 use ptdf::{
     run, scope, spawn, yield_now, Condvar, Config, Mutex, RwLock, SchedKind, Semaphore, VirtTime,
 };
-
-struct Counting;
-
-/// Allocator calls that hand out memory (`alloc`, `realloc`) on counted
-/// threads.
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Set by [`arm`]; a thread that allocates for the first time after it
-/// counts, one that allocated before it (libtest's main thread) never does.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    /// Whether this thread's allocations count; `None` until its first one.
-    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-fn counted() -> bool {
-    COUNTED.with(|c| {
-        c.get().unwrap_or_else(|| {
-            let armed = ARMED.load(Relaxed);
-            c.set(Some(armed));
-            armed
-        })
-    })
-}
-
-/// Starts counting on the calling thread and on every thread started from
-/// now on (the portable backend's fibers are OS threads).
-fn arm() {
-    COUNTED.with(|c| c.set(Some(true)));
-    ARMED.store(true, Relaxed);
-}
-
-// SAFETY: defers every request to `System` unchanged; the counter is a
-// statistic and touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counted() {
-            CALLS.fetch_add(1, Relaxed);
-        }
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counted() {
-            CALLS.fetch_add(1, Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use ptdf_smp::counting::{self, arm, Counting};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -90,9 +35,9 @@ const N: u64 = 2_000;
 
 /// Allocator calls of one run of `body(rounds)` under `sched`.
 fn calls(sched: SchedKind, rounds: u64, body: fn(u64)) -> u64 {
-    let before = CALLS.load(Relaxed);
+    let before = counting::calls();
     run(Config::new(2, sched), move || body(rounds));
-    CALLS.load(Relaxed) - before
+    counting::calls() - before
 }
 
 /// Allocator calls per round: what `N` more rounds add, over `N`.

@@ -17,6 +17,8 @@
 //!   memory high-water figures (paper Figures 5b, 7b, 9).
 //! * [`VirtualLock`] — contention model for the global scheduler lock.
 //! * [`Machine`] — P processors with independent clocks plus the above.
+//! * [`counting`] — not part of the model: the counting global allocator
+//!   with which the workspace's host-heap tests bound real allocations.
 //!
 //! Everything is deterministic: identical inputs produce identical virtual
 //! timelines, which is what makes the reproduction's figures reproducible
@@ -26,6 +28,7 @@
 
 mod cache;
 mod cost;
+pub mod counting;
 mod heap;
 mod machine;
 mod perturb;
@@ -38,7 +41,7 @@ pub use cache::CacheModel;
 pub use cost::{CacheParams, CostModel, StackClass};
 pub use heap::{HeapModel, StackPool};
 pub use machine::{Machine, ProcId};
-pub use perturb::Prng;
+pub use perturb::{splitmix64, Prng};
 pub use record::{MachineRecording, MemEvent, MemEventKind};
 pub use stats::{
     Bucket, HostPhaseStats, HostProf, MemStats, PhaseStat, ProcStats, ProfWin, RunStats,
