@@ -303,14 +303,7 @@ pub fn fork_each<F: Fn(usize) + Copy>(lo: usize, hi: usize, f: F) {
 }
 
 /// Deterministic splitmix64 (for cheap in-module seeding).
-#[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+pub use ptdf_smp::splitmix64;
 
 /// Uniform f64 in [0,1) from splitmix64.
 #[inline]

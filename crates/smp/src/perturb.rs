@@ -11,6 +11,17 @@
 //! so any schedule it produces replays bit-exactly from the `(policy,
 //! seed)` pair alone.
 
+/// One SplitMix64 step: advances `state` and returns the next value. The
+/// step of [`Prng`], and the seeding stream of the apps' input generators.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A deterministic SplitMix64 pseudo-random generator.
 ///
 /// Not statistically fancy, but fast, seedable from a single `u64`, and —
@@ -35,11 +46,7 @@ impl Prng {
 
     /// Next raw 64-bit value (SplitMix64 step).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// Uniform value in `[0, n)`; returns 0 when `n == 0`.

@@ -18,10 +18,10 @@
 //! pins the entire schedule, which `ptdf-trace check` prints as the replay
 //! recipe (`--sched <p> --perturb-seed <s> --chaos-seed <c>`).
 
-use ptdf::{
-    check_trace, run, spawn, try_run, Barrier, Condvar, Config, Mutex, RwLock, SchedKind,
-    Semaphore, VirtTime,
-};
+mod common;
+
+use common::sync_storm;
+use ptdf::{check_trace, run, spawn, try_run, Condvar, Config, Mutex, RwLock, SchedKind, VirtTime};
 
 /// Seeds per (workload, policy) cell.
 const SEED_BUDGET: u64 = 6;
@@ -46,45 +46,6 @@ fn cell<T: 'static>(cfg: Config, f: impl FnOnce() -> T + 'static) -> (Verdict, T
         }
         Err(e) => panic!("cell stalled — lost wakeup under chaos:\n{e}"),
     }
-}
-
-/// The sync-storm workload: every blocking primitive every round, with
-/// spurious-wakeup-safe predicate loops (chaos delivers spurious condvar
-/// wakes by design).
-fn sync_storm(nthreads: usize, rounds: usize) -> u64 {
-    let counter = Mutex::new(0u64);
-    let gate = Mutex::new(0usize);
-    let cv = Condvar::new();
-    let barrier = Barrier::new(nthreads);
-    let sem = Semaphore::new((nthreads / 2) as i64);
-    ptdf::scope(|s| {
-        for _ in 0..nthreads {
-            let counter = counter.clone();
-            let gate = gate.clone();
-            let cv = cv.clone();
-            let barrier = barrier.clone();
-            let sem = sem.clone();
-            s.spawn(move || {
-                for r in 1..=rounds {
-                    sem.acquire();
-                    *counter.lock() += 1;
-                    ptdf::work(200);
-                    sem.release();
-                    let mut g = gate.lock();
-                    *g += 1;
-                    if *g == nthreads * r {
-                        cv.notify_all();
-                    } else {
-                        g = cv.wait_while(g, |a| *a < nthreads * r);
-                    }
-                    drop(g);
-                    barrier.wait();
-                }
-            });
-        }
-    });
-    let total = *counter.lock();
-    total
 }
 
 /// Fork/join storm: a recursive binary tree of spawns, the bench suite's
@@ -189,7 +150,7 @@ fn correct_workloads_complete_under_chaos() {
                     .with_perturbation(seed)
                     .with_chaos(seed.wrapping_mul(0x9E37_79B9) + 1)
             };
-            let (v, total) = cell(cfg(), move || sync_storm(nthreads, rounds));
+            let (v, total) = cell(cfg(), move || sync_storm(nthreads, rounds).0);
             assert_eq!(v, Verdict::Completed, "{kind:?} seed {seed}: storm");
             assert_eq!(total, (nthreads * rounds) as u64, "{kind:?} seed {seed}");
 
