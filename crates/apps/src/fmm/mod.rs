@@ -26,9 +26,7 @@ use jet::KernelJet;
 use ptdf::TrackedBuf;
 use tables::MultiIndexTable;
 
-use crate::util::{
-    charge_flops_dense, charge_flops_irregular, region, salt, uniform01, SharedSlice,
-};
+use crate::util::{charge_flops_dense, charge_flops_irregular, region, salt, uniform01, SharedBuf};
 
 /// A point charge / mass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -281,7 +279,7 @@ fn phase_p2m(particles: &[Particle], _prm: &Params, ctx: &Ctx, tree: &mut Tree) 
     let ncells = n * n * n;
     let leaf_start = &tree.leaf_start;
     let leaf_particles = &tree.leaf_particles;
-    let m = SharedSlice::new(&mut tree.m[levels]);
+    let m = SharedBuf::new(&mut tree.m[levels]);
     // One thread per occupied leaf cell, forked as a binary tree.
     let mut occupied: Vec<(usize, [usize; 3])> = Vec::new();
     for cz in 0..n {
@@ -342,7 +340,7 @@ fn phase_m2m(prm: &Params, ctx: &Ctx, tree: &mut Tree) {
         let parents = &mut upper[level];
         let children: &Vec<f64> = &lower[0];
         let np = cells_per_side(level);
-        let pm = SharedSlice::new(parents);
+        let pm = SharedBuf::new(parents);
         let coords: Vec<[usize; 3]> = (0..np)
             .flat_map(|pz| (0..np).flat_map(move |py| (0..np).map(move |px| [px, py, pz])))
             .collect();
@@ -468,7 +466,7 @@ fn phase_m2l_l2l(prm: &Params, ctx: &Ctx, tree: &mut Tree) {
         let (head, tail) = tree.l.split_at_mut(level);
         let parent_l: &[f64] = &head[level - 1];
         let this_l: &mut Vec<f64> = &mut tail[0];
-        let lv = SharedSlice::new(this_l);
+        let lv = SharedBuf::new(this_l);
         let ms: &[f64] = &tree.m[level];
         let chunk = prm.mpl_chunk;
         let coords: Vec<[usize; 3]> = (0..nc)
@@ -576,8 +574,8 @@ fn phase_l2p_p2p(particles: &[Particle], prm: &Params, ctx: &Ctx, tree: &Tree) -
     let leaf_start = &tree.leaf_start;
     let leaf_particles = &tree.leaf_particles;
     {
-        let pv = SharedSlice::new(&mut potential);
-        let fv = crate::util::SharedBuf::new(&mut field);
+        let pv = SharedBuf::new(&mut potential);
+        let fv = SharedBuf::new(&mut field);
         let mut occupied: Vec<(usize, [usize; 3])> = Vec::new();
         for cz in 0..nc {
             for cy in 0..nc {

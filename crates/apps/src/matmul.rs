@@ -22,7 +22,7 @@
 
 use ptdf::TrackedBuf;
 
-use crate::util::{charge_flops_dense, region, salt, uniform01, SharedSlice, SharedView};
+use crate::util::{charge_flops_dense, region, salt, uniform01, SharedBuf, SharedView};
 
 /// Problem parameters.
 #[derive(Debug, Clone, Copy)]
@@ -105,7 +105,7 @@ type In = Sub<SharedView<f64>>;
 
 /// A block of `C`, or (`buf: None`) of a temporary `T` that the model
 /// allocates and the host never holds: see [`matrix_add`].
-type Out = Sub<Option<SharedSlice>>;
+type Out = Sub<Option<SharedBuf<f64>>>;
 
 impl<V> Sub<V> {
     /// The whole of a buffer with row stride `stride`.
@@ -134,7 +134,7 @@ impl<V> Sub<V> {
 
 impl Out {
     /// The block of `C` to write, or `None` for a block of a temporary.
-    fn dest(self) -> Option<Sub<SharedSlice>> {
+    fn dest(self) -> Option<Sub<SharedBuf<f64>>> {
         let Sub {
             buf,
             stride,
@@ -174,7 +174,7 @@ pub fn multiply(a: &[f64], b: &[f64], p: &Params) -> Vec<f64> {
     mm(
         Sub::whole(SharedView::new(a), n),
         Sub::whole(SharedView::new(b), n),
-        Sub::whole(Some(SharedSlice::new(&mut c)), n),
+        Sub::whole(Some(SharedBuf::new(&mut c)), n),
         n,
         p.base,
         1,
@@ -266,7 +266,7 @@ fn serial_mult(a: In, b: In, c: Out, size: usize, base: usize) {
 fn mult_tile(
     a: In,
     b: In,
-    c: Sub<SharedSlice>,
+    c: Sub<SharedBuf<f64>>,
     size: usize,
     (i0, j0): (usize, usize),
     (mr, nr): (usize, usize),
@@ -346,7 +346,7 @@ fn matrix_add(a: In, b: In, depth: usize, c: Out, size: usize, base: usize, path
 /// into contiguous rows: in place its rows lie a whole matrix row apart, and
 /// at n = 1024 the 512 rows of a strip fall into too few L2 sets to stay
 /// there from one tile to the next.
-fn add_product(a: In, b: In, depth: usize, c: Sub<SharedSlice>, size: usize, base: usize) {
+fn add_product(a: In, b: In, depth: usize, c: Sub<SharedBuf<f64>>, size: usize, base: usize) {
     let mut strip = vec![0.0f64; depth * NR];
     for j0 in (0..size).step_by(NR) {
         let nr = NR.min(size - j0);
@@ -606,7 +606,7 @@ mod tests {
 
     /// The base case `serial_mult` used to be, kept as its reference: a `C`
     /// row loaded and stored once per `(i, k)`.
-    fn row_saxpy(a: In, b: In, c: Sub<SharedSlice>, size: usize) {
+    fn row_saxpy(a: In, b: In, c: Sub<SharedBuf<f64>>, size: usize) {
         for i in 0..size {
             // SAFETY: the three views are over distinct buffers owned by
             // the calling test, and every index is inside the view's block.
@@ -648,14 +648,8 @@ mod tests {
                     at(SharedView::new(&a), block),
                     at(SharedView::new(&b), block),
                 );
-                row_saxpy(av, bv, at(SharedSlice::new(&mut want), block), size);
-                serial_mult(
-                    av,
-                    bv,
-                    at(Some(SharedSlice::new(&mut c)), block),
-                    size,
-                    size,
-                );
+                row_saxpy(av, bv, at(SharedBuf::new(&mut want), block), size);
+                serial_mult(av, bv, at(Some(SharedBuf::new(&mut c)), block), size, size);
                 assert!(
                     c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
                     "size {size}, stride {stride}, block at ({row}, {col})"

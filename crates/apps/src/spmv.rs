@@ -12,7 +12,7 @@
 //!   destroyed *every iteration*, rows split equally by count — the
 //!   scheduler balances the irregular row weights.
 
-use crate::util::{charge_flops_irregular, region, salt, uniform01, SharedSlice};
+use crate::util::{charge_flops_irregular, region, salt, uniform01, SharedBuf};
 use ptdf::Barrier;
 
 /// Compressed sparse row matrix.
@@ -151,7 +151,7 @@ pub fn gen_vector(p: &Params) -> Vec<f64> {
 
 /// Multiplies rows `[lo, hi)` of `m` by `v` into `w`, charging modelled
 /// costs and declaring locality.
-fn rows_kernel(m: &Csr, v: &[f64], w: SharedSlice, lo: usize, hi: usize) {
+fn rows_kernel(m: &Csr, v: &[f64], w: SharedBuf<f64>, lo: usize, hi: usize) {
     let mut nnz = 0u64;
     ptdf::touch(
         region(salt::SPMV, (lo / 256) as u64),
@@ -176,7 +176,7 @@ pub fn run_fine(m: &Csr, v: &[f64], p: &Params) -> Vec<f64> {
     let mut w = vec![0.0; m.n];
     let t = p.fine_threads.max(1);
     for _ in 0..p.iters {
-        let wv = SharedSlice::new(&mut w);
+        let wv = SharedBuf::new(&mut w);
         crate::util::fork_each(0, t, |j| {
             let lo = j * m.n / t;
             let hi = (j + 1) * m.n / t;
@@ -217,7 +217,7 @@ pub fn run_coarse(m: &Csr, v: &[f64], p: &Params, procs: usize) -> Vec<f64> {
     let barrier = Barrier::new(procs);
     let iters = p.iters;
     {
-        let wv = SharedSlice::new(&mut w);
+        let wv = SharedBuf::new(&mut w);
         ptdf::scope(|s| {
             for &(lo, hi) in &ranges {
                 let barrier = barrier.clone();

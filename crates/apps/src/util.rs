@@ -51,104 +51,17 @@ pub mod salt {
     pub const DTREE: u64 = 10;
 }
 
-/// A `Copy`able raw view of a mutable `f64` buffer shared between forked
-/// threads that write **disjoint** regions (the standard idiom of the
-/// paper's C benchmarks, where child threads receive pointers into shared
-/// arrays).
+/// A `Copy`able raw view of a mutable buffer shared between forked threads
+/// that write **disjoint** regions (the standard idiom of the paper's C
+/// benchmarks, where child threads receive pointers into shared arrays).
 ///
 /// # Safety contract
-/// Constructors are safe; the unsafe surface is [`SharedSlice::get`] /
-/// [`SharedSlice::set`] / [`SharedSlice::add_assign`], whose callers must
-/// guarantee that concurrently-live threads never write overlapping indices
-/// and never read an index another live thread writes. The benchmarks
-/// uphold this structurally (quadrant/half decompositions), and their
-/// results are verified against serial references in tests.
-#[derive(Clone, Copy, Debug)]
-pub struct SharedSlice {
-    ptr: *mut f64,
-    len: usize,
-}
-
-impl SharedSlice {
-    /// Creates a view over `data`. The caller keeps ownership; the view must
-    /// not outlive the buffer (guaranteed by join-before-drop discipline).
-    pub fn new(data: &mut [f64]) -> Self {
-        SharedSlice {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-        }
-    }
-
-    /// Length of the underlying buffer.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reads element `i`.
-    ///
-    /// # Safety
-    /// `i < len`, and no concurrently-live thread writes index `i`.
-    #[inline]
-    pub unsafe fn get(&self, i: usize) -> f64 {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i)
-    }
-
-    /// Writes element `i`.
-    ///
-    /// # Safety
-    /// `i < len`, and this thread has exclusive access to index `i`.
-    #[inline]
-    pub unsafe fn set(&self, i: usize, v: f64) {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i) = v;
-    }
-
-    /// `buf[i] += v`.
-    ///
-    /// # Safety
-    /// As for [`SharedSlice::set`].
-    #[inline]
-    pub unsafe fn add_assign(&self, i: usize, v: f64) {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i) += v;
-    }
-
-    /// Borrows `[start, start + len)` as a shared slice, so a kernel can
-    /// run a contiguous row with ordinary (vectorizable) slice code instead
-    /// of one `get` per element.
-    ///
-    /// # Safety
-    /// The range is in bounds, and no concurrently-live thread writes any
-    /// index in it for the lifetime of the borrow.
-    #[inline]
-    pub unsafe fn slice(&self, start: usize, len: usize) -> &[f64] {
-        debug_assert!(start + len <= self.len);
-        std::slice::from_raw_parts(self.ptr.add(start), len)
-    }
-
-    /// Borrows `[start, start + len)` as an exclusive slice.
-    ///
-    /// # Safety
-    /// The range is in bounds, this thread has exclusive access to every
-    /// index in it for the lifetime of the borrow, and the range does not
-    /// overlap any slice simultaneously borrowed via [`SharedSlice::slice`]
-    /// (distinct underlying buffers satisfy this trivially).
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [f64] {
-        debug_assert!(start + len <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
-    }
-}
-
-/// Generic version of [`SharedSlice`] for arbitrary `Copy` element types
-/// (same safety contract).
+/// Constructors are safe; the unsafe surface is [`SharedBuf::get`] /
+/// [`SharedBuf::set`] / [`SharedBuf::slice`] / [`SharedBuf::slice_mut`],
+/// whose callers must guarantee that concurrently-live threads never write
+/// overlapping indices and never read an index another live thread writes.
+/// The benchmarks uphold this structurally (quadrant/half decompositions),
+/// and their results are verified against serial references in tests.
 #[derive(Debug)]
 pub struct SharedBuf<T> {
     ptr: *mut T,
@@ -163,7 +76,8 @@ impl<T> Clone for SharedBuf<T> {
 impl<T> Copy for SharedBuf<T> {}
 
 impl<T: Copy> SharedBuf<T> {
-    /// Creates a view over `data` (caller keeps ownership; join-before-drop).
+    /// Creates a view over `data`. The caller keeps ownership; the view must
+    /// not outlive the buffer (guaranteed by join-before-drop discipline).
     pub fn new(data: &mut [T]) -> Self {
         SharedBuf {
             ptr: data.as_mut_ptr(),
@@ -201,8 +115,9 @@ impl<T: Copy> SharedBuf<T> {
         *self.ptr.add(i) = v;
     }
 
-    /// Borrows `[start, start + len)` as a shared slice (see
-    /// [`SharedSlice::slice`] for the contract).
+    /// Borrows `[start, start + len)` as a shared slice, so a kernel can
+    /// run a contiguous row with ordinary (vectorizable) slice code instead
+    /// of one `get` per element.
     ///
     /// # Safety
     /// The range is in bounds, and no concurrently-live thread writes any
@@ -213,13 +128,13 @@ impl<T: Copy> SharedBuf<T> {
         std::slice::from_raw_parts(self.ptr.add(start), len)
     }
 
-    /// Borrows `[start, start + len)` as an exclusive slice (see
-    /// [`SharedSlice::slice_mut`] for the contract).
+    /// Borrows `[start, start + len)` as an exclusive slice.
     ///
     /// # Safety
     /// The range is in bounds, this thread has exclusive access to every
-    /// index in it for the lifetime of the borrow, and the range overlaps
-    /// no simultaneously-borrowed shared slice.
+    /// index in it for the lifetime of the borrow, and the range does not
+    /// overlap any slice simultaneously borrowed via [`SharedBuf::slice`]
+    /// (distinct underlying buffers satisfy this trivially).
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
@@ -322,15 +237,31 @@ mod tests {
     }
 
     #[test]
-    fn shared_slice_roundtrip() {
-        let mut data = vec![0.0; 8];
-        let s = SharedSlice::new(&mut data);
+    fn shared_buf_writes_the_buffer_in_place() {
+        let mut data = vec![0.0f64; 8];
+        let s = SharedBuf::new(&mut data);
+        assert_eq!((s.len(), s.is_empty()), (8, false));
+        // SAFETY: `data` outlives the view and this thread is its only
+        // user; every index and range is in bounds, and no two borrows
+        // overlap in time.
         unsafe {
             s.set(3, 1.5);
-            s.add_assign(3, 0.25);
-            assert_eq!(s.get(3), 1.75);
+            assert_eq!(s.get(3), 1.5);
+            s.slice_mut(4, 3).copy_from_slice(&[4.0, 5.0, 6.0]);
+            assert_eq!(s.slice(3, 4), &[1.5, 4.0, 5.0, 6.0]);
         }
-        assert_eq!(data[3], 1.75);
+        assert_eq!(data, [0.0, 0.0, 0.0, 1.5, 4.0, 5.0, 6.0, 0.0]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic]
+    fn shared_buf_get_out_of_range_trips_the_bounds_check() {
+        let mut data = [0.0f64; 4];
+        let s = SharedBuf::new(&mut data);
+        // SAFETY: deliberately not upheld: index 4 is one past the end,
+        // and the bounds `debug_assert` panics before the read.
+        unsafe { s.get(4) };
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::oracle::{Schedule, SharedOracle};
 /// * [`SchedKind::Ws`] — Cilk-style per-processor work stealing (child
 ///   first, steal from the top), the main comparator in the space-efficiency
 ///   literature (space bound `p · S1`); included as an ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedKind {
     /// Original Solaris FIFO queue.
     Fifo,
@@ -33,10 +33,12 @@ pub enum SchedKind {
     /// Space-efficient depth-first scheduler (the paper's contribution).
     Df,
     /// The paper's §5.3 future-work variant: depth-first order with a
-    /// bounded locality window — a dispatching processor may take, from
-    /// among the leftmost 16 ready threads, one that last ran on it. Weakens
-    /// the space bound by at most the window size while restoring cache
-    /// affinity at fine thread granularity.
+    /// bounded locality window. Among the leftmost 16 ready threads, a
+    /// dispatching processor first takes the right neighbour (in the
+    /// depth-first order) of the thread it last dispatched, then one that
+    /// last ran on it, and otherwise the leftmost. Weakens the space bound
+    /// by at most the window size while restoring cache affinity at fine
+    /// thread granularity.
     DfLocal,
     /// Parallelized depth-first scheduler after Narlikar's `DFDeques` (the
     /// paper's §6 scalability future work, reference \[34\]): per-processor
@@ -99,7 +101,7 @@ impl SchedKind {
 
 /// Default per-quantum memory quota `K` for the depth-first scheduler, in
 /// bytes. The paper leaves `K` as the space/time knob (§4 item 2); the
-/// `ablate_quota` bench sweeps it.
+/// `ablate_quota` figure of `ptdf_bench::figures` sweeps it.
 pub const DEFAULT_QUOTA: u64 = 64 * 1024;
 
 /// The Solaris default thread stack size (1 MB), which §4 item 3 identifies

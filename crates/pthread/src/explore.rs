@@ -45,7 +45,7 @@ use crate::runtime::try_run;
 use crate::trace::{EventKind, Fnv1a, Trace};
 
 /// Exploration limits for [`explore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreOpts {
     /// Maximum decision-prefix length: decisions at index ≥ `depth` always
     /// take the natural choice and are never branched on.
@@ -64,7 +64,7 @@ impl ExploreOpts {
 
 /// One violation class found by [`explore`], with the minimal decision
 /// prefix that reproduces it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViolationCase {
     /// Violation class label: the checker's violation name (text before
     /// the first `:` of its display form), `"stall"`, `"deadlock"`, or
@@ -85,7 +85,7 @@ pub struct ViolationCase {
 }
 
 /// Result of one [`explore`] call.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploreReport {
     /// Scheduler policy name explored under.
     pub scheduler: String,
@@ -132,7 +132,7 @@ impl ExploreReport {
 }
 
 /// Outcome of one scripted schedule execution ([`replay_schedule`]).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Violation class label, `None` for a clean run (same labels as
     /// [`ViolationCase::kind`]).

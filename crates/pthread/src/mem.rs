@@ -14,10 +14,14 @@
 //!   must burn `δ` scheduling quanta (giving leftward, serially-earlier
 //!   threads a chance to run) before the large allocation proceeds.
 //!
-//! The paper forks the dummies as a binary tree (the Pthreads interface only
-//! has binary fork); this reproduction inserts them directly as `δ` sibling
-//! entries, which preserves the throttle (δ quanta of scheduler work) while
-//! charging all creation costs to the allocating thread. See DESIGN.md.
+//! As in the paper, the dummies are forked as a binary tree (the Pthreads
+//! interface only has binary fork), and lazily: the allocating thread
+//! creates at most two dummy roots standing for `⌊δ/2⌋` and `⌈δ/2⌉`
+//! dummies, and each dummy, when dispatched, forks two children for the
+//! rest of its subtree before it exits. So creation costs are spread over
+//! the processors and only `O(log δ)` dummies are live at once per
+//! processor; DESIGN.md §5 records why a flat insertion of `δ` siblings was
+//! rejected.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -32,7 +36,7 @@ use crate::thread::YieldReason;
 // ---------------------------------------------------------------------------
 
 /// Per-thread slice of the allocation ledger.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThreadLedger {
     /// Thread id (the `ThreadId`'s raw value).
     pub thread: u32,
@@ -48,7 +52,7 @@ pub struct ThreadLedger {
 /// double-freed, and what the failure injector did. Available on
 /// [`crate::Report::leaks`] when the run was configured with
 /// [`crate::Config::with_ledger`].
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LeakReport {
     /// Total bytes allocated through `rt_alloc` over the run.
     pub total_allocated: u64,

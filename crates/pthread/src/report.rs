@@ -6,9 +6,10 @@ use crate::config::Config;
 
 /// Summary of one virtual-SMP run: configuration echo plus the machine's
 /// collected statistics. Everything the paper's figures plot is here.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
-    /// Scheduler name ("fifo", "lifo", "df", "ws").
+    /// Scheduler name, as [`crate::SchedKind::name`] spells it ("fifo",
+    /// "lifo", "df", "df-local", "df-deques" or "ws").
     pub scheduler: String,
     /// Virtual processor count.
     pub processors: usize,
@@ -24,21 +25,17 @@ pub struct Report {
     /// Machine statistics (makespan, breakdowns, memory).
     pub stats: RunStats,
     /// Execution trace, when enabled via [`Config::with_trace`].
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub trace: Option<crate::trace::Trace>,
     /// Allocation-ledger leak report, when the run was configured with
     /// [`Config::with_ledger`] (or failure injection, which implies it).
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub leaks: Option<crate::mem::LeakReport>,
     /// Waits-for cycles detected by the deadlock sentinel, in detection
     /// order. Each is also a `Deadlock` flight-recorder event (when tracing)
     /// and an unwound [`crate::DeadlockError`] in the detecting thread.
-    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub deadlocks: Vec<crate::sentinel::DeadlockInfo>,
     /// The virtual-time watchdog's verdict, when the run stalled (all
     /// processors idle with live threads). Only [`crate::try_run`] can
     /// return a report with this set — [`crate::run`] panics on a stall.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub stalled: Option<crate::sentinel::StallInfo>,
 }
 

@@ -50,7 +50,7 @@ impl std::error::Error for TimedOut {}
 /// `cycle` lists the member thread ids in waits-for order: thread `cycle[i]`
 /// waits for a resource held (or being exited) by `cycle[(i + 1) % len]`. A
 /// self-deadlock (relocking a non-recursive mutex) is the 1-cycle `[t]`.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadlockInfo {
     /// Thread ids forming the cycle, in waits-for order.
     pub cycle: Vec<u32>,
@@ -94,7 +94,7 @@ impl std::fmt::Display for DeadlockError {
 impl std::error::Error for DeadlockError {}
 
 /// One live-but-stuck thread in a [`StallInfo`] verdict.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StalledThread {
     /// Thread id.
     pub thread: u32,
@@ -111,7 +111,7 @@ pub struct StalledThread {
 
 /// The virtual-time watchdog's verdict: every processor went idle while
 /// live threads remained — a lost wakeup or livelock.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StallInfo {
     /// Virtual time (max processor clock) when the stall was declared.
     pub at: VirtTime,

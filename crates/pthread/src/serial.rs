@@ -20,7 +20,7 @@ pub(crate) struct SerialCtx {
 }
 
 /// Result of a serial baseline run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SerialReport {
     /// Virtual execution time of the serial run.
     pub time: VirtTime,

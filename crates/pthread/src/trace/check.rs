@@ -62,7 +62,7 @@ use super::index::TraceIndex;
 use super::{BlockReason, EventKind, Trace};
 
 /// One causality violation found in a trace.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
     /// A thread blocked while already blocked (no intervening wake).
     DoubleBlock {
@@ -272,7 +272,7 @@ impl std::fmt::Display for Violation {
 }
 
 /// Result of [`check_trace`].
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct CheckReport {
     /// Everything the checker flagged, in timestamp order of discovery.
     pub violations: Vec<Violation>,

@@ -126,7 +126,7 @@ pub fn causal_edge(e: &Event) -> Option<CausalEdge> {
 }
 
 /// Blame assignment of one critical-path [`Segment`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum BlameBucket {
     /// A path thread was executing.
     Compute,
@@ -165,7 +165,7 @@ impl BlameBucket {
 }
 
 /// One contiguous interval of the realized critical path.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// The thread the walk was in (`None` for the engine tail / empty
     /// traces).
@@ -187,7 +187,7 @@ impl Segment {
 
 /// Per-bucket totals over the whole path. [`Blame::sum`] equals the
 /// makespan bit-exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Blame {
     /// Total [`BlameBucket::Compute`] time.
     pub compute: VirtTime,
@@ -237,7 +237,7 @@ impl Blame {
 }
 
 /// Cumulative path blame against one sync object.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectBlame {
     /// The blocking primitive.
     pub reason: BlockReason,
@@ -250,7 +250,7 @@ pub struct ObjectBlame {
 }
 
 /// Per-thread on-path totals.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadBlame {
     /// Thread id.
     pub thread: u32,
@@ -263,7 +263,7 @@ pub struct ThreadBlame {
 }
 
 /// The analyzed realized critical path of one run.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CritPath {
     /// True when the trace recorded no spans (the result is a structured
     /// "empty" value: one residual segment if the makespan is nonzero).
@@ -297,7 +297,7 @@ pub fn analyze_with_makespan(trace: &Trace, makespan: VirtTime) -> CritPath {
 
 /// Cumulative blocked time against one sync object across *all* threads
 /// (not just the critical path); see [`object_waits`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectWait {
     /// The blocking primitive.
     pub reason: BlockReason,

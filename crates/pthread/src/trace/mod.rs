@@ -46,7 +46,7 @@ mod index;
 pub mod json;
 
 /// What a trace span represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// A thread executing a scheduling quantum.
     Run,
@@ -76,7 +76,7 @@ impl SpanKind {
 }
 
 /// One execution span on a virtual processor.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// Virtual processor.
     pub proc: ProcId,
@@ -91,7 +91,7 @@ pub struct Span {
 }
 
 /// Which primitive a thread blocked on (the "reason" of a block event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockReason {
     /// `JoinHandle::join` on a still-running thread.
     Join,
@@ -138,7 +138,7 @@ impl BlockReason {
 }
 
 /// A structured scheduler or memory event.
-#[derive(Debug, Clone, Copy, PartialEq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum EventKind {
     /// A thread was created.
     Spawn {
@@ -293,7 +293,7 @@ impl EventKind {
 }
 
 /// One event on the virtual timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct Event {
     /// Virtual time of the event.
     pub at: VirtTime,
@@ -312,7 +312,7 @@ pub struct Event {
 /// `max(footprint) == MemStats::footprint_hwm` and `max(live_threads) ==
 /// MemStats::live_threads_hwm` exactly. `ready` and `active_deques` are
 /// sampled at every dispatch.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Counters {
     /// Committed footprint in bytes (the paper's Figure 9 curve).
     pub footprint: Vec<(VirtTime, u64)>,
@@ -327,7 +327,7 @@ pub struct Counters {
 }
 
 /// Per-thread lifecycle record.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadLifecycle {
     /// Thread id.
     pub thread: u32,
@@ -358,7 +358,7 @@ impl ThreadLifecycle {
 
 /// Configuration echo carried by a trace so tools can interpret it
 /// standalone.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceMeta {
     /// Scheduler name (`"df"`, `"fifo"`, ...).
     pub scheduler: String,
@@ -377,7 +377,7 @@ pub struct TraceMeta {
 }
 
 /// A recorded flight-recorder trace.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Run configuration echo.
     pub meta: TraceMeta,
@@ -401,7 +401,7 @@ pub struct Trace {
 }
 
 /// Which decision point a [`Decision`] was taken at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecisionKind {
     /// Dispatch tie-break: several idle processors share the minimum
     /// virtual clock; one must run the next ready thread.
@@ -461,7 +461,7 @@ impl DecisionKind {
 /// Only genuine choices are recorded: a decision point with a single
 /// candidate is not a decision and produces no record, so the decision
 /// log is exactly the branching structure of the schedule space.
-#[derive(Debug, Clone, Copy, PartialEq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct Decision {
     /// The decision point.
     pub kind: DecisionKind,
@@ -477,7 +477,7 @@ pub struct Decision {
 }
 
 /// Percentiles and a log₂ histogram over one latency population.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyStats {
     /// Sample count.
     pub count: u64,
@@ -529,7 +529,7 @@ impl LatencyStats {
 }
 
 /// Aggregated per-thread lifecycle metrics (see [`Trace::lifecycle`]).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LifecycleSummary {
     /// Threads with a lifecycle record.
     pub threads: u64,

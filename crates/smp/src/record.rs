@@ -21,7 +21,7 @@ use crate::time::VirtTime;
 use crate::ProcId;
 
 /// A memory-system event recorded by the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemEventKind {
     /// Application heap allocation at or above the event threshold.
     Alloc {
@@ -61,7 +61,7 @@ pub enum MemEventKind {
 }
 
 /// One machine-level event on the virtual timeline.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemEvent {
     /// Virtual time of the event (the acting processor's clock).
     pub at: VirtTime,
@@ -76,7 +76,7 @@ pub struct MemEvent {
 /// Counter tracks are `(time, value)` samples taken at every change, so
 /// `max(track)` equals the corresponding high-water mark in
 /// [`crate::MemStats`] exactly.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MachineRecording {
     /// Memory-system events (allocs/frees above the threshold, stack
     /// reserve/release).

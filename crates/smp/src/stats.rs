@@ -4,7 +4,7 @@ use crate::VirtTime;
 
 /// Where a processor's virtual time went. This is the data behind the
 /// reproduction of the paper's Figure 6 (execution time breakdown).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimeBreakdown {
     /// Useful application work (explicitly charged cycles).
     pub compute: VirtTime,
@@ -133,7 +133,7 @@ impl TimeBreakdown {
 }
 
 /// Per-processor statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcStats {
     /// Time breakdown for this processor.
     pub breakdown: TimeBreakdown,
@@ -142,7 +142,7 @@ pub struct ProcStats {
 }
 
 /// Memory metrics for a run (the paper's space figures).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// High-water committed footprint in bytes (heap data + stacks), the
     /// quantity plotted in Figures 5b/7b/9.
@@ -191,7 +191,7 @@ pub struct MemStats {
 
 /// One engine phase's monotonic counter and accumulated *host* (real)
 /// nanoseconds, as sampled by the host-phase profiler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStat {
     /// Times the phase ran.
     pub count: u64,
@@ -291,7 +291,7 @@ impl HostProf {
 /// **disjoint**: [`HostProf`] subtracts every inner window's time from the
 /// enclosing one, so each phase holds only its own time and
 /// [`HostPhaseStats::total_ns`] never exceeds the engine's wall time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostPhaseStats {
     /// Whether the profiler was armed for this run.
     pub enabled: bool,
@@ -357,7 +357,7 @@ impl HostPhaseStats {
 }
 
 /// Complete result of one virtual-SMP run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Virtual makespan: the maximum processor clock at termination.
     pub makespan: VirtTime,

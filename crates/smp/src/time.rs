@@ -8,19 +8,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// The model uses 64-bit nanoseconds: ~584 years of virtual time, far beyond
 /// any experiment. Arithmetic is saturating-free (plain `+`) because
 /// overflow would indicate a model bug, which debug builds catch.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtTime(pub u64);
 
 impl VirtTime {
