@@ -255,7 +255,7 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "i < self.len")]
     fn shared_buf_get_out_of_range_trips_the_bounds_check() {
         let mut data = [0.0f64; 4];
         let s = SharedBuf::new(&mut data);

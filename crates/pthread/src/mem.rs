@@ -17,8 +17,8 @@
 //! As in the paper, the dummies are forked as a binary tree (the Pthreads
 //! interface only has binary fork), and lazily: the allocating thread
 //! creates at most two dummy roots standing for `⌊δ/2⌋` and `⌈δ/2⌉`
-//! dummies, and each dummy, when dispatched, forks two children for the
-//! rest of its subtree before it exits. So creation costs are spread over
+//! dummies, and each dummy, when dispatched, forks up to two children
+//! standing for the rest of its subtree before it exits. So creation costs are spread over
 //! the processors and only `O(log δ)` dummies are live at once per
 //! processor; DESIGN.md §5 records why a flat insertion of `δ` siblings was
 //! rejected.
